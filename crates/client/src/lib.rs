@@ -89,6 +89,10 @@ pub struct Client {
     writer: TcpStream,
 }
 
+/// Socket read size: a bulk reply arrives in tens of reads, not the
+/// hundreds `BufReader`'s 8 KiB default costs.
+const READ_BUF: usize = 64 * 1024;
+
 impl Client {
     /// Connect to a running `NetServer`.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
@@ -100,7 +104,7 @@ impl Client {
     /// Wrap an already-connected stream.
     pub fn from_stream(stream: TcpStream) -> io::Result<Client> {
         stream.set_nodelay(true)?;
-        let reader = BufReader::new(stream.try_clone()?);
+        let reader = BufReader::with_capacity(READ_BUF, stream.try_clone()?);
         Ok(Client {
             reader,
             writer: stream,
@@ -125,66 +129,150 @@ impl Client {
     /// Read one response off the socket (after a raw `send` by other
     /// means, or to drain a pipelined burst).
     pub fn read_response(&mut self) -> io::Result<Response> {
-        let mut raw = Vec::new();
-        let status = self.line(&mut raw)?;
-        if let Some(nlines) = protocol::parse_err_status(&status) {
-            let mut lines = Vec::with_capacity(nlines);
-            for _ in 0..nlines {
-                lines.push(self.line(&mut raw)?);
-            }
-            return Ok(Response::Err(WireError {
-                message: lines.join("\n"),
-                raw,
-            }));
+        read_response(&mut self.reader)
+    }
+}
+
+/// Parse one response off any buffered byte source — what
+/// [`Client::read_response`] runs over its socket.
+///
+/// Data rows are parsed where they lie in the reader's buffer: digits
+/// accumulate into an integer, a tab or newline ends the field, and the
+/// first byte of a line tells a row (`-` or a digit) from the `OK`
+/// trailer. The parse state lives outside the buffer, so a row may
+/// straddle any number of refills. A reply is accepted only in the form
+/// the server emits: every row has exactly `ncols` fields, every field is
+/// an optional `-` and 1–19 digits inside `i64`, and the trailer's
+/// `rows_out` equals the rows received (for a write, the one
+/// `rows_affected` cell). Anything else is `InvalidData`.
+pub fn read_response<R: BufRead>(reader: &mut R) -> io::Result<Response> {
+    let mut raw = Vec::new();
+    let status = read_line(reader, &mut raw)?;
+    if let Some(nlines) = protocol::parse_err_status(status) {
+        let body = raw.len();
+        for _ in 0..nlines {
+            read_line(reader, &mut raw)?;
         }
-        let Some(ncols) = protocol::parse_rows_status(&status) else {
-            return Err(malformed(format!("unexpected status line: {status:?}")));
-        };
-        let header = self.line(&mut raw)?;
-        let columns: Vec<String> = header.split('\t').map(str::to_string).collect();
-        if columns.len() != ncols {
-            return Err(malformed(format!(
-                "status promised {ncols} columns, header has {}",
-                columns.len()
-            )));
-        }
-        let mut data: Vec<i64> = Vec::new();
-        loop {
-            let line = self.line(&mut raw)?;
-            if let Some((rows_out, block_reads)) = protocol::parse_ok_trailer(&line) {
-                return Ok(Response::Rows(Rows {
-                    columns,
-                    data,
-                    rows_out,
-                    block_reads,
-                    raw,
-                }));
-            }
-            for field in line.split('\t') {
-                data.push(
-                    field
-                        .parse()
-                        .map_err(|_| malformed(format!("bad value {field:?}")))?,
-                );
-            }
-        }
+        // The lines joined by `\n` are the body less its last newline.
+        let body = text(&raw[body..])?;
+        let message = body.strip_suffix('\n').unwrap_or(body).to_string();
+        return Ok(Response::Err(WireError { message, raw }));
+    }
+    let Some(ncols) = protocol::parse_rows_status(status) else {
+        return Err(malformed(format!("unexpected status line: {status:?}")));
+    };
+    let header = read_line(reader, &mut raw)?;
+    let columns: Vec<String> = header.split('\t').map(str::to_string).collect();
+    if columns.len() != ncols {
+        return Err(malformed(format!(
+            "status promised {ncols} columns, header has {}",
+            columns.len()
+        )));
     }
 
-    /// Read one `\n`-terminated line, appending the bytes (newline
-    /// included) to `raw` and returning the text without it.
-    fn line(&mut self, raw: &mut Vec<u8>) -> io::Result<String> {
-        let start = raw.len();
-        let n = self.reader.read_until(b'\n', raw)?;
-        if n == 0 || raw.last() != Some(&b'\n') {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed mid-response",
-            ));
+    let mut data: Vec<i64> = Vec::new();
+    let mut rows: u64 = 0;
+    // The field being read: magnitude, digits seen, sign, column.
+    let (mut acc, mut digits, mut neg, mut col) = (0u64, 0usize, false, 0usize);
+    'rows: loop {
+        let buf = reader.fill_buf()?;
+        if buf.is_empty() {
+            return Err(closed_early());
         }
-        let text = std::str::from_utf8(&raw[start..raw.len() - 1])
-            .map_err(|_| malformed("response is not valid UTF-8".into()))?;
-        Ok(text.to_string())
+        let mut i = 0;
+        while i < buf.len() {
+            let b = buf[i];
+            let d = b.wrapping_sub(b'0');
+            if d <= 9 {
+                // Nineteen digits cannot wrap a u64; a twentieth is
+                // rejected below whatever the wrapped sum says.
+                acc = acc.wrapping_mul(10).wrapping_add(u64::from(d));
+                digits += 1;
+                i += 1;
+                continue;
+            }
+            let at_field_start = digits == 0 && !neg;
+            match b {
+                b'\t' | b'\n' => {
+                    let limit = i64::MAX as u64 + u64::from(neg);
+                    if digits == 0 || digits > 19 || acc > limit {
+                        return Err(malformed(format!(
+                            "row {rows}, field {col}: not an i64 in decimal"
+                        )));
+                    }
+                    data.push(if neg {
+                        acc.wrapping_neg() as i64
+                    } else {
+                        acc as i64
+                    });
+                    (acc, digits, neg) = (0, 0, false);
+                    col += 1;
+                    if b == b'\n' {
+                        if col != ncols {
+                            return Err(malformed(format!(
+                                "row {rows} has {col} fields, header has {ncols}"
+                            )));
+                        }
+                        col = 0;
+                        rows += 1;
+                    }
+                }
+                b'-' if at_field_start => neg = true,
+                b'O' if at_field_start && col == 0 => {
+                    raw.extend_from_slice(&buf[..i]);
+                    reader.consume(i);
+                    break 'rows;
+                }
+                _ => {
+                    return Err(malformed(format!(
+                        "row {rows}, field {col}: unexpected byte {b:#04x}"
+                    )))
+                }
+            }
+            i += 1;
+        }
+        raw.extend_from_slice(buf);
+        let n = buf.len();
+        reader.consume(n);
     }
+
+    let trailer = read_line(reader, &mut raw)?;
+    let Some((rows_out, block_reads)) = protocol::parse_ok_trailer(trailer) else {
+        return Err(malformed(format!("unexpected trailer: {trailer:?}")));
+    };
+    let is_write_ack =
+        rows == 1 && columns == [protocol::WRITE_HEADER] && u64::try_from(data[0]) == Ok(rows_out);
+    if rows != rows_out && !is_write_ack {
+        return Err(malformed(format!(
+            "trailer promised {rows_out} rows, {rows} arrived"
+        )));
+    }
+    Ok(Response::Rows(Rows {
+        columns,
+        data,
+        rows_out,
+        block_reads,
+        raw,
+    }))
+}
+
+/// Read one `\n`-terminated line, appending its bytes (newline
+/// included) to `raw` and returning the text without it.
+fn read_line<'a, R: BufRead>(reader: &mut R, raw: &'a mut Vec<u8>) -> io::Result<&'a str> {
+    let start = raw.len();
+    reader.read_until(b'\n', raw)?;
+    if raw.len() == start || raw.last() != Some(&b'\n') {
+        return Err(closed_early());
+    }
+    text(&raw[start..raw.len() - 1])
+}
+
+fn text(bytes: &[u8]) -> io::Result<&str> {
+    std::str::from_utf8(bytes).map_err(|_| malformed("response is not valid UTF-8".into()))
+}
+
+fn closed_early() -> io::Error {
+    io::Error::new(io::ErrorKind::UnexpectedEof, "server closed mid-response")
 }
 
 fn malformed(msg: String) -> io::Error {

@@ -67,7 +67,7 @@ use std::time::Instant;
 
 use matstrat_common::{Error, Pos, PosRange, Predicate, Result, Value};
 use matstrat_poslist::{PosList, PosListBuilder, PosVec};
-use matstrat_storage::{set_thread_query_token, ColumnReader, EncodingKind, IoMeter, Store};
+use matstrat_storage::{ColumnReader, EncodingKind, IoMeter, Store};
 
 use crate::multicol::{FetchKind, MiniColumn, MultiColumn};
 use crate::ops::agg::{aggregate_runs, aggregate_runs_compressed, AggFunc, Aggregator};
@@ -105,13 +105,6 @@ pub struct ExecOptions {
     /// of granules. The result is identical at any setting. Defaults to
     /// [`default_parallelism`] (the `MATSTRAT_THREADS` environment knob).
     pub parallelism: usize,
-    /// The query's identity for cold-read attribution (0 = untracked).
-    /// Every executor thread tags itself with it, so a buffer-pool fill
-    /// raced by *another* query credits the waiter's per-thread meter
-    /// share (see `matstrat_storage::BufferPool::get_or_insert_with_owner`).
-    /// The query service allocates one per request; standalone callers
-    /// can leave the default.
-    pub query_token: u64,
     /// Consult per-block min/max zone maps when scanning a **filter**
     /// column: blocks whose value range cannot satisfy the predicate are
     /// never read (their positions would not survive the scan anyway, so
@@ -131,7 +124,6 @@ impl Default for ExecOptions {
             force_repr: None,
             granule: GRANULE,
             parallelism: default_parallelism(),
-            query_token: 0,
             zone_maps: true,
         }
     }
@@ -347,9 +339,6 @@ impl SpanTask<'_> {
     /// calling thread's meter view, so a worker reports only what it
     /// caused.
     fn run_span(&self, span: PosRange) -> Result<Fragment> {
-        // Tag the worker with the query's identity so cold fills it waits
-        // on (raced by another query) credit this query's meter share.
-        set_thread_query_token(self.opts.query_token);
         let t0 = Instant::now();
         let io0 = self.meter.thread_snapshot();
         // Like the I/O meter, the code-op ledger is thread-local and

@@ -58,10 +58,7 @@ use std::time::Instant;
 use matstrat_common::{Error, Pos, PosRange, Predicate, Result, TableId, Value};
 use matstrat_model::plans::JoinInnerKind;
 use matstrat_poslist::{PosList, PosListBuilder, PosVec};
-use matstrat_storage::{
-    set_thread_query_token, ColumnReader, IoMeter, IoSink, IoStats, ProjectionInfo, Store,
-    TableDelta,
-};
+use matstrat_storage::{ColumnReader, IoMeter, IoSink, IoStats, ProjectionInfo, Store, TableDelta};
 
 use crate::exec::ExecOptions;
 use crate::multicol::MiniColumn;
@@ -579,7 +576,6 @@ impl InnerRep {
         shared: &SharedBuild,
         right_output: &[usize],
         inner: InnerStrategy,
-        token: u64,
         sink: Option<&IoSink>,
     ) -> Result<InnerRep> {
         let base_rows = shared.base_rows;
@@ -587,7 +583,7 @@ impl InnerRep {
         let rwidth = right_output.len();
         let build_workers = shared.build_workers;
         let minis: Vec<MiniColumn> = if base_rows > 0 {
-            par_indexed(rwidth, build_workers, token, store.meter(), sink, |c| {
+            par_indexed(rwidth, build_workers, store.meter(), sink, |c| {
                 MiniColumn::fetch(
                     &store.reader_for(shared.info.column(right_output[c])?)?,
                     window,
@@ -601,7 +597,7 @@ impl InnerRep {
         let materialized: Option<Vec<Value>> = match inner {
             InnerStrategy::Materialized if base_rows > 0 => {
                 let cols: Vec<Vec<Value>> =
-                    par_indexed(rwidth, build_workers, token, store.meter(), sink, |c| {
+                    par_indexed(rwidth, build_workers, store.meter(), sink, |c| {
                         let mut v = Vec::with_capacity(base_rows as usize);
                         minis[c].decode(&mut v)?;
                         Ok(v)
@@ -616,7 +612,7 @@ impl InnerRep {
         // such columns once, shared read-only by every probe worker.
         let decoded: Vec<Option<Vec<Value>>> = match inner {
             InnerStrategy::SingleColumn if base_rows > 0 => {
-                par_indexed(rwidth, build_workers, token, store.meter(), sink, |c| {
+                par_indexed(rwidth, build_workers, store.meter(), sink, |c| {
                     if minis[c].supports_position_fetch() {
                         Ok(None)
                     } else {
@@ -786,28 +782,16 @@ pub(crate) fn fetch_codes_expanded(mini: &MiniColumn, positions: &[Pos]) -> Resu
 fn par_indexed<T: Send>(
     n: usize,
     workers: usize,
-    token: u64,
     meter: &IoMeter,
     sink: Option<&IoSink>,
     f: impl Fn(usize) -> Result<T> + Sync,
 ) -> Result<Vec<T>> {
-    matstrat_common::par_map_indexed(
-        n,
-        workers,
-        |i| {
-            // Tag each worker with the owning query's token so the
-            // buffer pool can credit single-flight fills it waits on to
-            // this query's meters.
-            set_thread_query_token(token);
-            f(i)
-        },
-        || {
-            let dropped = meter.forget_current_thread();
-            if let Some(sink) = sink {
-                sink.add(dropped);
-            }
-        },
-    )
+    matstrat_common::par_map_indexed(n, workers, f, || {
+        let dropped = meter.forget_current_thread();
+        if let Some(sink) = sink {
+            sink.add(dropped);
+        }
+    })
 }
 
 /// Drop the positions in `deletes` (sorted ascending) from `desc`. Both
@@ -978,14 +962,7 @@ fn hash_join_sunk(
         opts,
         Some(sink),
     )?;
-    let rep = InnerRep::build(
-        store,
-        &shared,
-        &spec.right_output,
-        inner,
-        opts.query_token,
-        Some(sink),
-    )?;
+    let rep = InnerRep::build(store, &shared, &spec.right_output, inner, Some(sink))?;
 
     let build = BuildSide {
         shared,
@@ -1011,11 +988,9 @@ fn hash_join_sunk(
         opts.granule.max(1),
         opts.parallelism.max(1),
     );
-    let token = opts.query_token;
     let zone_maps = opts.zone_maps;
     let (fragments, steals): (Vec<(Vec<Value>, u64)>, u64) =
         pipeline.run_counted_sunk(store.meter(), Some(sink), |span| {
-            set_thread_query_token(token);
             probe_span(spec, &build, zone_maps, span)
         })?;
 

@@ -53,7 +53,7 @@ use std::time::Instant;
 
 use matstrat_common::{Error, Pos, PosRange, Predicate, Result, TableId, Value};
 use matstrat_poslist::PosList;
-use matstrat_storage::{set_thread_query_token, ColumnReader, IoSink, Store, TableDelta};
+use matstrat_storage::{ColumnReader, IoSink, Store, TableDelta};
 
 use crate::exec::ExecOptions;
 use crate::multicol::MiniColumn;
@@ -416,7 +416,6 @@ pub fn hash_join_tree_with_options(
             &shared,
             &edge.right_output,
             plan.inners[ei],
-            opts.query_token,
             Some(&sink),
         )?;
         let source = match spec.key_source(ei)? {
@@ -488,10 +487,8 @@ pub fn hash_join_tree_with_options(
         opts.granule.max(1),
         opts.parallelism.max(1),
     );
-    let token = opts.query_token;
     let zone_maps = opts.zone_maps;
     let (fragments, steals) = pipeline.run_counted_sunk(store.meter(), Some(&sink), |span| {
-        set_thread_query_token(token);
         probe_tree_span(
             spec,
             &runs,

@@ -40,7 +40,7 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use matstrat_common::Result;
 use matstrat_model::Constants;
-use matstrat_storage::{next_query_token, set_thread_query_token, Store};
+use matstrat_storage::Store;
 
 use crate::db::{Database, QueryOutcome, QueryPlan};
 use crate::exec::{default_parallelism, execute_with_options, ExecOptions};
@@ -280,11 +280,7 @@ impl Session {
             Statement::Select(q) => {
                 let choice = srv.planner.choose(&srv.store, q)?;
                 let permit = srv.admit();
-                let opts = ExecOptions {
-                    query_token: next_query_token(),
-                    ..ExecOptions::with_parallelism(permit.share)
-                };
-                let _tag = ThreadTokenGuard::tag(opts.query_token);
+                let opts = ExecOptions::with_parallelism(permit.share);
                 let (rows, stats) = execute_with_options(&srv.store, q, choice.strategy, &opts)?;
                 Ok(QueryOutcome {
                     rows,
@@ -295,11 +291,7 @@ impl Session {
             Statement::JoinTree(t) => {
                 let choice = srv.planner.choose_join_tree(&srv.store, t)?;
                 let permit = srv.admit();
-                let opts = ExecOptions {
-                    query_token: next_query_token(),
-                    ..ExecOptions::with_parallelism(permit.share)
-                };
-                let _tag = ThreadTokenGuard::tag(opts.query_token);
+                let opts = ExecOptions::with_parallelism(permit.share);
                 let (rows, stats) =
                     hash_join_tree_with_options(&srv.store, t, &choice.plan(), &opts)?;
                 Ok(QueryOutcome {
@@ -323,7 +315,7 @@ impl Session {
 
     /// Plan (at the full budget) and run a scan (at the fair share).
     /// Now a thin delegate of [`Session::run`] — same planning, same
-    /// admission, same token tagging — so the deprecated path can never
+    /// admission — so the deprecated path can never
     /// drift from the unified one (`deprecated_session_shims_match_run`
     /// pins the stats equality).
     #[deprecated(note = "use Session::run(&Request); the Reply carries rows and stats")]
@@ -339,25 +331,6 @@ impl Session {
     pub fn run_join_tree(&self, spec: &JoinTreeSpec) -> Result<(QueryResult, JoinTreeStats)> {
         let out = self.run(&Statement::JoinTree(spec.clone()))?;
         Ok((out.rows, out.stats))
-    }
-}
-
-/// Tags the calling (session) thread with a query token for the scope
-/// of one request — executor workers tag themselves in their span loop;
-/// this covers reads issued inline on the session thread — and untags
-/// on drop so a later query on the same client thread starts clean.
-struct ThreadTokenGuard;
-
-impl ThreadTokenGuard {
-    fn tag(token: u64) -> ThreadTokenGuard {
-        set_thread_query_token(token);
-        ThreadTokenGuard
-    }
-}
-
-impl Drop for ThreadTokenGuard {
-    fn drop(&mut self) {
-        set_thread_query_token(0);
     }
 }
 

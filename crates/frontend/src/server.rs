@@ -312,6 +312,12 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
+    // Requests are single short lines, so the reader's default size
+    // serves. The writer's default is kept on purpose: it gathers an
+    // `ERR` reply's lines into one write, and stays below the chunks
+    // `write_outcome` hands it, which therefore reach the socket
+    // directly — a bulk reply costs one write per 64 KiB chunk and no
+    // second copy.
     let mut reader = BufReader::new(read_half);
     let mut writer = BufWriter::new(stream);
     let session = shared.service.connect();

@@ -40,9 +40,7 @@ pub use delta::{retain_live, DeltaStore, TableDelta};
 pub use disk::{Disk, FileDisk, MemDisk};
 pub use encoding::EncodingKind;
 pub use file::{BlockIndexEntry, ColumnFileReader, ColumnFileWriter, ColumnStats};
-pub use meter::{
-    current_query_token, next_query_token, set_thread_query_token, IoMeter, IoSink, IoStats,
-};
+pub use meter::{IoMeter, IoSink, IoStats};
 pub use pool::{default_pool_shards, BufferPool, PoolStats};
 pub use store::{ColumnReader, CompactorHandle, RecoveryReport, Store};
 

@@ -19,41 +19,11 @@
 //! [`IoMeter::thread_snapshot`], which lets a worker report exactly the
 //! I/O it caused).
 
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::ops::AddAssign;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread::{self, ThreadId};
 
 use parking_lot::Mutex;
-
-/// Monotonic allocator for query tokens. Token `0` is reserved for
-/// "no query" (untracked work: loads, maintenance, tests driving the
-/// pool directly), so the first allocated token is 1.
-static NEXT_QUERY_TOKEN: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    /// The query the current thread is working for, or 0.
-    static QUERY_TOKEN: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Allocate a fresh, process-unique query token.
-pub fn next_query_token() -> u64 {
-    NEXT_QUERY_TOKEN.fetch_add(1, Ordering::Relaxed)
-}
-
-/// Tag the calling thread as working for `token` (0 clears the tag).
-/// The executor sets this at the start of every pipeline span and on the
-/// session thread, so a buffer-pool fill can tell whether a waiter
-/// belongs to the same query as the filler.
-pub fn set_thread_query_token(token: u64) {
-    QUERY_TOKEN.with(|t| t.set(token));
-}
-
-/// The calling thread's current query token (0 when untracked).
-pub fn current_query_token() -> u64 {
-    QUERY_TOKEN.with(|t| t.get())
-}
 
 /// Counters of simulated disk activity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -165,23 +135,6 @@ impl IoMeter {
         }
         inner.stats.block_reads += 1;
         inner.last_end.insert(key, offset + len);
-    }
-
-    /// Credit the calling thread with one block read it *caused but did
-    /// not perform*: it arrived at the buffer pool while another query
-    /// was already filling the same block, and single-flight
-    /// deduplication handed it the other query's result. The physical
-    /// read was recorded once by the filling thread, so only the
-    /// per-thread share moves here — the global counters keep counting
-    /// disk blocks actually transferred, exactly once each. Sequential-
-    /// position tracking is untouched: the crediting thread's own read
-    /// stream never visited the disk for this block, and a later real
-    /// read by this thread should be judged against where *its* arm
-    /// actually is.
-    pub fn credit_block_read(&self, _file: &str) {
-        let tid = thread::current().id();
-        let mut inner = self.inner.lock();
-        inner.per_thread.entry(tid).or_default().block_reads += 1;
     }
 
     /// Snapshot the global counters (all threads).
@@ -360,33 +313,6 @@ mod tests {
         assert_eq!(sink.total().block_reads, 3);
         // A second forget harvests nothing: the state really was dropped.
         assert_eq!(m.forget_current_thread(), IoStats::default());
-    }
-
-    #[test]
-    fn query_tokens_are_unique_and_thread_local() {
-        let a = next_query_token();
-        let b = next_query_token();
-        assert_ne!(a, b);
-        assert_ne!(a, 0, "0 is reserved for untracked work");
-        set_thread_query_token(a);
-        assert_eq!(current_query_token(), a);
-        let seen = std::thread::scope(|s| s.spawn(current_query_token).join().unwrap());
-        assert_eq!(seen, 0, "tokens do not leak across threads");
-        set_thread_query_token(0);
-        assert_eq!(current_query_token(), 0);
-    }
-
-    #[test]
-    fn credited_reads_move_thread_share_not_global() {
-        let m = IoMeter::new();
-        m.record_read("f", 0, 10);
-        m.credit_block_read("f");
-        assert_eq!(m.thread_snapshot().block_reads, 2);
-        assert_eq!(m.snapshot().block_reads, 1, "physical count stays exact");
-        assert_eq!(m.thread_snapshot().seeks, 1, "credit never seeks");
-        // Credit does not disturb this thread's sequential position.
-        m.record_read("f", 10, 10);
-        assert_eq!(m.snapshot().seeks, 1);
     }
 
     #[test]

@@ -135,12 +135,6 @@ impl std::ops::AddAssign for PoolStats {
 struct Entry {
     block: Arc<EncodedBlock>,
     last_used: u64,
-    /// Query token of the fill that brought this block in (0 =
-    /// untracked work: loads, direct inserts, maintenance). Lets a
-    /// single-flight waiter tell whether the fill it waited on belonged
-    /// to its own query or to a stranger whose read it must be credited
-    /// for (see [`BufferPool::get_or_insert_with_owner`]).
-    filled_by: u64,
 }
 
 #[derive(Debug, Default)]
@@ -180,7 +174,7 @@ impl Shard {
     /// The single-flight path defers its miss — a first probe that turns
     /// into a hit after the stripe wait is one hit, not a miss plus a
     /// hit.
-    fn find(&self, key: &BlockKey, count_miss: bool) -> Option<(Arc<EncodedBlock>, u64)> {
+    fn find(&self, key: &BlockKey, count_miss: bool) -> Option<Arc<EncodedBlock>> {
         let inner = &mut *self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
@@ -188,9 +182,8 @@ impl Shard {
             Some(e) => {
                 e.last_used = tick;
                 let b = Arc::clone(&e.block);
-                let filled_by = e.filled_by;
                 inner.stats.hits += 1;
-                Some((b, filled_by))
+                Some(b)
             }
             None => {
                 if count_miss {
@@ -205,7 +198,7 @@ impl Shard {
         self.inner.lock().stats.misses += 1;
     }
 
-    fn insert(&self, key: BlockKey, block: Arc<EncodedBlock>, filled_by: u64) {
+    fn insert(&self, key: BlockKey, block: Arc<EncodedBlock>) {
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
@@ -227,7 +220,6 @@ impl Shard {
             Entry {
                 block,
                 last_used: tick,
-                filled_by,
             },
         );
     }
@@ -313,14 +305,16 @@ impl BufferPool {
     pub fn get(&self, key: &BlockKey) -> Option<Arc<EncodedBlock>> {
         let shards = self.shards.read();
         let (i, _) = Self::shard_index(key, shards.len());
-        shards[i].find(key, true).map(|(b, _)| b)
+        shards[i].find(key, true)
     }
 
     /// Look up `key`, filling it with `fill` on a miss. Concurrent callers
     /// of the same key are single-flighted: exactly one runs `fill`, the
     /// rest wait on the key's stripe and are served from the pool. Each
     /// call counts exactly one hit (served from cache) or miss (`fill`
-    /// ran, or was attempted and failed). The stripe layout is pinned for
+    /// ran, or was attempted and failed). A waiter is a hit like any
+    /// other: whatever `fill` meters is charged to the one caller whose
+    /// `fill` ran, however the callers interleave. The stripe layout is pinned for
     /// the duration of the call (read side of the reshard lock), so a
     /// concurrent [`Self::reshard`] waits for in-flight fills and never
     /// strands one between layouts. That wait is deliberate: completing
@@ -335,46 +329,24 @@ impl BufferPool {
         key: &BlockKey,
         fill: impl FnOnce() -> std::result::Result<Arc<EncodedBlock>, E>,
     ) -> std::result::Result<Arc<EncodedBlock>, E> {
-        self.get_or_insert_with_owner(key, 0, fill).map(|(b, _)| b)
-    }
-
-    /// [`Self::get_or_insert_with`] with cold-read *attribution*: `token`
-    /// identifies the calling query (0 = untracked), a fill stamps the
-    /// entry with the filler's token, and the returned flag reports
-    /// whether this call **waited on another query's in-flight fill** —
-    /// it missed, queued on the single-flight stripe, and was then served
-    /// by an entry stamped with a different token. Such a caller did all
-    /// the work of a cold read except the disk transfer itself (the
-    /// single-flight dedup handed it a stranger's result), so per-query
-    /// accounting must credit it one `block_read` or its cold count comes
-    /// out below what the same query does when run alone. Waiting on a
-    /// *sibling* thread of the same query returns `false`: the query
-    /// already recorded that read once, exactly as its serial oracle
-    /// would. Plain hits and own fills return `false`.
-    pub fn get_or_insert_with_owner<E>(
-        &self,
-        key: &BlockKey,
-        token: u64,
-        fill: impl FnOnce() -> std::result::Result<Arc<EncodedBlock>, E>,
-    ) -> std::result::Result<(Arc<EncodedBlock>, bool), E> {
         let shards = self.shards.read();
         let (i, hash) = Self::shard_index(key, shards.len());
         let shard = &shards[i];
-        if let Some((b, _)) = shard.find(key, false) {
-            return Ok((b, false));
+        if let Some(b) = shard.find(key, false) {
+            return Ok(b);
         }
         // The shard index consumed the low hash bits; pick the flight
         // stripe from the high bits so one shard's keys still spread over
         // its stripes.
         let _inflight = shard.flight[(hash >> 32) as usize % shard.flight.len()].lock();
-        if let Some((b, filled_by)) = shard.find(key, false) {
+        if let Some(b) = shard.find(key, false) {
             // Another caller filled it while we waited on the stripe.
-            return Ok((b, filled_by != token));
+            return Ok(b);
         }
         shard.record_miss();
         let block = fill()?;
-        shard.insert(key.clone(), Arc::clone(&block), token);
-        Ok((block, false))
+        shard.insert(key.clone(), Arc::clone(&block));
+        Ok(block)
     }
 
     /// Insert a block, evicting the shard's least-recently-used entry if
@@ -382,7 +354,7 @@ impl BufferPool {
     pub fn insert(&self, key: BlockKey, block: Arc<EncodedBlock>) {
         let shards = self.shards.read();
         let (i, _) = Self::shard_index(&key, shards.len());
-        shards[i].insert(key, block, 0);
+        shards[i].insert(key, block);
     }
 
     /// Drop every cached block of `file`, returning how many were
@@ -451,23 +423,23 @@ impl BufferPool {
         // with its pre-move recency (per-stripe tick, then stripe index —
         // deterministic, and order within a stripe is its real LRU order).
         let mut total = PoolStats::default();
-        let mut entries: Vec<(u64, usize, BlockKey, Arc<EncodedBlock>, u64)> = Vec::new();
+        let mut entries: Vec<(u64, usize, BlockKey, Arc<EncodedBlock>)> = Vec::new();
         for (si, s) in guard.iter_mut().enumerate() {
             let inner = s.inner.get_mut();
             total += inner.stats;
             for (key, e) in inner.entries.drain() {
-                entries.push((e.last_used, si, key, e.block, e.filled_by));
+                entries.push((e.last_used, si, key, e.block));
             }
         }
         entries.sort_unstable_by(|a, b| (a.0, a.1, &a.2).cmp(&(b.0, b.1, &b.2)));
 
         let mut new_shards = make_shards(capacity, new_n);
         new_shards[0].inner.get_mut().stats = total;
-        for (_, _, key, block, filled_by) in entries {
+        for (_, _, key, block) in entries {
             let (i, _) = Self::shard_index(&key, new_n);
             // Ascending recency: on overflow the stripe evicts its oldest
             // entry, exactly as a live insert would.
-            new_shards[i].insert(key, block, filled_by);
+            new_shards[i].insert(key, block);
         }
         *guard = new_shards;
     }
@@ -660,51 +632,48 @@ mod tests {
     }
 
     #[test]
-    fn waiters_on_a_foreign_fill_are_flagged_but_siblings_are_not() {
+    fn a_waiter_on_anothers_fill_is_served_and_charged_nothing() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        // Queries 1 and 2 race the same cold block, two threads each.
-        // Exactly one thread fills; every waiter served by a *different*
-        // query's fill is flagged, same-query siblings and the filler are
-        // not. The filler's token is unknown in advance, so assert the
-        // invariant pairwise instead of by hardcoded winner.
-        let pool = BufferPool::new(8);
-        let fills = AtomicUsize::new(0);
-        let filler_token = AtomicUsize::new(0);
-        let outcomes: Vec<(u64, bool)> = std::thread::scope(|s| {
-            let handles: Vec<_> = [1u64, 1, 2, 2]
-                .iter()
-                .map(|&token| {
-                    let pool = &pool;
-                    let fills = &fills;
-                    let filler_token = &filler_token;
-                    s.spawn(move || {
-                        let (b, waited): (_, bool) = pool
-                            .get_or_insert_with_owner(&key(3), token, || {
-                                fills.fetch_add(1, Ordering::SeqCst);
-                                filler_token.store(token as usize, Ordering::SeqCst);
-                                std::thread::sleep(std::time::Duration::from_millis(20));
-                                Ok::<_, ()>(block(3))
-                            })
-                            .unwrap();
-                        assert_eq!(b.start_pos(), 3);
-                        (token, waited)
-                    })
+        use std::sync::mpsc;
+        // Cold reads are metered inside `fill`, so "charged" is "whose
+        // closure ran". The filler parks inside its fill, holding the
+        // stripe, until the second caller has probed and missed; from
+        // there the second caller can only queue on the stripe and be
+        // served by the filler's block.
+        let pool = BufferPool::with_shards(8, 1);
+        let charged = [AtomicUsize::new(0), AtomicUsize::new(0)];
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (pool, charged) = (&pool, &charged);
+        std::thread::scope(|s| {
+            let filler = s.spawn(move || {
+                pool.get_or_insert_with(&key(3), || {
+                    charged[0].fetch_add(1, Ordering::SeqCst);
+                    entered_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    Ok::<_, ()>(block(3))
                 })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        assert_eq!(fills.load(Ordering::SeqCst), 1, "single flight held");
-        let winner = filler_token.load(Ordering::SeqCst) as u64;
-        for (token, waited) in outcomes {
-            if waited {
-                assert_ne!(token, winner, "a sibling waiter must not be flagged");
+            });
+            entered_rx.recv().unwrap();
+            let waiter = s.spawn(move || {
+                pool.get_or_insert_with(&key(3), || {
+                    charged[1].fetch_add(1, Ordering::SeqCst);
+                    Ok::<_, ()>(block(3))
+                })
+            });
+            // Probes tick the shard's clock: two by the filler (before
+            // and after taking the stripe), the third is the waiter's.
+            while pool.shards.read()[0].inner.lock().tick < 3 {
+                std::thread::yield_now();
             }
-        }
-        // A later lookup is a plain hit: no flag, whoever asks.
-        let (_, waited) = pool
-            .get_or_insert_with_owner(&key(3), 9, || Ok::<_, ()>(block(3)))
-            .unwrap();
-        assert!(!waited, "plain hits are never credited");
+            release_tx.send(()).unwrap();
+            assert_eq!(filler.join().unwrap().unwrap().start_pos(), 3);
+            assert_eq!(waiter.join().unwrap().unwrap().start_pos(), 3);
+        });
+        let charged = [0, 1].map(|i| charged[i].load(Ordering::SeqCst));
+        assert_eq!(charged, [1, 0], "only the filler pays for the read");
+        let s = pool.stats();
+        assert_eq!((s.misses, s.hits), (1, 1), "one read, one served waiter");
     }
 
     #[test]

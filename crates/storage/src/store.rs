@@ -885,27 +885,22 @@ impl ColumnReader {
     /// Fetch block `idx` through the buffer pool; a miss reads from disk
     /// and charges the I/O meter. Concurrent misses on one block are
     /// single-flighted by the pool, so parallel cold runs read and count
-    /// each block exactly once, like a serial run — within one query.
-    /// Across queries, a caller served by *another* query's in-flight
-    /// fill gets a credited `block_read` on its per-thread meter share
-    /// (the global physical count is untouched), so each concurrent
-    /// query's cold ledger matches what it does when run alone.
+    /// each block exactly once, like a serial run. The read is charged
+    /// to the thread that filled and to nobody else: across overlapping
+    /// queries every cold block is charged to exactly one of them, so a
+    /// query never pays more than it does alone and the queries' reads
+    /// sum to the blocks actually transferred, whoever won which fill.
     pub fn block(&self, idx: usize) -> Result<Arc<EncodedBlock>> {
         let key = (self.info.file.clone(), idx as u32);
         let meta = self.block_meta(idx)?;
-        let token = crate::meter::current_query_token();
-        let (block, waited) = self.store.pool.get_or_insert_with_owner(&key, token, || {
+        self.store.pool.get_or_insert_with(&key, || {
             self.store
                 .meter
                 .record_read(&self.info.file, meta.offset, meta.len as u64);
             Ok::<_, Error>(Arc::new(
                 self.file.fetch_block(self.store.disk.as_ref(), idx)?,
             ))
-        })?;
-        if waited {
-            self.store.meter.credit_block_read(&self.info.file);
-        }
-        Ok(block)
+        })
     }
 
     /// Fraction of this column's blocks currently resident in the pool —

@@ -322,11 +322,15 @@ fn killed_client_releases_its_admission_slot() {
     // Gate on `accepted == 6` first — a killed connection can still be
     // sitting in the listener backlog, in which case the other
     // counters look drained only because its work hasn't started.
-    eventually("killed connections to drain", Duration::from_secs(10), || {
-        let w = net.stats();
-        let s = service.stats();
-        w.accepted == 6 && w.active == 0 && s.active == 0 && s.admitted == s.completed
-    });
+    eventually(
+        "killed connections to drain",
+        Duration::from_secs(10),
+        || {
+            let w = net.stats();
+            let s = service.stats();
+            w.accepted == 6 && w.active == 0 && s.active == 0 && s.admitted == s.completed
+        },
+    );
 
     // And the service is unharmed: a fresh client gets the exact serial
     // bytes for a cold query.

@@ -13,13 +13,16 @@
 //! * the connection cap refusing — and recovering — above
 //!   `NetConfig::max_conns`;
 //! * multi-byte caret diagnostics crossing the wire verbatim, pinned
-//!   against the same snapshots as `crates/lang/tests/errors.rs`.
+//!   against the same snapshots as `crates/lang/tests/errors.rs`;
+//! * and, facing the other way, everything a server could send that
+//!   the client must refuse: ragged rows, a row count the trailer
+//!   contradicts, and fields that are not a decimal `i64`.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
 
-use matstrat::client::{Client, Response};
+use matstrat::client::{read_response, Client, Response};
 use matstrat::net::{protocol, NetConfig, NetServer};
 use matstrat::prelude::*;
 
@@ -296,4 +299,101 @@ fn caret_snippets_cross_the_wire_verbatim() {
     // Diagnostics never cost the connection: it still answers.
     expect_probe_rows(client.query(PROBE).unwrap(), "after three diagnostics");
     net.shutdown();
+}
+
+/// The client accepts a reply only in the form the server emits. Each
+/// case is a reply that is well framed — status, header and `OK`
+/// trailer all present — and wrong in exactly one way.
+#[test]
+fn client_rejects_replies_the_server_never_emits() {
+    let hostile: [(&str, &str); 14] = [
+        (
+            "a row one field short",
+            "ROWS 2\na\tb\n1\t2\n3\nOK 2 reads=0\n",
+        ),
+        (
+            "a row one field long",
+            "ROWS 2\na\tb\n1\t2\t3\nOK 1 reads=0\n",
+        ),
+        (
+            "a row missing before the trailer",
+            "ROWS 1\na\n1\n2\nOK 3 reads=0\n",
+        ),
+        (
+            "a row more than the trailer counts",
+            "ROWS 1\na\n1\n2\nOK 1 reads=0\n",
+        ),
+        (
+            "no rows where the trailer counts one",
+            "ROWS 1\na\nOK 1 reads=0\n",
+        ),
+        (
+            "a write ack whose cell is not its count",
+            "ROWS 1\nrows_affected\n5\nOK 4 reads=0\n",
+        ),
+        ("an empty field", "ROWS 2\na\tb\n1\t\nOK 1 reads=0\n"),
+        ("an empty line", "ROWS 1\na\n\nOK 1 reads=0\n"),
+        ("a bare minus", "ROWS 1\na\n-\nOK 1 reads=0\n"),
+        ("a doubled minus", "ROWS 1\na\n--1\nOK 1 reads=0\n"),
+        ("a leading plus", "ROWS 1\na\n+1\nOK 1 reads=0\n"),
+        (
+            "one past i64::MAX",
+            "ROWS 1\na\n9223372036854775808\nOK 1 reads=0\n",
+        ),
+        (
+            "one past i64::MIN",
+            "ROWS 1\na\n-9223372036854775809\nOK 1 reads=0\n",
+        ),
+        (
+            "digits enough to wrap a u64 back into range",
+            "ROWS 1\na\n18446744073709551617\nOK 1 reads=0\n",
+        ),
+    ];
+    for (what, reply) in hostile {
+        match read_response(&mut reply.as_bytes()) {
+            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{what}: {e}"),
+            Ok(resp) => panic!("{what}: accepted as {resp:?}"),
+        }
+    }
+    // The same shapes, one edit away from each rejection, are accepted.
+    let fine = [
+        (
+            "ROWS 2\na\tb\n1\t2\n-3\t4\nOK 2 reads=7\n",
+            vec![1, 2, -3, 4],
+        ),
+        ("ROWS 1\na\nOK 0 reads=0\n", vec![]),
+        ("ROWS 1\nrows_affected\n5\nOK 5 reads=0\n", vec![5]),
+        ("ROWS 1\nrows_affected\n0\nOK 0 reads=0\n", vec![0]),
+        (
+            "ROWS 2\na\tb\n9223372036854775807\t-9223372036854775808\nOK 1 reads=0\n",
+            vec![i64::MAX, i64::MIN],
+        ),
+    ];
+    for (reply, data) in fine {
+        let rows = read_response(&mut reply.as_bytes())
+            .unwrap()
+            .expect_rows(reply);
+        assert_eq!(rows.data, data, "{reply:?}");
+        assert_eq!(rows.raw, reply.as_bytes());
+    }
+}
+
+/// The same refusal over a real socket: a peer that frames a ragged
+/// reply correctly still gets `InvalidData` out of `Client::query`.
+#[test]
+fn client_rejects_a_ragged_reply_off_a_socket() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let peer = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().unwrap();
+        let mut request = [0u8; 64];
+        let _ = conn.read(&mut request).unwrap();
+        conn.write_all(b"ROWS 2\na\tb\n1\t2\n3\nOK 2 reads=0\n")
+            .unwrap();
+    });
+    let mut client = Client::connect(addr).unwrap();
+    client.set_timeout(Some(DRAIN)).unwrap();
+    let err = client.query(PROBE).expect_err("a ragged reply parsed");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    peer.join().unwrap();
 }
