@@ -555,18 +555,22 @@ impl Database {
 ///
 /// Find-then-delete is epoch-guarded: positions are resolved against
 /// one [`Store::scan_snapshot`] — granule DS1 scans ANDed on the
-/// immutable side, row-at-a-time over the live delta — and applied with
+/// immutable side, reading only the blocks whose zone map admits the
+/// predicate (a range on a sorted key touches a block or two), and
+/// row-at-a-time over the live delta — and applied with
 /// [`Store::delete_positions_at_epoch`], which refuses (and this
 /// function rescans) if a compaction rewrote the position space in
-/// between.
+/// between. The snapshot is let go before the delete is applied, so the
+/// write is not copy-on-write against its own finder.
 pub fn delete_where(store: &Store, table: TableId, filters: &[(usize, Predicate)]) -> Result<u64> {
     loop {
         let (proj, delta) = store.scan_snapshot(table)?;
+        let epoch = proj.wal_epoch;
         let mut doomed: Vec<u64> = Vec::new();
         if proj.num_rows > 0 {
             let readers = filters
                 .iter()
-                .map(|(c, _)| store.reader_for(proj.column(*c)?))
+                .map(|(c, _)| store.reader_for(&proj, *c))
                 .collect::<Result<Vec<_>>>()?;
             let mut at = 0u64;
             while at < proj.num_rows {
@@ -577,7 +581,7 @@ pub fn delete_where(store: &Store, table: TableId, filters: &[(usize, Predicate)
                     if desc.is_empty() {
                         break;
                     }
-                    let mini = MiniColumn::fetch(reader, window)?;
+                    let (mini, _) = MiniColumn::fetch_pruned(reader, window, pred)?;
                     desc = desc.and(&mini.scan_positions(pred));
                 }
                 doomed.extend(desc.iter());
@@ -585,19 +589,19 @@ pub fn delete_where(store: &Store, table: TableId, filters: &[(usize, Predicate)
         }
         if let Some(d) = &delta {
             // Already-deleted positions may re-match on the base side;
-            // `delete_positions` skips them, so only the delta loop
-            // bothers to pre-filter.
-            for (i, row) in d.inserts.iter().enumerate() {
-                let pos = d.base_rows + i as u64;
-                if !d.is_deleted(pos) && filters.iter().all(|(c, p)| p.matches(row[*c])) {
-                    doomed.push(pos);
-                }
-            }
+            // `delete_positions` skips them. On the delta side the walk
+            // over live rows skips them for the price of one comparison.
+            doomed.extend(
+                d.live_inserts()
+                    .filter(|row| filters.iter().all(|(c, p)| p.matches(row.get(*c))))
+                    .map(|row| row.pos()),
+            );
         }
+        drop((proj, delta));
         if doomed.is_empty() {
             return Ok(0);
         }
-        if let Some(n) = store.delete_positions_at_epoch(table, proj.wal_epoch, &doomed)? {
+        if let Some(n) = store.delete_positions_at_epoch(table, epoch, &doomed)? {
             return Ok(n);
         }
         // A compaction swapped the table between resolve and apply;

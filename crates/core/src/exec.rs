@@ -184,21 +184,9 @@ pub fn execute_with_options(
     // against the generation the snapshot captured.
     let readers: HashMap<usize, ColumnReader> = accessed
         .iter()
-        .map(|&c| Ok((c, store.reader_for(proj.column(c)?)?)))
+        .map(|&c| Ok((c, store.reader_for(&proj, c)?)))
         .collect::<Result<_>>()?;
 
-    // Live inserted rows in stamp order — the tail of the table's
-    // logical row order, scanned serially after the fragments merge.
-    let live_inserts: Vec<&Vec<Value>> = match &delta {
-        Some(d) => d
-            .inserts
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !d.is_deleted(d.base_rows + *i as u64))
-            .map(|(_, row)| row)
-            .collect(),
-        None => Vec::new(),
-    };
     // Deleted positions on the immutable side, filtered inside granules.
     let base_deletes: &[u64] = delta.as_ref().map_or(&[], |d| d.base_deletes());
 
@@ -208,12 +196,16 @@ pub fn execute_with_options(
         Some(a) => {
             let g = proj.column(a.group_col)?;
             // Widen the block-statistics domain with the delta's group
-            // values; the dense accumulator's `seen` bitmap keeps the
-            // widening invisible in the output.
+            // values (all of them — a slice scan is cheaper than asking
+            // which rows will match); the dense accumulator's `seen`
+            // bitmap keeps the widening invisible in the output.
             let (mut lo, mut hi) = (g.stats.min, g.stats.max);
-            for row in &live_inserts {
-                lo = lo.min(row[a.group_col]);
-                hi = hi.max(row[a.group_col]);
+            for &v in delta
+                .iter()
+                .flat_map(|d| d.column_chunks(a.group_col).flatten())
+            {
+                lo = lo.min(v);
+                hi = hi.max(v);
             }
             (vec![a.group_col, a.value_col], Some((a.func, lo, hi)))
         }
@@ -261,18 +253,19 @@ pub fn execute_with_options(
         }
     }
 
-    // The delta pass: live inserted rows, row-at-a-time (the delta is
-    // tiny and row-major — strategy distinctions do not apply to it),
-    // appended after every immutable fragment so the output order is the
-    // table's logical row order.
-    for row in &live_inserts {
-        if !q.filters.iter().all(|(c, p)| p.matches(row[*c])) {
+    // The delta pass: live inserted rows in stamp order, row-at-a-time
+    // (the delta is tiny — strategy distinctions do not apply to it) in
+    // one walk over its columns and sorted deletes together, appended
+    // after every immutable fragment so the output order is the table's
+    // logical row order.
+    for row in delta.iter().flat_map(|d| d.live_inserts()) {
+        if !q.filters.iter().all(|(c, p)| p.matches(row.get(*c))) {
             continue;
         }
         stats.positions_matched += 1;
         match (agg.as_mut(), q.aggregate) {
-            (Some(a), Some(spec)) => a.add(row[spec.group_col], row[spec.value_col]),
-            _ => flat.extend(out_cols.iter().map(|&c| row[c])),
+            (Some(a), Some(spec)) => a.add(row.get(spec.group_col), row.get(spec.value_col)),
+            _ => flat.extend(out_cols.iter().map(|&c| row.get(c))),
         }
     }
 

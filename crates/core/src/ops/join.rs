@@ -58,7 +58,9 @@ use std::time::Instant;
 use matstrat_common::{Error, Pos, PosRange, Predicate, Result, TableId, Value};
 use matstrat_model::plans::JoinInnerKind;
 use matstrat_poslist::{PosList, PosListBuilder, PosVec};
-use matstrat_storage::{ColumnReader, IoMeter, IoSink, IoStats, ProjectionInfo, Store, TableDelta};
+use matstrat_storage::{
+    ColumnReader, DeltaRow, IoMeter, IoSink, IoStats, ProjectionInfo, Store, TableDelta,
+};
 
 use crate::exec::ExecOptions;
 use crate::multicol::MiniColumn;
@@ -378,7 +380,7 @@ impl SharedBuild {
     ) -> Result<SharedBuild> {
         let (info, delta) = store.scan_snapshot(right)?;
         let base_rows = info.num_rows;
-        let insert_rows = delta.as_ref().map_or(0, |d| d.inserts.len());
+        let insert_rows = delta.as_ref().map_or(0, |d| d.num_inserts());
         let mut keys = Vec::with_capacity(base_rows as usize + insert_rows);
         // Shared-dictionary base codes, harvested alongside the decode
         // when every base block agrees on one sorted dictionary. The
@@ -387,7 +389,7 @@ impl SharedBuild {
         // hashes.
         let mut code_build: Option<(u64, Vec<Value>, Vec<u32>)> = None;
         if base_rows > 0 {
-            let rkey_reader = store.reader_for(info.column(right_key)?)?;
+            let rkey_reader = store.reader_for(&info, right_key)?;
             let window = PosRange::new(0, base_rows);
             let rkey_mini = MiniColumn::fetch(&rkey_reader, window)?;
             rkey_mini.decode(&mut keys)?;
@@ -406,13 +408,13 @@ impl SharedBuild {
             }
         }
         if let Some(d) = &delta {
-            keys.extend(d.inserts.iter().map(|row| row[right_key]));
+            d.extend_column(right_key, &mut keys);
             // Delta keys are raw values; translate each through the
             // dictionary. One untranslatable key sinks the code path —
             // the value table is always correct.
             if let Some((_, dict, codes)) = &mut code_build {
-                for row in &d.inserts {
-                    match dict.binary_search(&row[right_key]) {
+                for key in &keys[base_rows as usize..] {
+                    match dict.binary_search(key) {
                         Ok(c) => codes.push(c as u32),
                         Err(_) => {
                             code_build = None;
@@ -428,7 +430,7 @@ impl SharedBuild {
         // same snapshot the keys came from (the key decode is reused
         // when a reducer inspects the key column), so the exclusion
         // list is consistent with `keys` by construction.
-        let mut excluded: Vec<u64> = delta.as_ref().map_or(Vec::new(), |d| d.deletes.to_vec());
+        let mut excluded: Vec<u64> = delta.as_ref().map_or(Vec::new(), |d| d.deletes().to_vec());
         if !reducers.is_empty() {
             let mut col_vals: HashMap<usize, Vec<Value>> = HashMap::new();
             for r in reducers {
@@ -436,12 +438,12 @@ impl SharedBuild {
                 if col != right_key && !col_vals.contains_key(&col) {
                     let mut vals = Vec::with_capacity(rows as usize);
                     if base_rows > 0 {
-                        let reader = store.reader_for(info.column(col)?)?;
+                        let reader = store.reader_for(&info, col)?;
                         let mini = MiniColumn::fetch(&reader, PosRange::new(0, base_rows))?;
                         mini.decode(&mut vals)?;
                     }
                     if let Some(d) = &delta {
-                        vals.extend(d.inserts.iter().map(|row| row[col]));
+                        d.extend_column(col, &mut vals);
                     }
                     col_vals.insert(col, vals);
                 }
@@ -554,9 +556,9 @@ pub(crate) struct InnerRep {
     /// cannot fetch by position (bit-vector; SingleColumn only). Decoded
     /// once at build so parallel workers share the work.
     decoded: Vec<Option<Vec<Value>>>,
-    /// Delta-insert rows projected to the output columns, indexable by
-    /// `logical position - base_rows`. Row-oriented already, so every
-    /// strategy gathers them the same way.
+    /// The delta's inserted rows, one vector per output column, each
+    /// indexable by `logical position - base_rows`. Decoded already, so
+    /// every strategy gathers them the same way.
     delta_vals: Vec<Vec<Value>>,
     /// Immutable right rows; gather positions at or above this index the
     /// delta values.
@@ -570,7 +572,7 @@ pub(crate) struct InnerRep {
 impl InnerRep {
     /// Fetch (and decode, where `inner` needs it) the right output
     /// columns from the build's snapshot: base columns from the
-    /// snapshot's files, delta inserts projected row-major.
+    /// snapshot's files, delta inserts copied column by column.
     pub(crate) fn build(
         store: &Store,
         shared: &SharedBuild,
@@ -584,16 +586,13 @@ impl InnerRep {
         let build_workers = shared.build_workers;
         let minis: Vec<MiniColumn> = if base_rows > 0 {
             par_indexed(rwidth, build_workers, store.meter(), sink, |c| {
-                MiniColumn::fetch(
-                    &store.reader_for(shared.info.column(right_output[c])?)?,
-                    window,
-                )
+                MiniColumn::fetch(&store.reader_for(&shared.info, right_output[c])?, window)
             })?
         } else {
             Vec::new()
         };
         // Materialized: construct every base right tuple up front
-        // (row-major). Delta tuples are already row-major in delta_vals.
+        // (row-major). Delta values are gathered from delta_vals instead.
         let materialized: Option<Vec<Value>> = match inner {
             InnerStrategy::Materialized if base_rows > 0 => {
                 let cols: Vec<Vec<Value>> =
@@ -625,10 +624,13 @@ impl InnerRep {
             _ => vec![None; rwidth],
         };
         let delta_vals: Vec<Vec<Value>> = match &shared.delta {
-            Some(d) => d
-                .inserts
+            Some(d) => right_output
                 .iter()
-                .map(|row| right_output.iter().map(|&c| row[c]).collect())
+                .map(|&c| {
+                    let mut v = Vec::new();
+                    d.extend_column(c, &mut v);
+                    v
+                })
                 .collect(),
             None => Vec::new(),
         };
@@ -670,26 +672,26 @@ impl InnerRep {
                             col.push(flat[base + c]);
                         }
                     } else {
-                        let row = &self.delta_vals[(rp as u64 - base_rows) as usize];
-                        for (c, col) in cols.iter_mut().enumerate() {
-                            col.push(row[c]);
+                        let at = (rp as u64 - base_rows) as usize;
+                        for (col, vals) in cols.iter_mut().zip(&self.delta_vals) {
+                            col.push(vals[at]);
                         }
                     }
                 }
             }
             InnerStrategy::MultiColumn => {
                 // Construct right tuples on the fly from the compressed
-                // mini-columns at each matched position (row-oriented
-                // delta rows are already constructed).
+                // mini-columns at each matched position (delta values
+                // are already decoded).
                 for &rp in right_pos {
                     if (rp as u64) < base_rows {
                         for (c, mini) in self.minis.iter().enumerate() {
                             cols[c].push(mini.value_at(rp as u64)?);
                         }
                     } else {
-                        let row = &self.delta_vals[(rp as u64 - base_rows) as usize];
-                        for (c, col) in cols.iter_mut().enumerate() {
-                            col.push(row[c]);
+                        let at = (rp as u64 - base_rows) as usize;
+                        for (col, vals) in cols.iter_mut().zip(&self.delta_vals) {
+                            col.push(vals[at]);
                         }
                     }
                 }
@@ -704,7 +706,7 @@ impl InnerRep {
                 for (c, col) in cols.iter_mut().enumerate() {
                     for &rp in right_pos {
                         if (rp as u64) >= base_rows {
-                            col.push(self.delta_vals[(rp as u64 - base_rows) as usize][c]);
+                            col.push(self.delta_vals[c][(rp as u64 - base_rows) as usize]);
                             continue;
                         }
                         match &self.decoded[c] {
@@ -968,14 +970,14 @@ fn hash_join_sunk(
         shared,
         rep,
         left_filter_reader: match &spec.left_filter {
-            Some((col, _)) => Some(store.reader_for(left_info.column(*col)?)?),
+            Some((col, _)) => Some(store.reader_for(&left_info, *col)?),
             None => None,
         },
-        left_key_reader: store.reader_for(left_info.column(spec.left_key)?)?,
+        left_key_reader: store.reader_for(&left_info, spec.left_key)?,
         left_out_readers: spec
             .left_output
             .iter()
-            .map(|&c| store.reader_for(left_info.column(c)?))
+            .map(|&c| store.reader_for(&left_info, c))
             .collect::<Result<_>>()?,
         left_deletes: left_delta
             .as_ref()
@@ -1006,22 +1008,19 @@ fn hash_join_sunk(
     }
 
     // ---- Left delta pass: serial, in stamp order ------------------------
-    // Row-oriented delta inserts probe the same shared hash table after
+    // The delta's live inserts probe the same shared hash table after
     // every base fragment — exactly where those rows sit in position
     // order — so the merged output equals a serial run over the logical
     // table.
     if let Some(d) = &left_delta {
-        let mut drows: Vec<(&Vec<Value>, u32)> = Vec::new();
-        for (i, row) in d.inserts.iter().enumerate() {
-            if d.is_deleted(d.base_rows + i as u64) {
-                continue;
-            }
+        let mut drows: Vec<(DeltaRow<'_>, u32)> = Vec::new();
+        for row in d.live_inserts() {
             if let Some((c, pred)) = &spec.left_filter {
-                if !pred.matches(row[*c]) {
+                if !pred.matches(row.get(*c)) {
                     continue;
                 }
             }
-            if let Some(rps) = build.shared.probe(row[spec.left_key]) {
+            if let Some(rps) = build.shared.probe(row.get(spec.left_key)) {
                 for &rp in rps {
                     drows.push((row, rp));
                 }
@@ -1032,7 +1031,7 @@ fn hash_join_sunk(
             let right_cols = build.rep.gather(&rps)?;
             for (i, (row, _)) in drows.iter().enumerate() {
                 for &c in &spec.left_output {
-                    flat.push(row[c]);
+                    flat.push(row.get(c));
                 }
                 for col in &right_cols {
                     flat.push(col[i]);

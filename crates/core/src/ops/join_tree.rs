@@ -419,9 +419,7 @@ pub fn hash_join_tree_with_options(
             Some(&sink),
         )?;
         let source = match spec.key_source(ei)? {
-            JoinKeySource::Base => {
-                KeyFetch::Base(store.reader_for(base_info.column(edge.left_key)?)?)
-            }
+            JoinKeySource::Base => KeyFetch::Base(store.reader_for(&base_info, edge.left_key)?),
             JoinKeySource::Edge(j) => {
                 let j_slot = spec_to_slot[j];
                 debug_assert_ne!(j_slot, usize::MAX, "plan validated above");
@@ -438,12 +436,12 @@ pub fn hash_join_tree_with_options(
                     let ts = &through.shared;
                     let mut v = Vec::with_capacity(ts.rows as usize);
                     if ts.base_rows > 0 {
-                        let reader = store.reader_for(ts.info.column(edge.left_key)?)?;
+                        let reader = store.reader_for(&ts.info, edge.left_key)?;
                         let mini = MiniColumn::fetch(&reader, PosRange::new(0, ts.base_rows))?;
                         mini.decode(&mut v)?;
                     }
                     if let Some(d) = &ts.delta {
-                        v.extend(d.inserts.iter().map(|row| row[edge.left_key]));
+                        d.extend_column(edge.left_key, &mut v);
                     }
                     Arc::new(v)
                 };
@@ -461,13 +459,13 @@ pub fn hash_join_tree_with_options(
     // Base-side readers, pinned to the base snapshot, shared by every
     // probe worker.
     let base_filter_reader = match &edge0.left_filter {
-        Some((col, _)) => Some(store.reader_for(base_info.column(*col)?)?),
+        Some((col, _)) => Some(store.reader_for(&base_info, *col)?),
         None => None,
     };
     let base_out_readers: Vec<ColumnReader> = edge0
         .left_output
         .iter()
-        .map(|&c| store.reader_for(base_info.column(c)?))
+        .map(|&c| store.reader_for(&base_info, c))
         .collect::<Result<_>>()?;
     let base_deletes: Vec<u64> = base_delta
         .as_ref()
@@ -520,10 +518,10 @@ pub fn hash_join_tree_with_options(
         }
     }
     // ---- Base delta pass: serial, in stamp order ------------------------
-    // Row-oriented base-table inserts run the same probe pipeline after
+    // The base table's live inserts run the same probe pipeline after
     // every base fragment — exactly where those rows sit in position
-    // order. Under an aggregate the delta rows feed the accumulator
-    // tuple-at-a-time (the delta is row-oriented already).
+    // order. Under an aggregate the joined delta rows feed the
+    // accumulator tuple-at-a-time.
     if let Some(d) = &base_delta {
         let drows = probe_tree_delta(spec, &runs, &spec_to_slot, &plan.order, d)?;
         match (&mut agg_acc, &agg_cols) {
@@ -779,7 +777,7 @@ fn fetch_out_col(
 
 /// Probe every live base-table delta-insert row through the whole edge
 /// sequence, serially, in stamp order — the delta counterpart of
-/// [`probe_tree_span`]. Keys come straight from the row-oriented insert
+/// [`probe_tree_span`]. Keys come straight from the inserted row
 /// (base key columns) or from a previous slot's key array (which covers
 /// delta positions of *that* table too), so the fan-out nesting matches
 /// the span path's exactly.
@@ -792,12 +790,9 @@ fn probe_tree_delta(
 ) -> Result<Vec<Value>> {
     let edge0 = &spec.edges[0];
     let mut flat = Vec::new();
-    for (i, row) in delta.inserts.iter().enumerate() {
-        if delta.is_deleted(delta.base_rows + i as u64) {
-            continue;
-        }
+    for row in delta.live_inserts() {
         if let Some((c, pred)) = &edge0.left_filter {
-            if !pred.matches(row[*c]) {
+            if !pred.matches(row.get(*c)) {
                 continue;
             }
         }
@@ -809,7 +804,7 @@ fn probe_tree_delta(
             let mut next: Vec<Vec<u32>> = Vec::new();
             for combo in &combos {
                 let key = match &run.source {
-                    KeyFetch::Base(_) => row[spec.edges[slot_to_spec[slot]].left_key],
+                    KeyFetch::Base(_) => row.get(spec.edges[slot_to_spec[slot]].left_key),
                     KeyFetch::Prev { slot: j, keys } => keys[combo[*j] as usize],
                 };
                 if let Some(rps) = run.shared.probe(key) {
@@ -835,7 +830,7 @@ fn probe_tree_delta(
         }
         for ci in 0..combos.len() {
             for &c in &edge0.left_output {
-                flat.push(row[c]);
+                flat.push(row.get(c));
             }
             for ei in 0..spec.edges.len() {
                 for col in &right_cols[spec_to_slot[ei]] {

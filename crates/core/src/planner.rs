@@ -157,7 +157,7 @@ impl Planner {
     }
 
     /// Serial CPU surcharge for merging `table`'s in-memory delta rows
-    /// into a query: the delta pass is row-oriented and runs on one
+    /// into a query: the delta pass is row-at-a-time and runs on one
     /// thread after the span fragments, so it is priced at `fc` (the
     /// model's per-tuple function-call cost) per live insert row — for
     /// **every** strategy, since the pass is strategy-independent. The
@@ -167,9 +167,8 @@ impl Planner {
     fn delta_merge_cpu_us(&self, store: &Store, table: matstrat_common::TableId) -> f64 {
         match store.scan_snapshot(table) {
             Ok((_, Some(d))) => {
-                let dead_inserts = (d.deletes.len() - d.base_deletes().len()) as f64;
-                let live_inserts = d.inserts.len() as f64 - dead_inserts;
-                live_inserts * self.model.constants().fc
+                let live_inserts = d.num_inserts() - d.insert_deletes().len();
+                live_inserts as f64 * self.model.constants().fc
             }
             _ => 0.0,
         }

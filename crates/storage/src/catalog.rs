@@ -7,11 +7,13 @@
 //! any subset of its columns can be stitched into tuples by position.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use matstrat_common::{ColumnId, Error, Result, TableId, Value, Width};
 
 use crate::encoding::EncodingKind;
 use crate::file::ColumnStats;
+use crate::generation::Generation;
 use crate::wire::{put_u32, put_u64, put_u8, Reader};
 
 /// A column's role in the projection's sort key.
@@ -182,6 +184,12 @@ pub struct ProjectionInfo {
     /// blocks are rewritten. WAL records stamped with an older epoch
     /// are already folded into the blocks and ignored on replay.
     pub wal_epoch: u32,
+    /// Pin on this generation of column files: while any clone of the
+    /// entry (or a `ColumnReader` opened from one) is alive, the files
+    /// stay on disk and readable, whatever compaction does meanwhile.
+    /// `None` only in a catalog no store has adopted yet — fresh from
+    /// [`Catalog::parse`], or built by hand.
+    pub(crate) generation: Option<Arc<Generation>>,
 }
 
 impl ProjectionInfo {
@@ -236,16 +244,30 @@ impl Catalog {
             num_rows,
             columns,
             wal_epoch: 0,
+            generation: None,
         });
         self.by_name.insert(name.to_string(), id);
         Ok(id)
     }
 
+    /// Attach the pin on projection `id`'s current column files. The
+    /// store calls this under the same catalog write lock that added,
+    /// replaced or reloaded the entry, so no reader ever sees it unset.
+    pub(crate) fn pin(&mut self, id: TableId, generation: Arc<Generation>) -> Result<()> {
+        let slot = self
+            .projections
+            .get_mut(id.0 as usize)
+            .ok_or_else(|| Error::not_found(format!("{id}")))?;
+        slot.generation = Some(generation);
+        Ok(())
+    }
+
     /// Swap a projection's immutable layout in place (compaction): new
     /// row count and column entries under the same id and name, fresh
-    /// column ids, and a bumped WAL epoch. The old entry's files are
-    /// left on disk for in-flight readers; the caller invalidates pool
-    /// and reader caches.
+    /// column ids, and a bumped WAL epoch. The catalog lets go of its
+    /// pin on the old generation; the caller [`pin`](Self::pin)s the new
+    /// one, and the old files live on for exactly as long as somebody
+    /// else still holds theirs.
     pub fn replace_projection(
         &mut self,
         id: TableId,
@@ -270,6 +292,7 @@ impl Catalog {
         slot.num_rows = num_rows;
         slot.columns = columns;
         slot.wal_epoch += 1;
+        slot.generation = None;
         Ok(())
     }
 
@@ -392,6 +415,7 @@ impl Catalog {
                 num_rows,
                 columns,
                 wal_epoch,
+                generation: None,
             });
             cat.by_name.insert(name, TableId(pi));
         }

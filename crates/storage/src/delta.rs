@@ -1,5 +1,5 @@
-//! The mutable half of every table: a row-oriented, position-stamped
-//! delta that scans merge with the immutable column blocks.
+//! The mutable half of every table: a columnar, position-stamped delta
+//! that scans merge with the immutable column blocks.
 //!
 //! A projection's immutable blocks cover positions `[0, base_rows)`.
 //! Inserted rows are **position-stamped** past that: the i-th delta row
@@ -13,10 +13,26 @@
 //! exactly this logical order, which is why a query is byte-identical
 //! before, during, and after a compaction.
 //!
-//! Snapshots are copy-on-write: a scan grabs an `Arc<TableDelta>` in
-//! O(1) and is immune to later writes; a writer mutates through
-//! [`Arc::make_mut`], which only pays for a clone while some scan still
-//! holds the previous snapshot.
+//! # Representation
+//!
+//! A delta is just more columns: inserted rows live in a sequence of
+//! append-only **chunks**, each holding one `Vec<Value>` per table
+//! column, behind an `Arc`. A scan grabs an `Arc<TableDelta>` in O(1)
+//! and is immune to later writes; a writer mutates through
+//! [`Arc::make_mut`], and while a snapshot is outstanding that clones
+//! only the list of chunk pointers — never a value. An append then
+//! extends the last chunk in place when nobody else holds it and opens a
+//! new chunk when a snapshot does, so a write costs O(rows written)
+//! whatever the delta already holds and whoever is reading it: every
+//! chunk written before a snapshot stays shared, pointer-equal, between
+//! that snapshot and the live delta. The sorted delete set sits behind
+//! its own `Arc`, so appends never copy it and a delete under a snapshot
+//! copies it once, flat. Nothing here allocates per row — not a
+//! snapshot, not a write under one, not a drop.
+//!
+//! Readers never test liveness row by row: [`TableDelta::live_inserts`]
+//! and [`TableDelta::extend_live_column`] walk the inserted rows and the
+//! sorted deletes together, once.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -24,21 +40,60 @@ use std::sync::Arc;
 use matstrat_common::{Error, Result, TableId, Value};
 use parking_lot::RwLock;
 
-/// The in-memory delta of one table: inserted rows (row-major) and
-/// deleted positions, both against a fixed immutable base.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// One append-only run of inserted rows, column-major.
+#[derive(Debug)]
+struct Chunk {
+    /// Rows held — the length of every column (kept apart so a
+    /// zero-column table still counts its rows).
+    rows: usize,
+    cols: Vec<Vec<Value>>,
+}
+
+impl Chunk {
+    /// Transpose row-major `rows` onto the end of the chunk.
+    fn append(&mut self, rows: &[Vec<Value>]) {
+        for (c, col) in self.cols.iter_mut().enumerate() {
+            col.extend(rows.iter().map(|row| row[c]));
+        }
+        self.rows += rows.len();
+    }
+}
+
+/// The in-memory delta of one table: inserted rows (columnar chunks)
+/// and deleted positions, both against a fixed immutable base.
+#[derive(Debug, Clone, Default)]
 pub struct TableDelta {
     /// Immutable row count the stamps are relative to — always equal to
     /// the catalog's `num_rows` for the same table (both change only
     /// together, under the store's write lock).
-    pub base_rows: u64,
-    /// Inserted rows, row-major; row `i` is logical position
-    /// `base_rows + i`.
-    pub inserts: Vec<Vec<Value>>,
-    /// Deleted positions over `[0, base_rows + inserts.len())`, sorted
-    /// and deduplicated.
-    pub deletes: Vec<u64>,
+    base_rows: u64,
+    /// Inserted rows in stamp order; row `i` over the concatenated
+    /// chunks is logical position `base_rows + i`. Every chunk has the
+    /// table's column count and at least one row.
+    chunks: Vec<Arc<Chunk>>,
+    /// Rows over all chunks.
+    inserted: usize,
+    /// Deleted positions over `[0, base_rows + inserted)`, sorted and
+    /// deduplicated.
+    deletes: Arc<Vec<u64>>,
 }
+
+/// Two deltas are equal when they describe the same logical rows;
+/// where the chunk boundaries fell is not part of the value.
+impl PartialEq for TableDelta {
+    fn eq(&self, other: &TableDelta) -> bool {
+        self.base_rows == other.base_rows
+            && self.inserted == other.inserted
+            && self.deletes == other.deletes
+            && self.num_columns() == other.num_columns()
+            && (0..self.num_columns()).all(|c| {
+                let mine = self.column_chunks(c).flatten();
+                mine.eq(other.column_chunks(c).flatten())
+            })
+    }
+}
+
+impl Eq for TableDelta {}
 
 impl TableDelta {
     /// An empty delta over `base_rows` immutable rows.
@@ -49,9 +104,19 @@ impl TableDelta {
         }
     }
 
+    /// Immutable rows below the first stamp.
+    pub fn base_rows(&self) -> u64 {
+        self.base_rows
+    }
+
+    /// Inserted rows held (deleted ones included).
+    pub fn num_inserts(&self) -> usize {
+        self.inserted
+    }
+
     /// Total logical positions (immutable + inserted, deleted included).
     pub fn total_rows(&self) -> u64 {
-        self.base_rows + self.inserts.len() as u64
+        self.base_rows + self.inserted as u64
     }
 
     /// Rows a merge-time scan yields: total minus deleted.
@@ -61,10 +126,17 @@ impl TableDelta {
 
     /// `true` when there is nothing to merge or compact.
     pub fn is_empty(&self) -> bool {
-        self.inserts.is_empty() && self.deletes.is_empty()
+        self.inserted == 0 && self.deletes.is_empty()
     }
 
-    /// Whether position `pos` is deleted.
+    /// Every deleted position, sorted.
+    pub fn deletes(&self) -> &[u64] {
+        &self.deletes
+    }
+
+    /// Whether position `pos` is deleted. One binary search: right for a
+    /// point lookup, wrong inside a loop over rows — walk
+    /// [`Self::live_inserts`] or [`retain_live`] instead.
     pub fn is_deleted(&self, pos: u64) -> bool {
         self.deletes.binary_search(&pos).is_ok()
     }
@@ -72,25 +144,199 @@ impl TableDelta {
     /// Deleted positions below `base_rows` (the immutable side), as a
     /// sorted slice.
     pub fn base_deletes(&self) -> &[u64] {
-        let split = self.deletes.partition_point(|&p| p < self.base_rows);
-        &self.deletes[..split]
+        &self.deletes[..self.delete_split()]
     }
 
-    /// Mark `pos` deleted. Returns `false` (and changes nothing) when
-    /// the position was already deleted; errors when it is out of range.
-    fn delete(&mut self, pos: u64) -> Result<bool> {
-        if pos >= self.total_rows() {
-            return Err(Error::invalid(format!(
-                "delete position {pos} out of range (table has {} rows)",
-                self.total_rows()
-            )));
+    /// Deleted positions at or above `base_rows` (inserted rows), as a
+    /// sorted slice.
+    pub fn insert_deletes(&self) -> &[u64] {
+        &self.deletes[self.delete_split()..]
+    }
+
+    fn delete_split(&self) -> usize {
+        self.deletes.partition_point(|&p| p < self.base_rows)
+    }
+
+    fn num_columns(&self) -> usize {
+        self.chunks.first().map_or(0, |c| c.cols.len())
+    }
+
+    /// Column `col` of the inserted rows as slices in stamp order,
+    /// deleted rows included (so the concatenation is indexable by
+    /// `position - base_rows`).
+    pub fn column_chunks(&self, col: usize) -> impl Iterator<Item = &[Value]> + '_ {
+        self.chunks.iter().map(move |c| c.cols[col].as_slice())
+    }
+
+    /// Append column `col` of every inserted row (deleted ones included)
+    /// to `out`, in stamp order.
+    pub fn extend_column(&self, col: usize, out: &mut Vec<Value>) {
+        out.reserve(self.inserted);
+        for slice in self.column_chunks(col) {
+            out.extend_from_slice(slice);
         }
-        match self.deletes.binary_search(&pos) {
-            Ok(_) => Ok(false),
-            Err(at) => {
-                self.deletes.insert(at, pos);
-                Ok(true)
+    }
+
+    /// Append column `col` of every **live** inserted row to `out`, in
+    /// stamp order: the gaps between deleted stamps are copied as
+    /// slices, in one walk over chunks and deletes together.
+    pub fn extend_live_column(&self, col: usize, out: &mut Vec<Value>) {
+        let mut dead = self.insert_deletes();
+        let mut start = self.base_rows;
+        for slice in self.column_chunks(col) {
+            let end = start + slice.len() as u64;
+            let here = dead.partition_point(|&p| p < end);
+            let mut from = 0usize;
+            for &p in &dead[..here] {
+                let at = (p - start) as usize;
+                out.extend_from_slice(&slice[from..at]);
+                from = at + 1;
             }
+            out.extend_from_slice(&slice[from..]);
+            dead = &dead[here..];
+            start = end;
+        }
+    }
+
+    /// The live inserted rows in stamp order — the tail of the table's
+    /// logical row order. Deleted rows are skipped by walking the sorted
+    /// deletes alongside, not by a search per row.
+    pub fn live_inserts(&self) -> LiveInserts<'_> {
+        LiveInserts {
+            chunks: self.chunks.iter(),
+            chunk: None,
+            row: 0,
+            pos: self.base_rows,
+            dead: self.insert_deletes(),
+        }
+    }
+
+    /// The positions among `positions` a delete would newly mark:
+    /// sorted, deduplicated, not deleted yet. Errors when any is out of
+    /// range.
+    pub fn fresh_deletes(&self, positions: &[u64]) -> Result<Vec<u64>> {
+        let mut fresh = positions.to_vec();
+        fresh.sort_unstable();
+        fresh.dedup();
+        if let Some(&worst) = fresh.last() {
+            if worst >= self.total_rows() {
+                return Err(Error::invalid(format!(
+                    "delete position {worst} out of range (table has {} rows)",
+                    self.total_rows()
+                )));
+            }
+        }
+        retain_live(&mut fresh, &self.deletes);
+        Ok(fresh)
+    }
+
+    /// Append `rows` (each of the table's width), returning the first
+    /// stamp. Extends the last chunk in place when no snapshot shares
+    /// it; otherwise the rows become a new chunk and everything written
+    /// before stays where the snapshot sees it.
+    fn append(&mut self, rows: &[Vec<Value>]) -> u64 {
+        let first = self.total_rows();
+        let Some(width) = rows.first().map(Vec::len) else {
+            return first;
+        };
+        assert!(
+            rows.iter().all(|r| r.len() == width)
+                && (self.chunks.is_empty() || self.num_columns() == width),
+            "delta rows must all have the table's width"
+        );
+        match self.chunks.last_mut().and_then(Arc::get_mut) {
+            Some(tail) => tail.append(rows),
+            None => {
+                let mut chunk = Chunk {
+                    rows: 0,
+                    cols: (0..width).map(|_| Vec::with_capacity(rows.len())).collect(),
+                };
+                chunk.append(rows);
+                self.chunks.push(Arc::new(chunk));
+            }
+        }
+        self.inserted += rows.len();
+        first
+    }
+
+    /// Merge `fresh` (sorted, unique, in range, none deleted yet — the
+    /// output of [`Self::fresh_deletes`]) into the delete set: one
+    /// backward merge that stops at the smallest new position.
+    fn mark_deleted(&mut self, fresh: &[u64]) {
+        if fresh.is_empty() {
+            return;
+        }
+        let deletes = Arc::make_mut(&mut self.deletes);
+        let mut old = deletes.len();
+        let mut new = fresh.len();
+        deletes.resize(old + new, 0);
+        while new > 0 {
+            if old > 0 && deletes[old - 1] > fresh[new - 1] {
+                deletes[old + new - 1] = deletes[old - 1];
+                old -= 1;
+            } else {
+                deletes[old + new - 1] = fresh[new - 1];
+                new -= 1;
+            }
+        }
+    }
+}
+
+/// One live inserted row, read in place from its chunk.
+#[derive(Debug, Clone, Copy)]
+pub struct DeltaRow<'a> {
+    chunk: &'a Chunk,
+    row: usize,
+    pos: u64,
+}
+
+impl DeltaRow<'_> {
+    /// The row's logical position (its stamp).
+    pub fn pos(&self) -> u64 {
+        self.pos
+    }
+
+    /// The row's value in column `col`.
+    pub fn get(&self, col: usize) -> Value {
+        self.chunk.cols[col][self.row]
+    }
+}
+
+/// Iterator behind [`TableDelta::live_inserts`].
+#[derive(Debug)]
+pub struct LiveInserts<'a> {
+    chunks: std::slice::Iter<'a, Arc<Chunk>>,
+    chunk: Option<&'a Chunk>,
+    /// Next row of `chunk`.
+    row: usize,
+    /// Stamp of that row.
+    pos: u64,
+    /// Deleted stamps not passed yet.
+    dead: &'a [u64],
+}
+
+impl<'a> Iterator for LiveInserts<'a> {
+    type Item = DeltaRow<'a>;
+
+    fn next(&mut self) -> Option<DeltaRow<'a>> {
+        loop {
+            let chunk = match self.chunk {
+                Some(c) if self.row < c.rows => c,
+                _ => {
+                    let next: &'a Chunk = self.chunks.next()?;
+                    self.chunk = Some(next);
+                    self.row = 0;
+                    continue;
+                }
+            };
+            let (row, pos) = (self.row, self.pos);
+            self.row += 1;
+            self.pos += 1;
+            if self.dead.first() == Some(&pos) {
+                self.dead = &self.dead[1..];
+                continue;
+            }
+            return Some(DeltaRow { chunk, row, pos });
         }
     }
 }
@@ -127,19 +373,25 @@ impl DeltaStore {
         v
     }
 
-    /// Append `rows` to `table`'s delta (base `base_rows` when the delta
-    /// does not exist yet), returning the position stamp of the first
-    /// appended row. Caller must hold the store's write lock.
-    pub fn append_rows(&self, table: TableId, base_rows: u64, rows: &[Vec<Value>]) -> u64 {
+    /// Run `f` on `table`'s live delta (created over `base_rows` when
+    /// the table has none yet). Copy-on-write against outstanding
+    /// snapshots; the caller must hold the store's write lock and no
+    /// snapshot of the same table.
+    fn mutate<R>(&self, table: TableId, base_rows: u64, f: impl FnOnce(&mut TableDelta) -> R) -> R {
         let mut tables = self.tables.write();
         let delta = tables
             .entry(table)
             .or_insert_with(|| Arc::new(TableDelta::new(base_rows)));
-        let delta = Arc::make_mut(delta);
-        debug_assert_eq!(delta.base_rows, base_rows, "stale base for delta append");
-        let first = delta.total_rows();
-        delta.inserts.extend(rows.iter().cloned());
-        first
+        debug_assert_eq!(delta.base_rows, base_rows, "stale base for delta write");
+        f(Arc::make_mut(delta))
+    }
+
+    /// Append `rows` to `table`'s delta (base `base_rows` when the delta
+    /// does not exist yet), returning the position stamp of the first
+    /// appended row. Every row must have the table's width. Caller must
+    /// hold the store's write lock.
+    pub fn append_rows(&self, table: TableId, base_rows: u64, rows: &[Vec<Value>]) -> u64 {
+        self.mutate(table, base_rows, |delta| delta.append(rows))
     }
 
     /// Mark `positions` of `table` deleted, returning how many were
@@ -151,18 +403,11 @@ impl DeltaStore {
         base_rows: u64,
         positions: &[u64],
     ) -> Result<u64> {
-        let mut tables = self.tables.write();
-        let delta = tables
-            .entry(table)
-            .or_insert_with(|| Arc::new(TableDelta::new(base_rows)));
-        let delta = Arc::make_mut(delta);
-        let mut fresh = 0;
-        for &p in positions {
-            if delta.delete(p)? {
-                fresh += 1;
-            }
-        }
-        Ok(fresh)
+        self.mutate(table, base_rows, |delta| {
+            let fresh = delta.fresh_deletes(positions)?;
+            delta.mark_deleted(&fresh);
+            Ok(fresh.len() as u64)
+        })
     }
 
     /// Replace `table`'s delta wholesale (compaction swap / recovery).
@@ -178,8 +423,13 @@ impl DeltaStore {
 }
 
 /// Filter `positions` (ascending) down to those not present in the
-/// sorted `deletes` set, walking both lists once.
+/// sorted `deletes` set, walking both lists once from the first delete
+/// that could matter.
 pub fn retain_live(positions: &mut Vec<u64>, deletes: &[u64]) {
+    let Some(&first) = positions.first() else {
+        return;
+    };
+    let deletes = &deletes[deletes.partition_point(|&d| d < first)..];
     if deletes.is_empty() {
         return;
     }
@@ -196,6 +446,20 @@ pub fn retain_live(positions: &mut Vec<u64>, deletes: &[u64]) {
 mod tests {
     use super::*;
 
+    /// Column `col` of the inserted rows, flattened.
+    fn column(d: &TableDelta, col: usize) -> Vec<Value> {
+        let mut v = Vec::new();
+        d.extend_column(col, &mut v);
+        v
+    }
+
+    /// The live inserted rows, row-major.
+    fn live(d: &TableDelta, width: usize) -> Vec<Vec<Value>> {
+        d.live_inserts()
+            .map(|r| (0..width).map(|c| r.get(c)).collect())
+            .collect()
+    }
+
     #[test]
     fn stamps_ascend_and_snapshots_are_immutable() {
         let ds = DeltaStore::new();
@@ -208,8 +472,64 @@ mod tests {
         // A later write does not disturb the held snapshot.
         let next = ds.append_rows(t, 100, &[vec![5, 6]]);
         assert_eq!(next, 102);
-        assert_eq!(snap.inserts.len(), 2, "snapshot is copy-on-write");
-        assert_eq!(ds.snapshot(t).unwrap().inserts.len(), 3);
+        assert_eq!(snap.num_inserts(), 2, "snapshot is copy-on-write");
+        assert_eq!(ds.snapshot(t).unwrap().num_inserts(), 3);
+        assert_eq!(column(&ds.snapshot(t).unwrap(), 1), vec![2, 4, 6]);
+    }
+
+    #[test]
+    fn writes_under_a_snapshot_share_every_earlier_chunk() {
+        let ds = DeltaStore::new();
+        let t = TableId(0);
+        ds.append_rows(t, 10, &[vec![1, 10], vec![2, 20]]);
+        // Nobody is looking: the second write lands in the same chunk.
+        ds.append_rows(t, 10, &[vec![3, 30]]);
+        ds.delete_positions(t, 10, &[4, 11]).unwrap();
+        let snap = ds.snapshot(t).unwrap();
+        assert_eq!(snap.chunks.len(), 1, "unshared tail is extended in place");
+        let before = (*snap).clone();
+
+        // An append and a delete under the outstanding snapshot.
+        ds.append_rows(t, 10, &[vec![4, 40], vec![5, 50]]);
+        ds.delete_positions(t, 10, &[0, 12, 13]).unwrap();
+
+        assert_eq!(*snap, before, "the snapshot still reads what it read");
+        assert_eq!(column(&snap, 0), vec![1, 2, 3]);
+        assert_eq!(snap.deletes(), &[4, 11]);
+        let now = ds.snapshot(t).unwrap();
+        assert_eq!(now.chunks.len(), 2, "the new rows are a chunk of their own");
+        for (mine, theirs) in snap.chunks.iter().zip(&now.chunks) {
+            assert!(
+                Arc::ptr_eq(mine, theirs),
+                "written before: shared, not copied"
+            );
+        }
+        assert_eq!(column(&now, 1), vec![10, 20, 30, 40, 50]);
+        assert_eq!(now.deletes(), &[0, 4, 11, 12, 13]);
+        assert_eq!(live(&now, 2), vec![vec![1, 10], vec![5, 50]]);
+
+        // The append alone never touched the delete set either.
+        let held = ds.snapshot(t).unwrap();
+        ds.append_rows(t, 10, &[vec![6, 60]]);
+        assert!(Arc::ptr_eq(&held.deletes, &ds.snapshot(t).unwrap().deletes));
+    }
+
+    #[test]
+    fn equality_ignores_chunk_boundaries() {
+        let (one, many) = (DeltaStore::new(), DeltaStore::new());
+        let t = TableId(0);
+        let rows: Vec<Vec<Value>> = (0..6).map(|i| vec![i, i * i]).collect();
+        one.append_rows(t, 3, &rows);
+        for row in &rows {
+            let _held = many.snapshot(t);
+            many.append_rows(t, 3, std::slice::from_ref(row));
+        }
+        let (one, many) = (one.snapshot(t).unwrap(), many.snapshot(t).unwrap());
+        assert_eq!((one.chunks.len(), many.chunks.len()), (1, 6));
+        assert_eq!(one, many);
+        let mut other = (*many).clone();
+        other.mark_deleted(&[5]);
+        assert_ne!(*one, other);
     }
 
     #[test]
@@ -219,14 +539,41 @@ mod tests {
         ds.append_rows(t, 10, &[vec![7], vec![8]]);
         assert_eq!(ds.delete_positions(t, 10, &[11, 3, 3, 0]).unwrap(), 3);
         let snap = ds.snapshot(t).unwrap();
-        assert_eq!(snap.deletes, vec![0, 3, 11]);
+        assert_eq!(snap.deletes(), &[0, 3, 11]);
         assert_eq!(snap.base_deletes(), &[0, 3]);
+        assert_eq!(snap.insert_deletes(), &[11]);
         assert!(snap.is_deleted(11));
         assert!(!snap.is_deleted(10));
         assert_eq!(snap.live_rows(), 9);
         // Out-of-range delete errors without changing anything.
         assert!(ds.delete_positions(t, 10, &[12]).is_err());
-        assert_eq!(ds.snapshot(t).unwrap().deletes.len(), 3);
+        assert_eq!(ds.snapshot(t).unwrap().deletes().len(), 3);
+        // Interleaving merge: new positions below, between and above.
+        assert_eq!(ds.delete_positions(t, 10, &[10, 1, 3, 9]).unwrap(), 3);
+        assert_eq!(ds.snapshot(t).unwrap().deletes(), &[0, 1, 3, 9, 10, 11]);
+    }
+
+    #[test]
+    fn live_walks_skip_deleted_rows_across_chunks() {
+        let ds = DeltaStore::new();
+        let t = TableId(3);
+        for batch in [0..3, 3..4, 4..9] {
+            let rows: Vec<Vec<Value>> = batch.map(|i| vec![i, 100 + i]).collect();
+            let _held = ds.snapshot(t);
+            ds.append_rows(t, 5, &rows);
+        }
+        // First row, a whole chunk, a chunk's edges, the last row.
+        ds.delete_positions(t, 5, &[2, 5, 8, 9, 11, 13]).unwrap();
+        let d = ds.snapshot(t).unwrap();
+        assert_eq!(d.chunks.len(), 3);
+        let want: Vec<Value> = vec![1, 2, 5, 7];
+        let got: Vec<(u64, Value)> = d.live_inserts().map(|r| (r.pos(), r.get(0))).collect();
+        let stamped: Vec<(u64, Value)> = want.iter().map(|&v| (5 + v as u64, v)).collect();
+        assert_eq!(got, stamped);
+        let mut col = vec![-1];
+        d.extend_live_column(1, &mut col);
+        assert_eq!(col, vec![-1, 101, 102, 105, 107]);
+        assert_eq!(column(&d, 0), (0..9).collect::<Vec<Value>>());
     }
 
     #[test]
@@ -248,5 +595,8 @@ mod tests {
         let mut pos = vec![3, 4];
         retain_live(&mut pos, &[]);
         assert_eq!(pos, vec![3, 4]);
+        let mut pos = vec![8, 9];
+        retain_live(&mut pos, &[1, 2, 9]);
+        assert_eq!(pos, vec![8]);
     }
 }

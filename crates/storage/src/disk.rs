@@ -43,6 +43,20 @@ pub trait Disk: Send + Sync {
     fn sync(&self, _name: &str) -> Result<()> {
         Ok(())
     }
+
+    /// Give back the space of a file nothing will read again (a column
+    /// file a compaction superseded, an orphan a crash left behind).
+    /// Afterwards the file is gone or empty; removing a file that does
+    /// not exist is not an error. The default frees the bytes by
+    /// truncating through [`Self::create`] and leaves a zero-length
+    /// name behind — all a wrapper that forwards the required methods
+    /// one by one can do; [`MemDisk`] and [`FileDisk`] unlink.
+    fn remove(&self, name: &str) -> Result<()> {
+        if self.exists(name) {
+            self.create(name)?;
+        }
+        Ok(())
+    }
 }
 
 /// An in-memory disk image: `HashMap<name, Vec<u8>>` behind a mutex.
@@ -106,6 +120,11 @@ impl Disk for MemDisk {
 
     fn list(&self) -> Vec<String> {
         self.files.lock().keys().cloned().collect()
+    }
+
+    fn remove(&self, name: &str) -> Result<()> {
+        self.files.lock().remove(name);
+        Ok(())
     }
 }
 
@@ -177,6 +196,13 @@ impl Disk for FileDisk {
         File::open(self.path(name))?.sync_all()?;
         Ok(())
     }
+
+    fn remove(&self, name: &str) -> Result<()> {
+        match std::fs::remove_file(self.path(name)) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e.into()),
+            _ => Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -200,6 +226,11 @@ mod tests {
         assert!(disk.read_at("nope", 0, 1).is_err());
         assert!(disk.len("nope").is_err());
         assert!(disk.list().contains(&"a.col".to_string()));
+        // Removal unlinks, and is idempotent.
+        disk.remove("a.col").unwrap();
+        assert!(!disk.exists("a.col"));
+        assert!(disk.list().is_empty());
+        disk.remove("a.col").unwrap();
     }
 
     #[test]
@@ -222,6 +253,42 @@ mod tests {
         d.write_at("f", 0, b"data").unwrap();
         d.create("f").unwrap();
         assert_eq!(d.len("f").unwrap(), 0);
+    }
+
+    /// Forwards the required methods only, like the disks other
+    /// packages wrap around ours.
+    struct Forwarding(MemDisk);
+
+    impl Disk for Forwarding {
+        fn create(&self, name: &str) -> Result<()> {
+            self.0.create(name)
+        }
+        fn write_at(&self, name: &str, offset: u64, data: &[u8]) -> Result<()> {
+            self.0.write_at(name, offset, data)
+        }
+        fn read_at(&self, name: &str, offset: u64, len: usize) -> Result<Vec<u8>> {
+            self.0.read_at(name, offset, len)
+        }
+        fn len(&self, name: &str) -> Result<u64> {
+            self.0.len(name)
+        }
+        fn exists(&self, name: &str) -> bool {
+            self.0.exists(name)
+        }
+        fn list(&self) -> Vec<String> {
+            self.0.list()
+        }
+    }
+
+    #[test]
+    fn default_remove_frees_the_bytes_through_create() {
+        let d = Forwarding(MemDisk::new());
+        d.create("f").unwrap();
+        d.write_at("f", 0, b"data").unwrap();
+        d.remove("f").unwrap();
+        assert_eq!(d.len("f").unwrap(), 0, "a stub, but an empty one");
+        d.remove("never-existed").unwrap();
+        assert!(!d.exists("never-existed"), "removal creates nothing");
     }
 
     #[test]

@@ -229,8 +229,10 @@ impl<'a> ColumnFileWriter<'a> {
         // Column-wide stats.
         self.min = self.min.min(v);
         self.max = self.max.max(v);
-        self.distinct.insert(v);
+        // A value equal to its predecessor opens no run and is already
+        // in the set: hash only at run boundaries.
         if self.last_value != Some(v) {
+            self.distinct.insert(v);
             self.num_runs += 1;
             self.last_value = Some(v);
         }

@@ -18,10 +18,11 @@
 //! predicates pushed into the encoded data.
 //!
 //! On top of the immutable blocks sits the **write path**: a per-table
-//! write-ahead log (the `matstrat-wal` crate), a row-oriented, position-
+//! write-ahead log (the `matstrat-wal` crate), a columnar, position-
 //! stamped [`delta`] store that scans merge with the blocks, and a
-//! compactor that folds deltas back into fresh blocks — see
-//! [`store`]'s module docs.
+//! compactor that folds deltas back into fresh blocks and reclaims the
+//! files it supersedes once their last reader is done ([`generation`])
+//! — see [`store`]'s module docs.
 
 pub mod block;
 pub mod catalog;
@@ -29,6 +30,7 @@ pub mod delta;
 pub mod disk;
 pub mod encoding;
 pub mod file;
+pub mod generation;
 pub mod meter;
 pub mod pool;
 pub mod store;
@@ -36,10 +38,11 @@ pub mod wire;
 
 pub use block::{BitVecBlock, DictBlock, EncodedBlock, PlainBlock, RleBlock, RleRun};
 pub use catalog::{Catalog, ColumnInfo, ColumnSpec, ProjectionInfo, ProjectionSpec, SortOrder};
-pub use delta::{retain_live, DeltaStore, TableDelta};
+pub use delta::{retain_live, DeltaRow, DeltaStore, TableDelta};
 pub use disk::{Disk, FileDisk, MemDisk};
 pub use encoding::EncodingKind;
 pub use file::{BlockIndexEntry, ColumnFileReader, ColumnFileWriter, ColumnStats};
+pub use generation::Generation;
 pub use meter::{IoMeter, IoSink, IoStats};
 pub use pool::{default_pool_shards, BufferPool, PoolStats};
 pub use store::{ColumnReader, CompactorHandle, RecoveryReport, Store};

@@ -358,11 +358,13 @@ impl BufferPool {
     }
 
     /// Drop every cached block of `file`, returning how many were
-    /// dropped. Compaction calls this after swapping a projection to new
-    /// column files: the old entries can never be looked up again (block
-    /// keys embed the versioned file name), so leaving them resident
-    /// would squat on pool capacity until LRU churn clears them.
-    /// Counters are untouched — the history of hits and misses happened.
+    /// dropped. A retired generation of column files calls this as its
+    /// last pin drops, just before the files themselves are removed
+    /// ([`crate::generation`]): with no pin left there is no reader left
+    /// to fault a block back in, so the entries — which nothing evicts
+    /// from a pool this much larger than the working set — are gone for
+    /// good, not until the next racing read. Counters are untouched —
+    /// the history of hits and misses happened.
     pub fn invalidate_file(&self, file: &str) -> usize {
         let shards = self.shards.read();
         let mut dropped = 0;
