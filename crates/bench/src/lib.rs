@@ -18,8 +18,7 @@ use matstrat_core::{
     Database, InnerStrategy, JoinSpec, JoinTreeSpec, QueryOutcome, QueryPlan, QuerySpec, Statement,
     Strategy,
 };
-use matstrat_model::plans::QueryParams;
-use matstrat_model::{calibrate, ColumnParams, Constants, CostModel};
+use matstrat_model::{calibrate, Constants, CostModel};
 use matstrat_storage::EncodingKind;
 use matstrat_tpch::lineitem::{cols, LineitemData, LineitemGen};
 use matstrat_tpch::{JoinTables, TpchConfig};
@@ -76,10 +75,6 @@ pub struct Harness {
     pub orders: TableId,
     /// customer table id.
     pub customer: TableId,
-    /// nation dimension table id (snowflake behind customer).
-    pub nation: TableId,
-    /// date dimension table id (star on orderdate).
-    pub date: TableId,
     /// Model constants: paper disk numbers + host-calibrated CPU numbers.
     pub constants: Constants,
 }
@@ -102,8 +97,6 @@ impl Harness {
         let join = JoinTables::generate(cfg);
         let orders = join.load_orders(&db, "orders")?;
         let customer = join.load_customer(&db, "customer")?;
-        let nation = join.load_nation(&db, "nation")?;
-        let date = join.load_date(&db, "date")?;
         let constants = calibrate::calibrate(Constants::host_defaults());
         Ok(Harness {
             db,
@@ -112,8 +105,6 @@ impl Harness {
             join,
             orders,
             customer,
-            nation,
-            date,
             constants,
         })
     }
@@ -384,32 +375,6 @@ pub fn format_table2(host: &Constants) -> String {
         out.push_str(&format!("{name:>10} {p:>14.4} {h:>14.4}\n"));
     }
     out
-}
-
-/// Build the model parameters used in the unit tests of the paper-scale
-/// shapes (scale-10 RLE setup of §3.7) — exposed for the ablation bench.
-pub fn paper_scale_rle_params(sf1: f64) -> QueryParams {
-    let n = 60_000_000.0;
-    let c1 = ColumnParams {
-        blocks: 1.0,
-        rows: n,
-        run_len: n / 3800.0,
-        resident: 0.0,
-        code_width: 8.0,
-        shared_dict: false,
-    };
-    let c2 = ColumnParams {
-        blocks: 5.0,
-        rows: n,
-        run_len: n / 26_726.0,
-        resident: 0.0,
-        code_width: 8.0,
-        shared_dict: false,
-    };
-    let mut q = QueryParams::selection(n, c1, c2, sf1, 27.0 / 28.0);
-    q.pos_run_len1 = (n * sf1 / 3.0).max(1.0);
-    q.pos_run_len2 = (n * q.sf2 / 26_726.0).max(1.0);
-    q
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! The `Database` facade: storage + executor + planner + joins.
 
 use std::path::Path;
+use std::time::Instant;
 
 use matstrat_common::{Error, PosRange, Predicate, Result, TableId, Value};
 use matstrat_model::plans::JoinTreeCost;
@@ -11,12 +12,10 @@ use matstrat_storage::{CompactorHandle, ProjectionSpec, Store};
 use crate::multicol::MiniColumn;
 
 use crate::exec::{default_parallelism, execute_with_options, ExecOptions};
-use crate::ops::join::{InnerStrategy, JoinSpec};
-use crate::ops::join_tree::{hash_join_tree_with_options, JoinTreePlan};
-use crate::planner::{JoinChoice, JoinTreeChoice, PlanChoice, Planner};
-use crate::query::{
-    ExecStats, JoinTreeSpec, JoinTreeStats, QueryResult, QuerySpec, QueryStats, Statement,
-};
+use crate::ops::join::InnerStrategy;
+use crate::ops::join_tree::hash_join_tree_with_options;
+use crate::planner::{JoinTreeChoice, PlanChoice, Planner};
+use crate::query::{QueryResult, QueryStats, Statement};
 use crate::strategy::Strategy;
 
 /// The planner's answer for one [`Statement`]: which executable shape it
@@ -140,8 +139,9 @@ impl QueryOutcome {
 pub struct Database {
     store: Store,
     planner: Planner,
-    /// Worker threads per query; every `run*` entry point and the planner
-    /// use this unless overridden by explicit [`ExecOptions`].
+    /// Worker threads per query; [`Database::execute`] and the planner
+    /// use this ([`Database::execute_planned`] takes explicit
+    /// [`ExecOptions`] instead).
     parallelism: usize,
 }
 
@@ -159,7 +159,15 @@ impl Database {
     /// Wrap an existing store. The executor worker count starts at the
     /// `MATSTRAT_THREADS` default; see [`Database::set_parallelism`].
     pub fn with_store(store: Store) -> Database {
-        let parallelism = default_parallelism();
+        Database::priced_at(store, default_parallelism())
+    }
+
+    /// Wrap `store` with the planner priced at `workers` (clamped to
+    /// ≥ 1). Unlike [`Database::set_parallelism`] this never touches the
+    /// pool's striping — the query service's constructor, which leaves
+    /// that to the store's owner.
+    pub(crate) fn priced_at(store: Store, workers: usize) -> Database {
+        let parallelism = workers.max(1);
         Database {
             store,
             planner: Planner::with_parallelism(Constants::host_defaults(), parallelism),
@@ -231,7 +239,7 @@ impl Database {
         self.parallelism
     }
 
-    /// The executor options `run`/`run_with_stats` use: defaults plus
+    /// The executor options [`Database::execute`] uses: defaults plus
     /// this database's parallelism.
     pub fn exec_options(&self) -> ExecOptions {
         ExecOptions {
@@ -294,10 +302,8 @@ impl Database {
 
     /// Plan one statement without running it: `Select` → a
     /// materialization-strategy choice, `JoinTree` → edge order +
-    /// per-edge inner strategies + bushy flags, writes →
-    /// [`QueryPlan::Write`]. A single-edge tree delegates to the plain
-    /// join planner ([`Planner::choose_join`]), so a tree of one edge and
-    /// an ordinary join can never disagree.
+    /// per-edge inner strategies + bushy flags (a plain join is a
+    /// one-edge tree), writes → [`QueryPlan::Write`].
     pub fn plan(&self, stmt: &Statement) -> Result<QueryPlan> {
         Ok(match stmt {
             Statement::Select(q) => QueryPlan::Scan(self.planner.choose(&self.store, q)?),
@@ -309,21 +315,9 @@ impl Database {
     }
 
     /// Plan, then run, one statement on this database's worker count —
-    /// the single entry point every query takes. The old `run*`/`plan_*`
-    /// matrix survives as deprecated delegates of this method.
+    /// the single entry point every query takes.
     pub fn execute(&self, stmt: &Statement) -> Result<QueryOutcome> {
-        self.execute_with_options(stmt, &self.exec_options())
-    }
-
-    /// [`Database::execute`] with explicit executor options (worker
-    /// count, granule, zone-map switch, forced representation).
-    pub fn execute_with_options(
-        &self,
-        stmt: &Statement,
-        opts: &ExecOptions,
-    ) -> Result<QueryOutcome> {
-        let plan = self.plan(stmt)?;
-        self.execute_planned(stmt, &plan, opts)
+        self.run_plan(stmt, self.plan(stmt)?, &self.exec_options())
     }
 
     /// Run a statement under an explicit — possibly hand-built — plan
@@ -335,218 +329,58 @@ impl Database {
         plan: &QueryPlan,
         opts: &ExecOptions,
     ) -> Result<QueryOutcome> {
-        match (stmt, plan) {
+        self.run_plan(stmt, plan.clone(), opts)
+    }
+
+    /// The one executor dispatch: run `stmt` under `plan`, which moves
+    /// into the outcome (callers that planned for this run give it up
+    /// instead of cloning it).
+    pub(crate) fn run_plan(
+        &self,
+        stmt: &Statement,
+        plan: QueryPlan,
+        opts: &ExecOptions,
+    ) -> Result<QueryOutcome> {
+        let (rows, stats) = match (stmt, &plan) {
             (Statement::Select(q), QueryPlan::Scan(choice)) => {
-                let (rows, stats) = execute_with_options(&self.store, q, choice.strategy, opts)?;
-                Ok(QueryOutcome {
-                    rows,
-                    stats,
-                    choice: plan.clone(),
-                })
+                execute_with_options(&self.store, q, choice.strategy, opts)?
             }
             (Statement::JoinTree(spec), QueryPlan::Tree(choice)) => {
-                let (rows, stats) =
-                    hash_join_tree_with_options(&self.store, spec, &choice.plan(), opts)?;
-                Ok(QueryOutcome {
-                    rows,
-                    stats,
-                    choice: plan.clone(),
-                })
+                hash_join_tree_with_options(&self.store, spec, &choice.plan(), opts)?
             }
             (Statement::Insert { table, rows }, QueryPlan::Write) => {
-                let t0 = std::time::Instant::now();
+                let t0 = Instant::now();
                 self.store.insert_rows(*table, rows)?;
-                Ok(Self::write_outcome(rows.len() as u64, t0))
+                write_result(rows.len() as u64, t0)
             }
             (Statement::Delete { table, filters }, QueryPlan::Write) => {
-                let t0 = std::time::Instant::now();
-                let n = delete_where(&self.store, *table, filters)?;
-                Ok(Self::write_outcome(n, t0))
+                let t0 = Instant::now();
+                write_result(delete_where(&self.store, *table, filters)?, t0)
             }
-            _ => Err(Error::invalid(
-                "plan shape does not match the statement (re-plan with Database::plan)",
-            )),
-        }
+            _ => {
+                return Err(Error::invalid(
+                    "plan shape does not match the statement (re-plan with Database::plan)",
+                ))
+            }
+        };
+        Ok(QueryOutcome {
+            rows,
+            stats,
+            choice: plan,
+        })
     }
+}
 
-    pub(crate) fn write_outcome(affected: u64, t0: std::time::Instant) -> QueryOutcome {
-        QueryOutcome {
-            rows: QueryResult::from_flat(vec!["rows_affected".into()], vec![affected as Value]),
-            stats: QueryStats {
-                wall: t0.elapsed(),
-                rows_out: affected,
-                ..QueryStats::default()
-            },
-            choice: QueryPlan::Write,
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Deprecated pre-`execute` surface: thin delegates, kept one release
-    // so callers migrate at their own pace.
-    // ------------------------------------------------------------------
-
-    /// Run a query under an explicit strategy.
-    #[deprecated(note = "use Database::execute_planned with a forced QueryPlan::Scan")]
-    pub fn run(&self, q: &QuerySpec, strategy: Strategy) -> Result<QueryResult> {
-        let stmt = Statement::Select(q.clone());
-        let out = self.execute_planned(
-            &stmt,
-            &QueryPlan::forced_scan(strategy),
-            &self.exec_options(),
-        )?;
-        Ok(out.rows)
-    }
-
-    /// Run a query under an explicit strategy, returning measurements.
-    #[deprecated(note = "use Database::execute_planned; QueryOutcome carries the stats")]
-    pub fn run_with_stats(
-        &self,
-        q: &QuerySpec,
-        strategy: Strategy,
-    ) -> Result<(QueryResult, ExecStats)> {
-        let stmt = Statement::Select(q.clone());
-        let out = self.execute_planned(
-            &stmt,
-            &QueryPlan::forced_scan(strategy),
-            &self.exec_options(),
-        )?;
-        Ok((out.rows, out.stats))
-    }
-
-    /// Run with explicit executor options (ablation experiments).
-    #[deprecated(note = "use Database::execute_planned; QueryOutcome carries the stats")]
-    pub fn run_with_options(
-        &self,
-        q: &QuerySpec,
-        strategy: Strategy,
-        opts: &ExecOptions,
-    ) -> Result<(QueryResult, ExecStats)> {
-        let stmt = Statement::Select(q.clone());
-        let out = self.execute_planned(&stmt, &QueryPlan::forced_scan(strategy), opts)?;
-        Ok((out.rows, out.stats))
-    }
-
-    /// Plan, then run under the chosen strategy.
-    #[deprecated(note = "use Database::execute; QueryOutcome carries the choice")]
-    pub fn run_auto(&self, q: &QuerySpec) -> Result<(PlanChoice, QueryResult)> {
-        let out = self.execute(&Statement::Select(q.clone()))?;
-        match out.choice {
-            QueryPlan::Scan(choice) => Ok((choice, out.rows)),
-            _ => unreachable!("Select plans as Scan"),
-        }
-    }
-
-    /// Run an equi-join under the chosen inner-table strategy (§4.3).
-    #[deprecated(note = "use Database::execute_planned on a one-edge Statement::JoinTree")]
-    pub fn run_join(&self, spec: &JoinSpec, inner: InnerStrategy) -> Result<QueryResult> {
-        let stmt = Statement::JoinTree(JoinTreeSpec::new(vec![spec.clone()]));
-        let plan = QueryPlan::forced_tree(vec![0], vec![inner]);
-        Ok(self
-            .execute_planned(&stmt, &plan, &self.exec_options())?
-            .rows)
-    }
-
-    /// Run a join with explicit executor options (worker count, probe
-    /// granule).
-    #[deprecated(note = "use Database::execute_planned on a one-edge Statement::JoinTree")]
-    pub fn run_join_with_options(
-        &self,
-        spec: &JoinSpec,
-        inner: InnerStrategy,
-        opts: &ExecOptions,
-    ) -> Result<QueryResult> {
-        let stmt = Statement::JoinTree(JoinTreeSpec::new(vec![spec.clone()]));
-        let plan = QueryPlan::forced_tree(vec![0], vec![inner]);
-        Ok(self.execute_planned(&stmt, &plan, opts)?.rows)
-    }
-
-    /// Run a join and report wall/I/O measurements. The I/O counters are
-    /// this query's own (per-thread harvest, not a global meter diff), so
-    /// they stay exact when other sessions run concurrently.
-    #[deprecated(note = "use Database::execute_planned; QueryStats carries wall and io")]
-    pub fn run_join_with_stats(
-        &self,
-        spec: &JoinSpec,
-        inner: InnerStrategy,
-    ) -> Result<(QueryResult, std::time::Duration, matstrat_storage::IoStats)> {
-        let stmt = Statement::JoinTree(JoinTreeSpec::new(vec![spec.clone()]));
-        let plan = QueryPlan::forced_tree(vec![0], vec![inner]);
-        let out = self.execute_planned(&stmt, &plan, &self.exec_options())?;
-        Ok((out.rows, out.stats.wall, out.stats.io))
-    }
-
-    /// Ask the planner to pick an inner-table strategy (without running).
-    #[deprecated(note = "use Database::plan on a one-edge Statement::JoinTree")]
-    pub fn plan_join(&self, spec: &JoinSpec) -> Result<JoinChoice> {
-        self.planner.choose_join(&self.store, spec)
-    }
-
-    /// Plan, then run the join under the chosen inner-table strategy.
-    #[deprecated(note = "use Database::execute on a one-edge Statement::JoinTree")]
-    pub fn run_join_auto(&self, spec: &JoinSpec) -> Result<(JoinChoice, QueryResult)> {
-        let choice = self.planner.choose_join(&self.store, spec)?;
-        let stmt = Statement::JoinTree(JoinTreeSpec::new(vec![spec.clone()]));
-        let plan = QueryPlan::forced_tree(vec![0], vec![choice.inner]);
-        let out = self.execute_planned(&stmt, &plan, &self.exec_options())?;
-        Ok((choice, out.rows))
-    }
-
-    /// Run a multi-way join tree in spec order under explicit per-edge
-    /// inner-table strategies, on this database's worker count.
-    #[deprecated(note = "use Database::execute_planned with a forced QueryPlan::Tree")]
-    pub fn run_join_tree(
-        &self,
-        spec: &JoinTreeSpec,
-        inners: &[InnerStrategy],
-    ) -> Result<QueryResult> {
-        let plan = QueryPlan::forced_tree((0..spec.edges.len()).collect(), inners.to_vec());
-        Ok(self
-            .execute_planned(
-                &Statement::JoinTree(spec.clone()),
-                &plan,
-                &self.exec_options(),
-            )?
-            .rows)
-    }
-
-    /// Run a join tree under an explicit [`JoinTreePlan`] (edge order,
-    /// per-edge strategies, bushy flags, build-reuse switch) and executor
-    /// options, returning the tree-level measurements — `builds` vs
-    /// `build_reuses` shows the partitioned-build cache at work when one
-    /// inner table feeds several edges. This is the one legacy entry
-    /// point that bypasses [`QueryPlan`]: a raw [`JoinTreePlan`] can pin
-    /// `reuse_builds: false`, which a planner choice never does.
-    #[deprecated(note = "use Database::execute_planned with a QueryPlan::Tree")]
-    pub fn run_join_tree_with_options(
-        &self,
-        spec: &JoinTreeSpec,
-        plan: &JoinTreePlan,
-        opts: &ExecOptions,
-    ) -> Result<(QueryResult, JoinTreeStats)> {
-        hash_join_tree_with_options(&self.store, spec, plan, opts)
-    }
-
-    /// Ask the planner for a join-tree plan (edge order + per-edge
-    /// strategies) without running it.
-    #[deprecated(note = "use Database::plan; QueryPlan::Tree carries the choice")]
-    pub fn plan_join_tree(&self, spec: &JoinTreeSpec) -> Result<JoinTreeChoice> {
-        self.planner.choose_join_tree(&self.store, spec)
-    }
-
-    /// Plan, then run the join tree under the chosen edge order and
-    /// per-edge strategies.
-    #[deprecated(note = "use Database::execute; QueryOutcome carries choice, rows, and stats")]
-    pub fn run_join_tree_auto(
-        &self,
-        spec: &JoinTreeSpec,
-    ) -> Result<(JoinTreeChoice, QueryResult, JoinTreeStats)> {
-        let out = self.execute(&Statement::JoinTree(spec.clone()))?;
-        match out.choice {
-            QueryPlan::Tree(choice) => Ok((choice, out.rows, out.stats)),
-            _ => unreachable!("JoinTree plans as Tree"),
-        }
-    }
+/// A write's result: one `rows_affected` cell, and stats carrying only
+/// `rows_out` and the wall time since `t0`.
+fn write_result(affected: u64, t0: Instant) -> (QueryResult, QueryStats) {
+    let rows = QueryResult::from_flat(vec!["rows_affected".into()], vec![affected as Value]);
+    let stats = QueryStats {
+        wall: t0.elapsed(),
+        rows_out: affected,
+        ..QueryStats::default()
+    };
+    (rows, stats)
 }
 
 /// Resolve every row of `table` matching all of `filters` and mark it
@@ -612,6 +446,7 @@ pub fn delete_where(store: &Store, table: TableId, filters: &[(usize, Predicate)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::QuerySpec;
     use matstrat_storage::{EncodingKind, SortOrder};
 
     fn demo_db() -> (Database, TableId) {

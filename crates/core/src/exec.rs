@@ -35,9 +35,9 @@
 //! position range and run the full DS1→AND→DS3 (or SPC / DS2→DS4)
 //! pipeline over chunk-sized granule runs claimed from it; a worker
 //! that drains its span **steals** runs from the tail of the most
-//! loaded sibling's span (the [`ExecStats::steals`] counter), so
+//! loaded sibling's span (the [`QueryStats::steals`] counter), so
 //! clustered selectivity cannot strand the matches on one core. The
-//! per-run fragments — result values, partial aggregates, [`ExecStats`]
+//! per-run fragments — result values, partial aggregates, [`QueryStats`]
 //! — are merged in global granule order, so the produced [`QueryResult`]
 //! is **byte-identical** to the serial run at any worker count, and the
 //! deterministic counters (`positions_matched`, `rows_out`, cold
@@ -75,7 +75,7 @@ use crate::ops::merge::merge_columns;
 use crate::ops::probe::ds4_extend;
 use crate::ops::spc::spc_scan;
 use crate::pipeline::FragmentPipeline;
-use crate::query::{ExecStats, QueryResult, QuerySpec};
+use crate::query::{QueryResult, QuerySpec, QueryStats};
 use crate::strategy::Strategy;
 use crate::GRANULE;
 
@@ -110,7 +110,7 @@ pub struct ExecOptions {
     /// never read (their positions would not survive the scan anyway, so
     /// the result is byte-identical). Applies to the LM strategies' DS1
     /// scans and to join/tree probe-side filters; EM reads every block by
-    /// definition. [`ExecStats::zone_skips`] counts the pruned blocks.
+    /// definition. [`QueryStats::zone_skips`] counts the pruned blocks.
     /// Granule partitioning is deterministic, so in the scan executor the
     /// set of read blocks — and exact cold `block_reads` — is
     /// data-dependent only, at any worker count.
@@ -141,22 +141,13 @@ impl ExecOptions {
     }
 }
 
-/// Execute `q` under `strategy` with default options.
-pub fn execute(
-    store: &Store,
-    q: &QuerySpec,
-    strategy: Strategy,
-) -> Result<(QueryResult, ExecStats)> {
-    execute_with_options(store, q, strategy, &ExecOptions::default())
-}
-
 /// Execute `q` under `strategy` with explicit [`ExecOptions`].
 pub fn execute_with_options(
     store: &Store,
     q: &QuerySpec,
     strategy: Strategy,
     opts: &ExecOptions,
-) -> Result<(QueryResult, ExecStats)> {
+) -> Result<(QueryResult, QueryStats)> {
     let (proj, delta) = store.scan_snapshot(q.table)?;
     let accessed = q.accessed_columns();
     if accessed.is_empty() {
@@ -305,7 +296,7 @@ pub fn execute_with_options(
 struct Fragment {
     flat: Vec<Value>,
     agg: Option<Aggregator>,
-    stats: ExecStats,
+    stats: QueryStats,
 }
 
 /// The per-worker execution context: everything needed to run the
@@ -376,7 +367,7 @@ impl SpanTask<'_> {
         Ok(Fragment {
             flat,
             agg,
-            stats: ExecStats {
+            stats: QueryStats {
                 strategy: Some(self.strategy),
                 wall: t0.elapsed(),
                 io: self.meter.thread_snapshot().since(&io0),
@@ -386,7 +377,7 @@ impl SpanTask<'_> {
                 zone_skips,
                 // rows_out is set after the merged result is assembled;
                 // steals is a scheduler-level count, set after the merge.
-                ..ExecStats::default()
+                ..QueryStats::default()
             },
         })
     }

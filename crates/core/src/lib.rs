@@ -36,21 +36,17 @@ pub mod session;
 pub mod strategy;
 
 pub use db::{delete_where, Database, QueryOutcome, QueryPlan};
-pub use exec::{default_parallelism, execute, execute_with_options, ExecOptions};
+pub use exec::{default_parallelism, execute_with_options, ExecOptions};
 pub use multicol::{MiniColumn, MultiColumn};
 pub use ops::agg::AggFunc;
-pub use ops::join::{
-    hash_join, hash_join_with_io, hash_join_with_options, hash_join_with_stats, InnerStrategy,
-    JoinSpec,
-};
-pub use ops::join_tree::{hash_join_tree, hash_join_tree_with_options, JoinTreePlan};
+pub use ops::join::{InnerStrategy, JoinSpec};
+pub use ops::join_tree::{hash_join_tree_with_options, JoinTreePlan};
 pub use pipeline::FragmentPipeline;
-pub use planner::{JoinChoice, JoinTreeChoice, PlanChoice, Planner};
+pub use planner::{JoinTreeChoice, PlanChoice, Planner};
 pub use query::{
-    AggSpec, ExecStats, JoinKeySource, JoinTreeSpec, JoinTreeStats, QueryResult, QuerySpec,
-    QueryStats, Statement,
+    AggSpec, JoinKeySource, JoinTreeSpec, QueryResult, QuerySpec, QueryStats, Statement,
 };
-pub use session::{fair_share, Reply, Request, Server, ServerConfig, ServerStats, Session};
+pub use session::{fair_share, Server, ServerConfig, ServerStats, Session};
 pub use strategy::Strategy;
 
 /// Number of positions processed per pipeline iteration (one "granule").

@@ -102,9 +102,6 @@ pub struct Aggregator {
     repr: Repr,
 }
 
-/// The paper's SUM accumulator, kept as a convenient alias.
-pub type SumAggregator = Aggregator;
-
 impl Aggregator {
     /// Accumulator for groups known to lie in `[min, max]`; picks the
     /// dense array when the span is small (the common case for TPC-H

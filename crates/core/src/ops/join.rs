@@ -1,10 +1,11 @@
-//! Hash join with the three inner-table materialization strategies of
-//! §4.3.
+//! Hash-join building blocks with the three inner-table materialization
+//! strategies of §4.3.
 //!
-//! The join probes the **left** (outer) relation against a hash table
+//! A join probes the **left** (outer) relation against a hash table
 //! built on the **right** (inner) relation's key column. Left positions
-//! exit the join in sorted order, so left output columns are fetched with
-//! a cheap merge on position. The right side is where strategy matters:
+//! exit the probe in sorted order, so left output columns are fetched
+//! with a cheap merge on position. The right side is where strategy
+//! matters:
 //!
 //! * [`InnerStrategy::Materialized`] — right tuples are fully constructed
 //!   *before* the join (early materialization): the build phase decodes
@@ -17,6 +18,11 @@
 //!   pairs. Right positions come out **unsorted**, so fetching right
 //!   output values costs an extra sort + gather + scatter — the Figure 13
 //!   penalty.
+//!
+//! This module holds the build side (`SharedBuild`, `InnerRep`) and
+//! the position-merge fetch helpers; the probe pipeline that drives them
+//! is the join-tree executor ([`crate::ops::join_tree`]), which runs a
+//! single join as a one-edge tree.
 //!
 //! # Parallel build
 //!
@@ -34,38 +40,18 @@
 //! fallbacks, and the Materialized row-major flatten all split across
 //! workers), which changes nothing observable: each column file is
 //! still read once, sequentially, by exactly one worker.
-//!
-//! # Parallel probe
-//!
-//! Once built, the build side is shared read-only, so the probe side
-//! runs on the same [`FragmentPipeline`] substrate as the scan
-//! executor: [`ExecOptions::parallelism`] workers start on contiguous,
-//! granule-aligned spans of the left position range, run the full
-//! filter→probe→fetch→stitch pipeline over chunk-sized granule runs
-//! (work-stealing runs from loaded siblings when their own span
-//! drains), and the per-run row fragments concatenate in global granule
-//! order. Left positions are ascending within each run and runs are
-//! merged ascending, so the output is **byte-identical** to the serial
-//! run at any worker count — for every [`InnerStrategy`] — and cold
-//! `block_reads` stay exact: run-local fetches touch the same distinct
-//! blocks a full-window fetch does, and the buffer pool single-flights
-//! concurrent misses.
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
 
-use matstrat_common::{Error, Pos, PosRange, Predicate, Result, TableId, Value};
+use matstrat_common::{Pos, PosRange, Predicate, Result, TableId, Value};
 use matstrat_model::plans::JoinInnerKind;
 use matstrat_poslist::{PosList, PosListBuilder, PosVec};
-use matstrat_storage::{
-    ColumnReader, DeltaRow, IoMeter, IoSink, IoStats, ProjectionInfo, Store, TableDelta,
-};
+use matstrat_storage::{IoMeter, IoSink, ProjectionInfo, Store, TableDelta};
 
 use crate::exec::ExecOptions;
 use crate::multicol::MiniColumn;
 use crate::pipeline::FragmentPipeline;
-use crate::query::{QueryResult, QueryStats};
 
 /// How the inner (right) table is represented inside the join.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -796,8 +782,8 @@ fn par_indexed<T: Send>(
     })
 }
 
-/// Drop the positions in `deletes` (sorted ascending) from `desc`. Both
-/// probe paths use this to hide deleted base rows from the outer side of
+/// Drop the positions in `deletes` (sorted ascending) from `desc`. The
+/// tree probe uses this to hide deleted base rows from the outer side of
 /// a join before any key or output value is fetched.
 pub(crate) fn filter_deleted(desc: PosList, deletes: &[u64]) -> PosList {
     if deletes.is_empty() {
@@ -853,307 +839,36 @@ fn flatten_row_major(cols: &[Vec<Value>], rows: usize, workers: usize) -> Vec<Va
     flat
 }
 
-/// The immutable build-side state every probe worker shares: the hash
-/// table on the right key, the right output representation, and the
-/// opened left-side readers.
-struct BuildSide {
-    /// The strategy-independent hash table + decoded keys.
-    shared: SharedBuild,
-    /// The per-strategy right output representation.
-    rep: InnerRep,
-    /// Left-side readers: filter column (when filtered), key column,
-    /// output columns. Pinned to the left snapshot's files.
-    left_filter_reader: Option<ColumnReader>,
-    left_key_reader: ColumnReader,
-    left_out_readers: Vec<ColumnReader>,
-    /// Deleted positions among the left snapshot's **base** rows, sorted
-    /// ascending; probe spans hide them before fetching keys.
-    left_deletes: Vec<u64>,
-}
-
-/// Execute the join under the chosen inner-table strategy with default
-/// options (the `MATSTRAT_THREADS` worker default).
-pub fn hash_join(store: &Store, spec: &JoinSpec, inner: InnerStrategy) -> Result<QueryResult> {
-    hash_join_with_options(store, spec, inner, &ExecOptions::default())
-}
-
-/// Execute the join with explicit [`ExecOptions`] (`parallelism` workers
-/// over `granule`-aligned probe spans). The result is byte-identical at
-/// any worker count.
-pub fn hash_join_with_options(
-    store: &Store,
-    spec: &JoinSpec,
-    inner: InnerStrategy,
-    opts: &ExecOptions,
-) -> Result<QueryResult> {
-    Ok(hash_join_with_stats(store, spec, inner, opts)?.0)
-}
-
-/// [`hash_join_with_options`], additionally reporting the I/O **this
-/// query** caused. The counters are harvested per thread (see
-/// [`IoSink`]), not diffed off the global meter, so they stay exact when
-/// several sessions run concurrently on one store.
-pub fn hash_join_with_io(
-    store: &Store,
-    spec: &JoinSpec,
-    inner: InnerStrategy,
-    opts: &ExecOptions,
-) -> Result<(QueryResult, IoStats)> {
-    let (result, stats) = hash_join_with_stats(store, spec, inner, opts)?;
-    Ok((result, stats.io))
-}
-
-/// [`hash_join_with_options`], reporting the unified [`QueryStats`] the
-/// single-statement API surfaces: wall time, exact per-query I/O, rows
-/// out, build/steal/zone-skip counters.
-pub fn hash_join_with_stats(
-    store: &Store,
-    spec: &JoinSpec,
-    inner: InnerStrategy,
-    opts: &ExecOptions,
-) -> Result<(QueryResult, QueryStats)> {
-    // Drop any residue a previous, errored-out execution left on this
-    // thread: it must not be billed to this query.
-    store.meter().forget_current_thread();
-    let sink = IoSink::new();
-    hash_join_sunk(store, spec, inner, opts, &sink)
-}
-
-fn hash_join_sunk(
-    store: &Store,
-    spec: &JoinSpec,
-    inner: InnerStrategy,
-    opts: &ExecOptions,
-    sink: &IoSink,
-) -> Result<(QueryResult, QueryStats)> {
-    let t0 = Instant::now();
-    let (left_info, left_delta) = store.scan_snapshot(spec.left)?;
-    let right_info = store.projection(spec.right)?;
-
-    // Output shape, validated before any I/O. (Schema is
-    // compaction-invariant, so the pre-build right lookup cannot diverge
-    // from the snapshot the build takes below.)
-    let mut names: Vec<String> =
-        Vec::with_capacity(spec.left_output.len() + spec.right_output.len());
-    for &c in &spec.left_output {
-        names.push(left_info.column(c)?.name.clone());
-    }
-    for &c in &spec.right_output {
-        names.push(right_info.column(c)?.name.clone());
-    }
-    if names.is_empty() {
-        return Err(Error::invalid("join must output at least one column"));
-    }
-
-    // ---- Build phase (right/inner table, span- and column-parallel) ----
-    // Strategy-independent half (hash table + decoded keys), then the
-    // per-strategy right output representation — the same two pieces the
-    // join-tree executor builds per edge, with the first cached across
-    // edges that share an inner table. Both halves read the one right
-    // snapshot `SharedBuild::build` takes.
-    let reducers: Vec<BuildReducer<'_>> = spec
-        .right_filter
-        .iter()
-        .map(|&(c, p)| BuildReducer::Filter(c, p))
-        .collect();
-    let shared = SharedBuild::build(
-        store,
-        spec.right,
-        spec.right_key,
-        &reducers,
-        opts,
-        Some(sink),
-    )?;
-    let rep = InnerRep::build(store, &shared, &spec.right_output, inner, Some(sink))?;
-
-    let build = BuildSide {
-        shared,
-        rep,
-        left_filter_reader: match &spec.left_filter {
-            Some((col, _)) => Some(store.reader_for(&left_info, *col)?),
-            None => None,
-        },
-        left_key_reader: store.reader_for(&left_info, spec.left_key)?,
-        left_out_readers: spec
-            .left_output
-            .iter()
-            .map(|&c| store.reader_for(&left_info, c))
-            .collect::<Result<_>>()?,
-        left_deletes: left_delta
-            .as_ref()
-            .map_or(Vec::new(), |d| d.base_deletes().to_vec()),
-    };
-
-    // ---- Probe phase: span-parallel over the left base rows ------------
-    let pipeline = FragmentPipeline::new(
-        left_info.num_rows,
-        opts.granule.max(1),
-        opts.parallelism.max(1),
-    );
-    let zone_maps = opts.zone_maps;
-    let (fragments, steals): (Vec<(Vec<Value>, u64)>, u64) =
-        pipeline.run_counted_sunk(store.meter(), Some(sink), |span| {
-            probe_span(spec, &build, zone_maps, span)
-        })?;
-
-    // Fragments are row-major and spans ascend, so concatenation
-    // reproduces the serial row order byte for byte.
-    let mut zone_skips = 0u64;
-    let mut fragments = fragments.into_iter();
-    let (mut flat, zs) = fragments.next().expect("at least one span");
-    zone_skips += zs;
-    for (frag, zs) in fragments {
-        flat.extend(frag);
-        zone_skips += zs;
-    }
-
-    // ---- Left delta pass: serial, in stamp order ------------------------
-    // The delta's live inserts probe the same shared hash table after
-    // every base fragment — exactly where those rows sit in position
-    // order — so the merged output equals a serial run over the logical
-    // table.
-    if let Some(d) = &left_delta {
-        let mut drows: Vec<(DeltaRow<'_>, u32)> = Vec::new();
-        for row in d.live_inserts() {
-            if let Some((c, pred)) = &spec.left_filter {
-                if !pred.matches(row.get(*c)) {
-                    continue;
-                }
-            }
-            if let Some(rps) = build.shared.probe(row.get(spec.left_key)) {
-                for &rp in rps {
-                    drows.push((row, rp));
-                }
-            }
-        }
-        if !drows.is_empty() {
-            let rps: Vec<u32> = drows.iter().map(|&(_, rp)| rp).collect();
-            let right_cols = build.rep.gather(&rps)?;
-            for (i, (row, _)) in drows.iter().enumerate() {
-                for &c in &spec.left_output {
-                    flat.push(row.get(c));
-                }
-                for col in &right_cols {
-                    flat.push(col[i]);
-                }
-            }
-        }
-    }
-    let result = QueryResult::from_flat(names, flat);
-    let stats = QueryStats {
-        wall: t0.elapsed(),
-        io: sink.total(),
-        rows_out: result.num_rows() as u64,
-        steals,
-        builds: 1,
-        zone_skips,
-        ..QueryStats::default()
-    };
-    Ok((result, stats))
-}
-
-/// Run the full filter→probe→fetch→stitch pipeline over one left span,
-/// returning the span's row-major output fragment and the number of
-/// zone-map-pruned filter blocks.
-fn probe_span(
-    spec: &JoinSpec,
-    build: &BuildSide,
-    zone_maps: bool,
-    span: PosRange,
-) -> Result<(Vec<Value>, u64)> {
-    let mut zone_skips = 0u64;
-    // ---- Left (outer) side, span-local ---------------------------------
-    let desc = match (&spec.left_filter, &build.left_filter_reader) {
-        (Some((_, pred)), Some(reader)) => {
-            // Zone-rejected blocks contribute no positions — skipping the
-            // read leaves the descriptor (and every later fetch) unchanged.
-            let mini = if zone_maps {
-                let (mini, pruned) = MiniColumn::fetch_pruned(reader, span, pred)?;
-                zone_skips = pruned;
-                mini
-            } else {
-                MiniColumn::fetch(reader, span)?
-            };
-            mini.scan_positions(pred)
-        }
-        _ => PosList::full(span),
-    };
-    // Deleted base rows never reach the probe (nor the key fetch).
-    let lo = build.left_deletes.partition_point(|&p| p < span.start);
-    let hi = build.left_deletes.partition_point(|&p| p < span.end);
-    let desc = filter_deleted(desc, &build.left_deletes[lo..hi]);
-    let lkey_mini = MiniColumn::fetch(&build.left_key_reader, span)?;
-
-    // ---- Probe ----------------------------------------------------------
-    // Matched left positions (sorted, since desc is iterated in order) and
-    // the matched right position per output row. When the build hashed
-    // dictionary codes and this span's key blocks carry the *same*
-    // dictionary (fingerprint matched, then the dictionary itself to
-    // rule out a collision), the probe gathers u32 codes and never
-    // decodes a key — same blocks read either way, so I/O is unchanged.
-    let mut left_pos: Vec<Pos> = Vec::new();
-    let mut right_pos: Vec<u32> = Vec::new();
-    let code_probe = build.shared.code_dict().is_some_and(|(fp, dict)| {
-        lkey_mini.shared_dict_fingerprint() == Some(fp) && lkey_mini.shared_dict() == Some(dict)
-    });
-    if code_probe {
-        let mut lcodes = Vec::with_capacity(desc.count() as usize);
-        lkey_mini.gather_codes(&desc, &mut lcodes)?;
-        matstrat_common::codeops::add(lcodes.len() as u64);
-        for (i, p) in desc.iter().enumerate() {
-            if let Some(rps) = build.shared.probe_code(lcodes[i]) {
-                for &rp in rps {
-                    left_pos.push(p);
-                    right_pos.push(rp);
-                }
-            }
-        }
-    } else {
-        let mut lkeys = Vec::with_capacity(desc.count() as usize);
-        lkey_mini.fetch_values(&desc, &mut lkeys)?;
-        for (i, p) in desc.iter().enumerate() {
-            if let Some(rps) = build.shared.probe(lkeys[i]) {
-                for &rp in rps {
-                    left_pos.push(p);
-                    right_pos.push(rp);
-                }
-            }
-        }
-    }
-    let out_rows = left_pos.len();
-
-    // ---- Left output values: merge on sorted positions ------------------
-    // left_pos may contain duplicates (non-unique right keys); gather
-    // over the deduplicated sorted list, then expand.
-    let lwidth = spec.left_output.len();
-    let mut left_cols: Vec<Vec<Value>> = Vec::with_capacity(lwidth);
-    for reader in &build.left_out_readers {
-        let mini = MiniColumn::fetch(reader, span)?;
-        left_cols.push(fetch_expanded(&mini, &left_pos)?);
-    }
-
-    // ---- Right output values, per strategy ------------------------------
-    let rwidth = spec.right_output.len();
-    let right_cols = build.rep.gather(&right_pos)?;
-
-    // ---- Final tuple stitching ------------------------------------------
-    let width = lwidth + rwidth;
-    let mut flat = Vec::with_capacity(out_rows * width);
-    for i in 0..out_rows {
-        for col in &left_cols {
-            flat.push(col[i]);
-        }
-        for col in &right_cols {
-            flat.push(col[i]);
-        }
-    }
-    Ok((flat, zone_skips))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::ExecOptions;
+    use crate::ops::join_tree::{hash_join_tree_with_options, JoinTreePlan};
+    use crate::query::{JoinTreeSpec, QueryResult};
     use matstrat_storage::{EncodingKind as Ek, ProjectionSpec, SortOrder, Store};
+
+    /// Run `spec` as a one-edge tree under `inner` — the only way a
+    /// single join executes.
+    fn join(
+        store: &Store,
+        spec: &JoinSpec,
+        inner: InnerStrategy,
+        opts: &ExecOptions,
+    ) -> QueryResult {
+        hash_join_tree_with_options(
+            store,
+            &JoinTreeSpec::new(vec![spec.clone()]),
+            &JoinTreePlan::in_spec_order(vec![inner]),
+            opts,
+        )
+        .unwrap()
+        .0
+    }
+
+    /// [`join`] with default options.
+    fn join_default(store: &Store, spec: &JoinSpec, inner: InnerStrategy) -> QueryResult {
+        join(store, spec, inner, &ExecOptions::default())
+    }
 
     /// left: 60 orders (custkey = i % 20, shipdate = i); right: 20
     /// customers (custkey = 0..20 PK, nation = custkey * 10).
@@ -1204,7 +919,7 @@ mod tests {
     fn all_three_strategies_agree_with_reference() {
         let (store, spec) = setup();
         for inner in InnerStrategy::ALL {
-            let res = hash_join(&store, &spec, inner).unwrap();
+            let res = join_default(&store, &spec, inner);
             assert_eq!(res.column_names, vec!["shipdate", "nation"]);
             assert_eq!(res.sorted_rows(), reference_rows(), "{inner:?}");
         }
@@ -1215,7 +930,7 @@ mod tests {
         let (store, mut spec) = setup();
         spec.left_filter = None;
         for inner in InnerStrategy::ALL {
-            let res = hash_join(&store, &spec, inner).unwrap();
+            let res = join_default(&store, &spec, inner);
             assert_eq!(res.num_rows(), 60, "{inner:?}");
         }
     }
@@ -1224,7 +939,7 @@ mod tests {
     fn parallel_probe_is_byte_identical() {
         let (store, spec) = setup();
         for inner in InnerStrategy::ALL {
-            let serial = hash_join_with_options(
+            let serial = join(
                 &store,
                 &spec,
                 inner,
@@ -1233,10 +948,9 @@ mod tests {
                     parallelism: 1,
                     ..ExecOptions::default()
                 },
-            )
-            .unwrap();
+            );
             for workers in [2, 3, 8] {
-                let par = hash_join_with_options(
+                let par = join(
                     &store,
                     &spec,
                     inner,
@@ -1245,8 +959,7 @@ mod tests {
                         parallelism: workers,
                         ..ExecOptions::default()
                     },
-                )
-                .unwrap();
+                );
                 assert_eq!(par.flat(), serial.flat(), "{inner:?} workers={workers}");
                 assert_eq!(par.column_names, serial.column_names);
             }
@@ -1288,7 +1001,7 @@ mod tests {
             right_output: vec![1],
         };
         for inner in InnerStrategy::ALL {
-            let res = hash_join(&store, &spec, inner).unwrap();
+            let res = join_default(&store, &spec, inner);
             assert_eq!(res.num_rows(), 20, "{inner:?}");
             let rows = res.sorted_rows();
             assert_eq!(rows[5], vec![5, 105, 10], "{inner:?}");
@@ -1327,7 +1040,7 @@ mod tests {
             right_output: vec![1],
         };
         for inner in InnerStrategy::ALL {
-            let res = hash_join(&store, &spec, inner).unwrap();
+            let res = join_default(&store, &spec, inner);
             let rows = res.sorted_rows();
             assert_eq!(
                 rows,
@@ -1411,7 +1124,7 @@ mod tests {
         };
         for inner in InnerStrategy::ALL {
             let ops0 = matstrat_common::codeops::snapshot();
-            let res = hash_join_with_options(&store, &spec, inner, &serial).unwrap();
+            let res = join(&store, &spec, inner, &serial);
             let ops = matstrat_common::codeops::snapshot().wrapping_sub(ops0);
             let mut rows = res.sorted_rows();
             rows.sort_unstable();
@@ -1421,13 +1134,11 @@ mod tests {
             assert!(ops >= 2000, "{inner:?}: code path must run, got {ops} ops");
         }
         // Parallel runs stay byte-identical to serial.
-        let serial_flat =
-            hash_join_with_options(&store, &spec, InnerStrategy::MultiColumn, &serial)
-                .unwrap()
-                .flat()
-                .to_vec();
+        let serial_flat = join(&store, &spec, InnerStrategy::MultiColumn, &serial)
+            .flat()
+            .to_vec();
         for workers in [2, 4, 8] {
-            let par = hash_join_with_options(
+            let par = join(
                 &store,
                 &spec,
                 InnerStrategy::MultiColumn,
@@ -1436,8 +1147,7 @@ mod tests {
                     parallelism: workers,
                     ..ExecOptions::default()
                 },
-            )
-            .unwrap();
+            );
             assert_eq!(par.flat(), serial_flat, "workers={workers}");
         }
     }
@@ -1461,7 +1171,7 @@ mod tests {
             right_output: vec![1],
         };
         for inner in InnerStrategy::ALL {
-            let res = hash_join(&store, &spec, inner).unwrap();
+            let res = join_default(&store, &spec, inner);
             assert_eq!(res.sorted_rows(), vec![vec![5000, 777]], "{inner:?}");
         }
     }
@@ -1487,7 +1197,7 @@ mod tests {
             right_output: vec![1],
         };
         for inner in InnerStrategy::ALL {
-            let res = hash_join(&store, &spec, inner).unwrap();
+            let res = join_default(&store, &spec, inner);
             assert_eq!(res.sorted_rows(), vec![vec![6000, 503]], "{inner:?}");
         }
     }

@@ -1,19 +1,18 @@
 //! Multi-way join execution: a left-deep tree of hash joins pipelining
 //! **position lists** through successive probes.
 //!
-//! The single-join executor (§4.3, [`crate::ops::join`]) materializes
-//! its output after one probe. Composing N of them naively would
-//! materialize — and re-scan — every intermediate. The tree executor
-//! instead keeps the intermediate in its cheapest form for as long as
-//! possible: a vector of base-table positions plus one matched-position
-//! vector per completed edge, all row-aligned. Each edge's probe only
-//! ever *extends* this position state (fan-out duplicates positions, a
-//! missed probe drops the row); **values are fetched exactly once, at
-//! the very top** — base columns with a merge on the sorted (possibly
-//! duplicated) base positions, right columns per edge through the same
-//! three inner-table representations the single join offers. That is
-//! the paper's late-materialization discipline carried across a whole
-//! join tree.
+//! This is the one join executor: a single join (§4.3) is a one-edge
+//! tree. Composing N joins naively would materialize — and re-scan —
+//! every intermediate. The tree executor instead keeps the intermediate
+//! in its cheapest form for as long as possible: a vector of base-table
+//! positions plus one matched-position vector per completed edge, all
+//! row-aligned. Each edge's probe only ever *extends* this position
+//! state (fan-out duplicates positions, a missed probe drops the row);
+//! **values are fetched exactly once, at the very top** — base columns
+//! with a merge on the sorted (possibly duplicated) base positions,
+//! right columns per edge through the three inner-table representations
+//! of [`crate::ops::join`]. That is the paper's late-materialization
+//! discipline carried across a whole join tree.
 //!
 //! # Build caching
 //!
@@ -22,7 +21,7 @@
 //! when the same inner table is probed by multiple edges (the date
 //! dimension joined on both order date and ship date, say), the table
 //! is built **once** and every later edge reuses it
-//! ([`JoinTreeStats::builds`] / [`JoinTreeStats::build_reuses`] count
+//! ([`QueryStats::builds`] / [`QueryStats::build_reuses`] count
 //! both sides). The cached decoded key column doubles as the zero-I/O
 //! key source for snowflake edges probing *through* a previous table.
 //!
@@ -63,7 +62,7 @@ use crate::ops::join::{
     SharedBuild,
 };
 use crate::pipeline::FragmentPipeline;
-use crate::query::{AggSpec, JoinKeySource, JoinTreeSpec, JoinTreeStats, QueryResult};
+use crate::query::{AggSpec, JoinKeySource, JoinTreeSpec, QueryResult, QueryStats};
 
 /// How a [`JoinTreeSpec`] is to be executed: the edge order, one inner
 /// strategy per edge, which snowflake edges run **bushy** (their
@@ -210,7 +209,7 @@ fn ensure_shared(
     bushy_children: &[Vec<usize>],
     cache: &mut HashMap<BuildKey, Arc<SharedBuild>>,
     shared_by_spec: &mut Vec<Option<Arc<SharedBuild>>>,
-    stats: &mut JoinTreeStats,
+    stats: &mut QueryStats,
     ei: usize,
 ) -> Result<Arc<SharedBuild>> {
     if let Some(s) = &shared_by_spec[ei] {
@@ -318,22 +317,6 @@ struct TreeFragment {
     zone_skips: u64,
 }
 
-/// Execute the tree in spec order under per-edge strategies, with
-/// default options.
-pub fn hash_join_tree(
-    store: &Store,
-    spec: &JoinTreeSpec,
-    inners: &[InnerStrategy],
-) -> Result<QueryResult> {
-    Ok(hash_join_tree_with_options(
-        store,
-        spec,
-        &JoinTreePlan::in_spec_order(inners.to_vec()),
-        &ExecOptions::default(),
-    )?
-    .0)
-}
-
 /// Execute the tree under an explicit [`JoinTreePlan`] and
 /// [`ExecOptions`], returning the result and the tree-level
 /// measurements. Byte-identical at any worker count for a fixed plan.
@@ -342,7 +325,7 @@ pub fn hash_join_tree_with_options(
     spec: &JoinTreeSpec,
     plan: &JoinTreePlan,
     opts: &ExecOptions,
-) -> Result<(QueryResult, JoinTreeStats)> {
+) -> Result<(QueryResult, QueryStats)> {
     spec.validate()?;
     plan.validate(spec)?;
     let base = spec.base();
@@ -372,7 +355,7 @@ pub fn hash_join_tree_with_options(
     // residue an errored-out previous execution left on this thread.
     store.meter().forget_current_thread();
     let sink = IoSink::new();
-    let mut stats = JoinTreeStats::default();
+    let mut stats = QueryStats::default();
 
     // ---- Build phase, in execution order --------------------------------
     // One SharedBuild per distinct build signature (see [`BuildKey`]);
@@ -845,10 +828,26 @@ fn probe_tree_delta(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::join::{hash_join, JoinSpec};
+    use crate::ops::join::JoinSpec;
     use crate::AggFunc;
     use matstrat_common::Predicate;
     use matstrat_storage::{EncodingKind as Ek, ProjectionSpec, SortOrder, Store};
+
+    /// Execute the tree in spec order under per-edge strategies, with
+    /// default options.
+    fn hash_join_tree(
+        store: &Store,
+        spec: &JoinTreeSpec,
+        inners: &[InnerStrategy],
+    ) -> Result<QueryResult> {
+        Ok(hash_join_tree_with_options(
+            store,
+            spec,
+            &JoinTreePlan::in_spec_order(inners.to_vec()),
+            &ExecOptions::default(),
+        )?
+        .0)
+    }
 
     /// orders(custkey, datekey, shipdate) star-joined to customer and a
     /// date dimension; customer snowflakes to nation.
@@ -958,18 +957,6 @@ mod tests {
                 "columns in spec order"
             );
             assert_eq!(r.sorted_rows(), reference_rows(), "{inner:?}");
-        }
-    }
-
-    #[test]
-    fn single_edge_tree_is_byte_identical_to_hash_join() {
-        let (store, spec) = setup();
-        let one = JoinTreeSpec::new(vec![spec.edges[0].clone()]);
-        for inner in InnerStrategy::ALL {
-            let tree = hash_join_tree(&store, &one, &[inner]).unwrap();
-            let single = hash_join(&store, &spec.edges[0], inner).unwrap();
-            assert_eq!(tree.flat(), single.flat(), "{inner:?}");
-            assert_eq!(tree.column_names, single.column_names);
         }
     }
 

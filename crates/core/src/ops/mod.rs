@@ -11,7 +11,7 @@
 //! | AND | [`PosList::and`](matstrat_poslist::PosList::and) / [`MultiColumn::and`](crate::MultiColumn::and) |
 //! | MERGE | [`merge::merge_columns`] |
 //! | SPC | [`spc::spc_scan`] |
-//! | aggregator | [`agg::SumAggregator`] (tuple- and column-input forms) |
+//! | aggregator | [`agg::Aggregator`] (tuple- and column-input forms) |
 //! | join | [`join`] (three inner-table strategies, §4.3) |
 //! | join tree | [`join_tree`] (left-deep multi-way joins, position-list pipelined) |
 

@@ -33,19 +33,6 @@ pub struct PlanChoice {
     pub reason: String,
 }
 
-/// The planner's pick of an inner-table representation for a hash join.
-#[derive(Debug, Clone)]
-pub struct JoinChoice {
-    /// The chosen inner-table strategy.
-    pub inner: InnerStrategy,
-    /// Model estimate for the chosen plan at the effective worker count.
-    pub estimate: CostBreakdown,
-    /// Estimates for all three representations.
-    pub alternatives: Vec<(InnerStrategy, CostBreakdown)>,
-    /// Human-readable reasoning.
-    pub reason: String,
-}
-
 /// The planner's pick for a whole join tree: an execution order plus one
 /// inner-table strategy per edge, with every candidate it rejected.
 #[derive(Debug, Clone)]
@@ -78,13 +65,6 @@ impl PlanChoice {
     /// One-line EXPLAIN-style summary: the pick plus the reasoning.
     pub fn describe(&self) -> String {
         format!("scan via {}: {}", self.strategy, self.reason)
-    }
-}
-
-impl JoinChoice {
-    /// One-line EXPLAIN-style summary: the pick plus the reasoning.
-    pub fn describe(&self) -> String {
-        format!("hash join via {}: {}", self.inner.name(), self.reason)
     }
 }
 
@@ -174,89 +154,23 @@ impl Planner {
         }
     }
 
-    /// Pick an inner-table representation for `spec`, priced at the
-    /// worker counts the join executor will actually use: the probe side
-    /// spans the **left** table's granules and the partitioned build
-    /// spans the **right** table's, so the pipeline's skew guard is
-    /// applied to each row count separately — probe CPU divides by the
-    /// probe's effective count, build CPU by the build's, and the shared
-    /// I/O by neither. The partitioning pass and the work-stealing
-    /// scheduler's bookkeeping are priced on top
-    /// (`CostModel::hash_join_parallel`).
-    pub fn choose_join(&self, store: &Store, spec: &JoinSpec) -> Result<JoinChoice> {
-        let params = self.join_params(store, spec)?;
-        let left_rows = store.projection(spec.left)?.num_rows;
-        let right_rows = store.projection(spec.right)?.num_rows;
-        let probe_workers =
-            FragmentPipeline::effective_workers(left_rows, crate::GRANULE, self.parallelism);
-        let build_workers =
-            FragmentPipeline::effective_workers(right_rows, crate::GRANULE, self.parallelism);
-        // The left delta probes serially after the fragments; right
-        // delta keys append to the build. Both are strategy-independent.
-        let delta_cpu =
-            self.delta_merge_cpu_us(store, spec.left) + self.delta_merge_cpu_us(store, spec.right);
-        let alternatives: Vec<(InnerStrategy, CostBreakdown)> = InnerStrategy::ALL
-            .iter()
-            .map(|&s| {
-                let mut cost = self.model.hash_join_parallel(
-                    &params,
-                    s.plan_kind(),
-                    build_workers,
-                    probe_workers,
-                );
-                cost.cpu_us += delta_cpu;
-                (s, cost)
-            })
-            .collect();
-        let &(inner, estimate) = alternatives
-            .iter()
-            .min_by(|a, b| a.1.total_us().total_cmp(&b.1.total_us()))
-            .expect("three join plans always estimable");
-        let mut workers = String::new();
-        if probe_workers > 1 {
-            workers.push_str(&format!(", {probe_workers} probe workers"));
-        }
-        if build_workers > 1 {
-            workers.push_str(&format!(", {build_workers} build workers"));
-        }
-        let code_note = if params.code_keyed {
-            ", code-keyed (shared-dict keys hashed without decoding)"
-        } else {
-            ""
-        };
-        Ok(JoinChoice {
-            inner,
-            estimate,
-            alternatives,
-            reason: format!(
-                "analytical model: {} predicted {:.2} ms (cpu {:.2} + io {:.2}{workers}){code_note}",
-                inner.name(),
-                estimate.total_ms(),
-                estimate.cpu_us / 1000.0,
-                estimate.io_us / 1000.0
-            ),
-        })
-    }
-
     /// Pick an execution order **and** a per-edge inner-table strategy
     /// for a join tree, priced with [`CostModel::join_tree`]'s chained
     /// intermediate cardinalities and build-reuse discounts.
     ///
-    /// A single-edge tree delegates to [`Planner::choose_join`] — the
-    /// two entry points must never disagree on a plain join — and wraps
-    /// its choice. For multi-edge trees every dependency-respecting
-    /// order is enumerated exhaustively up to 4 edges; larger trees are
-    /// planned greedily (smallest estimated cardinality multiplier
-    /// first), with the spec order always among the candidates. Within
-    /// an order, each edge's representation is chosen independently —
-    /// an edge's strategy affects its own cost but never the chained
-    /// cardinality, so per-edge minimization is globally optimal for
-    /// that order.
+    /// A single-edge tree (a plain join) has one order and is priced
+    /// directly (`choose_single_edge`). For multi-edge trees
+    /// every dependency-respecting order is enumerated exhaustively up
+    /// to 4 edges; larger trees are planned greedily (smallest estimated
+    /// cardinality multiplier first), with the spec order always among
+    /// the candidates. Within an order, each edge's representation is
+    /// chosen independently — an edge's strategy affects its own cost
+    /// but never the chained cardinality, so per-edge minimization is
+    /// globally optimal for that order.
     pub fn choose_join_tree(&self, store: &Store, spec: &JoinTreeSpec) -> Result<JoinTreeChoice> {
         spec.validate()?;
         if spec.edges.len() == 1 {
-            let single = self.choose_join(store, &spec.edges[0])?;
-            return Ok(Self::wrap_single_edge(single));
+            return self.choose_single_edge(store, &spec.edges[0]);
         }
         let probe_workers = FragmentPipeline::effective_workers(
             store.projection(spec.base())?.num_rows,
@@ -390,24 +304,77 @@ impl Planner {
         })
     }
 
-    /// Wrap a single join's [`JoinChoice`] as a one-edge tree choice —
-    /// the delegation that keeps `choose_join_tree` and `choose_join`
-    /// in exact agreement on plain joins.
-    fn wrap_single_edge(single: JoinChoice) -> JoinTreeChoice {
-        JoinTreeChoice {
-            order: vec![0],
-            inners: vec![single.inner],
-            bushy: Vec::new(),
-            estimate: single.estimate,
-            tree: JoinTreeCost {
-                edges: vec![(single.inner.plan_kind(), single.estimate)],
-                cards: Vec::new(),
-                total: single.estimate,
-            },
-            edge_alternatives: vec![single.alternatives.clone()],
-            candidates: vec![(vec![0], single.estimate.total_us())],
-            reason: format!("single edge, delegated to choose_join: {}", single.reason),
+    /// Pick an inner-table representation for a one-edge tree, priced at
+    /// the worker counts the join executor will actually use: the probe
+    /// side spans the **left** table's granules and the partitioned build
+    /// spans the **right** table's, so the pipeline's skew guard is
+    /// applied to each row count separately — probe CPU divides by the
+    /// probe's effective count, build CPU by the build's, and the shared
+    /// I/O by neither. The partitioning pass and the work-stealing
+    /// scheduler's bookkeeping are priced on top
+    /// (`CostModel::hash_join_parallel`).
+    fn choose_single_edge(&self, store: &Store, spec: &JoinSpec) -> Result<JoinTreeChoice> {
+        let params = self.join_params(store, spec)?;
+        let left_rows = store.projection(spec.left)?.num_rows;
+        let right_rows = store.projection(spec.right)?.num_rows;
+        let probe_workers =
+            FragmentPipeline::effective_workers(left_rows, crate::GRANULE, self.parallelism);
+        let build_workers =
+            FragmentPipeline::effective_workers(right_rows, crate::GRANULE, self.parallelism);
+        // The left delta probes serially after the fragments; right
+        // delta keys append to the build. Both are strategy-independent.
+        let delta_cpu =
+            self.delta_merge_cpu_us(store, spec.left) + self.delta_merge_cpu_us(store, spec.right);
+        let alternatives: Vec<(InnerStrategy, CostBreakdown)> = InnerStrategy::ALL
+            .iter()
+            .map(|&s| {
+                let mut cost = self.model.hash_join_parallel(
+                    &params,
+                    s.plan_kind(),
+                    build_workers,
+                    probe_workers,
+                );
+                cost.cpu_us += delta_cpu;
+                (s, cost)
+            })
+            .collect();
+        let &(inner, estimate) = alternatives
+            .iter()
+            .min_by(|a, b| a.1.total_us().total_cmp(&b.1.total_us()))
+            .expect("three join plans always estimable");
+        let mut workers = String::new();
+        if probe_workers > 1 {
+            workers.push_str(&format!(", {probe_workers} probe workers"));
         }
+        if build_workers > 1 {
+            workers.push_str(&format!(", {build_workers} build workers"));
+        }
+        let code_note = if params.code_keyed {
+            ", code-keyed (shared-dict keys hashed without decoding)"
+        } else {
+            ""
+        };
+        Ok(JoinTreeChoice {
+            order: vec![0],
+            inners: vec![inner],
+            bushy: Vec::new(),
+            estimate,
+            tree: JoinTreeCost {
+                edges: vec![(inner.plan_kind(), estimate)],
+                cards: Vec::new(),
+                total: estimate,
+            },
+            edge_alternatives: vec![alternatives],
+            candidates: vec![(vec![0], estimate.total_us())],
+            reason: format!(
+                "single edge, analytical model: {} predicted {:.2} ms \
+                 (cpu {:.2} + io {:.2}{workers}){code_note}",
+                inner.name(),
+                estimate.total_ms(),
+                estimate.cpu_us / 1000.0,
+                estimate.io_us / 1000.0
+            ),
+        })
     }
 
     /// Every execution order worth pricing: all dependency-respecting
@@ -1165,9 +1132,16 @@ mod tests {
         }
     }
 
+    /// Plan `spec` as a one-edge tree — how every plain join is planned.
+    fn one_edge(planner: &Planner, store: &Store, spec: &JoinSpec) -> JoinTreeChoice {
+        planner
+            .choose_join_tree(store, &JoinTreeSpec::new(vec![spec.clone()]))
+            .unwrap()
+    }
+
     /// orders(custkey FK, shipdate) ⋈ customer(custkey PK, nation), with
     /// `left_granules` granules of left rows.
-    fn join_setup(left_granules: u64) -> (Store, crate::ops::join::JoinSpec) {
+    fn join_setup(left_granules: u64) -> (Store, JoinSpec) {
         let store = Store::in_memory();
         let n = (left_granules * crate::GRANULE) as usize;
         let n_cust = 500i64;
@@ -1191,7 +1165,7 @@ mod tests {
                 &[&ckey, &nation],
             )
             .unwrap();
-        let spec = crate::ops::join::JoinSpec {
+        let spec = JoinSpec {
             left,
             right,
             left_key: 0,
@@ -1208,10 +1182,9 @@ mod tests {
     fn choose_join_prices_all_three_representations() {
         let (store, spec) = join_setup(1);
         let planner = Planner::default();
-        let choice = planner.choose_join(&store, &spec).unwrap();
-        assert_eq!(choice.alternatives.len(), 3);
-        let best = choice
-            .alternatives
+        let choice = one_edge(&planner, &store, &spec);
+        assert_eq!(choice.edge_alternatives[0].len(), 3);
+        let best = choice.edge_alternatives[0]
             .iter()
             .map(|(_, c)| c.total_us())
             .fold(f64::INFINITY, f64::min);
@@ -1253,7 +1226,7 @@ mod tests {
                 &[&rk, &rv],
             )
             .unwrap();
-        let spec = crate::ops::join::JoinSpec {
+        let spec = JoinSpec {
             left,
             right,
             left_key: 0,
@@ -1270,10 +1243,10 @@ mod tests {
         assert!((params.left_key.code_width - 1.0).abs() < 1e-9);
         assert!((params.right_key.code_width - 1.0).abs() < 1e-9);
         assert!(params.left_key.shared_dict && params.right_key.shared_dict);
-        let choice = planner.choose_join(&store, &spec).unwrap();
+        let choice = one_edge(&planner, &store, &spec);
         assert!(choice.reason.contains("code-keyed"), "{}", choice.reason);
         assert!(
-            choice.describe().starts_with("hash join via"),
+            choice.describe().starts_with("join tree, order [0]"),
             "{}",
             choice.describe()
         );
@@ -1282,21 +1255,16 @@ mod tests {
         let mut value_params = params;
         value_params.code_keyed = false;
         let model = planner.model();
-        for (s, _) in &choice.alternatives {
+        for (s, _) in &choice.edge_alternatives[0] {
             let coded = model.hash_join_parallel(&params, s.plan_kind(), 1, 1);
             let plain = model.hash_join_parallel(&value_params, s.plan_kind(), 1, 1);
             assert!(coded.cpu_us < plain.cpu_us, "{s:?}");
             assert!((coded.io_us - plain.io_us).abs() < 1e-9, "{s:?}");
         }
         // Keying on a plain column disables the code path.
-        let mut vspec = spec.clone();
+        let mut vspec = spec;
         vspec.left_key = 1;
         assert!(!planner.join_params(&store, &vspec).unwrap().code_keyed);
-        // A single-edge tree carries the note through the delegation.
-        let tree = planner
-            .choose_join_tree(&store, &crate::query::JoinTreeSpec::new(vec![spec]))
-            .unwrap();
-        assert!(tree.reason.contains("code-keyed"), "{}", tree.reason);
     }
 
     #[test]
@@ -1309,13 +1277,13 @@ mod tests {
         let (store, spec) = join_setup(4);
         let serial = Planner::with_parallelism(Constants::host_defaults(), 1);
         let eight = Planner::with_parallelism(Constants::host_defaults(), 8);
-        let c1 = serial.choose_join(&store, &spec).unwrap();
-        let c8 = eight.choose_join(&store, &spec).unwrap();
+        let c1 = one_edge(&serial, &store, &spec);
+        let c8 = one_edge(&eight, &store, &spec);
         assert!(c8.reason.contains("4 probe workers"), "{}", c8.reason);
         assert!(!c8.reason.contains("build workers"), "{}", c8.reason);
         let params = serial.join_params(&store, &spec).unwrap();
         let model = serial.model();
-        for ((s1, e1), (s8, e8)) in c1.alternatives.iter().zip(&c8.alternatives) {
+        for ((s1, e1), (s8, e8)) in c1.edge_alternatives[0].iter().zip(&c8.edge_alternatives[0]) {
             assert_eq!(s1, s8);
             let cost = model.hash_join(&params, s1.plan_kind());
             let expect = cost.build.cpu_us + cost.probe.cpu_us / 4.0 + model.steal_overhead(4);
@@ -1353,7 +1321,7 @@ mod tests {
                 &[&rk, &rv],
             )
             .unwrap();
-        let spec = crate::ops::join::JoinSpec {
+        let spec = JoinSpec {
             left,
             right,
             left_key: 0,
@@ -1365,8 +1333,8 @@ mod tests {
         };
         let serial = Planner::with_parallelism(Constants::host_defaults(), 1);
         let two = Planner::with_parallelism(Constants::host_defaults(), 2);
-        let c1 = serial.choose_join(&store, &spec).unwrap();
-        let c2 = two.choose_join(&store, &spec).unwrap();
+        let c1 = one_edge(&serial, &store, &spec);
+        let c2 = one_edge(&two, &store, &spec);
         assert!(
             c2.reason.contains("2 probe workers") && c2.reason.contains("2 build workers"),
             "{}",
@@ -1374,7 +1342,7 @@ mod tests {
         );
         let params = serial.join_params(&store, &spec).unwrap();
         let model = serial.model();
-        for ((s1, e1), (s2, e2)) in c1.alternatives.iter().zip(&c2.alternatives) {
+        for ((s1, e1), (s2, e2)) in c1.edge_alternatives[0].iter().zip(&c2.edge_alternatives[0]) {
             assert_eq!(s1, s2);
             let expect = model.hash_join_parallel(&params, s1.plan_kind(), 2, 2);
             assert!((e2.cpu_us - expect.cpu_us).abs() < 1e-6, "{s1:?}");
@@ -1390,10 +1358,10 @@ mod tests {
         let (store, spec) = join_setup(1);
         let serial = Planner::with_parallelism(Constants::host_defaults(), 1);
         let eight = Planner::with_parallelism(Constants::host_defaults(), 8);
-        let c1 = serial.choose_join(&store, &spec).unwrap();
-        let c8 = eight.choose_join(&store, &spec).unwrap();
+        let c1 = one_edge(&serial, &store, &spec);
+        let c8 = one_edge(&eight, &store, &spec);
         assert!(!c8.reason.contains("workers"), "{}", c8.reason);
-        for ((s1, e1), (s8, e8)) in c1.alternatives.iter().zip(&c8.alternatives) {
+        for ((s1, e1), (s8, e8)) in c1.edge_alternatives[0].iter().zip(&c8.edge_alternatives[0]) {
             assert_eq!(s1, s8);
             assert!((e8.cpu_us - e1.cpu_us).abs() < 1e-9, "{s1:?}");
             assert!((e8.io_us - e1.io_us).abs() < 1e-9, "{s1:?}");
@@ -1402,7 +1370,7 @@ mod tests {
 
     /// orders(custkey FK, datekey FK, shipdate) star-joined to customer
     /// (filtered side) and a tiny date dimension.
-    fn tree_setup(left_granules: u64) -> (Store, crate::query::JoinTreeSpec) {
+    fn tree_setup(left_granules: u64) -> (Store, JoinTreeSpec) {
         let store = Store::in_memory();
         let n = (left_granules * crate::GRANULE) as usize;
         let n_cust = 500i64;
@@ -1441,8 +1409,8 @@ mod tests {
                 &[&dk, &dname],
             )
             .unwrap();
-        let spec = crate::query::JoinTreeSpec::new(vec![
-            crate::ops::join::JoinSpec {
+        let spec = JoinTreeSpec::new(vec![
+            JoinSpec {
                 left: orders,
                 right: customer,
                 left_key: 0,
@@ -1452,7 +1420,7 @@ mod tests {
                 left_output: vec![2],
                 right_output: vec![1],
             },
-            crate::ops::join::JoinSpec {
+            JoinSpec {
                 left: orders,
                 right: date,
                 left_key: 1,
@@ -1467,31 +1435,37 @@ mod tests {
     }
 
     #[test]
-    fn single_edge_tree_choice_equals_choose_join() {
-        // The delegation contract: a one-edge tree must produce exactly
-        // the plain join planner's pick — strategy, estimate, and
-        // alternatives.
+    fn single_edge_tree_is_priced_as_one_parallel_hash_join() {
+        // A one-edge tree has one order: its alternatives are exactly the
+        // model's `hash_join_parallel` over the join's catalog params at
+        // the per-table effective worker counts, and the pick, estimate,
+        // tree total, and sole candidate all agree on the cheapest.
         let (store, spec) = join_setup(2);
         let planner = Planner::default();
-        let single = planner.choose_join(&store, &spec).unwrap();
-        let tree = planner
-            .choose_join_tree(&store, &crate::query::JoinTreeSpec::new(vec![spec]))
-            .unwrap();
+        let tree = one_edge(&planner, &store, &spec);
+        let params = planner.join_params(&store, &spec).unwrap();
+        let workers = |t| {
+            let rows = store.projection(t).unwrap().num_rows;
+            FragmentPipeline::effective_workers(rows, crate::GRANULE, planner.parallelism())
+        };
+        let (build, probe) = (workers(spec.right), workers(spec.left));
         assert_eq!(tree.order, vec![0]);
-        assert_eq!(tree.inners, vec![single.inner]);
-        assert_eq!(tree.estimate, single.estimate);
         assert_eq!(tree.edge_alternatives.len(), 1);
-        for ((s_tree, c_tree), (s_join, c_join)) in
-            tree.edge_alternatives[0].iter().zip(&single.alternatives)
-        {
-            assert_eq!(s_tree, s_join);
-            assert_eq!(c_tree, c_join);
+        for (s, cost) in &tree.edge_alternatives[0] {
+            let want = planner
+                .model()
+                .hash_join_parallel(&params, s.plan_kind(), build, probe);
+            assert_eq!(*cost, want, "{s:?}");
         }
-        assert!(
-            tree.reason.contains("delegated to choose_join"),
-            "{}",
-            tree.reason
-        );
+        let &(best, best_cost) = tree.edge_alternatives[0]
+            .iter()
+            .min_by(|a, b| a.1.total_us().total_cmp(&b.1.total_us()))
+            .unwrap();
+        assert_eq!(tree.inners, vec![best]);
+        assert_eq!(tree.estimate, best_cost);
+        assert_eq!(tree.tree.total, best_cost);
+        assert_eq!(tree.candidates, vec![(vec![0], best_cost.total_us())]);
+        assert!(tree.reason.starts_with("single edge"), "{}", tree.reason);
     }
 
     #[test]
@@ -1548,7 +1522,7 @@ mod tests {
         // edge must carry the reuse discount and the reason must say so.
         let (store, mut spec) = tree_setup(1);
         let date = spec.edges[1].right;
-        spec.edges[0] = crate::ops::join::JoinSpec {
+        spec.edges[0] = JoinSpec {
             left: spec.edges[0].left,
             right: date,
             left_key: 2, // shipdate % domain happens to overlap; fine for pricing
@@ -1584,7 +1558,7 @@ mod tests {
                 &[&nk, &rg],
             )
             .unwrap();
-        spec.edges.push(crate::ops::join::JoinSpec {
+        spec.edges.push(JoinSpec {
             left: customer,
             right: nation,
             left_key: 1,

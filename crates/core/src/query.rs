@@ -406,11 +406,6 @@ pub struct QueryStats {
     pub zone_skips: u64,
 }
 
-/// The scan executor's stats shape — now the unified [`QueryStats`].
-pub type ExecStats = QueryStats;
-/// The join-tree executor's stats shape — now the unified [`QueryStats`].
-pub type JoinTreeStats = QueryStats;
-
 impl QueryStats {
     /// Zeroed measurements tagged with `strategy` — the identity of the
     /// [`AddAssign`] merge.

@@ -1,16 +1,16 @@
 //! The query service: N concurrent sessions over one shared store.
 //!
-//! PRs 2–5 built a single-query engine — one `Database`, one hand-built
-//! spec, one execution at a time. This module is the step to a *served*
-//! system: a [`Server`] owns the shared substrate (sharded buffer pool,
-//! I/O meter, planner) and admits queries from any number of
-//! [`Session`]s onto it, with three properties the concurrency battery
+//! A [`Server`] wraps one [`Database`] — the same planner and executor
+//! dispatch [`Database::execute`] uses, priced at the server's worker
+//! budget — and admits statements from any number of [`Session`]s onto
+//! it, with three properties the concurrency battery
 //! (`tests/concurrent_diff.rs`) proves:
 //!
 //! * **Admission control** — at most [`ServerConfig::max_concurrent`]
-//!   queries execute at once; excess callers block (a condvar queue),
+//!   reads execute at once; excess callers block (a condvar queue),
 //!   bounding memory and thread fan-out no matter how many sessions
-//!   exist.
+//!   exist. Writes bypass the gate: they serialize on the store's write
+//!   lock and never consume executor workers.
 //! * **Fair span scheduling** — the server's
 //!   [`ServerConfig::worker_budget`] threads are split over the queries
 //!   active at admission time: `budget / active` each, with the
@@ -20,12 +20,13 @@
 //!   workers (8 over 3 handed out 2 + 2 + 2). Because every operator is
 //!   byte-identical at any worker count, the share is pure scheduling:
 //!   it decides wall time, never results.
-//! * **Per-query isolation** — each query's [`ExecStats`] /
-//!   [`JoinTreeStats`] (rows, positions, cold `block_reads`) are its own,
-//!   harvested per thread ([`matstrat_storage::IoSink`]); the buffer
-//!   pool's global [`matstrat_storage::PoolStats`] ledger stays exact
-//!   because the service never touches the pool's counters or striping —
-//!   those belong to the store owner.
+//! * **Per-query isolation** — each query's
+//!   [`QueryStats`](crate::QueryStats) (rows, positions, cold
+//!   `block_reads`) are its own, harvested per thread
+//!   ([`matstrat_storage::IoSink`]); the buffer pool's global
+//!   [`matstrat_storage::PoolStats`] ledger stays exact because the
+//!   service never touches the pool's counters or striping — those
+//!   belong to the store owner.
 //!
 //! Plans are priced at the **full worker budget**, not the fair share:
 //! planning must be deterministic for a given store, or an interleaved
@@ -39,14 +40,11 @@
 use std::sync::{Arc, Condvar, Mutex};
 
 use matstrat_common::Result;
-use matstrat_model::Constants;
 use matstrat_storage::Store;
 
 use crate::db::{Database, QueryOutcome, QueryPlan};
-use crate::exec::{default_parallelism, execute_with_options, ExecOptions};
-use crate::ops::join_tree::hash_join_tree_with_options;
-use crate::planner::Planner;
-use crate::query::{ExecStats, JoinTreeSpec, JoinTreeStats, QueryResult, QuerySpec, Statement};
+use crate::exec::{default_parallelism, ExecOptions};
+use crate::query::Statement;
 
 /// Admission knobs for a [`Server`].
 #[derive(Debug, Clone, Copy)]
@@ -114,12 +112,13 @@ pub fn fair_share(budget: usize, rank: usize, active: usize) -> usize {
     (budget / active + usize::from(rank < budget % active)).max(1)
 }
 
-/// The shared query service: one store, one planner, one admission gate.
+/// The shared query service: one [`Database`], one admission gate.
 /// Create sessions with [`Server::connect`]; all of them execute against
 /// the same buffer pool and worker budget.
 pub struct Server {
-    store: Store,
-    planner: Planner,
+    /// Priced at the full worker budget; execution runs at each query's
+    /// fair share instead.
+    db: Database,
     cfg: ServerConfig,
     gate: Mutex<GateState>,
     cv: Condvar,
@@ -137,10 +136,9 @@ impl Server {
             worker_budget: cfg.worker_budget.max(1),
         };
         Arc::new(Server {
-            store,
             // Deterministic planning: priced at the full budget (see the
             // module docs), never at a transient fair share.
-            planner: Planner::with_parallelism(Constants::host_defaults(), cfg.worker_budget),
+            db: Database::priced_at(store, cfg.worker_budget),
             cfg,
             gate: Mutex::new(GateState::default()),
             cv: Condvar::new(),
@@ -161,7 +159,7 @@ impl Server {
 
     /// The shared store (catalog, buffer pool, meter).
     pub fn store(&self) -> &Store {
-        &self.store
+        self.db.store()
     }
 
     /// The admission knobs the server runs with.
@@ -231,16 +229,6 @@ impl Drop for AdmitGuard<'_> {
     }
 }
 
-/// One query against the service — exactly the engine's [`Statement`]
-/// shape. `matstrat-lang` compiles query text into this enum's payloads.
-pub type Request = Statement;
-
-/// A finished query: the [`QueryOutcome`] the unified execute path
-/// produced — rows, one [`QueryStats`](crate::query::QueryStats) shape
-/// whatever the statement kind (its cold `block_reads` are this query's
-/// own, harvested per thread, exact under concurrency), and the plan.
-pub type Reply = QueryOutcome;
-
 /// A client handle on a [`Server`]. `run` blocks while the server is at
 /// its concurrency bound; use one session per client thread.
 pub struct Session {
@@ -255,88 +243,33 @@ impl Session {
 
     /// EXPLAIN: plan the statement (at the full worker budget, like
     /// `run`) and describe the choice without executing or taking a slot.
-    pub fn explain(&self, req: &Request) -> Result<String> {
-        let srv = &self.server;
-        match req {
-            Statement::Select(q) => Ok(srv.planner.choose(&srv.store, q)?.describe()),
-            Statement::JoinTree(t) => Ok(srv.planner.choose_join_tree(&srv.store, t)?.describe()),
-            Statement::Insert { rows, .. } => Ok(format!("insert {} row(s) via WAL", rows.len())),
-            Statement::Delete { filters, .. } => Ok(format!(
-                "delete where {} predicate(s) match, via WAL",
-                filters.len()
-            )),
-        }
+    pub fn explain(&self, stmt: &Statement) -> Result<String> {
+        Ok(self.server.db.plan(stmt)?.describe())
     }
 
     /// Plan and execute one statement under admission control — the
     /// served twin of [`Database::execute`]: plans price at the **full**
-    /// worker budget (deterministic for a given store), execution runs
+    /// worker budget (deterministic for a given store), reads execute
     /// at this query's fair share. Writes bypass the admission gate:
     /// they serialize on the store's write lock and never consume
     /// executor workers.
-    pub fn run(&self, req: &Request) -> Result<Reply> {
+    pub fn run(&self, stmt: &Statement) -> Result<QueryOutcome> {
         let srv = &self.server;
-        match req {
-            Statement::Select(q) => {
-                let choice = srv.planner.choose(&srv.store, q)?;
-                let permit = srv.admit();
-                let opts = ExecOptions::with_parallelism(permit.share);
-                let (rows, stats) = execute_with_options(&srv.store, q, choice.strategy, &opts)?;
-                Ok(QueryOutcome {
-                    rows,
-                    stats,
-                    choice: QueryPlan::Scan(choice),
-                })
-            }
-            Statement::JoinTree(t) => {
-                let choice = srv.planner.choose_join_tree(&srv.store, t)?;
-                let permit = srv.admit();
-                let opts = ExecOptions::with_parallelism(permit.share);
-                let (rows, stats) =
-                    hash_join_tree_with_options(&srv.store, t, &choice.plan(), &opts)?;
-                Ok(QueryOutcome {
-                    rows,
-                    stats,
-                    choice: QueryPlan::Tree(choice),
-                })
-            }
-            Statement::Insert { table, rows } => {
-                let t0 = std::time::Instant::now();
-                srv.store.insert_rows(*table, rows)?;
-                Ok(Database::write_outcome(rows.len() as u64, t0))
-            }
-            Statement::Delete { table, filters } => {
-                let t0 = std::time::Instant::now();
-                let n = crate::db::delete_where(&srv.store, *table, filters)?;
-                Ok(Database::write_outcome(n, t0))
-            }
-        }
-    }
-
-    /// Plan (at the full budget) and run a scan (at the fair share).
-    /// Now a thin delegate of [`Session::run`] — same planning, same
-    /// admission — so the deprecated path can never
-    /// drift from the unified one (`deprecated_session_shims_match_run`
-    /// pins the stats equality).
-    #[deprecated(note = "use Session::run(&Request); the Reply carries rows and stats")]
-    pub fn run_scan(&self, q: &QuerySpec) -> Result<(QueryResult, ExecStats)> {
-        let out = self.run(&Statement::Select(q.clone()))?;
-        Ok((out.rows, out.stats))
-    }
-
-    /// Plan (at the full budget) and run a join tree (at the fair
-    /// share). A thin delegate of [`Session::run`], like
-    /// [`Session::run_scan`].
-    #[deprecated(note = "use Session::run(&Request); the Reply carries rows and stats")]
-    pub fn run_join_tree(&self, spec: &JoinTreeSpec) -> Result<(QueryResult, JoinTreeStats)> {
-        let out = self.run(&Statement::JoinTree(spec.clone()))?;
-        Ok((out.rows, out.stats))
+        let plan = srv.db.plan(stmt)?;
+        let permit = match plan {
+            QueryPlan::Write => None,
+            QueryPlan::Scan(_) | QueryPlan::Tree(_) => Some(srv.admit()),
+        };
+        let opts = ExecOptions::with_parallelism(permit.as_ref().map_or(1, |p| p.share));
+        srv.db.run_plan(stmt, plan, &opts)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::execute_with_options;
+    use crate::query::{JoinTreeSpec, QuerySpec};
     use matstrat_common::{Predicate, Value};
     use matstrat_storage::{EncodingKind, ProjectionSpec, SortOrder};
 
@@ -367,10 +300,10 @@ mod tests {
         let server = Server::new(store, ServerConfig::default());
         let s1 = server.connect();
         let s2 = server.connect();
-        let plan = s1.explain(&Request::Select(q.clone())).unwrap();
+        let plan = s1.explain(&Statement::Select(q.clone())).unwrap();
         assert!(plan.starts_with("scan via "), "explain text: {plan}");
-        let r1 = s1.run(&Request::Select(q.clone())).unwrap();
-        let r2 = s2.run(&Request::Select(q)).unwrap();
+        let r1 = s1.run(&Statement::Select(q.clone())).unwrap();
+        let r2 = s2.run(&Statement::Select(q)).unwrap();
         assert_eq!(r1.result().flat(), oracle.flat());
         assert_eq!(r2.result().flat(), oracle.flat());
         let stats = server.stats();
@@ -402,7 +335,7 @@ mod tests {
                     let session = server.connect();
                     // The gate admits before execution; sample the
                     // active count from inside a running query.
-                    let _ = session.run(&Request::Select(q.clone())).unwrap();
+                    let _ = session.run(&Statement::Select(q.clone())).unwrap();
                     let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
                     if now > 2 {
                         over_bound.fetch_add(1, Ordering::SeqCst);
@@ -492,21 +425,18 @@ mod tests {
         )
     }
 
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_session_shims_match_run() {
-        use crate::ops::join::JoinSpec;
-        // A store with a scan table and a fact/dim pair, so both shims
-        // are exercised.
+    /// A scan table and a fact/dim pair, identical on every call — one
+    /// call per twin.
+    fn fact_dim_store() -> Store {
         let store = Store::in_memory();
         let n = 4000i64;
         let k: Vec<Value> = (0..n).collect();
         let v: Vec<Value> = (0..n).map(|i| (i * 7919) % 101).collect();
+        let fk: Vec<Value> = (0..n).map(|i| (i * 31) % 128).collect();
         let spec = ProjectionSpec::new("fact")
             .column("k", EncodingKind::Plain, SortOrder::Primary)
             .column("v", EncodingKind::Plain, SortOrder::None)
             .column("fk", EncodingKind::Plain, SortOrder::None);
-        let fk: Vec<Value> = (0..n).map(|i| (i * 31) % 128).collect();
         store.load_projection(&spec, &[&k, &v, &fk]).unwrap();
         let dk: Vec<Value> = (0..128).collect();
         let x: Vec<Value> = (0..128).map(|i| i * 3 + 1).collect();
@@ -514,12 +444,26 @@ mod tests {
             .column("dk", EncodingKind::Plain, SortOrder::Primary)
             .column("x", EncodingKind::Plain, SortOrder::None);
         store.load_projection(&spec, &[&dk, &x]).unwrap();
-        let fact = store.projection_by_name("fact").unwrap().id;
-        let dim = store.projection_by_name("dim").unwrap().id;
-        let server = Server::new(store, ServerConfig::default());
+        store
+    }
+
+    #[test]
+    fn served_door_equals_in_process_door() {
+        const WORKERS: usize = 3;
+        let server = Server::new(
+            fact_dim_store(),
+            ServerConfig {
+                max_concurrent: 2,
+                worker_budget: WORKERS,
+            },
+        );
+        let mut db = Database::with_store(fact_dim_store());
+        db.set_parallelism(WORKERS);
         let session = server.connect();
-        let scan = QuerySpec::select(fact, vec![0, 1]).filter(1, Predicate::lt(40));
-        let tree = JoinTreeSpec::new(vec![JoinSpec {
+        let fact = server.store().projection_by_name("fact").unwrap().id;
+        let dim = server.store().projection_by_name("dim").unwrap().id;
+        assert_eq!(db.store().projection_by_name("fact").unwrap().id, fact);
+        let tree = JoinTreeSpec::new(vec![crate::JoinSpec {
             left: fact,
             right: dim,
             left_key: 2,
@@ -529,27 +473,43 @@ mod tests {
             left_output: vec![1],
             right_output: vec![1],
         }]);
-
-        // Each path cold, so the per-query I/O must agree exactly too.
-        server.store().cold_reset();
-        let (rows_dep, stats_dep) = session.run_scan(&scan).unwrap();
-        server.store().cold_reset();
-        let out = session.run(&Request::Select(scan.clone())).unwrap();
-        assert_eq!(rows_dep, out.rows, "deprecated scan shim drifted");
-        assert_eq!(
-            deterministic_stats(&stats_dep),
-            deterministic_stats(&out.stats)
-        );
-
-        server.store().cold_reset();
-        let (rows_dep, stats_dep) = session.run_join_tree(&tree).unwrap();
-        server.store().cold_reset();
-        let out = session.run(&Request::JoinTree(tree.clone())).unwrap();
-        assert_eq!(rows_dep, out.rows, "deprecated join-tree shim drifted");
-        assert_eq!(
-            deterministic_stats(&stats_dep),
-            deterministic_stats(&out.stats)
-        );
+        let reads = [
+            Statement::Select(QuerySpec::select(fact, vec![0, 1]).filter(1, Predicate::lt(40))),
+            Statement::JoinTree(tree),
+        ];
+        let writes = [
+            Statement::Insert {
+                table: fact,
+                rows: vec![vec![9000, 5, 7], vec![9001, 50, 8]],
+            },
+            Statement::Delete {
+                table: fact,
+                filters: vec![(1, Predicate::lt(10))],
+            },
+        ];
+        // Reads first on clean tables, then the writes, then the reads
+        // again over the deltas the writes left behind.
+        let stmts = reads.iter().chain(&writes).chain(&reads);
+        let mut admitted = 0;
+        for stmt in stmts {
+            // Each side cold, so the per-query I/O must agree exactly.
+            server.store().cold_reset();
+            let served = session.run(stmt).unwrap();
+            db.store().cold_reset();
+            let local = db.execute(stmt).unwrap();
+            assert_eq!(served.rows, local.rows, "{stmt:?}");
+            assert_eq!(
+                deterministic_stats(&served.stats),
+                deterministic_stats(&local.stats),
+                "{stmt:?}"
+            );
+            assert_eq!(served.choice.describe(), local.choice.describe());
+            if !matches!(stmt, Statement::Insert { .. } | Statement::Delete { .. }) {
+                admitted += 1;
+            }
+            // Writes bypass admission: the counter moves for reads only.
+            assert_eq!(server.stats().admitted, admitted, "{stmt:?}");
+        }
         let stats = server.stats();
         assert_eq!(stats.admitted, 4);
         assert_eq!(stats.completed, 4);

@@ -373,8 +373,16 @@ impl Catalog {
             let num_rows = r.u64()?;
             // Version 1 predates the write path: no epoch, nothing in a WAL.
             let wal_epoch = if version >= 2 { r.u32()? } else { 0 };
-            let ncols = r.u32()?;
-            let mut columns = Vec::with_capacity(ncols as usize);
+            let ncols = r.u32()? as usize;
+            // An untrusted count: bound it by the bytes present before
+            // sizing anything from it.
+            if ncols > r.remaining() / MIN_COLUMN_BYTES {
+                return Err(Error::corrupt(format!(
+                    "catalog: {ncols} columns cannot fit in the {} bytes left",
+                    r.remaining()
+                )));
+            }
+            let mut columns = Vec::with_capacity(ncols);
             for _ in 0..ncols {
                 let cname = get_str(&mut r)?;
                 let id = ColumnId(r.u32()?);
@@ -455,6 +463,11 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_u32(buf, s.len() as u32);
     buf.extend_from_slice(s.as_bytes());
 }
+
+/// The fewest bytes one serialized column entry occupies: empty name,
+/// id, encoding/width/sort tags, empty file name, six stats words (no
+/// flags byte before version 3).
+const MIN_COLUMN_BYTES: usize = 4 + 4 + 1 + 1 + 1 + 4 + 6 * 8;
 
 fn get_str(r: &mut Reader<'_>) -> Result<String> {
     let len = r.u32()? as usize;
@@ -593,6 +606,22 @@ mod tests {
         let p = back.projection_by_name("t").unwrap();
         assert_eq!(p.wal_epoch, 0);
         assert!(!p.columns[0].shared_dict);
+    }
+
+    #[test]
+    fn hostile_column_count_is_corrupt_not_an_allocation() {
+        // A 33-byte version-1 catalog: one projection "t", zero rows,
+        // and a column count of u32::MAX with nothing behind it.
+        let mut bytes = b"MSCT".to_vec();
+        for word in [1u32, 1, 0, 1] {
+            bytes.extend_from_slice(&word.to_le_bytes()); // version, nproj, next id, name len
+        }
+        bytes.push(b't');
+        bytes.extend_from_slice(&0u64.to_le_bytes()); // num_rows
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // ncols
+        assert_eq!(bytes.len(), 33);
+        let err = Catalog::parse(&bytes).unwrap_err();
+        assert!(err.to_string().contains("columns cannot fit"), "{err}");
     }
 
     #[test]

@@ -392,7 +392,24 @@ impl ColumnFileReader {
         } else {
             INDEX_ENTRY_SIZE_V1
         };
-        let index_bytes = disk.read_at(&name, index_offset, num_blocks as usize * entry_size)?;
+        // Header counts are untrusted: the index must lie inside the file
+        // before its size sizes a read or an allocation.
+        let file_len = disk.len(&name)?;
+        let index_len = usize::try_from(num_blocks)
+            .ok()
+            .and_then(|n| n.checked_mul(entry_size))
+            .filter(|&len| {
+                index_offset
+                    .checked_add(len as u64)
+                    .is_some_and(|end| end <= file_len)
+            })
+            .ok_or_else(|| {
+                Error::corrupt(format!(
+                    "{name}: {num_blocks} index entries at offset {index_offset} \
+                     overrun the {file_len}-byte file"
+                ))
+            })?;
+        let index_bytes = disk.read_at(&name, index_offset, index_len)?;
         let mut ir = Reader::new(&index_bytes);
         let mut index = Vec::with_capacity(num_blocks as usize);
         for _ in 0..num_blocks {
@@ -712,5 +729,20 @@ mod tests {
         let pl = b.scan_positions(&Predicate::lt(3));
         let expected = b.covering().iter().filter(|&p| (p % 7) + 1 < 3).count() as u64;
         assert_eq!(pl.count(), expected);
+    }
+
+    #[test]
+    fn hostile_block_count_is_corrupt_not_a_panic() {
+        let disk = MemDisk::new();
+        let values: Vec<Value> = (0..100).collect();
+        // 2^63 entries overflow `usize` arithmetic; 2^40 do not, but
+        // still overrun the file by terabytes.
+        for hostile in [1u64 << 63, 1 << 40] {
+            write_column(&disk, "h.col", EncodingKind::Plain, Width::W8, &values);
+            // num_blocks sits at header bytes 24..32.
+            disk.write_at("h.col", 24, &hostile.to_le_bytes()).unwrap();
+            let err = ColumnFileReader::open(&disk, "h.col").unwrap_err();
+            assert!(matches!(err, Error::Corrupt(_)), "{hostile}: {err}");
+        }
     }
 }

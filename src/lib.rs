@@ -70,10 +70,10 @@ pub mod prelude {
     pub use matstrat_client::{Client, Response, Rows, WireError};
     pub use matstrat_common::{CompareOp, Error, Pos, PosRange, Predicate, Result, Value};
     pub use matstrat_core::{
-        default_parallelism, AggSpec, Database, ExecOptions, ExecStats, FragmentPipeline,
-        InnerStrategy, JoinSpec, JoinTreePlan, JoinTreeSpec, JoinTreeStats, MiniColumn,
-        MultiColumn, QueryOutcome, QueryPlan, QueryResult, QuerySpec, QueryStats, Reply, Request,
-        Server, ServerConfig, ServerStats, Session, Statement, Strategy,
+        default_parallelism, AggSpec, Database, ExecOptions, FragmentPipeline, InnerStrategy,
+        JoinSpec, JoinTreePlan, JoinTreeSpec, MiniColumn, MultiColumn, QueryOutcome, QueryPlan,
+        QueryResult, QuerySpec, QueryStats, Server, ServerConfig, ServerStats, Session, Statement,
+        Strategy,
     };
     pub use matstrat_lang::{compile, print_statement, ParseError};
     pub use matstrat_model::{Constants, CostModel};

@@ -6,7 +6,7 @@
 //! and worker count, a query over compressed columns returns the
 //! **byte-identical** result of the same query over fully decoded (Plain)
 //! columns, cold `block_reads` are exact and thread-invariant, and
-//! `ExecStats::code_path_ops` proves the compressed path actually ran
+//! `QueryStats::code_path_ops` proves the compressed path actually ran
 //! (and stayed deterministic) rather than silently falling back.
 //!
 //! Covered here, each against the decoded serial oracle and at threads

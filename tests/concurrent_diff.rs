@@ -104,7 +104,7 @@ fn build_store() -> matstrat::storage::Store {
     store
 }
 
-fn requests(store: &matstrat::storage::Store) -> Vec<Request> {
+fn requests(store: &matstrat::storage::Store) -> Vec<Statement> {
     BATCH
         .iter()
         .map(|sql| {
@@ -121,7 +121,7 @@ struct Fingerprint {
     rows_out: u64,
 }
 
-fn fingerprint(reply: Reply) -> Fingerprint {
+fn fingerprint(reply: QueryOutcome) -> Fingerprint {
     let rows_out = match reply.choice {
         QueryPlan::Write => 0,
         _ => reply.stats.rows_out,
@@ -309,19 +309,19 @@ fn batch_queries_cover_all_three_shapes() {
     let reqs = requests(&store);
     let scans = reqs
         .iter()
-        .filter(|r| matches!(r, Request::Select(q) if q.aggregate.is_none()))
+        .filter(|r| matches!(r, Statement::Select(q) if q.aggregate.is_none()))
         .count();
     let aggs = reqs
         .iter()
-        .filter(|r| matches!(r, Request::Select(q) if q.aggregate.is_some()))
+        .filter(|r| matches!(r, Statement::Select(q) if q.aggregate.is_some()))
         .count();
     let single = reqs
         .iter()
-        .filter(|r| matches!(r, Request::JoinTree(t) if t.edges.len() == 1))
+        .filter(|r| matches!(r, Statement::JoinTree(t) if t.edges.len() == 1))
         .count();
     let multi = reqs
         .iter()
-        .filter(|r| matches!(r, Request::JoinTree(t) if t.edges.len() > 1))
+        .filter(|r| matches!(r, Statement::JoinTree(t) if t.edges.len() > 1))
         .count();
     assert!(reqs.len() >= 8, "the battery must stay a real batch");
     assert!(scans >= 2 && aggs >= 2 && single >= 2 && multi >= 2);

@@ -19,8 +19,8 @@
 //! that an 8-way probe really splits.
 //!
 //! The planner ride-alongs assert `Planner::choose_join_tree` never
-//! prices its pick above a candidate it rejected, the single-edge tree
-//! delegates to `choose_join` exactly, and the build-table cache runs
+//! prices its pick above a candidate it rejected, a planned single-edge
+//! tree runs byte-identical to a forced one, and the build-table cache runs
 //! the partitioned build once per distinct inner table — byte-identical
 //! to rebuild-per-edge, with the saved reads visible in the I/O meter.
 
@@ -502,42 +502,29 @@ fn planner_pick_never_priced_above_rejections() {
     assert_eq!(out.rows.column_names, spec_order.column_names);
 }
 
-/// Satellite: the single-edge tree delegates to `choose_join` — the two
-/// planners must agree exactly on a plain join.
+/// Satellite: a plain join is a one-edge tree — its planned execution
+/// is byte-identical to a forced single edge under the inner strategy
+/// the planner picked.
 #[test]
 fn single_edge_tree_auto_equals_choose_join() {
     let orders = dense_orders(4000);
     let f = star2(EncodingKind::Plain, &orders, Some(9));
     let one = JoinTreeSpec::new(vec![f.spec.edges[0].clone()]);
-    let join_choice =
-        f.db.planner()
-            .choose_join(f.db.store(), &one.edges[0])
-            .unwrap();
-    let tree_choice = match f.db.plan(&Statement::JoinTree(one.clone())).unwrap() {
+    let auto = f.db.execute(&Statement::JoinTree(one.clone())).unwrap();
+    let tree_choice = match &auto.choice {
         QueryPlan::Tree(c) => c,
         other => panic!("a join tree plans as a tree, got {other:?}"),
     };
-    assert_eq!(tree_choice.inners, vec![join_choice.inner]);
     assert_eq!(tree_choice.order, vec![0]);
-    assert!(
-        (tree_choice.estimate.total_us() - join_choice.estimate.total_us()).abs() < 1e-12,
-        "delegated estimate must be choose_join's"
-    );
-    // And the executed single-edge tree is byte-identical to a forced
-    // single join under the same inner strategy.
-    let tree_result =
-        f.db.execute(&Statement::JoinTree(one.clone()))
-            .unwrap()
-            .rows;
     let single_result =
         f.db.execute_planned(
             &Statement::JoinTree(one),
-            &QueryPlan::forced_tree(vec![0], vec![join_choice.inner]),
+            &QueryPlan::forced_tree(vec![0], tree_choice.inners.clone()),
             &f.db.exec_options(),
         )
         .unwrap()
         .rows;
-    assert_eq!(tree_result.flat(), single_result.flat());
+    assert_eq!(auto.rows.flat(), single_result.flat());
 }
 
 /// Satellite: stats-level proof that the partitioned build runs once —

@@ -1,4 +1,4 @@
-//! `ExecStats`/`IoStats` plumbing: the paper's headline effect must be
+//! `QueryStats`/`IoStats` plumbing: the paper's headline effect must be
 //! visible in the meter, not just in wall time.
 //!
 //! On a selective predicate, LM-parallel fetches the no-predicate output
@@ -23,7 +23,7 @@ fn load_lineitem(db: &Database) -> (matstrat::tpch::LineitemData, matstrat::comm
     (data, table)
 }
 
-fn forced(db: &Database, q: &QuerySpec, s: Strategy) -> (QueryResult, ExecStats) {
+fn forced(db: &Database, q: &QuerySpec, s: Strategy) -> (QueryResult, QueryStats) {
     let out = db
         .execute_planned(
             &Statement::Select(q.clone()),
@@ -34,7 +34,7 @@ fn forced(db: &Database, q: &QuerySpec, s: Strategy) -> (QueryResult, ExecStats)
     (out.rows, out.stats)
 }
 
-fn cold_run(db: &Database, q: &QuerySpec, s: Strategy) -> ExecStats {
+fn cold_run(db: &Database, q: &QuerySpec, s: Strategy) -> QueryStats {
     db.store().cold_reset();
     let (result, stats) = forced(db, q, s);
     assert_eq!(

@@ -14,7 +14,7 @@
 //!   cold `block_reads` equal the serial run's exactly, even while
 //!   granule runs migrate between workers.
 //! * **Stealing actually happens** — the serial run reports
-//!   `ExecStats::steals == 0`, and at ≥ 2 workers the skew drives idle
+//!   `QueryStats::steals == 0`, and at ≥ 2 workers the skew drives idle
 //!   workers to steal from the loaded span's tail (`steals > 0`). The
 //!   steal count itself is scheduling, not semantics: it varies run to
 //!   run, so the assertion is "occurred", never "equals".
@@ -55,7 +55,12 @@ fn hot_query(table: TableId) -> QuerySpec {
     QuerySpec::select(table, vec![0, 2]).filter(1, Predicate::eq(1))
 }
 
-fn cold_run(db: &Database, q: &QuerySpec, s: Strategy, threads: usize) -> (QueryResult, ExecStats) {
+fn cold_run(
+    db: &Database,
+    q: &QuerySpec,
+    s: Strategy,
+    threads: usize,
+) -> (QueryResult, QueryStats) {
     db.store().cold_reset();
     let opts = ExecOptions {
         granule: GRANULE,
