@@ -1,55 +1,38 @@
-//! Thread-local ledger of compressed-execution work.
+//! The compressed-execution work counter.
 //!
 //! Operators that act directly on the encoded representation — code
 //! compares in dictionary scans, one-comparison-per-run RLE evaluation,
-//! run-granular aggregation, code-keyed hash probes — record how many
-//! such operations they performed here. The executor harvests the
-//! counter per worker span exactly like the per-thread I/O meter
-//! snapshot: take [`snapshot`] before the span, subtract it from the
-//! snapshot after, and fold the difference into the query's stats.
-//!
-//! The counter is monotonically increasing per thread and never reset,
-//! so concurrent queries sharing a worker pool each see only their own
-//! delta. Counts depend only on the data a span processes, not on
-//! scheduling, so fragment merges sum to the same total at any worker
-//! count.
-
-use std::cell::Cell;
-
-thread_local! {
-    static CODE_OPS: Cell<u64> = const { Cell::new(0) };
-}
+//! run-granular aggregation, code-keyed hash builds and probes — record
+//! how many such operations they performed with [`add`]. The count goes
+//! to the statement's [`QueryIo`](crate::query_io::QueryIo) ledger
+//! installed on the calling thread, which sums it over every worker the
+//! statement ran on; with no ledger installed it is charged to nobody.
+//! Counts depend only on the data a worker processes, not on
+//! scheduling, so a statement's total is the same at any worker count.
 
 /// Record `n` operations performed directly on encoded data.
 #[inline]
 pub fn add(n: u64) {
-    CODE_OPS.with(|c| c.set(c.get().wrapping_add(n)));
-}
-
-/// The calling thread's cumulative code-domain operation count.
-#[inline]
-pub fn snapshot() -> u64 {
-    CODE_OPS.with(|c| c.get())
+    crate::query_io::charge_code_ops(n);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query_io::QueryIo;
 
     #[test]
     fn ledger_accumulates_per_thread() {
-        let before = snapshot();
-        add(3);
-        add(4);
-        assert_eq!(snapshot() - before, 7);
-        // Another thread's ledger starts independently.
-        std::thread::spawn(|| {
-            let t0 = snapshot();
-            add(1);
-            assert_eq!(snapshot() - t0, 1);
-        })
-        .join()
-        .unwrap();
-        assert_eq!(snapshot() - before, 7, "other threads don't bleed in");
+        let io = QueryIo::new();
+        io.run(|| {
+            add(3);
+            add(4);
+            // A thread the ledger was not installed on charges nobody.
+            std::thread::scope(|s| {
+                s.spawn(|| add(1));
+            });
+        });
+        add(100);
+        assert_eq!(io.code_ops(), 7, "other threads don't bleed in");
     }
 }

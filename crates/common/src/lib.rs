@@ -13,9 +13,11 @@ pub mod codeops;
 pub mod error;
 pub mod par;
 pub mod pred;
+pub mod query_io;
 pub mod types;
 
 pub use error::{Error, Result};
-pub use par::{default_parallelism, env_worker_count, join_unwinding, par_map_indexed};
+pub use par::{default_parallelism, env_worker_count, fan_out, join_unwinding, par_map_indexed};
 pub use pred::{CodePredicate, CompareOp, Predicate};
+pub use query_io::QueryIo;
 pub use types::{ColumnId, Pos, PosRange, TableId, Value, Width};

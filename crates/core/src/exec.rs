@@ -42,8 +42,9 @@
 //! is **byte-identical** to the serial run at any worker count, and the
 //! deterministic counters (`positions_matched`, `rows_out`, cold
 //! `block_reads`) are exact: the buffer pool single-flights concurrent
-//! cold misses and the I/O meter tracks sequentiality per (file,
-//! worker).
+//! cold misses, and the statement's ledger
+//! ([`QueryIo`](matstrat_common::QueryIo)) collects every worker's reads
+//! and tracks sequentiality per (file, worker).
 //!
 //! # The write path's delta merge
 //!
@@ -67,15 +68,16 @@ use std::time::Instant;
 
 use matstrat_common::{Error, Pos, PosRange, Predicate, Result, Value};
 use matstrat_poslist::{PosList, PosListBuilder, PosVec};
-use matstrat_storage::{ColumnReader, EncodingKind, IoMeter, Store};
+use matstrat_storage::{ColumnReader, EncodingKind, Store};
 
 use crate::multicol::{FetchKind, MiniColumn, MultiColumn};
 use crate::ops::agg::{aggregate_runs, aggregate_runs_compressed, AggFunc, Aggregator};
+use crate::ops::join::filter_deleted;
 use crate::ops::merge::merge_columns;
 use crate::ops::probe::ds4_extend;
 use crate::ops::spc::spc_scan;
 use crate::pipeline::FragmentPipeline;
-use crate::query::{QueryResult, QuerySpec, QueryStats};
+use crate::query::{metered, QueryResult, QuerySpec, QueryStats};
 use crate::strategy::Strategy;
 use crate::GRANULE;
 
@@ -143,6 +145,16 @@ impl ExecOptions {
 
 /// Execute `q` under `strategy` with explicit [`ExecOptions`].
 pub fn execute_with_options(
+    store: &Store,
+    q: &QuerySpec,
+    strategy: Strategy,
+    opts: &ExecOptions,
+) -> Result<(QueryResult, QueryStats)> {
+    metered(|| execute_scan(store, q, strategy, opts))
+}
+
+/// [`execute_with_options`] under the statement's ledger.
+fn execute_scan(
     store: &Store,
     q: &QuerySpec,
     strategy: Strategy,
@@ -218,13 +230,11 @@ pub fn execute_with_options(
         out_cols: &out_cols,
         agg_domain,
         strategy,
-        meter: store.meter(),
         deletes: base_deletes,
     };
 
     let t0 = Instant::now();
-    let (fragments, steals): (Vec<Fragment>, u64) =
-        pipeline.run_counted(store.meter(), |span| task.run_span(span))?;
+    let (fragments, steals): (Vec<Fragment>, u64) = pipeline.run(|span| task.run_span(span))?;
 
     // Merge fragments in global granule order: values concatenate (runs
     // are contiguous, disjoint, and ascending — stealing moves who
@@ -261,22 +271,12 @@ pub fn execute_with_options(
     }
 
     // Finalize.
-    let result = match agg {
-        Some(a) => {
-            let rows = a.finish();
-            let spec = q.aggregate.unwrap();
-            let names = vec![
-                proj.column(spec.group_col)?.name.clone(),
-                format!("{}_{}", spec.func.name(), proj.column(spec.value_col)?.name),
-            ];
-            let mut flat = Vec::with_capacity(rows.len() * 2);
-            for (g, s) in rows {
-                flat.push(g);
-                flat.push(s);
-            }
-            QueryResult::from_flat(names, flat)
-        }
-        None => {
+    let result = match (agg, q.aggregate) {
+        (Some(a), Some(spec)) => a.into_result(
+            &proj.column(spec.group_col)?.name,
+            &proj.column(spec.value_col)?.name,
+        ),
+        _ => {
             let names = q
                 .output
                 .iter()
@@ -311,7 +311,6 @@ struct SpanTask<'a> {
     out_cols: &'a [usize],
     agg_domain: Option<(AggFunc, Value, Value)>,
     strategy: Strategy,
-    meter: &'a IoMeter,
     /// Deleted base positions (sorted) — each granule filters its window's
     /// slice of them out of the surviving descriptor/tuples.
     deletes: &'a [u64],
@@ -319,17 +318,9 @@ struct SpanTask<'a> {
 
 impl SpanTask<'_> {
     /// The serial granule loop over `span`, exactly as the paper's
-    /// executor runs it over the whole table. I/O is measured through the
-    /// calling thread's meter view, so a worker reports only what it
-    /// caused.
+    /// executor runs it over the whole table.
     fn run_span(&self, span: PosRange) -> Result<Fragment> {
         let t0 = Instant::now();
-        let io0 = self.meter.thread_snapshot();
-        // Like the I/O meter, the code-op ledger is thread-local and
-        // monotonic: the span's share is the snapshot difference. The
-        // count is data-dependent only (granule partitioning is
-        // deterministic), so it is exact at any worker count.
-        let ops0 = matstrat_common::codeops::snapshot();
         let mut agg = self
             .agg_domain
             .map(|(func, lo, hi)| Aggregator::with_domain_fn(func, lo, hi));
@@ -370,13 +361,12 @@ impl SpanTask<'_> {
             stats: QueryStats {
                 strategy: Some(self.strategy),
                 wall: t0.elapsed(),
-                io: self.meter.thread_snapshot().since(&io0),
                 positions_matched,
                 decompressed_fetch: decompressed,
-                code_path_ops: matstrat_common::codeops::snapshot().wrapping_sub(ops0),
                 zone_skips,
                 // rows_out is set after the merged result is assembled;
-                // steals is a scheduler-level count, set after the merge.
+                // steals is a scheduler-level count, set after the merge;
+                // io and code_path_ops come from the statement's ledger.
                 ..QueryStats::default()
             },
         })
@@ -424,18 +414,7 @@ impl Granule<'_> {
         if self.deletes.is_empty() {
             return desc;
         }
-        let mut b = PosListBuilder::new();
-        let mut di = 0usize;
-        for p in desc.iter() {
-            while di < self.deletes.len() && self.deletes[di] < p {
-                di += 1;
-            }
-            if di < self.deletes.len() && self.deletes[di] == p {
-                continue;
-            }
-            b.push(p);
-        }
-        self.coerce_repr(b.finish())
+        self.coerce_repr(filter_deleted(desc, self.deletes))
     }
 
     /// Drop deleted rows from an EM `(positions, tuples)` pair in place.

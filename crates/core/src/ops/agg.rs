@@ -19,6 +19,7 @@ use matstrat_common::{PosRange, Result, Value};
 use matstrat_poslist::PosList;
 
 use crate::multicol::MiniColumn;
+use crate::query::QueryResult;
 
 /// Upper bound on the dense-array domain span (8 Mi groups ≈ 64 MB).
 const DENSE_LIMIT: i64 = 1 << 23;
@@ -248,6 +249,21 @@ impl Aggregator {
                 rows
             }
         }
+    }
+
+    /// Finish into the two-column result every aggregate plan returns:
+    /// `group` (the group column's name) then `<func>_<value>`, one row
+    /// per group, sorted by group — canonical, so every plan shape
+    /// produces identical bytes.
+    pub(crate) fn into_result(self, group: &str, value: &str) -> QueryResult {
+        let names = vec![group.to_string(), format!("{}_{}", self.func.name(), value)];
+        let rows = self.finish();
+        let mut flat = Vec::with_capacity(rows.len() * 2);
+        for (g, v) in rows {
+            flat.push(g);
+            flat.push(v);
+        }
+        QueryResult::from_flat(names, flat)
     }
 }
 
@@ -537,11 +553,12 @@ mod tests {
         for func in [AggFunc::Sum, AggFunc::Min, AggFunc::Max] {
             let mut decoded = Aggregator::with_domain_fn(func, 0, 30);
             aggregate_runs(&desc, &mg, &vals, &mut decoded).unwrap();
-            let before = matstrat_common::codeops::snapshot();
+            let io = matstrat_common::QueryIo::new();
             let mut compressed = Aggregator::with_domain_fn(func, 0, 30);
-            aggregate_runs_compressed(&desc, &mg, &mv, &mut compressed).unwrap();
+            io.run(|| aggregate_runs_compressed(&desc, &mg, &mv, &mut compressed))
+                .unwrap();
             assert!(
-                matstrat_common::codeops::snapshot() > before,
+                io.code_ops() > 0,
                 "compressed path must charge the code-op ledger"
             );
             assert_eq!(compressed.finish(), decoded.finish(), "{func:?}");

@@ -47,7 +47,7 @@ use std::sync::Arc;
 use matstrat_common::{Pos, PosRange, Predicate, Result, TableId, Value};
 use matstrat_model::plans::JoinInnerKind;
 use matstrat_poslist::{PosList, PosListBuilder, PosVec};
-use matstrat_storage::{IoMeter, IoSink, ProjectionInfo, Store, TableDelta};
+use matstrat_storage::{ProjectionInfo, Store, TableDelta};
 
 use crate::exec::ExecOptions;
 use crate::multicol::MiniColumn;
@@ -180,8 +180,6 @@ impl<K: JoinKey> PartitionedTable<K> {
         keys: &[K],
         deletes: &[u64],
         pipeline: &FragmentPipeline,
-        meter: &IoMeter,
-        sink: Option<&IoSink>,
     ) -> Result<PartitionedTable<K>> {
         let parts_n = pipeline.workers();
         if parts_n <= 1 {
@@ -200,11 +198,9 @@ impl<K: JoinKey> PartitionedTable<K> {
         }
         // Phase A: scatter. Each granule run hashes its keys into
         // `parts_n` buckets; pure CPU, so the scheduler's stealing can
-        // rebalance it freely. (The run still harvests meter state into
-        // the query's sink: the calling thread's forget sweeps up the key
-        // column reads the surrounding build just made.)
+        // rebalance it freely.
         let buckets: Vec<Vec<Vec<(u32, K)>>> = pipeline
-            .run_counted_sunk(meter, sink, |span| {
+            .run(|span| {
                 let mut local: Vec<Vec<(u32, K)>> = vec![Vec::new(); parts_n];
                 let mut di = deletes.partition_point(|&p| p < span.start);
                 for pos in span.start..span.end {
@@ -220,8 +216,7 @@ impl<K: JoinKey> PartitionedTable<K> {
                 Ok(local)
             })?
             .0;
-        // Phase B: fold, one worker per partition (pure CPU: no meter
-        // state to clean up).
+        // Phase B: fold, one worker per partition.
         let parts = matstrat_common::par_map_indexed(
             parts_n,
             parts_n,
@@ -235,7 +230,6 @@ impl<K: JoinKey> PartitionedTable<K> {
                 }
                 Ok(m)
             },
-            || {},
         )?;
         Ok(PartitionedTable { parts })
     }
@@ -362,7 +356,6 @@ impl SharedBuild {
         right_key: usize,
         reducers: &[BuildReducer<'_>],
         opts: &ExecOptions,
-        sink: Option<&IoSink>,
     ) -> Result<SharedBuild> {
         let (info, delta) = store.scan_snapshot(right)?;
         let base_rows = info.num_rows;
@@ -457,8 +450,7 @@ impl SharedBuild {
         let build_workers = pipeline.workers();
         let table = match code_build {
             Some((fingerprint, dict, codes)) => {
-                let table =
-                    PartitionedTable::build(&codes, &excluded, &pipeline, store.meter(), sink)?;
+                let table = PartitionedTable::build(&codes, &excluded, &pipeline)?;
                 matstrat_common::codeops::add(codes.len() as u64);
                 KeyTable::Codes {
                     table,
@@ -466,13 +458,7 @@ impl SharedBuild {
                     fingerprint,
                 }
             }
-            None => KeyTable::Values(PartitionedTable::build(
-                &keys,
-                &excluded,
-                &pipeline,
-                store.meter(),
-                sink,
-            )?),
+            None => KeyTable::Values(PartitionedTable::build(&keys, &excluded, &pipeline)?),
         };
         Ok(SharedBuild {
             table,
@@ -564,14 +550,13 @@ impl InnerRep {
         shared: &SharedBuild,
         right_output: &[usize],
         inner: InnerStrategy,
-        sink: Option<&IoSink>,
     ) -> Result<InnerRep> {
         let base_rows = shared.base_rows;
         let window = PosRange::new(0, base_rows);
         let rwidth = right_output.len();
         let build_workers = shared.build_workers;
         let minis: Vec<MiniColumn> = if base_rows > 0 {
-            par_indexed(rwidth, build_workers, store.meter(), sink, |c| {
+            matstrat_common::par_map_indexed(rwidth, build_workers, |c| {
                 MiniColumn::fetch(&store.reader_for(&shared.info, right_output[c])?, window)
             })?
         } else {
@@ -582,7 +567,7 @@ impl InnerRep {
         let materialized: Option<Vec<Value>> = match inner {
             InnerStrategy::Materialized if base_rows > 0 => {
                 let cols: Vec<Vec<Value>> =
-                    par_indexed(rwidth, build_workers, store.meter(), sink, |c| {
+                    matstrat_common::par_map_indexed(rwidth, build_workers, |c| -> Result<_> {
                         let mut v = Vec::with_capacity(base_rows as usize);
                         minis[c].decode(&mut v)?;
                         Ok(v)
@@ -597,7 +582,7 @@ impl InnerRep {
         // such columns once, shared read-only by every probe worker.
         let decoded: Vec<Option<Vec<Value>>> = match inner {
             InnerStrategy::SingleColumn if base_rows > 0 => {
-                par_indexed(rwidth, build_workers, store.meter(), sink, |c| {
+                matstrat_common::par_map_indexed(rwidth, build_workers, |c| -> Result<_> {
                     if minis[c].supports_position_fetch() {
                         Ok(None)
                     } else {
@@ -760,28 +745,6 @@ pub(crate) fn fetch_codes_expanded(mini: &MiniColumn, positions: &[Pos]) -> Resu
     Ok(expanded)
 }
 
-/// Run `f` over indices `0..n` on the shared claim-counter fan-out
-/// ([`matstrat_common::par_map_indexed`], the projection loader's
-/// pattern), dropping each spawned worker's per-thread meter state on
-/// exit — harvested into `sink` when the surrounding query is keeping
-/// per-query I/O. The calling thread keeps its meter state: its reads
-/// belong to the surrounding query and are swept into the sink by the
-/// next pipeline run's forget, exactly as on the serial path.
-fn par_indexed<T: Send>(
-    n: usize,
-    workers: usize,
-    meter: &IoMeter,
-    sink: Option<&IoSink>,
-    f: impl Fn(usize) -> Result<T> + Sync,
-) -> Result<Vec<T>> {
-    matstrat_common::par_map_indexed(n, workers, f, || {
-        let dropped = meter.forget_current_thread();
-        if let Some(sink) = sink {
-            sink.add(dropped);
-        }
-    })
-}
-
 /// Drop the positions in `deletes` (sorted ascending) from `desc`. The
 /// tree probe uses this to hide deleted base rows from the outer side of
 /// a join before any key or output value is fetched.
@@ -805,9 +768,9 @@ pub(crate) fn filter_deleted(desc: PosList, deletes: &[u64]) -> PosList {
 
 /// Flatten decoded columns into row-major tuples — the Materialized
 /// strategy's up-front tuple construction — splitting the row range
-/// across up to `workers` scoped threads. Each worker writes a disjoint
-/// slice of the output, so the result is identical to the serial double
-/// loop at any worker count.
+/// across up to `workers` [`fan_out`](matstrat_common::fan_out) workers.
+/// Each worker writes a disjoint slice of the output, so the result is
+/// identical to the serial double loop at any worker count.
 fn flatten_row_major(cols: &[Vec<Value>], rows: usize, workers: usize) -> Vec<Value> {
     let width = cols.len();
     if rows == 0 || width == 0 {
@@ -816,26 +779,17 @@ fn flatten_row_major(cols: &[Vec<Value>], rows: usize, workers: usize) -> Vec<Va
     let mut flat = vec![0 as Value; rows * width];
     let workers = workers.min(rows).max(1);
     let chunk_rows = rows.div_ceil(workers);
-    let fill = |chunk_idx: usize, chunk: &mut [Value]| {
-        let base = chunk_idx * chunk_rows;
-        for (r, row) in chunk.chunks_exact_mut(width).enumerate() {
-            for (c, col) in cols.iter().enumerate() {
-                row[c] = col[base + r];
+    matstrat_common::fan_out(
+        flat.chunks_mut(chunk_rows * width).enumerate(),
+        |(chunk_idx, chunk)| {
+            let base = chunk_idx * chunk_rows;
+            for (r, row) in chunk.chunks_exact_mut(width).enumerate() {
+                for (c, col) in cols.iter().enumerate() {
+                    row[c] = col[base + r];
+                }
             }
-        }
-    };
-    std::thread::scope(|scope| {
-        let fill = &fill;
-        let mut chunks = flat.chunks_mut(chunk_rows * width).enumerate();
-        let (first_idx, first_chunk) = chunks.next().expect("rows > 0");
-        let handles: Vec<_> = chunks
-            .map(|(ci, chunk)| scope.spawn(move || fill(ci, chunk)))
-            .collect();
-        fill(first_idx, first_chunk);
-        for h in handles {
-            matstrat_common::join_unwinding(h);
-        }
-    });
+        },
+    );
     flat
 }
 
@@ -1123,14 +1077,19 @@ mod tests {
             ..ExecOptions::default()
         };
         for inner in InnerStrategy::ALL {
-            let ops0 = matstrat_common::codeops::snapshot();
-            let res = join(&store, &spec, inner, &serial);
-            let ops = matstrat_common::codeops::snapshot().wrapping_sub(ops0);
+            let (res, stats) = hash_join_tree_with_options(
+                &store,
+                &JoinTreeSpec::new(vec![spec.clone()]),
+                &JoinTreePlan::in_spec_order(vec![inner]),
+                &serial,
+            )
+            .unwrap();
             let mut rows = res.sorted_rows();
             rows.sort_unstable();
             assert_eq!(rows, expected, "{inner:?}");
             // Build charged 10 right rows, the probe one op per
-            // surviving left row — all on this thread in serial mode.
+            // surviving left row.
+            let ops = stats.code_path_ops;
             assert!(ops >= 2000, "{inner:?}: code path must run, got {ops} ops");
         }
         // Parallel runs stay byte-identical to serial.

@@ -52,7 +52,7 @@ use std::time::Instant;
 
 use matstrat_common::{Error, Pos, PosRange, Predicate, Result, TableId, Value};
 use matstrat_poslist::PosList;
-use matstrat_storage::{ColumnReader, IoSink, Store, TableDelta};
+use matstrat_storage::{ColumnReader, Store, TableDelta};
 
 use crate::exec::ExecOptions;
 use crate::multicol::MiniColumn;
@@ -62,7 +62,7 @@ use crate::ops::join::{
     SharedBuild,
 };
 use crate::pipeline::FragmentPipeline;
-use crate::query::{AggSpec, JoinKeySource, JoinTreeSpec, QueryResult, QueryStats};
+use crate::query::{metered, AggSpec, JoinKeySource, JoinTreeSpec, QueryResult, QueryStats};
 
 /// How a [`JoinTreeSpec`] is to be executed: the edge order, one inner
 /// strategy per edge, which snowflake edges run **bushy** (their
@@ -205,7 +205,6 @@ fn ensure_shared(
     spec: &JoinTreeSpec,
     plan: &JoinTreePlan,
     opts: &ExecOptions,
-    sink: &IoSink,
     bushy_children: &[Vec<usize>],
     cache: &mut HashMap<BuildKey, Arc<SharedBuild>>,
     shared_by_spec: &mut Vec<Option<Arc<SharedBuild>>>,
@@ -222,7 +221,6 @@ fn ensure_shared(
             spec,
             plan,
             opts,
-            sink,
             bushy_children,
             cache,
             shared_by_spec,
@@ -261,7 +259,6 @@ fn ensure_shared(
                 edge.right_key,
                 &reducers,
                 opts,
-                Some(sink),
             )?);
             stats.builds += 1;
             cache.insert(key, Arc::clone(&s));
@@ -326,6 +323,16 @@ pub fn hash_join_tree_with_options(
     plan: &JoinTreePlan,
     opts: &ExecOptions,
 ) -> Result<(QueryResult, QueryStats)> {
+    metered(|| execute_tree(store, spec, plan, opts))
+}
+
+/// [`hash_join_tree_with_options`] under the statement's ledger.
+fn execute_tree(
+    store: &Store,
+    spec: &JoinTreeSpec,
+    plan: &JoinTreePlan,
+    opts: &ExecOptions,
+) -> Result<(QueryResult, QueryStats)> {
     spec.validate()?;
     plan.validate(spec)?;
     let base = spec.base();
@@ -348,13 +355,6 @@ pub fn hash_join_tree_with_options(
     }
 
     let t0 = Instant::now();
-    // Per-query I/O: every pipeline run and build fan-out below harvests
-    // its threads' meter state into this sink, so `stats.io` is exactly
-    // this query's reads even with other sessions running concurrently
-    // (a global-meter diff would interleave theirs). First drop any
-    // residue an errored-out previous execution left on this thread.
-    store.meter().forget_current_thread();
-    let sink = IoSink::new();
     let mut stats = QueryStats::default();
 
     // ---- Build phase, in execution order --------------------------------
@@ -381,7 +381,6 @@ pub fn hash_join_tree_with_options(
             spec,
             plan,
             opts,
-            &sink,
             &bushy_children,
             &mut cache,
             &mut shared_by_spec,
@@ -394,13 +393,7 @@ pub fn hash_join_tree_with_options(
     for &ei in &plan.order {
         let edge = &spec.edges[ei];
         let shared = Arc::clone(shared_by_spec[ei].as_ref().expect("built above"));
-        let rep = InnerRep::build(
-            store,
-            &shared,
-            &edge.right_output,
-            plan.inners[ei],
-            Some(&sink),
-        )?;
+        let rep = InnerRep::build(store, &shared, &edge.right_output, plan.inners[ei])?;
         let source = match spec.key_source(ei)? {
             JoinKeySource::Base => KeyFetch::Base(store.reader_for(&base_info, edge.left_key)?),
             JoinKeySource::Edge(j) => {
@@ -469,7 +462,7 @@ pub fn hash_join_tree_with_options(
         opts.parallelism.max(1),
     );
     let zone_maps = opts.zone_maps;
-    let (fragments, steals) = pipeline.run_counted_sunk(store.meter(), Some(&sink), |span| {
+    let (fragments, steals) = pipeline.run(|span| {
         probe_tree_span(
             spec,
             &runs,
@@ -517,27 +510,12 @@ pub fn hash_join_tree_with_options(
         }
     }
     let result = match (agg_acc, &agg_cols) {
-        (Some(a), Some(ac)) => {
-            // Output shape matches the scan executor's aggregation:
-            // (group, func_value), rows sorted by group — canonical, so
-            // every plan shape produces identical bytes.
-            let out_names = vec![
-                names[ac.spec.group_col].clone(),
-                format!("{}_{}", ac.spec.func.name(), names[ac.spec.value_col]),
-            ];
-            let mut agg_flat = Vec::with_capacity(a.num_groups() * 2);
-            for (g, v) in a.finish() {
-                agg_flat.push(g);
-                agg_flat.push(v);
-            }
-            QueryResult::from_flat(out_names, agg_flat)
-        }
+        (Some(a), Some(ac)) => a.into_result(&names[ac.spec.group_col], &names[ac.spec.value_col]),
         _ => QueryResult::from_flat(names, flat),
     };
     stats.steals = steals;
     stats.rows_out = result.num_rows() as u64;
     stats.wall = t0.elapsed();
-    stats.io = sink.total();
     Ok((result, stats))
 }
 

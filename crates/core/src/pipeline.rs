@@ -17,8 +17,8 @@
 //! * **Work stealing** — a worker *starts* on its own span and claims
 //!   chunk-sized granule runs from the span's **head**, so its read
 //!   stream stays sequential and the per-(file, worker) seek accounting
-//!   of the I/O meter keeps meaning. A worker whose span is drained
-//!   turns thief: it steals a chunk-sized granule run from the **tail**
+//!   of the per-query ledger keeps meaning. A worker whose span is
+//!   drained turns thief: it steals a chunk-sized granule run from the **tail**
 //!   of the most loaded worker's remaining span, and exits only when
 //!   every span is empty. Clustered selectivity can no longer strand one
 //!   worker with all the matches while its siblings idle.
@@ -32,18 +32,17 @@
 //!   the output* it lands. Cold `block_reads` stay exact for the same
 //!   reason: the same granule windows are fetched exactly once each
 //!   (the buffer pool single-flights concurrent misses).
-//! * **Meter hygiene** — worker threads are per query; the pipeline
-//!   drops each worker's [`IoMeter`] thread state when the worker (not
-//!   each run) completes, so a long-lived store never accumulates
-//!   entries for dead threads and a worker's stream stays one stream
-//!   across its claims. The serial path runs on the calling thread and
-//!   gets the same cleanup.
+//! * **Per-query ledger** — workers are spawned through
+//!   [`matstrat_common::fan_out`], which installs the calling statement's
+//!   [`QueryIo`](matstrat_common::QueryIo) ledger on each of them, so every
+//!   block read and code operation a worker makes is charged to that
+//!   statement and folded in once, when the worker finishes. A worker
+//!   keeps one read stream per file across all its claims.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use matstrat_common::{PosRange, Result};
-use matstrat_storage::{IoMeter, IoSink};
 
 /// Granule runs each worker is expected to claim over its lifetime: the
 /// scheduler sizes its chunk as `num_granules / (workers ×
@@ -122,84 +121,33 @@ impl FragmentPipeline {
     }
 
     /// Run `task` over the position range and return the fragments **in
-    /// global granule order** (see [`Self::run_counted`] for the steal
-    /// counter). Concatenating the fragments reproduces the serial
-    /// output byte for byte at any worker count.
-    pub fn run<T, F>(&self, meter: &IoMeter, task: F) -> Result<Vec<T>>
-    where
-        T: Send,
-        F: Fn(PosRange) -> Result<T> + Sync,
-    {
-        Ok(self.run_counted(meter, task)?.0)
-    }
-
-    /// [`Self::run`] with per-query I/O harvesting: every
-    /// `forget_current_thread` this run performs — each worker thread's
-    /// on exit, and the calling thread's at the end — folds the dropped
-    /// counters into `sink`. Because the calling thread's forget also
-    /// sweeps up reads it made *before* this run (readers opened, build
-    /// columns fetched between pipelines), a query that funnels all its
-    /// pipeline runs into one sink ends with the sink holding exactly
-    /// the query's own I/O, concurrency-proof (see
-    /// [`matstrat_storage::IoSink`]).
-    pub fn run_sunk<T, F>(&self, meter: &IoMeter, sink: &IoSink, task: F) -> Result<Vec<T>>
-    where
-        T: Send,
-        F: Fn(PosRange) -> Result<T> + Sync,
-    {
-        Ok(self.run_counted_sunk(meter, Some(sink), task)?.0)
-    }
-
-    /// [`Self::run`], additionally reporting how many granule runs were
+    /// global granule order**, plus how many granule runs were
     /// **stolen** — claimed from the tail of another worker's span by a
-    /// worker that had drained its own. A single-span (serial) plan
-    /// never steals; a multi-span plan steals exactly when the work is
-    /// skewed enough (or the host slow enough) for some worker to go
-    /// idle while another still holds unclaimed granules.
+    /// worker that had drained its own. Concatenating the fragments
+    /// reproduces the serial output byte for byte at any worker count. A
+    /// single-span (serial) plan never steals; a multi-span plan steals
+    /// exactly when the work is skewed enough (or the host slow enough)
+    /// for some worker to go idle while another still holds unclaimed
+    /// granules.
     ///
-    /// The first span runs on the calling thread; the remaining spans
-    /// run on scoped worker threads, one per span, so an N-span plan
-    /// occupies exactly N threads. Each worker processes chunk-sized
-    /// granule runs: its own span head-first (sequential read stream),
-    /// then stolen tail runs. Each thread's per-thread [`IoMeter`] state
-    /// is dropped when the thread finishes all its runs (the global
-    /// counters are unaffected). The first error in granule order wins;
-    /// worker panics propagate to the caller; every granule runs even
-    /// when an earlier one errors (matching the serial executor's
+    /// The first span runs on the calling thread and the rest on
+    /// [`fan_out`](matstrat_common::fan_out) workers, one per span, so an
+    /// N-span plan occupies exactly N threads. Each worker processes
+    /// chunk-sized granule runs: its own span head-first (sequential read
+    /// stream), then stolen tail runs. The first error in granule order
+    /// wins; worker panics propagate to the caller; every granule runs
+    /// even when an earlier one errors (matching the serial executor's
     /// whole-range semantics under the differential batteries).
-    pub fn run_counted<T, F>(&self, meter: &IoMeter, task: F) -> Result<(Vec<T>, u64)>
+    pub fn run<T, F>(&self, task: F) -> Result<(Vec<T>, u64)>
     where
         T: Send,
         F: Fn(PosRange) -> Result<T> + Sync,
     {
-        self.run_counted_sunk(meter, None, task)
-    }
-
-    /// [`Self::run_counted`] with the optional per-query [`IoSink`] of
-    /// [`Self::run_sunk`].
-    pub fn run_counted_sunk<T, F>(
-        &self,
-        meter: &IoMeter,
-        sink: Option<&IoSink>,
-        task: F,
-    ) -> Result<(Vec<T>, u64)>
-    where
-        T: Send,
-        F: Fn(PosRange) -> Result<T> + Sync,
-    {
-        let forget = |meter: &IoMeter| {
-            let dropped = meter.forget_current_thread();
-            if let Some(sink) = sink {
-                sink.add(dropped);
-            }
-        };
         // The constructor always plans at least one (possibly empty)
         // span; a single span belongs to the calling thread, runs whole
         // (no chunking overhead), and cannot steal.
         if self.spans.len() <= 1 {
-            let out = task(self.spans[0]);
-            forget(meter);
-            return Ok((vec![out?], 0));
+            return Ok((vec![task(self.spans[0])?], 0));
         }
 
         let rows = self.spans.last().expect("planned above").end;
@@ -210,29 +158,18 @@ impl FragmentPipeline {
             .collect();
         let steals = AtomicU64::new(0);
 
-        let worker = |w: usize| -> Vec<(u64, Result<T>)> {
-            let mut frags = Vec::new();
-            while let Some((g0, g1)) = self.claim(&queues, w, &steals) {
-                let span = PosRange::new(g0 * self.granule, (g1 * self.granule).min(rows));
-                frags.push((span.start, task(span)));
-            }
-            forget(meter);
-            frags
-        };
-
-        let mut tagged: Vec<(u64, Result<T>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (1..self.spans.len())
-                .map(|w| {
-                    let worker = &worker;
-                    scope.spawn(move || worker(w))
-                })
-                .collect();
-            let mut all = worker(0);
-            for h in handles {
-                all.extend(matstrat_common::join_unwinding(h));
-            }
-            all
-        });
+        let mut tagged: Vec<(u64, Result<T>)> =
+            matstrat_common::fan_out(0..self.spans.len(), |w| {
+                let mut frags = Vec::new();
+                while let Some((g0, g1)) = self.claim(&queues, w, &steals) {
+                    let span = PosRange::new(g0 * self.granule, (g1 * self.granule).min(rows));
+                    frags.push((span.start, task(span)));
+                }
+                frags
+            })
+            .into_iter()
+            .flatten()
+            .collect();
 
         // Global granule order: runs are disjoint and granule-aligned,
         // so sorting by start position restores the serial layout.
@@ -368,7 +305,6 @@ mod tests {
         // plan a zero-sized steal chunk, and (c) run to completion with
         // each granule executed exactly once (an idle-spinning worker
         // would either hang the scope or double-claim a granule).
-        let meter = IoMeter::new();
         const GRANULE: u64 = 32;
         for workers in [0usize, 1, 4, 8] {
             for granules in [0u64, 1, workers.saturating_sub(1) as u64] {
@@ -385,7 +321,7 @@ mod tests {
                 );
                 let hits = AtomicUsize::new(0);
                 let (frags, _steals) = p
-                    .run_counted(&meter, |span| {
+                    .run(|span| {
                         hits.fetch_add(span.len().div_ceil(GRANULE) as usize, Ordering::Relaxed);
                         Ok(span)
                     })
@@ -403,7 +339,7 @@ mod tests {
         // workers = 0 with a non-trivial table behaves as serial.
         let p = FragmentPipeline::new(10 * GRANULE, GRANULE, 0);
         assert_eq!(p.workers(), 1);
-        let (frags, steals) = p.run_counted(&meter, Ok).unwrap();
+        let (frags, steals) = p.run(Ok).unwrap();
         assert_eq!(steals, 0, "serial plans cannot steal");
         assert_eq!(frags.len(), 1);
         assert_eq!(frags[0], PosRange::new(0, 10 * GRANULE));
@@ -411,9 +347,8 @@ mod tests {
 
     #[test]
     fn run_returns_fragments_in_global_granule_order() {
-        let meter = IoMeter::new();
         let p = FragmentPipeline::new(1000, 10, 8);
-        let frags = p.run(&meter, Ok).unwrap();
+        let frags = p.run(Ok).unwrap().0;
         // Fragments partition [0, 1000) in ascending position order,
         // chunked on the granule grid — regardless of who ran them.
         assert_eq!(frags.first().map(|s| s.start), Some(0));
@@ -426,20 +361,16 @@ mod tests {
 
     #[test]
     fn run_serial_uses_calling_thread_and_never_steals() {
-        let meter = IoMeter::new();
         let p = FragmentPipeline::new(100, 64 * 1024, 8);
         assert_eq!(p.workers(), 1);
         let caller = std::thread::current().id();
-        let (frags, steals) = p
-            .run_counted(&meter, |_| Ok(std::thread::current().id()))
-            .unwrap();
+        let (frags, steals) = p.run(|_| Ok(std::thread::current().id())).unwrap();
         assert_eq!(frags, vec![caller]);
         assert_eq!(steals, 0);
     }
 
     #[test]
     fn run_multi_span_uses_worker_threads() {
-        let meter = IoMeter::new();
         let p = FragmentPipeline::new(400, 100, 4);
         let caller = std::thread::current().id();
         let done = AtomicUsize::new(0);
@@ -448,8 +379,8 @@ mod tests {
         // worker parks (it stole granule 0 first), that worker is the
         // non-caller participant. Either way ≥ 1 granule provably ran
         // off the calling thread.
-        let ids = p
-            .run(&meter, |span| {
+        let (ids, _) = p
+            .run(|span| {
                 if span.start == 0 {
                     while done.load(Ordering::SeqCst) < 3 {
                         std::thread::yield_now();
@@ -475,12 +406,11 @@ mod tests {
         // 1 stealing it from worker 0's tail. Deterministic: worker 1
         // exits only when every span queue is empty, and worker 0's
         // queue still holds granule 1 while worker 0 is parked.
-        let meter = IoMeter::new();
         let p = FragmentPipeline::new(4 * 64, 64, 2);
         assert_eq!(p.chunk_granules(), 1);
         let done = AtomicUsize::new(0);
         let (frags, steals) = p
-            .run_counted(&meter, |span| {
+            .run(|span| {
                 if span.start == 0 {
                     while done.load(Ordering::SeqCst) < 3 {
                         std::thread::yield_now();
@@ -499,12 +429,11 @@ mod tests {
         // Same gating trick at a larger scale: worker 0 parks on its
         // first granule until everything else ran (mostly via steals),
         // and the merged output must still be the serial layout.
-        let meter = IoMeter::new();
         let p = FragmentPipeline::new(64 * 16, 16, 4);
         let total_granules = 64usize;
         let done = AtomicUsize::new(0);
         let (frags, steals) = p
-            .run_counted(&meter, |span| {
+            .run(|span| {
                 if span.start == 0 {
                     while done.load(Ordering::SeqCst) < total_granules - 1 {
                         std::thread::yield_now();
@@ -524,11 +453,10 @@ mod tests {
 
     #[test]
     fn run_propagates_first_error_in_granule_order() {
-        let meter = IoMeter::new();
         let p = FragmentPipeline::new(400, 100, 4);
         let calls = AtomicUsize::new(0);
         let err = p
-            .run(&meter, |span| {
+            .run(|span| {
                 calls.fetch_add(1, Ordering::SeqCst);
                 if span.start >= 100 {
                     Err(matstrat_common::Error::invalid(format!(
@@ -548,17 +476,18 @@ mod tests {
     }
 
     #[test]
-    fn run_forgets_worker_meter_state() {
-        let meter = IoMeter::new();
+    fn run_charges_every_workers_reads_to_the_callers_ledger() {
+        let meter = matstrat_storage::IoMeter::new();
+        let io = matstrat_common::QueryIo::new();
         let p = FragmentPipeline::new(400, 100, 4);
-        p.run(&meter, |span| {
-            meter.record_read("f", span.start, 10);
-            Ok(())
+        io.run(|| {
+            p.run(|span| {
+                meter.record_read("f", span.start, 10);
+                Ok(())
+            })
         })
         .unwrap();
-        // Global counters survive; per-thread state is gone, so a fresh
-        // thread snapshot on this thread is empty.
         assert_eq!(meter.snapshot().block_reads, 4);
-        assert_eq!(meter.thread_snapshot(), Default::default());
+        assert_eq!(io.block_reads(), 4, "every worker's read, folded once");
     }
 }

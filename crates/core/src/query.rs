@@ -3,7 +3,7 @@
 use std::ops::AddAssign;
 use std::time::Duration;
 
-use matstrat_common::{Error, Predicate, Result, TableId, Value};
+use matstrat_common::{Error, Predicate, QueryIo, Result, TableId, Value};
 use matstrat_storage::IoStats;
 
 use crate::ops::agg::AggFunc;
@@ -369,8 +369,9 @@ pub struct QueryStats {
     /// Wall-clock execution time.
     pub wall: Duration,
     /// Simulated-disk activity during execution — **this query's only**,
-    /// harvested per thread ([`matstrat_storage::IoSink`]) so the
-    /// counters stay exact when several sessions execute concurrently.
+    /// charged to the statement's ledger ([`QueryIo`]) by every thread
+    /// that ran for it, so the counters stay exact when several sessions
+    /// execute concurrently.
     pub io: IoStats,
     /// Result rows produced (rows affected, for writes).
     pub rows_out: u64,
@@ -421,6 +422,22 @@ impl QueryStats {
     pub fn modeled_total_ms(&self, seek_us: f64, read_us: f64) -> f64 {
         self.wall.as_secs_f64() * 1e3 + self.io.modeled_micros(seek_us, read_us) / 1e3
     }
+}
+
+/// Run one statement's executor under a fresh per-query ledger and
+/// charge the ledger's reads, seeks and code operations to the stats it
+/// returns.
+pub(crate) fn metered<R>(
+    execute: impl FnOnce() -> Result<(R, QueryStats)>,
+) -> Result<(R, QueryStats)> {
+    let io = QueryIo::new();
+    let (out, mut stats) = io.run(execute)?;
+    stats.io = IoStats {
+        block_reads: io.block_reads(),
+        seeks: io.seeks(),
+    };
+    stats.code_path_ops = io.code_ops();
+    Ok((out, stats))
 }
 
 /// Associative merge of fragments measured for one query: counters sum,

@@ -22,8 +22,10 @@
 //!   it decides wall time, never results.
 //! * **Per-query isolation** — each query's
 //!   [`QueryStats`](crate::QueryStats) (rows, positions, cold
-//!   `block_reads`) are its own, harvested per thread
-//!   ([`matstrat_storage::IoSink`]); the buffer pool's global
+//!   `block_reads`, seeks, code operations) are its own: the executor
+//!   opens a [`QueryIo`](matstrat_common::QueryIo) ledger for the
+//!   statement and every worker it fans out to charges that ledger and
+//!   no other; the buffer pool's global
 //!   [`matstrat_storage::PoolStats`] ledger stays exact because the
 //!   service never touches the pool's counters or striping — those
 //!   belong to the store owner.

@@ -563,9 +563,9 @@ mod tests {
     #[test]
     fn scans_record_code_ops() {
         let b = DictBlock::from_values(0, &[1, 2, 1, 3]);
-        let before = matstrat_common::codeops::snapshot();
-        b.scan_positions(&Predicate::eq(2));
-        assert_eq!(matstrat_common::codeops::snapshot() - before, 4);
+        let io = matstrat_common::QueryIo::new();
+        io.run(|| b.scan_positions(&Predicate::eq(2)));
+        assert_eq!(io.code_ops(), 4);
     }
 
     #[test]

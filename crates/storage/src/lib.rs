@@ -43,7 +43,7 @@ pub use disk::{Disk, FileDisk, MemDisk};
 pub use encoding::EncodingKind;
 pub use file::{BlockIndexEntry, ColumnFileReader, ColumnFileWriter, ColumnStats};
 pub use generation::Generation;
-pub use meter::{IoMeter, IoSink, IoStats};
+pub use meter::{IoMeter, IoStats};
 pub use pool::{default_pool_shards, BufferPool, PoolStats};
 pub use store::{ColumnReader, CompactorHandle, RecoveryReport, Store};
 

@@ -10,20 +10,17 @@
 //! Harnesses price these counters with the model constants to report a
 //! modeled cold-I/O time next to the measured CPU time.
 //!
-//! Sequentiality is judged per **(file, reading thread)**: the parallel
-//! executor gives each worker its own contiguous granule span, so every
-//! worker's read stream is sequential on its own, and interleaving at the
-//! shared meter must not invent head movements a per-worker disk arm
-//! would never make. Counters are kept both globally (for
-//! [`IoMeter::snapshot`]) and per thread (for
-//! [`IoMeter::thread_snapshot`], which lets a worker report exactly the
-//! I/O it caused).
+//! The meter keeps the store-wide totals only. Who else pays for a read
+//! — the statement whose worker made it — and whether it continued that
+//! worker's read stream are decided by the per-query ledger
+//! ([`matstrat_common::query_io`]): sequentiality is judged per (file,
+//! worker), so a parallel scan whose workers each walk their own span
+//! counts the head movements per-worker disk arms would make.
 
-use std::collections::HashMap;
 use std::ops::AddAssign;
-use std::thread::{self, ThreadId};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::Mutex;
+use matstrat_common::query_io;
 
 /// Counters of simulated disk activity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -59,55 +56,29 @@ impl AddAssign for IoStats {
     }
 }
 
-#[derive(Debug, Default)]
-struct MeterInner {
-    stats: IoStats,
-    /// Per-thread share of `stats`, so a worker can report the I/O it
-    /// caused without seeing its siblings'.
-    per_thread: HashMap<ThreadId, IoStats>,
-    /// Offset one past the last byte read, per (file, reading thread), to
-    /// detect seeks against each worker's own read stream.
-    last_end: HashMap<(String, ThreadId), u64>,
+/// Hands out meter epochs: every meter, and every reset of one, gets a
+/// number no read stream has seen, so no worker's stream outlives the
+/// meter state it was measured against.
+fn fresh_epoch() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Thread-safe seek/read counter shared by every column reader.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct IoMeter {
-    inner: Mutex<MeterInner>,
+    block_reads: AtomicU64,
+    seeks: AtomicU64,
+    /// Names this meter and its last reset to the workers' read streams.
+    epoch: AtomicU64,
 }
 
-/// Lock-free accumulator for one query's I/O, fed by
-/// [`IoMeter::forget_current_thread`] harvests from the threads that ran
-/// the query (scoped pipeline workers and the calling thread). Summing
-/// per-thread forgets — instead of diffing the global counters — keeps a
-/// query's [`IoStats`] exact when several sessions execute concurrently
-/// on one store: the global snapshot would interleave every session's
-/// reads, the sink sees only its own query's threads.
-#[derive(Debug, Default)]
-pub struct IoSink {
-    block_reads: std::sync::atomic::AtomicU64,
-    seeks: std::sync::atomic::AtomicU64,
-}
-
-impl IoSink {
-    /// A zeroed sink.
-    pub fn new() -> IoSink {
-        IoSink::default()
-    }
-
-    /// Fold one thread's forgotten counters in.
-    pub fn add(&self, s: IoStats) {
-        use std::sync::atomic::Ordering;
-        self.block_reads.fetch_add(s.block_reads, Ordering::Relaxed);
-        self.seeks.fetch_add(s.seeks, Ordering::Relaxed);
-    }
-
-    /// The accumulated total.
-    pub fn total(&self) -> IoStats {
-        use std::sync::atomic::Ordering;
-        IoStats {
-            block_reads: self.block_reads.load(Ordering::Relaxed),
-            seeks: self.seeks.load(Ordering::Relaxed),
+impl Default for IoMeter {
+    fn default() -> IoMeter {
+        IoMeter {
+            block_reads: AtomicU64::new(0),
+            seeks: AtomicU64::new(0),
+            epoch: AtomicU64::new(fresh_epoch()),
         }
     }
 }
@@ -118,69 +89,30 @@ impl IoMeter {
         IoMeter::default()
     }
 
-    /// Record a block fetch of `len` bytes at `offset` of `file`,
-    /// attributed to the calling thread.
+    /// Record a block fetch of `len` bytes at `offset` of `file`, charged
+    /// to the store-wide counters and to the ledger installed on the
+    /// calling thread, if any.
     pub fn record_read(&self, file: &str, offset: u64, len: u64) {
-        let tid = thread::current().id();
-        let mut inner = self.inner.lock();
-        let key = (file.to_string(), tid);
-        let sequential = inner.last_end.get(&key) == Some(&offset);
-        let thread_stats = inner.per_thread.entry(tid).or_default();
-        if !sequential {
-            thread_stats.seeks += 1;
-        }
-        thread_stats.block_reads += 1;
-        if !sequential {
-            inner.stats.seeks += 1;
-        }
-        inner.stats.block_reads += 1;
-        inner.last_end.insert(key, offset + len);
+        let epoch = self.epoch.load(Ordering::Relaxed);
+        let seek = query_io::charge_read(epoch, file, offset, len);
+        self.block_reads.fetch_add(1, Ordering::Relaxed);
+        self.seeks.fetch_add(u64::from(seek), Ordering::Relaxed);
     }
 
-    /// Snapshot the global counters (all threads).
+    /// Snapshot the store-wide counters (all threads).
     pub fn snapshot(&self) -> IoStats {
-        self.inner.lock().stats
+        IoStats {
+            block_reads: self.block_reads.load(Ordering::Relaxed),
+            seeks: self.seeks.load(Ordering::Relaxed),
+        }
     }
 
-    /// Snapshot the calling thread's share of the counters.
-    pub fn thread_snapshot(&self) -> IoStats {
-        let tid = thread::current().id();
-        self.inner
-            .lock()
-            .per_thread
-            .get(&tid)
-            .copied()
-            .unwrap_or_default()
-    }
-
-    /// Drop the calling thread's per-thread state (counters and
-    /// sequential-position tracking), returning the dropped counters.
-    /// The query executor calls this at the end of every execution —
-    /// worker threads and the serial path alike — so a long-lived meter
-    /// does not accumulate entries for dead threads; code driving
-    /// [`record_read`](Self::record_read) directly from short-lived
-    /// threads should do the same. The global counters are unaffected.
-    ///
-    /// The returned delta is what makes **per-query** accounting possible
-    /// under concurrency: a query funnels every forget of its own threads
-    /// (scoped pipeline workers and the session thread between pipeline
-    /// runs) into an [`IoSink`], and the sink total is exactly the I/O
-    /// that query caused — no other session's reads can reach it, because
-    /// no other session's query ever runs on these threads.
-    pub fn forget_current_thread(&self) -> IoStats {
-        let tid = thread::current().id();
-        let mut inner = self.inner.lock();
-        let dropped = inner.per_thread.remove(&tid).unwrap_or_default();
-        inner.last_end.retain(|(_, t), _| *t != tid);
-        dropped
-    }
-
-    /// Reset counters and sequential-position tracking.
+    /// Reset the counters and restart every read stream: the next read
+    /// of any file, on any thread, is a seek.
     pub fn reset(&self) {
-        let mut inner = self.inner.lock();
-        inner.stats = IoStats::default();
-        inner.per_thread.clear();
-        inner.last_end.clear();
+        self.block_reads.store(0, Ordering::Relaxed);
+        self.seeks.store(0, Ordering::Relaxed);
+        self.epoch.store(fresh_epoch(), Ordering::Relaxed);
     }
 }
 
@@ -297,48 +229,49 @@ mod tests {
     }
 
     #[test]
-    fn forget_returns_the_dropped_share_and_sinks_sum_exactly() {
+    fn a_ledger_sees_its_own_reads_and_the_meter_sees_all() {
+        use matstrat_common::{fan_out, QueryIo};
         let m = IoMeter::new();
-        let sink = IoSink::new();
-        m.record_read("f", 0, 10);
+        m.record_read("f", 0, 10); // no ledger installed: global only
+        let (a, b) = (QueryIo::new(), QueryIo::new());
         std::thread::scope(|s| {
+            s.spawn(|| a.run(|| fan_out(0..2u64, |w| m.record_read("f", 100 + w * 50, 10))));
             s.spawn(|| {
-                m.record_read("f", 100, 10);
-                m.record_read("f", 110, 10);
-                sink.add(m.forget_current_thread());
+                b.run(|| {
+                    m.record_read("g", 0, 10);
+                    m.record_read("g", 10, 10);
+                })
             });
         });
-        sink.add(m.forget_current_thread());
-        assert_eq!(sink.total(), m.snapshot(), "harvests cover every read");
-        assert_eq!(sink.total().block_reads, 3);
-        // A second forget harvests nothing: the state really was dropped.
-        assert_eq!(m.forget_current_thread(), IoStats::default());
+        assert_eq!(
+            (a.block_reads(), a.seeks()),
+            (2, 2),
+            "one stream per worker"
+        );
+        assert_eq!((b.block_reads(), b.seeks()), (2, 1), "one stream on g");
+        assert_eq!(
+            m.snapshot(),
+            IoStats {
+                block_reads: 5,
+                seeks: 4
+            },
+            "the ledgers' reads plus the unattributed one"
+        );
     }
 
-    #[test]
-    fn thread_snapshot_isolates_and_sums_to_global() {
-        let m = IoMeter::new();
-        m.record_read("f", 0, 10);
-        let main_before = m.thread_snapshot();
-        assert_eq!(main_before.block_reads, 1);
-        let worker_stats = std::thread::scope(|s| {
-            s.spawn(|| {
-                m.record_read("f", 100, 10);
-                m.record_read("f", 110, 10);
-                let mine = m.thread_snapshot();
-                m.forget_current_thread();
-                mine
+    /// The calling thread's statement share, as the reset test reads it:
+    /// what the ledger installed here has been charged, and nothing when
+    /// none is — such reads reach the store-wide counters only.
+    trait ThreadSnapshot {
+        fn thread_snapshot(&self) -> IoStats;
+    }
+
+    impl ThreadSnapshot for IoMeter {
+        fn thread_snapshot(&self) -> IoStats {
+            matstrat_common::QueryIo::current().map_or_else(IoStats::default, |io| IoStats {
+                block_reads: io.block_reads(),
+                seeks: io.seeks(),
             })
-            .join()
-            .unwrap()
-        });
-        assert_eq!(worker_stats.block_reads, 2);
-        assert_eq!(worker_stats.seeks, 1, "worker stream starts with a seek");
-        // Worker reads never leak into the main thread's view...
-        assert_eq!(m.thread_snapshot(), main_before);
-        // ...but the global snapshot has everything.
-        let mut total = main_before;
-        total += worker_stats;
-        assert_eq!(m.snapshot(), total);
+        }
     }
 }

@@ -352,10 +352,9 @@ impl Store {
         // Scoped workers claim column indices from a shared counter
         // (columns vary wildly in encoding cost, so striding would
         // skew); results are reordered by index afterwards, so the
-        // catalog entry is identical to a serial load. Encoding only
-        // *writes* — there is no per-thread meter state to clean up.
+        // catalog entry is identical to a serial load.
         let infos: Vec<ColumnInfo> =
-            matstrat_common::par_map_indexed(spec.columns.len(), workers, encode_one, || {})?;
+            matstrat_common::par_map_indexed(spec.columns.len(), workers, encode_one)?;
         let generation = self.generation_of(&infos);
         let id = {
             let mut cat = self.inner.catalog.write();

@@ -334,18 +334,20 @@ fn cold_join_run(
         parallelism: threads,
         ..ExecOptions::default()
     };
-    let ops0 = matstrat::common::codeops::snapshot();
-    let r =
+    let out =
         f.db.execute_planned(
             &Statement::JoinTree(JoinTreeSpec::new(vec![f.spec.clone()])),
             &QueryPlan::forced_tree(vec![0], vec![inner]),
             &opts,
         )
-        .unwrap()
-        .rows;
-    let ops = matstrat::common::codeops::snapshot().wrapping_sub(ops0);
+        .unwrap();
     let reads = f.db.store().meter().snapshot().block_reads;
-    (r.flat().to_vec(), r.column_names.clone(), reads, ops)
+    (
+        out.rows.flat().to_vec(),
+        out.rows.column_names.clone(),
+        reads,
+        out.stats.code_path_ops,
+    )
 }
 
 #[test]
@@ -370,6 +372,7 @@ fn code_keyed_joins_match_the_value_keyed_oracle() {
                 got.2, serial.2,
                 "{inner:?} threads={threads}: cold block_reads"
             );
+            assert_eq!(got.3, serial.3, "{inner:?} threads={threads}: code ops");
         }
     }
 }
@@ -493,24 +496,18 @@ fn join_trees_with_a_code_keyed_edge_match_the_oracle() {
         (
             out.rows.flat().to_vec(),
             db.store().meter().snapshot().block_reads,
+            out.stats.code_path_ops,
         )
     };
-    let ops0 = matstrat::common::codeops::snapshot();
     let exp = run(&oracle_db, &oracle_spec, 1);
-    assert_eq!(
-        matstrat::common::codeops::snapshot(),
-        ops0,
-        "all-Plain tree must not touch the code path"
-    );
+    assert_eq!(exp.2, 0, "all-Plain tree must not touch the code path");
     let serial = run(&coded_db, &coded_spec, 1);
-    assert!(
-        matstrat::common::codeops::snapshot().wrapping_sub(ops0) > 0,
-        "shared-dict edge never took the code path"
-    );
+    assert!(serial.2 > 0, "shared-dict edge never took the code path");
     assert_eq!(serial.0, exp.0, "tree result bytes vs decoded oracle");
     for threads in THREAD_COUNTS {
         let got = run(&coded_db, &coded_spec, threads);
         assert_eq!(got.0, serial.0, "threads={threads}: tree result bytes");
         assert_eq!(got.1, serial.1, "threads={threads}: cold block_reads");
+        assert_eq!(got.2, serial.2, "threads={threads}: code ops");
     }
 }

@@ -4,7 +4,8 @@
 //! every client-thread count in {1, 2, 4, 8} and pool shard count in
 //! {1, 2}.
 //!
-//! Per-query I/O is harvested per thread (`IoSink`), and a cold block
+//! Per-query I/O is charged to each statement's own ledger (`QueryIo`,
+//! installed on every worker the statement fans out to), and a cold block
 //! is charged to the thread whose buffer-pool fill read it and to
 //! nobody else — a query served by another query's fill, whether it
 //! found the block resident or waited for it, pays nothing. Queries

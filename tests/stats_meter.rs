@@ -8,6 +8,7 @@
 //! counts, or loses the cold reset — this asymmetry disappears and these
 //! assertions fail.
 
+use matstrat::common::TableId;
 use matstrat::prelude::*;
 use matstrat::tpch::lineitem::cols;
 
@@ -125,4 +126,100 @@ fn warm_pool_eliminates_block_reads() {
         warm.io.block_reads, 0,
         "a warm buffer pool must not touch the simulated disk"
     );
+}
+
+/// `t` (sorted `k`, `v` in stripes of 40 000 rows alternating low and
+/// high, scattered `w`, foreign key `fk`) and a 64-row dimension `dim`.
+fn pinned_fixture(rows: i64) -> (Database, TableId, TableId) {
+    let db = Database::in_memory();
+    let k: Vec<Value> = (0..rows).collect();
+    let v: Vec<Value> = (0..rows)
+        .map(|i| ((i / 40_000) % 2) * 1000 + i % 97)
+        .collect();
+    let w: Vec<Value> = (0..rows).map(|i| (i * 7919) % 1000).collect();
+    let fk: Vec<Value> = (0..rows).map(|i| i % 64).collect();
+    let t = db
+        .load_projection(
+            &ProjectionSpec::new("t")
+                .column("k", EncodingKind::Plain, SortOrder::Primary)
+                .column("v", EncodingKind::Plain, SortOrder::None)
+                .column("w", EncodingKind::Plain, SortOrder::None)
+                .column("fk", EncodingKind::Plain, SortOrder::None),
+            &[&k, &v, &w, &fk],
+        )
+        .unwrap();
+    let dk: Vec<Value> = (0..64).collect();
+    let x: Vec<Value> = (0..64).map(|i| i * 3 + 1).collect();
+    let dim = db
+        .load_projection(
+            &ProjectionSpec::new("dim")
+                .column("dk", EncodingKind::Plain, SortOrder::Primary)
+                .column("x", EncodingKind::Plain, SortOrder::None),
+            &[&dk, &x],
+        )
+        .unwrap();
+    (db, t, dim)
+}
+
+/// Cold `(block_reads, seeks)` of `SELECT k, w FROM t WHERE v < 50`
+/// under each strategy in [`Strategy::ALL`] order, then of the one-edge
+/// tree `t JOIN dim ON t.fk = dim.dk WHERE t.v < 50`.
+fn cold_io(rows: i64, granule: u64, threads: usize) -> Vec<(u64, u64)> {
+    let (db, t, dim) = pinned_fixture(rows);
+    let opts = ExecOptions {
+        granule,
+        parallelism: threads,
+        ..ExecOptions::default()
+    };
+    let scan = Statement::Select(QuerySpec::select(t, vec![0, 2]).filter(1, Predicate::lt(50)));
+    let tree = Statement::JoinTree(JoinTreeSpec::new(vec![JoinSpec {
+        left: t,
+        right: dim,
+        left_key: 3,
+        right_key: 0,
+        left_filter: Some((1, Predicate::lt(50))),
+        right_filter: None,
+        left_output: vec![2],
+        right_output: vec![1],
+    }]));
+    let mut runs: Vec<(Statement, QueryPlan)> = Strategy::ALL
+        .iter()
+        .map(|&s| (scan.clone(), QueryPlan::forced_scan(s)))
+        .collect();
+    runs.push((
+        tree,
+        QueryPlan::forced_tree(vec![0], vec![InnerStrategy::MultiColumn]),
+    ));
+    runs.iter()
+        .map(|(stmt, plan)| {
+            db.store().cold_reset();
+            let io = db.execute_planned(stmt, plan, &opts).unwrap().stats.io;
+            (io.block_reads, io.seeks)
+        })
+        .collect()
+}
+
+/// The seeks and reads `paper_ms_per_stmt` is priced from, pinned: a
+/// change in who is charged for a read, or in what counts as a seek,
+/// moves these numbers.
+///
+/// Serially, multi-block columns show sequential runs (far fewer seeks
+/// than reads). At four workers every column is one block: which worker
+/// fills a block, and so whether a stolen granule continues a worker's
+/// stream, depends on the schedule, but a one-block column is one read
+/// and one seek under any schedule, charged to the statement whichever
+/// worker filled it.
+#[test]
+fn cold_reads_and_seeks_are_pinned() {
+    assert_eq!(
+        cold_io(200_000, 64 * 1024, 1),
+        vec![(25, 5), (27, 3), (25, 5), (25, 5), (20, 5)]
+    );
+    for threads in [1, 4] {
+        assert_eq!(
+            cold_io(6_000, 256, threads),
+            vec![(3, 3), (3, 3), (3, 3), (3, 3), (5, 5)],
+            "threads={threads}"
+        );
+    }
 }
