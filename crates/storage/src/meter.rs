@@ -259,6 +259,70 @@ mod tests {
         );
     }
 
+    #[test]
+    fn forget_returns_the_dropped_share_and_sinks_sum_exactly() {
+        // A tenure's end is the harvest: each thread's share folds into
+        // its ledger once, and the ledgers sum to the meter exactly.
+        use matstrat_common::QueryIo;
+        let m = IoMeter::new();
+        let (main, worker) = (QueryIo::new(), QueryIo::new());
+        main.run(|| m.record_read("f", 0, 10));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                worker.run(|| {
+                    m.record_read("f", 100, 10);
+                    m.record_read("f", 110, 10);
+                })
+            });
+        });
+        let mut total = ledger_stats(&main);
+        total += ledger_stats(&worker);
+        assert_eq!(total, m.snapshot(), "harvests cover every read");
+        assert_eq!(total.block_reads, 3);
+        // A second tenure harvests nothing: the state really was dropped.
+        let before = ledger_stats(&worker);
+        worker.run(|| {});
+        assert_eq!(ledger_stats(&worker), before);
+        assert_eq!(m.thread_snapshot(), IoStats::default());
+    }
+
+    #[test]
+    fn thread_snapshot_isolates_and_sums_to_global() {
+        use matstrat_common::QueryIo;
+        let m = IoMeter::new();
+        let (main, worker) = (QueryIo::new(), QueryIo::new());
+        main.run(|| m.record_read("f", 0, 10));
+        let main_before = ledger_stats(&main);
+        assert_eq!(main_before.block_reads, 1);
+        let worker_stats = std::thread::scope(|s| {
+            s.spawn(|| {
+                worker.run(|| {
+                    m.record_read("f", 100, 10);
+                    m.record_read("f", 110, 10);
+                });
+                ledger_stats(&worker)
+            })
+            .join()
+            .unwrap()
+        });
+        assert_eq!(worker_stats.block_reads, 2);
+        assert_eq!(worker_stats.seeks, 1, "worker stream starts with a seek");
+        // Worker reads never leak into the main statement's view...
+        assert_eq!(ledger_stats(&main), main_before);
+        // ...but the global snapshot has everything.
+        let mut total = main_before;
+        total += worker_stats;
+        assert_eq!(m.snapshot(), total);
+    }
+
+    /// What `io` has been charged, as meter counters.
+    fn ledger_stats(io: &matstrat_common::QueryIo) -> IoStats {
+        IoStats {
+            block_reads: io.block_reads(),
+            seeks: io.seeks(),
+        }
+    }
+
     /// The calling thread's statement share, as the reset test reads it:
     /// what the ledger installed here has been charged, and nothing when
     /// none is — such reads reach the store-wide counters only.
@@ -268,10 +332,8 @@ mod tests {
 
     impl ThreadSnapshot for IoMeter {
         fn thread_snapshot(&self) -> IoStats {
-            matstrat_common::QueryIo::current().map_or_else(IoStats::default, |io| IoStats {
-                block_reads: io.block_reads(),
-                seeks: io.seeks(),
-            })
+            matstrat_common::QueryIo::current()
+                .map_or_else(IoStats::default, |io| ledger_stats(&io))
         }
     }
 }
