@@ -237,7 +237,7 @@ impl Harness {
             params.c1.resident = 1.0;
             params.c2.resident = 1.0;
             for s in Strategy::ALL {
-                if let Some(est) = model.estimate(s.plan_kind(), &params) {
+                if let Some(est) = model.estimate(s.plan_kind(), &params, 1) {
                     modeled.push(Point {
                         selectivity: sf,
                         series: format!("{} Model", s.name()),

@@ -23,7 +23,7 @@ fn parse_worker_count(value: Option<&str>, fallback: usize) -> usize {
 }
 
 /// Read a worker-count environment variable through
-/// [`parse_worker_count`]'s rules. Callers cache the result once per
+/// `parse_worker_count`'s rules. Callers cache the result once per
 /// process (queries must not change behavior because something mutated
 /// the environment mid-flight); this helper itself reads the
 /// environment on every call.

@@ -1,7 +1,7 @@
 //! SARGable predicates.
 //!
 //! C-Store data sources accept *search-argument* (SARG) predicates
-//! (Selinger et al. [15] in the paper) so that filtering happens inside
+//! (Selinger et al. \[15\] in the paper) so that filtering happens inside
 //! the scan, against encoded data, instead of in a separate operator.
 //! A predicate is a single comparison of a column value against one or
 //! two constants; conjunctions are expressed as one predicate per column,

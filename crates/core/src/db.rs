@@ -63,11 +63,7 @@ impl QueryPlan {
             inners,
             bushy: Vec::new(),
             estimate: CostBreakdown::default(),
-            tree: JoinTreeCost {
-                edges: Vec::new(),
-                cards: Vec::new(),
-                total: CostBreakdown::default(),
-            },
+            tree: JoinTreeCost::default(),
             edge_alternatives: Vec::new(),
             candidates: Vec::new(),
             reason: "forced inner strategies".into(),

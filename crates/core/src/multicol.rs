@@ -359,7 +359,7 @@ impl MiniColumn {
     }
 
     /// The dictionary shared by every backing block (first block's copy);
-    /// call only after [`shared_dict_fingerprint`] returned `Some`.
+    /// call only after [`Self::shared_dict_fingerprint`] returned `Some`.
     pub fn shared_dict(&self) -> Option<&[Value]> {
         match self.blocks.first().map(|b| b.as_ref()) {
             Some(EncodedBlock::Dict(d)) => Some(d.dictionary()),
@@ -370,7 +370,7 @@ impl MiniColumn {
     /// Dictionary codes at the descriptor's positions, in position order —
     /// the probe-side fetch of a code-keyed join: no value is ever
     /// decoded. Errors on non-dict blocks; meaningful across blocks only
-    /// under a shared dictionary ([`shared_dict_fingerprint`]).
+    /// under a shared dictionary ([`Self::shared_dict_fingerprint`]).
     pub fn gather_codes(&self, positions: &PosList, out: &mut Vec<u32>) -> Result<()> {
         let mut batch: Vec<Pos> = Vec::new();
         let mut current: Option<&Arc<EncodedBlock>> = None;

@@ -4,17 +4,29 @@
 //!
 //! The planner derives the model's parameters from catalog statistics
 //! (block counts, row counts, run lengths, min/max for selectivity) and
-//! asks [`CostModel`] for the cheapest plan. Queries that do not match
-//! the modeled two-predicate shape fall back to the paper's heuristic:
-//! aggregation, selective output, or light-weight compression → late
-//! materialization; otherwise early materialization.
+//! asks [`CostModel`] for the cheapest plan, one model entry per operator
+//! family:
+//!
+//! * **Scans** with the modeled two-predicate shape are priced per
+//!   strategy with [`CostModel::estimate`]. Other scan shapes fall back
+//!   to the paper's heuristic: aggregation, selective output, or
+//!   light-weight compression → late materialization; otherwise early
+//!   materialization.
+//! * **Joins** of any edge count — a plain join is a one-edge tree — go
+//!   through one path: enumerate the candidate edge orders, price each
+//!   with [`CostModel::join_tree`] (which keeps each edge's cheapest
+//!   inner-table representation), and keep the cheapest order.
 
-use matstrat_common::{Result, Value};
-use matstrat_model::plans::{BushyReduction, JoinTreeCost, JoinTreeEdgeParams, QueryParams};
+use std::fmt::Write;
+
+use matstrat_common::{Result, TableId};
+use matstrat_model::plans::{
+    BushyReduction, JoinInnerKind, JoinTreeCost, JoinTreeEdgeParams, QueryParams,
+};
 use matstrat_model::{ColumnParams, Constants, CostBreakdown, CostModel, JoinParams};
 use matstrat_storage::{ColumnInfo, EncodingKind, ProjectionInfo, SortOrder, Store};
 
-use crate::ops::join::{InnerStrategy, JoinSpec};
+use crate::ops::join::InnerStrategy;
 use crate::ops::join_tree::JoinTreePlan;
 use crate::pipeline::FragmentPipeline;
 use crate::query::{JoinKeySource, JoinTreeSpec, QuerySpec};
@@ -46,13 +58,16 @@ pub struct JoinTreeChoice {
     /// means a pure left-deep plan). A bushy snowflake edge's subtree is
     /// built first and semi-join-reduces its parent's hash table.
     pub bushy: Vec<bool>,
-    /// Total estimate of the chosen plan.
+    /// Total estimate of the chosen plan (`tree.total`).
     pub estimate: CostBreakdown,
     /// The chosen plan's per-edge costs and chained cardinality
-    /// estimates (execution order), from [`CostModel::join_tree`].
+    /// estimates (execution order), from [`CostModel::join_tree`]. Its
+    /// total adds the serial delta-merge surcharge, which no edge
+    /// carries.
     pub tree: JoinTreeCost,
     /// For each execution slot of the chosen order: all three
-    /// representations priced, the rejected ones included.
+    /// representations priced, the rejected ones included (without
+    /// bushy-reduction scans or the delta-merge surcharge).
     pub edge_alternatives: Vec<Vec<(InnerStrategy, CostBreakdown)>>,
     /// Every execution order evaluated (each with its per-edge-best
     /// strategies) and its total estimate — the chosen order included.
@@ -93,6 +108,129 @@ impl JoinTreeChoice {
 /// 7! would not).
 const EXHAUSTIVE_ORDER_EDGES: usize = 4;
 
+/// What planning one join tree reads from the catalog, gathered once per
+/// [`Planner::choose_join_tree`] call: every candidate order is priced
+/// from it without touching the store again.
+struct TreeInputs {
+    /// Order-independent model inputs per spec edge (see
+    /// [`Planner::tree_inputs`]).
+    edges: Vec<JoinParams>,
+    /// Workers the partitioned build of each spec edge uses: the
+    /// pipeline's skew guard on its inner table.
+    build_workers: Vec<usize>,
+    /// Workers every probe uses: the skew guard on the base table.
+    probe_workers: usize,
+    /// Selectivity of the base filter, applied once before the first
+    /// probe of whatever edge executes first.
+    base_sf: f64,
+    /// Base output columns and their total blocks, fetched once at the
+    /// top of the tree.
+    base_out: (f64, f64),
+    /// Serial delta-merge CPU: base inserts probe after the fragments,
+    /// each edge's inner-table inserts append to its build. The same
+    /// for every order.
+    delta_cpu: f64,
+}
+
+/// One execution order priced at its cheapest bushy configuration.
+struct PricedOrder {
+    order: Vec<usize>,
+    bushy: Vec<bool>,
+    /// The slots as priced, in execution order.
+    edges: Vec<JoinTreeEdgeParams>,
+    /// The composed tree; its total includes the delta-merge surcharge.
+    tree: JoinTreeCost,
+}
+
+impl PricedOrder {
+    /// The representation each edge runs, indexed by spec position.
+    fn inners(&self) -> Vec<InnerStrategy> {
+        let mut inners = vec![InnerStrategy::MultiColumn; self.order.len()];
+        for (&ei, &(kind, _)) in self.order.iter().zip(&self.tree.edges) {
+            inners[ei] = inner_strategy(kind);
+        }
+        inners
+    }
+
+    /// The EXPLAIN reasoning for this order as the pick among
+    /// `candidates` orders.
+    fn reason(&self, candidates: usize) -> String {
+        let mut out = String::with_capacity(256);
+        self.write_reason(&mut out, candidates)
+            .expect("writing to a String cannot fail");
+        out
+    }
+
+    fn write_reason(&self, out: &mut String, candidates: usize) -> std::fmt::Result {
+        let plural = |n: usize| if n == 1 { "" } else { "s" };
+        write!(
+            out,
+            "analytical model over {candidates} order{}: [",
+            plural(candidates)
+        )?;
+        for (slot, ei) in self.order.iter().enumerate() {
+            write!(out, "{}{ei}", if slot == 0 { "" } else { " → " })?;
+        }
+        out.push_str("] with [");
+        for (slot, &(kind, _)) in self.tree.edges.iter().enumerate() {
+            write!(
+                out,
+                "{}{}",
+                if slot == 0 { "" } else { ", " },
+                inner_strategy(kind).name()
+            )?;
+        }
+        let estimate = self.tree.total;
+        write!(
+            out,
+            "] predicted {:.2} ms (cpu {:.2} + io {:.2}, ~{:.0} rows out",
+            estimate.total_ms(),
+            estimate.cpu_us / 1000.0,
+            estimate.io_us / 1000.0,
+            self.tree.out_rows(),
+        )?;
+        let probe_workers = self.edges.first().map_or(1, |e| e.probe_workers);
+        if probe_workers > 1 {
+            write!(out, ", {probe_workers} probe workers")?;
+        }
+        let build_workers = self
+            .edges
+            .iter()
+            .map(|e| e.build_workers)
+            .max()
+            .unwrap_or(1);
+        if build_workers > 1 {
+            write!(out, ", {build_workers} build workers")?;
+        }
+        let reused = self.edges.iter().filter(|e| e.build_reused).count();
+        if reused > 0 {
+            write!(out, ", {reused} build reuse{}", plural(reused))?;
+        }
+        let code_keyed = self.edges.iter().filter(|e| e.params.code_keyed).count();
+        if code_keyed > 0 {
+            write!(out, ", {code_keyed} code-keyed edge{}", plural(code_keyed))?;
+        }
+        let bushy = self.bushy.iter().filter(|b| **b).count();
+        if bushy > 0 {
+            write!(
+                out,
+                ", {bushy} bushy edge{} (semi-join reduced)",
+                plural(bushy)
+            )?;
+        }
+        out.push(')');
+        Ok(())
+    }
+}
+
+/// The executor's inner strategy for a model representation.
+fn inner_strategy(kind: JoinInnerKind) -> InnerStrategy {
+    InnerStrategy::ALL
+        .into_iter()
+        .find(|s| s.plan_kind() == kind)
+        .expect("every representation has a strategy")
+}
+
 /// The strategy chooser.
 #[derive(Debug, Clone)]
 pub struct Planner {
@@ -128,290 +266,106 @@ impl Planner {
 
     /// Pick a strategy for `q`.
     pub fn choose(&self, store: &Store, q: &QuerySpec) -> Result<PlanChoice> {
-        let proj = store.projection(q.table)?;
         if q.filters.len() == 2 {
-            self.choose_modeled(store, &proj, q)
+            let (proj, delta_cpu) = self.snapshot(store, q.table)?;
+            self.choose_modeled(store, &proj, delta_cpu, q)
         } else {
-            Ok(self.choose_heuristic(&proj, q))
+            Ok(self.choose_heuristic(&store.projection(q.table)?, q))
         }
     }
 
-    /// Serial CPU surcharge for merging `table`'s in-memory delta rows
-    /// into a query: the delta pass is row-at-a-time and runs on one
-    /// thread after the span fragments, so it is priced at `fc` (the
-    /// model's per-tuple function-call cost) per live insert row — for
-    /// **every** strategy, since the pass is strategy-independent. The
-    /// term never flips a single-table strategy choice (it is a constant
-    /// across alternatives) but keeps reported totals honest as the
-    /// delta fraction grows and compaction lag becomes visible in plans.
-    fn delta_merge_cpu_us(&self, store: &Store, table: matstrat_common::TableId) -> f64 {
-        match store.scan_snapshot(table) {
-            Ok((_, Some(d))) => {
-                let live_inserts = d.num_inserts() - d.insert_deletes().len();
-                live_inserts as f64 * self.model.constants().fc
-            }
-            _ => 0.0,
-        }
+    /// `table`'s catalog entry and the serial CPU surcharge for merging
+    /// its in-memory delta rows into a query: the delta pass is
+    /// row-at-a-time and runs on one thread after the span fragments, so
+    /// it is priced at `fc` (the model's per-tuple function-call cost)
+    /// per live insert row — for **every** strategy, since the pass is
+    /// strategy-independent. The term never flips a choice (it is a
+    /// constant across alternatives) but keeps reported totals honest as
+    /// the delta fraction grows and compaction lag becomes visible in
+    /// plans.
+    fn snapshot(&self, store: &Store, table: TableId) -> Result<(ProjectionInfo, f64)> {
+        let (proj, delta) = store.scan_snapshot(table)?;
+        let live_inserts = delta.map_or(0, |d| d.num_inserts() - d.insert_deletes().len());
+        Ok((proj, live_inserts as f64 * self.model.constants().fc))
     }
 
     /// Pick an execution order **and** a per-edge inner-table strategy
-    /// for a join tree, priced with [`CostModel::join_tree`]'s chained
+    /// for a join tree of any edge count (a plain join is a one-edge
+    /// tree), priced with [`CostModel::join_tree`]'s chained
     /// intermediate cardinalities and build-reuse discounts.
     ///
-    /// A single-edge tree (a plain join) has one order and is priced
-    /// directly (`choose_single_edge`). For multi-edge trees
-    /// every dependency-respecting order is enumerated exhaustively up
+    /// Every dependency-respecting order is enumerated exhaustively up
     /// to 4 edges; larger trees are planned greedily (smallest estimated
     /// cardinality multiplier first), with the spec order always among
-    /// the candidates. Within an order, each edge's representation is
-    /// chosen independently — an edge's strategy affects its own cost
-    /// but never the chained cardinality, so per-edge minimization is
-    /// globally optimal for that order.
+    /// the candidates. Within an order the composer keeps each edge's
+    /// cheapest representation. Probe CPU divides by the workers the
+    /// pipeline's skew guard allows on the base table, each build's by
+    /// the guard on its inner table, and the shared I/O by neither.
     pub fn choose_join_tree(&self, store: &Store, spec: &JoinTreeSpec) -> Result<JoinTreeChoice> {
         spec.validate()?;
-        if spec.edges.len() == 1 {
-            return self.choose_single_edge(store, &spec.edges[0]);
-        }
-        let probe_workers = FragmentPipeline::effective_workers(
-            store.projection(spec.base())?.num_rows,
-            crate::GRANULE,
-            self.parallelism,
-        );
-
-        // (order, per-edge inners, bushy flags, total cost)
-        type BestPlan = (Vec<usize>, Vec<InnerStrategy>, Vec<bool>, f64);
-        let mut best: Option<BestPlan> = None;
+        let inputs = self.tree_inputs(store, spec)?;
+        let mut best: Option<PricedOrder> = None;
         let mut candidates: Vec<(Vec<usize>, f64)> = Vec::new();
-        for order in self.candidate_orders(store, spec)? {
-            let (inners, bushy, total) = self.price_order(store, spec, &order, probe_workers)?;
-            candidates.push((order.clone(), total));
-            if best.as_ref().is_none_or(|(_, _, _, t)| total < *t) {
-                best = Some((order, inners, bushy, total));
+        for order in Self::candidate_orders(spec, &inputs) {
+            let priced = self.price_order(spec, &inputs, order);
+            let total = priced.tree.total_us();
+            candidates.push((priced.order.clone(), total));
+            if best.as_ref().is_none_or(|b| total < b.tree.total_us()) {
+                best = Some(priced);
             }
         }
-        let (order, inners, bushy, _) = best.expect("at least the spec order is a candidate");
-
-        // Authoritative estimate of the winner via the model's composer,
-        // plus the per-slot alternatives the choice rejected.
-        let mut edge_params = self.tree_edge_params(store, spec, &order, probe_workers)?;
-        let reductions = Self::bushy_setup(spec, &order, &mut edge_params, &bushy);
-        let mut tree = self.model.join_tree_bushy(
-            &edge_params
-                .iter()
-                .zip(&order)
-                .map(|(p, &ei)| JoinTreeEdgeParams {
-                    kind: inners[ei].plan_kind(),
-                    ..*p
-                })
-                .collect::<Vec<_>>(),
-            &reductions,
-        );
-        // Delta-merge surcharge: base inserts probe serially after the
-        // fragments, each inner table's inserts append to its build.
-        // Order-invariant (the same tables participate in every order),
-        // so it is added to the winner's total rather than per candidate.
-        tree.total.cpu_us += self.delta_merge_cpu_us(store, spec.base())
-            + spec
-                .edges
-                .iter()
-                .map(|e| self.delta_merge_cpu_us(store, e.right))
-                .sum::<f64>();
-        let mut edge_alternatives = Vec::with_capacity(order.len());
-        for (slot, p) in edge_params.iter().enumerate() {
-            let mut chained = *p;
-            chained.params.left_key.rows = if slot == 0 {
-                p.params.left_rows()
-            } else {
-                tree.cards[slot - 1]
-            };
-            for r in reductions.iter().filter(|r| r.parent_slot == slot) {
-                chained.params.match_rate *= r.keep_rate.clamp(0.0, 1.0);
-            }
-            edge_alternatives.push(
-                InnerStrategy::ALL
-                    .iter()
-                    .map(|&s| {
-                        (
-                            s,
-                            self.model.hash_join_parallel_with_reuse(
-                                &chained.params,
-                                s.plan_kind(),
-                                chained.build_workers,
-                                chained.probe_workers,
-                                chained.build_reused,
-                            ),
-                        )
-                    })
-                    .collect::<Vec<_>>(),
-            );
-        }
-        let estimate = tree.total;
-        let reused = edge_params.iter().filter(|p| p.build_reused).count();
-        let reuse_note = if reused > 0 {
-            format!(
-                ", {reused} build reuse{}",
-                if reused > 1 { "s" } else { "" }
-            )
-        } else {
-            String::new()
-        };
-        let code_edges = edge_params.iter().filter(|p| p.params.code_keyed).count();
-        let code_note = if code_edges > 0 {
-            format!(
-                ", {code_edges} code-keyed edge{}",
-                if code_edges > 1 { "s" } else { "" }
-            )
-        } else {
-            String::new()
-        };
-        let bushy_edges = bushy.iter().filter(|b| **b).count();
-        let bushy_note = if bushy_edges > 0 {
-            format!(
-                ", {bushy_edges} bushy edge{} (semi-join reduced)",
-                if bushy_edges > 1 { "s" } else { "" }
-            )
-        } else {
-            String::new()
-        };
-        let reason = format!(
-            "analytical model over {} orders: [{}] with [{}] predicted {:.2} ms \
-             (cpu {:.2} + io {:.2}, ~{:.0} rows out{reuse_note}{code_note}{bushy_note})",
-            candidates.len(),
-            order
-                .iter()
-                .map(|e| e.to_string())
-                .collect::<Vec<_>>()
-                .join(" → "),
-            order
-                .iter()
-                .map(|&e| inners[e].name())
-                .collect::<Vec<_>>()
-                .join(", "),
-            estimate.total_ms(),
-            estimate.cpu_us / 1000.0,
-            estimate.io_us / 1000.0,
-            tree.out_rows(),
-        );
+        let best = best.expect("at least the spec order is a candidate");
+        let reason = best.reason(candidates.len());
+        let inners = best.inners();
+        let edge_alternatives = best
+            .tree
+            .alternatives
+            .iter()
+            .map(|alts| alts.iter().map(|&(k, c)| (inner_strategy(k), c)).collect())
+            .collect();
         Ok(JoinTreeChoice {
-            order,
+            order: best.order,
             inners,
-            bushy,
-            estimate,
-            tree,
+            bushy: best.bushy,
+            estimate: best.tree.total,
+            tree: best.tree,
             edge_alternatives,
             candidates,
             reason,
         })
     }
 
-    /// Pick an inner-table representation for a one-edge tree, priced at
-    /// the worker counts the join executor will actually use: the probe
-    /// side spans the **left** table's granules and the partitioned build
-    /// spans the **right** table's, so the pipeline's skew guard is
-    /// applied to each row count separately — probe CPU divides by the
-    /// probe's effective count, build CPU by the build's, and the shared
-    /// I/O by neither. The partitioning pass and the work-stealing
-    /// scheduler's bookkeeping are priced on top
-    /// (`CostModel::hash_join_parallel`).
-    fn choose_single_edge(&self, store: &Store, spec: &JoinSpec) -> Result<JoinTreeChoice> {
-        let params = self.join_params(store, spec)?;
-        let left_rows = store.projection(spec.left)?.num_rows;
-        let right_rows = store.projection(spec.right)?.num_rows;
-        let probe_workers =
-            FragmentPipeline::effective_workers(left_rows, crate::GRANULE, self.parallelism);
-        let build_workers =
-            FragmentPipeline::effective_workers(right_rows, crate::GRANULE, self.parallelism);
-        // The left delta probes serially after the fragments; right
-        // delta keys append to the build. Both are strategy-independent.
-        let delta_cpu =
-            self.delta_merge_cpu_us(store, spec.left) + self.delta_merge_cpu_us(store, spec.right);
-        let alternatives: Vec<(InnerStrategy, CostBreakdown)> = InnerStrategy::ALL
-            .iter()
-            .map(|&s| {
-                let mut cost = self.model.hash_join_parallel(
-                    &params,
-                    s.plan_kind(),
-                    build_workers,
-                    probe_workers,
-                );
-                cost.cpu_us += delta_cpu;
-                (s, cost)
-            })
-            .collect();
-        let &(inner, estimate) = alternatives
-            .iter()
-            .min_by(|a, b| a.1.total_us().total_cmp(&b.1.total_us()))
-            .expect("three join plans always estimable");
-        let mut workers = String::new();
-        if probe_workers > 1 {
-            workers.push_str(&format!(", {probe_workers} probe workers"));
-        }
-        if build_workers > 1 {
-            workers.push_str(&format!(", {build_workers} build workers"));
-        }
-        let code_note = if params.code_keyed {
-            ", code-keyed (shared-dict keys hashed without decoding)"
-        } else {
-            ""
-        };
-        Ok(JoinTreeChoice {
-            order: vec![0],
-            inners: vec![inner],
-            bushy: Vec::new(),
-            estimate,
-            tree: JoinTreeCost {
-                edges: vec![(inner.plan_kind(), estimate)],
-                cards: Vec::new(),
-                total: estimate,
-            },
-            edge_alternatives: vec![alternatives],
-            candidates: vec![(vec![0], estimate.total_us())],
-            reason: format!(
-                "single edge, analytical model: {} predicted {:.2} ms \
-                 (cpu {:.2} + io {:.2}{workers}){code_note}",
-                inner.name(),
-                estimate.total_ms(),
-                estimate.cpu_us / 1000.0,
-                estimate.io_us / 1000.0
-            ),
-        })
-    }
-
     /// Every execution order worth pricing: all dependency-respecting
     /// permutations for small trees, or spec order plus a greedy
     /// smallest-multiplier-first order for large ones.
-    fn candidate_orders(&self, store: &Store, spec: &JoinTreeSpec) -> Result<Vec<Vec<usize>>> {
+    fn candidate_orders(spec: &JoinTreeSpec, inputs: &TreeInputs) -> Vec<Vec<usize>> {
         let n = spec.edges.len();
         if n <= EXHAUSTIVE_ORDER_EDGES {
             let mut orders = Vec::new();
             let mut current = Vec::with_capacity(n);
             let mut placed = vec![false; n];
-            Self::permute_orders(spec, &mut current, &mut placed, &mut orders)?;
-            return Ok(orders);
+            Self::permute_orders(spec, &mut current, &mut placed, &mut orders);
+            return orders;
         }
         // Greedy: repeatedly run the edge that shrinks (or grows) the
         // intermediate least — the standard smallest-intermediate
         // heuristic — among the dependency-eligible ones.
-        let mut multipliers = Vec::with_capacity(n);
-        for ei in 0..n {
-            let p = self.tree_edge_raw_params(store, spec, ei)?;
-            multipliers.push(p.match_rate * p.fanout);
-        }
+        let multiplier = |e: usize| inputs.edges[e].match_rate * inputs.edges[e].fanout;
         let mut greedy = Vec::with_capacity(n);
         let mut placed = vec![false; n];
         while greedy.len() < n {
             let next = (0..n)
                 .filter(|&e| !placed[e] && Self::deps_placed(spec, e, &placed))
-                .min_by(|&a, &b| multipliers[a].total_cmp(&multipliers[b]))
+                .min_by(|&a, &b| multiplier(a).total_cmp(&multiplier(b)))
                 .expect("spec order is dependency-valid, so some edge is eligible");
             placed[next] = true;
             greedy.push(next);
         }
         let spec_order: Vec<usize> = (0..n).collect();
         if greedy == spec_order {
-            Ok(vec![spec_order])
+            vec![spec_order]
         } else {
-            Ok(vec![spec_order, greedy])
+            vec![spec_order, greedy]
         }
     }
 
@@ -427,53 +381,48 @@ impl Planner {
         current: &mut Vec<usize>,
         placed: &mut [bool],
         out: &mut Vec<Vec<usize>>,
-    ) -> Result<()> {
+    ) {
         let n = spec.edges.len();
         if current.len() == n {
             out.push(current.clone());
-            return Ok(());
+            return;
         }
         for e in 0..n {
             if !placed[e] && Self::deps_placed(spec, e, placed) {
                 placed[e] = true;
                 current.push(e);
-                Self::permute_orders(spec, current, placed, out)?;
+                Self::permute_orders(spec, current, placed, out);
                 current.pop();
                 placed[e] = false;
             }
         }
-        Ok(())
     }
 
-    /// Price one execution order: chained cardinalities via the model's
-    /// composer, with each edge's representation chosen independently
-    /// (kind never feeds back into the cardinality chain). For each
-    /// order, every subset of the snowflake edges is additionally tried
-    /// **bushy** — the subset with the lowest total wins, with ties going
-    /// to fewer bushy edges (the reduction is never free, so a useless
-    /// one strictly loses).
+    /// Price one execution order with the model's composer. Every subset
+    /// of the snowflake edges is additionally tried **bushy** — the
+    /// subset with the lowest total wins, with ties going to fewer bushy
+    /// edges (the reduction is never free, so a useless one strictly
+    /// loses).
     fn price_order(
         &self,
-        store: &Store,
         spec: &JoinTreeSpec,
-        order: &[usize],
-        probe_workers: usize,
-    ) -> Result<(Vec<InnerStrategy>, Vec<bool>, f64)> {
-        let base_params = self.tree_edge_params(store, spec, order, probe_workers)?;
+        inputs: &TreeInputs,
+        order: Vec<usize>,
+    ) -> PricedOrder {
+        let left_deep = Self::tree_edge_params(spec, inputs, &order);
         let snowflake: Vec<usize> = (0..spec.edges.len())
             .filter(|&ei| matches!(spec.key_source(ei), Ok(JoinKeySource::Edge(_))))
             .collect();
         // 2^k configurations; beyond the exhaustive cap only the
         // left-deep plan and single-edge reductions are tried.
-        let exhaustive = snowflake.len() <= EXHAUSTIVE_ORDER_EDGES;
-        let configs: Vec<u32> = if exhaustive {
+        let configs: Vec<u32> = if snowflake.len() <= EXHAUSTIVE_ORDER_EDGES {
             (0..(1u32 << snowflake.len())).collect()
         } else {
             std::iter::once(0)
                 .chain((0..snowflake.len() as u32).map(|b| 1 << b))
                 .collect()
         };
-        let mut best: Option<(Vec<InnerStrategy>, Vec<bool>, f64)> = None;
+        let mut best: Option<PricedOrder> = None;
         for mask in configs {
             let bushy: Vec<bool> = if mask == 0 {
                 Vec::new()
@@ -486,56 +435,30 @@ impl Planner {
                 }
                 v
             };
-            let mut edge_params = base_params.clone();
-            let reductions = Self::bushy_setup(spec, order, &mut edge_params, &bushy);
-            // Cards are kind-independent: compose once at any kind.
-            let priced = self.model.join_tree_bushy(&edge_params, &reductions);
-            let mut inners = vec![InnerStrategy::MultiColumn; spec.edges.len()];
-            let mut total = 0.0;
-            for (slot, p) in edge_params.iter().enumerate() {
-                let mut chained = p.params;
-                if slot > 0 {
-                    chained.left_key.rows = priced.cards[slot - 1];
-                }
-                for r in reductions.iter().filter(|r| r.parent_slot == slot) {
-                    chained.match_rate *= r.keep_rate.clamp(0.0, 1.0);
-                }
-                let (kind, cost) = InnerStrategy::ALL
-                    .iter()
-                    .map(|&s| {
-                        (
-                            s,
-                            self.model.hash_join_parallel_with_reuse(
-                                &chained,
-                                s.plan_kind(),
-                                p.build_workers,
-                                p.probe_workers,
-                                p.build_reused,
-                            ),
-                        )
-                    })
-                    .min_by(|a, b| a.1.total_us().total_cmp(&b.1.total_us()))
-                    .expect("three join plans always estimable");
-                inners[order[slot]] = kind;
-                total += cost.total_us();
-            }
-            // The reduction's build-time scan is kind-independent.
-            for r in &reductions {
-                total += r.scan_rows * self.model.constants().fc
-                    / edge_params[r.parent_slot].build_workers.max(1) as f64;
-            }
-            if best.as_ref().is_none_or(|(_, _, t)| total < *t) {
-                best = Some((inners, bushy, total));
+            let mut edges = left_deep.clone();
+            let reductions = Self::bushy_setup(spec, &order, &mut edges, &bushy);
+            let mut tree = self.model.join_tree(&edges, &reductions);
+            tree.total.cpu_us += inputs.delta_cpu;
+            if best
+                .as_ref()
+                .is_none_or(|b| tree.total_us() < b.tree.total_us())
+            {
+                best = Some(PricedOrder {
+                    order: order.clone(),
+                    bushy,
+                    edges,
+                    tree,
+                });
             }
         }
-        Ok(best.expect("the left-deep configuration is always priced"))
+        best.expect("the left-deep configuration is always priced")
     }
 
     /// Fold `bushy` into priced edge params: each bushy child edge is
     /// re-rated at match rate 1.0 (every surviving parent row matches the
     /// reduced table by construction) and a [`BushyReduction`] carries
     /// its original match rate onto the parent's slot. Returns the
-    /// reductions for [`CostModel::join_tree_bushy`].
+    /// reductions for [`CostModel::join_tree`].
     fn bushy_setup(
         spec: &JoinTreeSpec,
         order: &[usize],
@@ -565,148 +488,59 @@ impl Planner {
         reductions
     }
 
-    /// The model inputs for `order`, in execution order: per-edge
-    /// [`JoinParams`] (left rows set for the first edge, chained by the
-    /// model for the rest), skew-guarded worker counts, and build-reuse
-    /// flags for repeated (inner table, key column) pairs.
+    /// The model inputs for `order`, in execution order: the base
+    /// filter's selectivity on the first slot (the model chains the
+    /// probe rows of the rest), the base outputs on the last (whose
+    /// output cardinality is the tree's), and build-reuse flags for
+    /// repeated (inner table, key column) pairs.
     fn tree_edge_params(
-        &self,
-        store: &Store,
         spec: &JoinTreeSpec,
+        inputs: &TreeInputs,
         order: &[usize],
-        probe_workers: usize,
-    ) -> Result<Vec<JoinTreeEdgeParams>> {
+    ) -> Vec<JoinTreeEdgeParams> {
+        let build_key = |ei: usize| (spec.edges[ei].right, spec.edges[ei].right_key);
         let mut out = Vec::with_capacity(order.len());
-        let mut built: Vec<(matstrat_common::TableId, usize)> = Vec::new();
         for (slot, &ei) in order.iter().enumerate() {
-            let edge = &spec.edges[ei];
-            let mut params = self.tree_edge_raw_params(store, spec, ei)?;
+            let mut params = inputs.edges[ei];
             if slot == 0 {
-                // The base filter is applied once, before the first probe
-                // of whatever edge executes first.
-                params.sf = match &spec.edges[0].left_filter {
-                    Some((col, pred)) => {
-                        let base = store.projection(spec.base())?;
-                        Self::selectivity(base.column(*col)?, pred)
-                    }
-                    None => 1.0,
-                };
+                params.sf = inputs.base_sf;
             }
             if slot + 1 == order.len() {
-                // Base output values are fetched once, at the top of the
-                // tree — price them on the last edge, whose output
-                // cardinality is the tree's.
-                let base = store.projection(spec.base())?;
-                params.left_out_cols = spec.edges[0].left_output.len() as f64;
-                params.left_out_blocks = {
-                    let mut total = 0.0;
-                    for &c in &spec.edges[0].left_output {
-                        total += base.column(c)?.stats.num_blocks as f64;
-                    }
-                    total
-                };
+                (params.left_out_cols, params.left_out_blocks) = inputs.base_out;
             }
-            let right_rows = store.projection(edge.right)?.num_rows;
-            let build_workers =
-                FragmentPipeline::effective_workers(right_rows, crate::GRANULE, self.parallelism);
-            let key = (edge.right, edge.right_key);
-            let build_reused = built.contains(&key);
-            built.push(key);
             out.push(JoinTreeEdgeParams {
                 params,
-                kind: matstrat_model::plans::JoinInnerKind::MultiColumn,
-                build_workers,
-                probe_workers,
-                build_reused,
+                build_workers: inputs.build_workers[ei],
+                probe_workers: inputs.probe_workers,
+                build_reused: order[..slot].iter().any(|&e| build_key(e) == build_key(ei)),
             });
         }
-        Ok(out)
+        out
     }
 
-    /// Order-independent [`JoinParams`] for one edge: key column shapes,
-    /// match rate from the key domains' overlap, fan-out from the right
-    /// key's duplication, and the edge's right outputs. `sf` and the
-    /// base outputs are order-dependent and filled by
-    /// [`Self::tree_edge_params`]; no filter selectivity enters here.
-    fn tree_edge_raw_params(
-        &self,
-        store: &Store,
-        spec: &JoinTreeSpec,
-        ei: usize,
-    ) -> Result<JoinParams> {
-        let edge = &spec.edges[ei];
-        let right = store.projection(edge.right)?;
-        let rkey = right.column(edge.right_key)?;
-        let (lkey_params, lkey) = match spec.key_source(ei)? {
-            JoinKeySource::Base => {
-                let base_id = spec.base();
-                let base = store.projection(base_id)?;
-                let col = base.column(edge.left_key)?;
-                (
-                    Self::column_params_for(store, base_id, edge.left_key, col),
-                    col.clone(),
-                )
+    /// Read everything `spec` is priced from, taking one catalog
+    /// snapshot per table. Each edge's order-independent [`JoinParams`]
+    /// carry the key column shapes, the match rate from the key domains'
+    /// overlap, the fan-out from the right key's duplication, and the
+    /// edge's right outputs; `sf` and the base outputs are left at 1.0
+    /// and 0 for [`Self::tree_edge_params`] to place.
+    fn tree_inputs(&self, store: &Store, spec: &JoinTreeSpec) -> Result<TreeInputs> {
+        let mut tables: Vec<(TableId, ProjectionInfo, f64)> = Vec::new();
+        for id in std::iter::once(spec.base()).chain(spec.edges.iter().map(|e| e.right)) {
+            if !tables.iter().any(|t| t.0 == id) {
+                let (proj, delta_cpu) = self.snapshot(store, id)?;
+                tables.push((id, proj, delta_cpu));
             }
-            JoinKeySource::Edge(j) => {
-                let through = spec.edges[j].right;
-                let proj = store.projection(through)?;
-                let col = proj.column(edge.left_key)?;
-                let mut p = Self::column_params_for(store, through, edge.left_key, col);
-                // Snowflake keys indexed out of the through table's
-                // *hash-key* decode cost no I/O — the executor reuses the
-                // `SharedBuild::keys` it already holds. Keying on any
-                // other column makes the executor fetch + decode that
-                // column once at build time, so its blocks stay priced.
-                if spec.edges[j].right_key == edge.left_key {
-                    p.blocks = 0.0;
-                }
-                (p, col.clone())
-            }
-        };
-        let code_eligible = matches!(spec.key_source(ei)?, JoinKeySource::Base)
-            && Self::code_keyed_eligible(&lkey, rkey);
-        let mut params = JoinParams::fk_join(
-            lkey_params,
-            Self::column_params_for(store, edge.right, edge.right_key, rkey),
-            1.0,
-        );
-        params.code_keyed = code_eligible;
-        // Fraction of probe keys inside the right domain, under
-        // uniformity (see `join_params`).
-        let lo = lkey.stats.min.max(rkey.stats.min) as f64;
-        let hi = lkey.stats.max.min(rkey.stats.max) as f64;
-        let l_span = (lkey.stats.max - lkey.stats.min) as f64 + 1.0;
-        params.match_rate = ((hi - lo + 1.0) / l_span).clamp(0.0, 1.0);
-        // A pushed-down inner predicate thins the build at construction
-        // time, exactly like a semi-join reduction: fewer probes match.
-        if let Some((col, pred)) = &edge.right_filter {
-            params.match_rate *= Self::selectivity(right.column(*col)?, pred);
         }
-        // Right-key duplication: matches per matching probe.
-        params.fanout = rkey.stats.num_rows as f64 / rkey.stats.distinct.max(1) as f64;
-        params.left_out_cols = 0.0;
-        params.left_out_blocks = 0.0;
-        params.right_out_cols = edge.right_output.len() as f64;
-        params.right_out_blocks = {
-            let mut total = 0.0;
-            for &c in &edge.right_output {
-                total += right.column(c)?.stats.num_blocks as f64;
-            }
-            total
+        let table = |id: TableId| {
+            let t = tables
+                .iter()
+                .find(|t| t.0 == id)
+                .expect("snapshotted above");
+            (&t.1, t.2)
         };
-        Ok(params)
-    }
-
-    /// Build the model's [`JoinParams`] for an equi-join from catalog
-    /// statistics.
-    pub fn join_params(&self, store: &Store, spec: &JoinSpec) -> Result<JoinParams> {
-        let left = store.projection(spec.left)?;
-        let right = store.projection(spec.right)?;
-        let lkey = left.column(spec.left_key)?;
-        let rkey = right.column(spec.right_key)?;
-        let sf = match &spec.left_filter {
-            Some((col, pred)) => Self::selectivity(left.column(*col)?, pred),
-            None => 1.0,
+        let workers = |proj: &ProjectionInfo| {
+            FragmentPipeline::effective_workers(proj.num_rows, crate::GRANULE, self.parallelism)
         };
         let sum_blocks = |proj: &ProjectionInfo, cols: &[usize]| -> Result<f64> {
             let mut total = 0.0;
@@ -715,29 +549,74 @@ impl Planner {
             }
             Ok(total)
         };
-        let mut params = JoinParams::fk_join(
-            Self::column_params_for(store, spec.left, spec.left_key, lkey),
-            Self::column_params_for(store, spec.right, spec.right_key, rkey),
-            sf,
+
+        let (base, mut delta_cpu) = table(spec.base());
+        let first = &spec.edges[0];
+        let base_sf = match &first.left_filter {
+            Some((col, pred)) => Self::selectivity(base.column(*col)?, pred),
+            None => 1.0,
+        };
+        let base_out = (
+            first.left_output.len() as f64,
+            sum_blocks(base, &first.left_output)?,
         );
-        params.code_keyed = Self::code_keyed_eligible(lkey, rkey);
-        // Fraction of surviving left keys that land inside the right
-        // key's min/max domain, under uniformity — 1.0 for a clean FK
-        // join, < 1 when left keys overhang the right domain.
-        let lo = lkey.stats.min.max(rkey.stats.min) as f64;
-        let hi = lkey.stats.max.min(rkey.stats.max) as f64;
-        let l_span = (lkey.stats.max - lkey.stats.min) as f64 + 1.0;
-        params.match_rate = ((hi - lo + 1.0) / l_span).clamp(0.0, 1.0);
-        // A pushed-down inner predicate thins the build at construction
-        // time: fewer probes match.
-        if let Some((col, pred)) = &spec.right_filter {
-            params.match_rate *= Self::selectivity(right.column(*col)?, pred);
+        let mut edges = Vec::with_capacity(spec.edges.len());
+        let mut build_workers = Vec::with_capacity(spec.edges.len());
+        for (ei, edge) in spec.edges.iter().enumerate() {
+            let (right, right_delta) = table(edge.right);
+            delta_cpu += right_delta;
+            build_workers.push(workers(right));
+            let rkey = right.column(edge.right_key)?;
+            let source = spec.key_source(ei)?;
+            let (left_table, hash_key) = match source {
+                JoinKeySource::Base => (spec.base(), None),
+                JoinKeySource::Edge(j) => (spec.edges[j].right, Some(spec.edges[j].right_key)),
+            };
+            let lkey = table(left_table).0.column(edge.left_key)?;
+            let mut lkey_params = Self::column_params_for(store, left_table, edge.left_key, lkey);
+            // Snowflake keys indexed out of the through table's
+            // *hash-key* decode cost no I/O — the executor reuses the
+            // `SharedBuild::keys` it already holds. Keying on any other
+            // column makes the executor fetch + decode that column once
+            // at build time, so its blocks stay priced.
+            if hash_key == Some(edge.left_key) {
+                lkey_params.blocks = 0.0;
+            }
+            let mut params = JoinParams::fk_join(
+                lkey_params,
+                Self::column_params_for(store, edge.right, edge.right_key, rkey),
+                1.0,
+            );
+            params.code_keyed =
+                source == JoinKeySource::Base && Self::code_keyed_eligible(lkey, rkey);
+            // Fraction of probe keys that land inside the right key's
+            // min/max domain, under uniformity — 1.0 for a clean FK join,
+            // < 1 when left keys overhang the right domain.
+            let lo = lkey.stats.min.max(rkey.stats.min) as f64;
+            let hi = lkey.stats.max.min(rkey.stats.max) as f64;
+            let l_span = (lkey.stats.max - lkey.stats.min) as f64 + 1.0;
+            params.match_rate = ((hi - lo + 1.0) / l_span).clamp(0.0, 1.0);
+            // A pushed-down inner predicate thins the build at construction
+            // time, exactly like a semi-join reduction: fewer probes match.
+            if let Some((col, pred)) = &edge.right_filter {
+                params.match_rate *= Self::selectivity(right.column(*col)?, pred);
+            }
+            // Right-key duplication: matches per matching probe.
+            params.fanout = rkey.stats.num_rows as f64 / rkey.stats.distinct.max(1) as f64;
+            params.left_out_cols = 0.0;
+            params.left_out_blocks = 0.0;
+            params.right_out_cols = edge.right_output.len() as f64;
+            params.right_out_blocks = sum_blocks(right, &edge.right_output)?;
+            edges.push(params);
         }
-        params.left_out_cols = spec.left_output.len() as f64;
-        params.left_out_blocks = sum_blocks(&left, &spec.left_output)?;
-        params.right_out_cols = spec.right_output.len() as f64;
-        params.right_out_blocks = sum_blocks(&right, &spec.right_output)?;
-        Ok(params)
+        Ok(TreeInputs {
+            edges,
+            build_workers,
+            probe_workers: workers(base),
+            base_sf,
+            base_out,
+            delta_cpu,
+        })
     }
 
     /// Whether a hash join over these two key columns can run in the
@@ -853,6 +732,7 @@ impl Planner {
         &self,
         store: &Store,
         proj: &ProjectionInfo,
+        delta_cpu: f64,
         q: &QuerySpec,
     ) -> Result<PlanChoice> {
         let params = self.query_params(store, q)?;
@@ -863,13 +743,9 @@ impl Planner {
         // threads that never spawn and the plan choice can flip wrongly.
         let effective =
             FragmentPipeline::effective_workers(proj.num_rows, crate::GRANULE, self.parallelism);
-        let delta_cpu = self.delta_merge_cpu_us(store, q.table);
         let mut alternatives = Vec::new();
         for s in Strategy::ALL {
-            if let Some(mut cost) = self
-                .model
-                .estimate_parallel(s.plan_kind(), &params, effective)
-            {
+            if let Some(mut cost) = self.model.estimate(s.plan_kind(), &params, effective) {
                 cost.cpu_us += delta_cpu;
                 alternatives.push((s, cost));
             }
@@ -969,17 +845,11 @@ impl Default for Planner {
     }
 }
 
-/// Convenience: estimated number of distinct groups for an aggregation.
-pub fn estimated_groups(proj: &ProjectionInfo, group_col: usize) -> Value {
-    proj.column(group_col)
-        .map(|c| c.stats.distinct as Value)
-        .unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use matstrat_common::Predicate;
+    use crate::ops::join::JoinSpec;
+    use matstrat_common::{Predicate, Value};
     use matstrat_storage::{ProjectionSpec, SortOrder as So, Store};
 
     /// lineitem-shaped projection: retflag (3 values, primary, RLE),
@@ -1139,6 +1009,13 @@ mod tests {
             .unwrap()
     }
 
+    /// The model inputs the planner prices `spec`'s one-edge tree with.
+    fn one_edge_params(planner: &Planner, store: &Store, spec: &JoinSpec) -> JoinParams {
+        let tree = JoinTreeSpec::new(vec![spec.clone()]);
+        let inputs = planner.tree_inputs(store, &tree).unwrap();
+        Planner::tree_edge_params(&tree, &inputs, &[0])[0].params
+    }
+
     /// orders(custkey FK, shipdate) ⋈ customer(custkey PK, nation), with
     /// `left_granules` granules of left rows.
     fn join_setup(left_granules: u64) -> (Store, JoinSpec) {
@@ -1195,15 +1072,16 @@ mod tests {
             choice.reason
         );
         // The FK-shaped params came out of the catalog sensibly.
-        let params = planner.join_params(&store, &spec).unwrap();
+        let params = one_edge_params(&planner, &store, &spec);
         assert_eq!(params.left_rows(), crate::GRANULE as f64);
         assert_eq!(params.right_rows(), 500.0);
         assert!((params.sf - 0.5).abs() < 0.01, "sf = {}", params.sf);
         assert!((params.match_rate - 1.0).abs() < 1e-9);
     }
 
-    #[test]
-    fn code_keyed_join_is_detected_priced_cheaper_and_reported() {
+    /// Both join keys dictionary-encoded against one shared dictionary
+    /// over the same 10-value domain: a code-keyed join.
+    fn code_keyed_setup() -> (Store, JoinSpec) {
         let store = Store::in_memory();
         let n = crate::GRANULE as usize;
         let lk: Vec<Value> = (0..n).map(|i| ((i as Value * 7) % 10) * 10).collect();
@@ -1236,8 +1114,14 @@ mod tests {
             left_output: vec![1],
             right_output: vec![1],
         };
+        (store, spec)
+    }
+
+    #[test]
+    fn code_keyed_join_is_detected_priced_cheaper_and_reported() {
+        let (store, spec) = code_keyed_setup();
         let planner = Planner::default();
-        let params = planner.join_params(&store, &spec).unwrap();
+        let params = one_edge_params(&planner, &store, &spec);
         assert!(params.code_keyed, "shared-dict keys over one domain");
         // 10 distinct values → 1-byte codes on both sides.
         assert!((params.left_key.code_width - 1.0).abs() < 1e-9);
@@ -1256,15 +1140,15 @@ mod tests {
         value_params.code_keyed = false;
         let model = planner.model();
         for (s, _) in &choice.edge_alternatives[0] {
-            let coded = model.hash_join_parallel(&params, s.plan_kind(), 1, 1);
-            let plain = model.hash_join_parallel(&value_params, s.plan_kind(), 1, 1);
+            let coded = model.hash_join(&params, s.plan_kind(), 1, 1, false);
+            let plain = model.hash_join(&value_params, s.plan_kind(), 1, 1, false);
             assert!(coded.cpu_us < plain.cpu_us, "{s:?}");
             assert!((coded.io_us - plain.io_us).abs() < 1e-9, "{s:?}");
         }
         // Keying on a plain column disables the code path.
         let mut vspec = spec;
         vspec.left_key = 1;
-        assert!(!planner.join_params(&store, &vspec).unwrap().code_keyed);
+        assert!(!one_edge_params(&planner, &store, &vspec).code_keyed);
     }
 
     #[test]
@@ -1281,13 +1165,13 @@ mod tests {
         let c8 = one_edge(&eight, &store, &spec);
         assert!(c8.reason.contains("4 probe workers"), "{}", c8.reason);
         assert!(!c8.reason.contains("build workers"), "{}", c8.reason);
-        let params = serial.join_params(&store, &spec).unwrap();
+        let params = one_edge_params(&serial, &store, &spec);
         let model = serial.model();
         for ((s1, e1), (s8, e8)) in c1.edge_alternatives[0].iter().zip(&c8.edge_alternatives[0]) {
             assert_eq!(s1, s8);
-            let cost = model.hash_join(&params, s1.plan_kind());
-            let expect = cost.build.cpu_us + cost.probe.cpu_us / 4.0 + model.steal_overhead(4);
-            assert!((e8.cpu_us - expect).abs() < 1e-6, "{s1:?}");
+            // Serial build, probe CPU over 4, plus the probe scheduler.
+            let expect = model.hash_join(&params, s1.plan_kind(), 1, 4, false);
+            assert!((e8.cpu_us - expect.cpu_us).abs() < 1e-6, "{s1:?}");
             assert!((e8.io_us - e1.io_us).abs() < 1e-9, "{s1:?}: io shared");
             assert!(e8.cpu_us < e1.cpu_us, "{s1:?}");
         }
@@ -1340,11 +1224,11 @@ mod tests {
             "{}",
             c2.reason
         );
-        let params = serial.join_params(&store, &spec).unwrap();
+        let params = one_edge_params(&serial, &store, &spec);
         let model = serial.model();
         for ((s1, e1), (s2, e2)) in c1.edge_alternatives[0].iter().zip(&c2.edge_alternatives[0]) {
             assert_eq!(s1, s2);
-            let expect = model.hash_join_parallel(&params, s1.plan_kind(), 2, 2);
+            let expect = model.hash_join(&params, s1.plan_kind(), 2, 2, false);
             assert!((e2.cpu_us - expect.cpu_us).abs() < 1e-6, "{s1:?}");
             assert!((e2.io_us - e1.io_us).abs() < 1e-9, "{s1:?}: io shared");
             assert!(e2.cpu_us < e1.cpu_us, "{s1:?}: both phases shrink");
@@ -1437,13 +1321,13 @@ mod tests {
     #[test]
     fn single_edge_tree_is_priced_as_one_parallel_hash_join() {
         // A one-edge tree has one order: its alternatives are exactly the
-        // model's `hash_join_parallel` over the join's catalog params at
+        // model's `hash_join` over the join's catalog params at
         // the per-table effective worker counts, and the pick, estimate,
         // tree total, and sole candidate all agree on the cheapest.
         let (store, spec) = join_setup(2);
         let planner = Planner::default();
         let tree = one_edge(&planner, &store, &spec);
-        let params = planner.join_params(&store, &spec).unwrap();
+        let params = one_edge_params(&planner, &store, &spec);
         let workers = |t| {
             let rows = store.projection(t).unwrap().num_rows;
             FragmentPipeline::effective_workers(rows, crate::GRANULE, planner.parallelism())
@@ -1454,7 +1338,7 @@ mod tests {
         for (s, cost) in &tree.edge_alternatives[0] {
             let want = planner
                 .model()
-                .hash_join_parallel(&params, s.plan_kind(), build, probe);
+                .hash_join(&params, s.plan_kind(), build, probe, false);
             assert_eq!(*cost, want, "{s:?}");
         }
         let &(best, best_cost) = tree.edge_alternatives[0]
@@ -1465,7 +1349,6 @@ mod tests {
         assert_eq!(tree.estimate, best_cost);
         assert_eq!(tree.tree.total, best_cost);
         assert_eq!(tree.candidates, vec![(vec![0], best_cost.total_us())]);
-        assert!(tree.reason.starts_with("single edge"), "{}", tree.reason);
     }
 
     #[test]
@@ -1536,16 +1419,14 @@ mod tests {
         let choice = planner.choose_join_tree(&store, &spec).unwrap();
         assert!(choice.reason.contains("build reuse"), "{}", choice.reason);
         // Whichever order won, its second slot reuses the first's build.
-        let params = planner
-            .tree_edge_params(&store, &spec, &choice.order, 1)
-            .unwrap();
+        let inputs = planner.tree_inputs(&store, &spec).unwrap();
+        let params = Planner::tree_edge_params(&spec, &inputs, &choice.order);
         assert!(!params[0].build_reused && params[1].build_reused);
     }
 
-    #[test]
-    fn choose_join_tree_respects_snowflake_dependencies() {
-        // customer → nation snowflake: nation can never execute before
-        // customer, in any candidate order.
+    /// `tree_setup(1)` plus a customer → nation snowflake hop keyed on
+    /// customer.nation (not the column customer is hashed on).
+    fn snowflake_setup() -> (Store, JoinTreeSpec) {
         let (store, mut spec) = tree_setup(1);
         let customer = spec.edges[0].right;
         let nk: Vec<Value> = (0..25).collect();
@@ -1568,6 +1449,14 @@ mod tests {
             left_output: vec![],
             right_output: vec![1],
         });
+        (store, spec)
+    }
+
+    #[test]
+    fn choose_join_tree_respects_snowflake_dependencies() {
+        // customer → nation snowflake: nation can never execute before
+        // customer, in any candidate order.
+        let (store, spec) = snowflake_setup();
         let planner = Planner::default();
         let choice = planner.choose_join_tree(&store, &spec).unwrap();
         // 3 edges, one dependency (2 after 0): 3 valid orders, not 6.
@@ -1581,7 +1470,7 @@ mod tests {
         // column customer was hashed on (col 0): the executor will fetch
         // and decode that column at build time, so the planner must keep
         // its blocks priced — only a hash-key-aligned hop is free.
-        let p2 = planner.tree_edge_raw_params(&store, &spec, 2).unwrap();
+        let p2 = planner.tree_inputs(&store, &spec).unwrap().edges[2];
         assert!(
             p2.left_key.blocks > 0.0,
             "non-hash-key snowflake key I/O priced"
@@ -1589,8 +1478,148 @@ mod tests {
         // A hop aligned with the hash key prices as zero-I/O.
         let mut aligned = spec.clone();
         aligned.edges[2].left_key = 0;
-        let p2 = planner.tree_edge_raw_params(&store, &aligned, 2).unwrap();
+        let p2 = planner.tree_inputs(&store, &aligned).unwrap().edges[2];
         assert_eq!(p2.left_key.blocks, 0.0, "hash-key hop reuses the decode");
+    }
+
+    #[test]
+    fn one_edge_join_reports_its_cardinality_and_fanout() {
+        // orders ⋈ date, where every datekey appears twice: a plain join
+        // is priced like the same edge leading a longer tree — fan-out 2,
+        // and the chained card is its reported output.
+        let (store, star) = tree_setup(1);
+        let mut date_edge = star.edges[1].clone();
+        date_edge.left_filter = Some((0, Predicate::lt(125)));
+        let planner = Planner::with_parallelism(Constants::host_defaults(), 1);
+        let params = one_edge_params(&planner, &store, &date_edge);
+        assert_eq!(params.fanout, 2.0);
+        let plain = one_edge(&planner, &store, &date_edge);
+        let want = params.left_rows() * params.sf * params.match_rate * 2.0;
+        assert!(want > 0.0);
+        assert!(
+            (plain.tree.out_rows() - want).abs() < 1e-9 * want,
+            "{} vs {want}",
+            plain.tree.out_rows()
+        );
+        let mut customer_edge = star.edges[0].clone();
+        customer_edge.left_filter = None;
+        let tree = JoinTreeSpec::new(vec![date_edge, customer_edge]);
+        let inputs = planner.tree_inputs(&store, &tree).unwrap();
+        let led = planner.price_order(&tree, &inputs, vec![0, 1]);
+        assert_eq!(led.tree.cards[0], plain.tree.out_rows());
+    }
+
+    /// Delta-surcharge rule: `edge_alternatives` never carry it, and the
+    /// estimate is the chosen slot costs plus bushy-reduction scans plus
+    /// the surcharge.
+    fn assert_surcharge_rule(planner: &Planner, store: &Store, spec: &JoinTreeSpec) {
+        let choice = planner.choose_join_tree(store, spec).unwrap();
+        let inputs = planner.tree_inputs(store, spec).unwrap();
+        assert!(inputs.delta_cpu > 0.0, "the fixture has live inserts");
+        let mut edges = Planner::tree_edge_params(spec, &inputs, &choice.order);
+        let reductions = Planner::bushy_setup(spec, &choice.order, &mut edges, &choice.bushy);
+        let mut want = CostBreakdown::default();
+        for (slot, alts) in choice.edge_alternatives.iter().enumerate() {
+            let kind = choice.inners[choice.order[slot]];
+            let (_, cost) = *alts.iter().find(|(s, _)| *s == kind).unwrap();
+            // Alternatives are the bare joins at the chained cardinality.
+            let mut p = edges[slot].params;
+            if slot > 0 {
+                p.left_key.rows = choice.tree.cards[slot - 1];
+            }
+            for r in reductions.iter().filter(|r| r.parent_slot == slot) {
+                p.match_rate *= r.keep_rate;
+            }
+            let e = &edges[slot];
+            let bare = planner.model().hash_join(
+                &p,
+                kind.plan_kind(),
+                e.build_workers,
+                e.probe_workers,
+                e.build_reused,
+            );
+            assert_eq!(cost, bare, "slot {slot}");
+            want.cpu_us += cost.cpu_us;
+            want.io_us += cost.io_us;
+        }
+        for r in &reductions {
+            want.cpu_us += r.scan_rows * planner.model().constants().fc
+                / edges[r.parent_slot].build_workers as f64;
+        }
+        want.cpu_us += inputs.delta_cpu;
+        assert_eq!(choice.estimate, choice.tree.total);
+        assert!((choice.estimate.cpu_us - want.cpu_us).abs() < 1e-9 * want.cpu_us);
+        assert_eq!(choice.estimate.io_us, want.io_us);
+        let (_, pick) = choice
+            .candidates
+            .iter()
+            .find(|(o, _)| *o == choice.order)
+            .unwrap();
+        assert_eq!(*pick, choice.estimate.total_us());
+    }
+
+    #[test]
+    fn delta_surcharge_is_in_the_total_never_in_alternatives() {
+        let planner = Planner::with_parallelism(Constants::host_defaults(), 1);
+        let (store, spec) = join_setup(1);
+        store
+            .insert_rows(spec.left, &[vec![3, 7], vec![4, 8]])
+            .unwrap();
+        assert_surcharge_rule(&planner, &store, &JoinTreeSpec::new(vec![spec]));
+
+        let (store, spec) = snowflake_setup();
+        assert_eq!(spec.edges.len(), 3);
+        store.insert_rows(spec.base(), &[vec![1, 2, 3]]).unwrap();
+        store
+            .insert_rows(spec.edges[1].right, &[vec![5, 6], vec![7, 8]])
+            .unwrap();
+        assert_surcharge_rule(&planner, &store, &spec);
+    }
+
+    #[test]
+    fn plan_picks_are_pinned() {
+        // (order, inners, bushy, estimate µs) for fixed fixtures, recorded
+        // before the join pricing paths were unified: every join here has
+        // a unique right key, so the one composer must pick and price
+        // exactly as the per-shape paths did.
+        let at = |workers| Planner::with_parallelism(Constants::host_defaults(), workers);
+        let mut got = Vec::new();
+        for (granules, workers) in [(1, 1), (1, 8), (2, 1), (2, 8)] {
+            let (store, spec) = join_setup(granules);
+            got.push(one_edge(&at(workers), &store, &spec));
+        }
+        for workers in [1, 8] {
+            let (store, spec) = tree_setup(2);
+            got.push(at(workers).choose_join_tree(&store, &spec).unwrap());
+            let (store, spec) = code_keyed_setup();
+            got.push(one_edge(&at(workers), &store, &spec));
+            let (store, spec) = snowflake_setup();
+            got.push(at(workers).choose_join_tree(&store, &spec).unwrap());
+        }
+        use InnerStrategy::Materialized as M;
+        let want: [(&[usize], &[InnerStrategy], f64); 10] = [
+            (&[0], &[M], 3.5166316e4),
+            (&[0], &[M], 3.5166316e4),
+            (&[0], &[M], 5.6277051999999996e4),
+            (&[0], &[M], 4.9166584e4),
+            (&[0, 1], &[M, M], 7.8810556e4),
+            (&[0], &[M], 4.28224215e4),
+            (&[0, 2, 1], &[M, M, M], 6.4997547e4),
+            (&[0, 1], &[M, M], 6.9193594e4),
+            (&[0], &[M], 4.28224215e4),
+            (&[0, 2, 1], &[M, M, M], 6.4997547e4),
+        ];
+        for (i, (c, (order, inners, total))) in got.iter().zip(want).enumerate() {
+            assert_eq!(c.order, order, "fixture {i}");
+            assert_eq!(c.inners, inners, "fixture {i}");
+            assert!(c.bushy.is_empty(), "fixture {i}: left-deep");
+            let rel = (c.estimate.total_us() - total).abs() / total;
+            assert!(
+                rel < 1e-12,
+                "fixture {i}: {} vs {total}",
+                c.estimate.total_us()
+            );
+        }
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! four strategies of §3.5. [`CostModel`] composes the per-operator
 //! formulas of [`crate::ops`] into end-to-end estimates; these are the
 //! curves of Figure 10, and the decision procedure the paper's §6
-//! suggests embedding in an optimizer.
+//! suggests embedding in an optimizer. The §4.3 join is priced the same
+//! way: [`CostModel::hash_join`] for one join, [`CostModel::join_tree`]
+//! for a tree of them.
 
 use crate::constants::Constants;
 use crate::ops::{and_cost, ds1, ds1_code, ds2, ds3, ds4, merge_cost, spc, AndInput, ColumnParams};
@@ -319,17 +321,6 @@ impl CostModel {
         Some(cost)
     }
 
-    /// Price one plan; `None` when the plan is unsupported for the
-    /// parameters.
-    pub fn estimate(&self, kind: PlanKind, q: &QueryParams) -> Option<CostBreakdown> {
-        match kind {
-            PlanKind::EmPipelined => Some(self.em_pipelined(q)),
-            PlanKind::EmParallel => Some(self.em_parallel(q)),
-            PlanKind::LmPipelined => self.lm_pipelined(q),
-            PlanKind::LmParallel => Some(self.lm_parallel(q)),
-        }
-    }
-
     /// CPU the work-stealing scheduler itself burns at `workers`
     /// granule-parallel threads: every worker performs about
     /// [`SCHED_CHUNKS_PER_WORKER`] chunk claims (own-span head claims
@@ -344,77 +335,30 @@ impl CostModel {
         }
     }
 
-    /// Price one plan as executed by `workers` granule-parallel threads
-    /// under the work-stealing scheduler (CPU divides, I/O does not, and
-    /// the scheduler's claim/steal bookkeeping is added on top); `None`
-    /// when the plan is unsupported for the parameters.
-    pub fn estimate_parallel(
+    /// Price one strategy plan as executed by `workers` granule-parallel
+    /// threads under the work-stealing scheduler: CPU divides, I/O does
+    /// not, and the scheduler's claim/steal bookkeeping is added on top.
+    /// `workers = 1` is the serial plan exactly. `None` when the plan is
+    /// unsupported for the parameters.
+    pub fn estimate(
         &self,
         kind: PlanKind,
         q: &QueryParams,
         workers: usize,
     ) -> Option<CostBreakdown> {
-        self.estimate(kind, q).map(|c| {
-            let mut c = c.with_workers(workers);
-            c.cpu_us += self.steal_overhead(workers);
-            c
-        })
+        let serial = match kind {
+            PlanKind::EmPipelined => self.em_pipelined(q),
+            PlanKind::EmParallel => self.em_parallel(q),
+            PlanKind::LmPipelined => self.lm_pipelined(q)?,
+            PlanKind::LmParallel => self.lm_parallel(q),
+        };
+        let mut cost = serial.with_workers(workers);
+        cost.cpu_us += self.steal_overhead(workers);
+        Some(cost)
     }
 
-    /// The cheapest supported plan — the §6 optimizer decision.
-    pub fn best_plan(&self, q: &QueryParams) -> (PlanKind, CostBreakdown) {
-        self.best_plan_parallel(q, 1)
-    }
-
-    /// The cheapest supported plan at the given worker count. Parallelism
-    /// shrinks only the CPU term, so the winner can differ from the
-    /// serial choice: CPU-bound LM plans gain the most, I/O-dominated
-    /// plans keep their floor.
-    pub fn best_plan_parallel(&self, q: &QueryParams, workers: usize) -> (PlanKind, CostBreakdown) {
-        PlanKind::ALL
-            .iter()
-            .filter_map(|&k| self.estimate_parallel(k, q, workers).map(|c| (k, c)))
-            .min_by(|a, b| a.1.total_us().total_cmp(&b.1.total_us()))
-            .expect("EM plans are always supported")
-    }
-
-    /// Price a hash join under the chosen inner-table representation.
-    ///
-    /// * **Build** (span- and column-parallel): read the right key
-    ///   column fully, decode it, and hash every row into the
-    ///   partitioned table. `Materialized` additionally decodes every
-    ///   right output column and constructs the full right tuples up
-    ///   front; the other representations ship the output columns
-    ///   compressed (their blocks are still read at build time — all
-    ///   three representations touch the same blocks, as the executor
-    ///   does).
-    /// * **Probe** (span-parallel): read the left key and output columns,
-    ///   probe the table once per surviving left row, fetch left values
-    ///   with a merge on the sorted positions, and fetch right values per
-    ///   representation: an array index for `Materialized`, a positional
-    ///   probe into the compressed mini-columns for `MultiColumn`, and
-    ///   the Figure 13 positional-join penalty (sort + gather + scatter
-    ///   over the *unsorted* right positions) for `SingleColumn`.
-    pub fn hash_join(&self, q: &JoinParams, kind: JoinInnerKind) -> JoinCost {
-        self.hash_join_with_reuse(q, kind, false)
-    }
-
-    /// [`Self::hash_join`] with the build-reuse discount the join-tree
-    /// executor earns: when `build_reused` is set, the partitioned hash
-    /// table on the right key already exists (built by an earlier edge of
-    /// the same tree probing the same inner table), so the key-column
-    /// scan, its cold I/O, and the per-row hash inserts all drop out of
-    /// the build phase. The right output *representations* are still
-    /// priced — an edge may project different columns than the edge that
-    /// built the table — which makes the discount conservative when the
-    /// projections coincide (the executor's second fetch is then served
-    /// by the buffer pool).
-    pub fn hash_join_with_reuse(
-        &self,
-        q: &JoinParams,
-        kind: JoinInnerKind,
-        build_reused: bool,
-    ) -> JoinCost {
+    /// The serial build and probe phases [`Self::hash_join`] prices.
+    fn join_phases(&self, q: &JoinParams, kind: JoinInnerKind, build_reused: bool) -> JoinCost {
         let c = &self.constants;
         let out = q.out_rows();
 
@@ -480,10 +424,34 @@ impl CostModel {
         JoinCost { build, probe }
     }
 
-    /// Price a join as executed with `build_workers` build threads and
-    /// `probe_workers` probe threads: build CPU divides by the build
-    /// count, probe CPU by the probe count, I/O is shared by all. On top
-    /// of the division the parallel machinery itself is priced:
+    /// Price a hash join under the chosen inner-table representation,
+    /// as executed with `build_workers` build threads and `probe_workers`
+    /// probe threads.
+    ///
+    ///
+    /// * **Build** (span- and column-parallel): read the right key
+    ///   column fully, decode it, and hash every row into the
+    ///   partitioned table. `Materialized` additionally decodes every
+    ///   right output column and constructs the full right tuples up
+    ///   front; the other representations ship the output columns
+    ///   compressed (their blocks are still read at build time — all
+    ///   three representations touch the same blocks, as the executor
+    ///   does). A `build_reused` table already exists (an earlier edge
+    ///   of the same tree built it on the same inner table and key), so
+    ///   the key-column scan, its cold I/O and the hash inserts drop
+    ///   out; the right output representations are still priced, since
+    ///   an edge may project other columns than the edge that built it.
+    /// * **Probe** (span-parallel): read the left key and output columns,
+    ///   probe the table once per surviving left row, fetch left values
+    ///   with a merge on the sorted positions, and fetch right values per
+    ///   representation: an array index for `Materialized`, a positional
+    ///   probe into the compressed mini-columns for `MultiColumn`, and
+    ///   the Figure 13 positional-join penalty (sort + gather + scatter
+    ///   over the *unsorted* right positions) for `SingleColumn`.
+    ///
+    /// Build CPU divides by the build count, probe CPU by the probe
+    /// count, I/O is shared by all. On top of the division the parallel
+    /// machinery itself is priced:
     ///
     /// * **Radix partitioning** (`build_workers > 1`) — the partitioned
     ///   build hashes and scatters every right row once more than the
@@ -492,24 +460,14 @@ impl CostModel {
     ///   hash (`FC`, parallel across probe workers).
     /// * **Scheduler bookkeeping** — each parallel phase pays the
     ///   work-stealing claim overhead ([`Self::steal_overhead`]).
-    pub fn hash_join_parallel(
-        &self,
-        q: &JoinParams,
-        kind: JoinInnerKind,
-        build_workers: usize,
-        probe_workers: usize,
-    ) -> CostBreakdown {
-        self.hash_join_parallel_with_reuse(q, kind, build_workers, probe_workers, false)
-    }
-
-    /// [`Self::hash_join_parallel`] with the build-reuse discount
-    /// ([`Self::hash_join_with_reuse`]). A reused build additionally
-    /// skips the radix scatter pass and the build phase's scheduler
-    /// bookkeeping — no build pipeline runs at all — while the probe
-    /// still pays its per-row partition hash when the *cached* table was
-    /// built partitioned (`build_workers > 1` describes how the table
-    /// was built, whether by this edge or the one it reuses).
-    pub fn hash_join_parallel_with_reuse(
+    ///
+    /// A `build_reused` join runs no build pipeline at all: it skips the
+    /// radix scatter and the build phase's scheduler bookkeeping, while
+    /// the probe still pays its per-row partition hash when the cached
+    /// table was built partitioned (`build_workers > 1` describes how
+    /// the table was built, whether by this edge or the one it reuses).
+    /// At one worker each and no reuse this is the serial join.
+    pub fn hash_join(
         &self,
         q: &JoinParams,
         kind: JoinInnerKind,
@@ -519,7 +477,7 @@ impl CostModel {
     ) -> CostBreakdown {
         let c = &self.constants;
         let mut cost = self
-            .hash_join_with_reuse(q, kind, build_reused)
+            .join_phases(q, kind, build_reused)
             .with_workers(build_workers, probe_workers);
         if build_workers > 1 {
             if !build_reused {
@@ -534,60 +492,44 @@ impl CostModel {
         cost
     }
 
-    /// The cheapest inner-table representation at the given worker
-    /// counts.
-    pub fn best_join_plan(
-        &self,
-        q: &JoinParams,
-        build_workers: usize,
-        probe_workers: usize,
-    ) -> (JoinInnerKind, CostBreakdown) {
-        JoinInnerKind::ALL
-            .iter()
-            .map(|&k| {
-                (
-                    k,
-                    self.hash_join_parallel(q, k, build_workers, probe_workers),
-                )
-            })
-            .min_by(|a, b| a.1.total_us().total_cmp(&b.1.total_us()))
-            .expect("three plans are always estimable")
-    }
-
-    /// Price a left-deep join tree: the edges execute in slice order,
-    /// each probing the running intermediate with the hash table built
-    /// (or reused) on its inner table.
+    /// Price a join tree whose edges execute in slice order, each probing
+    /// the running intermediate with the hash table built (or reused) on
+    /// its inner table, and pick each edge's cheapest inner-table
+    /// representation.
     ///
     /// The composition is where multi-way pricing differs from summing
     /// independent joins: each edge's probe-side row count is **rewritten
     /// to the previous edge's estimated output cardinality** (`left_rows
     /// × sf × match_rate × fanout`, chained), so a plan that shrinks the
     /// intermediate early makes every later probe cheaper — the quantity
-    /// edge ordering optimizes. Edges flagged `build_reused` take the
-    /// [`Self::hash_join_parallel_with_reuse`] discount.
-    pub fn join_tree(&self, edges: &[JoinTreeEdgeParams]) -> JoinTreeCost {
-        self.join_tree_bushy(edges, &[])
-    }
-
-    /// [`Self::join_tree`] with **bushy** semi-join reductions applied: a
-    /// dimension subtree built ahead of its parent thins the parent's
-    /// hash table, so the parent edge's match rate drops by the child's
-    /// `keep_rate` — the intermediate shrinks one edge *earlier* than the
-    /// left-deep chain would shrink it. (The caller re-rates the bushy
-    /// child edge itself at match rate 1.0, so the final cardinality is
-    /// unchanged — bushiness moves where rows die, never how many.)
-    /// Applying a reduction is not free: the parent's build additionally
-    /// probes the child's table once per parent row (`FC` each, across
-    /// the build workers).
-    pub fn join_tree_bushy(
+    /// edge ordering optimizes. All three representations are priced at
+    /// that chained cardinality and the cheapest is kept per slot: the
+    /// representation changes an edge's own cost but never the
+    /// cardinality it passes on, so per-slot minimization is optimal for
+    /// the order.
+    ///
+    /// **Bushy** semi-join `reductions` thin a parent edge's hash table:
+    /// the dimension subtree is built ahead of its parent, so the parent
+    /// edge's match rate drops by the child's `keep_rate` — the
+    /// intermediate shrinks one edge *earlier* than the left-deep chain
+    /// would shrink it. (The caller re-rates the bushy child edge itself
+    /// at match rate 1.0, so the final cardinality is unchanged —
+    /// bushiness moves where rows die, never how many.) Applying a
+    /// reduction is not free: the parent's build additionally probes the
+    /// child's table once per parent row (`FC` each, across the build
+    /// workers), which is added to the parent slot's chosen cost.
+    pub fn join_tree(
         &self,
         edges: &[JoinTreeEdgeParams],
         reductions: &[BushyReduction],
     ) -> JoinTreeCost {
         let c = &self.constants;
-        let mut per_edge = Vec::with_capacity(edges.len());
-        let mut cards = Vec::with_capacity(edges.len());
-        let mut total = CostBreakdown::default();
+        let mut tree = JoinTreeCost {
+            edges: Vec::with_capacity(edges.len()),
+            alternatives: Vec::with_capacity(edges.len()),
+            cards: Vec::with_capacity(edges.len()),
+            total: CostBreakdown::default(),
+        };
         let mut rows = edges.first().map_or(0.0, |e| e.params.left_rows());
         for (slot, e) in edges.iter().enumerate() {
             let mut p = e.params;
@@ -595,31 +537,30 @@ impl CostModel {
             for r in reductions.iter().filter(|r| r.parent_slot == slot) {
                 p.match_rate *= r.keep_rate.clamp(0.0, 1.0);
             }
-            let mut cost = self.hash_join_parallel_with_reuse(
-                &p,
-                e.kind,
-                e.build_workers,
-                e.probe_workers,
-                e.build_reused,
-            );
+            let alternatives = JoinInnerKind::ALL.map(|kind| {
+                let cost =
+                    self.hash_join(&p, kind, e.build_workers, e.probe_workers, e.build_reused);
+                (kind, cost)
+            });
+            let (kind, mut cost) = *alternatives
+                .iter()
+                .min_by(|a, b| a.1.total_us().total_cmp(&b.1.total_us()))
+                .expect("three join plans always estimable");
             for r in reductions.iter().filter(|r| r.parent_slot == slot) {
                 cost.cpu_us += r.scan_rows * c.fc / e.build_workers.max(1) as f64;
             }
             rows = p.out_rows();
-            cards.push(rows);
-            total.cpu_us += cost.cpu_us;
-            total.io_us += cost.io_us;
-            per_edge.push((e.kind, cost));
+            tree.cards.push(rows);
+            tree.total.cpu_us += cost.cpu_us;
+            tree.total.io_us += cost.io_us;
+            tree.edges.push((kind, cost));
+            tree.alternatives.push(alternatives);
         }
-        JoinTreeCost {
-            edges: per_edge,
-            cards,
-            total,
-        }
+        tree
     }
 }
 
-/// One bushy semi-join reduction for [`CostModel::join_tree_bushy`]: the
+/// One bushy semi-join reduction for [`CostModel::join_tree`]: the
 /// child subtree's hash table is built first and thins the parent's.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BushyReduction {
@@ -641,14 +582,12 @@ pub struct BushyReduction {
 /// overwritten by the chained intermediate cardinality — callers
 /// describe each edge *locally* (key column shape, filter selectivity,
 /// match rate, fan-out, output widths) and [`CostModel::join_tree`]
-/// does the composing.
+/// does the composing and picks the representation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JoinTreeEdgeParams {
     /// The edge's single-join parameters (probe rows chained by the
     /// composition for all but the first edge).
     pub params: JoinParams,
-    /// Inner-table representation this edge runs.
-    pub kind: JoinInnerKind,
     /// Workers the partitioned build would use (how the table is
     /// partitioned — also for a reused build, which was built by the
     /// edge it reuses).
@@ -660,17 +599,23 @@ pub struct JoinTreeEdgeParams {
     pub build_reused: bool,
 }
 
-/// The priced join tree: per-edge estimates (execution order), the
-/// chained intermediate-cardinality estimates, and the plan total the
-/// planner minimizes over edge orders × inner strategies.
-#[derive(Debug, Clone, PartialEq)]
+/// The priced join tree: per-edge picks and estimates (execution
+/// order), every representation each edge was priced at, the chained
+/// intermediate-cardinality estimates, and the plan total the planner
+/// minimizes over edge orders.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct JoinTreeCost {
-    /// Per-edge representation and estimate, in execution order.
+    /// Per-edge cheapest representation and its estimate (including the
+    /// edge's bushy-reduction scans), in execution order.
     pub edges: Vec<(JoinInnerKind, CostBreakdown)>,
+    /// Per edge, all three representations priced at the edge's chained
+    /// cardinality (the rejected ones included; reduction scans not).
+    pub alternatives: Vec<[(JoinInnerKind, CostBreakdown); 3]>,
     /// Estimated output cardinality *after* each edge (same order); the
     /// last entry is the tree's estimated result rows.
     pub cards: Vec<f64>,
-    /// Sum of the per-edge estimates.
+    /// Sum of the per-edge estimates (a planner may add surcharges that
+    /// no single edge carries).
     pub total: CostBreakdown,
 }
 
@@ -813,12 +758,12 @@ impl JoinParams {
 /// different tables (right vs left), so each divides by its *own*
 /// effective worker count, and the shared I/O divides by neither.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct JoinCost {
+struct JoinCost {
     /// The build phase (partitioned hash table + right representations),
     /// span-parallel over the right table.
-    pub build: CostBreakdown,
+    build: CostBreakdown,
     /// The probe phase, span-parallel over the left table.
-    pub probe: CostBreakdown,
+    probe: CostBreakdown,
 }
 
 impl JoinCost {
@@ -827,9 +772,9 @@ impl JoinCost {
     /// to the *right* table), probe CPU by the probe's (the guard on the
     /// *left* table), and the shared cold-I/O terms are unchanged (the
     /// workers share one disk arm and one buffer pool). Raw division
-    /// only — [`CostModel::hash_join_parallel`] layers the partitioning
-    /// and scheduler overheads on top.
-    pub fn with_workers(self, build_workers: usize, probe_workers: usize) -> CostBreakdown {
+    /// only — [`CostModel::hash_join`] layers the partitioning and
+    /// scheduler overheads on top.
+    fn with_workers(self, build_workers: usize, probe_workers: usize) -> CostBreakdown {
         CostBreakdown {
             cpu_us: self.build.cpu_us / build_workers.max(1) as f64
                 + self.probe.cpu_us / probe_workers.max(1) as f64,
@@ -838,7 +783,8 @@ impl JoinCost {
     }
 
     /// Serial total microseconds.
-    pub fn total_us(&self) -> f64 {
+    #[cfg(test)]
+    fn total_us(&self) -> f64 {
         self.build.total_us() + self.probe.total_us()
     }
 }
@@ -849,6 +795,26 @@ mod tests {
 
     fn model() -> CostModel {
         CostModel::new(Constants::paper())
+    }
+
+    /// The cheapest supported strategy plan at `workers` — the §6
+    /// optimizer decision.
+    fn best_plan(m: &CostModel, q: &QueryParams, workers: usize) -> (PlanKind, CostBreakdown) {
+        PlanKind::ALL
+            .iter()
+            .filter_map(|&k| m.estimate(k, q, workers).map(|c| (k, c)))
+            .min_by(|a, b| a.1.total_us().total_cmp(&b.1.total_us()))
+            .expect("EM plans are always supported")
+    }
+
+    /// One tree edge at the given worker counts, built fresh.
+    fn edge(params: JoinParams, workers: usize) -> JoinTreeEdgeParams {
+        JoinTreeEdgeParams {
+            params,
+            build_workers: workers,
+            probe_workers: workers,
+            build_reused: false,
+        }
     }
 
     /// Paper-scale RLE setup (§3.7): shipdate 1 block / 3,800 "tuples"
@@ -907,8 +873,8 @@ mod tests {
     fn costs_increase_with_selectivity() {
         let m = model();
         for kind in PlanKind::ALL {
-            let lo = m.estimate(kind, &rle_params(0.1));
-            let hi = m.estimate(kind, &rle_params(0.9));
+            let lo = m.estimate(kind, &rle_params(0.1), 1);
+            let hi = m.estimate(kind, &rle_params(0.9), 1);
             if let (Some(lo), Some(hi)) = (lo, hi) {
                 assert!(
                     hi.total_us() > lo.total_us(),
@@ -980,9 +946,9 @@ mod tests {
         let mut q = rle_params(0.5);
         q.c2_supports_ds3 = false;
         assert!(m.lm_pipelined(&q).is_none());
-        assert!(m.estimate(PlanKind::LmPipelined, &q).is_none());
+        assert!(m.estimate(PlanKind::LmPipelined, &q, 1).is_none());
         // best_plan still returns something.
-        let (_, cost) = m.best_plan(&q);
+        let (_, cost) = best_plan(&m, &q, 1);
         assert!(cost.total_us() > 0.0);
     }
 
@@ -990,9 +956,9 @@ mod tests {
     fn best_plan_picks_minimum() {
         let m = model();
         let q = rle_params(0.5);
-        let (kind, cost) = m.best_plan(&q);
+        let (kind, cost) = best_plan(&m, &q, 1);
         for k in PlanKind::ALL {
-            if let Some(c) = m.estimate(k, &q) {
+            if let Some(c) = m.estimate(k, &q, 1) {
                 assert!(cost.total_us() <= c.total_us() + 1e-9, "{kind:?} vs {k:?}");
             }
         }
@@ -1012,7 +978,7 @@ mod tests {
         let m = model();
         let q = rle_params(0.5);
         for kind in PlanKind::ALL {
-            let (serial, four) = match (m.estimate(kind, &q), m.estimate_parallel(kind, &q, 4)) {
+            let (serial, four) = match (m.estimate(kind, &q, 1), m.estimate(kind, &q, 4)) {
                 (Some(s), Some(p)) => (s, p),
                 _ => continue,
             };
@@ -1031,12 +997,7 @@ mod tests {
         let s = m.em_parallel(&q);
         assert_eq!(s.with_workers(0).total_us(), s.total_us());
         assert_eq!(s.with_workers(1).total_us(), s.total_us());
-        assert_eq!(
-            m.estimate_parallel(PlanKind::EmParallel, &q, 1)
-                .unwrap()
-                .total_us(),
-            s.total_us()
-        );
+        assert_eq!(m.estimate(PlanKind::EmParallel, &q, 1).unwrap(), s);
     }
 
     #[test]
@@ -1054,8 +1015,8 @@ mod tests {
         let m = model();
         for sf in [0.05, 0.5, 0.95] {
             let q = rle_params(sf);
-            let (_, serial) = m.best_plan(&q);
-            let (_, four) = m.best_plan_parallel(&q, 4);
+            let (_, serial) = best_plan(&m, &q, 1);
+            let (_, four) = best_plan(&m, &q, 4);
             assert!(
                 four.total_us() <= serial.total_us() + 1e-9,
                 "sf={sf}: more workers cannot make the best plan dearer"
@@ -1082,9 +1043,9 @@ mod tests {
         // extra positional join and lands clearly slower.
         let m = model();
         let q = join_params(0.5);
-        let mat = m.hash_join(&q, JoinInnerKind::Materialized);
-        let mc = m.hash_join(&q, JoinInnerKind::MultiColumn);
-        let sc = m.hash_join(&q, JoinInnerKind::SingleColumn);
+        let mat = m.join_phases(&q, JoinInnerKind::Materialized, false);
+        let mc = m.join_phases(&q, JoinInnerKind::MultiColumn, false);
+        let sc = m.join_phases(&q, JoinInnerKind::SingleColumn, false);
         assert!(
             mc.probe.cpu_us < sc.probe.cpu_us,
             "single-column pays the positional join: {} vs {}",
@@ -1103,8 +1064,8 @@ mod tests {
     fn join_cost_grows_with_selectivity() {
         let m = model();
         for kind in JoinInnerKind::ALL {
-            let lo = m.hash_join(&join_params(0.1), kind).total_us();
-            let hi = m.hash_join(&join_params(0.9), kind).total_us();
+            let lo = m.hash_join(&join_params(0.1), kind, 1, 1, false).total_us();
+            let hi = m.hash_join(&join_params(0.9), kind, 1, 1, false).total_us();
             assert!(hi > lo, "{kind:?}");
         }
     }
@@ -1114,7 +1075,7 @@ mod tests {
         let m = model();
         let q = join_params(0.5);
         for kind in JoinInnerKind::ALL {
-            let cost = m.hash_join(&q, kind);
+            let cost = m.join_phases(&q, kind, false);
             let serial = cost.with_workers(1, 1);
             // Probe workers alone: probe CPU divides, build CPU and all
             // I/O stay put.
@@ -1141,10 +1102,10 @@ mod tests {
         let q = join_params(0.5);
         let c = *m.constants();
         for kind in JoinInnerKind::ALL {
-            let cost = m.hash_join(&q, kind);
+            let cost = m.join_phases(&q, kind, false);
             // Serial worker counts collapse to the raw estimate: no
             // partitioning, no scheduler.
-            let serial = m.hash_join_parallel(&q, kind, 1, 1);
+            let serial = m.hash_join(&q, kind, 1, 1, false);
             assert!(
                 (serial.total_us() - cost.total_us()).abs() < 1e-9,
                 "{kind:?}"
@@ -1153,7 +1114,7 @@ mod tests {
             // per-probe partition hash (surviving left rows), both
             // divided by their phase's workers, plus two scheduler
             // overheads.
-            let par = m.hash_join_parallel(&q, kind, 4, 8);
+            let par = m.hash_join(&q, kind, 4, 8, false);
             let expect = cost.build.cpu_us / 4.0
                 + cost.probe.cpu_us / 8.0
                 + q.right_rows() * c.fc / 4.0
@@ -1163,7 +1124,7 @@ mod tests {
             assert!((par.cpu_us - expect).abs() < 1e-6, "{kind:?}");
             // Probe-only parallelism keeps the build unpartitioned: no
             // radix terms, one scheduler.
-            let probe_only = m.hash_join_parallel(&q, kind, 1, 8);
+            let probe_only = m.hash_join(&q, kind, 1, 8, false);
             let expect = cost.build.cpu_us + cost.probe.cpu_us / 8.0 + m.steal_overhead(8);
             assert!((probe_only.cpu_us - expect).abs() < 1e-6, "{kind:?}");
         }
@@ -1174,8 +1135,8 @@ mod tests {
         let m = model();
         for sf in [0.1, 0.5, 1.0] {
             let q = join_params(sf);
-            let (_, serial) = m.best_join_plan(&q, 1, 1);
-            let (_, eight) = m.best_join_plan(&q, 8, 8);
+            let serial = m.join_tree(&[edge(q, 1)], &[]).total;
+            let eight = m.join_tree(&[edge(q, 8)], &[]).total;
             assert!(eight.total_us() <= serial.total_us() + 1e-9, "sf={sf}");
         }
     }
@@ -1185,8 +1146,8 @@ mod tests {
         let m = model();
         let q = join_params(0.5);
         for kind in JoinInnerKind::ALL {
-            let fresh = m.hash_join(&q, kind);
-            let reused = m.hash_join_with_reuse(&q, kind, true);
+            let fresh = m.join_phases(&q, kind, false);
+            let reused = m.join_phases(&q, kind, true);
             // The probe is untouched; the build drops the key scan + hash
             // inserts (CPU) and the key column's cold read (I/O).
             assert_eq!(reused.probe, fresh.probe, "{kind:?}");
@@ -1195,7 +1156,7 @@ mod tests {
             // Representations are still priced: Materialized keeps its
             // up-front tuple construction even on a reused table.
             if kind == JoinInnerKind::Materialized {
-                let mc = m.hash_join_with_reuse(&q, JoinInnerKind::MultiColumn, true);
+                let mc = m.join_phases(&q, JoinInnerKind::MultiColumn, true);
                 assert!(reused.build.cpu_us > mc.build.cpu_us);
             }
         }
@@ -1220,8 +1181,8 @@ mod tests {
                 / col.run_len.max(1.0)
         };
         for kind in JoinInnerKind::ALL {
-            let plain = m.hash_join(&q, kind);
-            let coded = m.hash_join(&qc, kind);
+            let plain = m.join_phases(&q, kind, false);
+            let coded = m.join_phases(&qc, kind, false);
             let expect_build = plain.build.cpu_us - save(&qc.right_key);
             let expect_probe = plain.probe.cpu_us - save(&qc.left_key);
             assert!((coded.build.cpu_us - expect_build).abs() < 1e-6, "{kind:?}");
@@ -1233,8 +1194,8 @@ mod tests {
         // A reused build skips its key scan entirely — nothing left for
         // the code path to discount on that side.
         for kind in JoinInnerKind::ALL {
-            let plain = m.hash_join_with_reuse(&q, kind, true);
-            let coded = m.hash_join_with_reuse(&qc, kind, true);
+            let plain = m.join_phases(&q, kind, true);
+            let coded = m.join_phases(&qc, kind, true);
             assert_eq!(coded.build, plain.build, "{kind:?}");
         }
     }
@@ -1245,8 +1206,8 @@ mod tests {
         let q = join_params(0.5);
         let c = *m.constants();
         for kind in JoinInnerKind::ALL {
-            let cost = m.hash_join_with_reuse(&q, kind, true);
-            let par = m.hash_join_parallel_with_reuse(&q, kind, 4, 8, true);
+            let cost = m.join_phases(&q, kind, true);
+            let par = m.hash_join(&q, kind, 4, 8, true);
             // No radix scatter, no build-side steal overhead; the probe
             // still pays its per-row partition hash (the cached table is
             // partitioned) and its own scheduler bookkeeping.
@@ -1255,9 +1216,9 @@ mod tests {
                 + q.left_rows() * q.sf * c.fc / 8.0
                 + m.steal_overhead(8);
             assert!((par.cpu_us - expect).abs() < 1e-6, "{kind:?}");
-            // The non-reused path is untouched by the refactor.
-            let fresh = m.hash_join_parallel_with_reuse(&q, kind, 4, 8, false);
-            assert_eq!(fresh, m.hash_join_parallel(&q, kind, 4, 8), "{kind:?}");
+            // A fresh build at the same worker counts costs more.
+            let fresh = m.hash_join(&q, kind, 4, 8, false);
+            assert!(fresh.cpu_us > par.cpu_us, "{kind:?}");
         }
     }
 
@@ -1277,55 +1238,31 @@ mod tests {
         let e1 = join_params(0.5);
         let mut e2 = join_params(1.0);
         e2.sf = 1.0;
-        let tree = m.join_tree(&[
-            JoinTreeEdgeParams {
-                params: e1,
-                kind: JoinInnerKind::MultiColumn,
-                build_workers: 1,
-                probe_workers: 1,
-                build_reused: false,
-            },
-            JoinTreeEdgeParams {
-                params: e2,
-                kind: JoinInnerKind::MultiColumn,
-                build_workers: 1,
-                probe_workers: 1,
-                build_reused: false,
-            },
-        ]);
+        let tree = m.join_tree(&[edge(e1, 1), edge(e2, 1)], &[]);
         assert_eq!(tree.edges.len(), 2);
+        assert_eq!(tree.alternatives.len(), 2);
         assert_eq!(tree.cards.len(), 2);
         // Edge 1: 1.5 M × 0.5 = 750 K; edge 2 probes 750 K.
         assert!((tree.cards[0] - 750_000.0).abs() < 1e-6);
         assert!((tree.out_rows() - 750_000.0).abs() < 1e-6);
         let mut chained = e2;
         chained.left_key.rows = 750_000.0;
-        let edge2_alone = m.hash_join(&chained, JoinInnerKind::MultiColumn);
-        assert!(
-            (tree.edges[1].1.total_us() - edge2_alone.total_us()).abs() < 1e-6,
-            "edge 2 priced at the chained cardinality"
-        );
+        for (kind, cost) in tree.alternatives[1] {
+            let alone = m.hash_join(&chained, kind, 1, 1, false);
+            assert_eq!(cost, alone, "{kind:?} priced at the chained cardinality");
+        }
+        // Each slot keeps its cheapest representation.
+        for (slot, alts) in tree.alternatives.iter().enumerate() {
+            let (kind, cost) = tree.edges[slot];
+            assert_eq!(alts.iter().find(|(k, _)| *k == kind).unwrap().1, cost);
+            assert!(alts.iter().all(|(_, c)| cost.total_us() <= c.total_us()));
+        }
         // Totals sum.
         let sum: f64 = tree.edges.iter().map(|(_, c)| c.total_us()).sum();
         assert!((tree.total_us() - sum).abs() < 1e-6);
         // A selective edge first makes the whole tree cheaper than the
         // reverse order — the quantity edge ordering optimizes.
-        let rev = m.join_tree(&[
-            JoinTreeEdgeParams {
-                params: e2,
-                kind: JoinInnerKind::MultiColumn,
-                build_workers: 1,
-                probe_workers: 1,
-                build_reused: false,
-            },
-            JoinTreeEdgeParams {
-                params: e1,
-                kind: JoinInnerKind::MultiColumn,
-                build_workers: 1,
-                probe_workers: 1,
-                build_reused: false,
-            },
-        ]);
+        let rev = m.join_tree(&[edge(e2, 1), edge(e1, 1)], &[]);
         // Note: the filter's sf travels with its edge here, so both
         // orders produce the same final cardinality...
         assert!((rev.out_rows() - tree.out_rows()).abs() < 1e-6);
@@ -1336,17 +1273,11 @@ mod tests {
     #[test]
     fn join_tree_reuse_is_cheaper_than_rebuild() {
         let m = model();
-        let e = JoinTreeEdgeParams {
-            params: join_params(0.5),
-            kind: JoinInnerKind::MultiColumn,
-            build_workers: 1,
-            probe_workers: 1,
-            build_reused: false,
-        };
-        let rebuilt = m.join_tree(&[e, e]);
+        let e = edge(join_params(0.5), 1);
+        let rebuilt = m.join_tree(&[e, e], &[]);
         let mut reused_edge = e;
         reused_edge.build_reused = true;
-        let reused = m.join_tree(&[e, reused_edge]);
+        let reused = m.join_tree(&[e, reused_edge], &[]);
         assert!(reused.total_us() < rebuilt.total_us());
         assert!((reused.out_rows() - rebuilt.out_rows()).abs() < 1e-9);
     }
@@ -1354,7 +1285,7 @@ mod tests {
     #[test]
     fn empty_join_tree_prices_to_zero() {
         let m = model();
-        let tree = m.join_tree(&[]);
+        let tree = m.join_tree(&[], &[]);
         assert_eq!(tree.total_us(), 0.0);
         assert_eq!(tree.out_rows(), 0.0);
         assert!(tree.edges.is_empty());

@@ -170,7 +170,7 @@ impl DictBlock {
         &self.codes
     }
 
-    /// Content fingerprint of the dictionary (see [`dict_fingerprint`]).
+    /// Content fingerprint of the dictionary (see `dict_fingerprint`).
     #[inline]
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint

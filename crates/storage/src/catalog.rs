@@ -265,7 +265,7 @@ impl Catalog {
     /// Swap a projection's immutable layout in place (compaction): new
     /// row count and column entries under the same id and name, fresh
     /// column ids, and a bumped WAL epoch. The catalog lets go of its
-    /// pin on the old generation; the caller [`pin`](Self::pin)s the new
+    /// pin on the old generation; the caller pins the new
     /// one, and the old files live on for exactly as long as somebody
     /// else still holds theirs.
     pub fn replace_projection(

@@ -11,7 +11,7 @@
 //! [`Store::delete_positions`]. Both log to the table's write-ahead log
 //! first (`wal_t{N}.log`, one group commit per call — see the
 //! `matstrat-wal` crate), then apply to the in-memory
-//! [`DeltaStore`](crate::delta::DeltaStore). Scans merge the delta with
+//! [`DeltaStore`]. Scans merge the delta with
 //! the immutable blocks through the `(ProjectionInfo, delta snapshot)`
 //! pair returned by [`Store::scan_snapshot`].
 //!
@@ -180,7 +180,7 @@ impl Store {
 
     /// Open (rather than create) a store over an existing [`Disk`]:
     /// reload the persisted catalog, remove the column files it does
-    /// not name (see [`Self::sweep_orphans`]), then replay every table's
+    /// not name (`sweep_orphans`), then replay every table's
     /// write-ahead log into a rebuilt delta. This is `open_dir` without
     /// the directory — crash-recovery tests hand the same `Arc<MemDisk>`
     /// to a second store to simulate a restart.

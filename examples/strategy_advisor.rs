@@ -91,7 +91,12 @@ fn main() {
                     q.aggregated = true;
                     q.num_groups = 2526.0;
                 }
-                let (best, _) = model.best_plan(&q);
+                let best = PlanKind::ALL
+                    .into_iter()
+                    .filter_map(|k| model.estimate(k, &q, 1).map(|c| (k, c.total_us())))
+                    .min_by(|a, b| a.1.total_cmp(&b.1))
+                    .expect("EM plans are always supported")
+                    .0;
                 print!(" {:>14}", best.name());
             }
             println!();
@@ -103,10 +108,13 @@ fn main() {
     let crossing = |sf: f64| {
         let q = profile("plain", sf);
         let lm = model
-            .estimate(PlanKind::LmPipelined, &q)
+            .estimate(PlanKind::LmPipelined, &q, 1)
             .expect("plain supports DS3")
             .total_us();
-        let em = model.estimate(PlanKind::EmParallel, &q).unwrap().total_us();
+        let em = model
+            .estimate(PlanKind::EmParallel, &q, 1)
+            .unwrap()
+            .total_us();
         lm - em
     };
     let (mut lo, mut hi) = (0.001, 0.999);
