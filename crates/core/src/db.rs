@@ -384,50 +384,40 @@ fn write_result(affected: u64, t0: Instant) -> (QueryResult, QueryStats) {
 /// were newly marked.
 ///
 /// Find-then-delete is epoch-guarded: positions are resolved against
-/// one [`Store::scan_snapshot`] — granule DS1 scans ANDed on the
-/// immutable side, reading only the blocks whose zone map admits the
-/// predicate (a range on a sorted key touches a block or two), and
-/// row-at-a-time over the live delta — and applied with
-/// [`Store::delete_positions_at_epoch`], which refuses (and this
-/// function rescans) if a compaction rewrote the position space in
-/// between. The snapshot is let go before the delete is applied, so the
-/// write is not copy-on-write against its own finder.
+/// one [`Store::scan_snapshot`] — granule DS1 scans ANDed over every
+/// logical position, the file's blocks and then the delta's tail
+/// blocks, reading only the file blocks whose zone map admits the
+/// predicate (a range on a sorted key touches a block or two) — and
+/// applied with [`Store::delete_positions_at_epoch`], which skips rows
+/// already deleted and refuses (and this function rescans) if a
+/// compaction rewrote the position space in between. The snapshot and
+/// its readers are let go before the delete is applied, so the write is
+/// not copy-on-write against its own finder.
 pub fn delete_where(store: &Store, table: TableId, filters: &[(usize, Predicate)]) -> Result<u64> {
     loop {
         let (proj, delta) = store.scan_snapshot(table)?;
         let epoch = proj.wal_epoch;
+        let readers = filters
+            .iter()
+            .map(|(c, _)| store.reader_for(&proj, delta.as_ref(), *c))
+            .collect::<Result<Vec<_>>>()?;
+        let rows = delta.as_ref().map_or(proj.num_rows, |d| d.total_rows());
         let mut doomed: Vec<u64> = Vec::new();
-        if proj.num_rows > 0 {
-            let readers = filters
-                .iter()
-                .map(|(c, _)| store.reader_for(&proj, *c))
-                .collect::<Result<Vec<_>>>()?;
-            let mut at = 0u64;
-            while at < proj.num_rows {
-                let window = PosRange::new(at, (at + crate::GRANULE).min(proj.num_rows));
-                at = window.end;
-                let mut desc = PosList::full(window);
-                for (reader, (_, pred)) in readers.iter().zip(filters) {
-                    if desc.is_empty() {
-                        break;
-                    }
-                    let (mini, _) = MiniColumn::fetch_pruned(reader, window, pred)?;
-                    desc = desc.and(&mini.scan_positions(pred));
+        let mut at = 0u64;
+        while at < rows {
+            let window = PosRange::new(at, (at + crate::GRANULE).min(rows));
+            at = window.end;
+            let mut desc = PosList::full(window);
+            for (reader, (_, pred)) in readers.iter().zip(filters) {
+                if desc.is_empty() {
+                    break;
                 }
-                doomed.extend(desc.iter());
+                let (mini, _) = MiniColumn::fetch_pruned(reader, window, pred)?;
+                desc = desc.and(&mini.scan_positions(pred));
             }
+            doomed.extend(desc.iter());
         }
-        if let Some(d) = &delta {
-            // Already-deleted positions may re-match on the base side;
-            // `delete_positions` skips them. On the delta side the walk
-            // over live rows skips them for the price of one comparison.
-            doomed.extend(
-                d.live_inserts()
-                    .filter(|row| filters.iter().all(|(c, p)| p.matches(row.get(*c))))
-                    .map(|row| row.pos()),
-            );
-        }
-        drop((proj, delta));
+        drop((proj, delta, readers));
         if doomed.is_empty() {
             return Ok(0);
         }

@@ -46,22 +46,28 @@
 //! ([`QueryIo`](matstrat_common::QueryIo)) collects every worker's reads
 //! and tracks sequentiality per (file, worker).
 //!
-//! # The write path's delta merge
+//! # The write store is the last block
 //!
 //! A table with pending writes is *immutable blocks + delta*
 //! (`matstrat_storage::TableDelta`). The executor takes one consistent
-//! `Store::scan_snapshot` up front and pins every [`ColumnReader`] to
-//! that snapshot's catalog entry, so a compaction racing the query can
-//! never mix generations. Deleted base positions are filtered inside
-//! each granule — after the AND for LM-parallel, after the descriptor
-//! pipeline for LM-pipelined, and on the constructed tuples for both EM
-//! shapes — before `positions_matched` counts them. Live inserted rows
-//! (position-stamped past the base) are evaluated serially *after* the
-//! granule fragments merge, in stamp order: they are the tail of the
-//! table's logical row order, so the result is byte-identical to a run
-//! over the compacted table at any thread count. The aggregate domain
-//! is widened with the delta's group values up front (the dense
-//! accumulator's `seen` bitmap keeps widening output-invariant).
+//! `Store::scan_snapshot` up front and opens every [`ColumnReader`] on
+//! that snapshot, so a compaction racing the query can never mix
+//! generations. Such a reader covers the table's logical positions
+//! `[0, base_rows + inserts)`: the file's blocks, then in-memory Plain
+//! **tail blocks** holding the delta's inserted rows. The base window
+//! `[0, base_rows)` runs on the [`FragmentPipeline`] as always; the tail
+//! window `[base_rows, total)` then runs the very same granule loop
+//! once more, serially — every strategy, unchanged — and its fragment
+//! lands after every base fragment, which is where inserted rows sit in
+//! the table's logical order. The result is therefore byte-identical to
+//! a run over the compacted table at any thread count, and the tail
+//! never touches the buffer pool or the I/O meter. Deleted positions,
+//! base and tail alike, are filtered inside each granule — after the
+//! AND for LM-parallel, after the descriptor pipeline for LM-pipelined,
+//! and on the constructed tuples for both EM shapes — before
+//! `positions_matched` counts them. The aggregate domain is widened
+//! with the delta's group values up front (the dense accumulator's
+//! `seen` bitmap keeps widening output-invariant).
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -185,13 +191,11 @@ fn execute_scan(
     // Readers are pinned to the snapshot's catalog entries: even if a
     // compaction swaps the table mid-query, every granule resolves
     // against the generation the snapshot captured.
+    // With a delta they also cover its inserted rows, as tail blocks.
     let readers: HashMap<usize, ColumnReader> = accessed
         .iter()
-        .map(|&c| Ok((c, store.reader_for(&proj, c)?)))
+        .map(|&c| Ok((c, store.reader_for(&proj, delta.as_ref(), c)?)))
         .collect::<Result<_>>()?;
-
-    // Deleted positions on the immutable side, filtered inside granules.
-    let base_deletes: &[u64] = delta.as_ref().map_or(&[], |d| d.base_deletes());
 
     // Output shape. Workers build their own accumulator from the shared
     // domain so partial aggregates merge representation-for-representation.
@@ -220,8 +224,8 @@ fn execute_scan(
         }
     };
 
-    let n = proj.num_rows;
-    let pipeline = FragmentPipeline::new(n, opts.granule.max(1), opts.parallelism.max(1));
+    let base_rows = proj.num_rows;
+    let pipeline = FragmentPipeline::new(base_rows, opts.granule.max(1), opts.parallelism.max(1));
     let task = SpanTask {
         q,
         readers: &readers,
@@ -230,11 +234,17 @@ fn execute_scan(
         out_cols: &out_cols,
         agg_domain,
         strategy,
-        deletes: base_deletes,
+        deletes: delta.as_ref().map_or(&[], |d| d.deletes()),
     };
 
     let t0 = Instant::now();
-    let (fragments, steals): (Vec<Fragment>, u64) = pipeline.run(|span| task.run_span(span))?;
+    let (mut fragments, steals) = pipeline.run(|span| task.run_span(span))?;
+    // The tail window — the delta's inserted rows — runs the same granule
+    // loop once more, serially, after every base fragment: exactly where
+    // those rows sit in the table's logical order.
+    if let Some(d) = delta.as_ref().filter(|d| d.num_inserts() > 0) {
+        fragments.push(task.run_span(PosRange::new(base_rows, d.total_rows()))?);
+    }
 
     // Merge fragments in global granule order: values concatenate (runs
     // are contiguous, disjoint, and ascending — stealing moves who
@@ -251,22 +261,6 @@ fn execute_scan(
         flat.extend(frag.flat);
         if let (Some(a), Some(partial)) = (agg.as_mut(), frag.agg) {
             a.merge(partial);
-        }
-    }
-
-    // The delta pass: live inserted rows in stamp order, row-at-a-time
-    // (the delta is tiny — strategy distinctions do not apply to it) in
-    // one walk over its columns and sorted deletes together, appended
-    // after every immutable fragment so the output order is the table's
-    // logical row order.
-    for row in delta.iter().flat_map(|d| d.live_inserts()) {
-        if !q.filters.iter().all(|(c, p)| p.matches(row.get(*c))) {
-            continue;
-        }
-        stats.positions_matched += 1;
-        match (agg.as_mut(), q.aggregate) {
-            (Some(a), Some(spec)) => a.add(row.get(spec.group_col), row.get(spec.value_col)),
-            _ => flat.extend(out_cols.iter().map(|&c| row.get(c))),
         }
     }
 
@@ -311,8 +305,8 @@ struct SpanTask<'a> {
     out_cols: &'a [usize],
     agg_domain: Option<(AggFunc, Value, Value)>,
     strategy: Strategy,
-    /// Deleted base positions (sorted) — each granule filters its window's
-    /// slice of them out of the surviving descriptor/tuples.
+    /// Deleted positions (sorted), base and tail — each granule filters
+    /// its window's slice of them out of the surviving descriptor/tuples.
     deletes: &'a [u64],
 }
 
@@ -388,7 +382,7 @@ struct Granule<'a> {
     accessed: &'a [usize],
     opts: &'a ExecOptions,
     /// Deleted positions within `window` (sorted) — the write path's
-    /// base-side tombstones, filtered before positions count as matched.
+    /// tombstones, filtered before positions count as matched.
     deletes: &'a [u64],
 }
 
@@ -422,21 +416,13 @@ impl Granule<'_> {
         if self.deletes.is_empty() {
             return;
         }
-        let mut keep_pos = Vec::with_capacity(positions.len());
-        let mut keep_tup = Vec::with_capacity(tuples.len());
         let mut di = 0usize;
-        for (r, &pos) in positions.iter().enumerate() {
+        retain_rows(positions, tuples, width, |pos, _| {
             while di < self.deletes.len() && self.deletes[di] < pos {
                 di += 1;
             }
-            if di < self.deletes.len() && self.deletes[di] == pos {
-                continue;
-            }
-            keep_pos.push(pos);
-            keep_tup.extend_from_slice(&tuples[r * width..(r + 1) * width]);
-        }
-        *positions = keep_pos;
-        *tuples = keep_tup;
+            !(di < self.deletes.len() && self.deletes[di] == pos)
+        });
     }
 
     /// Fetch a filter column's mini for a DS1 scan, consulting zone maps
@@ -668,17 +654,9 @@ impl Granule<'_> {
         let mut out = spc_scan(&spc_cols)?;
         // Rare path: multiple predicates on one column.
         for (ti, p) in extra_preds {
-            let w = out.width;
-            let mut keep_pos = Vec::with_capacity(out.positions.len());
-            let mut keep_tup = Vec::with_capacity(out.tuples.len());
-            for (r, &pos) in out.positions.iter().enumerate() {
-                if p.matches(out.tuples[r * w + ti]) {
-                    keep_pos.push(pos);
-                    keep_tup.extend_from_slice(&out.tuples[r * w..(r + 1) * w]);
-                }
-            }
-            out.positions = keep_pos;
-            out.tuples = keep_tup;
+            retain_rows(&mut out.positions, &mut out.tuples, out.width, |_, row| {
+                p.matches(row[ti])
+            });
         }
         self.filter_em(&mut out.positions, &mut out.tuples, out.width);
         let matched = out.positions.len() as u64;
@@ -709,16 +687,7 @@ impl Granule<'_> {
         let mut tuples: Vec<Value> = Vec::new();
         mini.scan_pairs(&leaf_pred, &mut positions, &mut tuples);
         for p in preds {
-            let mut keep_pos = Vec::with_capacity(positions.len());
-            let mut keep_tup = Vec::with_capacity(tuples.len());
-            for (i, &v) in tuples.iter().enumerate() {
-                if p.matches(v) {
-                    keep_pos.push(positions[i]);
-                    keep_tup.push(v);
-                }
-            }
-            positions = keep_pos;
-            tuples = keep_tup;
+            retain_rows(&mut positions, &mut tuples, 1, |_, row| p.matches(row[0]));
         }
         // Tombstones drop out at the leaf, before any DS4 probe spends
         // I/O on them.
@@ -740,16 +709,9 @@ impl Granule<'_> {
                 width,
             )?;
             for p in preds_iter {
-                let mut keep_pos = Vec::with_capacity(positions.len());
-                let mut keep_tup = Vec::with_capacity(tuples.len());
-                for (r, &pos) in positions.iter().enumerate() {
-                    if p.matches(tuples[r * width + width - 1]) {
-                        keep_pos.push(pos);
-                        keep_tup.extend_from_slice(&tuples[r * width..(r + 1) * width]);
-                    }
-                }
-                positions = keep_pos;
-                tuples = keep_tup;
+                retain_rows(&mut positions, &mut tuples, width, |_, row| {
+                    p.matches(row[width - 1])
+                });
             }
         }
         let matched = positions.len() as u64;
@@ -803,4 +765,24 @@ impl Granule<'_> {
         }
         Ok(())
     }
+}
+
+/// Keep the rows of a row-major EM `(positions, tuples)` pair — `width`
+/// values per row — for which `keep(position, row)` holds.
+fn retain_rows(
+    positions: &mut Vec<Pos>,
+    tuples: &mut Vec<Value>,
+    width: usize,
+    mut keep: impl FnMut(Pos, &[Value]) -> bool,
+) {
+    let mut keep_pos = Vec::with_capacity(positions.len());
+    let mut keep_tup = Vec::with_capacity(tuples.len());
+    for (&pos, row) in positions.iter().zip(tuples.chunks_exact(width)) {
+        if keep(pos, row) {
+            keep_pos.push(pos);
+            keep_tup.extend_from_slice(row);
+        }
+    }
+    *positions = keep_pos;
+    *tuples = keep_tup;
 }

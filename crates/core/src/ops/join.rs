@@ -292,12 +292,10 @@ pub(crate) struct SharedBuild {
     pub(crate) build_workers: usize,
     /// Logical right table row count (base + delta inserts).
     pub(crate) rows: u64,
-    /// Immutable right rows at snapshot time; positions `>= base_rows`
-    /// live in the delta.
-    pub(crate) base_rows: u64,
-    /// The right projection at snapshot time: [`InnerRep::build`] pins
-    /// its column fetches to these files so build and rep read one
-    /// consistent epoch even while a compaction swaps the catalog.
+    /// The right projection and its delta at snapshot time: every later
+    /// read of the right table ([`InnerRep::build`], snowflake key
+    /// decodes) opens its readers on this pair, so build and rep read
+    /// one consistent epoch even while a compaction swaps the catalog.
     pub(crate) info: ProjectionInfo,
     /// The right table's delta at the same snapshot.
     pub(crate) delta: Option<Arc<TableDelta>>,
@@ -345,10 +343,10 @@ impl BuildReducer<'_> {
 impl SharedBuild {
     /// Scan + decode the key column and build the partitioned hash table
     /// on the pipeline's workers (serial insertion for a single-span
-    /// plan). Takes one consistent snapshot of the right table: base
-    /// keys come from the snapshot's column files, delta-insert keys are
-    /// appended in stamp order, and deleted positions — plus every
-    /// position a [`BuildReducer`] rejects — are skipped by the
+    /// plan). Takes one consistent snapshot of the right table and reads
+    /// every logical position of it — the file's blocks, then the tail
+    /// blocks of its inserted rows; deleted positions, plus every
+    /// position a [`BuildReducer`] rejects, are skipped by the
     /// hash-table build.
     pub(crate) fn build(
         store: &Store,
@@ -359,51 +357,40 @@ impl SharedBuild {
     ) -> Result<SharedBuild> {
         let (info, delta) = store.scan_snapshot(right)?;
         let base_rows = info.num_rows;
-        let insert_rows = delta.as_ref().map_or(0, |d| d.num_inserts());
-        let mut keys = Vec::with_capacity(base_rows as usize + insert_rows);
-        // Shared-dictionary base codes, harvested alongside the decode
-        // when every base block agrees on one sorted dictionary. The
-        // decoded keys are kept regardless: snowflake edges index them
-        // by position ([`KeyFetch::Prev`]) whichever domain the table
-        // hashes.
+        let rkey_reader = store.reader_for(&info, delta.as_ref(), right_key)?;
+        let rows = rkey_reader.num_rows();
+        let base_mini = MiniColumn::fetch(&rkey_reader, PosRange::new(0, base_rows))?;
+        let mut keys = Vec::with_capacity(rows as usize);
+        base_mini.decode(&mut keys)?;
+        MiniColumn::fetch(&rkey_reader, PosRange::new(base_rows, rows))?.decode(&mut keys)?;
+        // Shared-dictionary codes, harvested from the base blocks when
+        // they all agree on one sorted dictionary. The decoded keys are
+        // kept regardless: snowflake edges index them by position
+        // ([`KeyFetch::Prev`]) whichever domain the table hashes.
         let mut code_build: Option<(u64, Vec<Value>, Vec<u32>)> = None;
-        if base_rows > 0 {
-            let rkey_reader = store.reader_for(&info, right_key)?;
-            let window = PosRange::new(0, base_rows);
-            let rkey_mini = MiniColumn::fetch(&rkey_reader, window)?;
-            rkey_mini.decode(&mut keys)?;
-            if let (Some(fp), Some(dict)) =
-                (rkey_mini.shared_dict_fingerprint(), rkey_mini.shared_dict())
-            {
-                // Binary-search translation below needs sorted codes;
-                // the shared-dict loader guarantees this, a per-block
-                // first-appearance dictionary that happens to span one
-                // block does not.
-                if dict.windows(2).all(|w| w[0] < w[1]) {
-                    let mut codes = Vec::with_capacity(base_rows as usize);
-                    rkey_mini.gather_codes(&PosList::full(window), &mut codes)?;
-                    code_build = Some((fp, dict.to_vec(), codes));
-                }
+        if let (Some(fp), Some(dict)) =
+            (base_mini.shared_dict_fingerprint(), base_mini.shared_dict())
+        {
+            // Binary-search translation below needs sorted codes; the
+            // shared-dict loader guarantees this, a per-block
+            // first-appearance dictionary that happens to span one block
+            // does not.
+            if dict.windows(2).all(|w| w[0] < w[1]) {
+                let mut codes = Vec::with_capacity(rows as usize);
+                base_mini.gather_codes(&PosList::full(base_mini.window()), &mut codes)?;
+                // Tail keys are raw values; translate each through the
+                // dictionary. One untranslatable key sinks the code
+                // path — the value table is always correct.
+                let tail: Option<Vec<u32>> = keys[base_rows as usize..]
+                    .iter()
+                    .map(|key| dict.binary_search(key).ok().map(|c| c as u32))
+                    .collect();
+                code_build = tail.map(|tail| {
+                    codes.extend(tail);
+                    (fp, dict.to_vec(), codes)
+                });
             }
         }
-        if let Some(d) = &delta {
-            d.extend_column(right_key, &mut keys);
-            // Delta keys are raw values; translate each through the
-            // dictionary. One untranslatable key sinks the code path —
-            // the value table is always correct.
-            if let Some((_, dict, codes)) = &mut code_build {
-                for key in &keys[base_rows as usize..] {
-                    match dict.binary_search(key) {
-                        Ok(c) => codes.push(c as u32),
-                        Err(_) => {
-                            code_build = None;
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        let rows = keys.len() as u64;
         // Positions the hash table must never hold: the snapshot's
         // deletes plus every row a reducer rejects. Reducers read the
         // same snapshot the keys came from (the key decode is reused
@@ -415,16 +402,7 @@ impl SharedBuild {
             for r in reducers {
                 let col = r.col();
                 if col != right_key && !col_vals.contains_key(&col) {
-                    let mut vals = Vec::with_capacity(rows as usize);
-                    if base_rows > 0 {
-                        let reader = store.reader_for(&info, col)?;
-                        let mini = MiniColumn::fetch(&reader, PosRange::new(0, base_rows))?;
-                        mini.decode(&mut vals)?;
-                    }
-                    if let Some(d) = &delta {
-                        d.extend_column(col, &mut vals);
-                    }
-                    col_vals.insert(col, vals);
+                    col_vals.insert(col, decode_snapshot(store, &info, delta.as_ref(), col)?);
                 }
             }
             for r in reducers {
@@ -465,7 +443,6 @@ impl SharedBuild {
             keys: Arc::new(keys),
             build_workers,
             rows,
-            base_rows,
             info,
             delta,
         })
@@ -518,75 +495,63 @@ impl SharedBuild {
 /// strategy calls for them. Built column-parallel on `build_workers`
 /// scoped threads, exactly as the projection loader encodes columns.
 pub(crate) struct InnerRep {
-    /// Right output columns as compressed mini-columns over the
-    /// **immutable base** rows (all strategies fetch these blocks at
-    /// build time; empty when the base is empty).
+    /// Right output columns as compressed mini-columns over every
+    /// logical right position — the file's blocks, then the tail blocks
+    /// of the snapshot's inserted rows (all strategies fetch these
+    /// blocks at build time).
     minis: Vec<MiniColumn>,
-    /// Row-major right tuples over the base rows (Materialized only).
+    /// Row-major right tuples (Materialized only).
     materialized: Option<Vec<Value>>,
     /// Per right output column: fully decoded values when the codec
     /// cannot fetch by position (bit-vector; SingleColumn only). Decoded
     /// once at build so parallel workers share the work.
     decoded: Vec<Option<Vec<Value>>>,
-    /// The delta's inserted rows, one vector per output column, each
-    /// indexable by `logical position - base_rows`. Decoded already, so
-    /// every strategy gathers them the same way.
-    delta_vals: Vec<Vec<Value>>,
-    /// Immutable right rows; gather positions at or above this index the
-    /// delta values.
-    base_rows: u64,
-    /// Output width (delta rows may exist where `minis` is empty).
-    out_width: usize,
     /// The strategy the representation was built for.
     inner: InnerStrategy,
 }
 
 impl InnerRep {
     /// Fetch (and decode, where `inner` needs it) the right output
-    /// columns from the build's snapshot: base columns from the
-    /// snapshot's files, delta inserts copied column by column.
+    /// columns from the build's snapshot.
     pub(crate) fn build(
         store: &Store,
         shared: &SharedBuild,
         right_output: &[usize],
         inner: InnerStrategy,
     ) -> Result<InnerRep> {
-        let base_rows = shared.base_rows;
-        let window = PosRange::new(0, base_rows);
+        let rows = shared.rows;
+        let window = PosRange::new(0, rows);
         let rwidth = right_output.len();
         let build_workers = shared.build_workers;
-        let minis: Vec<MiniColumn> = if base_rows > 0 {
+        let minis: Vec<MiniColumn> =
             matstrat_common::par_map_indexed(rwidth, build_workers, |c| {
-                MiniColumn::fetch(&store.reader_for(&shared.info, right_output[c])?, window)
-            })?
-        } else {
-            Vec::new()
-        };
-        // Materialized: construct every base right tuple up front
-        // (row-major). Delta values are gathered from delta_vals instead.
+                let reader =
+                    store.reader_for(&shared.info, shared.delta.as_ref(), right_output[c])?;
+                MiniColumn::fetch(&reader, window)
+            })?;
+        // Materialized: construct every right tuple up front (row-major).
         let materialized: Option<Vec<Value>> = match inner {
-            InnerStrategy::Materialized if base_rows > 0 => {
+            InnerStrategy::Materialized => {
                 let cols: Vec<Vec<Value>> =
                     matstrat_common::par_map_indexed(rwidth, build_workers, |c| -> Result<_> {
-                        let mut v = Vec::with_capacity(base_rows as usize);
+                        let mut v = Vec::with_capacity(rows as usize);
                         minis[c].decode(&mut v)?;
                         Ok(v)
                     })?;
-                Some(flatten_row_major(&cols, base_rows as usize, build_workers))
+                Some(flatten_row_major(&cols, rows as usize, build_workers))
             }
-            InnerStrategy::Materialized => Some(Vec::new()),
             _ => None,
         };
         // Single-column right fetch cannot gather from bit-vector blocks
         // (value_at would rescan k bit-strings per probe): decompress
         // such columns once, shared read-only by every probe worker.
         let decoded: Vec<Option<Vec<Value>>> = match inner {
-            InnerStrategy::SingleColumn if base_rows > 0 => {
+            InnerStrategy::SingleColumn => {
                 matstrat_common::par_map_indexed(rwidth, build_workers, |c| -> Result<_> {
                     if minis[c].supports_position_fetch() {
                         Ok(None)
                     } else {
-                        let mut v = Vec::with_capacity(base_rows as usize);
+                        let mut v = Vec::with_capacity(rows as usize);
                         minis[c].decode(&mut v)?;
                         Ok(Some(v))
                     }
@@ -594,31 +559,17 @@ impl InnerRep {
             }
             _ => vec![None; rwidth],
         };
-        let delta_vals: Vec<Vec<Value>> = match &shared.delta {
-            Some(d) => right_output
-                .iter()
-                .map(|&c| {
-                    let mut v = Vec::new();
-                    d.extend_column(c, &mut v);
-                    v
-                })
-                .collect(),
-            None => Vec::new(),
-        };
         Ok(InnerRep {
             minis,
             materialized,
             decoded,
-            delta_vals,
-            base_rows,
-            out_width: rwidth,
             inner,
         })
     }
 
     /// Output width (number of right output columns).
     pub(crate) fn width(&self) -> usize {
-        self.out_width
+        self.minis.len()
     }
 
     /// Fetch the output values at the matched right positions, one
@@ -630,40 +581,23 @@ impl InnerRep {
     /// SingleColumn — the Figure 13 penalty.
     pub(crate) fn gather(&self, right_pos: &[u32]) -> Result<Vec<Vec<Value>>> {
         let rwidth = self.width();
-        let out_rows = right_pos.len();
-        let base_rows = self.base_rows;
-        let mut cols: Vec<Vec<Value>> = vec![Vec::with_capacity(out_rows); rwidth];
+        let mut cols: Vec<Vec<Value>> = vec![Vec::with_capacity(right_pos.len()); rwidth];
         match self.inner {
             InnerStrategy::Materialized => {
                 let flat = self.materialized.as_ref().expect("built above");
                 for &rp in right_pos {
-                    if (rp as u64) < base_rows {
-                        let base = rp as usize * rwidth;
-                        for (c, col) in cols.iter_mut().enumerate() {
-                            col.push(flat[base + c]);
-                        }
-                    } else {
-                        let at = (rp as u64 - base_rows) as usize;
-                        for (col, vals) in cols.iter_mut().zip(&self.delta_vals) {
-                            col.push(vals[at]);
-                        }
+                    let base = rp as usize * rwidth;
+                    for (c, col) in cols.iter_mut().enumerate() {
+                        col.push(flat[base + c]);
                     }
                 }
             }
             InnerStrategy::MultiColumn => {
                 // Construct right tuples on the fly from the compressed
-                // mini-columns at each matched position (delta values
-                // are already decoded).
+                // mini-columns at each matched position.
                 for &rp in right_pos {
-                    if (rp as u64) < base_rows {
-                        for (c, mini) in self.minis.iter().enumerate() {
-                            cols[c].push(mini.value_at(rp as u64)?);
-                        }
-                    } else {
-                        let at = (rp as u64 - base_rows) as usize;
-                        for (col, vals) in cols.iter_mut().zip(&self.delta_vals) {
-                            col.push(vals[at]);
-                        }
+                    for (col, mini) in cols.iter_mut().zip(&self.minis) {
+                        col.push(mini.value_at(rp as u64)?);
                     }
                 }
             }
@@ -676,10 +610,6 @@ impl InnerRep {
                 // output row.
                 for (c, col) in cols.iter_mut().enumerate() {
                     for &rp in right_pos {
-                        if (rp as u64) >= base_rows {
-                            col.push(self.delta_vals[c][(rp as u64 - base_rows) as usize]);
-                            continue;
-                        }
                         match &self.decoded[c] {
                             None => col.push(self.minis[c].value_at(rp as u64)?),
                             // Bit-vector right column: indexed into the
@@ -694,31 +624,27 @@ impl InnerRep {
     }
 }
 
+/// Every value of column `col` of a `(projection, delta)` snapshot,
+/// indexable by logical position: the file's blocks, then the tail
+/// blocks of the inserted rows (deleted rows included).
+pub(crate) fn decode_snapshot(
+    store: &Store,
+    info: &ProjectionInfo,
+    delta: Option<&Arc<TableDelta>>,
+    col: usize,
+) -> Result<Vec<Value>> {
+    let reader = store.reader_for(info, delta, col)?;
+    let mut vals = Vec::with_capacity(reader.num_rows() as usize);
+    MiniColumn::fetch(&reader, PosRange::new(0, reader.num_rows()))?.decode(&mut vals)?;
+    Ok(vals)
+}
+
 /// Fetch one span-local column at a **sorted, possibly duplicated**
-/// position list: gather over the deduplicated list, then expand the
-/// duplicates by walking both lists. The shape every merge-on-position
-/// fetch in the join paths uses (left output values, join-tree base
-/// keys): positions exit the probe sorted, duplicates come from
-/// non-unique right keys.
+/// position list. The shape every merge-on-position fetch in the join
+/// paths uses (left output values, join-tree base keys): positions exit
+/// the probe sorted, duplicates come from non-unique right keys.
 pub(crate) fn fetch_expanded(mini: &MiniColumn, positions: &[Pos]) -> Result<Vec<Value>> {
-    let mut uniq = positions.to_vec();
-    uniq.dedup();
-    let pl = PosList::Explicit(PosVec::from_sorted(uniq.clone()));
-    let mut vals = Vec::with_capacity(uniq.len());
-    mini.fetch_values(&pl, &mut vals)?;
-    if uniq.len() == positions.len() {
-        return Ok(vals);
-    }
-    // Expand duplicates by walking both lists.
-    let mut expanded = Vec::with_capacity(positions.len());
-    let mut ui = 0usize;
-    for &p in positions {
-        while uniq[ui] != p {
-            ui += 1;
-        }
-        expanded.push(vals[ui]);
-    }
-    Ok(expanded)
+    gather_expanded(positions, |pl, out| mini.fetch_values(pl, out).map(drop))
 }
 
 /// [`fetch_expanded`] in the code domain: gather u32 dictionary codes —
@@ -726,13 +652,24 @@ pub(crate) fn fetch_expanded(mini: &MiniColumn, positions: &[Pos]) -> Result<Vec
 /// list. Only valid on a mini-column whose blocks all share one
 /// dictionary (the caller verified it against the build's).
 pub(crate) fn fetch_codes_expanded(mini: &MiniColumn, positions: &[Pos]) -> Result<Vec<u32>> {
+    gather_expanded(positions, |pl, out| mini.gather_codes(pl, out))
+}
+
+/// `gather` over the deduplicated `positions`, then expand the
+/// duplicates by walking both lists.
+fn gather_expanded<T: Copy>(
+    positions: &[Pos],
+    gather: impl FnOnce(&PosList, &mut Vec<T>) -> Result<()>,
+) -> Result<Vec<T>> {
     let mut uniq = positions.to_vec();
     uniq.dedup();
-    let pl = PosList::Explicit(PosVec::from_sorted(uniq.clone()));
-    let mut codes = Vec::with_capacity(uniq.len());
-    mini.gather_codes(&pl, &mut codes)?;
+    let mut vals = Vec::with_capacity(uniq.len());
+    gather(
+        &PosList::Explicit(PosVec::from_sorted(uniq.clone())),
+        &mut vals,
+    )?;
     if uniq.len() == positions.len() {
-        return Ok(codes);
+        return Ok(vals);
     }
     let mut expanded = Vec::with_capacity(positions.len());
     let mut ui = 0usize;
@@ -740,7 +677,7 @@ pub(crate) fn fetch_codes_expanded(mini: &MiniColumn, positions: &[Pos]) -> Resu
         while uniq[ui] != p {
             ui += 1;
         }
-        expanded.push(codes[ui]);
+        expanded.push(vals[ui]);
     }
     Ok(expanded)
 }

@@ -37,6 +37,21 @@
 //! `tests/join_tree_diff.rs` proves against the serial composition of
 //! single joins.
 //!
+//! # Inserted rows are the last blocks
+//!
+//! Every table is read through readers opened on one delta snapshot,
+//! which cover its inserted rows as in-memory tail blocks after the
+//! file's, so there is no second, row-at-a-time path for them. The
+//! build side decodes keys, reducer columns and output
+//! representations over every logical position; the probe runs
+//! `probe_tree_span` over the base table's file rows on the pipeline
+//! and then once more, serially, over the tail window
+//! `[base_rows, base_rows + inserts)` — its fragment lands after every
+//! other, where inserted rows sit in position order. Deleted rows of
+//! either kind drop out of the descriptor before any probe. Tail blocks
+//! are Plain, so a tail span probes a code-keyed table by value, as the
+//! dictionary's own fingerprint check already requires.
+//!
 //! # Edge ordering
 //!
 //! Execution order is a plan property ([`JoinTreePlan::order`]), chosen
@@ -52,14 +67,14 @@ use std::time::Instant;
 
 use matstrat_common::{Error, Pos, PosRange, Predicate, Result, TableId, Value};
 use matstrat_poslist::PosList;
-use matstrat_storage::{ColumnReader, Store, TableDelta};
+use matstrat_storage::{ColumnReader, Store};
 
 use crate::exec::ExecOptions;
 use crate::multicol::MiniColumn;
 use crate::ops::agg::Aggregator;
 use crate::ops::join::{
-    fetch_codes_expanded, fetch_expanded, filter_deleted, BuildReducer, InnerRep, InnerStrategy,
-    SharedBuild,
+    decode_snapshot, fetch_codes_expanded, fetch_expanded, filter_deleted, BuildReducer, InnerRep,
+    InnerStrategy, SharedBuild,
 };
 use crate::pipeline::FragmentPipeline;
 use crate::query::{metered, AggSpec, JoinKeySource, JoinTreeSpec, QueryResult, QueryStats};
@@ -395,31 +410,28 @@ fn execute_tree(
         let shared = Arc::clone(shared_by_spec[ei].as_ref().expect("built above"));
         let rep = InnerRep::build(store, &shared, &edge.right_output, plan.inners[ei])?;
         let source = match spec.key_source(ei)? {
-            JoinKeySource::Base => KeyFetch::Base(store.reader_for(&base_info, edge.left_key)?),
+            JoinKeySource::Base => {
+                KeyFetch::Base(store.reader_for(&base_info, base_delta.as_ref(), edge.left_key)?)
+            }
             JoinKeySource::Edge(j) => {
                 let j_slot = spec_to_slot[j];
                 debug_assert_ne!(j_slot, usize::MAX, "plan validated above");
                 let through = &runs[j_slot];
                 // Keying through the column the table was hashed on
                 // reuses its decoded keys; any other column decodes once
-                // here — base rows from the through-table's snapshot
-                // files, delta inserts appended in stamp order so the
-                // array stays indexable by logical position — shared
-                // read-only by every probe worker.
+                // here, from the through-table's snapshot, indexable by
+                // logical position — shared read-only by every probe
+                // worker.
                 let keys = if spec.edges[j].right_key == edge.left_key {
                     Arc::clone(&through.shared.keys)
                 } else {
                     let ts = &through.shared;
-                    let mut v = Vec::with_capacity(ts.rows as usize);
-                    if ts.base_rows > 0 {
-                        let reader = store.reader_for(&ts.info, edge.left_key)?;
-                        let mini = MiniColumn::fetch(&reader, PosRange::new(0, ts.base_rows))?;
-                        mini.decode(&mut v)?;
-                    }
-                    if let Some(d) = &ts.delta {
-                        d.extend_column(edge.left_key, &mut v);
-                    }
-                    Arc::new(v)
+                    Arc::new(decode_snapshot(
+                        store,
+                        &ts.info,
+                        ts.delta.as_ref(),
+                        edge.left_key,
+                    )?)
                 };
                 KeyFetch::Prev { slot: j_slot, keys }
             }
@@ -432,20 +444,18 @@ fn execute_tree(
         });
     }
 
-    // Base-side readers, pinned to the base snapshot, shared by every
-    // probe worker.
+    // Base-side readers, opened on the base snapshot (so they cover its
+    // inserted rows as tail blocks), shared by every probe worker.
     let base_filter_reader = match &edge0.left_filter {
-        Some((col, _)) => Some(store.reader_for(&base_info, *col)?),
+        Some((col, _)) => Some(store.reader_for(&base_info, base_delta.as_ref(), *col)?),
         None => None,
     };
     let base_out_readers: Vec<ColumnReader> = edge0
         .left_output
         .iter()
-        .map(|&c| store.reader_for(&base_info, c))
+        .map(|&c| store.reader_for(&base_info, base_delta.as_ref(), c))
         .collect::<Result<_>>()?;
-    let base_deletes: Vec<u64> = base_delta
-        .as_ref()
-        .map_or(Vec::new(), |d| d.base_deletes().to_vec());
+    let deletes: &[u64] = base_delta.as_ref().map_or(&[], |d| d.deletes());
 
     // The aggregate's columns, resolved once (validated by
     // `spec.validate`).
@@ -455,26 +465,29 @@ fn execute_tree(
         value: resolve_out_col(spec, a.value_col),
     });
 
-    // ---- Probe phase: span-parallel over the base table's base rows -----
-    let pipeline = FragmentPipeline::new(
-        base_info.num_rows,
-        opts.granule.max(1),
-        opts.parallelism.max(1),
-    );
-    let zone_maps = opts.zone_maps;
-    let (fragments, steals) = pipeline.run(|span| {
+    // ---- Probe phase: span-parallel over the base table's file rows ----
+    // then the tail window of its inserted rows through the same span
+    // pipeline, serially, after every file-row fragment — exactly where
+    // those rows sit in position order.
+    let base_rows = base_info.num_rows;
+    let pipeline = FragmentPipeline::new(base_rows, opts.granule.max(1), opts.parallelism.max(1));
+    let probe = |span| {
         probe_tree_span(
             spec,
             &runs,
             &spec_to_slot,
             &base_filter_reader,
             &base_out_readers,
-            &base_deletes,
+            deletes,
             agg_cols.as_ref(),
-            zone_maps,
+            opts.zone_maps,
             span,
         )
-    })?;
+    };
+    let (mut fragments, steals) = pipeline.run(probe)?;
+    if let Some(d) = base_delta.as_ref().filter(|d| d.num_inserts() > 0) {
+        fragments.push(probe(PosRange::new(base_rows, d.total_rows()))?);
+    }
 
     // Fragments are row-major and runs merge in global granule order, so
     // concatenation reproduces the serial row order byte for byte;
@@ -491,22 +504,6 @@ fn execute_tree(
             (Some(a), Some(b)) => a.merge(b),
             (None, None) => flat.extend(frag.flat),
             _ => unreachable!("fragments share the aggregate mode"),
-        }
-    }
-    // ---- Base delta pass: serial, in stamp order ------------------------
-    // The base table's live inserts run the same probe pipeline after
-    // every base fragment — exactly where those rows sit in position
-    // order. Under an aggregate the joined delta rows feed the
-    // accumulator tuple-at-a-time.
-    if let Some(d) = &base_delta {
-        let drows = probe_tree_delta(spec, &runs, &spec_to_slot, &plan.order, d)?;
-        match (&mut agg_acc, &agg_cols) {
-            (Some(a), Some(ac)) => {
-                for row in drows.chunks_exact(spec.output_width()) {
-                    a.add(row[ac.spec.group_col], row[ac.spec.value_col]);
-                }
-            }
-            _ => flat.extend(drows),
         }
     }
     let result = match (agg_acc, &agg_cols) {
@@ -530,7 +527,7 @@ fn probe_tree_span(
     spec_to_slot: &[usize],
     base_filter_reader: &Option<ColumnReader>,
     base_out_readers: &[ColumnReader],
-    base_deletes: &[u64],
+    deletes: &[u64],
     agg: Option<&AggCols>,
     zone_maps: bool,
     span: PosRange,
@@ -555,10 +552,10 @@ fn probe_tree_span(
         }
         _ => PosList::full(span),
     };
-    // Deleted base rows never reach the probes (nor any value fetch).
-    let lo = base_deletes.partition_point(|&p| p < span.start);
-    let hi = base_deletes.partition_point(|&p| p < span.end);
-    let desc = filter_deleted(desc, &base_deletes[lo..hi]);
+    // Deleted rows never reach the probes (nor any value fetch).
+    let lo = deletes.partition_point(|&p| p < span.start);
+    let hi = deletes.partition_point(|&p| p < span.end);
+    let desc = filter_deleted(desc, &deletes[lo..hi]);
 
     // ---- The pipelined position intermediate ----------------------------
     // Row i of the intermediate is (base_pos[i], rights[0][i], ...,
@@ -734,73 +731,6 @@ fn fetch_out_col(
             Ok(gathered[slot].as_ref().unwrap()[col].clone())
         }
     }
-}
-
-/// Probe every live base-table delta-insert row through the whole edge
-/// sequence, serially, in stamp order — the delta counterpart of
-/// [`probe_tree_span`]. Keys come straight from the inserted row
-/// (base key columns) or from a previous slot's key array (which covers
-/// delta positions of *that* table too), so the fan-out nesting matches
-/// the span path's exactly.
-fn probe_tree_delta(
-    spec: &JoinTreeSpec,
-    runs: &[EdgeRun],
-    spec_to_slot: &[usize],
-    slot_to_spec: &[usize],
-    delta: &TableDelta,
-) -> Result<Vec<Value>> {
-    let edge0 = &spec.edges[0];
-    let mut flat = Vec::new();
-    for row in delta.live_inserts() {
-        if let Some((c, pred)) = &edge0.left_filter {
-            if !pred.matches(row.get(*c)) {
-                continue;
-            }
-        }
-        // One combo per surviving intermediate row: the matched right
-        // position per completed slot. Every probe extends the set in
-        // nested-loop order, exactly as the span path's fan-out does.
-        let mut combos: Vec<Vec<u32>> = vec![Vec::new()];
-        for (slot, run) in runs.iter().enumerate() {
-            let mut next: Vec<Vec<u32>> = Vec::new();
-            for combo in &combos {
-                let key = match &run.source {
-                    KeyFetch::Base(_) => row.get(spec.edges[slot_to_spec[slot]].left_key),
-                    KeyFetch::Prev { slot: j, keys } => keys[combo[*j] as usize],
-                };
-                if let Some(rps) = run.shared.probe(key) {
-                    for &rp in rps {
-                        let mut c = combo.clone();
-                        c.push(rp);
-                        next.push(c);
-                    }
-                }
-            }
-            combos = next;
-            if combos.is_empty() {
-                break;
-            }
-        }
-        if combos.is_empty() {
-            continue;
-        }
-        let mut right_cols: Vec<Vec<Vec<Value>>> = Vec::with_capacity(runs.len());
-        for (slot, run) in runs.iter().enumerate() {
-            let rps: Vec<u32> = combos.iter().map(|c| c[slot]).collect();
-            right_cols.push(run.rep.gather(&rps)?);
-        }
-        for ci in 0..combos.len() {
-            for &c in &edge0.left_output {
-                flat.push(row.get(c));
-            }
-            for ei in 0..spec.edges.len() {
-                for col in &right_cols[spec_to_slot[ei]] {
-                    flat.push(col[ci]);
-                }
-            }
-        }
-    }
-    Ok(flat)
 }
 
 #[cfg(test)]

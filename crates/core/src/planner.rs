@@ -126,9 +126,9 @@ struct TreeInputs {
     /// Base output columns and their total blocks, fetched once at the
     /// top of the tree.
     base_out: (f64, f64),
-    /// Serial delta-merge CPU: base inserts probe after the fragments,
-    /// each edge's inner-table inserts append to its build. The same
-    /// for every order.
+    /// Serial delta-merge CPU: the base table's tail window probes after
+    /// the fragments, each edge's build reads its inner table's tail
+    /// blocks. The same for every order.
     delta_cpu: f64,
 }
 
@@ -274,12 +274,11 @@ impl Planner {
         }
     }
 
-    /// `table`'s catalog entry and the serial CPU surcharge for merging
-    /// its in-memory delta rows into a query: the delta pass is
-    /// row-at-a-time and runs on one thread after the span fragments, so
-    /// it is priced at `fc` (the model's per-tuple function-call cost)
-    /// per live insert row — for **every** strategy, since the pass is
-    /// strategy-independent. The term never flips a choice (it is a
+    /// `table`'s catalog entry and the serial CPU surcharge for its
+    /// in-memory delta rows: they are read as tail blocks in one window
+    /// that runs on one thread after the span fragments, priced at `fc`
+    /// (the model's per-tuple function-call cost) per live insert row —
+    /// for **every** strategy alike. The term never flips a choice (it is a
     /// constant across alternatives) but keeps reported totals honest as
     /// the delta fraction grows and compaction lag becomes visible in
     /// plans.

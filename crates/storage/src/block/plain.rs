@@ -34,26 +34,50 @@ impl PlainBlock {
     /// Panics if a value does not fit the width or the block would
     /// overflow 64 KB.
     pub fn from_values(start_pos: Pos, width: Width, values: &[Value]) -> PlainBlock {
+        Self::from_slices(start_pos, width, [values])
+    }
+
+    /// [`from_values`](Self::from_values) over the concatenation of
+    /// `slices`: a block cut straight out of chunked storage (a reader's
+    /// in-memory tail of inserted rows) with no intermediate copy.
+    pub fn from_slices<'a, I>(start_pos: Pos, width: Width, slices: I) -> PlainBlock
+    where
+        I: IntoIterator<Item = &'a [Value]>,
+        I::IntoIter: Clone,
+    {
+        let slices = slices.into_iter();
+        let count: usize = slices.clone().map(<[Value]>::len).sum();
         assert!(
-            values.len() <= Self::capacity(width),
-            "plain block overflow: {} values at width {width}",
-            values.len()
+            count <= Self::capacity(width),
+            "plain block overflow: {count} values at width {width}"
         );
-        let mut raw = Vec::with_capacity(values.len() * width.bytes());
-        for &v in values {
-            assert!(width.fits(v), "value {v} does not fit width {width}");
-            match width {
-                Width::W1 => raw.extend_from_slice(&(v as i8).to_le_bytes()),
-                Width::W2 => raw.extend_from_slice(&(v as i16).to_le_bytes()),
-                Width::W4 => raw.extend_from_slice(&(v as i32).to_le_bytes()),
-                Width::W8 => raw.extend_from_slice(&v.to_le_bytes()),
-            }
+        let mut raw = vec![0u8; count * width.bytes()];
+        // One loop per width, so at W8 the pack is a plain copy.
+        macro_rules! pack {
+            ($t:ty) => {{
+                const W: usize = std::mem::size_of::<$t>();
+                let mut at = 0;
+                for slice in slices {
+                    let dst = &mut raw[at * W..(at + slice.len()) * W];
+                    for (out, &v) in dst.chunks_exact_mut(W).zip(slice) {
+                        assert!(width.fits(v), "value {v} does not fit width {width}");
+                        out.copy_from_slice(&(v as $t).to_le_bytes());
+                    }
+                    at += slice.len();
+                }
+            }};
+        }
+        match width {
+            Width::W1 => pack!(i8),
+            Width::W2 => pack!(i16),
+            Width::W4 => pack!(i32),
+            Width::W8 => pack!(i64),
         }
         PlainBlock {
             start_pos,
             width,
             raw,
-            count: values.len() as u32,
+            count: count as u32,
         }
     }
 
@@ -101,30 +125,8 @@ impl PlainBlock {
 
     /// DS1 over packed values; representation chosen by the builder.
     pub fn scan_positions(&self, pred: &Predicate) -> PosList {
-        let mut b = PosListBuilder::new();
-        // Specialize the inner loop per width so the decode is branch-free.
-        macro_rules! scan {
-            ($get:expr) => {
-                for i in 0..self.count as usize {
-                    if pred.matches($get(i)) {
-                        b.push(self.start_pos + i as u64);
-                    }
-                }
-            };
-        }
-        match self.width {
-            Width::W1 => scan!(|i: usize| self.raw[i] as i8 as i64),
-            Width::W2 => scan!(|i: usize| i16::from_le_bytes(
-                self.raw[i * 2..i * 2 + 2].try_into().unwrap()
-            ) as i64),
-            Width::W4 => scan!(|i: usize| i32::from_le_bytes(
-                self.raw[i * 4..i * 4 + 4].try_into().unwrap()
-            ) as i64),
-            Width::W8 => {
-                scan!(|i: usize| i64::from_le_bytes(self.raw[i * 8..i * 8 + 8].try_into().unwrap()))
-            }
-        }
-        b.finish()
+        let end = self.start_pos + self.count as u64;
+        self.scan_positions_in(pred, PosRange::new(self.start_pos, end))
     }
 
     /// DS2 over packed values.
@@ -144,10 +146,25 @@ impl PlainBlock {
         let lo = (window.start - self.start_pos) as usize;
         let hi = (window.end - self.start_pos) as usize;
         let mut b = PosListBuilder::new();
-        for i in lo..hi {
-            if pred.matches(self.decode_idx(i)) {
-                b.push(self.start_pos + i as u64);
-            }
+        // Specialize the inner loop per width so the decode is branch-free
+        // and bounds-checked once, by the slice.
+        macro_rules! scan {
+            ($t:ty) => {{
+                const W: usize = std::mem::size_of::<$t>();
+                let packed = self.raw[lo * W..hi * W].chunks_exact(W);
+                for (i, bytes) in (lo..hi).zip(packed) {
+                    let v = <$t>::from_le_bytes(bytes.try_into().unwrap());
+                    if pred.matches(v as Value) {
+                        b.push(self.start_pos + i as u64);
+                    }
+                }
+            }};
+        }
+        match self.width {
+            Width::W1 => scan!(i8),
+            Width::W2 => scan!(i16),
+            Width::W4 => scan!(i32),
+            Width::W8 => scan!(i64),
         }
         b.finish()
     }

@@ -1,5 +1,5 @@
 //! The mutable half of every table: a columnar, position-stamped delta
-//! that scans merge with the immutable column blocks.
+//! that scans read as more blocks after the immutable column blocks.
 //!
 //! A projection's immutable blocks cover positions `[0, base_rows)`.
 //! Inserted rows are **position-stamped** past that: the i-th delta row
@@ -8,7 +8,7 @@
 //! delta rows in insertion order* — a total order that does not depend
 //! on who scans it or with how many threads. Deletes are a sorted
 //! position set over the combined space; a deleted row stays physically
-//! present (in blocks or in the delta) and is filtered at merge time.
+//! present (in blocks or in the delta) and is filtered at scan time.
 //! Compaction folds the whole delta back into fresh immutable blocks in
 //! exactly this logical order, which is why a query is byte-identical
 //! before, during, and after a compaction.
@@ -30,11 +30,22 @@
 //! copies it once, flat. Nothing here allocates per row — not a
 //! snapshot, not a write under one, not a drop.
 //!
-//! Readers never test liveness row by row: [`TableDelta::live_inserts`]
-//! and [`TableDelta::extend_live_column`] walk the inserted rows and the
-//! sorted deletes together, once.
+//! # How readers see it
+//!
+//! Queries do not read the delta row by row. A
+//! [`ColumnReader`](crate::ColumnReader) opened on a snapshot's delta
+//! covers every logical position, `[0, base_rows + inserts)`: the
+//! column file's blocks, then **tail blocks** — uncompressed Plain
+//! blocks of at most `PlainBlock::capacity(W8)` inserted values each,
+//! packed straight from the chunks ([`TableDelta::column_range`]),
+//! deleted rows included so positions stay positional. The executors
+//! run the same block operators over the tail as over the file and drop
+//! deleted positions with the sorted [`TableDelta::deletes`] like any
+//! other tombstone. Compaction walks the inserted rows and the sorted
+//! deletes together, once, through [`TableDelta::extend_live_column`].
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use matstrat_common::{Error, Result, TableId, Value};
@@ -136,7 +147,7 @@ impl TableDelta {
 
     /// Whether position `pos` is deleted. One binary search: right for a
     /// point lookup, wrong inside a loop over rows — walk
-    /// [`Self::live_inserts`] or [`retain_live`] instead.
+    /// [`Self::extend_live_column`] or [`retain_live`] instead.
     pub fn is_deleted(&self, pos: u64) -> bool {
         self.deletes.binary_search(&pos).is_ok()
     }
@@ -164,17 +175,28 @@ impl TableDelta {
     /// Column `col` of the inserted rows as slices in stamp order,
     /// deleted rows included (so the concatenation is indexable by
     /// `position - base_rows`).
-    pub fn column_chunks(&self, col: usize) -> impl Iterator<Item = &[Value]> + '_ {
+    pub fn column_chunks(&self, col: usize) -> impl Iterator<Item = &[Value]> + Clone + '_ {
         self.chunks.iter().map(move |c| c.cols[col].as_slice())
     }
 
-    /// Append column `col` of every inserted row (deleted ones included)
-    /// to `out`, in stamp order.
-    pub fn extend_column(&self, col: usize, out: &mut Vec<Value>) {
-        out.reserve(self.inserted);
-        for slice in self.column_chunks(col) {
-            out.extend_from_slice(slice);
-        }
+    /// Column `col` of inserted rows `rows` (indices in stamp order,
+    /// deleted rows included) as chunk slices — the values of one of a
+    /// reader's tail blocks, read in place.
+    pub fn column_range(
+        &self,
+        col: usize,
+        rows: Range<usize>,
+    ) -> impl Iterator<Item = &[Value]> + Clone + '_ {
+        self.column_chunks(col)
+            .scan(0usize, |at, slice| {
+                let from = *at;
+                *at += slice.len();
+                Some((from, slice))
+            })
+            .filter_map(move |(from, slice)| {
+                let (lo, hi) = (rows.start.max(from), rows.end.min(from + slice.len()));
+                (lo < hi).then(|| &slice[lo - from..hi - from])
+            })
     }
 
     /// Append column `col` of every **live** inserted row to `out`, in
@@ -195,19 +217,6 @@ impl TableDelta {
             out.extend_from_slice(&slice[from..]);
             dead = &dead[here..];
             start = end;
-        }
-    }
-
-    /// The live inserted rows in stamp order — the tail of the table's
-    /// logical row order. Deleted rows are skipped by walking the sorted
-    /// deletes alongside, not by a search per row.
-    pub fn live_inserts(&self) -> LiveInserts<'_> {
-        LiveInserts {
-            chunks: self.chunks.iter(),
-            chunk: None,
-            row: 0,
-            pos: self.base_rows,
-            dead: self.insert_deletes(),
         }
     }
 
@@ -278,65 +287,6 @@ impl TableDelta {
                 deletes[old + new - 1] = fresh[new - 1];
                 new -= 1;
             }
-        }
-    }
-}
-
-/// One live inserted row, read in place from its chunk.
-#[derive(Debug, Clone, Copy)]
-pub struct DeltaRow<'a> {
-    chunk: &'a Chunk,
-    row: usize,
-    pos: u64,
-}
-
-impl DeltaRow<'_> {
-    /// The row's logical position (its stamp).
-    pub fn pos(&self) -> u64 {
-        self.pos
-    }
-
-    /// The row's value in column `col`.
-    pub fn get(&self, col: usize) -> Value {
-        self.chunk.cols[col][self.row]
-    }
-}
-
-/// Iterator behind [`TableDelta::live_inserts`].
-#[derive(Debug)]
-pub struct LiveInserts<'a> {
-    chunks: std::slice::Iter<'a, Arc<Chunk>>,
-    chunk: Option<&'a Chunk>,
-    /// Next row of `chunk`.
-    row: usize,
-    /// Stamp of that row.
-    pos: u64,
-    /// Deleted stamps not passed yet.
-    dead: &'a [u64],
-}
-
-impl<'a> Iterator for LiveInserts<'a> {
-    type Item = DeltaRow<'a>;
-
-    fn next(&mut self) -> Option<DeltaRow<'a>> {
-        loop {
-            let chunk = match self.chunk {
-                Some(c) if self.row < c.rows => c,
-                _ => {
-                    let next: &'a Chunk = self.chunks.next()?;
-                    self.chunk = Some(next);
-                    self.row = 0;
-                    continue;
-                }
-            };
-            let (row, pos) = (self.row, self.pos);
-            self.row += 1;
-            self.pos += 1;
-            if self.dead.first() == Some(&pos) {
-                self.dead = &self.dead[1..];
-                continue;
-            }
-            return Some(DeltaRow { chunk, row, pos });
         }
     }
 }
@@ -448,15 +398,21 @@ mod tests {
 
     /// Column `col` of the inserted rows, flattened.
     fn column(d: &TableDelta, col: usize) -> Vec<Value> {
-        let mut v = Vec::new();
-        d.extend_column(col, &mut v);
-        v
+        d.column_chunks(col).flatten().copied().collect()
     }
 
     /// The live inserted rows, row-major.
     fn live(d: &TableDelta, width: usize) -> Vec<Vec<Value>> {
-        d.live_inserts()
-            .map(|r| (0..width).map(|c| r.get(c)).collect())
+        let cols: Vec<Vec<Value>> = (0..width)
+            .map(|c| {
+                let mut v = Vec::new();
+                d.extend_live_column(c, &mut v);
+                v
+            })
+            .collect();
+        let rows = cols.first().map_or(0, Vec::len);
+        (0..rows)
+            .map(|r| cols.iter().map(|col| col[r]).collect())
             .collect()
     }
 
@@ -566,14 +522,17 @@ mod tests {
         ds.delete_positions(t, 5, &[2, 5, 8, 9, 11, 13]).unwrap();
         let d = ds.snapshot(t).unwrap();
         assert_eq!(d.chunks.len(), 3);
-        let want: Vec<Value> = vec![1, 2, 5, 7];
-        let got: Vec<(u64, Value)> = d.live_inserts().map(|r| (r.pos(), r.get(0))).collect();
-        let stamped: Vec<(u64, Value)> = want.iter().map(|&v| (5 + v as u64, v)).collect();
-        assert_eq!(got, stamped);
+        // Column 0 holds each row's stamp offset, so the survivors are
+        // stamps 5 + {1, 2, 5, 7}.
+        let want: Vec<Vec<Value>> = [1, 2, 5, 7].iter().map(|&v| vec![v, 100 + v]).collect();
+        assert_eq!(live(&d, 2), want);
         let mut col = vec![-1];
         d.extend_live_column(1, &mut col);
         assert_eq!(col, vec![-1, 101, 102, 105, 107]);
         assert_eq!(column(&d, 0), (0..9).collect::<Vec<Value>>());
+        // A range cut across chunk boundaries, deleted rows included.
+        let cut: Vec<&[Value]> = d.column_range(0, 2..7).collect();
+        assert_eq!(cut, [&[2][..], &[3], &[4, 5, 6]]);
     }
 
     #[test]

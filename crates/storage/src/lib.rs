@@ -19,7 +19,8 @@
 //!
 //! On top of the immutable blocks sits the **write path**: a per-table
 //! write-ahead log (the `matstrat-wal` crate), a columnar, position-
-//! stamped [`delta`] store that scans merge with the blocks, and a
+//! stamped [`delta`] store that readers serve as tail blocks after the
+//! column file's, and a
 //! compactor that folds deltas back into fresh blocks and reclaims the
 //! files it supersedes once their last reader is done ([`generation`])
 //! — see [`store`]'s module docs.
@@ -38,7 +39,7 @@ pub mod wire;
 
 pub use block::{BitVecBlock, DictBlock, EncodedBlock, PlainBlock, RleBlock, RleRun};
 pub use catalog::{Catalog, ColumnInfo, ColumnSpec, ProjectionInfo, ProjectionSpec, SortOrder};
-pub use delta::{retain_live, DeltaRow, DeltaStore, TableDelta};
+pub use delta::{retain_live, DeltaStore, TableDelta};
 pub use disk::{Disk, FileDisk, MemDisk};
 pub use encoding::EncodingKind;
 pub use file::{BlockIndexEntry, ColumnFileReader, ColumnFileWriter, ColumnStats};

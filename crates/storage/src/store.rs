@@ -11,9 +11,10 @@
 //! [`Store::delete_positions`]. Both log to the table's write-ahead log
 //! first (`wal_t{N}.log`, one group commit per call — see the
 //! `matstrat-wal` crate), then apply to the in-memory
-//! [`DeltaStore`]. Scans merge the delta with
-//! the immutable blocks through the `(ProjectionInfo, delta snapshot)`
-//! pair returned by [`Store::scan_snapshot`].
+//! [`DeltaStore`]. Scans read the delta as more
+//! blocks: a [`ColumnReader`] opened on the `(ProjectionInfo, delta
+//! snapshot)` pair returned by [`Store::scan_snapshot`] serves the
+//! inserted rows as in-memory tail blocks after the file's.
 //!
 //! [`Store::compact`] folds a table's delta back into fresh immutable
 //! column files, in logical row order (so results are byte-identical
@@ -43,13 +44,14 @@
 //! name are removed; logs and the catalog are never touched.
 
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use matstrat_common::{Error, Pos, Result, TableId, Value, Width};
 use parking_lot::{Mutex, RwLock};
 
-use crate::block::EncodedBlock;
+use crate::block::{EncodedBlock, PlainBlock};
 use crate::catalog::{
     verify_sort_order, Catalog, ColumnInfo, ProjectionInfo, ProjectionSpec, SortOrder,
 };
@@ -388,36 +390,63 @@ impl Store {
     }
 
     /// Open a reader for column `col_idx` of projection `table`, as the
-    /// catalog has it now.
+    /// catalog has it now: the column file's blocks only.
     pub fn reader(&self, table: TableId, col_idx: usize) -> Result<ColumnReader> {
         let (info, generation) = {
             let cat = self.inner.catalog.read();
             let proj = cat.projection(table)?;
             (proj.column(col_idx)?.clone(), pin_of(proj)?)
         };
-        self.open_reader(info, generation, col_idx)
+        self.open_reader(info, generation, None, col_idx)
     }
 
-    /// Open a reader for column `col_idx` of a projection entry the
-    /// caller already holds — the executor opens every reader from the
-    /// entry of one [`Self::scan_snapshot`], so a compaction that swaps
-    /// the projection mid-query cannot hand it a mix of generations. The
+    /// Open a reader for column `col_idx` of a `(projection, delta)`
+    /// pair the caller already holds — the executor opens every reader
+    /// from one [`Self::scan_snapshot`], so a compaction that swaps the
+    /// projection mid-query cannot hand it a mix of generations. The
     /// reader takes its own pin on the entry's files, so it stays valid
-    /// after `proj` is dropped, however many compactions later.
-    pub fn reader_for(&self, proj: &ProjectionInfo, col_idx: usize) -> Result<ColumnReader> {
-        self.open_reader(proj.column(col_idx)?.clone(), pin_of(proj)?, col_idx)
+    /// after `proj` is dropped, however many compactions later. With a
+    /// `delta`, the reader also covers its inserted rows, as tail blocks
+    /// past the file's (see [`ColumnReader`]).
+    pub fn reader_for(
+        &self,
+        proj: &ProjectionInfo,
+        delta: Option<&Arc<TableDelta>>,
+        col_idx: usize,
+    ) -> Result<ColumnReader> {
+        let info = proj.column(col_idx)?.clone();
+        if let Some(d) = delta.filter(|d| d.base_rows() != proj.num_rows) {
+            return Err(Error::invalid(format!(
+                "delta over {} rows does not belong to {} ({} rows)",
+                d.base_rows(),
+                proj.name,
+                proj.num_rows
+            )));
+        }
+        self.open_reader(info, pin_of(proj)?, delta, col_idx)
     }
 
     fn open_reader(
         &self,
         info: ColumnInfo,
         generation: Arc<Generation>,
+        delta: Option<&Arc<TableDelta>>,
         col_idx: usize,
     ) -> Result<ColumnReader> {
+        let tail = delta.filter(|d| d.num_inserts() > 0).map(|d| {
+            Arc::new(Tail {
+                delta: Arc::clone(d),
+                col: col_idx,
+                blocks: (0..d.num_inserts().div_ceil(tail_block_rows()))
+                    .map(|_| OnceLock::new())
+                    .collect(),
+            })
+        });
         Ok(ColumnReader {
             store: self.inner.clone(),
             info,
             file: generation.file(col_idx)?,
+            tail,
             _pin: generation,
         })
     }
@@ -927,15 +956,46 @@ fn pin_of(proj: &ProjectionInfo) -> Result<Arc<Generation>> {
         .ok_or_else(|| Error::invalid(format!("projection {} belongs to no store", proj.name)))
 }
 
-/// Read access to one column: blocks come through the buffer pool. A
-/// reader pins the generation of files it was opened on, so it reads
-/// the same bytes for as long as it lives, across any number of
-/// compactions.
+/// Rows per tail block: a full W8 Plain block.
+fn tail_block_rows() -> usize {
+    PlainBlock::capacity(Width::W8)
+}
+
+/// A reader's in-memory tail: one column of a delta snapshot's inserted
+/// rows, cut into Plain blocks, each built on first use.
+struct Tail {
+    delta: Arc<TableDelta>,
+    col: usize,
+    blocks: Vec<OnceLock<Arc<EncodedBlock>>>,
+}
+
+impl Tail {
+    /// The inserted rows (indices in stamp order) of tail block `k`.
+    fn rows(&self, k: usize) -> Range<usize> {
+        let first = k * tail_block_rows();
+        first..(first + tail_block_rows()).min(self.delta.num_inserts())
+    }
+}
+
+/// Read access to one column. A reader pins the generation of files it
+/// was opened on, so it reads the same bytes for as long as it lives,
+/// across any number of compactions.
+///
+/// A reader opened on a delta snapshot ([`Store::reader_for`]) covers
+/// the table's logical positions `[0, base_rows + inserts)`: the file's
+/// blocks come through the buffer pool, then **tail blocks** hold the
+/// snapshot's inserted rows (deleted ones included, so positions stay
+/// positional), [`PlainBlock::capacity`]`(W8)` values each. A tail
+/// block is built from the delta's chunks on its first [`Self::block`]
+/// call and at most once per reader (clones share it); it never enters
+/// the pool, never charges the meter, and its zone is
+/// `(Value::MIN, Value::MAX)`, so zone maps never prune it.
 #[derive(Clone)]
 pub struct ColumnReader {
     store: Arc<StoreInner>,
     info: ColumnInfo,
     file: Arc<ColumnFileReader>,
+    tail: Option<Arc<Tail>>,
     _pin: Arc<Generation>,
 }
 
@@ -950,39 +1010,86 @@ impl ColumnReader {
         self.info.encoding
     }
 
-    /// Total rows (`||C||`).
+    /// Total rows (`||C||`), the tail's included.
     pub fn num_rows(&self) -> u64 {
         self.info.stats.num_rows
+            + self
+                .tail
+                .as_ref()
+                .map_or(0, |t| t.delta.num_inserts() as u64)
     }
 
-    /// Total blocks (`|C|`).
+    /// Total blocks (`|C|`), the tail's included.
     pub fn num_blocks(&self) -> usize {
-        self.file.num_blocks()
+        self.file.num_blocks() + self.tail.as_ref().map_or(0, |t| t.blocks.len())
+    }
+
+    /// The tail's index into its block list, when `idx` names a tail
+    /// block.
+    fn tail_index(&self, idx: usize) -> Option<(&Tail, usize)> {
+        let t = self.tail.as_deref()?;
+        let k = idx.checked_sub(self.file.num_blocks())?;
+        (k < t.blocks.len()).then_some((t, k))
     }
 
     /// Index entry (start position, row count) for block `idx` — no I/O.
     pub fn block_meta(&self, idx: usize) -> Result<BlockIndexEntry> {
-        self.file
-            .index()
-            .get(idx)
-            .copied()
-            .ok_or_else(|| Error::invalid(format!("block {idx} out of range")))
+        if let Some(e) = self.file.index().get(idx) {
+            return Ok(*e);
+        }
+        let (t, k) = self
+            .tail_index(idx)
+            .ok_or_else(|| Error::invalid(format!("block {idx} out of range")))?;
+        let rows = t.rows(k);
+        Ok(BlockIndexEntry {
+            offset: 0,
+            len: 0,
+            start_pos: t.delta.base_rows() + rows.start as u64,
+            count: rows.len() as u32,
+            min: Value::MIN,
+            max: Value::MAX,
+        })
     }
 
     /// Index of the block containing position `pos` — no I/O.
     pub fn block_for_pos(&self, pos: Pos) -> Result<usize> {
-        self.file.block_for_pos(pos)
+        let base = self.info.stats.num_rows;
+        if pos < base || self.tail.is_none() {
+            return self.file.block_for_pos(pos);
+        }
+        if pos >= self.num_rows() {
+            return Err(Error::invalid(format!(
+                "position {pos} beyond column {} ({} rows)",
+                self.info.name,
+                self.num_rows()
+            )));
+        }
+        Ok(self.file.num_blocks() + (pos - base) as usize / tail_block_rows())
     }
 
-    /// Fetch block `idx` through the buffer pool; a miss reads from disk
-    /// and charges the I/O meter. Concurrent misses on one block are
-    /// single-flighted by the pool, so parallel cold runs read and count
-    /// each block exactly once, like a serial run. The read is charged
-    /// to the thread that filled and to nobody else: across overlapping
-    /// queries every cold block is charged to exactly one of them, so a
-    /// query never pays more than it does alone and the queries' reads
-    /// sum to the blocks actually transferred, whoever won which fill.
+    /// Fetch block `idx`. A file block comes through the buffer pool; a
+    /// miss reads from disk and charges the I/O meter. Concurrent misses
+    /// on one block are single-flighted by the pool, so parallel cold
+    /// runs read and count each block exactly once, like a serial run.
+    /// The read is charged to the thread that filled and to nobody else:
+    /// across overlapping queries every cold block is charged to exactly
+    /// one of them, so a query never pays more than it does alone and the
+    /// queries' reads sum to the blocks actually transferred, whoever won
+    /// which fill. A tail block is built in memory, once.
     pub fn block(&self, idx: usize) -> Result<Arc<EncodedBlock>> {
+        if let Some((t, k)) = self.tail_index(idx) {
+            let block = t.blocks[k].get_or_init(|| {
+                let rows = t.rows(k);
+                let start = t.delta.base_rows() + rows.start as u64;
+                let values = t.delta.column_range(t.col, rows);
+                Arc::new(EncodedBlock::Plain(PlainBlock::from_slices(
+                    start,
+                    Width::W8,
+                    values,
+                )))
+            });
+            return Ok(Arc::clone(block));
+        }
         let key = (self.info.file.clone(), idx as u32);
         let meta = self.block_meta(idx)?;
         self.store.pool.get_or_insert_with(&key, || {
@@ -995,10 +1102,11 @@ impl ColumnReader {
         })
     }
 
-    /// Fraction of this column's blocks currently resident in the pool —
-    /// the model's `F`.
+    /// Fraction of this column's file blocks currently resident in the
+    /// pool — the model's `F`. Tail blocks are never pooled and do not
+    /// count.
     pub fn resident_fraction(&self) -> f64 {
-        let total = self.num_blocks();
+        let total = self.file.num_blocks();
         if total == 0 {
             return 1.0;
         }
@@ -1106,6 +1214,71 @@ mod tests {
         let after_first = store.meter().snapshot();
         r.block(0).unwrap();
         assert_eq!(store.meter().snapshot(), after_first, "hit must not do I/O");
+        assert!((r.resident_fraction() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_snapshot_reader_serves_inserts_as_unpooled_tail_blocks() {
+        let store = Store::in_memory();
+        let (a, b) = demo_data();
+        let id = store.load_projection(&demo_spec(), &[&a, &b]).unwrap();
+        let cap = PlainBlock::capacity(Width::W8);
+        assert_eq!(cap, 8190);
+        let inserts = cap + 10;
+        let rows: Vec<Vec<Value>> = (0..inserts as i64).map(|i| vec![10, -i]).collect();
+        store.insert_rows(id, &rows).unwrap();
+        store.delete_positions(id, &[1000]).unwrap();
+        let (info, delta) = store.scan_snapshot(id).unwrap();
+        let file_blocks = store.reader(id, 1).unwrap().num_blocks();
+        let r = store.reader_for(&info, delta.as_ref(), 1).unwrap();
+
+        // Geometry: the file's rows and blocks, then two tail blocks.
+        let total = 1000 + inserts as u64;
+        assert_eq!(r.num_rows(), total);
+        assert_eq!(r.num_blocks(), file_blocks + 2);
+        assert_eq!(r.block_for_pos(999).unwrap(), file_blocks - 1);
+        assert_eq!(r.block_for_pos(1000).unwrap(), file_blocks);
+        assert_eq!(r.block_for_pos(total - 1).unwrap(), file_blocks + 1);
+        assert!(r.block_for_pos(total).is_err());
+        let last = r.block_meta(file_blocks + 1).unwrap();
+        assert_eq!((last.start_pos, last.count), (1000 + cap as u64, 10));
+        assert_eq!((last.min, last.max), (Value::MIN, Value::MAX));
+        assert!(r.block_meta(file_blocks + 2).is_err());
+
+        // Tail blocks cost no I/O and never enter the pool.
+        store.cold_reset();
+        let (io, resident, lookups) = (
+            store.meter().snapshot(),
+            store.pool().len(),
+            store.pool().stats(),
+        );
+        let first = r.block(file_blocks).unwrap();
+        let again = r.block(file_blocks).unwrap();
+        assert!(Arc::ptr_eq(&first, &again), "built once per reader");
+        let mut vals = Vec::new();
+        r.block(file_blocks + 1).unwrap().decode_all(&mut vals);
+        assert_eq!(
+            vals,
+            (cap as i64..inserts as i64).map(|i| -i).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            first.covering(),
+            matstrat_common::PosRange::new(1000, 1000 + cap as u64)
+        );
+        assert_eq!(
+            first.value_at(1000).unwrap(),
+            0,
+            "deleted rows stay positional"
+        );
+        assert_eq!(store.meter().snapshot(), io);
+        assert_eq!(store.pool().len(), resident);
+        assert_eq!(store.pool().stats(), lookups, "no pool lookups either");
+
+        // The model's `F` counts file blocks only.
+        assert_eq!(r.resident_fraction(), 0.0);
+        for i in 0..file_blocks {
+            r.block(i).unwrap();
+        }
         assert!((r.resident_fraction() - 1.0).abs() < 1e-12);
     }
 
@@ -1287,7 +1460,7 @@ mod tests {
                     .filter(|(i, _)| !d.is_deleted(*i as u64))
                     .map(|(_, v)| v)
                     .collect();
-                live.extend(d.live_inserts().map(|row| row.get(ci)));
+                d.extend_live_column(ci, &mut live);
                 cols.push(live);
             } else {
                 cols.push(vals);

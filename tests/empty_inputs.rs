@@ -381,6 +381,40 @@ fn aggregation_over_empty_join_tree_yields_zero_groups() {
     }
 }
 
+/// A table loaded empty whose every row is an insert: a DELETE naming a
+/// column the table does not have is the same typed error it is on a
+/// table with a non-empty base, never an out-of-bounds panic.
+#[test]
+fn delete_on_an_insert_only_table_rejects_a_bad_column() {
+    let db = Database::in_memory();
+    let t = empty_table(&db, "empty", EncodingKind::Plain);
+    db.insert(t, &[vec![1, 2], vec![3, 4]]).unwrap();
+    let full = filled_table(&db, "full", 10);
+    for table in [t, full] {
+        let err = db
+            .delete_where(table, &[(7, Predicate::eq(1))])
+            .unwrap_err();
+        assert!(
+            matches!(err, matstrat::common::Error::InvalidArgument(_)),
+            "{err:?}"
+        );
+        assert_eq!(
+            err.to_string(),
+            "invalid argument: column index 7 out of range"
+        );
+    }
+    // The good column still deletes the inserted row it names.
+    assert_eq!(db.delete_where(t, &[(0, Predicate::eq(1))]).unwrap(), 1);
+    let q = QuerySpec::select(t, vec![0, 1]);
+    assert_eq!(
+        run_forced(&db, &q, Strategy::LmParallel)
+            .unwrap()
+            .rows
+            .flat(),
+        [3, 4]
+    );
+}
+
 #[test]
 fn planner_survives_zero_row_tables() {
     let db = Database::in_memory();

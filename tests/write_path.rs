@@ -864,7 +864,7 @@ fn a_pinned_generation_outlives_compactions_and_goes_with_its_last_pin() {
     let delta = delta.expect("the script left a delta");
     let inserted = delta.num_inserts();
     let readers: Vec<ColumnReader> = (0..3)
-        .map(|c| store.reader_for(&info, c).unwrap())
+        .map(|c| store.reader_for(&info, None, c).unwrap())
         .collect();
     let pinned = catalog_files(&store, t);
     let bytes_of = |f: &String| disk.read_at(f, 0, disk.len(f).unwrap() as usize).unwrap();
