@@ -16,9 +16,13 @@
 //!   group column).
 //! * **LM-pipelined** — DS1 the first filter column; for each later
 //!   filter, fetch **only the blocks containing surviving positions**
-//!   (DS3), filter the value subset; stitch at the top. An empty
-//!   descriptor skips every later column entirely — the block-skipping
-//!   win on selective, clustered predicates.
+//!   and filter the survivors: a range descriptor runs the column's own
+//!   DS1 restricted to its ranges (per run on RLE, per code on Dict, a
+//!   word at a time on Plain), any other descriptor gathers the
+//!   survivors' values (DS3) and re-tests them; stitch at the top. An
+//!   empty descriptor skips every later column entirely — the
+//!   block-skipping win on selective, clustered predicates. Bit-vector
+//!   later filters stay unsupported (§4.1).
 //! * **EM-parallel** — SPC: read all accessed columns fully, construct
 //!   tuples at the leaf, short-circuit predicates.
 //! * **EM-pipelined** — DS2 the first column into (pos, value) tuples,
@@ -572,7 +576,8 @@ impl Granule<'_> {
         })
     }
 
-    /// LM-pipelined: DS1 → (DS3 + filter)* → DS3 outputs.
+    /// LM-pipelined: DS1 → (DS1 within the descriptor's ranges, or
+    /// DS3 + filter)* → DS3 outputs.
     fn lm_pipelined(
         &self,
         out_cols: &[usize],
@@ -599,15 +604,23 @@ impl Granule<'_> {
                         m
                     }
                 };
-                let mut vals = Vec::with_capacity(desc.count() as usize);
-                mini.gather(&desc, &mut vals)?;
-                let mut b = PosListBuilder::new();
-                for (p, v) in desc.iter().zip(&vals) {
-                    if pred.matches(*v) {
-                        b.push(p);
+                desc = match &desc {
+                    // The column's own DS1 over the descriptor's ranges:
+                    // per run on RLE, per code on Dict, a word at a time on
+                    // Plain — no survivor is decoded to be re-tested.
+                    PosList::Ranges(r) => mini.scan_positions_within(pred, r),
+                    _ => {
+                        let mut vals = Vec::with_capacity(desc.count() as usize);
+                        mini.gather(&desc, &mut vals)?;
+                        let mut b = PosListBuilder::new();
+                        for (p, v) in desc.iter().zip(&vals) {
+                            if pred.matches(*v) {
+                                b.push(p);
+                            }
+                        }
+                        b.finish()
                     }
-                }
-                desc = b.finish();
+                };
             }
         }
         let desc = self.filter_desc(desc);

@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use matstrat_common::{Error, Pos, PosRange, Predicate, Result, Value};
-use matstrat_poslist::{Bitmap, PosList, PosListBuilder};
+use matstrat_poslist::{Bitmap, PosList, PosListBuilder, RangeList};
 use matstrat_storage::{ColumnReader, EncodedBlock};
 
 /// How a value fetch was satisfied — used by execution stats to report
@@ -198,17 +198,33 @@ impl MiniColumn {
         }
         let mut builder = PosListBuilder::new();
         for pl in &lists {
-            match pl {
-                PosList::Ranges(r) => {
-                    for range in r.ranges() {
-                        builder.push_run(*range);
-                    }
-                }
-                other => {
-                    for p in other.iter() {
-                        builder.push(p);
-                    }
-                }
+            builder.push_list(pl);
+        }
+        builder.finish()
+    }
+
+    /// DS1 restricted to the positions of `ranges`: each range is scanned
+    /// by its blocks' own [`EncodedBlock::scan_positions_in`] — per run on
+    /// RLE, per code on Dict, a word at a time on Plain — walking the
+    /// ranges and the blocks together, so no value is decoded to be
+    /// tested. This is LM-pipelined's later filter over a range
+    /// descriptor. The result is in the representation
+    /// [`PosListBuilder::finish`] picks, exactly as if every match had been
+    /// pushed one at a time.
+    pub fn scan_positions_within(&self, pred: &Predicate, ranges: &RangeList) -> PosList {
+        let mut builder = PosListBuilder::new();
+        let mut cursor = 0;
+        for range in ranges.ranges() {
+            let r = range.intersect(&self.window);
+            if r.is_empty() {
+                continue;
+            }
+            self.advance(&mut cursor, r.start);
+            for b in self.blocks[cursor..]
+                .iter()
+                .take_while(|b| b.covering().start < r.end)
+            {
+                builder.push_list(&b.scan_positions_in(pred, r));
             }
         }
         builder.finish()
@@ -223,7 +239,35 @@ impl MiniColumn {
 
     /// The block containing `pos`, by binary search over block starts.
     fn block_for(&self, pos: Pos) -> Result<&Arc<EncodedBlock>> {
-        let idx = self.blocks.partition_point(|b| b.covering().end <= pos);
+        self.covering_block(
+            self.blocks.partition_point(|b| b.covering().end <= pos),
+            pos,
+        )
+    }
+
+    /// Move `cursor` forward past every block that ends at or before
+    /// `pos`: ascending lookups walk the blocks once instead of
+    /// binary-searching each time.
+    fn advance(&self, cursor: &mut usize, pos: Pos) {
+        while self
+            .blocks
+            .get(*cursor)
+            .is_some_and(|b| b.covering().end <= pos)
+        {
+            *cursor += 1;
+        }
+    }
+
+    /// The block containing `pos`, searching forward from `cursor` (which
+    /// is left on it).
+    fn block_from(&self, cursor: &mut usize, pos: Pos) -> Result<&Arc<EncodedBlock>> {
+        self.advance(cursor, pos);
+        self.covering_block(*cursor, pos)
+    }
+
+    /// Block `idx`, which must be the first block not ending at or before
+    /// `pos` and must contain it.
+    fn covering_block(&self, idx: usize, pos: Pos) -> Result<&Arc<EncodedBlock>> {
         let b = self
             .blocks
             .get(idx)
@@ -249,10 +293,11 @@ impl MiniColumn {
     pub fn gather(&self, positions: &PosList, out: &mut Vec<Value>) -> Result<()> {
         match positions {
             PosList::Ranges(rl) => {
+                let mut cursor = 0;
                 for range in rl.ranges() {
                     let mut r = range.intersect(&self.window);
                     while !r.is_empty() {
-                        let b = self.block_for(r.start)?;
+                        let b = self.block_from(&mut cursor, r.start)?;
                         let sub = r.intersect(&b.covering());
                         b.gather_range(sub, out)?;
                         r = PosRange::new(sub.end, r.end);
@@ -263,6 +308,7 @@ impl MiniColumn {
                 // Point gathers, batched per block.
                 let mut batch: Vec<Pos> = Vec::new();
                 let mut current: Option<&Arc<EncodedBlock>> = None;
+                let mut cursor = 0;
                 for p in other.iter() {
                     if !self.window.contains(p) {
                         continue;
@@ -274,7 +320,7 @@ impl MiniColumn {
                                 b.gather(&batch, out)?;
                             }
                             batch.clear();
-                            current = Some(self.block_for(p)?);
+                            current = Some(self.block_from(&mut cursor, p)?);
                             batch.push(p);
                         }
                     }

@@ -268,6 +268,75 @@ impl Bitmap {
         }
     }
 
+    /// Restrict to the positions of `window`, word-wise: the result covers
+    /// `window ∩ covering` and is filled 64 positions per step whatever
+    /// the alignment of the two ranges.
+    pub fn clip(&self, window: PosRange) -> Bitmap {
+        let range = self.range.intersect(&window);
+        let mut out = Bitmap::zeros(range);
+        for (i, w) in out.words.iter_mut().enumerate() {
+            *w = self.get_word(range.start + 64 * i as u64);
+        }
+        out.mask_tail();
+        out
+    }
+
+    /// Visit the maximal runs of set bits in ascending order, a word at a
+    /// time: each run costs two bit scans, not one test per position.
+    pub fn for_each_run(&self, mut f: impl FnMut(PosRange)) {
+        let mut open: Option<Pos> = None;
+        for (i, &word) in self.words.iter().enumerate() {
+            let base = self.range.start + 64 * i as u64;
+            // `w` is `word` with its first `at` bits consumed (shifted out).
+            let (mut w, mut at) = (word, 0u32);
+            loop {
+                match open {
+                    None if w == 0 => break,
+                    None => {
+                        let skip = w.trailing_zeros();
+                        at += skip;
+                        w >>= skip;
+                        open = Some(base + u64::from(at));
+                    }
+                    Some(start) => {
+                        let ones = w.trailing_ones();
+                        at += ones;
+                        if at == 64 {
+                            break; // the run continues into the next word
+                        }
+                        w >>= ones;
+                        f(PosRange::new(start, base + u64::from(at)));
+                        open = None;
+                    }
+                }
+            }
+        }
+        if let Some(start) = open {
+            f(PosRange::new(start, self.range.end));
+        }
+    }
+
+    /// What the representation rule needs to know of the set, in one pass
+    /// over the words: the number of set bits, the number of maximal runs,
+    /// and the range from the first set bit to one past the last. `None`
+    /// when no bit is set.
+    pub(crate) fn shape(&self) -> Option<(u64, u64, PosRange)> {
+        let (mut count, mut runs, mut carry) = (0u64, 0u64, 0u64);
+        let (mut first, mut last) = (None, 0);
+        for (i, &w) in self.words.iter().enumerate() {
+            count += u64::from(w.count_ones());
+            // A run starts at every set bit whose predecessor is clear.
+            runs += u64::from((w & !((w << 1) | carry)).count_ones());
+            carry = w >> 63;
+            if w != 0 {
+                let base = self.range.start + 64 * i as u64;
+                first.get_or_insert(base + u64::from(w.trailing_zeros()));
+                last = base + 63 - u64::from(w.leading_zeros());
+            }
+        }
+        first.map(|f| (count, runs, PosRange::new(f, last + 1)))
+    }
+
     /// In-place OR of another bitmap whose covering range must be contained
     /// in (or equal to) this bitmap's range. Used when ORing per-value
     /// bit-strings of a bit-vector encoded block, which are always aligned.
@@ -455,6 +524,34 @@ mod tests {
         b.set_run(r(0, 64)); // from bit zero
         assert_eq!(b.count(), 128);
         assert_eq!(b.iter().collect::<Vec<_>>(), (0..128).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn for_each_run_and_shape_cross_word_boundaries() {
+        let runs = [r(5, 6), r(60, 64), r(66, 200), r(255, 256), r(300, 320)];
+        for cov in [r(5, 320), r(0, 320), r(3, 384)] {
+            let mut b = Bitmap::zeros(cov);
+            runs.iter().for_each(|&run| b.set_run(run));
+            let mut got = Vec::new();
+            b.for_each_run(|run| got.push(run));
+            assert_eq!(got, runs, "{cov}");
+            assert_eq!(b.shape(), Some((b.count(), 5, r(5, 320))), "{cov}");
+        }
+        assert_eq!(Bitmap::zeros(r(0, 128)).shape(), None);
+        let full = Bitmap::ones(r(64, 192));
+        let mut got = Vec::new();
+        full.for_each_run(|run| got.push(run));
+        assert_eq!(got, vec![r(64, 192)]);
+    }
+
+    #[test]
+    fn clip_is_word_wise_and_unaligned() {
+        let b = Bitmap::from_positions(r(3, 300), [3, 64, 70, 130, 131, 299]);
+        let c = b.clip(r(65, 140));
+        assert_eq!(c.covering(), r(65, 140));
+        assert_eq!(c.iter().collect::<Vec<_>>(), vec![70, 130, 131]);
+        assert_eq!(b.clip(r(0, 1000)), b);
+        assert!(b.clip(r(400, 500)).covering().is_empty());
     }
 
     #[test]

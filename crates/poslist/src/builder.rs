@@ -12,15 +12,16 @@ use matstrat_common::{Pos, PosRange};
 
 use crate::bitmap::Bitmap;
 use crate::explicit::PosVec;
-use crate::poslist::PosList;
+use crate::poslist::{PosList, Repr};
 use crate::ranges::RangeList;
 
 /// Accumulates ascending positions/runs and finishes into a [`PosList`].
 ///
-/// Representation choice at [`finish`](PosListBuilder::finish):
-/// * everything coalesced into few runs (avg run length ≥ 4) → `Ranges`;
-/// * otherwise, density ≥ 1/32 over the covering window → `Bitmap`;
-/// * otherwise → `Explicit`.
+/// [`finish`](PosListBuilder::finish) picks the representation from the
+/// coalesced runs with the crate's one representation rule (average run
+/// length ≥ 4 → `Ranges`, else density ≥ 1/32 → `Bitmap`, else
+/// `Explicit`); [`PosList::from_bitmap`] applies the same rule to match
+/// words, so the two cannot drift.
 #[derive(Debug, Clone)]
 pub struct PosListBuilder {
     runs: Vec<PosRange>,
@@ -73,31 +74,29 @@ impl PosListBuilder {
         self.count == 0
     }
 
-    /// Finish into the representation the heuristic picks.
+    /// Append every position of `list`, a run at a time: ranges push
+    /// their runs, bitmaps their runs of set bits (found word-wise), and
+    /// explicit lists their positions. `list` must lie after everything
+    /// appended so far.
+    pub fn push_list(&mut self, list: &PosList) {
+        match list {
+            PosList::Ranges(r) => r.ranges().iter().for_each(|&run| self.push_run(run)),
+            PosList::Bitmap(b) => b.for_each_run(|run| self.push_run(run)),
+            PosList::Explicit(v) => v.iter().for_each(|p| self.push(p)),
+        }
+    }
+
+    /// Finish into the representation the crate's rule picks (see the
+    /// type's documentation).
     pub fn finish(self) -> PosList {
-        if self.runs.is_empty() {
+        let Some(last) = self.runs.last() else {
             return PosList::empty();
-        }
-        let covering = PosRange::new(self.runs[0].start, self.runs.last().unwrap().end);
-        let avg_run = self.count as f64 / self.runs.len() as f64;
-        if avg_run >= 4.0 {
-            return PosList::Ranges(RangeList::from_normalized(self.runs));
-        }
-        let density = self.count as f64 / covering.len() as f64;
-        if density >= 1.0 / 32.0 {
-            let mut bm = Bitmap::zeros(covering);
-            for r in &self.runs {
-                for p in r.iter() {
-                    bm.set(p);
-                }
-            }
-            PosList::Bitmap(bm)
-        } else {
-            let mut v = Vec::with_capacity(self.count as usize);
-            for r in &self.runs {
-                v.extend(r.iter());
-            }
-            PosList::Explicit(PosVec::from_sorted(v))
+        };
+        let covering = PosRange::new(self.runs[0].start, last.end);
+        match choose_repr(self.count, self.runs.len() as u64, covering.len()) {
+            Repr::Ranges => self.finish_as_ranges(),
+            Repr::Bitmap => self.finish_as_bitmap(covering),
+            Repr::Explicit => self.finish_as_explicit(),
         }
     }
 
@@ -106,17 +105,16 @@ impl PosListBuilder {
         PosList::Ranges(RangeList::from_normalized(self.runs))
     }
 
-    /// Finish, forcing a bitmap covering at least `covering`.
+    /// Finish, forcing a bitmap covering at least `covering`. Each run is
+    /// set word-wise.
     pub fn finish_as_bitmap(self, covering: PosRange) -> PosList {
         let covering = match self.runs.last() {
             Some(last) => covering.hull(&PosRange::new(self.runs[0].start, last.end)),
             None => covering,
         };
         let mut bm = Bitmap::zeros(covering);
-        for r in &self.runs {
-            for p in r.iter() {
-                bm.set(p);
-            }
+        for &r in &self.runs {
+            bm.set_run(r);
         }
         PosList::Bitmap(bm)
     }
@@ -131,6 +129,26 @@ impl PosListBuilder {
     }
 }
 
+/// The representation rule for a nonempty set of `count` positions in
+/// `runs` maximal runs over a covering range of `covering_len`
+/// positions:
+/// * average run length ≥ 4 → `Ranges`;
+/// * otherwise, density ≥ 1/32 over the covering range → `Bitmap`;
+/// * otherwise → `Explicit`.
+///
+/// [`PosListBuilder::finish`] and [`PosList::from_bitmap`] both decide
+/// through here, so a scan that emits match words and one that pushes
+/// positions produce the same representation.
+pub(crate) fn choose_repr(count: u64, runs: u64, covering_len: u64) -> Repr {
+    if count >= 4 * runs {
+        Repr::Ranges
+    } else if 32 * count >= covering_len {
+        Repr::Bitmap
+    } else {
+        Repr::Explicit
+    }
+}
+
 impl Default for PosListBuilder {
     fn default() -> PosListBuilder {
         PosListBuilder::new()
@@ -140,7 +158,6 @@ impl Default for PosListBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::poslist::Repr;
 
     #[test]
     fn long_runs_become_ranges() {

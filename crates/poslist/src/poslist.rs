@@ -3,6 +3,7 @@
 use matstrat_common::{Pos, PosRange};
 
 use crate::bitmap::{Bitmap, BitmapIter};
+use crate::builder::choose_repr;
 use crate::explicit::PosVec;
 use crate::ranges::RangeList;
 
@@ -48,6 +49,29 @@ impl PosList {
     /// Build from a sorted/unsorted vector of positions (explicit repr).
     pub fn from_positions(positions: Vec<Pos>) -> PosList {
         PosList::Explicit(PosVec::from_vec(positions))
+    }
+
+    /// The set bits of `bm` — a scan's match words — in the
+    /// representation [`PosListBuilder::finish`] would pick had every set
+    /// position been pushed: the same rule decides, read off the words. A
+    /// bitmap result covers exactly the first to the last set bit, as the
+    /// builder's does.
+    ///
+    /// [`PosListBuilder::finish`]: crate::PosListBuilder::finish
+    pub fn from_bitmap(bm: Bitmap) -> PosList {
+        let Some((count, runs, set)) = bm.shape() else {
+            return PosList::empty();
+        };
+        match choose_repr(count, runs, set.len()) {
+            Repr::Ranges => {
+                let mut out = Vec::with_capacity(runs as usize);
+                bm.for_each_run(|r| out.push(r));
+                PosList::Ranges(RangeList::from_normalized(out))
+            }
+            Repr::Bitmap if set == bm.covering() => PosList::Bitmap(bm),
+            Repr::Bitmap => PosList::Bitmap(bm.clip(set)),
+            Repr::Explicit => PosList::Explicit(PosVec::from_sorted(bm.iter().collect())),
+        }
     }
 
     /// Which representation this list currently uses.
@@ -110,14 +134,8 @@ impl PosList {
         match self {
             PosList::Ranges(r) => r.clone(),
             PosList::Bitmap(b) => {
-                // Scan set bits, coalescing consecutive positions into runs.
                 let mut out: Vec<PosRange> = Vec::new();
-                for p in b.iter() {
-                    match out.last_mut() {
-                        Some(last) if last.end == p => last.end = p + 1,
-                        _ => out.push(PosRange::new(p, p + 1)),
-                    }
-                }
+                b.for_each_run(|r| out.push(r));
                 RangeList::from_normalized(out)
             }
             PosList::Explicit(v) => {
@@ -183,20 +201,16 @@ impl PosList {
             (PosList::Bitmap(a), PosList::Bitmap(b)) => PosList::Bitmap(a.and(b)),
             // Sparse ∧ sparse: merge join of sorted lists.
             (PosList::Explicit(a), PosList::Explicit(b)) => PosList::Explicit(a.intersect(b)),
-            // Case 3: range ∧ bitmap — the intersection is the slice of the
-            // bitmap clipped to the ranges; output stays a bitmap.
+            // Case 3: range ∧ bitmap — the ranges become a run mask over
+            // the common window, set word-wise, and the mask is ANDed with
+            // the bitmap 64 positions at a time; output stays a bitmap.
             (PosList::Ranges(r), PosList::Bitmap(b)) | (PosList::Bitmap(b), PosList::Ranges(r)) => {
                 let window = b.covering().intersect(&r.covering());
-                let mut out = Bitmap::zeros(window);
+                let mut mask = Bitmap::zeros(window);
                 for range in r.ranges() {
-                    let clipped = range.intersect(&window);
-                    for p in clipped.iter() {
-                        if b.get(p) {
-                            out.set(p);
-                        }
-                    }
+                    mask.set_run(range.intersect(&window));
                 }
-                PosList::Bitmap(out)
+                PosList::Bitmap(mask.and(b))
             }
             // Explicit against anything: probe each listed position.
             (PosList::Explicit(v), other) | (other, PosList::Explicit(v)) => {
@@ -247,16 +261,7 @@ impl PosList {
     pub fn clip(&self, window: PosRange) -> PosList {
         match self {
             PosList::Ranges(r) => PosList::Ranges(r.clip(window)),
-            PosList::Bitmap(b) => {
-                let range = b.covering().intersect(&window);
-                let mut out = Bitmap::zeros(range);
-                for p in range.iter() {
-                    if b.get(p) {
-                        out.set(p);
-                    }
-                }
-                PosList::Bitmap(out)
-            }
+            PosList::Bitmap(b) => PosList::Bitmap(b.clip(window)),
             PosList::Explicit(v) => PosList::Explicit(v.clip(window)),
         }
     }

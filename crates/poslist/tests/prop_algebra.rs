@@ -40,6 +40,25 @@ fn all_reprs(s: &BTreeSet<u64>) -> Vec<PosList> {
     vec![as_explicit(s), as_bitmap(s), as_ranges(s)]
 }
 
+/// Runs of up to 40 positions: sets whose range form has long runs.
+fn arb_runs() -> impl Strategy<Value = RangeList> {
+    prop::collection::vec((0u64..UNIVERSE, 1u64..40), 0..12).prop_map(|runs| {
+        RangeList::from_ranges(
+            runs.into_iter()
+                .map(|(s, n)| PosRange::new(s, (s + n).min(UNIVERSE)))
+                .collect(),
+        )
+    })
+}
+
+/// A bitmap over an arbitrary, usually word-unaligned, covering range.
+fn unaligned_bitmap(lo: u64, len: u64, set: &BTreeSet<u64>) -> Bitmap {
+    Bitmap::from_positions(
+        PosRange::new(lo, (lo + len).min(UNIVERSE)),
+        set.iter().copied(),
+    )
+}
+
 proptest! {
     #[test]
     fn and_matches_set_intersection(a in arb_posset(), b in arb_posset()) {
@@ -127,5 +146,68 @@ proptest! {
         let bm = Bitmap::from_positions(PosRange::new(0, UNIVERSE), a.iter().copied());
         let complement: Vec<u64> = (0..UNIVERSE).filter(|p| !a.contains(p)).collect();
         prop_assert_eq!(bm.not().iter().collect::<Vec<_>>(), complement);
+    }
+
+    #[test]
+    fn range_and_bitmap_matches_the_per_position_oracle(
+        runs in arb_runs(),
+        set in arb_posset(),
+        lo in 0u64..UNIVERSE,
+        len in 0u64..UNIVERSE,
+    ) {
+        let bm = unaligned_bitmap(lo, len, &set);
+        // The oracle: test and set one position at a time over the common
+        // window, the bitmap result's covering range.
+        let window = bm.covering().intersect(&runs.covering());
+        let mut oracle = Bitmap::zeros(window);
+        for run in runs.ranges() {
+            for p in run.intersect(&window).iter() {
+                if bm.get(p) {
+                    oracle.set(p);
+                }
+            }
+        }
+        let (r, b) = (PosList::Ranges(runs), PosList::Bitmap(bm));
+        prop_assert_eq!(r.and(&b), PosList::Bitmap(oracle.clone()));
+        prop_assert_eq!(b.and(&r), PosList::Bitmap(oracle));
+    }
+
+    #[test]
+    fn bitmap_clip_matches_the_per_position_oracle(
+        set in arb_posset(),
+        lo in 0u64..UNIVERSE,
+        len in 0u64..UNIVERSE,
+        wlo in 0u64..UNIVERSE,
+        wlen in 0u64..UNIVERSE,
+    ) {
+        let bm = unaligned_bitmap(lo, len, &set);
+        let window = PosRange::new(wlo, wlo + wlen);
+        let range = bm.covering().intersect(&window);
+        let mut oracle = Bitmap::zeros(range);
+        for p in range.iter() {
+            if bm.get(p) {
+                oracle.set(p);
+            }
+        }
+        prop_assert_eq!(PosList::Bitmap(bm).clip(window), PosList::Bitmap(oracle));
+    }
+
+    #[test]
+    fn from_bitmap_picks_what_the_builder_picks(
+        runs in arb_runs(),
+        set in arb_posset(),
+        lo in 0u64..UNIVERSE,
+        len in 0u64..UNIVERSE,
+    ) {
+        // Long runs, scattered singletons, or both: every representation
+        // the rule can pick turns up.
+        let mut positions: BTreeSet<u64> = runs.ranges().iter().flat_map(|r| r.iter()).collect();
+        positions.extend(&set);
+        let bm = unaligned_bitmap(lo, len, &positions);
+        let mut b = PosListBuilder::new();
+        for p in bm.iter() {
+            b.push(p);
+        }
+        prop_assert_eq!(PosList::from_bitmap(bm), b.finish());
     }
 }

@@ -1,7 +1,13 @@
 //! Uncompressed (plain) blocks: values packed at a fixed byte width.
+//!
+//! DS1 over a plain block is the word kernel of late materialization:
+//! the predicate is one value interval, tested branch-free at the packed
+//! width, and 64 outcomes at a time become one `u64` of a match bitmap,
+//! which is then shaped into ranges, a bitmap or an explicit list by the
+//! position-list crate's one representation rule.
 
 use matstrat_common::{Error, Pos, PosRange, Predicate, Result, Value, Width};
-use matstrat_poslist::{PosList, PosListBuilder};
+use matstrat_poslist::{Bitmap, PosList};
 
 use crate::wire::Reader;
 use crate::BLOCK_SIZE;
@@ -123,7 +129,9 @@ impl PlainBlock {
         Ok((pos - self.start_pos) as usize)
     }
 
-    /// DS1 over packed values; representation chosen by the builder.
+    /// DS1 over packed values, 64 values to a match word; the
+    /// representation is the builder's choice (see
+    /// [`scan_positions_in`](Self::scan_positions_in)).
     pub fn scan_positions(&self, pred: &Predicate) -> PosList {
         let end = self.start_pos + self.count as u64;
         self.scan_positions_in(pred, PosRange::new(self.start_pos, end))
@@ -142,31 +150,60 @@ impl PlainBlock {
 
     /// DS1 restricted to `window` (already intersected with the covering
     /// range by the caller).
+    ///
+    /// Branch-free, a word at a time: every operator is one inclusive
+    /// value interval (`Ne` is the complement of its `Eq` interval), each
+    /// packed value is tested against it with one unsigned compare at the
+    /// block's own width, and 64 outcomes pack into one `u64` match word.
+    /// The representation is then read off the words by
+    /// [`PosList::from_bitmap`] — the rule [`PosListBuilder::finish`]
+    /// applies — so the result equals pushing each match through the
+    /// builder, representation included.
+    ///
+    /// [`PosListBuilder::finish`]: matstrat_poslist::PosListBuilder::finish
     pub fn scan_positions_in(&self, pred: &Predicate, window: PosRange) -> PosList {
         let lo = (window.start - self.start_pos) as usize;
         let hi = (window.end - self.start_pos) as usize;
-        let mut b = PosListBuilder::new();
-        // Specialize the inner loop per width so the decode is branch-free
-        // and bounds-checked once, by the slice.
+        let ((vlo, vhi), negate) = match pred.value_interval() {
+            Some(interval) => (interval, false),
+            None => ((pred.operand, pred.operand), true),
+        };
+        let mut words = vec![0u64; (hi - lo).div_ceil(64)];
+        // One loop per width: the interval is clamped to the width's
+        // domain, so the test `v - lo <= hi - lo` runs in the packed type
+        // (unsigned, wrapping) and the loop body has no branch.
         macro_rules! scan {
-            ($t:ty) => {{
+            ($t:ty, $u:ty) => {{
                 const W: usize = std::mem::size_of::<$t>();
-                let packed = self.raw[lo * W..hi * W].chunks_exact(W);
-                for (i, bytes) in (lo..hi).zip(packed) {
-                    let v = <$t>::from_le_bytes(bytes.try_into().unwrap());
-                    if pred.matches(v as Value) {
-                        b.push(self.start_pos + i as u64);
+                let (tlo, thi) = (vlo.max(<$t>::MIN as Value), vhi.min(<$t>::MAX as Value));
+                if tlo <= thi {
+                    let (base, span) = (tlo as $t, thi.wrapping_sub(tlo) as $u);
+                    let packed = &self.raw[lo * W..hi * W];
+                    for (chunk, word) in packed.chunks(64 * W).zip(words.iter_mut()) {
+                        // Outcomes as 0/1 bytes first (a loop the compiler
+                        // vectorizes), then eight bytes to eight bits per
+                        // multiply.
+                        let mut hits = [0u8; 64];
+                        for (hit, bytes) in hits.iter_mut().zip(chunk.chunks_exact(W)) {
+                            let v = <$t>::from_le_bytes(bytes.try_into().unwrap());
+                            *hit = u8::from(v.wrapping_sub(base) as $u <= span);
+                        }
+                        *word = pack_bytes(&hits);
                     }
                 }
             }};
         }
         match self.width {
-            Width::W1 => scan!(i8),
-            Width::W2 => scan!(i16),
-            Width::W4 => scan!(i32),
-            Width::W8 => scan!(i64),
+            Width::W1 => scan!(i8, u8),
+            Width::W2 => scan!(i16, u16),
+            Width::W4 => scan!(i32, u32),
+            Width::W8 => scan!(i64, u64),
         }
-        b.finish()
+        if negate {
+            // Bits past the window's end are masked off by the bitmap.
+            words.iter_mut().for_each(|w| *w = !*w);
+        }
+        PosList::from_bitmap(Bitmap::from_words(window, words))
     }
 
     /// DS2 restricted to `window`.
@@ -292,9 +329,35 @@ impl PlainBlock {
     }
 }
 
+/// Pack 64 bytes, each 0 or 1, into one word: byte `i` becomes bit `i`.
+/// One multiply gathers eight bytes' low bits into the top byte — byte
+/// `k`'s bit lands at bit `56 + k`, and no two partial products overlap,
+/// so nothing carries.
+#[inline(always)]
+fn pack_bytes(hits: &[u8; 64]) -> u64 {
+    const GATHER: u64 = 0x0102_0408_1020_4080;
+    let mut word = 0u64;
+    for (k, eight) in hits.chunks_exact(8).enumerate() {
+        let lanes = u64::from_le_bytes(eight.try_into().unwrap());
+        word |= (lanes.wrapping_mul(GATHER) >> 56) << (8 * k);
+    }
+    word
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn pack_bytes_maps_byte_i_to_bit_i() {
+        for i in 0..64 {
+            let mut hits = [0u8; 64];
+            hits[i] = 1;
+            assert_eq!(pack_bytes(&hits), 1u64 << i, "byte {i}");
+        }
+        assert_eq!(pack_bytes(&[1; 64]), u64::MAX);
+        assert_eq!(pack_bytes(&[0; 64]), 0);
+    }
 
     #[test]
     fn capacity_by_width() {

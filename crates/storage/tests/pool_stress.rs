@@ -59,6 +59,17 @@ fn hammer(pool: BufferPool, capacity: usize) {
     let lookups = AtomicUsize::new(0);
     let fills = AtomicUsize::new(0);
 
+    // Serial prologue: one miss, then one hit on the same key, so the
+    // ledger holds both outcomes whatever the threads' schedule does.
+    for _ in 0..2 {
+        lookups.fetch_add(1, Ordering::Relaxed);
+        let b: Result<_, ()> = pool.get_or_insert_with(&("stress.col".to_string(), 0), || {
+            fills.fetch_add(1, Ordering::Relaxed);
+            Ok(block(0))
+        });
+        assert_eq!(b.unwrap().start_pos(), 0);
+    }
+
     std::thread::scope(|s| {
         for t in 0..THREADS {
             let pool = &pool;
@@ -67,12 +78,17 @@ fn hammer(pool: BufferPool, capacity: usize) {
             s.spawn(move || {
                 // Deterministic per-thread walk over a key space much
                 // larger than the pool, so eviction churns constantly.
+                // Keys come from the high bits: the low six bits of this
+                // power-of-two LCG cycle with period exactly 64, which
+                // would walk every thread through its keys in one fixed
+                // order and leave a small pool with hits only when
+                // threads happen to overlap.
                 let mut x = (t as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
                 for i in 0..OPS {
                     x = x
                         .wrapping_mul(6364136223846793005)
                         .wrapping_add(1442695040888963407);
-                    let key = ("stress.col".to_string(), (x % KEYS) as u32);
+                    let key = ("stress.col".to_string(), ((x >> 33) % KEYS) as u32);
                     if i % 3 == 0 {
                         // Plain lookup; on miss, insert directly.
                         lookups.fetch_add(1, Ordering::Relaxed);

@@ -5,8 +5,8 @@
 
 use matstrat_common::Width;
 use matstrat_common::{PosRange, Predicate, Value};
-use matstrat_poslist::PosList;
-use matstrat_storage::{ColumnFileReader, ColumnFileWriter, EncodingKind, MemDisk};
+use matstrat_poslist::{PosList, PosListBuilder};
+use matstrat_storage::{ColumnFileReader, ColumnFileWriter, EncodingKind, MemDisk, PlainBlock};
 use proptest::prelude::*;
 use proptest::strategy::Strategy as PropStrategy;
 
@@ -36,6 +36,44 @@ fn arb_pred() -> impl PropStrategy<Value = Predicate> {
         4 => Predicate::ne(x),
         _ => Predicate::between(x, x + 10),
     })
+}
+
+const WIDTHS: [Width; 4] = [Width::W1, Width::W2, Width::W4, Width::W8];
+
+/// The smallest and largest value `width` holds.
+fn width_domain(width: Width) -> (Value, Value) {
+    let bits = 8 * width.bytes() as u32;
+    (Value::MIN >> (64 - bits), Value::MAX >> (64 - bits))
+}
+
+/// Every operator against `x`, plus the three empty intervals.
+fn every_op(x: Value, y: Value) -> [Predicate; 10] {
+    [
+        Predicate::lt(x),
+        Predicate::le(x),
+        Predicate::gt(x),
+        Predicate::ge(x),
+        Predicate::eq(x),
+        Predicate::ne(x),
+        Predicate::between(x.min(y), x.max(y)),
+        Predicate::lt(Value::MIN),
+        Predicate::gt(Value::MAX),
+        Predicate::between(5, 3),
+    ]
+}
+
+/// DS1 as the plain kernel did it before it worked a word at a time:
+/// decode, test and push one value at a time, then let the builder pick.
+fn pushed_one_at_a_time(block: &PlainBlock, pred: &Predicate, window: PosRange) -> PosList {
+    let mut out = Vec::new();
+    block.gather_range(window, &mut out).unwrap();
+    let mut b = PosListBuilder::new();
+    for (p, v) in window.iter().zip(out) {
+        if pred.matches(v) {
+            b.push(p);
+        }
+    }
+    b.finish()
 }
 
 fn write_and_open(disk: &MemDisk, enc: EncodingKind, values: &[Value]) -> ColumnFileReader {
@@ -158,6 +196,69 @@ proptest! {
                 block.gather(&clipped.to_vec(), &mut got).unwrap();
             }
             prop_assert_eq!(&got, &expected, "{}", enc);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The word kernel equals the builder path in positions **and**
+    /// representation (a bitmap's covering range included), at every
+    /// width, for every operator, with operands inside, at the edge of and
+    /// beyond the width's domain, over windows of any alignment and
+    /// length — shorter than one word among them.
+    #[test]
+    fn plain_word_kernel_equals_the_builder_path(
+        w in 0usize..4,
+        runs in prop::collection::vec((0u8..8, -40i64..40, 1usize..24), 0..40),
+        start in 0u64..200,
+        ops in (0u8..6, -45i64..45, -45i64..45),
+        win in (0u64..1000, 0u64..1000),
+    ) {
+        let width = WIDTHS[w];
+        let (min, max) = width_domain(width);
+        let values: Vec<Value> = runs
+            .iter()
+            .flat_map(|&(kind, v, n)| {
+                let v = match kind {
+                    6 => min,
+                    7 => max,
+                    _ => v,
+                };
+                std::iter::repeat_n(v, n)
+            })
+            .collect();
+        let block = PlainBlock::from_values(start, width, &values);
+        let n = values.len() as u64;
+        let lo = win.0 % (n + 1);
+        let windows = [
+            PosRange::new(start, start + n),
+            PosRange::new(start + lo, start + (lo + win.1).min(n)),
+            PosRange::new(start + lo, start + (lo + win.1 % 64).min(n)),
+        ];
+        // Operands near the data, at the domain's edges, just beyond them
+        // and at the extremes of `Value`.
+        let (which, x, y) = ops;
+        let x = match which {
+            0 => min,
+            1 => max,
+            2 => min.saturating_sub(1),
+            3 => max.saturating_add(1),
+            4 => if x < 0 { Value::MIN } else { Value::MAX },
+            _ => x,
+        };
+        for window in windows {
+            for pred in every_op(x, y) {
+                prop_assert_eq!(
+                    block.scan_positions_in(&pred, window),
+                    pushed_one_at_a_time(&block, &pred, window),
+                    "{:?} {:?} {}",
+                    width,
+                    pred,
+                    window
+                );
+            }
         }
     }
 }

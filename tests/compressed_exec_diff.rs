@@ -511,3 +511,142 @@ fn join_trees_with_a_code_keyed_edge_match_the_oracle() {
         assert_eq!(got.2, serial.2, "threads={threads}: code ops");
     }
 }
+
+// ---------------------------------------------------------------------
+// LM-pipelined later filters
+// ---------------------------------------------------------------------
+
+/// Keeps the Plain later column at width 8 (8 190 rows a block), so
+/// every encoding of it spans several blocks.
+const LATER_OFFSET: Value = 1 << 40;
+
+/// 30 000 rows: four Plain first-filter columns shaping the descriptor a
+/// later filter sees, the later column `b` in `enc_b`, and a payload.
+/// * `a` = i: `a < k` is one range, `a BETWEEN` a range across blocks;
+/// * `s` = (i / 5) % 3: `s = 0` is thousands of 5-row ranges;
+/// * `t` = i % 3: `t = 0` is a bitmap (every third row), the fallback;
+/// * `b` = offset + (i / 2) % 5000: runs of two, 5 000 distinct values;
+/// * `c` = (i · 7919) % 1000, Plain.
+fn later_filter_table(enc_b: EncodingKind) -> (Database, TableId) {
+    let n: Value = 30_000;
+    let col = |f: &dyn Fn(Value) -> Value| (0..n).map(f).collect::<Vec<Value>>();
+    let (a, s, t) = (col(&|i| i), col(&|i| (i / 5) % 3), col(&|i| i % 3));
+    let (b, c) = (
+        col(&|i| LATER_OFFSET + (i / 2) % 5000),
+        col(&|i| (i * 7919) % 1000),
+    );
+    let db = Database::in_memory();
+    let spec = ProjectionSpec::new("t")
+        .column("a", EncodingKind::Plain, SortOrder::Primary)
+        .column("s", EncodingKind::Plain, SortOrder::None)
+        .column("t", EncodingKind::Plain, SortOrder::None)
+        .column("b", enc_b, SortOrder::None)
+        .column("c", EncodingKind::Plain, SortOrder::None);
+    let id = db.load_projection(&spec, &[&a, &s, &t, &b, &c]).unwrap();
+    (db, id)
+}
+
+/// One cold LM-pipelined run: rows, names, `positions_matched`,
+/// `rows_out`, cold `(block_reads, seeks)` and `code_path_ops`.
+#[allow(clippy::type_complexity)]
+fn cold_pipelined(
+    db: &Database,
+    q: &QuerySpec,
+    granule: u64,
+    threads: usize,
+    force_repr: Option<Repr>,
+) -> (Vec<Value>, Vec<String>, u64, u64, (u64, u64), u64) {
+    db.store().cold_reset();
+    let opts = ExecOptions {
+        granule,
+        parallelism: threads,
+        force_repr,
+        ..ExecOptions::default()
+    };
+    let out = db
+        .execute_planned(
+            &Statement::Select(q.clone()),
+            &QueryPlan::forced_scan(Strategy::LmPipelined),
+            &opts,
+        )
+        .unwrap();
+    (
+        out.rows.flat().to_vec(),
+        out.rows.column_names.clone(),
+        out.stats.positions_matched,
+        out.stats.rows_out,
+        (out.stats.io.block_reads, out.stats.io.seeks),
+        out.stats.code_path_ops,
+    )
+}
+
+/// A later filter over a range descriptor runs the column's own DS1 on
+/// the descriptor's ranges; over any other descriptor it gathers and
+/// re-tests. Either way the rows and `positions_matched` equal the
+/// decoded oracle's, and cold `(block_reads, seeks)` equal the gather
+/// path's on the same table — both read exactly `fetch_selective`'s
+/// blocks. The range path is the compressed one (`code_path_ops > 0` on
+/// RLE and Dict; the Plain first filter charges none), the bitmap
+/// descriptor is the fallback (none either), and threads {1, 4} agree.
+#[test]
+fn lm_pipelined_later_filters_scan_the_descriptor_ranges() {
+    let (oracle_db, oid) = later_filter_table(EncodingKind::Plain);
+    let later = Predicate::between(LATER_OFFSET + 1000, LATER_OFFSET + 3999);
+    // (label, first filter, whether it leaves a range descriptor)
+    let descriptors = [
+        ("one range", (0, Predicate::lt(5000)), true),
+        (
+            "across a block boundary",
+            (0, Predicate::between(8000, 12_999)),
+            true,
+        ),
+        ("many short ranges", (1, Predicate::eq(0)), true),
+        ("bitmap", (2, Predicate::eq(0)), false),
+    ];
+    for enc_b in [EncodingKind::Plain, EncodingKind::Rle, EncodingKind::Dict] {
+        let (db, id) = later_filter_table(enc_b);
+        let reader = db.store().reader(id, 3).unwrap();
+        assert_ne!(
+            reader.block_for_pos(8000).unwrap(),
+            reader.block_for_pos(12_999).unwrap(),
+            "{enc_b:?}: the range must cross a block boundary of `b`"
+        );
+        for (label, (col, first), ranges) in descriptors {
+            let query = |table| {
+                QuerySpec::select(table, vec![3, 4])
+                    .filter(col, first)
+                    .filter(3, later)
+            };
+            let (q, oq) = (query(id), query(oid));
+            for granule in [1 << 20, 1000] {
+                let what = format!("{enc_b:?} {label} granule={granule}");
+                let oracle = cold_pipelined(&oracle_db, &oq, granule, 1, None);
+                let got = cold_pipelined(&db, &q, granule, 1, None);
+                assert!(got.2 > 0, "{what}: the later filter must keep rows");
+                assert_eq!(got.0, oracle.0, "{what}: rows vs decoded oracle");
+                assert_eq!(got.1, oracle.1, "{what}: names vs decoded oracle");
+                assert_eq!(got.2, oracle.2, "{what}: positions_matched vs oracle");
+                assert_eq!(got.3, oracle.3, "{what}: rows_out vs oracle");
+                // The gather path on the same table: a bitmap first
+                // descriptor sends every later filter down it.
+                let gathered = cold_pipelined(&db, &q, granule, 1, Some(Repr::Bitmap));
+                assert_eq!(gathered.0, got.0, "{what}: rows vs gather path");
+                assert_eq!(gathered.2, got.2, "{what}: positions vs gather path");
+                assert_eq!(
+                    gathered.4, got.4,
+                    "{what}: cold (reads, seeks) vs gather path"
+                );
+                assert_eq!(gathered.5, 0, "{what}: the gather path charged code ops");
+                let coded = ranges && enc_b != EncodingKind::Plain;
+                assert_eq!(got.5 > 0, coded, "{what}: code ops {}", got.5);
+                for threads in [1, 4] {
+                    let par = cold_pipelined(&db, &q, granule, threads, None);
+                    assert_eq!(par.0, got.0, "{what} threads={threads}: rows");
+                    assert_eq!(par.2, got.2, "{what} threads={threads}: positions");
+                    assert_eq!(par.4 .0, got.4 .0, "{what} threads={threads}: block_reads");
+                    assert_eq!(par.5, got.5, "{what} threads={threads}: code ops");
+                }
+            }
+        }
+    }
+}
