@@ -19,19 +19,32 @@
 //!   and filter the survivors: a range descriptor runs the column's own
 //!   DS1 restricted to its ranges (per run on RLE, per code on Dict, a
 //!   word at a time on Plain), any other descriptor gathers the
-//!   survivors' values (DS3) and re-tests them; stitch at the top. An
-//!   empty descriptor skips every later column entirely — the
-//!   block-skipping win on selective, clustered predicates. Bit-vector
-//!   later filters stay unsupported (§4.1).
+//!   survivors' values (DS3) and re-tests them → MERGE. An empty
+//!   descriptor skips every later column entirely — the block-skipping
+//!   win on selective, clustered predicates. Bit-vector later filters
+//!   stay unsupported (§4.1).
 //! * **EM-parallel** — SPC: read all accessed columns fully, construct
 //!   tuples at the leaf, short-circuit predicates.
 //! * **EM-pipelined** — DS2 the first column into (pos, value) tuples,
 //!   then DS4-probe each later column tuple-at-a-time.
 //!
+//! # Two steps: the granule pipeline, then one MERGE
+//!
+//! A statement runs in two steps. Step 1 is the granule loop above; it
+//! does every filter and **every block fetch** — an LM granule fetches
+//! its output columns' blocks exactly where DS3 needs them — and leaves
+//! one `Part` per granule with output rows: an LM granule its
+//! descriptor and output mini-columns, an EM granule its constructed
+//! tuples. Aggregates fold in step 1 and never reach step 2. Step 2 is
+//! one MERGE ([`crate::ops::merge`]): the parts' row counts size the
+//! result once, and every output value is written once, straight from
+//! its compressed block into its row-major slot. So no I/O happens in
+//! step 2, and cold `(block_reads, seeks)` are step 1's alone.
+//!
 //! # Parallel execution
 //!
 //! Granules are independent by construction — every strategy's pipeline
-//! reads a position window, filters it, and emits its fragment of the
+//! reads a position window, filters it, and emits its part of the
 //! result without looking at any other window. The executor exploits
 //! this morsel-style through the shared [`FragmentPipeline`] substrate
 //! (also used by the parallel join probe): [`ExecOptions::parallelism`]
@@ -41,9 +54,13 @@
 //! that drains its span **steals** runs from the tail of the most
 //! loaded sibling's span (the [`QueryStats::steals`] counter), so
 //! clustered selectivity cannot strand the matches on one core. The
-//! per-run fragments — result values, partial aggregates, [`QueryStats`]
-//! — are merged in global granule order, so the produced [`QueryResult`]
-//! is **byte-identical** to the serial run at any worker count, and the
+//! per-run fragments — parts, partial aggregates, [`QueryStats`] — come
+//! back in global granule order, so the parts are the serial output's
+//! rows in order. MERGE then writes each part into its own disjoint
+//! slice of the result on up to the pipeline's worker count, at most one
+//! worker per granule of output rows (a smaller output is assembled on
+//! the caller, with no spawn). The produced [`QueryResult`] is therefore
+//! **byte-identical** to the serial run at any worker count, and the
 //! deterministic counters (`positions_matched`, `rows_out`, cold
 //! `block_reads`) are exact: the buffer pool single-flights concurrent
 //! cold misses, and the statement's ledger
@@ -61,9 +78,9 @@
 //! **tail blocks** holding the delta's inserted rows. The base window
 //! `[0, base_rows)` runs on the [`FragmentPipeline`] as always; the tail
 //! window `[base_rows, total)` then runs the very same granule loop
-//! once more, serially — every strategy, unchanged — and its fragment
-//! lands after every base fragment, which is where inserted rows sit in
-//! the table's logical order. The result is therefore byte-identical to
+//! once more, serially — every strategy, unchanged — and its parts are
+//! the last parts, which is where inserted rows sit in the table's
+//! logical order. The result is therefore byte-identical to
 //! a run over the compacted table at any thread count, and the tail
 //! never touches the buffer pool or the I/O meter. Deleted positions,
 //! base and tail alike, are filtered inside each granule — after the
@@ -83,7 +100,7 @@ use matstrat_storage::{ColumnReader, EncodingKind, Store};
 use crate::multicol::{FetchKind, MiniColumn, MultiColumn};
 use crate::ops::agg::{aggregate_runs, aggregate_runs_compressed, AggFunc, Aggregator};
 use crate::ops::join::filter_deleted;
-use crate::ops::merge::merge_columns;
+use crate::ops::merge::{merge, Part};
 use crate::ops::probe::ds4_extend;
 use crate::ops::spc::spc_scan;
 use crate::pipeline::FragmentPipeline;
@@ -228,47 +245,60 @@ fn execute_scan(
         }
     };
 
+    // Where each output column sits in an EM tuple (`accessed` order).
+    let fields: Vec<usize> = out_cols
+        .iter()
+        .map(|c| {
+            accessed
+                .iter()
+                .position(|a| a == c)
+                .expect("output column is accessed")
+        })
+        .collect();
     let base_rows = proj.num_rows;
-    let pipeline = FragmentPipeline::new(base_rows, opts.granule.max(1), opts.parallelism.max(1));
+    let granule = opts.granule.max(1);
+    let pipeline = FragmentPipeline::new(base_rows, granule, opts.parallelism.max(1));
     let task = SpanTask {
         q,
         readers: &readers,
         accessed: &accessed,
         opts,
         out_cols: &out_cols,
+        fields: &fields,
         agg_domain,
         strategy,
         deletes: delta.as_ref().map_or(&[], |d| d.deletes()),
     };
 
+    // Step 1: every filter and every block fetch, granule by granule.
     let t0 = Instant::now();
     let (mut fragments, steals) = pipeline.run(|span| task.run_span(span))?;
     // The tail window — the delta's inserted rows — runs the same granule
     // loop once more, serially, after every base fragment: exactly where
-    // those rows sit in the table's logical order.
+    // those rows sit in the table's logical order, so its parts are the
+    // last parts.
     if let Some(d) = delta.as_ref().filter(|d| d.num_inserts() > 0) {
         fragments.push(task.run_span(PosRange::new(base_rows, d.total_rows()))?);
     }
 
-    // Merge fragments in global granule order: values concatenate (runs
-    // are contiguous, disjoint, and ascending — stealing moves who
-    // computes a granule, never where it lands — so this reproduces the
-    // serial output byte for byte), aggregates fold, stats merge
-    // associatively.
+    // Fragments arrive in global granule order (stealing moves who
+    // computes a granule, never where it lands), so their parts, in turn,
+    // are the serial output's rows in order; aggregates fold and stats
+    // merge associatively.
     let mut fragments = fragments.into_iter();
     let first = fragments.next().expect("at least one span");
-    let mut flat = first.flat;
+    let mut parts = first.parts;
     let mut agg = first.agg;
     let mut stats = first.stats;
     for frag in fragments {
         stats += frag.stats;
-        flat.extend(frag.flat);
+        parts.extend(frag.parts);
         if let (Some(a), Some(partial)) = (agg.as_mut(), frag.agg) {
             a.merge(partial);
         }
     }
 
-    // Finalize.
+    // Step 2: one MERGE, or the aggregate's finish.
     let result = match (agg, q.aggregate) {
         (Some(a), Some(spec)) => a.into_result(
             &proj.column(spec.group_col)?.name,
@@ -280,6 +310,7 @@ fn execute_scan(
                 .iter()
                 .map(|&c| proj.column(c).map(|ci| ci.name.clone()))
                 .collect::<Result<Vec<_>>>()?;
+            let flat = merge(&parts, names.len(), pipeline.workers(), granule as usize)?;
             QueryResult::from_flat(names, flat)
         }
     };
@@ -290,9 +321,10 @@ fn execute_scan(
     Ok((result, stats))
 }
 
-/// One result fragment: everything a worker's span produced.
-struct Fragment {
-    flat: Vec<Value>,
+/// One result fragment: everything a worker's run of granules produced.
+struct Fragment<'a> {
+    /// One part per granule with output rows, in granule order.
+    parts: Vec<Part<'a>>,
     agg: Option<Aggregator>,
     stats: QueryStats,
 }
@@ -307,6 +339,8 @@ struct SpanTask<'a> {
     accessed: &'a [usize],
     opts: &'a ExecOptions,
     out_cols: &'a [usize],
+    /// Each output column's field in an EM tuple.
+    fields: &'a [usize],
     agg_domain: Option<(AggFunc, Value, Value)>,
     strategy: Strategy,
     /// Deleted positions (sorted), base and tail — each granule filters
@@ -314,15 +348,15 @@ struct SpanTask<'a> {
     deletes: &'a [u64],
 }
 
-impl SpanTask<'_> {
+impl<'a> SpanTask<'a> {
     /// The serial granule loop over `span`, exactly as the paper's
     /// executor runs it over the whole table.
-    fn run_span(&self, span: PosRange) -> Result<Fragment> {
+    fn run_span(&self, span: PosRange) -> Result<Fragment<'a>> {
         let t0 = Instant::now();
         let mut agg = self
             .agg_domain
             .map(|(func, lo, hi)| Aggregator::with_domain_fn(func, lo, hi));
-        let mut flat: Vec<Value> = Vec::new();
+        let mut parts = Vec::new();
         let mut positions_matched = 0u64;
         let mut decompressed = false;
         let mut zone_skips = 0u64;
@@ -343,18 +377,19 @@ impl SpanTask<'_> {
                 deletes: &self.deletes[lo..hi],
             };
             let got = match self.strategy {
-                Strategy::LmParallel => g.lm_parallel(self.out_cols, &mut agg, &mut flat)?,
-                Strategy::LmPipelined => g.lm_pipelined(self.out_cols, &mut agg, &mut flat)?,
-                Strategy::EmParallel => g.em_parallel(self.out_cols, &mut agg, &mut flat)?,
-                Strategy::EmPipelined => g.em_pipelined(self.out_cols, &mut agg, &mut flat)?,
+                Strategy::LmParallel => g.lm_parallel(self.out_cols, &mut agg)?,
+                Strategy::LmPipelined => g.lm_pipelined(self.out_cols, &mut agg)?,
+                Strategy::EmParallel => g.em_parallel(self.fields, &mut agg)?,
+                Strategy::EmPipelined => g.em_pipelined(self.fields, &mut agg)?,
             };
             positions_matched += got.matched;
             decompressed |= got.decompressed;
             zone_skips += got.zone_skips;
+            parts.extend(got.part);
         }
 
         Ok(Fragment {
-            flat,
+            parts,
             agg,
             stats: QueryStats {
                 strategy: Some(self.strategy),
@@ -371,11 +406,13 @@ impl SpanTask<'_> {
     }
 }
 
-/// Per-granule outcome counters.
-struct GranuleOut {
+/// Per-granule outcome: counters, and the granule's rows for MERGE
+/// (`None` when it has none or feeds an aggregate).
+struct GranuleOut<'f> {
     matched: u64,
     decompressed: bool,
     zone_skips: u64,
+    part: Option<Part<'f>>,
 }
 
 /// One granule's worth of execution context.
@@ -457,18 +494,21 @@ impl Granule<'_> {
             .collect()
     }
 
-    /// Consume the surviving positions: fetch output values and merge, or
-    /// feed the aggregator from the compressed group column.
-    fn consume_lm(
+    /// Consume the surviving positions: feed the aggregator from the
+    /// compressed group column, or fetch the output columns' blocks and
+    /// hand them, with the descriptor, to MERGE. Returns whether a value
+    /// fetch decompresses (bit-vector), and the granule's part.
+    fn consume_lm<'f>(
         &self,
-        desc: &PosList,
+        desc: PosList,
         minis: &mut HashMap<usize, MiniColumn>,
         out_cols: &[usize],
         agg: &mut Option<Aggregator>,
-        flat: &mut Vec<Value>,
-        selective_fetch: bool,
-    ) -> Result<bool> {
+    ) -> Result<(bool, Option<Part<'f>>)> {
         let mut decompressed = false;
+        // Output columns without predicates were not touched by DS1, so
+        // DS3 fetches only the blocks holding survivors (§3.6) — skipping
+        // whole blocks is the LM I/O win on selective queries.
         let fetch_mini =
             |col: usize, minis: &mut HashMap<usize, MiniColumn>| -> Result<MiniColumn> {
                 if self.opts.multicolumn_reuse {
@@ -476,11 +516,7 @@ impl Granule<'_> {
                         return Ok(m.clone()); // multi-column re-access: no I/O
                     }
                 }
-                let m = if selective_fetch {
-                    MiniColumn::fetch_selective(self.reader(col), self.window, desc)?
-                } else {
-                    MiniColumn::fetch(self.reader(col), self.window)?
-                };
+                let m = MiniColumn::fetch_selective(self.reader(col), self.window, &desc)?;
                 minis.insert(col, m.clone());
                 Ok(m)
             };
@@ -496,47 +532,42 @@ impl Granule<'_> {
                         // so I/O accounting is unchanged; the result is
                         // byte-identical (see `aggregate_runs_compressed`).
                         aggregate_runs_compressed(
-                            desc,
+                            &desc,
                             &gmini,
                             &vmini,
                             agg.as_mut().expect("agg set"),
                         )?;
                     } else {
                         let mut vals = Vec::with_capacity(desc.count() as usize);
-                        if vmini.fetch_values(desc, &mut vals)? == FetchKind::Decompressed {
+                        if vmini.fetch_values(&desc, &mut vals)? == FetchKind::Decompressed {
                             decompressed = true;
                         }
-                        aggregate_runs(desc, &gmini, &vals, agg.as_mut().expect("agg set"))?;
+                        aggregate_runs(&desc, &gmini, &vals, agg.as_mut().expect("agg set"))?;
                     }
                 } else {
                     // COUNT never touches the value column — an LM-only win.
-                    aggregate_runs(desc, &gmini, &[], agg.as_mut().expect("agg set"))?;
+                    aggregate_runs(&desc, &gmini, &[], agg.as_mut().expect("agg set"))?;
                 }
+                Ok((decompressed, None))
             }
             None => {
-                let mut cols: Vec<Vec<Value>> = Vec::with_capacity(out_cols.len());
-                for &c in out_cols {
-                    let mini = fetch_mini(c, minis)?;
-                    let mut vals = Vec::with_capacity(desc.count() as usize);
-                    if mini.fetch_values(desc, &mut vals)? == FetchKind::Decompressed {
-                        decompressed = true;
-                    }
-                    cols.push(vals);
-                }
-                let refs: Vec<&[Value]> = cols.iter().map(|v| v.as_slice()).collect();
-                merge_columns(&refs, flat);
+                let minis = out_cols
+                    .iter()
+                    .map(|&c| fetch_mini(c, minis))
+                    .collect::<Result<Vec<_>>>()?;
+                // MERGE decompresses exactly when a block cannot gather.
+                let decompressed = minis.iter().any(|m| !m.supports_position_fetch());
+                Ok((decompressed, Some(Part::Late { desc, minis })))
             }
         }
-        Ok(decompressed)
     }
 
     /// LM-parallel: DS1 ∥ DS1 → AND → DS3 ∥ DS3 → MERGE.
-    fn lm_parallel(
+    fn lm_parallel<'f>(
         &self,
         out_cols: &[usize],
         agg: &mut Option<Aggregator>,
-        flat: &mut Vec<Value>,
-    ) -> Result<GranuleOut> {
+    ) -> Result<GranuleOut<'f>> {
         let mut mcs = Vec::with_capacity(self.q.filters.len());
         let mut zone_skips = 0u64;
         for (col, pred) in &self.q.filters {
@@ -553,37 +584,43 @@ impl Granule<'_> {
         }
         let mc = MultiColumn::and_many(mcs, self.window);
         let desc = self.filter_desc(mc.descriptor().clone());
-        let matched = desc.count();
-        if matched == 0 {
-            return Ok(GranuleOut {
-                matched,
-                decompressed: false,
-                zone_skips,
-            });
-        }
         let mut minis: HashMap<usize, MiniColumn> = mc
             .columns()
             .map(|c| (c, mc.mini(c).expect("listed").clone()))
             .collect();
-        // Output columns without predicates were not touched by DS1, so
-        // DS3 fetches only the blocks holding AND survivors (§3.6) —
-        // skipping whole blocks is the LM I/O win on selective queries.
-        let decompressed = self.consume_lm(&desc, &mut minis, out_cols, agg, flat, true)?;
+        self.finish_lm(desc, &mut minis, out_cols, agg, zone_skips)
+    }
+
+    /// Count a granule's surviving positions and, if any, consume them.
+    fn finish_lm<'f>(
+        &self,
+        desc: PosList,
+        minis: &mut HashMap<usize, MiniColumn>,
+        out_cols: &[usize],
+        agg: &mut Option<Aggregator>,
+        zone_skips: u64,
+    ) -> Result<GranuleOut<'f>> {
+        let matched = desc.count();
+        let (decompressed, part) = if matched == 0 {
+            (false, None)
+        } else {
+            self.consume_lm(desc, minis, out_cols, agg)?
+        };
         Ok(GranuleOut {
             matched,
             decompressed,
             zone_skips,
+            part,
         })
     }
 
     /// LM-pipelined: DS1 → (DS1 within the descriptor's ranges, or
     /// DS3 + filter)* → DS3 outputs.
-    fn lm_pipelined(
+    fn lm_pipelined<'f>(
         &self,
         out_cols: &[usize],
         agg: &mut Option<Aggregator>,
-        flat: &mut Vec<Value>,
-    ) -> Result<GranuleOut> {
+    ) -> Result<GranuleOut<'f>> {
         let mut minis: HashMap<usize, MiniColumn> = HashMap::new();
         let mut desc: PosList = PosList::full(self.window);
         let mut zone_skips = 0u64;
@@ -624,29 +661,15 @@ impl Granule<'_> {
             }
         }
         let desc = self.filter_desc(desc);
-        let matched = desc.count();
-        if matched == 0 {
-            return Ok(GranuleOut {
-                matched,
-                decompressed: false,
-                zone_skips,
-            });
-        }
-        let decompressed = self.consume_lm(&desc, &mut minis, out_cols, agg, flat, true)?;
-        Ok(GranuleOut {
-            matched,
-            decompressed,
-            zone_skips,
-        })
+        self.finish_lm(desc, &mut minis, out_cols, agg, zone_skips)
     }
 
     /// EM-parallel: SPC leaf over all accessed columns.
-    fn em_parallel(
+    fn em_parallel<'f>(
         &self,
-        out_cols: &[usize],
+        fields: &'f [usize],
         agg: &mut Option<Aggregator>,
-        flat: &mut Vec<Value>,
-    ) -> Result<GranuleOut> {
+    ) -> Result<GranuleOut<'f>> {
         // Read every accessed column in full — EM-parallel never skips.
         let mut spc_cols: Vec<(MiniColumn, Option<Predicate>)> =
             Vec::with_capacity(self.accessed.len());
@@ -673,21 +696,20 @@ impl Granule<'_> {
         }
         self.filter_em(&mut out.positions, &mut out.tuples, out.width);
         let matched = out.positions.len() as u64;
-        self.consume_em(&out.positions, &out.tuples, out.width, out_cols, agg, flat)?;
         Ok(GranuleOut {
             matched,
             decompressed: out.decompressed,
             zone_skips: 0, // EM reads every block by definition
+            part: consume_em(out.tuples, out.width, fields, agg),
         })
     }
 
     /// EM-pipelined: DS2 leaf, DS4 probes for every later column.
-    fn em_pipelined(
+    fn em_pipelined<'f>(
         &self,
-        out_cols: &[usize],
+        fields: &'f [usize],
         agg: &mut Option<Aggregator>,
-        flat: &mut Vec<Value>,
-    ) -> Result<GranuleOut> {
+    ) -> Result<GranuleOut<'f>> {
         let first_col = self.accessed[0];
         let mini = MiniColumn::fetch(self.reader(first_col), self.window)?;
         let mut preds = self.preds_for(first_col);
@@ -728,55 +750,45 @@ impl Granule<'_> {
             }
         }
         let matched = positions.len() as u64;
-        if matched > 0 {
+        let part = if matched > 0 {
             // Tuples may be narrower than `accessed` if we broke early —
             // but break only happens when positions is empty.
             debug_assert_eq!(width, self.accessed.len());
-            self.consume_em(&positions, &tuples, width, out_cols, agg, flat)?;
-        }
+            consume_em(tuples, width, fields, agg)
+        } else {
+            None
+        };
         Ok(GranuleOut {
             matched,
             decompressed: false,
             zone_skips: 0, // EM reads every block by definition
+            part,
         })
     }
+}
 
-    /// Consume constructed tuples: aggregate tuple-at-a-time (the EM agg
-    /// path) or project the output columns into the result buffer.
-    fn consume_em(
-        &self,
-        positions: &[Pos],
-        tuples: &[Value],
-        width: usize,
-        out_cols: &[usize],
-        agg: &mut Option<Aggregator>,
-        flat: &mut Vec<Value>,
-    ) -> Result<()> {
-        let tuple_idx = |col: usize| -> usize {
-            self.accessed
-                .iter()
-                .position(|&c| c == col)
-                .expect("output column is accessed")
-        };
-        match agg {
-            Some(a) => {
-                let gi = tuple_idx(self.q.aggregate.unwrap().group_col);
-                let vi = tuple_idx(self.q.aggregate.unwrap().value_col);
-                for r in 0..positions.len() {
-                    a.add(tuples[r * width + gi], tuples[r * width + vi]);
-                }
+/// Consume constructed tuples (`width` values per row, output column `c`
+/// at field `fields[c]`): aggregate them tuple-at-a-time — the EM agg
+/// path, over `(group, value)` fields — or hand them to MERGE.
+fn consume_em<'f>(
+    tuples: Vec<Value>,
+    width: usize,
+    fields: &'f [usize],
+    agg: &mut Option<Aggregator>,
+) -> Option<Part<'f>> {
+    match agg {
+        Some(a) => {
+            for row in tuples.chunks_exact(width) {
+                a.add(row[fields[0]], row[fields[1]]);
             }
-            None => {
-                let idxs: Vec<usize> = out_cols.iter().map(|&c| tuple_idx(c)).collect();
-                flat.reserve(positions.len() * idxs.len());
-                for r in 0..positions.len() {
-                    for &i in &idxs {
-                        flat.push(tuples[r * width + i]);
-                    }
-                }
-            }
+            None
         }
-        Ok(())
+        None if tuples.is_empty() => None,
+        None => Some(Part::Tuples {
+            tuples,
+            width,
+            fields,
+        }),
     }
 }
 

@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use matstrat_common::{Error, Pos, PosRange, Predicate, Result, Value};
 use matstrat_poslist::{Bitmap, PosList, PosListBuilder, RangeList};
-use matstrat_storage::{ColumnReader, EncodedBlock};
+use matstrat_storage::{ColumnReader, EncodedBlock, Slots};
 
 /// How a value fetch was satisfied — used by execution stats to report
 /// when the bit-vector decompression penalty was paid.
@@ -291,69 +291,167 @@ impl MiniColumn {
     /// bit-vector encoded — callers that accept the decompression cost
     /// should use [`fetch_values`](Self::fetch_values) instead.
     pub fn gather(&self, positions: &PosList, out: &mut Vec<Value>) -> Result<()> {
-        match positions {
-            PosList::Ranges(rl) => {
-                let mut cursor = 0;
-                for range in rl.ranges() {
-                    let mut r = range.intersect(&self.window);
-                    while !r.is_empty() {
-                        let b = self.block_from(&mut cursor, r.start)?;
-                        let sub = r.intersect(&b.covering());
-                        b.gather_range(sub, out)?;
-                        r = PosRange::new(sub.end, r.end);
-                    }
-                }
+        if !self.supports_position_fetch() {
+            return Err(Error::unsupported(
+                "DS3 (position fetch) on a bit-vector block: bit-strings cannot be \
+                 probed by position without a scan",
+            ));
+        }
+        self.fetch_values(positions, out).map(drop)
+    }
+
+    /// Values at the descriptor's positions, appended to `out`,
+    /// decompressing when the codec cannot gather (bit-vector). Returns
+    /// how the fetch was satisfied.
+    pub fn fetch_values(&self, positions: &PosList, out: &mut Vec<Value>) -> Result<FetchKind> {
+        let at = out.len();
+        out.resize(at + positions.count() as usize, 0);
+        let fetched = self.fetch_values_into(positions, &mut Slots::column(&mut out[at..], 0, 1));
+        if fetched.is_err() {
+            out.truncate(at);
+        }
+        fetched
+    }
+
+    /// [`fetch_values`](Self::fetch_values) written strided, to the next
+    /// cells of `out` — how MERGE reads each value straight out of the
+    /// compressed blocks into its tuple slot. A range descriptor walks its
+    /// ranges and the blocks together, each block taking the ranges that
+    /// overlap it in one fused gather; any other descriptor gathers point
+    /// by point, batched per block. If a block cannot fetch by position
+    /// (bit-vector), the window's rows of every block holding descriptor
+    /// positions are decompressed into one buffer reused across blocks,
+    /// and whole ranges or single positions are copied out of it.
+    ///
+    /// Positions must lie in this mini-column's blocks. Errors unless
+    /// exactly `positions.count()` cells were written: a column that yields
+    /// a different count than its descriptor never leaves a default value
+    /// behind.
+    pub fn fetch_values_into(&self, positions: &PosList, out: &mut Slots<'_>) -> Result<FetchKind> {
+        let room = out.len();
+        let kind = if self.supports_position_fetch() {
+            match positions {
+                PosList::Ranges(rl) => self.gather_ranges_into(rl.ranges(), out)?,
+                other => self.gather_points_into(other, out)?,
             }
-            other => {
-                // Point gathers, batched per block.
-                let mut batch: Vec<Pos> = Vec::new();
-                let mut current: Option<&Arc<EncodedBlock>> = None;
-                let mut cursor = 0;
-                for p in other.iter() {
-                    if !self.window.contains(p) {
-                        continue;
-                    }
-                    match current {
-                        Some(b) if b.covering().contains(p) => batch.push(p),
-                        _ => {
-                            if let Some(b) = current {
-                                b.gather(&batch, out)?;
-                            }
-                            batch.clear();
-                            current = Some(self.block_from(&mut cursor, p)?);
-                            batch.push(p);
-                        }
-                    }
-                }
-                if let Some(b) = current {
-                    b.gather(&batch, out)?;
-                }
+            FetchKind::Gathered
+        } else {
+            self.decompress_into(positions, out)?;
+            FetchKind::Decompressed
+        };
+        let written = (room - out.len()) as u64;
+        let want = positions.count();
+        if written != want {
+            return Err(Error::invalid(format!(
+                "column yielded {written} values for a {want}-position descriptor"
+            )));
+        }
+        Ok(kind)
+    }
+
+    /// The fused range gather: each block takes the slice of `ranges`
+    /// overlapping it (a range crossing into the next block is handed to
+    /// both, and each clips it to itself).
+    fn gather_ranges_into(&self, ranges: &[PosRange], out: &mut Slots<'_>) -> Result<()> {
+        let mut i = 0;
+        for b in &self.blocks {
+            let cov = b.covering();
+            while ranges.get(i).is_some_and(|r| r.end <= cov.start) {
+                i += 1;
+            }
+            let mut j = i;
+            while ranges.get(j).is_some_and(|r| r.start < cov.end) {
+                j += 1;
+            }
+            if j > i {
+                b.gather_ranges_into(&ranges[i..j], out)?;
+                i = if ranges[j - 1].end > cov.end {
+                    j - 1
+                } else {
+                    j
+                };
             }
         }
         Ok(())
     }
 
-    /// Values at the descriptor's positions, decompressing when the codec
-    /// cannot gather (bit-vector). Returns how the fetch was satisfied.
-    pub fn fetch_values(&self, positions: &PosList, out: &mut Vec<Value>) -> Result<FetchKind> {
-        if self.supports_position_fetch() {
-            self.gather(positions, out)?;
-            return Ok(FetchKind::Gathered);
-        }
-        // Decompress each needed block fully, then select.
-        for b in &self.blocks {
-            let w = b.covering().intersect(&self.window);
-            let clipped = positions.clip(w);
-            if clipped.is_empty() {
-                continue;
-            }
-            let mut decoded = Vec::with_capacity(w.len() as usize);
-            b.decode_range(w, &mut decoded)?;
-            for p in clipped.iter() {
-                out.push(decoded[(p - w.start) as usize]);
+    /// Point gathers, batched per block.
+    fn gather_points_into(&self, positions: &PosList, out: &mut Slots<'_>) -> Result<()> {
+        let mut batch: Vec<Pos> = Vec::new();
+        let mut current: Option<&Arc<EncodedBlock>> = None;
+        let mut cursor = 0;
+        for p in positions.iter() {
+            match current {
+                Some(b) if b.covering().contains(p) => batch.push(p),
+                _ => {
+                    if let Some(b) = current {
+                        b.gather_into(&batch, out)?;
+                    }
+                    batch.clear();
+                    current = Some(self.block_from(&mut cursor, p)?);
+                    batch.push(p);
+                }
             }
         }
-        Ok(FetchKind::Decompressed)
+        if let Some(b) = current {
+            b.gather_into(&batch, out)?;
+        }
+        Ok(())
+    }
+
+    /// Decompress-then-select: the window's rows of each block holding
+    /// descriptor positions are decoded into one reused buffer, then a
+    /// range descriptor copies whole slices out of it and any other
+    /// descriptor copies its positions (a bitmap's come a word at a time).
+    fn decompress_into(&self, positions: &PosList, out: &mut Slots<'_>) -> Result<()> {
+        let mut decoded: Vec<Value> = Vec::new();
+        let mut held = PosRange::empty(); // the positions in `decoded`
+        let mut cursor = 0;
+        let mut load = |pos: Pos, decoded: &mut Vec<Value>, held: &mut PosRange| -> Result<()> {
+            if !held.contains(pos) {
+                // The block's rows inside the window — a wide block
+                // serves several granules — unless `pos` lies outside it.
+                let b = self.block_from(&mut cursor, pos)?;
+                let w = b.covering().intersect(&self.window);
+                *held = if w.contains(pos) { w } else { b.covering() };
+                decoded.clear();
+                b.decode_range(*held, decoded)?;
+            }
+            Ok(())
+        };
+        match positions {
+            PosList::Ranges(rl) => {
+                for range in rl.ranges() {
+                    let mut r = *range;
+                    while !r.is_empty() {
+                        load(r.start, &mut decoded, &mut held)?;
+                        let sub = r.intersect(&held);
+                        let lo = (sub.start - held.start) as usize;
+                        let hi = (sub.end - held.start) as usize;
+                        out.put(decoded[lo..hi].iter().copied());
+                        r = PosRange::new(sub.end, r.end);
+                    }
+                }
+            }
+            other => {
+                let mut failed = None;
+                out.put(
+                    other
+                        .iter()
+                        .map_while(|p| match load(p, &mut decoded, &mut held) {
+                            Ok(()) => Some(decoded[(p - held.start) as usize]),
+                            Err(e) => {
+                                failed = Some(e);
+                                None
+                            }
+                        }),
+                );
+                if let Some(e) = failed {
+                    return Err(e);
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Decompress the entire window in position order.
@@ -635,6 +733,44 @@ mod tests {
         let kind = mc.fetch_values(&pl, &mut out).unwrap();
         assert_eq!(kind, FetchKind::Decompressed);
         assert_eq!(out, vec![c[3], c[77], c[1234]]);
+    }
+
+    #[test]
+    fn fetch_values_decompresses_bitvec_across_blocks_for_every_descriptor() {
+        // Fifty distinct values: a bit-vector block holds ~10 k rows, so
+        // 30 k rows span three blocks.
+        let store = Store::in_memory();
+        let c: Vec<Value> = (0..30_000).map(|i| (i * 7) % 50).collect();
+        let spec = ProjectionSpec::new("t").column("c", Ek::BitVec, SortOrder::None);
+        let id = store.load_projection(&spec, &[&c]).unwrap();
+        let mc =
+            MiniColumn::fetch(&store.reader(id, 0).unwrap(), PosRange::new(0, 30_000)).unwrap();
+        assert!(mc.blocks().len() >= 3, "want a multi-block window");
+        let edge = mc.blocks()[1].covering();
+        let descs = [
+            // Ranges that cross both block edges, and one-row ranges.
+            PosList::Ranges(RangeList::from_ranges(vec![
+                PosRange::new(edge.start - 70, edge.start + 5),
+                PosRange::new(edge.start + 9, edge.start + 10),
+                PosRange::new(edge.end - 1, edge.end + 130),
+            ])),
+            PosList::Bitmap(Bitmap::from_positions(
+                PosRange::new(edge.start - 100, edge.end + 100),
+                (edge.start - 100..edge.end + 100).filter(|p| p % 3 != 0),
+            )),
+            PosList::from_positions(vec![0, edge.start - 1, edge.start, edge.end, 29_999]),
+        ];
+        for desc in &descs {
+            let mut out = vec![-1];
+            assert_eq!(
+                mc.fetch_values(desc, &mut out).unwrap(),
+                FetchKind::Decompressed
+            );
+            let want: Vec<Value> = std::iter::once(-1)
+                .chain(desc.iter().map(|p| c[p as usize]))
+                .collect();
+            assert_eq!(out, want, "{:?}", desc.repr());
+        }
     }
 
     #[test]

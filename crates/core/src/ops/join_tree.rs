@@ -11,7 +11,10 @@
 //! **values are fetched exactly once, at the very top** — base columns
 //! with a merge on the sorted (possibly duplicated) base positions,
 //! right columns per edge through the three inner-table representations
-//! of [`crate::ops::join`]. That is the paper's late-materialization
+//! of [`crate::ops::join`] — and a span hands its columns, unstitched,
+//! to the statement's one MERGE ([`crate::ops::merge`]), the same
+//! assembly the scan executor uses, which writes each value once into
+//! its row of the result. That is the paper's late-materialization
 //! discipline carried across a whole join tree.
 //!
 //! # Build caching
@@ -29,9 +32,10 @@
 //!
 //! The probe phase runs on the same [`FragmentPipeline`] substrate as
 //! every other operator, span-parallel over the **base** table: each
-//! granule run executes the full filter→probe→…→probe→fetch→stitch
-//! pipeline for its positions, and fragments merge in global granule
-//! order. All per-row state is span-local and the build side is shared
+//! granule run executes the full filter→probe→…→probe→fetch pipeline
+//! for its positions, and the runs' column parts come back in global
+//! granule order for MERGE, which writes each into its own slice of the
+//! result. All per-row state is span-local and the build side is shared
 //! read-only, so the result is **byte-identical** at any worker count
 //! with exact cold `block_reads` — the property
 //! `tests/join_tree_diff.rs` proves against the serial composition of
@@ -76,6 +80,7 @@ use crate::ops::join::{
     decode_snapshot, fetch_codes_expanded, fetch_expanded, filter_deleted, BuildReducer, InnerRep,
     InnerStrategy, SharedBuild,
 };
+use crate::ops::merge::{merge, Part};
 use crate::pipeline::FragmentPipeline;
 use crate::query::{metered, AggSpec, JoinKeySource, JoinTreeSpec, QueryResult, QueryStats};
 
@@ -320,11 +325,11 @@ struct AggCols {
     value: OutCol,
 }
 
-/// One span's contribution: row-major output values, or a partial
+/// One span's contribution: its output columns for MERGE, or a partial
 /// aggregate when the tree is topped by a GROUP BY — plus the span's
 /// zone-map block skips.
 struct TreeFragment {
-    flat: Vec<Value>,
+    part: Option<Part<'static>>,
     agg: Option<Aggregator>,
     zone_skips: u64,
 }
@@ -489,26 +494,33 @@ fn execute_tree(
         fragments.push(probe(PosRange::new(base_rows, d.total_rows()))?);
     }
 
-    // Fragments are row-major and runs merge in global granule order, so
-    // concatenation reproduces the serial row order byte for byte;
-    // partial aggregates merge associatively, so the merged accumulator
-    // equals the serial stream's.
+    // Runs arrive in global granule order, so their parts, in turn, are
+    // the serial row order; partial aggregates merge associatively, so
+    // the merged accumulator equals the serial stream's.
     let mut fragments = fragments.into_iter();
     let first = fragments.next().expect("at least one span");
-    let mut flat = first.flat;
+    let mut parts: Vec<Part<'_>> = first.part.into_iter().collect();
     let mut agg_acc = first.agg;
     stats.zone_skips = first.zone_skips;
     for frag in fragments {
         stats.zone_skips += frag.zone_skips;
         match (&mut agg_acc, frag.agg) {
             (Some(a), Some(b)) => a.merge(b),
-            (None, None) => flat.extend(frag.flat),
+            (None, None) => parts.extend(frag.part),
             _ => unreachable!("fragments share the aggregate mode"),
         }
     }
     let result = match (agg_acc, &agg_cols) {
         (Some(a), Some(ac)) => a.into_result(&names[ac.spec.group_col], &names[ac.spec.value_col]),
-        _ => QueryResult::from_flat(names, flat),
+        _ => {
+            let flat = merge(
+                &parts,
+                names.len(),
+                pipeline.workers(),
+                opts.granule.max(1) as usize,
+            )?;
+            QueryResult::from_flat(names, flat)
+        }
     };
     stats.steals = steals;
     stats.rows_out = result.num_rows() as u64;
@@ -516,8 +528,8 @@ fn execute_tree(
     Ok((result, stats))
 }
 
-/// Run the full filter→probe→…→probe→fetch→stitch pipeline over one
-/// base-table span, returning the span's row-major output fragment — or,
+/// Run the full filter→probe→…→probe→fetch pipeline over one base-table
+/// span, returning the span's output columns for MERGE — or,
 /// under an aggregate, a partial accumulator built from just the group
 /// and value columns (everything else is never fetched).
 #[allow(clippy::too_many_arguments)]
@@ -663,40 +675,26 @@ fn probe_tree_span(
             }
         }
         return Ok(TreeFragment {
-            flat: Vec::new(),
+            part: None,
             agg: Some(acc),
             zone_skips,
         });
     }
 
     // ---- Value fetch, once, at the top ----------------------------------
-    // Base output values: merge on the sorted (duplicated) positions.
-    let mut base_cols: Vec<Vec<Value>> = Vec::with_capacity(base_out_readers.len());
+    // Base output values merge on the sorted (duplicated) positions; right
+    // output values come per edge, by that edge's strategy. Columns go to
+    // MERGE in spec order, which stitches them into the result's rows.
+    let mut cols: Vec<Vec<Value>> = Vec::with_capacity(spec.output_width());
     for reader in base_out_readers {
         let mini = MiniColumn::fetch(reader, span)?;
-        base_cols.push(fetch_expanded(&mini, &base_pos)?);
+        cols.push(fetch_expanded(&mini, &base_pos)?);
     }
-    // Right output values per edge, by that edge's strategy.
-    let mut right_cols: Vec<Vec<Vec<Value>>> = Vec::with_capacity(runs.len());
-    for (slot, run) in runs.iter().enumerate() {
-        right_cols.push(run.rep.gather(&rights[slot])?);
-    }
-
-    // ---- Final tuple stitching, columns in spec order --------------------
-    let width = base_cols.len() + runs.iter().map(|r| r.rep.width()).sum::<usize>();
-    let mut flat = Vec::with_capacity(out_rows * width);
-    for i in 0..out_rows {
-        for col in &base_cols {
-            flat.push(col[i]);
-        }
-        for ei in 0..spec.edges.len() {
-            for col in &right_cols[spec_to_slot[ei]] {
-                flat.push(col[i]);
-            }
-        }
+    for &slot in spec_to_slot {
+        cols.extend(runs[slot].rep.gather(&rights[slot])?);
     }
     Ok(TreeFragment {
-        flat,
+        part: (out_rows > 0).then_some(Part::Columns(cols)),
         agg: None,
         zone_skips,
     })

@@ -6,10 +6,10 @@
 //! |---|---|
 //! | DS1 (scan → positions) | [`MiniColumn::scan_positions`](crate::MiniColumn::scan_positions) |
 //! | DS2 (scan → (pos, value)) | [`MiniColumn::scan_pairs`](crate::MiniColumn::scan_pairs) |
-//! | DS3 (positions → values) | [`MiniColumn::gather`](crate::MiniColumn::gather) / [`fetch_values`](crate::MiniColumn::fetch_values) |
+//! | DS3 (positions → values) | [`MiniColumn::gather`](crate::MiniColumn::gather) / [`fetch_values`](crate::MiniColumn::fetch_values) / [`fetch_values_into`](crate::MiniColumn::fetch_values_into) (strided, straight into the result) |
 //! | DS4 (tuples + column → wider tuples) | [`probe::ds4_extend`] |
 //! | AND | [`PosList::and`](matstrat_poslist::PosList::and) / [`MultiColumn::and`](crate::MultiColumn::and) |
-//! | MERGE | [`merge::merge_columns`] |
+//! | MERGE | [`merge`] — one per read statement; [`merge::merge_columns`] is its reference form |
 //! | SPC | [`spc::spc_scan`] |
 //! | aggregator | [`agg::Aggregator`] (tuple- and column-input forms) |
 //! | join | [`join`] (three inner-table strategies, §4.3) |

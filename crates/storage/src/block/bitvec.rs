@@ -164,14 +164,43 @@ impl BitVecBlock {
         )))
     }
 
-    /// Full decompression in position order: scatter each value to the
-    /// rows its bit-string marks.
+    /// Full decompression in position order (see
+    /// [`decode_range`](Self::decode_range)).
     pub fn decode_all(&self, out: &mut Vec<Value>) {
+        let end = self.start_pos + self.count as u64;
+        self.decode_range(PosRange::new(self.start_pos, end), out);
+    }
+
+    /// Decompress the rows of `range` (inside the block) in position
+    /// order, appended to `out`, a word at a time: each value's bit-string
+    /// words over the range scatter the value to their set bits' rows —
+    /// rows outside the range are never written.
+    pub fn decode_range(&self, range: PosRange, out: &mut Vec<Value>) {
+        let lo = (range.start - self.start_pos) as usize;
+        let hi = (range.end - self.start_pos) as usize;
         let base = out.len();
-        out.resize(base + self.count as usize, 0);
+        out.resize(base + (hi - lo), 0);
+        if lo == hi {
+            return;
+        }
+        let rows = &mut out[base..];
+        let (first, last) = (lo / 64, (hi - 1) / 64);
         for (i, &v) in self.values.iter().enumerate() {
-            for p in iter_bits(self.bitstring(i), 0) {
-                out[base + p as usize] = v;
+            for (wi, &word) in (first..=last).zip(&self.bitstring(i)[first..=last]) {
+                // Bits outside the range — a hostile file's padding past
+                // the last row among them — are masked off, not indexed.
+                let at = wi * 64;
+                let mut w = word;
+                if at < lo {
+                    w &= u64::MAX << (lo - at);
+                }
+                if at + 64 > hi {
+                    w &= u64::MAX >> (at + 64 - hi);
+                }
+                while w != 0 {
+                    rows[at + w.trailing_zeros() as usize - lo] = v;
+                    w &= w - 1;
+                }
             }
         }
     }
@@ -325,6 +354,30 @@ mod tests {
         let mut out = Vec::new();
         b.decode_all(&mut out);
         assert_eq!(out, vals);
+    }
+
+    #[test]
+    fn decode_range_equals_the_full_decode_over_any_window() {
+        let vals: Vec<Value> = (0..200).map(|i| (i * 7) % 5).collect();
+        let b = BitVecBlock::from_values(1000, &vals);
+        for lo in (0..=200).step_by(3) {
+            for hi in (lo..=200).step_by(5) {
+                let mut out = vec![-1];
+                b.decode_range(PosRange::new(1000 + lo as u64, 1000 + hi as u64), &mut out);
+                assert_eq!(out[0], -1, "[{lo}, {hi}): appended");
+                assert_eq!(&out[1..], &vals[lo..hi], "[{lo}, {hi})");
+            }
+        }
+        // Padding bits past the last row, as a hostile file might set
+        // them, are ignored rather than indexed.
+        let mut buf = Vec::new();
+        b.serialize_payload(&mut buf);
+        let last = buf.len() - 1;
+        buf[last] = 0xFF;
+        let hostile = BitVecBlock::parse_payload(1000, 200, &mut Reader::new(&buf)).unwrap();
+        let mut out = Vec::new();
+        hostile.decode_all(&mut out);
+        assert_eq!(out.len(), 200);
     }
 
     #[test]

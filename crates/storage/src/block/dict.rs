@@ -14,7 +14,7 @@ use matstrat_poslist::{Bitmap, PosList};
 use crate::wire::{put_i64, put_u32, Reader};
 use crate::BLOCK_SIZE;
 
-use super::BLOCK_HEADER_SIZE;
+use super::{Slots, BLOCK_HEADER_SIZE};
 
 /// A dictionary encoded block.
 #[derive(Debug, Clone, PartialEq)]
@@ -294,28 +294,30 @@ impl DictBlock {
         }
     }
 
-    /// DS3 point fetch (O(1) per position).
-    pub fn gather(&self, positions: &[Pos], out: &mut Vec<Value>) -> Result<()> {
-        out.reserve(positions.len());
-        for &p in positions {
-            let idx = self.check_pos(p)?;
-            out.push(self.dict[self.codes[idx] as usize]);
-        }
-        Ok(())
+    /// DS3 point fetch (O(1) per position; every position inside the
+    /// block), written to the next cells of `out`.
+    pub fn gather_into(&self, positions: &[Pos], out: &mut Slots<'_>) {
+        out.put(
+            positions
+                .iter()
+                .map(|&p| self.dict[self.codes[(p - self.start_pos) as usize] as usize]),
+        );
     }
 
-    /// DS3 range fetch.
-    pub fn gather_range(&self, range: PosRange, out: &mut Vec<Value>) -> Result<()> {
-        if range.is_empty() {
-            return Ok(());
+    /// DS3 over ascending, disjoint `ranges`, each clipped to the block,
+    /// written to the next cells of `out`: each range's codes index the
+    /// dictionary directly.
+    pub fn gather_ranges_into(&self, ranges: &[PosRange], out: &mut Slots<'_>) {
+        let covering = PosRange::new(self.start_pos, self.start_pos + self.codes.len() as u64);
+        for range in ranges {
+            let r = range.intersect(&covering);
+            if r.is_empty() {
+                continue;
+            }
+            let lo = (r.start - self.start_pos) as usize;
+            let hi = (r.end - self.start_pos) as usize;
+            out.put(self.codes[lo..hi].iter().map(|&c| self.dict[c as usize]));
         }
-        let lo = self.check_pos(range.start)?;
-        let hi = self.check_pos(range.end - 1)? + 1;
-        out.reserve(hi - lo);
-        for &c in &self.codes[lo..hi] {
-            out.push(self.dict[c as usize]);
-        }
-        Ok(())
     }
 
     /// DS4 probe.
@@ -469,7 +471,9 @@ mod tests {
     fn gather_and_value_at() {
         let b = DictBlock::from_values(5, &[7, 8, 9]);
         let mut out = Vec::new();
-        b.gather(&[5, 7], &mut out).unwrap();
+        crate::block::EncodedBlock::Dict(b.clone())
+            .gather(&[5, 7], &mut out)
+            .unwrap();
         assert_eq!(out, vec![7, 9]);
         assert_eq!(b.value_at(6).unwrap(), 8);
         assert!(b.value_at(8).is_err());

@@ -12,8 +12,10 @@
 //!
 //! * [`EncodedBlock::scan_positions`] — DS1: predicate → positions;
 //! * [`EncodedBlock::scan_pairs`] — DS2: predicate → (position, value);
-//! * [`EncodedBlock::gather`] / [`EncodedBlock::gather_range`] — DS3:
-//!   positions → values (**unsupported on bit-vector blocks**, §4.1);
+//! * [`EncodedBlock::gather_into`] / [`EncodedBlock::gather_ranges_into`]
+//!   — DS3: positions → values, written into a strided destination
+//!   ([`Slots`]) so a value goes from its block straight into its tuple
+//!   slot (**unsupported on bit-vector blocks**, §4.1);
 //! * [`EncodedBlock::value_at`] — DS4's jump-to-position probe.
 
 mod bitvec;
@@ -35,6 +37,106 @@ use crate::BLOCK_SIZE;
 
 /// Size in bytes of the common block header.
 pub const BLOCK_HEADER_SIZE: usize = 16;
+
+/// A strided destination: the cells of one output column in a row-major
+/// buffer — every `stride`-th value from the column's offset on — filled
+/// in order. DS3 writes through it, so each gathered value lands in its
+/// tuple slot with no intermediate vector; a plain `Vec` is the stride-1
+/// case, where fills and copies run as slice fills and copies. How many
+/// cells a gather filled is the drop in [`len`](Slots::len).
+#[derive(Debug)]
+pub struct Slots<'a> {
+    /// From the next cell to fill on.
+    cells: &'a mut [Value],
+    stride: usize,
+}
+
+impl<'a> Slots<'a> {
+    /// The cells of column `col` of `rows`, a row-major buffer of
+    /// `width`-value rows.
+    ///
+    /// # Panics
+    /// Panics if `width` is 0.
+    pub fn column(rows: &'a mut [Value], col: usize, width: usize) -> Slots<'a> {
+        assert!(width > 0, "a row holds at least one column");
+        Slots {
+            cells: rows.get_mut(col..).unwrap_or_default(),
+            stride: width,
+        }
+    }
+
+    /// Cells left to fill.
+    pub fn len(&self) -> usize {
+        self.cells.len().div_ceil(self.stride)
+    }
+
+    /// Whether every cell is filled.
+    pub fn is_empty(&self) -> bool {
+        self.cells.is_empty()
+    }
+
+    /// Fill the next `n` cells — fewer if fewer are left — with `v`.
+    pub fn fill(&mut self, n: usize, v: Value) {
+        let stride = self.stride;
+        let span = self.advance(n * stride);
+        if stride == 1 {
+            span.fill(v);
+        } else {
+            let mut at = 0;
+            while at < span.len() {
+                span[at] = v;
+                at += stride;
+            }
+        }
+    }
+
+    /// Write `values` to the next cells, until either runs out.
+    pub fn put(&mut self, values: impl IntoIterator<Item = Value>) {
+        // Indexed rather than zipped with a strided iterator: a zip sizes
+        // itself by dividing by the stride on every call.
+        let mut at = 0;
+        if self.stride == 1 {
+            for (cell, v) in self.cells.iter_mut().zip(values) {
+                *cell = v;
+                at += 1;
+            }
+        } else {
+            for v in values {
+                let Some(cell) = self.cells.get_mut(at) else {
+                    break;
+                };
+                *cell = v;
+                at += self.stride;
+            }
+        }
+        self.advance(at);
+    }
+
+    /// Move `offset` values on (clamped to the buffer), returning the span
+    /// passed over.
+    fn advance(&mut self, offset: usize) -> &'a mut [Value] {
+        let cells = std::mem::take(&mut self.cells);
+        let (span, rest) = cells.split_at_mut(offset.min(cells.len()));
+        self.cells = rest;
+        span
+    }
+}
+
+/// Append `n` values to `out` through `fill`, which writes them into the
+/// new cells; on error `out` is left as it was.
+fn push_with(
+    out: &mut Vec<Value>,
+    n: usize,
+    fill: impl FnOnce(&mut Slots<'_>) -> Result<()>,
+) -> Result<()> {
+    let at = out.len();
+    out.resize(at + n, 0);
+    let r = fill(&mut Slots::column(&mut out[at..], 0, 1));
+    if r.is_err() {
+        out.truncate(at);
+    }
+    r
+}
 
 /// A parsed, still-compressed block of one column.
 #[derive(Debug, Clone, PartialEq)]
@@ -175,31 +277,28 @@ impl EncodedBlock {
         }
     }
 
+    /// Errors unless `range` is empty or lies inside the block.
+    fn check_inside(&self, range: PosRange) -> Result<()> {
+        let cov = self.covering();
+        if !range.is_empty() && (range.start < cov.start || range.end > cov.end) {
+            return Err(Error::invalid(format!("range {range} outside block {cov}")));
+        }
+        Ok(())
+    }
+
     /// Decompress every value in `range` (must lie inside the block) in
     /// position order. Unlike [`gather_range`](Self::gather_range) this is
-    /// supported on **all** codecs — bit-vector blocks pay a full-block
-    /// decompression, which is exactly the §4.1(c) cost.
+    /// supported on **all** codecs — bit-vector blocks pay a scan of every
+    /// value's bit-string over the range, which is exactly the §4.1(c)
+    /// cost; RLE blocks extend by one run at a time.
     pub fn decode_range(&self, range: PosRange, out: &mut Vec<Value>) -> Result<()> {
+        self.check_inside(range)?;
         match self {
-            EncodedBlock::BitVec(b) => {
-                let cov = self.covering();
-                if range.is_empty() {
-                    return Ok(());
-                }
-                if !cov.contains(range.start) || !cov.contains(range.end - 1) {
-                    return Err(Error::invalid(format!(
-                        "range {range} outside bit-vector block {cov}"
-                    )));
-                }
-                let mut full = Vec::with_capacity(b.num_rows() as usize);
-                b.decode_all(&mut full);
-                let lo = (range.start - cov.start) as usize;
-                let hi = (range.end - cov.start) as usize;
-                out.extend_from_slice(&full[lo..hi]);
-                Ok(())
-            }
-            other => other.gather_range(range, out),
+            EncodedBlock::BitVec(b) => b.decode_range(range, out),
+            EncodedBlock::Rle(b) => b.decode_range(range, out),
+            other => return other.gather_range(range, out),
         }
+        Ok(())
     }
 
     /// Visit equal-value runs restricted to `window ∩ covering`.
@@ -246,15 +345,29 @@ impl EncodedBlock {
     ///
     /// Errors with [`Error::Unsupported`] on bit-vector blocks.
     pub fn gather(&self, positions: &[Pos], out: &mut Vec<Value>) -> Result<()> {
-        match self {
-            EncodedBlock::Plain(b) => b.gather(positions, out),
-            EncodedBlock::Rle(b) => b.gather(positions, out),
-            EncodedBlock::BitVec(_) => Err(Error::unsupported(
-                "DS3 (position fetch) on a bit-vector block: bit-strings cannot be \
-                 probed by position without a scan",
-            )),
-            EncodedBlock::Dict(b) => b.gather(positions, out),
+        push_with(out, positions.len(), |cells| {
+            self.gather_into(positions, cells)
+        })
+    }
+
+    /// [`gather`](Self::gather), written to the next cells of `out`.
+    pub fn gather_into(&self, positions: &[Pos], out: &mut Slots<'_>) -> Result<()> {
+        let cov = self.covering();
+        if let Some(p) = positions.iter().find(|&&p| !cov.contains(p)) {
+            return Err(Error::invalid(format!("position {p} outside block {cov}")));
         }
+        match self {
+            EncodedBlock::Plain(b) => b.gather_into(positions, out),
+            EncodedBlock::Rle(b) => b.gather_into(positions, out),
+            EncodedBlock::BitVec(_) => {
+                return Err(Error::unsupported(
+                    "DS3 (position fetch) on a bit-vector block: bit-strings cannot be \
+                     probed by position without a scan",
+                ))
+            }
+            EncodedBlock::Dict(b) => b.gather_into(positions, out),
+        }
+        Ok(())
     }
 
     /// DS3 range form: values at every position of `range` (which must lie
@@ -262,14 +375,32 @@ impl EncodedBlock {
     ///
     /// Errors with [`Error::Unsupported`] on bit-vector blocks.
     pub fn gather_range(&self, range: PosRange, out: &mut Vec<Value>) -> Result<()> {
+        self.check_inside(range)?;
+        push_with(out, range.len() as usize, |cells| {
+            self.gather_ranges_into(&[range], cells)
+        })
+    }
+
+    /// DS3 over a range descriptor, written strided: the values at the
+    /// positions of `ranges` — ascending and disjoint, each clipped to this
+    /// block — go to the next cells of `out` in position order. Each codec
+    /// walks the ranges and its own layout together: RLE keeps one run
+    /// cursor, plain unpacks with one loop per width, dict indexes its
+    /// dictionary by code.
+    ///
+    /// Errors with [`Error::Unsupported`] on bit-vector blocks.
+    pub fn gather_ranges_into(&self, ranges: &[PosRange], out: &mut Slots<'_>) -> Result<()> {
         match self {
-            EncodedBlock::Plain(b) => b.gather_range(range, out),
-            EncodedBlock::Rle(b) => b.gather_range(range, out),
-            EncodedBlock::BitVec(_) => Err(Error::unsupported(
-                "DS3 (range fetch) on a bit-vector block",
-            )),
-            EncodedBlock::Dict(b) => b.gather_range(range, out),
+            EncodedBlock::Plain(b) => b.gather_ranges_into(ranges, out),
+            EncodedBlock::Rle(b) => b.gather_ranges_into(ranges, out),
+            EncodedBlock::BitVec(_) => {
+                return Err(Error::unsupported(
+                    "DS3 (range fetch) on a bit-vector block",
+                ))
+            }
+            EncodedBlock::Dict(b) => b.gather_ranges_into(ranges, out),
         }
+        Ok(())
     }
 
     /// DS4 probe: the value at one absolute position.
@@ -603,6 +734,12 @@ mod tests {
                 .decode_range(PosRange::new(110, 130), &mut out)
                 .unwrap();
             assert_eq!(out, &values[10..30], "{:?}", block.encoding());
+            // A range starting and ending inside runs.
+            out.clear();
+            block
+                .decode_range(PosRange::new(111, 127), &mut out)
+                .unwrap();
+            assert_eq!(out, &values[11..27], "{:?}", block.encoding());
             // Out-of-block ranges are rejected.
             assert!(block.decode_range(PosRange::new(90, 95), &mut out).is_err());
         }

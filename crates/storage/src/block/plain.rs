@@ -12,7 +12,7 @@ use matstrat_poslist::{Bitmap, PosList};
 use crate::wire::Reader;
 use crate::BLOCK_SIZE;
 
-use super::BLOCK_HEADER_SIZE;
+use super::{Slots, BLOCK_HEADER_SIZE};
 
 /// A block of values packed contiguously at [`Width`] bytes each.
 ///
@@ -225,28 +225,45 @@ impl PlainBlock {
         }
     }
 
-    /// DS3 point fetch (O(1) per position).
-    pub fn gather(&self, positions: &[Pos], out: &mut Vec<Value>) -> Result<()> {
-        out.reserve(positions.len());
-        for &p in positions {
-            let idx = self.check_pos(p)?;
-            out.push(self.decode_idx(idx));
-        }
-        Ok(())
+    /// DS3 point fetch (O(1) per position; every position inside the
+    /// block), written to the next cells of `out`.
+    pub fn gather_into(&self, positions: &[Pos], out: &mut Slots<'_>) {
+        out.put(
+            positions
+                .iter()
+                .map(|&p| self.decode_idx((p - self.start_pos) as usize)),
+        );
     }
 
-    /// DS3 range fetch.
-    pub fn gather_range(&self, range: PosRange, out: &mut Vec<Value>) -> Result<()> {
-        if range.is_empty() {
-            return Ok(());
+    /// DS3 over ascending, disjoint `ranges`, each clipped to the block,
+    /// written to the next cells of `out`: one unpacking loop per width,
+    /// so no value pays a width dispatch.
+    pub fn gather_ranges_into(&self, ranges: &[PosRange], out: &mut Slots<'_>) {
+        let covering = PosRange::new(self.start_pos, self.start_pos + self.count as u64);
+        macro_rules! unpack {
+            ($t:ty) => {{
+                const W: usize = std::mem::size_of::<$t>();
+                for range in ranges {
+                    let r = range.intersect(&covering);
+                    if r.is_empty() {
+                        continue;
+                    }
+                    let lo = (r.start - self.start_pos) as usize;
+                    let hi = (r.end - self.start_pos) as usize;
+                    out.put(
+                        self.raw[lo * W..hi * W]
+                            .chunks_exact(W)
+                            .map(|b| <$t>::from_le_bytes(b.try_into().unwrap()) as Value),
+                    );
+                }
+            }};
         }
-        let lo = self.check_pos(range.start)?;
-        let hi = self.check_pos(range.end - 1)? + 1;
-        out.reserve(hi - lo);
-        for i in lo..hi {
-            out.push(self.decode_idx(i));
+        match self.width {
+            Width::W1 => unpack!(i8),
+            Width::W2 => unpack!(i16),
+            Width::W4 => unpack!(i32),
+            Width::W8 => unpack!(i64),
         }
-        Ok(())
     }
 
     /// DS4 probe.
@@ -347,6 +364,7 @@ fn pack_bytes(hits: &[u8; 64]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::EncodedBlock;
 
     #[test]
     fn pack_bytes_maps_byte_i_to_bit_i() {
@@ -392,7 +410,7 @@ mod tests {
 
     #[test]
     fn gather_range_bounds_checked() {
-        let b = PlainBlock::from_values(10, Width::W2, &[1, 2, 3]);
+        let b = EncodedBlock::Plain(PlainBlock::from_values(10, Width::W2, &[1, 2, 3]));
         let mut out = Vec::new();
         assert!(b.gather_range(PosRange::new(10, 14), &mut out).is_err());
         out.clear();

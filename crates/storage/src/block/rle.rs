@@ -12,7 +12,7 @@ use matstrat_poslist::{PosList, PosListBuilder};
 use crate::wire::{put_i64, put_u32, Reader};
 use crate::BLOCK_SIZE;
 
-use super::BLOCK_HEADER_SIZE;
+use super::{Slots, BLOCK_HEADER_SIZE};
 
 /// One RLE triple: `value` repeats for `len` rows starting at absolute
 /// position `start`.
@@ -193,44 +193,55 @@ impl RleBlock {
         }
     }
 
-    /// DS3 point fetch. Ascending positions walk the run list forward;
-    /// random probes fall back to binary search.
-    pub fn gather(&self, positions: &[Pos], out: &mut Vec<Value>) -> Result<()> {
-        out.reserve(positions.len());
+    /// DS3 point fetch (every position inside the block), written to the
+    /// next cells of `out`. Ascending positions walk the run list
+    /// forward; an out-of-order probe restarts the walk.
+    pub fn gather_into(&self, positions: &[Pos], out: &mut Slots<'_>) {
         let mut run_idx = 0usize;
         let mut last: Option<Pos> = None;
-        for &p in positions {
+        out.put(positions.iter().map(|&p| {
             if last.is_some_and(|l| p < l) {
                 run_idx = 0; // out-of-order probe: restart (rare path)
             }
             last = Some(p);
-            if p < self.start_pos || p >= self.start_pos + self.count as u64 {
-                return Err(Error::invalid(format!("position {p} outside RLE block")));
-            }
             while self.runs[run_idx].start + self.runs[run_idx].len as u64 <= p {
                 run_idx += 1;
             }
-            out.push(self.runs[run_idx].value);
-        }
-        Ok(())
+            self.runs[run_idx].value
+        }));
     }
 
-    /// DS3 range fetch: overlapping runs emit `min(run, range)` copies.
-    pub fn gather_range(&self, range: PosRange, out: &mut Vec<Value>) -> Result<()> {
-        if range.is_empty() {
-            return Ok(());
-        }
-        let first = self.run_for(range.start)?;
-        self.run_for(range.end - 1)?; // bounds check the far end
-        out.reserve(range.len() as usize);
-        for r in &self.runs[first..] {
-            let overlap = r.range().intersect(&range);
-            if overlap.is_empty() {
-                break;
+    /// DS3 over ascending, disjoint `ranges`, each clipped to the block,
+    /// written to the next cells of `out`: one run cursor walks the runs
+    /// and the ranges together, so a range costs the runs it overlaps —
+    /// no binary search — and each overlap is one fill of the run's value.
+    pub fn gather_ranges_into(&self, ranges: &[PosRange], out: &mut Slots<'_>) {
+        let covering = PosRange::new(self.start_pos, self.start_pos + self.count as u64);
+        let mut run_idx = 0usize;
+        for range in ranges {
+            let r = range.intersect(&covering);
+            if r.is_empty() {
+                continue;
             }
-            out.extend(std::iter::repeat_n(r.value, overlap.len() as usize));
+            if run_idx == 0 || self.runs[run_idx].start > r.start {
+                // The first range (a granule's ranges start deep inside a
+                // wide block), or one behind the cursor (never from a
+                // range list): find its run by binary search.
+                run_idx = self.runs.partition_point(|run| run.range().end <= r.start);
+            }
+            let mut at = r.start;
+            while at < r.end {
+                let run = self.runs[run_idx];
+                let end = run.range().end.min(r.end);
+                if end > at {
+                    out.fill((end - at) as usize, run.value);
+                    at = end;
+                }
+                if at < r.end {
+                    run_idx += 1;
+                }
+            }
         }
-        Ok(())
     }
 
     /// DS4 probe: binary search over run start positions.
@@ -241,9 +252,18 @@ impl RleBlock {
 
     /// Full decompression in position order.
     pub fn decode_all(&self, out: &mut Vec<Value>) {
-        out.reserve(self.count as usize);
-        for r in &self.runs {
-            out.extend(std::iter::repeat_n(r.value, r.len as usize));
+        let end = self.start_pos + self.count as u64;
+        self.decode_range(PosRange::new(self.start_pos, end), out);
+    }
+
+    /// Decompress the rows of `range` (inside the block) in position
+    /// order, appended to `out`: each overlapping run extends `out` by its
+    /// overlap.
+    pub fn decode_range(&self, range: PosRange, out: &mut Vec<Value>) {
+        out.reserve(range.len() as usize);
+        for r in self.runs_overlapping(range) {
+            let o = r.range().intersect(&range);
+            out.extend(std::iter::repeat_n(r.value, o.len() as usize));
         }
     }
 
@@ -300,6 +320,7 @@ impl RleBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::EncodedBlock;
 
     #[test]
     fn from_values_builds_triples() {
@@ -349,7 +370,7 @@ mod tests {
 
     #[test]
     fn gather_out_of_order_restarts() {
-        let b = RleBlock::from_values(0, &[1, 1, 2, 2, 3, 3]);
+        let b = EncodedBlock::Rle(RleBlock::from_values(0, &[1, 1, 2, 2, 3, 3]));
         let mut out = Vec::new();
         b.gather(&[5, 0, 3], &mut out).unwrap();
         assert_eq!(out, vec![3, 1, 2]);
@@ -357,10 +378,31 @@ mod tests {
 
     #[test]
     fn gather_range_spanning_runs() {
-        let b = RleBlock::from_values(10, &[1, 1, 2, 2, 3, 3]);
+        let b = EncodedBlock::Rle(RleBlock::from_values(10, &[1, 1, 2, 2, 3, 3]));
         let mut out = Vec::new();
         b.gather_range(PosRange::new(11, 15), &mut out).unwrap();
         assert_eq!(out, vec![1, 2, 2, 3]);
+    }
+
+    #[test]
+    fn range_gather_cursor_walks_runs_across_ranges() {
+        // Ranges starting, ending and straddling run edges, one behind the
+        // cursor, written at stride 2.
+        let b = RleBlock::from_values(10, &[1, 1, 2, 2, 2, 3, 4, 4]);
+        let ranges = [
+            PosRange::new(11, 13),
+            PosRange::new(14, 17),
+            PosRange::new(17, 18),
+            PosRange::new(10, 11),
+        ];
+        let mut out = vec![0; 16];
+        b.gather_ranges_into(&ranges, &mut crate::block::Slots::column(&mut out, 1, 2));
+        let odd: Vec<Value> = out.iter().skip(1).step_by(2).copied().collect();
+        assert_eq!(odd, vec![1, 2, 2, 3, 4, 4, 1, 0]);
+        assert!(
+            out.iter().step_by(2).all(|&v| v == 0),
+            "other column untouched"
+        );
     }
 
     #[test]

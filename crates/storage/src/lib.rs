@@ -37,7 +37,7 @@ pub mod pool;
 pub mod store;
 pub mod wire;
 
-pub use block::{BitVecBlock, DictBlock, EncodedBlock, PlainBlock, RleBlock, RleRun};
+pub use block::{BitVecBlock, DictBlock, EncodedBlock, PlainBlock, RleBlock, RleRun, Slots};
 pub use catalog::{Catalog, ColumnInfo, ColumnSpec, ProjectionInfo, ProjectionSpec, SortOrder};
 pub use delta::{retain_live, DeltaStore, TableDelta};
 pub use disk::{Disk, FileDisk, MemDisk};

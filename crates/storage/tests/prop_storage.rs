@@ -4,9 +4,12 @@
 //! write-time statistics are truthful.
 
 use matstrat_common::Width;
-use matstrat_common::{PosRange, Predicate, Value};
+use matstrat_common::{Error, PosRange, Predicate, Value};
 use matstrat_poslist::{PosList, PosListBuilder};
-use matstrat_storage::{ColumnFileReader, ColumnFileWriter, EncodingKind, MemDisk, PlainBlock};
+use matstrat_storage::{
+    BitVecBlock, ColumnFileReader, ColumnFileWriter, DictBlock, EncodedBlock, EncodingKind,
+    MemDisk, PlainBlock, RleBlock, Slots,
+};
 use proptest::prelude::*;
 use proptest::strategy::Strategy as PropStrategy;
 
@@ -66,7 +69,9 @@ fn every_op(x: Value, y: Value) -> [Predicate; 10] {
 /// decode, test and push one value at a time, then let the builder pick.
 fn pushed_one_at_a_time(block: &PlainBlock, pred: &Predicate, window: PosRange) -> PosList {
     let mut out = Vec::new();
-    block.gather_range(window, &mut out).unwrap();
+    EncodedBlock::Plain(block.clone())
+        .gather_range(window, &mut out)
+        .unwrap();
     let mut b = PosListBuilder::new();
     for (p, v) in window.iter().zip(out) {
         if pred.matches(v) {
@@ -258,6 +263,132 @@ proptest! {
                     pred,
                     window
                 );
+            }
+        }
+    }
+}
+
+/// MERGE's stitch over gathered columns — row-major tuples, column by
+/// column, as `matstrat_core::ops::merge::merge_columns` builds them.
+fn merge_columns(cols: &[Vec<Value>]) -> Vec<Value> {
+    let rows = cols.first().map_or(0, Vec::len);
+    (0..rows)
+        .flat_map(|r| cols.iter().map(move |c| c[r]))
+        .collect()
+}
+
+/// `values` cut at `cuts` into contiguous blocks of `codec` from `start`.
+fn cut_blocks(
+    codec: usize,
+    width: Width,
+    start: u64,
+    values: &[Value],
+    cuts: &[usize],
+) -> Vec<EncodedBlock> {
+    let mut bounds: Vec<usize> = cuts.iter().map(|&c| c % (values.len() + 1)).collect();
+    bounds.extend([0, values.len()]);
+    bounds.sort_unstable();
+    bounds.dedup();
+    bounds
+        .windows(2)
+        .map(|w| {
+            let at = start + w[0] as u64;
+            let slice = &values[w[0]..w[1]];
+            match codec {
+                0 => EncodedBlock::Plain(PlainBlock::from_values(at, width, slice)),
+                1 => EncodedBlock::Rle(RleBlock::from_values(at, slice)),
+                2 => EncodedBlock::Dict(DictBlock::from_values(at, slice)),
+                _ => EncodedBlock::BitVec(BitVecBlock::from_values(at, slice)),
+            }
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The strided range gather writes exactly the bytes MERGE would build
+    /// from a point gather of each column: every codec (bit-vector refusing
+    /// both alike), plain at W1–W8, values at each width's domain edges
+    /// and `Value::MIN/MAX`, RLE runs that start, end or straddle a range
+    /// edge, ranges crossing block boundaries or lying past the blocks,
+    /// empty and one-row ranges — at strides 1–4 and every column offset,
+    /// leaving the other columns' cells untouched.
+    #[test]
+    fn strided_range_gather_equals_gather(
+        codec in 0usize..4,
+        w in 0usize..4,
+        runs in prop::collection::vec((0u8..8, -40i64..40, 1usize..24), 1..30),
+        cuts in prop::collection::vec(0usize..800, 0..4),
+        start in 0u64..200,
+        spans in prop::collection::vec((0u64..20, 0u64..30), 0..12),
+    ) {
+        let width = if codec == 0 { WIDTHS[w] } else { Width::W8 };
+        let (min, max) = width_domain(width);
+        let values: Vec<Value> = runs
+            .iter()
+            .flat_map(|&(kind, v, n)| {
+                let v = match kind {
+                    6 => min,
+                    7 => max,
+                    _ => v,
+                };
+                std::iter::repeat_n(v, n)
+            })
+            .collect();
+        let blocks = cut_blocks(codec, width, start, &values, &cuts);
+        // Ascending, disjoint ranges — empty ones too — from a little
+        // before the first block to past the last.
+        let mut at = start.saturating_sub(5);
+        let ranges: Vec<PosRange> = spans
+            .iter()
+            .map(|&(gap, len)| {
+                let r = PosRange::new(at + gap, at + gap + len);
+                at = r.end;
+                r
+            })
+            .collect();
+
+        // The oracle column: each block's point gather of its positions.
+        let mut gathered = Vec::new();
+        let mut refused = false;
+        for b in &blocks {
+            let cov = b.covering();
+            let points: Vec<u64> = ranges
+                .iter()
+                .flat_map(|r| {
+                    let r = r.intersect(&cov);
+                    r.start..r.end
+                })
+                .collect();
+            match b.gather(&points, &mut gathered) {
+                Ok(()) => {}
+                Err(Error::Unsupported(_)) => refused = true,
+                Err(e) => panic!("{e}"),
+            }
+        }
+        prop_assert_eq!(refused, codec == 3);
+        let n = gathered.len();
+        for stride in 1..=4usize {
+            for col in 0..stride {
+                // Every other column holds a marker no value can equal.
+                let mut cols: Vec<Vec<Value>> =
+                    (0..stride).map(|k| vec![0x5EED_0000 + k as Value; n]).collect();
+                let mut buf = merge_columns(&cols);
+                let mut cells = Slots::column(&mut buf, col, stride);
+                for b in &blocks {
+                    match b.gather_ranges_into(&ranges, &mut cells) {
+                        Ok(()) => prop_assert!(!refused),
+                        Err(Error::Unsupported(_)) => prop_assert!(refused),
+                        Err(e) => panic!("{e}"),
+                    }
+                }
+                if refused {
+                    continue;
+                }
+                prop_assert_eq!(cells.len(), 0, "every cell of the column written");
+                cols[col] = gathered.clone();
+                prop_assert_eq!(&buf, &merge_columns(&cols), "stride {} col {}", stride, col);
             }
         }
     }
