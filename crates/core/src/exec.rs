@@ -40,6 +40,9 @@
 //! result once, and every output value is written once, straight from
 //! its compressed block into its row-major slot. So no I/O happens in
 //! step 2, and cold `(block_reads, seeks)` are step 1's alone.
+//! Both steps, the tail window and the ordered fold belong to one
+//! driver, `drive`, which the join tree shares, as it shares the
+//! LM-parallel filter step (`filter_window`) as its base-side filter.
 //!
 //! # Parallel execution
 //!
@@ -75,18 +78,18 @@
 //! that snapshot, so a compaction racing the query can never mix
 //! generations. Such a reader covers the table's logical positions
 //! `[0, base_rows + inserts)`: the file's blocks, then in-memory Plain
-//! **tail blocks** holding the delta's inserted rows. The base window
-//! `[0, base_rows)` runs on the [`FragmentPipeline`] as always; the tail
+//! **tail blocks** holding the delta's inserted rows. The driver runs the
+//! base window `[0, base_rows)` on the [`FragmentPipeline`]; the tail
 //! window `[base_rows, total)` then runs the very same granule loop
 //! once more, serially — every strategy, unchanged — and its parts are
 //! the last parts, which is where inserted rows sit in the table's
 //! logical order. The result is therefore byte-identical to
 //! a run over the compacted table at any thread count, and the tail
 //! never touches the buffer pool or the I/O meter. Deleted positions,
-//! base and tail alike, are filtered inside each granule — after the
-//! AND for LM-parallel, after the descriptor pipeline for LM-pipelined,
-//! and on the constructed tuples for both EM shapes — before
-//! `positions_matched` counts them. The aggregate domain is widened
+//! base and tail alike, are filtered inside each granule through one
+//! [`Tombstones`] cursor — after the AND for LM-parallel, after the
+//! descriptor pipeline for LM-pipelined, and on the constructed tuples
+//! for both EM shapes — before `positions_matched` counts them. The aggregate domain is widened
 //! with the delta's group values up front (the dense accumulator's
 //! `seen` bitmap keeps widening output-invariant).
 
@@ -94,12 +97,11 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use matstrat_common::{Error, Pos, PosRange, Predicate, Result, Value};
-use matstrat_poslist::{PosList, PosListBuilder, PosVec};
-use matstrat_storage::{ColumnReader, EncodingKind, Store};
+use matstrat_poslist::{PosList, PosListBuilder, PosVec, Repr};
+use matstrat_storage::{ColumnReader, EncodingKind, Store, TableDelta, Tombstones};
 
-use crate::multicol::{FetchKind, MiniColumn, MultiColumn};
+use crate::multicol::{FetchKind, MiniColumn};
 use crate::ops::agg::{aggregate_runs, aggregate_runs_compressed, AggFunc, Aggregator};
-use crate::ops::join::filter_deleted;
 use crate::ops::merge::{merge, Part};
 use crate::ops::probe::ds4_extend;
 use crate::ops::spc::spc_scan;
@@ -192,9 +194,15 @@ fn execute_scan(
     if accessed.is_empty() {
         return Err(Error::invalid("query accesses no columns"));
     }
-    for &c in &accessed {
-        proj.column(c)?; // validate indices early
-    }
+    // Readers are pinned to the snapshot's catalog entries: even if a
+    // compaction swaps the table mid-query, every granule resolves
+    // against the generation the snapshot captured.
+    // With a delta they also cover its inserted rows, as tail blocks.
+    // Opening them validates every column index.
+    let readers: HashMap<usize, ColumnReader> = accessed
+        .iter()
+        .map(|&c| Ok((c, store.reader_for(&proj, delta.as_ref(), c)?)))
+        .collect::<Result<_>>()?;
     if strategy == Strategy::LmPipelined {
         // Later filter columns are position-fetched then filtered; the
         // bit-vector codec cannot do that (§4.1): the paper omits
@@ -209,18 +217,10 @@ fn execute_scan(
         }
     }
 
-    // Readers are pinned to the snapshot's catalog entries: even if a
-    // compaction swaps the table mid-query, every granule resolves
-    // against the generation the snapshot captured.
-    // With a delta they also cover its inserted rows, as tail blocks.
-    let readers: HashMap<usize, ColumnReader> = accessed
-        .iter()
-        .map(|&c| Ok((c, store.reader_for(&proj, delta.as_ref(), c)?)))
-        .collect::<Result<_>>()?;
-
     // Output shape. Workers build their own accumulator from the shared
     // domain so partial aggregates merge representation-for-representation.
-    let (out_cols, agg_domain): (Vec<usize>, Option<(AggFunc, Value, Value)>) = match q.aggregate {
+    let name = |c: usize| proj.column(c).map(|ci| ci.name.clone());
+    let (out_cols, agg_domain) = match q.aggregate {
         Some(a) => {
             let g = proj.column(a.group_col)?;
             // Widen the block-statistics domain with the delta's group
@@ -244,6 +244,10 @@ fn execute_scan(
             (q.output.clone(), None)
         }
     };
+    let finish = match q.aggregate {
+        Some(a) => Finish::Aggregate(name(a.group_col)?, name(a.value_col)?),
+        None => Finish::Merge(q.output.iter().map(|&c| name(c)).collect::<Result<_>>()?),
+    };
 
     // Where each output column sits in an EM tuple (`accessed` order).
     let fields: Vec<usize> = out_cols
@@ -255,9 +259,6 @@ fn execute_scan(
                 .expect("output column is accessed")
         })
         .collect();
-    let base_rows = proj.num_rows;
-    let granule = opts.granule.max(1);
-    let pipeline = FragmentPipeline::new(base_rows, granule, opts.parallelism.max(1));
     let task = SpanTask {
         q,
         readers: &readers,
@@ -269,64 +270,170 @@ fn execute_scan(
         strategy,
         deletes: delta.as_ref().map_or(&[], |d| d.deletes()),
     };
+    drive(
+        Instant::now(),
+        QueryStats::default(),
+        proj.num_rows,
+        delta.as_deref(),
+        opts,
+        finish,
+        |span| task.run_span(span),
+    )
+}
 
-    // Step 1: every filter and every block fetch, granule by granule.
-    let t0 = Instant::now();
-    let (mut fragments, steals) = pipeline.run(|span| task.run_span(span))?;
-    // The tail window — the delta's inserted rows — runs the same granule
-    // loop once more, serially, after every base fragment: exactly where
-    // those rows sit in the table's logical order, so its parts are the
-    // last parts.
-    if let Some(d) = delta.as_ref().filter(|d| d.num_inserts() > 0) {
-        fragments.push(task.run_span(PosRange::new(base_rows, d.total_rows()))?);
+/// One result fragment: everything step 1 produced over one span.
+pub(crate) struct Fragment<'a> {
+    /// One part per granule (per probed span, in a join tree) with
+    /// output rows, in position order.
+    pub(crate) parts: Vec<Part<'a>>,
+    pub(crate) agg: Option<Aggregator>,
+    pub(crate) stats: QueryStats,
+}
+
+/// What step 2 makes of the folded fragments.
+pub(crate) enum Finish {
+    /// One MERGE of the parts into rows of these columns.
+    Merge(Vec<String>),
+    /// The folded aggregate's finish, into (group, value) columns of
+    /// these names.
+    Aggregate(String, String),
+}
+
+/// Steps 1 and 2 of every read statement: the one driver the scan and
+/// the join tree share.
+///
+/// Step 1 runs `task` over the base table's file rows `[0, base_rows)`
+/// on the [`FragmentPipeline`], then once more, serially, over the tail
+/// window of `delta`'s inserted rows, whose fragment lands after every
+/// other — exactly where those rows sit in the table's logical order.
+/// Fragments arrive in global granule order (stealing moves who computes
+/// a granule, never where it lands), so their parts, in turn, are the
+/// serial output's rows in order; partial aggregates merge and stats add
+/// onto `stats` associatively. Step 2 is `finish`. `steals`, `rows_out`
+/// and `wall` (since `t0`) are set last.
+pub(crate) fn drive<'a>(
+    t0: Instant,
+    mut stats: QueryStats,
+    base_rows: u64,
+    delta: Option<&TableDelta>,
+    opts: &ExecOptions,
+    finish: Finish,
+    task: impl Fn(PosRange) -> Result<Fragment<'a>> + Sync,
+) -> Result<(QueryResult, QueryStats)> {
+    let granule = opts.granule.max(1);
+    let pipeline = FragmentPipeline::new(base_rows, granule, opts.parallelism.max(1));
+    let (mut fragments, steals) = pipeline.run(&task)?;
+    if let Some(d) = delta.filter(|d| d.num_inserts() > 0) {
+        fragments.push(task(PosRange::new(base_rows, d.total_rows()))?);
     }
-
-    // Fragments arrive in global granule order (stealing moves who
-    // computes a granule, never where it lands), so their parts, in turn,
-    // are the serial output's rows in order; aggregates fold and stats
-    // merge associatively.
-    let mut fragments = fragments.into_iter();
-    let first = fragments.next().expect("at least one span");
-    let mut parts = first.parts;
-    let mut agg = first.agg;
-    let mut stats = first.stats;
+    let mut parts = Vec::new();
+    let mut agg: Option<Aggregator> = None;
     for frag in fragments {
         stats += frag.stats;
         parts.extend(frag.parts);
-        if let (Some(a), Some(partial)) = (agg.as_mut(), frag.agg) {
-            a.merge(partial);
-        }
+        agg = match (agg, frag.agg) {
+            (Some(mut a), Some(partial)) => {
+                a.merge(partial);
+                Some(a)
+            }
+            (a, partial) => a.or(partial),
+        };
     }
-
-    // Step 2: one MERGE, or the aggregate's finish.
-    let result = match (agg, q.aggregate) {
-        (Some(a), Some(spec)) => a.into_result(
-            &proj.column(spec.group_col)?.name,
-            &proj.column(spec.value_col)?.name,
-        ),
-        _ => {
-            let names = q
-                .output
-                .iter()
-                .map(|&c| proj.column(c).map(|ci| ci.name.clone()))
-                .collect::<Result<Vec<_>>>()?;
+    let result = match finish {
+        Finish::Aggregate(group, value) => agg
+            .expect("every aggregate fragment carries an accumulator")
+            .into_result(&group, &value),
+        Finish::Merge(names) => {
             let flat = merge(&parts, names.len(), pipeline.workers(), granule as usize)?;
             QueryResult::from_flat(names, flat)
         }
     };
-
     stats.wall = t0.elapsed();
     stats.rows_out = result.num_rows() as u64;
     stats.steals = steals;
     Ok((result, stats))
 }
 
-/// One result fragment: everything a worker's run of granules produced.
-struct Fragment<'a> {
-    /// One part per granule with output rows, in granule order.
-    parts: Vec<Part<'a>>,
-    agg: Option<Aggregator>,
-    stats: QueryStats,
+/// What the LM-parallel filter step leaves for one window.
+pub(crate) struct Filtered {
+    /// The surviving positions.
+    pub(crate) desc: PosList,
+    /// The filter columns' mini-columns, by column.
+    pub(crate) minis: HashMap<usize, MiniColumn>,
+    /// Blocks the zone maps kept from being read.
+    pub(crate) zone_skips: u64,
+}
+
+/// The LM-parallel filter step over `window`, which a join tree's base
+/// side shares: DS1 every filter column — reading only the blocks whose
+/// zone map admits its predicate, when `zone_maps` is on; a skipped block
+/// contributes no positions, which is exactly what scanning it would have
+/// produced — then AND the descriptors and drop `deletes`, the window's
+/// tombstones (sorted). With no filter every position survives.
+/// `opts.force_repr` coerces each produced list.
+pub(crate) fn filter_window(
+    readers: &HashMap<usize, ColumnReader>,
+    filters: &[(usize, Predicate)],
+    window: PosRange,
+    deletes: &[u64],
+    opts: &ExecOptions,
+) -> Result<Filtered> {
+    let repr = opts.force_repr;
+    let (mut desc, mut minis, mut zone_skips) = (None::<PosList>, HashMap::new(), 0);
+    for (col, pred) in filters {
+        let (mini, pruned) = if opts.zone_maps {
+            MiniColumn::fetch_pruned(&readers[col], window, pred)?
+        } else {
+            (MiniColumn::fetch(&readers[col], window)?, 0)
+        };
+        zone_skips += pruned;
+        let pl = coerce_repr(mini.scan_positions(pred), window, repr);
+        // AND the multi-columns (§3.6): descriptors intersect, and the
+        // first mini-column of each attribute is kept.
+        desc = Some(match desc {
+            Some(d) => d.and(&pl),
+            None => pl,
+        });
+        minis.entry(*col).or_insert(mini);
+    }
+    let desc = desc.unwrap_or_else(|| PosList::full(window));
+    Ok(Filtered {
+        desc: drop_deleted(desc, deletes, window, repr),
+        minis,
+        zone_skips,
+    })
+}
+
+/// The sorted `deletes` that fall inside `window`.
+pub(crate) fn deletes_in(deletes: &[u64], window: PosRange) -> &[u64] {
+    let lo = deletes.partition_point(|&p| p < window.start);
+    let hi = deletes.partition_point(|&p| p < window.end);
+    &deletes[lo..hi]
+}
+
+/// Apply the ablation override to a freshly produced position list.
+fn coerce_repr(pl: PosList, window: PosRange, repr: Option<Repr>) -> PosList {
+    match repr {
+        None => pl,
+        Some(Repr::Ranges) => PosList::Ranges(pl.to_ranges()),
+        Some(Repr::Bitmap) => PosList::Bitmap(pl.to_bitmap(window)),
+        Some(Repr::Explicit) => PosList::Explicit(pl.to_explicit()),
+    }
+}
+
+/// Drop the tombstones `deletes` (sorted, within `window`) from a
+/// surviving descriptor. A no-op (and no rebuild) when there are none —
+/// the read-only fast path pays one emptiness check.
+fn drop_deleted(desc: PosList, deletes: &[u64], window: PosRange, repr: Option<Repr>) -> PosList {
+    if deletes.is_empty() {
+        return desc;
+    }
+    let mut dead = Tombstones::new(deletes, window.start);
+    let mut b = PosListBuilder::new();
+    for p in desc.iter().filter(|&p| !dead.is_deleted(p)) {
+        b.push(p);
+    }
+    coerce_repr(b.finish(), window, repr)
 }
 
 /// The per-worker execution context: everything needed to run the
@@ -357,52 +464,36 @@ impl<'a> SpanTask<'a> {
             .agg_domain
             .map(|(func, lo, hi)| Aggregator::with_domain_fn(func, lo, hi));
         let mut parts = Vec::new();
-        let mut positions_matched = 0u64;
-        let mut decompressed = false;
-        let mut zone_skips = 0u64;
+        // rows_out and steals are set by the driver; io and code_path_ops
+        // come from the statement's ledger.
+        let mut stats = QueryStats {
+            strategy: Some(self.strategy),
+            ..QueryStats::default()
+        };
 
         let granule = self.opts.granule.max(1);
         let mut start = span.start;
         while start < span.end {
             let window = PosRange::new(start, (start + granule).min(span.end));
             start = window.end;
-            let lo = self.deletes.partition_point(|&p| p < window.start);
-            let hi = self.deletes.partition_point(|&p| p < window.end);
             let g = Granule {
-                q: self.q,
-                readers: self.readers,
+                task: self,
                 window,
-                accessed: self.accessed,
-                opts: self.opts,
-                deletes: &self.deletes[lo..hi],
+                deletes: deletes_in(self.deletes, window),
             };
             let got = match self.strategy {
-                Strategy::LmParallel => g.lm_parallel(self.out_cols, &mut agg)?,
-                Strategy::LmPipelined => g.lm_pipelined(self.out_cols, &mut agg)?,
-                Strategy::EmParallel => g.em_parallel(self.fields, &mut agg)?,
-                Strategy::EmPipelined => g.em_pipelined(self.fields, &mut agg)?,
+                Strategy::LmParallel => g.lm_parallel(&mut agg)?,
+                Strategy::LmPipelined => g.lm_pipelined(&mut agg)?,
+                Strategy::EmParallel => g.em_parallel(&mut agg)?,
+                Strategy::EmPipelined => g.em_pipelined(&mut agg)?,
             };
-            positions_matched += got.matched;
-            decompressed |= got.decompressed;
-            zone_skips += got.zone_skips;
+            stats.positions_matched += got.matched;
+            stats.decompressed_fetch |= got.decompressed;
+            stats.zone_skips += got.zone_skips;
             parts.extend(got.part);
         }
-
-        Ok(Fragment {
-            parts,
-            agg,
-            stats: QueryStats {
-                strategy: Some(self.strategy),
-                wall: t0.elapsed(),
-                positions_matched,
-                decompressed_fetch: decompressed,
-                zone_skips,
-                // rows_out is set after the merged result is assembled;
-                // steals is a scheduler-level count, set after the merge;
-                // io and code_path_ops come from the statement's ledger.
-                ..QueryStats::default()
-            },
-        })
+        stats.wall = t0.elapsed();
+        Ok(Fragment { parts, agg, stats })
     }
 }
 
@@ -416,40 +507,17 @@ struct GranuleOut<'f> {
 }
 
 /// One granule's worth of execution context.
-struct Granule<'a> {
-    q: &'a QuerySpec,
-    readers: &'a HashMap<usize, ColumnReader>,
+struct Granule<'t, 'a> {
+    task: &'t SpanTask<'a>,
     window: PosRange,
-    accessed: &'a [usize],
-    opts: &'a ExecOptions,
     /// Deleted positions within `window` (sorted) — the write path's
     /// tombstones, filtered before positions count as matched.
     deletes: &'a [u64],
 }
 
-impl Granule<'_> {
+impl<'a> Granule<'_, 'a> {
     fn reader(&self, col: usize) -> &ColumnReader {
-        &self.readers[&col]
-    }
-
-    /// Apply the ablation override to a freshly produced position list.
-    fn coerce_repr(&self, pl: PosList) -> PosList {
-        match self.opts.force_repr {
-            None => pl,
-            Some(matstrat_poslist::Repr::Ranges) => PosList::Ranges(pl.to_ranges()),
-            Some(matstrat_poslist::Repr::Bitmap) => PosList::Bitmap(pl.to_bitmap(self.window)),
-            Some(matstrat_poslist::Repr::Explicit) => PosList::Explicit(pl.to_explicit()),
-        }
-    }
-
-    /// Drop deleted positions from a surviving descriptor. A no-op (and
-    /// no rebuild) when the window holds no tombstones — the read-only
-    /// fast path pays one emptiness check.
-    fn filter_desc(&self, desc: PosList) -> PosList {
-        if self.deletes.is_empty() {
-            return desc;
-        }
-        self.coerce_repr(filter_deleted(desc, self.deletes))
+        &self.task.readers[&col]
     }
 
     /// Drop deleted rows from an EM `(positions, tuples)` pair in place.
@@ -457,36 +525,14 @@ impl Granule<'_> {
         if self.deletes.is_empty() {
             return;
         }
-        let mut di = 0usize;
-        retain_rows(positions, tuples, width, |pos, _| {
-            while di < self.deletes.len() && self.deletes[di] < pos {
-                di += 1;
-            }
-            !(di < self.deletes.len() && self.deletes[di] == pos)
-        });
-    }
-
-    /// Fetch a filter column's mini for a DS1 scan, consulting zone maps
-    /// when enabled: blocks whose min/max range cannot satisfy `pred` are
-    /// skipped (counted into `zone_skips`) and never read.
-    fn fetch_filter_mini(
-        &self,
-        col: usize,
-        pred: &Predicate,
-        zone_skips: &mut u64,
-    ) -> Result<MiniColumn> {
-        if self.opts.zone_maps {
-            let (mini, pruned) = MiniColumn::fetch_pruned(self.reader(col), self.window, pred)?;
-            *zone_skips += pruned;
-            Ok(mini)
-        } else {
-            MiniColumn::fetch(self.reader(col), self.window)
-        }
+        let mut dead = Tombstones::new(self.deletes, self.window.start);
+        retain_rows(positions, tuples, width, |pos, _| !dead.is_deleted(pos));
     }
 
     /// All predicates on `col`, in filter order.
     fn preds_for(&self, col: usize) -> Vec<Predicate> {
-        self.q
+        self.task
+            .q
             .filters
             .iter()
             .filter(|(c, _)| *c == col)
@@ -498,20 +544,19 @@ impl Granule<'_> {
     /// compressed group column, or fetch the output columns' blocks and
     /// hand them, with the descriptor, to MERGE. Returns whether a value
     /// fetch decompresses (bit-vector), and the granule's part.
-    fn consume_lm<'f>(
+    fn consume_lm(
         &self,
         desc: PosList,
         minis: &mut HashMap<usize, MiniColumn>,
-        out_cols: &[usize],
         agg: &mut Option<Aggregator>,
-    ) -> Result<(bool, Option<Part<'f>>)> {
+    ) -> Result<(bool, Option<Part<'a>>)> {
         let mut decompressed = false;
         // Output columns without predicates were not touched by DS1, so
         // DS3 fetches only the blocks holding survivors (§3.6) — skipping
         // whole blocks is the LM I/O win on selective queries.
         let fetch_mini =
             |col: usize, minis: &mut HashMap<usize, MiniColumn>| -> Result<MiniColumn> {
-                if self.opts.multicolumn_reuse {
+                if self.task.opts.multicolumn_reuse {
                     if let Some(m) = minis.get(&col) {
                         return Ok(m.clone()); // multi-column re-access: no I/O
                     }
@@ -520,7 +565,7 @@ impl Granule<'_> {
                 minis.insert(col, m.clone());
                 Ok(m)
             };
-        match self.q.aggregate {
+        match self.task.q.aggregate {
             Some(a) => {
                 let gmini = fetch_mini(a.group_col, minis)?;
                 if a.func.needs_values() {
@@ -551,7 +596,9 @@ impl Granule<'_> {
                 Ok((decompressed, None))
             }
             None => {
-                let minis = out_cols
+                let minis = self
+                    .task
+                    .out_cols
                     .iter()
                     .map(|&c| fetch_mini(c, minis))
                     .collect::<Result<Vec<_>>>()?;
@@ -562,49 +609,28 @@ impl Granule<'_> {
         }
     }
 
-    /// LM-parallel: DS1 ∥ DS1 → AND → DS3 ∥ DS3 → MERGE.
-    fn lm_parallel<'f>(
-        &self,
-        out_cols: &[usize],
-        agg: &mut Option<Aggregator>,
-    ) -> Result<GranuleOut<'f>> {
-        let mut mcs = Vec::with_capacity(self.q.filters.len());
-        let mut zone_skips = 0u64;
-        for (col, pred) in &self.q.filters {
-            // Zone maps prune the DS1 scan: a block whose min/max range
-            // cannot satisfy the predicate contributes no positions, so
-            // skipping the read leaves the descriptor unchanged. Survivor
-            // positions always live in present blocks, so the pruned mini
-            // is safe to re-access for output values.
-            let mini = self.fetch_filter_mini(*col, pred, &mut zone_skips)?;
-            let pl = self.coerce_repr(mini.scan_positions(pred));
-            let mut mc = MultiColumn::with_descriptor(self.window, pl);
-            mc.add_mini(*col, mini);
-            mcs.push(mc);
-        }
-        let mc = MultiColumn::and_many(mcs, self.window);
-        let desc = self.filter_desc(mc.descriptor().clone());
-        let mut minis: HashMap<usize, MiniColumn> = mc
-            .columns()
-            .map(|c| (c, mc.mini(c).expect("listed").clone()))
-            .collect();
-        self.finish_lm(desc, &mut minis, out_cols, agg, zone_skips)
+    /// LM-parallel: DS1 ∥ DS1 → AND → DS3 ∥ DS3 → MERGE. Survivor
+    /// positions always live in blocks the zone maps kept, so the pruned
+    /// filter minis are safe to re-access for output values.
+    fn lm_parallel(&self, agg: &mut Option<Aggregator>) -> Result<GranuleOut<'a>> {
+        let t = self.task;
+        let mut f = filter_window(t.readers, &t.q.filters, self.window, self.deletes, t.opts)?;
+        self.finish_lm(f.desc, &mut f.minis, agg, f.zone_skips)
     }
 
     /// Count a granule's surviving positions and, if any, consume them.
-    fn finish_lm<'f>(
+    fn finish_lm(
         &self,
         desc: PosList,
         minis: &mut HashMap<usize, MiniColumn>,
-        out_cols: &[usize],
         agg: &mut Option<Aggregator>,
         zone_skips: u64,
-    ) -> Result<GranuleOut<'f>> {
+    ) -> Result<GranuleOut<'a>> {
         let matched = desc.count();
         let (decompressed, part) = if matched == 0 {
             (false, None)
         } else {
-            self.consume_lm(desc, minis, out_cols, agg)?
+            self.consume_lm(desc, minis, agg)?
         };
         Ok(GranuleOut {
             matched,
@@ -616,65 +642,54 @@ impl Granule<'_> {
 
     /// LM-pipelined: DS1 → (DS1 within the descriptor's ranges, or
     /// DS3 + filter)* → DS3 outputs.
-    fn lm_pipelined<'f>(
-        &self,
-        out_cols: &[usize],
-        agg: &mut Option<Aggregator>,
-    ) -> Result<GranuleOut<'f>> {
-        let mut minis: HashMap<usize, MiniColumn> = HashMap::new();
-        let mut desc: PosList = PosList::full(self.window);
-        let mut zone_skips = 0u64;
-        for (i, (col, pred)) in self.q.filters.iter().enumerate() {
-            if i == 0 {
-                let mini = self.fetch_filter_mini(*col, pred, &mut zone_skips)?;
-                desc = self.coerce_repr(mini.scan_positions(pred));
-                minis.insert(*col, mini);
-            } else {
-                if desc.is_empty() {
-                    break; // skip all later columns: their blocks are never read
-                }
-                let mini = match minis.get(col) {
-                    Some(m) => m.clone(),
-                    None => {
-                        let m = MiniColumn::fetch_selective(self.reader(*col), self.window, &desc)?;
-                        minis.insert(*col, m.clone());
-                        m
-                    }
-                };
-                desc = match &desc {
-                    // The column's own DS1 over the descriptor's ranges:
-                    // per run on RLE, per code on Dict, a word at a time on
-                    // Plain — no survivor is decoded to be re-tested.
-                    PosList::Ranges(r) => mini.scan_positions_within(pred, r),
-                    _ => {
-                        let mut vals = Vec::with_capacity(desc.count() as usize);
-                        mini.gather(&desc, &mut vals)?;
-                        let mut b = PosListBuilder::new();
-                        for (p, v) in desc.iter().zip(&vals) {
-                            if pred.matches(*v) {
-                                b.push(p);
-                            }
-                        }
-                        b.finish()
-                    }
-                };
+    fn lm_pipelined(&self, agg: &mut Option<Aggregator>) -> Result<GranuleOut<'a>> {
+        // The first filter's DS1 is the LM-parallel step over one filter
+        // (every position, with none).
+        let t = self.task;
+        let (first, later) = t.q.filters.split_at(t.q.filters.len().min(1));
+        let mut f = filter_window(t.readers, first, self.window, &[], t.opts)?;
+        let (mut desc, minis) = (f.desc, &mut f.minis);
+        for (col, pred) in later {
+            if desc.is_empty() {
+                break; // skip all later columns: their blocks are never read
             }
+            let mini = match minis.get(col) {
+                Some(m) => m.clone(),
+                None => {
+                    let m = MiniColumn::fetch_selective(self.reader(*col), self.window, &desc)?;
+                    minis.insert(*col, m.clone());
+                    m
+                }
+            };
+            desc = match &desc {
+                // The column's own DS1 over the descriptor's ranges:
+                // per run on RLE, per code on Dict, a word at a time on
+                // Plain — no survivor is decoded to be re-tested.
+                PosList::Ranges(r) => mini.scan_positions_within(pred, r),
+                _ => {
+                    let mut vals = Vec::with_capacity(desc.count() as usize);
+                    mini.gather(&desc, &mut vals)?;
+                    let mut b = PosListBuilder::new();
+                    for (p, v) in desc.iter().zip(&vals) {
+                        if pred.matches(*v) {
+                            b.push(p);
+                        }
+                    }
+                    b.finish()
+                }
+            };
         }
-        let desc = self.filter_desc(desc);
-        self.finish_lm(desc, &mut minis, out_cols, agg, zone_skips)
+        let desc = drop_deleted(desc, self.deletes, self.window, t.opts.force_repr);
+        self.finish_lm(desc, minis, agg, f.zone_skips)
     }
 
     /// EM-parallel: SPC leaf over all accessed columns.
-    fn em_parallel<'f>(
-        &self,
-        fields: &'f [usize],
-        agg: &mut Option<Aggregator>,
-    ) -> Result<GranuleOut<'f>> {
+    fn em_parallel(&self, agg: &mut Option<Aggregator>) -> Result<GranuleOut<'a>> {
         // Read every accessed column in full — EM-parallel never skips.
         let mut spc_cols: Vec<(MiniColumn, Option<Predicate>)> =
-            Vec::with_capacity(self.accessed.len());
+            Vec::with_capacity(self.task.accessed.len());
         let mut extra_preds: Vec<(usize, Predicate)> = Vec::new(); // (tuple idx, pred)
-        for (ti, &col) in self.accessed.iter().enumerate() {
+        for (ti, &col) in self.task.accessed.iter().enumerate() {
             let mini = MiniColumn::fetch(self.reader(col), self.window)?;
             let mut preds = self.preds_for(col);
             let first = if preds.is_empty() {
@@ -700,17 +715,13 @@ impl Granule<'_> {
             matched,
             decompressed: out.decompressed,
             zone_skips: 0, // EM reads every block by definition
-            part: consume_em(out.tuples, out.width, fields, agg),
+            part: consume_em(out.tuples, out.width, self.task.fields, agg),
         })
     }
 
     /// EM-pipelined: DS2 leaf, DS4 probes for every later column.
-    fn em_pipelined<'f>(
-        &self,
-        fields: &'f [usize],
-        agg: &mut Option<Aggregator>,
-    ) -> Result<GranuleOut<'f>> {
-        let first_col = self.accessed[0];
+    fn em_pipelined(&self, agg: &mut Option<Aggregator>) -> Result<GranuleOut<'a>> {
+        let first_col = self.task.accessed[0];
         let mini = MiniColumn::fetch(self.reader(first_col), self.window)?;
         let mut preds = self.preds_for(first_col);
         let leaf_pred = if preds.is_empty() {
@@ -728,7 +739,7 @@ impl Granule<'_> {
         // I/O on them.
         self.filter_em(&mut positions, &mut tuples, 1);
         let mut width = 1usize;
-        for &col in &self.accessed[1..] {
+        for &col in &self.task.accessed[1..] {
             if positions.is_empty() {
                 break;
             }
@@ -753,8 +764,8 @@ impl Granule<'_> {
         let part = if matched > 0 {
             // Tuples may be narrower than `accessed` if we broke early —
             // but break only happens when positions is empty.
-            debug_assert_eq!(width, self.accessed.len());
-            consume_em(tuples, width, fields, agg)
+            debug_assert_eq!(width, self.task.accessed.len());
+            consume_em(tuples, width, self.task.fields, agg)
         } else {
             None
         };

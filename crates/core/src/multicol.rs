@@ -52,20 +52,7 @@ impl MiniColumn {
     /// Fetch every block overlapping `window` (clamped to the column's
     /// rows) through the buffer pool.
     pub fn fetch(reader: &ColumnReader, window: PosRange) -> Result<MiniColumn> {
-        let window = window.intersect(&PosRange::new(0, reader.num_rows()));
-        let mut blocks = Vec::new();
-        if !window.is_empty() {
-            let mut idx = reader.block_for_pos(window.start)?;
-            while idx < reader.num_blocks() {
-                let meta = reader.block_meta(idx)?;
-                if meta.start_pos >= window.end {
-                    break;
-                }
-                blocks.push(reader.block(idx)?);
-                idx += 1;
-            }
-        }
-        Ok(MiniColumn { window, blocks })
+        Ok(Self::walk(reader, window, None)?.0)
     }
 
     /// Fetch every block overlapping `window` whose index **zone map**
@@ -83,6 +70,17 @@ impl MiniColumn {
         window: PosRange,
         pred: &Predicate,
     ) -> Result<(MiniColumn, u64)> {
+        Self::walk(reader, window, Some(pred))
+    }
+
+    /// The block walk behind [`Self::fetch`] and [`Self::fetch_pruned`]:
+    /// every block overlapping `window`, less those whose zone map
+    /// excludes `zone`'s predicate, which are counted instead.
+    fn walk(
+        reader: &ColumnReader,
+        window: PosRange,
+        zone: Option<&Predicate>,
+    ) -> Result<(MiniColumn, u64)> {
         let window = window.intersect(&PosRange::new(0, reader.num_rows()));
         let mut blocks = Vec::new();
         let mut pruned = 0u64;
@@ -93,7 +91,7 @@ impl MiniColumn {
                 if meta.start_pos >= window.end {
                     break;
                 }
-                if meta.zone_overlaps(pred) {
+                if zone.is_none_or(|pred| meta.zone_overlaps(pred)) {
                     blocks.push(reader.block(idx)?);
                 } else {
                     pruned += 1;

@@ -46,8 +46,8 @@ use std::sync::Arc;
 
 use matstrat_common::{Pos, PosRange, Predicate, Result, TableId, Value};
 use matstrat_model::plans::JoinInnerKind;
-use matstrat_poslist::{PosList, PosListBuilder, PosVec};
-use matstrat_storage::{ProjectionInfo, Store, TableDelta};
+use matstrat_poslist::{PosList, PosVec};
+use matstrat_storage::{ProjectionInfo, Store, TableDelta, Tombstones};
 
 use crate::exec::ExecOptions;
 use crate::multicol::MiniColumn;
@@ -184,15 +184,11 @@ impl<K: JoinKey> PartitionedTable<K> {
         let parts_n = pipeline.workers();
         if parts_n <= 1 {
             let mut table: HashMap<K, Vec<u32>> = HashMap::with_capacity(keys.len());
-            let mut di = 0usize;
+            let mut dead = Tombstones::new(deletes, 0);
             for (pos, &k) in keys.iter().enumerate() {
-                while di < deletes.len() && deletes[di] < pos as u64 {
-                    di += 1;
+                if !dead.is_deleted(pos as u64) {
+                    table.entry(k).or_default().push(pos as u32);
                 }
-                if di < deletes.len() && deletes[di] == pos as u64 {
-                    continue;
-                }
-                table.entry(k).or_default().push(pos as u32);
             }
             return Ok(PartitionedTable { parts: vec![table] });
         }
@@ -202,14 +198,8 @@ impl<K: JoinKey> PartitionedTable<K> {
         let buckets: Vec<Vec<Vec<(u32, K)>>> = pipeline
             .run(|span| {
                 let mut local: Vec<Vec<(u32, K)>> = vec![Vec::new(); parts_n];
-                let mut di = deletes.partition_point(|&p| p < span.start);
-                for pos in span.start..span.end {
-                    while di < deletes.len() && deletes[di] < pos {
-                        di += 1;
-                    }
-                    if di < deletes.len() && deletes[di] == pos {
-                        continue;
-                    }
+                let mut dead = Tombstones::new(deletes, span.start);
+                for pos in (span.start..span.end).filter(|&p| !dead.is_deleted(p)) {
                     let k = keys[pos as usize];
                     local[partition_of(k, parts_n)].push((pos as u32, k));
                 }
@@ -680,27 +670,6 @@ fn gather_expanded<T: Copy>(
         expanded.push(vals[ui]);
     }
     Ok(expanded)
-}
-
-/// Drop the positions in `deletes` (sorted ascending) from `desc`. The
-/// tree probe uses this to hide deleted base rows from the outer side of
-/// a join before any key or output value is fetched.
-pub(crate) fn filter_deleted(desc: PosList, deletes: &[u64]) -> PosList {
-    if deletes.is_empty() {
-        return desc;
-    }
-    let mut b = PosListBuilder::new();
-    let mut di = 0usize;
-    for p in desc.iter() {
-        while di < deletes.len() && deletes[di] < p {
-            di += 1;
-        }
-        if di < deletes.len() && deletes[di] == p {
-            continue;
-        }
-        b.push(p);
-    }
-    b.finish()
 }
 
 /// Flatten decoded columns into row-major tuples — the Materialized

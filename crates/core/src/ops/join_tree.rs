@@ -30,16 +30,18 @@
 //!
 //! # Parallelism contract
 //!
-//! The probe phase runs on the same [`FragmentPipeline`] substrate as
-//! every other operator, span-parallel over the **base** table: each
-//! granule run executes the full filter→probe→…→probe→fetch pipeline
-//! for its positions, and the runs' column parts come back in global
-//! granule order for MERGE, which writes each into its own slice of the
-//! result. All per-row state is span-local and the build side is shared
+//! The probe phase is a read statement like a scan, run by the scan's
+//! own driver (`exec::drive`): span-parallel over the **base** table on
+//! the [`FragmentPipeline`](crate::FragmentPipeline), each granule run
+//! executing the full filter→probe→…→probe→fetch pipeline for its
+//! positions, the runs' column parts folded in global granule order and
+//! handed to MERGE, which writes each into its own slice of the result.
+//! All per-row state is span-local and the build side is shared
 //! read-only, so the result is **byte-identical** at any worker count
 //! with exact cold `block_reads` — the property
 //! `tests/join_tree_diff.rs` proves against the serial composition of
-//! single joins.
+//! single joins. The base-side filter is the scan's LM-parallel filter
+//! step (`exec::filter_window`) over one predicate.
 //!
 //! # Inserted rows are the last blocks
 //!
@@ -47,9 +49,9 @@
 //! which cover its inserted rows as in-memory tail blocks after the
 //! file's, so there is no second, row-at-a-time path for them. The
 //! build side decodes keys, reducer columns and output
-//! representations over every logical position; the probe runs
-//! `probe_tree_span` over the base table's file rows on the pipeline
-//! and then once more, serially, over the tail window
+//! representations over every logical position; the driver runs the
+//! probe over the base table's file rows on the pipeline and then once
+//! more, serially, over the tail window
 //! `[base_rows, base_rows + inserts)` — its fragment lands after every
 //! other, where inserted rows sit in position order. Deleted rows of
 //! either kind drop out of the descriptor before any probe. Tail blocks
@@ -70,18 +72,16 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use matstrat_common::{Error, Pos, PosRange, Predicate, Result, TableId, Value};
-use matstrat_poslist::PosList;
 use matstrat_storage::{ColumnReader, Store};
 
-use crate::exec::ExecOptions;
+use crate::exec::{deletes_in, drive, filter_window, ExecOptions, Finish, Fragment};
 use crate::multicol::MiniColumn;
 use crate::ops::agg::Aggregator;
 use crate::ops::join::{
-    decode_snapshot, fetch_codes_expanded, fetch_expanded, filter_deleted, BuildReducer, InnerRep,
-    InnerStrategy, SharedBuild,
+    decode_snapshot, fetch_codes_expanded, fetch_expanded, BuildReducer, InnerRep, InnerStrategy,
+    SharedBuild,
 };
-use crate::ops::merge::{merge, Part};
-use crate::pipeline::FragmentPipeline;
+use crate::ops::merge::Part;
 use crate::query::{metered, AggSpec, JoinKeySource, JoinTreeSpec, QueryResult, QueryStats};
 
 /// How a [`JoinTreeSpec`] is to be executed: the edge order, one inner
@@ -215,78 +215,70 @@ impl ProbeKeys {
     }
 }
 
-/// Build (or fetch from cache) edge `ei`'s [`SharedBuild`], first
-/// building every bushy child reducing it. Memoized per spec index, so
-/// the probe loop later finds every build ready whatever order the
-/// recursion produced them in.
-#[allow(clippy::too_many_arguments)]
-fn ensure_shared(
-    store: &Store,
-    spec: &JoinTreeSpec,
-    plan: &JoinTreePlan,
-    opts: &ExecOptions,
-    bushy_children: &[Vec<usize>],
-    cache: &mut HashMap<BuildKey, Arc<SharedBuild>>,
-    shared_by_spec: &mut Vec<Option<Arc<SharedBuild>>>,
-    stats: &mut QueryStats,
-    ei: usize,
-) -> Result<Arc<SharedBuild>> {
-    if let Some(s) = &shared_by_spec[ei] {
-        return Ok(Arc::clone(s));
-    }
-    let mut child_builds: Vec<(usize, Arc<SharedBuild>)> = Vec::new();
-    for &c in &bushy_children[ei] {
-        let cb = ensure_shared(
-            store,
-            spec,
-            plan,
-            opts,
-            bushy_children,
-            cache,
-            shared_by_spec,
-            stats,
-            c,
-        )?;
-        child_builds.push((c, cb));
-    }
-    let edge = &spec.edges[ei];
-    let key: BuildKey = (
-        edge.right,
-        edge.right_key,
-        edge.right_filter,
-        bushy_children[ei].clone(),
-    );
-    let shared = match cache.get(&key) {
-        Some(s) if plan.reuse_builds => {
-            stats.build_reuses += 1;
-            Arc::clone(s)
+/// The build phase: every edge's [`SharedBuild`], made at most once per
+/// [`BuildKey`] signature when the plan reuses builds.
+struct Builds<'a> {
+    store: &'a Store,
+    spec: &'a JoinTreeSpec,
+    plan: &'a JoinTreePlan,
+    opts: &'a ExecOptions,
+    /// Per spec edge, the bushy children that reduce its build.
+    bushy_children: Vec<Vec<usize>>,
+    cache: HashMap<BuildKey, Arc<SharedBuild>>,
+    /// Per spec edge, its build once made.
+    by_spec: Vec<Option<Arc<SharedBuild>>>,
+    /// Counts `builds` and `build_reuses`.
+    stats: QueryStats,
+}
+
+impl Builds<'_> {
+    /// Build (or fetch from cache) edge `ei`'s [`SharedBuild`], first
+    /// building every bushy child reducing it. Memoized per spec index,
+    /// so the probe loop later finds every build ready whatever order the
+    /// recursion produced them in.
+    fn ensure(&mut self, ei: usize) -> Result<Arc<SharedBuild>> {
+        if let Some(s) = &self.by_spec[ei] {
+            return Ok(Arc::clone(s));
         }
-        _ => {
-            let mut reducers: Vec<BuildReducer<'_>> = edge
-                .right_filter
-                .iter()
-                .map(|&(c, p)| BuildReducer::Filter(c, p))
-                .collect();
-            for (c, cb) in &child_builds {
-                reducers.push(BuildReducer::SemiJoin {
-                    col: spec.edges[*c].left_key,
-                    child: cb,
-                });
+        let children = self.bushy_children[ei].clone();
+        let mut child_builds: Vec<(usize, Arc<SharedBuild>)> = Vec::new();
+        for &c in &children {
+            child_builds.push((c, self.ensure(c)?));
+        }
+        let (spec, edge) = (self.spec, &self.spec.edges[ei]);
+        let key: BuildKey = (edge.right, edge.right_key, edge.right_filter, children);
+        let shared = match self.cache.get(&key) {
+            Some(s) if self.plan.reuse_builds => {
+                self.stats.build_reuses += 1;
+                Arc::clone(s)
             }
-            let s = Arc::new(SharedBuild::build(
-                store,
-                edge.right,
-                edge.right_key,
-                &reducers,
-                opts,
-            )?);
-            stats.builds += 1;
-            cache.insert(key, Arc::clone(&s));
-            s
-        }
-    };
-    shared_by_spec[ei] = Some(Arc::clone(&shared));
-    Ok(shared)
+            _ => {
+                let mut reducers: Vec<BuildReducer<'_>> = edge
+                    .right_filter
+                    .iter()
+                    .map(|&(c, p)| BuildReducer::Filter(c, p))
+                    .collect();
+                for (c, cb) in &child_builds {
+                    reducers.push(BuildReducer::SemiJoin {
+                        col: spec.edges[*c].left_key,
+                        child: cb,
+                    });
+                }
+                let s = Arc::new(SharedBuild::build(
+                    self.store,
+                    edge.right,
+                    edge.right_key,
+                    &reducers,
+                    self.opts,
+                )?);
+                self.stats.builds += 1;
+                self.cache.insert(key, Arc::clone(&s));
+                s
+            }
+        };
+        self.by_spec[ei] = Some(Arc::clone(&shared));
+        Ok(shared)
+    }
 }
 
 /// Where one flat spec-order output column's values come from.
@@ -323,15 +315,6 @@ struct AggCols {
     spec: AggSpec,
     group: OutCol,
     value: OutCol,
-}
-
-/// One span's contribution: its output columns for MERGE, or a partial
-/// aggregate when the tree is topped by a GROUP BY — plus the span's
-/// zone-map block skips.
-struct TreeFragment {
-    part: Option<Part<'static>>,
-    agg: Option<Aggregator>,
-    zone_skips: u64,
 }
 
 /// Execute the tree under an explicit [`JoinTreePlan`] and
@@ -375,14 +358,13 @@ fn execute_tree(
     }
 
     let t0 = Instant::now();
-    let mut stats = QueryStats::default();
 
     // ---- Build phase, in execution order --------------------------------
     // One SharedBuild per distinct build signature (see [`BuildKey`]);
     // the per-edge representation is always edge-local (outputs and
     // strategy differ per edge; re-fetches of shared columns are pool
     // hits). A bushy edge's table is built *before* its parent's — the
-    // recursion in [`ensure_shared`] — so the parent build can
+    // recursion in [`Builds::ensure`] — so the parent build can
     // semi-reduce against it.
     let n_edges = spec.edges.len();
     let mut bushy_children: Vec<Vec<usize>> = vec![Vec::new(); n_edges];
@@ -393,26 +375,24 @@ fn execute_tree(
             }
         }
     }
-    let mut cache: HashMap<BuildKey, Arc<SharedBuild>> = HashMap::new();
-    let mut shared_by_spec: Vec<Option<Arc<SharedBuild>>> = vec![None; n_edges];
+    let mut builds = Builds {
+        store,
+        spec,
+        plan,
+        opts,
+        bushy_children,
+        cache: HashMap::new(),
+        by_spec: vec![None; n_edges],
+        stats: QueryStats::default(),
+    };
     for &ei in &plan.order {
-        ensure_shared(
-            store,
-            spec,
-            plan,
-            opts,
-            &bushy_children,
-            &mut cache,
-            &mut shared_by_spec,
-            &mut stats,
-            ei,
-        )?;
+        builds.ensure(ei)?;
     }
     let mut spec_to_slot = vec![usize::MAX; n_edges];
     let mut runs: Vec<EdgeRun> = Vec::with_capacity(n_edges);
     for &ei in &plan.order {
         let edge = &spec.edges[ei];
-        let shared = Arc::clone(shared_by_spec[ei].as_ref().expect("built above"));
+        let shared = builds.ensure(ei)?;
         let rep = InnerRep::build(store, &shared, &edge.right_output, plan.inners[ei])?;
         let source = match spec.key_source(ei)? {
             JoinKeySource::Base => {
@@ -451,282 +431,222 @@ fn execute_tree(
 
     // Base-side readers, opened on the base snapshot (so they cover its
     // inserted rows as tail blocks), shared by every probe worker.
-    let base_filter_reader = match &edge0.left_filter {
-        Some((col, _)) => Some(store.reader_for(&base_info, base_delta.as_ref(), *col)?),
-        None => None,
-    };
-    let base_out_readers: Vec<ColumnReader> = edge0
-        .left_output
+    let mut base_readers = HashMap::new();
+    for &c in edge0
+        .left_filter
         .iter()
-        .map(|&c| store.reader_for(&base_info, base_delta.as_ref(), c))
-        .collect::<Result<_>>()?;
-    let deletes: &[u64] = base_delta.as_ref().map_or(&[], |d| d.deletes());
-
-    // The aggregate's columns, resolved once (validated by
-    // `spec.validate`).
-    let agg_cols: Option<AggCols> = spec.aggregate.map(|a| AggCols {
-        spec: a,
-        group: resolve_out_col(spec, a.group_col),
-        value: resolve_out_col(spec, a.value_col),
-    });
-
-    // ---- Probe phase: span-parallel over the base table's file rows ----
-    // then the tail window of its inserted rows through the same span
-    // pipeline, serially, after every file-row fragment — exactly where
-    // those rows sit in position order.
-    let base_rows = base_info.num_rows;
-    let pipeline = FragmentPipeline::new(base_rows, opts.granule.max(1), opts.parallelism.max(1));
-    let probe = |span| {
-        probe_tree_span(
-            spec,
-            &runs,
-            &spec_to_slot,
-            &base_filter_reader,
-            &base_out_readers,
-            deletes,
-            agg_cols.as_ref(),
-            opts.zone_maps,
-            span,
-        )
-    };
-    let (mut fragments, steals) = pipeline.run(probe)?;
-    if let Some(d) = base_delta.as_ref().filter(|d| d.num_inserts() > 0) {
-        fragments.push(probe(PosRange::new(base_rows, d.total_rows()))?);
+        .map(|(c, _)| c)
+        .chain(&edge0.left_output)
+    {
+        base_readers.insert(c, store.reader_for(&base_info, base_delta.as_ref(), c)?);
     }
-
-    // Runs arrive in global granule order, so their parts, in turn, are
-    // the serial row order; partial aggregates merge associatively, so
-    // the merged accumulator equals the serial stream's.
-    let mut fragments = fragments.into_iter();
-    let first = fragments.next().expect("at least one span");
-    let mut parts: Vec<Part<'_>> = first.part.into_iter().collect();
-    let mut agg_acc = first.agg;
-    stats.zone_skips = first.zone_skips;
-    for frag in fragments {
-        stats.zone_skips += frag.zone_skips;
-        match (&mut agg_acc, frag.agg) {
-            (Some(a), Some(b)) => a.merge(b),
-            (None, None) => parts.extend(frag.part),
-            _ => unreachable!("fragments share the aggregate mode"),
-        }
-    }
-    let result = match (agg_acc, &agg_cols) {
-        (Some(a), Some(ac)) => a.into_result(&names[ac.spec.group_col], &names[ac.spec.value_col]),
-        _ => {
-            let flat = merge(
-                &parts,
-                names.len(),
-                pipeline.workers(),
-                opts.granule.max(1) as usize,
-            )?;
-            QueryResult::from_flat(names, flat)
-        }
+    let task = TreeTask {
+        spec,
+        runs: &runs,
+        spec_to_slot: &spec_to_slot,
+        base_readers,
+        deletes: base_delta.as_ref().map_or(&[], |d| d.deletes()),
+        // The aggregate's columns, resolved once (validated by
+        // `spec.validate`).
+        agg: spec.aggregate.map(|a| AggCols {
+            spec: a,
+            group: resolve_out_col(spec, a.group_col),
+            value: resolve_out_col(spec, a.value_col),
+        }),
+        // Forced position-list representations are a scan ablation.
+        opts: ExecOptions {
+            force_repr: None,
+            ..*opts
+        },
     };
-    stats.steals = steals;
-    stats.rows_out = result.num_rows() as u64;
-    stats.wall = t0.elapsed();
-    Ok((result, stats))
+    let finish = match spec.aggregate {
+        Some(a) => Finish::Aggregate(names[a.group_col].clone(), names[a.value_col].clone()),
+        None => Finish::Merge(names),
+    };
+
+    // ---- Probe phase: span-parallel over the base table -----------------
+    drive(
+        t0,
+        builds.stats,
+        base_info.num_rows,
+        base_delta.as_deref(),
+        opts,
+        finish,
+        |span| task.run_span(span),
+    )
 }
 
-/// Run the full filter→probe→…→probe→fetch pipeline over one base-table
-/// span, returning the span's output columns for MERGE — or,
-/// under an aggregate, a partial accumulator built from just the group
-/// and value columns (everything else is never fetched).
-#[allow(clippy::too_many_arguments)]
-fn probe_tree_span(
-    spec: &JoinTreeSpec,
-    runs: &[EdgeRun],
-    spec_to_slot: &[usize],
-    base_filter_reader: &Option<ColumnReader>,
-    base_out_readers: &[ColumnReader],
-    deletes: &[u64],
-    agg: Option<&AggCols>,
-    zone_maps: bool,
-    span: PosRange,
-) -> Result<TreeFragment> {
-    let edge0 = &spec.edges[0];
-    let mut zone_skips = 0u64;
-    // ---- Base side, span-local ------------------------------------------
-    let desc = match (&edge0.left_filter, base_filter_reader) {
-        (Some((_, pred)), Some(reader)) => {
-            // Zone maps: blocks whose min/max range cannot satisfy the
-            // predicate are never read. The pruned mini scans the blocks
-            // that remain; a skipped block contributes no positions, which
-            // is exactly what scanning it would have produced.
-            let mini = if zone_maps {
-                let (mini, pruned) = MiniColumn::fetch_pruned(reader, span, pred)?;
-                zone_skips = pruned;
-                mini
-            } else {
-                MiniColumn::fetch(reader, span)?
-            };
-            mini.scan_positions(pred)
-        }
-        _ => PosList::full(span),
-    };
-    // Deleted rows never reach the probes (nor any value fetch).
-    let lo = deletes.partition_point(|&p| p < span.start);
-    let hi = deletes.partition_point(|&p| p < span.end);
-    let desc = filter_deleted(desc, &deletes[lo..hi]);
+/// Everything one span's filter→probe→…→probe→fetch pipeline reads,
+/// shared read-only by every probe worker.
+struct TreeTask<'a> {
+    spec: &'a JoinTreeSpec,
+    runs: &'a [EdgeRun],
+    spec_to_slot: &'a [usize],
+    /// The base table's filter and output columns' readers, by column.
+    base_readers: HashMap<usize, ColumnReader>,
+    /// The base table's deleted positions, sorted.
+    deletes: &'a [u64],
+    agg: Option<AggCols>,
+    opts: ExecOptions,
+}
 
-    // ---- The pipelined position intermediate ----------------------------
-    // Row i of the intermediate is (base_pos[i], rights[0][i], ...,
-    // rights[slot-1][i]); every probe extends it in place.
-    let mut base_pos: Vec<Pos> = desc.iter().collect();
-    let mut rights: Vec<Vec<u32>> = Vec::with_capacity(runs.len());
-    for run in runs {
-        let keys: ProbeKeys = match &run.source {
-            KeyFetch::Base(reader) => {
-                let mini = MiniColumn::fetch(reader, span)?;
-                // Compressed probe: key blocks sharing the build's
-                // dictionary (fingerprint, then the dictionary itself)
-                // probe with gathered u32 codes — no key decodes.
-                let code_probe = run.shared.code_dict().is_some_and(|(fp, dict)| {
-                    mini.shared_dict_fingerprint() == Some(fp) && mini.shared_dict() == Some(dict)
-                });
-                if code_probe {
-                    let codes = fetch_codes_expanded(&mini, &base_pos)?;
-                    matstrat_common::codeops::add(codes.len() as u64);
-                    ProbeKeys::Codes(codes)
-                } else {
-                    ProbeKeys::Values(fetch_expanded(&mini, &base_pos)?)
-                }
-            }
-            KeyFetch::Prev { slot: j, keys } => {
-                ProbeKeys::Values(rights[*j].iter().map(|&rp| keys[rp as usize]).collect())
-            }
-        };
-        // Fan out: base positions ascend and each key's match list
-        // ascends, so row order stays the nested-loop order of the
-        // execution sequence.
-        let mut new_base = Vec::with_capacity(base_pos.len());
-        let mut new_rights: Vec<Vec<u32>> =
-            rights.iter().map(|r| Vec::with_capacity(r.len())).collect();
-        let mut this_right: Vec<u32> = Vec::with_capacity(base_pos.len());
-        for i in 0..keys.len() {
-            let rps = match &keys {
-                ProbeKeys::Values(v) => run.shared.probe(v[i]),
-                ProbeKeys::Codes(c) => run.shared.probe_code(c[i]),
-            };
-            if let Some(rps) = rps {
-                for &rp in rps {
-                    new_base.push(base_pos[i]);
-                    for (c, col) in new_rights.iter_mut().enumerate() {
-                        col.push(rights[c][i]);
-                    }
-                    this_right.push(rp);
-                }
-            }
-        }
-        base_pos = new_base;
-        rights = new_rights;
-        rights.push(this_right);
-    }
-    let out_rows = base_pos.len();
-
-    // ---- Aggregate mode: fold, never stitch -----------------------------
-    // Only the group column (and the value column, when the function
-    // reads values) are ever materialized; the other output columns are
-    // never fetched. Adjacent equal groups fold as one run.
-    if let Some(ac) = agg {
-        let mut gathered: Vec<Option<Vec<Vec<Value>>>> = vec![None; runs.len()];
-        let groups = fetch_out_col(
-            &ac.group,
-            base_out_readers,
-            runs,
-            spec_to_slot,
-            &base_pos,
-            &rights,
+impl TreeTask<'_> {
+    /// Run the full filter→probe→…→probe→fetch pipeline over one
+    /// base-table span, returning the span's output columns for MERGE —
+    /// or, under an aggregate, a partial accumulator built from just the
+    /// group and value columns (everything else is never fetched).
+    fn run_span(&self, span: PosRange) -> Result<Fragment<'static>> {
+        let edge0 = &self.spec.edges[0];
+        // ---- Base side: the scan's LM-parallel filter step ---------------
+        // Deleted rows never reach the probes (nor any value fetch).
+        let base = filter_window(
+            &self.base_readers,
+            edge0.left_filter.as_slice(),
             span,
-            &mut gathered,
+            deletes_in(self.deletes, span),
+            &self.opts,
         )?;
-        let mut acc = Aggregator::new_fn(ac.spec.func);
-        if ac.spec.func.needs_values() {
-            let vals = fetch_out_col(
-                &ac.value,
-                base_out_readers,
-                runs,
-                spec_to_slot,
-                &base_pos,
-                &rights,
-                span,
-                &mut gathered,
-            )?;
-            let mut i = 0;
-            while i < out_rows {
-                let g = groups[i];
-                let mut j = i + 1;
-                while j < out_rows && groups[j] == g {
-                    j += 1;
+        let stats = QueryStats {
+            zone_skips: base.zone_skips,
+            ..QueryStats::default()
+        };
+
+        // ---- The pipelined position intermediate --------------------------
+        // Row i of the intermediate is (base_pos[i], rights[0][i], ...,
+        // rights[slot-1][i]); every probe extends it in place.
+        let mut base_pos: Vec<Pos> = base.desc.iter().collect();
+        let mut rights: Vec<Vec<u32>> = Vec::with_capacity(self.runs.len());
+        for run in self.runs {
+            let keys: ProbeKeys = match &run.source {
+                KeyFetch::Base(reader) => {
+                    let mini = MiniColumn::fetch(reader, span)?;
+                    // Compressed probe: key blocks sharing the build's
+                    // dictionary (fingerprint, then the dictionary itself)
+                    // probe with gathered u32 codes — no key decodes.
+                    let code_probe = run.shared.code_dict().is_some_and(|(fp, dict)| {
+                        mini.shared_dict_fingerprint() == Some(fp)
+                            && mini.shared_dict() == Some(dict)
+                    });
+                    if code_probe {
+                        let codes = fetch_codes_expanded(&mini, &base_pos)?;
+                        matstrat_common::codeops::add(codes.len() as u64);
+                        ProbeKeys::Codes(codes)
+                    } else {
+                        ProbeKeys::Values(fetch_expanded(&mini, &base_pos)?)
+                    }
                 }
-                acc.add_slice(g, &vals[i..j]);
-                i = j;
+                KeyFetch::Prev { slot: j, keys } => {
+                    ProbeKeys::Values(rights[*j].iter().map(|&rp| keys[rp as usize]).collect())
+                }
+            };
+            // Fan out: base positions ascend and each key's match list
+            // ascends, so row order stays the nested-loop order of the
+            // execution sequence.
+            let mut new_base = Vec::with_capacity(base_pos.len());
+            let mut new_rights: Vec<Vec<u32>> =
+                rights.iter().map(|r| Vec::with_capacity(r.len())).collect();
+            let mut this_right: Vec<u32> = Vec::with_capacity(base_pos.len());
+            for i in 0..keys.len() {
+                let rps = match &keys {
+                    ProbeKeys::Values(v) => run.shared.probe(v[i]),
+                    ProbeKeys::Codes(c) => run.shared.probe_code(c[i]),
+                };
+                if let Some(rps) = rps {
+                    for &rp in rps {
+                        new_base.push(base_pos[i]);
+                        for (c, col) in new_rights.iter_mut().enumerate() {
+                            col.push(rights[c][i]);
+                        }
+                        this_right.push(rp);
+                    }
+                }
             }
+            base_pos = new_base;
+            rights = new_rights;
+            rights.push(this_right);
+        }
+
+        // ---- Aggregate mode: fold, never stitch ---------------------------
+        // Only the group column (and the value column, when the function
+        // reads values) are ever materialized; the other output columns
+        // are never fetched. Adjacent equal groups fold as one run.
+        if let Some(ac) = &self.agg {
+            let mut gathered: Vec<Option<Vec<Vec<Value>>>> = vec![None; self.runs.len()];
+            let groups = self.fetch_out_col(ac.group, &base_pos, &rights, span, &mut gathered)?;
+            let counting = !ac.spec.func.needs_values();
+            let vals = if counting {
+                Vec::new()
+            } else {
+                self.fetch_out_col(ac.value, &base_pos, &rights, span, &mut gathered)?
+            };
+            let mut acc = Aggregator::new_fn(ac.spec.func);
+            let mut at = 0;
+            for run in groups.chunk_by(|a, b| a == b) {
+                if counting {
+                    acc.add_count(run[0], run.len() as u64);
+                } else {
+                    acc.add_slice(run[0], &vals[at..at + run.len()]);
+                }
+                at += run.len();
+            }
+            return Ok(Fragment {
+                parts: Vec::new(),
+                agg: Some(acc),
+                stats,
+            });
+        }
+
+        // ---- Value fetch, once, at the top --------------------------------
+        // Base output values merge on the sorted (duplicated) positions;
+        // right output values come per edge, by that edge's strategy.
+        // Columns go to MERGE in spec order, which stitches them into the
+        // result's rows.
+        let mut cols: Vec<Vec<Value>> = Vec::with_capacity(self.spec.output_width());
+        for c in &edge0.left_output {
+            let mini = MiniColumn::fetch(&self.base_readers[c], span)?;
+            cols.push(fetch_expanded(&mini, &base_pos)?);
+        }
+        for &slot in self.spec_to_slot {
+            cols.extend(self.runs[slot].rep.gather(&rights[slot])?);
+        }
+        let parts = if base_pos.is_empty() {
+            Vec::new()
         } else {
-            let mut i = 0;
-            while i < out_rows {
-                let g = groups[i];
-                let mut j = i + 1;
-                while j < out_rows && groups[j] == g {
-                    j += 1;
+            vec![Part::Columns(cols)]
+        };
+        Ok(Fragment {
+            parts,
+            agg: None,
+            stats,
+        })
+    }
+
+    /// Materialize one output column of the join tree for the current
+    /// intermediate: a base column merges on the (sorted, duplicated) base
+    /// positions; an edge column gathers through that edge's inner
+    /// representation, memoized per slot so a group and value on the same
+    /// edge gather once.
+    fn fetch_out_col(
+        &self,
+        oc: OutCol,
+        base_pos: &[Pos],
+        rights: &[Vec<u32>],
+        span: PosRange,
+        gathered: &mut [Option<Vec<Vec<Value>>>],
+    ) -> Result<Vec<Value>> {
+        match oc {
+            OutCol::Base(i) => {
+                let col = self.spec.edges[0].left_output[i];
+                let mini = MiniColumn::fetch(&self.base_readers[&col], span)?;
+                fetch_expanded(&mini, base_pos)
+            }
+            OutCol::Edge { spec_idx, col } => {
+                let slot = self.spec_to_slot[spec_idx];
+                if gathered[slot].is_none() {
+                    gathered[slot] = Some(self.runs[slot].rep.gather(&rights[slot])?);
                 }
-                acc.add_count(g, (j - i) as u64);
-                i = j;
+                Ok(gathered[slot].as_ref().unwrap()[col].clone())
             }
-        }
-        return Ok(TreeFragment {
-            part: None,
-            agg: Some(acc),
-            zone_skips,
-        });
-    }
-
-    // ---- Value fetch, once, at the top ----------------------------------
-    // Base output values merge on the sorted (duplicated) positions; right
-    // output values come per edge, by that edge's strategy. Columns go to
-    // MERGE in spec order, which stitches them into the result's rows.
-    let mut cols: Vec<Vec<Value>> = Vec::with_capacity(spec.output_width());
-    for reader in base_out_readers {
-        let mini = MiniColumn::fetch(reader, span)?;
-        cols.push(fetch_expanded(&mini, &base_pos)?);
-    }
-    for &slot in spec_to_slot {
-        cols.extend(runs[slot].rep.gather(&rights[slot])?);
-    }
-    Ok(TreeFragment {
-        part: (out_rows > 0).then_some(Part::Columns(cols)),
-        agg: None,
-        zone_skips,
-    })
-}
-
-/// Materialize one output column of the join tree for the current
-/// intermediate: a base column merges on the (sorted, duplicated) base
-/// positions; an edge column gathers through that edge's inner
-/// representation, memoized per slot so a group and value on the same
-/// edge gather once.
-#[allow(clippy::too_many_arguments)]
-fn fetch_out_col(
-    oc: &OutCol,
-    base_out_readers: &[ColumnReader],
-    runs: &[EdgeRun],
-    spec_to_slot: &[usize],
-    base_pos: &[Pos],
-    rights: &[Vec<u32>],
-    span: PosRange,
-    gathered: &mut [Option<Vec<Vec<Value>>>],
-) -> Result<Vec<Value>> {
-    match *oc {
-        OutCol::Base(i) => {
-            let mini = MiniColumn::fetch(&base_out_readers[i], span)?;
-            fetch_expanded(&mini, base_pos)
-        }
-        OutCol::Edge { spec_idx, col } => {
-            let slot = spec_to_slot[spec_idx];
-            if gathered[slot].is_none() {
-                gathered[slot] = Some(runs[slot].rep.gather(&rights[slot])?);
-            }
-            Ok(gathered[slot].as_ref().unwrap()[col].clone())
         }
     }
 }

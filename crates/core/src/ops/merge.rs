@@ -2,9 +2,10 @@
 //!
 //! This is the top of every late-materialization plan (Figure 5), and
 //! every read statement ends in exactly one. A statement runs in two
-//! steps. Step 1, the granule pipeline, does all the filtering and every
-//! block fetch, and leaves one `Part` per granule (per probed span, in
-//! a join tree) in global granule order: a late-materialized granule
+//! steps, both owned by one driver that scans and join trees share
+//! (`exec::drive`). Step 1, the granule pipeline, does all the filtering
+//! and every block fetch, and leaves one `Part` per granule (per probed
+//! span, in a join tree) in global granule order: a late-materialized granule
 //! leaves its position descriptor and the output columns' mini-columns,
 //! an early-materialized one its constructed tuples. Step 2 is `merge`:
 //! the parts' row counts size the result exactly once, each part gets a

@@ -1,11 +1,10 @@
 //! The fragment pipeline: one parallel execution substrate for every
 //! operator that decomposes into independent position spans.
 //!
-//! PR 2 inlined a morsel-style worker pool in the scan executor; PR 3
-//! extracted it here; this revision replaces the blind span-per-worker
-//! dispatch with a **work-stealing granule scheduler**. The engine's
-//! parallelism contract rests on four invariants, all owned by this
-//! module:
+//! Step 1 of every read statement runs here, through
+//! [`crate::exec`]'s one driver, on a **work-stealing granule
+//! scheduler**. The engine's parallelism contract rests on four
+//! invariants, all owned by this module:
 //!
 //! * **Partitioning** — the position range `[0, rows)` splits into
 //!   contiguous, granule-aligned spans of near-equal granule counts, one

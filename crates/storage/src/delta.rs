@@ -40,8 +40,8 @@
 //! packed straight from the chunks ([`TableDelta::column_range`]),
 //! deleted rows included so positions stay positional. The executors
 //! run the same block operators over the tail as over the file and drop
-//! deleted positions with the sorted [`TableDelta::deletes`] like any
-//! other tombstone. Compaction walks the inserted rows and the sorted
+//! deleted positions, base and tail alike, through one [`Tombstones`]
+//! cursor over the sorted [`TableDelta::deletes`]. Compaction walks the inserted rows and the sorted
 //! deletes together, once, through [`TableDelta::extend_live_column`].
 
 use std::collections::HashMap;
@@ -147,7 +147,7 @@ impl TableDelta {
 
     /// Whether position `pos` is deleted. One binary search: right for a
     /// point lookup, wrong inside a loop over rows — walk
-    /// [`Self::extend_live_column`] or [`retain_live`] instead.
+    /// [`Self::extend_live_column`] or a [`Tombstones`] cursor instead.
     pub fn is_deleted(&self, pos: u64) -> bool {
         self.deletes.binary_search(&pos).is_ok()
     }
@@ -372,24 +372,40 @@ impl DeltaStore {
     }
 }
 
+/// A forward cursor over a sorted delete set: asked about ascending
+/// positions, it walks the deletes once, so a pass over n rows costs
+/// O(n + deletes) however the caller iterates them.
+#[derive(Debug, Clone)]
+pub struct Tombstones<'a> {
+    deletes: &'a [u64],
+    di: usize,
+}
+
+impl<'a> Tombstones<'a> {
+    /// A cursor over `deletes` (sorted ascending) for positions from
+    /// `from` on.
+    pub fn new(deletes: &'a [u64], from: u64) -> Tombstones<'a> {
+        let di = deletes.partition_point(|&d| d < from);
+        Tombstones { deletes, di }
+    }
+
+    /// Whether `pos` is deleted. Ask in ascending position order.
+    pub fn is_deleted(&mut self, pos: u64) -> bool {
+        while self.di < self.deletes.len() && self.deletes[self.di] < pos {
+            self.di += 1;
+        }
+        self.deletes.get(self.di) == Some(&pos)
+    }
+}
+
 /// Filter `positions` (ascending) down to those not present in the
-/// sorted `deletes` set, walking both lists once from the first delete
-/// that could matter.
+/// sorted `deletes` set.
 pub fn retain_live(positions: &mut Vec<u64>, deletes: &[u64]) {
     let Some(&first) = positions.first() else {
         return;
     };
-    let deletes = &deletes[deletes.partition_point(|&d| d < first)..];
-    if deletes.is_empty() {
-        return;
-    }
-    let mut di = 0usize;
-    positions.retain(|&p| {
-        while di < deletes.len() && deletes[di] < p {
-            di += 1;
-        }
-        !(di < deletes.len() && deletes[di] == p)
-    });
+    let mut dead = Tombstones::new(deletes, first);
+    positions.retain(|&p| !dead.is_deleted(p));
 }
 
 #[cfg(test)]
@@ -557,5 +573,51 @@ mod tests {
         let mut pos = vec![8, 9];
         retain_live(&mut pos, &[1, 2, 9]);
         assert_eq!(pos, vec![8]);
+    }
+
+    proptest::proptest! {
+        /// The cursor, walked over a window's surviving positions in any
+        /// position-list representation, drops exactly the positions a
+        /// binary search finds deleted — with no deletes, every position
+        /// deleted, and deletes on both sides of the window.
+        #[test]
+        fn tombstones_agree_with_binary_search(
+            start in 0u64..300,
+            len in 0u64..300,
+            keep in proptest::collection::vec(0u8..10, 300..301),
+            deletes in proptest::collection::vec(0u64..700, 0..80),
+            all_deleted in 0u8..8,
+        ) {
+            use matstrat_common::PosRange;
+            use matstrat_poslist::PosList;
+            let window = PosRange::new(start, start + len);
+            let survivors: Vec<u64> = (window.start..window.end)
+                .filter(|&p| keep[(p - start) as usize] < 7)
+                .collect();
+            let mut deletes = deletes;
+            if all_deleted == 0 {
+                deletes.extend(window.start..window.end);
+            }
+            deletes.sort_unstable();
+            deletes.dedup();
+            let want: Vec<u64> = survivors
+                .iter()
+                .copied()
+                .filter(|p| deletes.binary_search(p).is_err())
+                .collect();
+            let pl = PosList::from_positions(survivors);
+            for repr in [
+                PosList::Explicit(pl.to_explicit()),
+                PosList::Ranges(pl.to_ranges()),
+                PosList::Bitmap(pl.to_bitmap(window)),
+            ] {
+                let mut dead = Tombstones::new(&deletes, window.start);
+                let got: Vec<u64> = repr.iter().filter(|&p| !dead.is_deleted(p)).collect();
+                proptest::prop_assert_eq!(&got, &want);
+            }
+            let mut retained = pl.iter().collect();
+            retain_live(&mut retained, &deletes);
+            proptest::prop_assert_eq!(retained, want);
+        }
     }
 }

@@ -39,7 +39,7 @@ pub mod wire;
 
 pub use block::{BitVecBlock, DictBlock, EncodedBlock, PlainBlock, RleBlock, RleRun, Slots};
 pub use catalog::{Catalog, ColumnInfo, ColumnSpec, ProjectionInfo, ProjectionSpec, SortOrder};
-pub use delta::{retain_live, DeltaStore, TableDelta};
+pub use delta::{retain_live, DeltaStore, TableDelta, Tombstones};
 pub use disk::{Disk, FileDisk, MemDisk};
 pub use encoding::EncodingKind;
 pub use file::{BlockIndexEntry, ColumnFileReader, ColumnFileWriter, ColumnStats};

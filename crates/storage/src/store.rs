@@ -20,8 +20,8 @@
 //! column files, in logical row order (so results are byte-identical
 //! across a compaction), and swaps the catalog entry atomically with
 //! respect to `scan_snapshot`. Crash safety comes from ordering: new
-//! files are written first, then the catalog with a bumped
-//! `wal_epoch` is persisted, then the WAL is truncated, and only then
+//! files are written and synced first, then the catalog with a bumped
+//! `wal_epoch` is written and synced, then the WAL is truncated, and only then
 //! is the old generation of files retired — a crash anywhere in between
 //! replays old-epoch records as stale no-ops and finds every file its
 //! catalog names. Writers serialize with each other and with compaction
@@ -53,9 +53,9 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::block::{EncodedBlock, PlainBlock};
 use crate::catalog::{
-    verify_sort_order, Catalog, ColumnInfo, ProjectionInfo, ProjectionSpec, SortOrder,
+    verify_sort_order, Catalog, ColumnInfo, ColumnSpec, ProjectionInfo, ProjectionSpec, SortOrder,
 };
-use crate::delta::{DeltaStore, TableDelta};
+use crate::delta::{DeltaStore, TableDelta, Tombstones};
 use crate::disk::{Disk, FileDisk, MemDisk};
 use crate::encoding::EncodingKind;
 use crate::file::{BlockIndexEntry, ColumnFileReader, ColumnFileWriter};
@@ -263,13 +263,60 @@ impl Store {
         Ok(())
     }
 
+    /// Make the catalog as it is now durable: the one place it is
+    /// written, and synced. Every column file it names was synced when
+    /// [`Self::write_column`] wrote it, so a durable catalog never names
+    /// bytes that are not.
     fn persist_catalog(&self) -> Result<()> {
         if self.inner.persistent {
             let bytes = self.inner.catalog.read().serialize();
             self.inner.disk.create(CATALOG_FILE)?;
             self.inner.disk.write_at(CATALOG_FILE, 0, &bytes)?;
+            self.inner.disk.sync(CATALOG_FILE)?;
         }
         Ok(())
+    }
+
+    /// Write `data` as column file `file` under `spec` — the packed width
+    /// from the observed min/max, a shared dictionary of the sorted
+    /// distinct values when `spec` asks for one — and, on a persistent
+    /// store, sync it before any catalog can name it.
+    fn write_column(&self, file: String, spec: &ColumnSpec, data: &[Value]) -> Result<ColumnInfo> {
+        let (min, max) = data.iter().fold((Value::MAX, Value::MIN), |(lo, hi), &v| {
+            (lo.min(v), hi.max(v))
+        });
+        let width = if data.is_empty() {
+            Width::W8
+        } else {
+            Width::fitting(min, max)
+        };
+        if spec.shared_dict && spec.encoding != EncodingKind::Dict {
+            return Err(Error::invalid(format!(
+                "column {}: shared_dict requires dict encoding",
+                spec.name
+            )));
+        }
+        let disk = self.inner.disk.as_ref();
+        let mut w = if spec.shared_dict {
+            ColumnFileWriter::create_shared_dict(disk, &file, sorted_distinct(data))?
+        } else {
+            ColumnFileWriter::create(disk, &file, spec.encoding, width)?
+        };
+        w.push_all(data)?;
+        let stats = w.finish()?;
+        if self.inner.persistent {
+            disk.sync(&file)?;
+        }
+        Ok(ColumnInfo {
+            id: matstrat_common::ColumnId(0), // assigned by the catalog
+            name: spec.name.clone(),
+            encoding: spec.encoding,
+            width,
+            sort: spec.sort,
+            stats,
+            file,
+            shared_dict: spec.shared_dict,
+        })
     }
 
     /// Load a projection: one column file per spec column.
@@ -311,45 +358,10 @@ impl Store {
 
         // Reserve the table id up front so file names are stable.
         let table_idx = self.inner.catalog.read().projections().len() as u32;
-        let encode_one = |ci: usize| -> Result<ColumnInfo> {
+        let encode_one = |ci: usize| {
             let cspec = &spec.columns[ci];
-            let data = columns[ci];
-            let (min, max) = data.iter().fold((Value::MAX, Value::MIN), |(lo, hi), &v| {
-                (lo.min(v), hi.max(v))
-            });
-            let width = if data.is_empty() {
-                Width::W8
-            } else {
-                Width::fitting(min, max)
-            };
             let file = format!("t{table_idx}_c{ci}_{}.col", cspec.name);
-            if cspec.shared_dict && cspec.encoding != EncodingKind::Dict {
-                return Err(Error::invalid(format!(
-                    "column {}: shared_dict requires dict encoding",
-                    cspec.name
-                )));
-            }
-            let mut w = if cspec.shared_dict {
-                ColumnFileWriter::create_shared_dict(
-                    self.inner.disk.as_ref(),
-                    &file,
-                    sorted_distinct(data),
-                )?
-            } else {
-                ColumnFileWriter::create(self.inner.disk.as_ref(), &file, cspec.encoding, width)?
-            };
-            w.push_all(data)?;
-            let stats = w.finish()?;
-            Ok(ColumnInfo {
-                id: matstrat_common::ColumnId(0), // assigned by the catalog
-                name: cspec.name.clone(),
-                encoding: cspec.encoding,
-                width,
-                sort: cspec.sort,
-                stats,
-                file,
-                shared_dict: cspec.shared_dict,
-            })
+            self.write_column(file, cspec, columns[ci])
         };
         // Scoped workers claim column indices from a shared counter
         // (columns vary wildly in encoding cost, so striding would
@@ -777,15 +789,11 @@ impl Store {
                 )));
             }
             if !base_deletes.is_empty() {
-                let mut di = 0usize;
-                let mut keep = 0u64;
+                let mut dead = Tombstones::new(base_deletes, 0);
+                let mut pos = 0u64;
                 vals.retain(|_| {
-                    let pos = keep;
-                    keep += 1;
-                    while di < base_deletes.len() && base_deletes[di] < pos {
-                        di += 1;
-                    }
-                    !(di < base_deletes.len() && base_deletes[di] == pos)
+                    pos += 1;
+                    !dead.is_deleted(pos - 1)
                 });
             }
             delta.extend_live_column(ci, &mut vals);
@@ -808,62 +816,34 @@ impl Store {
 
         // Write the new generation of column files (versioned names, so
         // stale pool keys and reader handles can never alias them).
+        // A shared-dict column stays shared-dict across compaction; the
+        // dictionary is recomputed because inserts may have widened the
+        // value domain.
         let mut new_infos = Vec::with_capacity(info.columns.len());
         for (ci, col) in info.columns.iter().enumerate() {
-            let data = &merged[ci];
-            let (min, max) = data.iter().fold((Value::MAX, Value::MIN), |(lo, hi), &v| {
-                (lo.min(v), hi.max(v))
-            });
-            let width = if data.is_empty() {
-                Width::W8
-            } else {
-                Width::fitting(min, max)
-            };
             let file = format!("t{}_c{ci}_{}_e{new_epoch}.col", table.0, col.name);
-            // A shared-dict column stays shared-dict across compaction;
-            // the dictionary is recomputed because inserts may have
-            // widened the value domain.
-            let mut w = if col.shared_dict {
-                ColumnFileWriter::create_shared_dict(
-                    self.inner.disk.as_ref(),
-                    &file,
-                    sorted_distinct(data),
-                )?
-            } else {
-                ColumnFileWriter::create(self.inner.disk.as_ref(), &file, col.encoding, width)?
-            };
-            w.push_all(data)?;
-            let stats = w.finish()?;
-            new_infos.push(ColumnInfo {
-                id: matstrat_common::ColumnId(0), // assigned by the catalog
+            let spec = ColumnSpec {
                 name: col.name.clone(),
                 encoding: col.encoding,
-                width,
                 sort: if keep_sort { col.sort } else { SortOrder::None },
-                stats,
-                file,
                 shared_dict: col.shared_dict,
-            });
+            };
+            new_infos.push(self.write_column(file, &spec, &merged[ci])?);
         }
 
         // Swap catalog + delta atomically with respect to scan_snapshot
         // (readers block on the catalog lock or retry on the epoch).
         drop(delta);
         let new_generation = self.generation_of(&new_infos);
-        let catalog_bytes = {
+        {
             let mut cat = self.inner.catalog.write();
             cat.replace_projection(table, new_rows, new_infos)?;
             cat.pin(table, new_generation)?;
             self.inner.delta.replace(table, TableDelta::new(new_rows));
-            self.inner.persistent.then(|| cat.serialize())
-        };
+        }
         // Persist the new epoch BEFORE truncating the log: a crash in
         // between replays the old records as stale-epoch no-ops.
-        if let Some(bytes) = catalog_bytes {
-            self.inner.disk.create(CATALOG_FILE)?;
-            self.inner.disk.write_at(CATALOG_FILE, 0, &bytes)?;
-            self.inner.disk.sync(CATALOG_FILE)?;
-        }
+        self.persist_catalog()?;
         self.with_wal(table, new_epoch, |wal| wal.truncate_to_epoch(new_epoch))?;
 
         // The catalog that no longer names the old generation is durable
@@ -1427,6 +1407,85 @@ mod tests {
             // The failed load must not register a projection.
             assert!(store.projection_names().is_empty(), "workers={workers}");
         }
+    }
+
+    /// A [`MemDisk`] that logs every write and sync in order, and at each
+    /// catalog sync records the column files that catalog names whose
+    /// last write no sync has followed yet.
+    #[derive(Debug, Default)]
+    struct RecordingDisk {
+        inner: MemDisk,
+        log: Mutex<Vec<(&'static str, String)>>,
+        catalog_syncs: Mutex<u32>,
+        unsynced: Mutex<Vec<String>>,
+    }
+
+    impl Disk for RecordingDisk {
+        fn create(&self, name: &str) -> matstrat_common::Result<()> {
+            self.log.lock().push(("write", name.to_string()));
+            self.inner.create(name)
+        }
+        fn write_at(&self, name: &str, offset: u64, data: &[u8]) -> matstrat_common::Result<()> {
+            self.log.lock().push(("write", name.to_string()));
+            self.inner.write_at(name, offset, data)
+        }
+        fn read_at(&self, name: &str, offset: u64, len: usize) -> matstrat_common::Result<Vec<u8>> {
+            self.inner.read_at(name, offset, len)
+        }
+        fn len(&self, name: &str) -> matstrat_common::Result<u64> {
+            self.inner.len(name)
+        }
+        fn exists(&self, name: &str) -> bool {
+            self.inner.exists(name)
+        }
+        fn list(&self) -> Vec<String> {
+            self.inner.list()
+        }
+        fn remove(&self, name: &str) -> matstrat_common::Result<()> {
+            self.inner.remove(name)
+        }
+        fn sync(&self, name: &str) -> matstrat_common::Result<()> {
+            let mut log = self.log.lock();
+            if name == CATALOG_FILE {
+                *self.catalog_syncs.lock() += 1;
+                let bytes = self
+                    .inner
+                    .read_at(name, 0, self.inner.len(name)? as usize)?;
+                let last =
+                    |op: &str, file: &str| log.iter().rposition(|(o, n)| *o == op && n == file);
+                for p in Catalog::parse(&bytes)?.projections() {
+                    for c in &p.columns {
+                        if last("sync", &c.file) < last("write", &c.file) {
+                            self.unsynced.lock().push(c.file.clone());
+                        }
+                    }
+                }
+            }
+            log.push(("sync", name.to_string()));
+            self.inner.sync(name)
+        }
+    }
+
+    #[test]
+    fn a_catalog_is_synced_only_after_every_column_file_it_names() {
+        let disk = Arc::new(RecordingDisk::default());
+        let store = Store::with_disk(Arc::clone(&disk) as Arc<dyn Disk>, 64, true);
+        let (a, b) = demo_data();
+        let t = store.load_projection(&demo_spec(), &[&a, &b]).unwrap();
+        assert_eq!(
+            *disk.catalog_syncs.lock(),
+            1,
+            "a load makes its catalog durable"
+        );
+        store.insert_rows(t, &[vec![9, 1], vec![9, 2]]).unwrap();
+        store.delete_positions(t, &[0, 1000]).unwrap();
+        assert!(store.compact(t).unwrap());
+        assert_eq!(*disk.catalog_syncs.lock(), 2, "so does a compaction");
+        assert_eq!(
+            *disk.unsynced.lock(),
+            Vec::<String>::new(),
+            "a durable catalog named column bytes that were never synced"
+        );
     }
 
     #[test]

@@ -415,6 +415,87 @@ fn delete_on_an_insert_only_table_rejects_a_bad_column() {
     );
 }
 
+/// The read driver's edges: a table loaded with 0 rows has an empty
+/// base window, so every row it returns comes from the tail window of
+/// inserted rows, some of them deleted. Every strategy, as a selection
+/// and as a GROUP BY, and a one-edge tree over it, as a selection and as
+/// a GROUP BY, must return its compacted twin's rows and counters at one
+/// worker and at four, and nothing can be stolen from an empty base.
+#[test]
+fn a_table_of_only_tail_rows_reads_as_its_compacted_twin() {
+    let db = Database::in_memory();
+    let dim = filled_table(&db, "dim", 50);
+    let rows: Vec<Vec<Value>> = (0..700).map(|i| vec![i % 7, i * 3]).collect();
+    let [dirty, twin] = ["dirty", "twin"].map(|name| {
+        let t = empty_table(&db, name, EncodingKind::Plain);
+        db.insert(t, &rows).unwrap();
+        db.delete_where(t, &[(1, Predicate::lt(90))]).unwrap();
+        db.delete_where(t, &[(0, Predicate::eq(3)), (1, Predicate::gt(1500))])
+            .unwrap();
+        t
+    });
+    assert!(db.compact(twin).unwrap());
+    assert_eq!(db.store().projection(dirty).unwrap().num_rows, 0);
+
+    let scans = |t: TableId| {
+        let select = QuerySpec::select(t, vec![0, 1])
+            .filter(1, Predicate::lt(1800))
+            .filter(0, Predicate::ge(2));
+        let group = |func| {
+            QuerySpec::select(t, vec![])
+                .filter(1, Predicate::ge(300))
+                .aggregate_fn(0, 1, func)
+        };
+        Strategy::ALL
+            .into_iter()
+            .flat_map(|s| {
+                [select.clone(), group(AggFunc::Sum), group(AggFunc::Count)]
+                    .map(|q| (Statement::Select(q), QueryPlan::forced_scan(s)))
+            })
+            .collect::<Vec<_>>()
+    };
+    let trees = |t: TableId| {
+        let spec = JoinTreeSpec::new(vec![JoinSpec {
+            left: t,
+            right: dim,
+            left_key: 0,
+            right_key: 0,
+            left_filter: Some((1, Predicate::lt(1500))),
+            right_filter: None,
+            left_output: vec![1],
+            right_output: vec![1],
+        }]);
+        [spec.clone(), spec.aggregate_fn(1, 0, AggFunc::Sum)].map(|tree| {
+            let plan = QueryPlan::forced_tree(vec![0], vec![InnerStrategy::MultiColumn]);
+            (Statement::JoinTree(tree), plan)
+        })
+    };
+    let mut dirty_stmts = scans(dirty);
+    dirty_stmts.extend(trees(dirty));
+    let mut twin_stmts = scans(twin);
+    twin_stmts.extend(trees(twin));
+
+    for workers in [1, 4] {
+        let opts = ExecOptions {
+            parallelism: workers,
+            granule: 64,
+            ..db.exec_options()
+        };
+        for ((stmt, plan), (twin_stmt, twin_plan)) in dirty_stmts.iter().zip(&twin_stmts) {
+            let got = db.execute_planned(stmt, plan, &opts).unwrap();
+            let want = db.execute_planned(twin_stmt, twin_plan, &opts).unwrap();
+            let at = format!("{} workers={workers}", plan.describe());
+            assert!(want.rows.num_rows() > 0, "{at}: the twin returns rows");
+            assert_eq!(got.rows, want.rows, "{at}");
+            let (g, w) = (&got.stats, &want.stats);
+            assert_eq!(g.rows_out, w.rows_out, "{at}");
+            assert_eq!(g.positions_matched, w.positions_matched, "{at}");
+            assert_eq!(g.zone_skips, w.zone_skips, "{at}");
+            assert_eq!(g.steals, 0, "{at}: an empty base has nothing to steal");
+        }
+    }
+}
+
 #[test]
 fn planner_survives_zero_row_tables() {
     let db = Database::in_memory();
