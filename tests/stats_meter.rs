@@ -9,6 +9,7 @@
 //! assertions fail.
 
 use matstrat::common::TableId;
+use matstrat::core::AggFunc;
 use matstrat::prelude::*;
 use matstrat::tpch::lineitem::cols;
 
@@ -163,7 +164,10 @@ fn pinned_fixture(rows: i64) -> (Database, TableId, TableId) {
 
 /// Cold `(block_reads, seeks)` of `SELECT k, w FROM t WHERE v < 50`
 /// under each strategy in [`Strategy::ALL`] order, then of the one-edge
-/// tree `t JOIN dim ON t.fk = dim.dk WHERE t.v < 50`.
+/// tree `t JOIN dim ON t.fk = dim.dk WHERE t.v < 50`; then of
+/// `SELECT v, COUNT(w) FROM t WHERE v < 50 GROUP BY v` and of its SUM
+/// under each strategy, and of the tree grouped by `dim.x` with
+/// `COUNT(t.w)` and `SUM(t.w)`.
 fn cold_io(rows: i64, granule: u64, threads: usize) -> Vec<(u64, u64)> {
     let (db, t, dim) = pinned_fixture(rows);
     let opts = ExecOptions {
@@ -171,8 +175,8 @@ fn cold_io(rows: i64, granule: u64, threads: usize) -> Vec<(u64, u64)> {
         parallelism: threads,
         ..ExecOptions::default()
     };
-    let scan = Statement::Select(QuerySpec::select(t, vec![0, 2]).filter(1, Predicate::lt(50)));
-    let tree = Statement::JoinTree(JoinTreeSpec::new(vec![JoinSpec {
+    let filtered = QuerySpec::select(t, vec![0, 2]).filter(1, Predicate::lt(50));
+    let tree = JoinTreeSpec::new(vec![JoinSpec {
         left: t,
         right: dim,
         left_key: 3,
@@ -181,15 +185,20 @@ fn cold_io(rows: i64, granule: u64, threads: usize) -> Vec<(u64, u64)> {
         right_filter: None,
         left_output: vec![2],
         right_output: vec![1],
-    }]));
-    let mut runs: Vec<(Statement, QueryPlan)> = Strategy::ALL
-        .iter()
-        .map(|&s| (scan.clone(), QueryPlan::forced_scan(s)))
-        .collect();
-    runs.push((
-        tree,
-        QueryPlan::forced_tree(vec![0], vec![InnerStrategy::MultiColumn]),
-    ));
+    }]);
+    let tree_plan = || QueryPlan::forced_tree(vec![0], vec![InnerStrategy::MultiColumn]);
+    let scans = |q: QuerySpec| {
+        Strategy::ALL.map(|s| (Statement::Select(q.clone()), QueryPlan::forced_scan(s)))
+    };
+    let mut runs: Vec<(Statement, QueryPlan)> = scans(filtered.clone()).to_vec();
+    runs.push((Statement::JoinTree(tree.clone()), tree_plan()));
+    for func in [AggFunc::Count, AggFunc::Sum] {
+        runs.extend(scans(filtered.clone().aggregate_fn(1, 2, func)));
+    }
+    for func in [AggFunc::Count, AggFunc::Sum] {
+        let agg = Statement::JoinTree(tree.clone().aggregate_fn(1, 0, func));
+        runs.push((agg, tree_plan()));
+    }
     runs.iter()
         .map(|(stmt, plan)| {
             db.store().cold_reset();
@@ -211,14 +220,28 @@ fn cold_io(rows: i64, granule: u64, threads: usize) -> Vec<(u64, u64)> {
 /// worker filled it.
 #[test]
 fn cold_reads_and_seeks_are_pinned() {
+    // Per statement group of `cold_io`: the scan under each strategy and
+    // the tree; COUNT under each strategy, where late materialization
+    // never reads `w`; SUM under each strategy; the tree's COUNT and SUM.
+    let pinned = |groups: [&[(u64, u64)]; 4]| groups.concat();
     assert_eq!(
         cold_io(200_000, 64 * 1024, 1),
-        vec![(25, 5), (27, 3), (25, 5), (25, 5), (20, 5)]
+        pinned([
+            &[(25, 5), (27, 3), (25, 5), (25, 5), (20, 5)],
+            &[(14, 2), (14, 2), (7, 1), (7, 1)],
+            &[(14, 2); 4],
+            &[(13, 4), (20, 5)],
+        ])
     );
     for threads in [1, 4] {
         assert_eq!(
             cold_io(6_000, 256, threads),
-            vec![(3, 3), (3, 3), (3, 3), (3, 3), (5, 5)],
+            pinned([
+                &[(3, 3), (3, 3), (3, 3), (3, 3), (5, 5)],
+                &[(2, 2), (2, 2), (1, 1), (1, 1)],
+                &[(2, 2); 4],
+                &[(4, 4), (5, 5)],
+            ]),
             "threads={threads}"
         );
     }
