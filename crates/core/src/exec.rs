@@ -35,10 +35,15 @@
 //! its output columns' blocks exactly where DS3 needs them — and leaves
 //! one `Part` per granule with output rows: an LM granule its
 //! descriptor and output mini-columns, an EM granule its constructed
-//! tuples. Aggregates fold in step 1 and never reach step 2. Step 2 is
-//! one MERGE ([`crate::ops::merge`]): the parts' row counts size the
-//! result once, and every output value is written once, straight from
-//! its compressed block into its row-major slot. So no I/O happens in
+//! tuples. Step 1 only produces parts; what consumes them `drive`
+//! decides once, through `Finish`. Without an aggregate, step 2 is one
+//! MERGE ([`crate::ops::merge`]): the parts' row counts size the result
+//! once, and every output value is written once, straight from its
+//! compressed block into its row-major slot. Under an aggregate the
+//! parts carry the group column, then the value column unless the
+//! function is COUNT, and `drive` folds each into its fragment's partial
+//! accumulator as soon as it is made, on the worker that made it
+//! (`Part::fold`); step 2 merges the partials. So no I/O happens in
 //! step 2, and cold `(block_reads, seeks)` are step 1's alone.
 //! Both steps, the tail window and the ordered fold belong to one
 //! driver, `drive`, which the join tree shares, as it shares the
@@ -100,8 +105,8 @@ use matstrat_common::{Error, Pos, PosRange, Predicate, Result, Value};
 use matstrat_poslist::{PosList, PosListBuilder, PosVec, Repr};
 use matstrat_storage::{ColumnReader, EncodingKind, Store, TableDelta, Tombstones};
 
-use crate::multicol::{FetchKind, MiniColumn};
-use crate::ops::agg::{aggregate_runs, aggregate_runs_compressed, AggFunc, Aggregator};
+use crate::multicol::MiniColumn;
+use crate::ops::agg::{AggFunc, Aggregator};
 use crate::ops::merge::{merge, Part};
 use crate::ops::probe::ds4_extend;
 use crate::ops::spc::spc_scan;
@@ -217,10 +222,9 @@ fn execute_scan(
         }
     }
 
-    // Output shape. Workers build their own accumulator from the shared
-    // domain so partial aggregates merge representation-for-representation.
+    // Output shape: under an aggregate, the columns its parts carry.
     let name = |c: usize| proj.column(c).map(|ci| ci.name.clone());
-    let (out_cols, agg_domain) = match q.aggregate {
+    let (out_cols, finish) = match q.aggregate {
         Some(a) => {
             let g = proj.column(a.group_col)?;
             // Widen the block-statistics domain with the delta's group
@@ -235,18 +239,21 @@ fn execute_scan(
                 lo = lo.min(v);
                 hi = hi.max(v);
             }
-            (vec![a.group_col, a.value_col], Some((a.func, lo, hi)))
+            let finish = Finish::Aggregate {
+                func: a.func,
+                domain: Some((lo, hi)),
+                group: name(a.group_col)?,
+                value: name(a.value_col)?,
+            };
+            (a.part_columns(), finish)
         }
         None => {
             if q.output.is_empty() {
                 return Err(Error::invalid("non-aggregated query must output columns"));
             }
-            (q.output.clone(), None)
+            let names = q.output.iter().map(|&c| name(c)).collect::<Result<_>>()?;
+            (q.output.clone(), Finish::Merge(names))
         }
-    };
-    let finish = match q.aggregate {
-        Some(a) => Finish::Aggregate(name(a.group_col)?, name(a.value_col)?),
-        None => Finish::Merge(q.output.iter().map(|&c| name(c)).collect::<Result<_>>()?),
     };
 
     // Where each output column sits in an EM tuple (`accessed` order).
@@ -266,7 +273,6 @@ fn execute_scan(
         opts,
         out_cols: &out_cols,
         fields: &fields,
-        agg_domain,
         strategy,
         deletes: delta.as_ref().map_or(&[], |d| d.deletes()),
     };
@@ -277,26 +283,67 @@ fn execute_scan(
         delta.as_deref(),
         opts,
         finish,
-        |span| task.run_span(span),
+        |span, sink| task.run_span(span, sink),
     )
 }
 
-/// One result fragment: everything step 1 produced over one span.
-pub(crate) struct Fragment<'a> {
-    /// One part per granule (per probed span, in a join tree) with
-    /// output rows, in position order.
-    pub(crate) parts: Vec<Part<'a>>,
-    pub(crate) agg: Option<Aggregator>,
-    pub(crate) stats: QueryStats,
-}
-
-/// What step 2 makes of the folded fragments.
+/// What consumes step 1's parts, decided once per statement.
 pub(crate) enum Finish {
     /// One MERGE of the parts into rows of these columns.
     Merge(Vec<String>),
-    /// The folded aggregate's finish, into (group, value) columns of
-    /// these names.
-    Aggregate(String, String),
+    /// A GROUP BY fold of (group, value) parts into `(group, func_value)`
+    /// rows. Groups known to lie in `domain` get the dense accumulator,
+    /// any others the hash map.
+    Aggregate {
+        func: AggFunc,
+        domain: Option<(Value, Value)>,
+        group: String,
+        value: String,
+    },
+}
+
+impl Finish {
+    /// An empty sink for one fragment's parts. Every fragment's partial
+    /// aggregate has the same representation, so partials merge
+    /// representation-for-representation.
+    fn sink<'a>(&self) -> Sink<'a> {
+        match *self {
+            Finish::Merge(_) => Sink::Parts(Vec::new()),
+            Finish::Aggregate { func, domain, .. } => Sink::Fold(match domain {
+                Some((lo, hi)) => Aggregator::with_domain_fn(func, lo, hi),
+                None => Aggregator::new_fn(func),
+            }),
+        }
+    }
+}
+
+/// Where step 1 puts each part as it is made: kept for MERGE, or folded
+/// at once, on the worker that made it, into the fragment's partial
+/// aggregate.
+pub(crate) enum Sink<'a> {
+    Parts(Vec<Part<'a>>),
+    Fold(Aggregator),
+}
+
+impl<'a> Sink<'a> {
+    pub(crate) fn push(&mut self, part: Part<'a>) -> Result<()> {
+        match self {
+            Sink::Parts(parts) => parts.push(part),
+            Sink::Fold(acc) => part.fold(acc)?,
+        }
+        Ok(())
+    }
+
+    /// Append a later fragment's sink: parts concatenate, partial
+    /// aggregates merge.
+    fn absorb(mut self, later: Sink<'a>) -> Sink<'a> {
+        match (&mut self, later) {
+            (Sink::Parts(parts), Sink::Parts(more)) => parts.extend(more),
+            (Sink::Fold(acc), Sink::Fold(partial)) => acc.merge(partial),
+            _ => unreachable!("one finish makes every sink"),
+        }
+        self
+    }
 }
 
 /// Steps 1 and 2 of every read statement: the one driver the scan and
@@ -306,11 +353,12 @@ pub(crate) enum Finish {
 /// on the [`FragmentPipeline`], then once more, serially, over the tail
 /// window of `delta`'s inserted rows, whose fragment lands after every
 /// other — exactly where those rows sit in the table's logical order.
-/// Fragments arrive in global granule order (stealing moves who computes
-/// a granule, never where it lands), so their parts, in turn, are the
-/// serial output's rows in order; partial aggregates merge and stats add
-/// onto `stats` associatively. Step 2 is `finish`. `steals`, `rows_out`
-/// and `wall` (since `t0`) are set last.
+/// Each run of `task` hands its parts to a fresh [`Sink`] of `finish`'s
+/// and returns its stats. Fragments arrive in global granule order
+/// (stealing moves who computes a granule, never where it lands), so
+/// their parts, in turn, are the serial output's rows in order; partial
+/// aggregates merge and stats add onto `stats` associatively. Step 2 is
+/// `finish`. `steals`, `rows_out` and `wall` (since `t0`) are set last.
 pub(crate) fn drive<'a>(
     t0: Instant,
     mut stats: QueryStats,
@@ -318,35 +366,31 @@ pub(crate) fn drive<'a>(
     delta: Option<&TableDelta>,
     opts: &ExecOptions,
     finish: Finish,
-    task: impl Fn(PosRange) -> Result<Fragment<'a>> + Sync,
+    task: impl Fn(PosRange, &mut Sink<'a>) -> Result<QueryStats> + Sync,
 ) -> Result<(QueryResult, QueryStats)> {
     let granule = opts.granule.max(1);
     let pipeline = FragmentPipeline::new(base_rows, granule, opts.parallelism.max(1));
-    let (mut fragments, steals) = pipeline.run(&task)?;
+    let run = |span| {
+        let mut sink = finish.sink();
+        task(span, &mut sink).map(|s| (sink, s))
+    };
+    let (mut fragments, steals) = pipeline.run(run)?;
     if let Some(d) = delta.filter(|d| d.num_inserts() > 0) {
-        fragments.push(task(PosRange::new(base_rows, d.total_rows()))?);
+        fragments.push(run(PosRange::new(base_rows, d.total_rows()))?);
     }
-    let mut parts = Vec::new();
-    let mut agg: Option<Aggregator> = None;
-    for frag in fragments {
-        stats += frag.stats;
-        parts.extend(frag.parts);
-        agg = match (agg, frag.agg) {
-            (Some(mut a), Some(partial)) => {
-                a.merge(partial);
-                Some(a)
-            }
-            (a, partial) => a.or(partial),
-        };
-    }
-    let result = match finish {
-        Finish::Aggregate(group, value) => agg
-            .expect("every aggregate fragment carries an accumulator")
-            .into_result(&group, &value),
-        Finish::Merge(names) => {
+    let all = fragments.into_iter().map(|(sink, s)| {
+        stats += s;
+        sink
+    });
+    let result = match (finish, all.reduce(Sink::absorb)) {
+        (Finish::Merge(names), Some(Sink::Parts(parts))) => {
             let flat = merge(&parts, names.len(), pipeline.workers(), granule as usize)?;
             QueryResult::from_flat(names, flat)
         }
+        (Finish::Aggregate { group, value, .. }, Some(Sink::Fold(acc))) => {
+            acc.into_result(&group, &value)
+        }
+        _ => unreachable!("the pipeline plans at least one span"),
     };
     stats.wall = t0.elapsed();
     stats.rows_out = result.num_rows() as u64;
@@ -448,7 +492,6 @@ struct SpanTask<'a> {
     out_cols: &'a [usize],
     /// Each output column's field in an EM tuple.
     fields: &'a [usize],
-    agg_domain: Option<(AggFunc, Value, Value)>,
     strategy: Strategy,
     /// Deleted positions (sorted), base and tail — each granule filters
     /// its window's slice of them out of the surviving descriptor/tuples.
@@ -457,13 +500,10 @@ struct SpanTask<'a> {
 
 impl<'a> SpanTask<'a> {
     /// The serial granule loop over `span`, exactly as the paper's
-    /// executor runs it over the whole table.
-    fn run_span(&self, span: PosRange) -> Result<Fragment<'a>> {
+    /// executor runs it over the whole table, each granule's part going
+    /// to `sink` as soon as it is made.
+    fn run_span(&self, span: PosRange, sink: &mut Sink<'a>) -> Result<QueryStats> {
         let t0 = Instant::now();
-        let mut agg = self
-            .agg_domain
-            .map(|(func, lo, hi)| Aggregator::with_domain_fn(func, lo, hi));
-        let mut parts = Vec::new();
         // rows_out and steals are set by the driver; io and code_path_ops
         // come from the statement's ledger.
         let mut stats = QueryStats {
@@ -482,23 +522,26 @@ impl<'a> SpanTask<'a> {
                 deletes: deletes_in(self.deletes, window),
             };
             let got = match self.strategy {
-                Strategy::LmParallel => g.lm_parallel(&mut agg)?,
-                Strategy::LmPipelined => g.lm_pipelined(&mut agg)?,
-                Strategy::EmParallel => g.em_parallel(&mut agg)?,
-                Strategy::EmPipelined => g.em_pipelined(&mut agg)?,
+                Strategy::LmParallel => g.lm_parallel()?,
+                Strategy::LmPipelined => g.lm_pipelined()?,
+                Strategy::EmParallel => g.em_parallel()?,
+                Strategy::EmPipelined => g.em_pipelined()?,
             };
             stats.positions_matched += got.matched;
             stats.decompressed_fetch |= got.decompressed;
             stats.zone_skips += got.zone_skips;
-            parts.extend(got.part);
+            if let Some(part) = got.part {
+                sink.push(part)?;
+            }
         }
         stats.wall = t0.elapsed();
-        Ok(Fragment { parts, agg, stats })
+        Ok(stats)
     }
 }
 
-/// Per-granule outcome: counters, and the granule's rows for MERGE
-/// (`None` when it has none or feeds an aggregate).
+/// Per-granule outcome: counters, and the granule's rows (`None` when
+/// it has none).
+#[derive(Default)]
 struct GranuleOut<'f> {
     matched: u64,
     decompressed: bool,
@@ -540,109 +583,63 @@ impl<'a> Granule<'_, 'a> {
             .collect()
     }
 
-    /// Consume the surviving positions: feed the aggregator from the
-    /// compressed group column, or fetch the output columns' blocks and
-    /// hand them, with the descriptor, to MERGE. Returns whether a value
-    /// fetch decompresses (bit-vector), and the granule's part.
-    fn consume_lm(
+    /// LM-parallel: DS1 ∥ DS1 → AND → DS3 ∥ DS3 → MERGE. Survivor
+    /// positions always live in blocks the zone maps kept, so the pruned
+    /// filter minis are safe to re-access for output values.
+    fn lm_parallel(&self) -> Result<GranuleOut<'a>> {
+        let t = self.task;
+        let mut f = filter_window(t.readers, &t.q.filters, self.window, self.deletes, t.opts)?;
+        self.finish_lm(f.desc, &mut f.minis, f.zone_skips)
+    }
+
+    /// Count a granule's surviving positions and, if any, fetch the
+    /// output columns' blocks for them: the granule's part.
+    fn finish_lm(
         &self,
         desc: PosList,
         minis: &mut HashMap<usize, MiniColumn>,
-        agg: &mut Option<Aggregator>,
-    ) -> Result<(bool, Option<Part<'a>>)> {
-        let mut decompressed = false;
-        // Output columns without predicates were not touched by DS1, so
-        // DS3 fetches only the blocks holding survivors (§3.6) — skipping
-        // whole blocks is the LM I/O win on selective queries.
-        let fetch_mini =
-            |col: usize, minis: &mut HashMap<usize, MiniColumn>| -> Result<MiniColumn> {
+        zone_skips: u64,
+    ) -> Result<GranuleOut<'a>> {
+        let matched = desc.count();
+        if matched == 0 {
+            return Ok(GranuleOut {
+                zone_skips,
+                ..GranuleOut::default()
+            });
+        }
+        let out = self
+            .task
+            .out_cols
+            .iter()
+            .map(|&col| {
                 if self.task.opts.multicolumn_reuse {
                     if let Some(m) = minis.get(&col) {
                         return Ok(m.clone()); // multi-column re-access: no I/O
                     }
                 }
+                // Output columns without predicates were not touched by
+                // DS1, so DS3 fetches only the blocks holding survivors
+                // (§3.6) — skipping whole blocks is the LM I/O win on
+                // selective queries.
                 let m = MiniColumn::fetch_selective(self.reader(col), self.window, &desc)?;
                 minis.insert(col, m.clone());
                 Ok(m)
-            };
-        match self.task.q.aggregate {
-            Some(a) => {
-                let gmini = fetch_mini(a.group_col, minis)?;
-                if a.func.needs_values() {
-                    let vmini = fetch_mini(a.value_col, minis)?;
-                    if vmini.runs_without_decode() {
-                        // Compressed execution: the RLE value column is
-                        // consumed run-at-a-time — no value vector is
-                        // ever materialized. Same blocks were fetched,
-                        // so I/O accounting is unchanged; the result is
-                        // byte-identical (see `aggregate_runs_compressed`).
-                        aggregate_runs_compressed(
-                            &desc,
-                            &gmini,
-                            &vmini,
-                            agg.as_mut().expect("agg set"),
-                        )?;
-                    } else {
-                        let mut vals = Vec::with_capacity(desc.count() as usize);
-                        if vmini.fetch_values(&desc, &mut vals)? == FetchKind::Decompressed {
-                            decompressed = true;
-                        }
-                        aggregate_runs(&desc, &gmini, &vals, agg.as_mut().expect("agg set"))?;
-                    }
-                } else {
-                    // COUNT never touches the value column — an LM-only win.
-                    aggregate_runs(&desc, &gmini, &[], agg.as_mut().expect("agg set"))?;
-                }
-                Ok((decompressed, None))
-            }
-            None => {
-                let minis = self
-                    .task
-                    .out_cols
-                    .iter()
-                    .map(|&c| fetch_mini(c, minis))
-                    .collect::<Result<Vec<_>>>()?;
-                // MERGE decompresses exactly when a block cannot gather.
-                let decompressed = minis.iter().any(|m| !m.supports_position_fetch());
-                Ok((decompressed, Some(Part::Late { desc, minis })))
-            }
-        }
-    }
-
-    /// LM-parallel: DS1 ∥ DS1 → AND → DS3 ∥ DS3 → MERGE. Survivor
-    /// positions always live in blocks the zone maps kept, so the pruned
-    /// filter minis are safe to re-access for output values.
-    fn lm_parallel(&self, agg: &mut Option<Aggregator>) -> Result<GranuleOut<'a>> {
-        let t = self.task;
-        let mut f = filter_window(t.readers, &t.q.filters, self.window, self.deletes, t.opts)?;
-        self.finish_lm(f.desc, &mut f.minis, agg, f.zone_skips)
-    }
-
-    /// Count a granule's surviving positions and, if any, consume them.
-    fn finish_lm(
-        &self,
-        desc: PosList,
-        minis: &mut HashMap<usize, MiniColumn>,
-        agg: &mut Option<Aggregator>,
-        zone_skips: u64,
-    ) -> Result<GranuleOut<'a>> {
-        let matched = desc.count();
-        let (decompressed, part) = if matched == 0 {
-            (false, None)
-        } else {
-            self.consume_lm(desc, minis, agg)?
-        };
+            })
+            .collect::<Result<Vec<_>>>()?;
+        // A value fetch decompresses exactly when a block cannot gather.
+        // An aggregate's group column is consumed by runs, not fetched.
+        let fetched = &out[self.task.q.aggregate.is_some() as usize..];
         Ok(GranuleOut {
             matched,
-            decompressed,
+            decompressed: fetched.iter().any(|m| !m.supports_position_fetch()),
             zone_skips,
-            part,
+            part: Some(Part::Late { desc, minis: out }),
         })
     }
 
     /// LM-pipelined: DS1 → (DS1 within the descriptor's ranges, or
     /// DS3 + filter)* → DS3 outputs.
-    fn lm_pipelined(&self, agg: &mut Option<Aggregator>) -> Result<GranuleOut<'a>> {
+    fn lm_pipelined(&self) -> Result<GranuleOut<'a>> {
         // The first filter's DS1 is the LM-parallel step over one filter
         // (every position, with none).
         let t = self.task;
@@ -680,11 +677,11 @@ impl<'a> Granule<'_, 'a> {
             };
         }
         let desc = drop_deleted(desc, self.deletes, self.window, t.opts.force_repr);
-        self.finish_lm(desc, minis, agg, f.zone_skips)
+        self.finish_lm(desc, minis, f.zone_skips)
     }
 
     /// EM-parallel: SPC leaf over all accessed columns.
-    fn em_parallel(&self, agg: &mut Option<Aggregator>) -> Result<GranuleOut<'a>> {
+    fn em_parallel(&self) -> Result<GranuleOut<'a>> {
         // Read every accessed column in full — EM-parallel never skips.
         let mut spc_cols: Vec<(MiniColumn, Option<Predicate>)> =
             Vec::with_capacity(self.task.accessed.len());
@@ -715,12 +712,12 @@ impl<'a> Granule<'_, 'a> {
             matched,
             decompressed: out.decompressed,
             zone_skips: 0, // EM reads every block by definition
-            part: consume_em(out.tuples, out.width, self.task.fields, agg),
+            part: self.em_part(out.tuples, out.width),
         })
     }
 
     /// EM-pipelined: DS2 leaf, DS4 probes for every later column.
-    fn em_pipelined(&self, agg: &mut Option<Aggregator>) -> Result<GranuleOut<'a>> {
+    fn em_pipelined(&self) -> Result<GranuleOut<'a>> {
         let first_col = self.task.accessed[0];
         let mini = MiniColumn::fetch(self.reader(first_col), self.window)?;
         let mut preds = self.preds_for(first_col);
@@ -760,46 +757,25 @@ impl<'a> Granule<'_, 'a> {
                 });
             }
         }
-        let matched = positions.len() as u64;
-        let part = if matched > 0 {
-            // Tuples may be narrower than `accessed` if we broke early —
-            // but break only happens when positions is empty.
-            debug_assert_eq!(width, self.task.accessed.len());
-            consume_em(tuples, width, self.task.fields, agg)
-        } else {
-            None
-        };
+        // Tuples are narrower than `accessed` only after an early break,
+        // which leaves no rows.
+        debug_assert!(positions.is_empty() || width == self.task.accessed.len());
         Ok(GranuleOut {
-            matched,
+            matched: positions.len() as u64,
             decompressed: false,
             zone_skips: 0, // EM reads every block by definition
-            part,
+            part: self.em_part(tuples, width),
         })
     }
-}
 
-/// Consume constructed tuples (`width` values per row, output column `c`
-/// at field `fields[c]`): aggregate them tuple-at-a-time — the EM agg
-/// path, over `(group, value)` fields — or hand them to MERGE.
-fn consume_em<'f>(
-    tuples: Vec<Value>,
-    width: usize,
-    fields: &'f [usize],
-    agg: &mut Option<Aggregator>,
-) -> Option<Part<'f>> {
-    match agg {
-        Some(a) => {
-            for row in tuples.chunks_exact(width) {
-                a.add(row[fields[0]], row[fields[1]]);
-            }
-            None
-        }
-        None if tuples.is_empty() => None,
-        None => Some(Part::Tuples {
+    /// The granule's constructed tuples (`width` values per row) as its
+    /// part, when there are any.
+    fn em_part(&self, tuples: Vec<Value>, width: usize) -> Option<Part<'a>> {
+        (!tuples.is_empty()).then_some(Part::Tuples {
             tuples,
             width,
-            fields,
-        }),
+            fields: self.task.fields,
+        })
     }
 }
 

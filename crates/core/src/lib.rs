@@ -16,10 +16,10 @@
 //!   position list, the lists are intersected with word-wise ANDs, and
 //!   values are stitched at the very top.
 //!
-//! Late-materialization plans communicate via [`MultiColumn`]s (§3.6):
-//! a covering position range, compressed mini-columns referencing
-//! buffer-pool blocks, and a position descriptor in one of the three
-//! representations of `matstrat-poslist`.
+//! Late-materialization plans communicate via §3.6 multi-columns: a
+//! position descriptor in one of the three representations of
+//! `matstrat-poslist`, and compressed [`MiniColumn`]s referencing
+//! buffer-pool blocks.
 //!
 //! The [`Database`] facade ties storage, execution, the §4.3 join
 //! strategies, and the model-driven [`planner`] together.
@@ -37,7 +37,7 @@ pub mod strategy;
 
 pub use db::{delete_where, Database, QueryOutcome, QueryPlan};
 pub use exec::{default_parallelism, execute_with_options, ExecOptions};
-pub use multicol::{MiniColumn, MultiColumn};
+pub use multicol::MiniColumn;
 pub use ops::agg::AggFunc;
 pub use ops::join::{InnerStrategy, JoinSpec};
 pub use ops::join_tree::{hash_join_tree_with_options, JoinTreePlan};

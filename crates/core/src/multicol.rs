@@ -1,11 +1,13 @@
-//! Mini-columns and multi-columns (§3.6, Figure 9).
+//! Mini-columns (§3.6, Figure 9).
 //!
 //! A **mini-column** is "the set of corresponding values for a specified
 //! position range of a particular attribute", kept compressed: here, a
 //! window over one column plus `Arc`s to the buffer-pool blocks that
 //! cover it. A **multi-column** bundles mini-columns of several
 //! attributes over one covering range with a *position descriptor*
-//! saying which positions are still valid.
+//! saying which positions are still valid; the executor's are
+//! `exec::Filtered` (the LM filter step's AND of them) and `Part::Late`
+//! (a granule's output columns, for MERGE or the aggregate).
 //!
 //! Mini-columns are the unit of sharing in the parallel executor: the
 //! backing blocks are immutable `Arc`s into the buffer pool, so cloning a
@@ -14,7 +16,6 @@
 //! mini-column cache for its own granules — reuse is strictly
 //! worker-local, so no mutable state ever crosses threads.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use matstrat_common::{Error, Pos, PosRange, Predicate, Result, Value};
@@ -39,13 +40,12 @@ pub struct MiniColumn {
     blocks: Vec<Arc<EncodedBlock>>,
 }
 
-// The parallel executor hands mini-/multi-columns to scoped worker
-// threads; losing these bounds (e.g. by caching a `Cell` or `Rc` inside a
-// block) would silently break it, so assert them at compile time.
+// The parallel executor hands mini-columns to scoped worker threads;
+// losing these bounds (e.g. by caching a `Cell` or `Rc` inside a block)
+// would silently break it, so assert them at compile time.
 const fn _assert_send_sync<T: Send + Sync>() {}
 const _: () = {
     _assert_send_sync::<MiniColumn>();
-    _assert_send_sync::<MultiColumn>();
 };
 
 impl MiniColumn {
@@ -548,115 +548,6 @@ impl MiniColumn {
     }
 }
 
-/// A horizontal partition of several attributes plus a position
-/// descriptor (§3.6).
-#[derive(Debug, Clone)]
-pub struct MultiColumn {
-    /// Covering position range of the partition.
-    covering: PosRange,
-    /// Which positions within `covering` remain valid.
-    descriptor: PosList,
-    /// Mini-columns by column index. `BTreeMap` keeps deterministic
-    /// iteration order for tests and output.
-    minis: BTreeMap<usize, MiniColumn>,
-}
-
-impl MultiColumn {
-    /// A multi-column with all positions of `covering` valid and no
-    /// attributes yet.
-    pub fn new(covering: PosRange) -> MultiColumn {
-        MultiColumn {
-            covering,
-            descriptor: PosList::full(covering),
-            minis: BTreeMap::new(),
-        }
-    }
-
-    /// A multi-column with an explicit descriptor.
-    pub fn with_descriptor(covering: PosRange, descriptor: PosList) -> MultiColumn {
-        MultiColumn {
-            covering,
-            descriptor,
-            minis: BTreeMap::new(),
-        }
-    }
-
-    /// Attach a mini-column for attribute `col`.
-    pub fn add_mini(&mut self, col: usize, mini: MiniColumn) {
-        self.minis.insert(col, mini);
-    }
-
-    /// The covering range.
-    pub fn covering(&self) -> PosRange {
-        self.covering
-    }
-
-    /// The position descriptor.
-    pub fn descriptor(&self) -> &PosList {
-        &self.descriptor
-    }
-
-    /// Replace the descriptor (predicate application: "the mini-column
-    /// remains untouched").
-    pub fn set_descriptor(&mut self, descriptor: PosList) {
-        self.descriptor = descriptor;
-    }
-
-    /// The attached mini-column for `col`, if any.
-    pub fn mini(&self, col: usize) -> Option<&MiniColumn> {
-        self.minis.get(&col)
-    }
-
-    /// Attribute indices present.
-    pub fn columns(&self) -> impl Iterator<Item = usize> + '_ {
-        self.minis.keys().copied()
-    }
-
-    /// The degree (number of attached attributes).
-    pub fn degree(&self) -> usize {
-        self.minis.len()
-    }
-
-    /// Number of valid positions.
-    pub fn valid_count(&self) -> u64 {
-        self.descriptor.count()
-    }
-
-    /// AND two multi-columns (§3.6): the result covers the intersection
-    /// of the covering ranges, its descriptor is the AND of the
-    /// descriptors, and its mini-column set is the union (copying `Arc`s,
-    /// "a zero-cost operation").
-    pub fn and(mut self, other: MultiColumn) -> MultiColumn {
-        let covering = self.covering.intersect(&other.covering);
-        let descriptor = self.descriptor.and(&other.descriptor);
-        let mut minis = std::mem::take(&mut self.minis);
-        for (col, mini) in other.minis {
-            minis.entry(col).or_insert(mini);
-        }
-        MultiColumn {
-            covering,
-            descriptor,
-            minis,
-        }
-    }
-
-    /// AND a whole set of multi-columns; `window` is the identity
-    /// covering when the set is empty.
-    pub fn and_many(mcs: Vec<MultiColumn>, window: PosRange) -> MultiColumn {
-        let mut iter = mcs.into_iter();
-        match iter.next() {
-            None => MultiColumn::new(window),
-            Some(first) => iter.fold(first, MultiColumn::and),
-        }
-    }
-
-    /// Collapse to listed positions (§3.6): the descriptor becomes an
-    /// explicit position list. Useful when few positions remain valid.
-    pub fn collapse(&mut self) {
-        self.descriptor = PosList::Explicit(self.descriptor.to_explicit());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -824,46 +715,6 @@ mod tests {
             vec![(0, 250, 300), (1, 300, 600), (2, 600, 900), (3, 900, 950)]
         );
         let _ = a;
-    }
-
-    #[test]
-    fn multicolumn_and_unions_minis_and_intersects_descriptors() {
-        let (store, id, ..) = setup();
-        let ra = store.reader(id, 0).unwrap();
-        let rb = store.reader(id, 1).unwrap();
-        let w = PosRange::new(0, 1000);
-        let ma = MiniColumn::fetch(&ra, w).unwrap();
-        let mb = MiniColumn::fetch(&rb, w).unwrap();
-        let pa = ma.scan_positions(&Predicate::lt(2)); // a < 2 → pos 0..600
-        let pb = mb.scan_positions(&Predicate::eq(0)); // b == 0 → multiples of 7
-        let mut mca = MultiColumn::with_descriptor(w, pa);
-        mca.add_mini(0, ma);
-        let mut mcb = MultiColumn::with_descriptor(w, pb);
-        mcb.add_mini(1, mb);
-        let mc = mca.and(mcb);
-        assert_eq!(mc.degree(), 2);
-        assert_eq!(mc.covering(), w);
-        let expected: Vec<Pos> = (0..600).filter(|p| p % 7 == 0).collect();
-        assert_eq!(mc.descriptor().to_vec(), expected);
-        assert!(mc.mini(0).is_some() && mc.mini(1).is_some());
-        assert_eq!(mc.columns().collect::<Vec<_>>(), vec![0, 1]);
-    }
-
-    #[test]
-    fn and_many_empty_is_full_window() {
-        let w = PosRange::new(0, 100);
-        let mc = MultiColumn::and_many(vec![], w);
-        assert_eq!(mc.valid_count(), 100);
-        assert_eq!(mc.degree(), 0);
-    }
-
-    #[test]
-    fn collapse_to_listed_positions() {
-        let w = PosRange::new(0, 100);
-        let mut mc = MultiColumn::with_descriptor(w, PosList::full(PosRange::new(5, 8)));
-        mc.collapse();
-        assert!(matches!(mc.descriptor(), PosList::Explicit(_)));
-        assert_eq!(mc.descriptor().to_vec(), vec![5, 6, 7]);
     }
 
     #[test]

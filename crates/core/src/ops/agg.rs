@@ -1,13 +1,16 @@
-//! GROUP BY aggregation, in both input shapes.
+//! GROUP BY aggregation, over every shape of part step 1 leaves.
 //!
-//! Early-materialization plans hand the aggregator constructed tuples; it
-//! pays a tuple-iterator step per input row ([`Aggregator::add`]).
-//! Late-materialization plans hand it a position descriptor, the
-//! compressed group column, and the summed values — the aggregator then
-//! consumes whole *runs* of the group column at a time
-//! ([`aggregate_runs`]), which is the §4.2 "operate directly on
-//! compressed data" win: an RLE run of 10,000 equal group values costs
-//! one accumulator update per run boundary, not 10,000.
+//! Under an aggregate, a statement's parts (`Part`, see
+//! [`crate::ops::merge`]) carry the group column, then the value column
+//! when the function reads values, and each folds into a partial
+//! accumulator the moment it is made (`Part::fold`). Early-materialization
+//! plans leave constructed tuples, which pay a tuple-iterator step per
+//! row ([`Aggregator::add`]). Late-materialization plans leave a position
+//! descriptor and the compressed columns, whose *runs* of equal group
+//! values are consumed whole ([`aggregate_runs`]) — the §4.2 "operate
+//! directly on compressed data" win: an RLE run of 10,000 equal group
+//! values costs one accumulator update per run boundary, not 10,000. A
+//! join tree leaves gathered columns, folded by runs of equal groups.
 //!
 //! The paper's experiments use SUM; COUNT, MIN and MAX are provided as
 //! extensions (COUNT additionally lets LM plans skip fetching the value
@@ -19,6 +22,7 @@ use matstrat_common::{PosRange, Result, Value};
 use matstrat_poslist::PosList;
 
 use crate::multicol::MiniColumn;
+use crate::ops::merge::Part;
 use crate::query::QueryResult;
 
 /// Upper bound on the dense-array domain span (8 Mi groups ≈ 64 MB).
@@ -270,6 +274,50 @@ impl Aggregator {
 impl Default for Aggregator {
     fn default() -> Aggregator {
         Aggregator::new()
+    }
+}
+
+impl Part<'_> {
+    /// Fold this part's rows — group column first, then the value column
+    /// unless the function is COUNT — into `acc`.
+    pub(crate) fn fold(&self, acc: &mut Aggregator) -> Result<()> {
+        match self {
+            Part::Late { desc, minis } => match minis.get(1) {
+                // COUNT never touches the value column — an LM-only win.
+                None => aggregate_runs(desc, &minis[0], &[], acc),
+                // Compressed execution: an RLE value column is consumed
+                // run-at-a-time, and no value vector is materialized.
+                Some(vals) if vals.runs_without_decode() => {
+                    aggregate_runs_compressed(desc, &minis[0], vals, acc)
+                }
+                Some(vals) => {
+                    let mut v = Vec::with_capacity(desc.count() as usize);
+                    vals.fetch_values(desc, &mut v)?;
+                    aggregate_runs(desc, &minis[0], &v, acc)
+                }
+            },
+            Part::Tuples {
+                tuples,
+                width,
+                fields,
+            } => {
+                for row in tuples.chunks_exact(*width) {
+                    acc.add(row[fields[0]], fields.get(1).map_or(0, |&f| row[f]));
+                }
+                Ok(())
+            }
+            Part::Columns(cols) => {
+                let mut at = 0;
+                for run in cols[0].chunk_by(|a, b| a == b) {
+                    match cols.get(1) {
+                        Some(vals) => acc.add_slice(run[0], &vals[at..at + run.len()]),
+                        None => acc.add_count(run[0], run.len() as u64),
+                    }
+                    at += run.len();
+                }
+                Ok(())
+            }
+        }
     }
 }
 
@@ -562,6 +610,70 @@ mod tests {
                 "compressed path must charge the code-op ledger"
             );
             assert_eq!(compressed.finish(), decoded.finish(), "{func:?}");
+        }
+    }
+
+    #[test]
+    fn every_part_shape_folds_to_the_same_groups() {
+        // The same rows as a late-materialized part (RLE values, taking
+        // the compressed path, and Plain values), as constructed tuples
+        // and as gathered columns.
+        let store = Store::in_memory();
+        let g: Vec<Value> = (0..2000).map(|i| i / 70).collect();
+        let v: Vec<Value> = (0..2000).map(|i| (i / 45) % 6 - 2).collect();
+        let spec = ProjectionSpec::new("t")
+            .column("g", EncodingKind::Rle, SortOrder::Primary)
+            .column("v", EncodingKind::Rle, SortOrder::None)
+            .column("p", EncodingKind::Plain, SortOrder::None);
+        let id = store.load_projection(&spec, &[&g, &v, &v]).unwrap();
+        let window = PosRange::new(0, 2000);
+        let mini = |c| MiniColumn::fetch(&store.reader(id, c).unwrap(), window).unwrap();
+        let desc = mini(1).scan_positions(&Predicate::ne(1));
+        let (groups, vals): (Vec<Value>, Vec<Value>) =
+            desc.iter().map(|p| (g[p as usize], v[p as usize])).unzip();
+        let tuples: Vec<Value> = groups
+            .iter()
+            .zip(&vals)
+            .flat_map(|(&g, &v)| [v, -1, g])
+            .collect();
+        for func in [AggFunc::Sum, AggFunc::Count, AggFunc::Min, AggFunc::Max] {
+            let cols = |c: &[usize]| c.iter().map(|&c| mini(c)).collect::<Vec<_>>();
+            let (late, plain, fields) = if func.needs_values() {
+                (cols(&[0, 1]), cols(&[0, 2]), &[2, 0][..])
+            } else {
+                (cols(&[0]), cols(&[0]), &[2][..])
+            };
+            let mut columns = vec![groups.clone()];
+            columns.extend(Some(vals.clone()).filter(|_| func.needs_values()));
+            let parts = [
+                Part::Late {
+                    desc: desc.clone(),
+                    minis: late,
+                },
+                Part::Late {
+                    desc: desc.clone(),
+                    minis: plain,
+                },
+                Part::Tuples {
+                    tuples: tuples.clone(),
+                    width: 3,
+                    fields,
+                },
+                Part::Columns(columns),
+            ];
+            let folded: Vec<Vec<(Value, Value)>> = parts
+                .iter()
+                .enumerate()
+                .map(|(i, part)| {
+                    let io = matstrat_common::QueryIo::new();
+                    let mut acc = Aggregator::with_domain_fn(func, 0, 30);
+                    io.run(|| part.fold(&mut acc)).unwrap();
+                    let compressed = i == 0 && func.needs_values();
+                    assert_eq!(io.code_ops() > 0, compressed, "{func:?} part {i}");
+                    acc.finish()
+                })
+                .collect();
+            assert!(folded.iter().all(|f| *f == folded[0]), "{func:?}");
         }
     }
 

@@ -12,10 +12,14 @@
 //! with a merge on the sorted (possibly duplicated) base positions,
 //! right columns per edge through the three inner-table representations
 //! of [`crate::ops::join`] — and a span hands its columns, unstitched,
-//! to the statement's one MERGE ([`crate::ops::merge`]), the same
-//! assembly the scan executor uses, which writes each value once into
-//! its row of the result. That is the paper's late-materialization
-//! discipline carried across a whole join tree.
+//! as one part to whatever the statement's driver consumes parts with:
+//! the one MERGE ([`crate::ops::merge`]) the scan executor uses, which
+//! writes each value once into its row of the result, or, under an
+//! aggregate, the fold every scan part goes through. An aggregate's
+//! span fetches only the group column and, unless the function is
+//! COUNT, the value column; its other output columns are never read.
+//! That is the paper's late-materialization discipline carried across a
+//! whole join tree.
 //!
 //! # Build caching
 //!
@@ -74,15 +78,14 @@ use std::time::Instant;
 use matstrat_common::{Error, Pos, PosRange, Predicate, Result, TableId, Value};
 use matstrat_storage::{ColumnReader, Store};
 
-use crate::exec::{deletes_in, drive, filter_window, ExecOptions, Finish, Fragment};
+use crate::exec::{deletes_in, drive, filter_window, ExecOptions, Finish, Sink};
 use crate::multicol::MiniColumn;
-use crate::ops::agg::Aggregator;
 use crate::ops::join::{
     decode_snapshot, fetch_codes_expanded, fetch_expanded, BuildReducer, InnerRep, InnerStrategy,
     SharedBuild,
 };
 use crate::ops::merge::Part;
-use crate::query::{metered, AggSpec, JoinKeySource, JoinTreeSpec, QueryResult, QueryStats};
+use crate::query::{metered, JoinKeySource, JoinTreeSpec, QueryResult, QueryStats};
 
 /// How a [`JoinTreeSpec`] is to be executed: the edge order, one inner
 /// strategy per edge, which snowflake edges run **bushy** (their
@@ -282,39 +285,12 @@ impl Builds<'_> {
 }
 
 /// Where one flat spec-order output column's values come from.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq)]
 enum OutCol {
-    /// Index into edge 0's `left_output` (a base column).
+    /// Base column `col`.
     Base(usize),
-    /// Column `col` of edge `spec_idx`'s right output.
-    Edge { spec_idx: usize, col: usize },
-}
-
-/// Resolve flat output index `idx` (validated < output width) to its
-/// source column.
-fn resolve_out_col(spec: &JoinTreeSpec, idx: usize) -> OutCol {
-    let base_w = spec.edges[0].left_output.len();
-    if idx < base_w {
-        return OutCol::Base(idx);
-    }
-    let mut off = base_w;
-    for (ei, e) in spec.edges.iter().enumerate() {
-        if idx < off + e.right_output.len() {
-            return OutCol::Edge {
-                spec_idx: ei,
-                col: idx - off,
-            };
-        }
-        off += e.right_output.len();
-    }
-    unreachable!("output index validated against output_width")
-}
-
-/// The aggregate's columns resolved to their fetch sources.
-struct AggCols {
-    spec: AggSpec,
-    group: OutCol,
-    value: OutCol,
+    /// Column `col` of the right output of the edge run in `slot`.
+    Edge { slot: usize, col: usize },
 }
 
 /// Execute the tree under an explicit [`JoinTreePlan`] and
@@ -440,28 +416,37 @@ fn execute_tree(
     {
         base_readers.insert(c, store.reader_for(&base_info, base_delta.as_ref(), c)?);
     }
+    // Every output column's source, in spec order. Under an aggregate
+    // (its columns validated by `spec.validate`) only the columns its
+    // parts carry are fetched.
+    let mut all: Vec<OutCol> = edge0.left_output.iter().map(|&c| OutCol::Base(c)).collect();
+    for (ei, e) in spec.edges.iter().enumerate() {
+        let slot = spec_to_slot[ei];
+        all.extend((0..e.right_output.len()).map(|col| OutCol::Edge { slot, col }));
+    }
+    let (out, finish) = match spec.aggregate {
+        Some(a) => {
+            let finish = Finish::Aggregate {
+                func: a.func,
+                domain: None,
+                group: names[a.group_col].clone(),
+                value: names[a.value_col].clone(),
+            };
+            (a.part_columns().iter().map(|&i| all[i]).collect(), finish)
+        }
+        None => (all, Finish::Merge(names)),
+    };
     let task = TreeTask {
         spec,
         runs: &runs,
-        spec_to_slot: &spec_to_slot,
+        out,
         base_readers,
         deletes: base_delta.as_ref().map_or(&[], |d| d.deletes()),
-        // The aggregate's columns, resolved once (validated by
-        // `spec.validate`).
-        agg: spec.aggregate.map(|a| AggCols {
-            spec: a,
-            group: resolve_out_col(spec, a.group_col),
-            value: resolve_out_col(spec, a.value_col),
-        }),
         // Forced position-list representations are a scan ablation.
         opts: ExecOptions {
             force_repr: None,
             ..*opts
         },
-    };
-    let finish = match spec.aggregate {
-        Some(a) => Finish::Aggregate(names[a.group_col].clone(), names[a.value_col].clone()),
-        None => Finish::Merge(names),
     };
 
     // ---- Probe phase: span-parallel over the base table -----------------
@@ -472,7 +457,7 @@ fn execute_tree(
         base_delta.as_deref(),
         opts,
         finish,
-        |span| task.run_span(span),
+        |span, sink| task.run_span(span, sink),
     )
 }
 
@@ -481,21 +466,20 @@ fn execute_tree(
 struct TreeTask<'a> {
     spec: &'a JoinTreeSpec,
     runs: &'a [EdgeRun],
-    spec_to_slot: &'a [usize],
+    /// The statement's output columns, in order.
+    out: Vec<OutCol>,
     /// The base table's filter and output columns' readers, by column.
     base_readers: HashMap<usize, ColumnReader>,
     /// The base table's deleted positions, sorted.
     deletes: &'a [u64],
-    agg: Option<AggCols>,
     opts: ExecOptions,
 }
 
 impl TreeTask<'_> {
     /// Run the full filter→probe→…→probe→fetch pipeline over one
-    /// base-table span, returning the span's output columns for MERGE —
-    /// or, under an aggregate, a partial accumulator built from just the
-    /// group and value columns (everything else is never fetched).
-    fn run_span(&self, span: PosRange) -> Result<Fragment<'static>> {
+    /// base-table span, handing the span's output columns to `sink` as
+    /// one part.
+    fn run_span(&self, span: PosRange, sink: &mut Sink<'_>) -> Result<QueryStats> {
         let edge0 = &self.spec.edges[0];
         // ---- Base side: the scan's LM-parallel filter step ---------------
         // Deleted rows never reach the probes (nor any value fetch).
@@ -566,88 +550,37 @@ impl TreeTask<'_> {
             rights.push(this_right);
         }
 
-        // ---- Aggregate mode: fold, never stitch ---------------------------
-        // Only the group column (and the value column, when the function
-        // reads values) are ever materialized; the other output columns
-        // are never fetched. Adjacent equal groups fold as one run.
-        if let Some(ac) = &self.agg {
-            let mut gathered: Vec<Option<Vec<Vec<Value>>>> = vec![None; self.runs.len()];
-            let groups = self.fetch_out_col(ac.group, &base_pos, &rights, span, &mut gathered)?;
-            let counting = !ac.spec.func.needs_values();
-            let vals = if counting {
-                Vec::new()
-            } else {
-                self.fetch_out_col(ac.value, &base_pos, &rights, span, &mut gathered)?
-            };
-            let mut acc = Aggregator::new_fn(ac.spec.func);
-            let mut at = 0;
-            for run in groups.chunk_by(|a, b| a == b) {
-                if counting {
-                    acc.add_count(run[0], run.len() as u64);
-                } else {
-                    acc.add_slice(run[0], &vals[at..at + run.len()]);
-                }
-                at += run.len();
-            }
-            return Ok(Fragment {
-                parts: Vec::new(),
-                agg: Some(acc),
-                stats,
-            });
-        }
-
         // ---- Value fetch, once, at the top --------------------------------
         // Base output values merge on the sorted (duplicated) positions;
-        // right output values come per edge, by that edge's strategy.
-        // Columns go to MERGE in spec order, which stitches them into the
-        // result's rows.
-        let mut cols: Vec<Vec<Value>> = Vec::with_capacity(self.spec.output_width());
-        for c in &edge0.left_output {
-            let mini = MiniColumn::fetch(&self.base_readers[c], span)?;
-            cols.push(fetch_expanded(&mini, &base_pos)?);
-        }
-        for &slot in self.spec_to_slot {
-            cols.extend(self.runs[slot].rep.gather(&rights[slot])?);
-        }
-        let parts = if base_pos.is_empty() {
-            Vec::new()
-        } else {
-            vec![Part::Columns(cols)]
-        };
-        Ok(Fragment {
-            parts,
-            agg: None,
-            stats,
-        })
-    }
-
-    /// Materialize one output column of the join tree for the current
-    /// intermediate: a base column merges on the (sorted, duplicated) base
-    /// positions; an edge column gathers through that edge's inner
-    /// representation, memoized per slot so a group and value on the same
-    /// edge gather once.
-    fn fetch_out_col(
-        &self,
-        oc: OutCol,
-        base_pos: &[Pos],
-        rights: &[Vec<u32>],
-        span: PosRange,
-        gathered: &mut [Option<Vec<Vec<Value>>>],
-    ) -> Result<Vec<Value>> {
-        match oc {
-            OutCol::Base(i) => {
-                let col = self.spec.edges[0].left_output[i];
-                let mini = MiniColumn::fetch(&self.base_readers[&col], span)?;
-                fetch_expanded(&mini, base_pos)
-            }
-            OutCol::Edge { spec_idx, col } => {
-                let slot = self.spec_to_slot[spec_idx];
-                if gathered[slot].is_none() {
-                    gathered[slot] = Some(self.runs[slot].rep.gather(&rights[slot])?);
+        // right output values come per edge, by that edge's strategy,
+        // every column of an edge in one gather.
+        let mut gathered: Vec<Option<Vec<Vec<Value>>>> = vec![None; self.runs.len()];
+        let mut cols: Vec<Vec<Value>> = Vec::with_capacity(self.out.len());
+        for (i, oc) in self.out.iter().enumerate() {
+            cols.push(match *oc {
+                OutCol::Base(c) => {
+                    let mini = MiniColumn::fetch(&self.base_readers[&c], span)?;
+                    fetch_expanded(&mini, &base_pos)?
                 }
-                Ok(gathered[slot].as_ref().unwrap()[col].clone())
-            }
+                OutCol::Edge { slot, col } => {
+                    if gathered[slot].is_none() {
+                        gathered[slot] = Some(self.runs[slot].rep.gather(&rights[slot])?);
+                    }
+                    let values = &mut gathered[slot].as_mut().expect("gathered above")[col];
+                    // Moved, unless a later output (an aggregate's value
+                    // column that is also its group) wants it again.
+                    if self.out[i + 1..].contains(oc) {
+                        values.clone()
+                    } else {
+                        std::mem::take(values)
+                    }
+                }
+            });
         }
+        if !base_pos.is_empty() {
+            sink.push(Part::Columns(cols))?;
+        }
+        Ok(stats)
     }
 }
 
@@ -978,30 +911,34 @@ mod tests {
         let (store, spec) = setup();
         let inners = [InnerStrategy::MultiColumn; 3];
         let flat = hash_join_tree(&store, &spec, &inners).unwrap();
-        // GROUP BY nationkey (col 1), aggregate over dname (col 2).
-        for func in [AggFunc::Sum, AggFunc::Count, AggFunc::Min, AggFunc::Max] {
-            let agg_spec = spec.clone().aggregate_fn(1, 2, func);
-            let got = hash_join_tree(&store, &agg_spec, &inners).unwrap();
-            let mut groups: std::collections::BTreeMap<Value, Vec<Value>> =
-                std::collections::BTreeMap::new();
-            for row in flat.rows() {
-                groups.entry(row[1]).or_default().push(row[2]);
+        // GROUP BY nationkey (col 1), aggregate over dname (col 2); then
+        // group and value as one edge column, a base column against an
+        // edge column and back, and one edge's two columns.
+        for (g, v) in [(1, 2), (1, 1), (0, 3), (3, 0), (2, 2)] {
+            for func in [AggFunc::Sum, AggFunc::Count, AggFunc::Min, AggFunc::Max] {
+                let agg_spec = spec.clone().aggregate_fn(g, v, func);
+                let got = hash_join_tree(&store, &agg_spec, &inners).unwrap();
+                let mut groups: std::collections::BTreeMap<Value, Vec<Value>> =
+                    std::collections::BTreeMap::new();
+                for row in flat.rows() {
+                    groups.entry(row[g]).or_default().push(row[v]);
+                }
+                let want: Vec<Vec<Value>> = groups
+                    .into_iter()
+                    .map(|(g, vs)| {
+                        let v = match func {
+                            AggFunc::Sum => vs.iter().sum(),
+                            AggFunc::Count => vs.len() as Value,
+                            AggFunc::Min => *vs.iter().min().unwrap(),
+                            AggFunc::Max => *vs.iter().max().unwrap(),
+                        };
+                        vec![g, v]
+                    })
+                    .collect();
+                let rows: Vec<Vec<Value>> = got.rows().map(|r| r.to_vec()).collect();
+                assert_eq!(rows, want, "{g} {v} {func:?}");
+                assert_eq!(got.column_names[0], flat.column_names[g], "{func:?}");
             }
-            let want: Vec<Vec<Value>> = groups
-                .into_iter()
-                .map(|(g, vs)| {
-                    let v = match func {
-                        AggFunc::Sum => vs.iter().sum(),
-                        AggFunc::Count => vs.len() as Value,
-                        AggFunc::Min => *vs.iter().min().unwrap(),
-                        AggFunc::Max => *vs.iter().max().unwrap(),
-                    };
-                    vec![g, v]
-                })
-                .collect();
-            let rows: Vec<Vec<Value>> = got.rows().map(|r| r.to_vec()).collect();
-            assert_eq!(rows, want, "{func:?}");
-            assert_eq!(got.column_names[0], "nationkey", "{func:?}");
         }
     }
 

@@ -15,9 +15,8 @@
 //! ([`MiniColumn::fetch_values_into`]), never through a per-column
 //! vector, a growing fragment or a concatenation. That is the model's
 //! `2·k·FC` per tuple (`merge_cost`): k reads and k writes per row.
-//!
-//! [`merge_columns`] is MERGE's reference form over value vectors; the
-//! tests hold `merge` to it.
+//! Under an aggregate the same parts fold instead (`Part::fold`, in
+//! [`crate::ops::agg`]) and never reach MERGE.
 
 use std::ops::Range;
 
@@ -172,48 +171,22 @@ pub(crate) fn split(rows: &[usize], workers: usize, granule: usize) -> Vec<Range
     groups
 }
 
-/// Append row-major tuples built from `cols` (equal-length value
-/// vectors) to `out` — MERGE over value vectors, the reference the
-/// executors' `merge` is held to.
-///
-/// # Panics
-/// Panics (debug) if the columns have unequal lengths.
-pub fn merge_columns(cols: &[&[Value]], out: &mut Vec<Value>) {
-    let Some(first) = cols.first() else { return };
-    let n = first.len();
-    debug_assert!(cols.iter().all(|c| c.len() == n), "MERGE inputs must align");
-    out.reserve(n * cols.len());
-    match cols {
-        // The common arities get tight loops.
-        [a] => out.extend_from_slice(a),
-        [a, b] => {
-            for i in 0..n {
-                out.push(a[i]);
-                out.push(b[i]);
-            }
-        }
-        [a, b, c] => {
-            for i in 0..n {
-                out.push(a[i]);
-                out.push(b[i]);
-                out.push(c[i]);
-            }
-        }
-        _ => {
-            for i in 0..n {
-                for col in cols {
-                    out.push(col[i]);
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use matstrat_common::PosRange;
     use matstrat_storage::{EncodingKind as Ek, ProjectionSpec, SortOrder, Store};
+
+    /// Append row-major tuples built from `cols` (equal-length value
+    /// vectors) to `out` — MERGE over value vectors, the reference `merge`
+    /// is held to.
+    fn merge_columns(cols: &[&[Value]], out: &mut Vec<Value>) {
+        let n = cols.first().map_or(0, |c| c.len());
+        assert!(cols.iter().all(|c| c.len() == n), "MERGE inputs must align");
+        for i in 0..n {
+            out.extend(cols.iter().map(|c| c[i]));
+        }
+    }
 
     #[test]
     fn merge_two_columns() {

@@ -8,10 +8,10 @@
 //! | DS2 (scan → (pos, value)) | [`MiniColumn::scan_pairs`](crate::MiniColumn::scan_pairs) |
 //! | DS3 (positions → values) | [`MiniColumn::gather`](crate::MiniColumn::gather) / [`fetch_values`](crate::MiniColumn::fetch_values) / [`fetch_values_into`](crate::MiniColumn::fetch_values_into) (strided, straight into the result) |
 //! | DS4 (tuples + column → wider tuples) | [`probe::ds4_extend`] |
-//! | AND | [`PosList::and`](matstrat_poslist::PosList::and) / [`MultiColumn::and`](crate::MultiColumn::and) |
-//! | MERGE | [`merge`] — one per read statement; [`merge::merge_columns`] is its reference form |
+//! | AND | [`PosList::and`](matstrat_poslist::PosList::and), over the multi-columns of the LM filter step |
+//! | MERGE | [`merge`] — one per read statement without an aggregate |
 //! | SPC | [`spc::spc_scan`] |
-//! | aggregator | [`agg::Aggregator`] (tuple- and column-input forms) |
+//! | aggregator | [`agg::Aggregator`], folding every part step 1 leaves (tuples, runs, gathered columns) |
 //! | join | [`join`] (three inner-table strategies, §4.3) |
 //! | join tree | [`join_tree`] (left-deep multi-way joins, position-list pipelined) |
 

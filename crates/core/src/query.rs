@@ -22,6 +22,17 @@ pub struct AggSpec {
     pub func: AggFunc,
 }
 
+impl AggSpec {
+    /// The columns an aggregate's parts carry, in the order `Part::fold`
+    /// reads them: the group column, then the value column unless the
+    /// function is COUNT, which never reads values.
+    pub(crate) fn part_columns(&self) -> Vec<usize> {
+        let mut cols = vec![self.group_col];
+        cols.extend(Some(self.value_col).filter(|_| self.func.needs_values()));
+        cols
+    }
+}
+
 /// A selection (optionally aggregated) over one projection:
 ///
 /// ```sql

@@ -57,6 +57,21 @@ pub trait Disk: Send + Sync {
         }
         Ok(())
     }
+
+    /// Give file `from` the name `to`, replacing any file there, so that
+    /// `to` is never seen half written: the catalog swap. The default
+    /// copies `from` to `to`, syncs the copy and removes `from` — all a
+    /// wrapper that forwards the required methods one by one can do, and
+    /// not atomic: a crash mid-copy tears `to`. A disk that must survive
+    /// crashes overrides it; [`MemDisk`] and [`FileDisk`] rename in one
+    /// step.
+    fn rename(&self, from: &str, to: &str) -> Result<()> {
+        let bytes = self.read_at(from, 0, self.len(from)? as usize)?;
+        self.create(to)?;
+        self.write_at(to, 0, &bytes)?;
+        self.sync(to)?;
+        self.remove(from)
+    }
 }
 
 /// An in-memory disk image: `HashMap<name, Vec<u8>>` behind a mutex.
@@ -124,6 +139,15 @@ impl Disk for MemDisk {
 
     fn remove(&self, name: &str) -> Result<()> {
         self.files.lock().remove(name);
+        Ok(())
+    }
+
+    fn rename(&self, from: &str, to: &str) -> Result<()> {
+        let mut files = self.files.lock();
+        let f = files
+            .remove(from)
+            .ok_or_else(|| Error::not_found(format!("file {from}")))?;
+        files.insert(to.to_string(), f);
         Ok(())
     }
 }
@@ -203,6 +227,14 @@ impl Disk for FileDisk {
             _ => Ok(()),
         }
     }
+
+    /// `rename(2)`, then a sync of the directory, which makes the new
+    /// name durable.
+    fn rename(&self, from: &str, to: &str) -> Result<()> {
+        std::fs::rename(self.path(from), self.path(to))?;
+        File::open(&self.dir)?.sync_all()?;
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -278,6 +310,32 @@ mod tests {
         fn list(&self) -> Vec<String> {
             self.0.list()
         }
+    }
+
+    #[test]
+    fn rename_replaces_the_target_whole() {
+        let dir = std::env::temp_dir().join(format!("matstrat-disk-mv-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let file = FileDisk::open(&dir).unwrap();
+        let (mem, fwd) = (MemDisk::new(), Forwarding(MemDisk::new()));
+        for disk in [&mem as &dyn Disk, &file, &fwd] {
+            disk.create("old").unwrap();
+            disk.write_at("old", 0, b"a longer old body").unwrap();
+            disk.create("new").unwrap();
+            disk.write_at("new", 0, b"new").unwrap();
+            disk.rename("new", "old").unwrap();
+            assert_eq!(disk.read_at("old", 0, 3).unwrap(), b"new");
+            assert_eq!(disk.len("old").unwrap(), 3, "no tail of the old body");
+            // The default leaves an empty stub where `from` was.
+            assert_eq!(disk.len("new").unwrap_or(0), 0);
+            assert!(disk.rename("missing", "old").is_err());
+            assert_eq!(disk.read_at("old", 0, 3).unwrap(), b"new");
+        }
+        assert!(
+            !mem.exists("new") && !file.exists("new"),
+            "moved, not copied"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -68,6 +68,8 @@ use matstrat_wal::{Wal, WalRecord, WalStorage, MAX_VALUES};
 pub const DEFAULT_POOL_BLOCKS: usize = 16 * 1024;
 
 const CATALOG_FILE: &str = "catalog.msc";
+/// Where the next catalog is written before it is renamed over the last.
+const CATALOG_TMP: &str = "catalog.msc.tmp";
 
 /// The WAL file of table `t` — one log per table, so compacting one
 /// table truncates only its own log.
@@ -242,8 +244,9 @@ impl Store {
     /// Remove every column file the catalog does not name. A crash
     /// between writing a new generation and making its catalog durable,
     /// or between that and removing the old generation, leaves such
-    /// files, and nothing else would ever delete them. Only `*.col`
-    /// names are candidates — logs and the catalog are never touched —
+    /// files, and nothing else would ever delete them; a crash before a
+    /// catalog's swap leaves its temporary file. Only `*.col` names and
+    /// that file are candidates — logs and the catalog are never touched —
     /// and only a disk that has a catalog is swept: without one there is
     /// no telling data from debris. (Where [`Disk::remove`] can only
     /// truncate, the empty stub is "removed" again on each open; recovery
@@ -256,7 +259,7 @@ impl Store {
             .flat_map(|p| p.columns.iter().map(|c| c.file.as_str()))
             .collect();
         for file in self.inner.disk.list() {
-            if file.ends_with(".col") && !named.contains(file.as_str()) {
+            if file == CATALOG_TMP || file.ends_with(".col") && !named.contains(file.as_str()) {
                 self.inner.disk.remove(&file)?;
             }
         }
@@ -264,15 +267,18 @@ impl Store {
     }
 
     /// Make the catalog as it is now durable: the one place it is
-    /// written, and synced. Every column file it names was synced when
-    /// [`Self::write_column`] wrote it, so a durable catalog never names
-    /// bytes that are not.
+    /// written. It is written and synced under a temporary name, then
+    /// renamed over the last one, so a crash leaves the old catalog or
+    /// the new one, never a torn one. Every column file it names was
+    /// synced when [`Self::write_column`] wrote it, so a durable catalog
+    /// never names bytes that are not.
     fn persist_catalog(&self) -> Result<()> {
         if self.inner.persistent {
-            let bytes = self.inner.catalog.read().serialize();
-            self.inner.disk.create(CATALOG_FILE)?;
-            self.inner.disk.write_at(CATALOG_FILE, 0, &bytes)?;
-            self.inner.disk.sync(CATALOG_FILE)?;
+            let (disk, bytes) = (&self.inner.disk, self.inner.catalog.read().serialize());
+            disk.create(CATALOG_TMP)?;
+            disk.write_at(CATALOG_TMP, 0, &bytes)?;
+            disk.sync(CATALOG_TMP)?;
+            disk.rename(CATALOG_TMP, CATALOG_FILE)?;
         }
         Ok(())
     }

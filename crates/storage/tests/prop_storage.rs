@@ -269,7 +269,7 @@ proptest! {
 }
 
 /// MERGE's stitch over gathered columns — row-major tuples, column by
-/// column, as `matstrat_core::ops::merge::merge_columns` builds them.
+/// column, the layout `matstrat_core`'s MERGE writes.
 fn merge_columns(cols: &[Vec<Value>]) -> Vec<Value> {
     let rows = cols.first().map_or(0, Vec::len);
     (0..rows)

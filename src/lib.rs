@@ -71,9 +71,8 @@ pub mod prelude {
     pub use matstrat_common::{CompareOp, Error, Pos, PosRange, Predicate, Result, Value};
     pub use matstrat_core::{
         default_parallelism, AggSpec, Database, ExecOptions, FragmentPipeline, InnerStrategy,
-        JoinSpec, JoinTreePlan, JoinTreeSpec, MiniColumn, MultiColumn, QueryOutcome, QueryPlan,
-        QueryResult, QuerySpec, QueryStats, Server, ServerConfig, ServerStats, Session, Statement,
-        Strategy,
+        JoinSpec, JoinTreePlan, JoinTreeSpec, MiniColumn, QueryOutcome, QueryPlan, QueryResult,
+        QuerySpec, QueryStats, Server, ServerConfig, ServerStats, Session, Statement, Strategy,
     };
     pub use matstrat_lang::{compile, print_statement, ParseError};
     pub use matstrat_model::{Constants, CostModel};

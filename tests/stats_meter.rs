@@ -129,6 +129,46 @@ fn warm_pool_eliminates_block_reads() {
     );
 }
 
+/// `decompressed_fetch` says a value fetch hit a bit-vector block, which
+/// cannot gather by position. Under late materialization an aggregate's
+/// group column is consumed by runs and COUNT never fetches its value
+/// column, so neither sets it.
+#[test]
+fn decompressed_fetch_marks_value_fetches_from_bit_vector_blocks() {
+    let db = Database::in_memory();
+    let k: Vec<Value> = (0..3000).collect();
+    let bits: Vec<Value> = (0..3000).map(|i| i % 5).collect();
+    let plain: Vec<Value> = (0..3000).map(|i| i % 11).collect();
+    let t = db
+        .load_projection(
+            &ProjectionSpec::new("t")
+                .column("k", EncodingKind::Plain, SortOrder::Primary)
+                .column("bits", EncodingKind::BitVec, SortOrder::None)
+                .column("plain", EncodingKind::Plain, SortOrder::None),
+            &[&k, &bits, &plain],
+        )
+        .unwrap();
+    let q = || QuerySpec::select(t, vec![]).filter(0, Predicate::lt(2000));
+    for (query, decompressed) in [
+        (q().aggregate_fn(1, 2, AggFunc::Sum), false),
+        (q().aggregate_fn(2, 1, AggFunc::Sum), true),
+        (q().aggregate_fn(2, 1, AggFunc::Count), false),
+        (
+            QuerySpec::select(t, vec![0, 1]).filter(0, Predicate::lt(2000)),
+            true,
+        ),
+        (
+            QuerySpec::select(t, vec![0, 2]).filter(0, Predicate::lt(2000)),
+            false,
+        ),
+    ] {
+        for s in [Strategy::LmPipelined, Strategy::LmParallel] {
+            let (_, stats) = forced(&db, &query, s);
+            assert_eq!(stats.decompressed_fetch, decompressed, "{s}: {query:?}");
+        }
+    }
+}
+
 /// `t` (sorted `k`, `v` in stripes of 40 000 rows alternating low and
 /// high, scattered `w`, foreign key `fk`) and a 64-row dimension `dim`.
 fn pinned_fixture(rows: i64) -> (Database, TableId, TableId) {

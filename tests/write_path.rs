@@ -1069,11 +1069,7 @@ impl Disk for CrashCam {
         self.inner.create(name)
     }
     fn write_at(&self, name: &str, offset: u64, data: &[u8]) -> matstrat::common::Result<()> {
-        // The catalog is rewritten as create-then-write; a crash between
-        // the two is a torn catalog, which is not this battery's subject.
-        if name != "catalog.msc" {
-            self.shoot(format!("before write {name}@{offset}"));
-        }
+        self.shoot(format!("before write {name}@{offset}"));
         self.inner.write_at(name, offset, data)
     }
     fn read_at(&self, name: &str, offset: u64, len: usize) -> matstrat::common::Result<Vec<u8>> {
@@ -1091,6 +1087,12 @@ impl Disk for CrashCam {
     fn remove(&self, name: &str) -> matstrat::common::Result<()> {
         self.shoot(format!("before remove {name}"));
         self.inner.remove(name)
+    }
+    // The default copy-then-remove would tear the catalog mid-copy; a
+    // crash-tested disk forwards the one-step rename.
+    fn rename(&self, from: &str, to: &str) -> matstrat::common::Result<()> {
+        self.shoot(format!("before rename {from} to {to}"));
+        self.inner.rename(from, to)
     }
 }
 
@@ -1126,6 +1128,8 @@ fn a_crash_at_every_step_of_a_compaction_reopens_clean() {
     for needle in [
         "create t0_c0",
         "create catalog.msc",
+        "write catalog.msc.tmp",
+        "rename catalog.msc.tmp to catalog.msc",
         "create wal_t0",
         "remove t0_c2",
     ] {
