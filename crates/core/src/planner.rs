@@ -854,8 +854,12 @@ mod tests {
     /// lineitem-shaped projection: retflag (3 values, primary, RLE),
     /// shipdate (100 values, secondary, RLE), linenum (7 values, plain).
     fn setup(linenum_enc: EncodingKind) -> (Store, matstrat_common::TableId) {
+        setup_rows(linenum_enc, 30_000)
+    }
+
+    /// [`setup`] at `n` rows.
+    fn setup_rows(linenum_enc: EncodingKind, n: usize) -> (Store, matstrat_common::TableId) {
         let store = Store::in_memory();
-        let n = 30_000usize;
         let mut rows: Vec<(Value, Value, Value)> = (0..n)
             .map(|i| {
                 (
@@ -1618,6 +1622,221 @@ mod tests {
                 "fixture {i}: {} vs {total}",
                 c.estimate.total_us()
             );
+        }
+    }
+
+    /// The paper's query on the lineitem fixture at three granules, cold:
+    /// `shipdate < cutoff AND linenum < 7`, selecting both columns or
+    /// grouping on shipdate and summing linenum, for every LINENUM
+    /// encoding, planned at 1 and 8 workers. Yields (label, alternatives)
+    /// per case.
+    fn paper_shape_alternatives() -> Vec<(String, Vec<(Strategy, CostBreakdown)>)> {
+        let mut out = Vec::new();
+        for enc in [
+            EncodingKind::Plain,
+            EncodingKind::Rle,
+            EncodingKind::BitVec,
+            EncodingKind::Dict,
+        ] {
+            let (store, id) = setup_rows(enc, 3 * crate::GRANULE as usize);
+            store.cold_reset();
+            // shipdate spans 0..=99: `< 1` keeps 1 %, `< 50` half.
+            for cutoff in [1, 50] {
+                for aggregated in [false, true] {
+                    let mut q = QuerySpec::select(id, vec![1, 2])
+                        .filter(1, Predicate::lt(cutoff))
+                        .filter(2, Predicate::lt(7));
+                    if aggregated {
+                        q = q.aggregate_sum(1, 2);
+                    }
+                    for workers in [1, 8] {
+                        let planner =
+                            Planner::with_parallelism(Constants::host_defaults(), workers);
+                        let choice = planner.choose(&store, &q).unwrap();
+                        let label = format!("{enc:?} <{cutoff} agg={aggregated} w={workers}");
+                        out.push((label, choice.alternatives));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn scan_estimates_are_pinned() {
+        // (strategy, cpu µs, io µs) of every alternative, recorded before
+        // the model priced a statement's own filters and outputs: on the
+        // paper's shape the per-column pricer must reproduce them.
+        use Strategy::{EmParallel as EMP, EmPipelined as EMD};
+        use Strategy::{LmParallel as LMP, LmPipelined as LMD};
+        #[rustfmt::skip]
+        let want: &[(Strategy, f64, f64)] = &[
+            // Plain <1 agg=false w=1
+            (EMD, 699.0601599999999, 17500.0),
+            (EMP, 2042.8571199999997, 17500.0),
+            (LMD, 241.20551999999998, 13540.0),
+            (LMP, 2000.0656, 17500.0),
+            // Plain <1 agg=false w=8
+            (EMD, 233.45205333333328, 17500.0),
+            (EMP, 681.3843733333332, 17500.0),
+            (LMD, 80.83384, 13540.0),
+            (LMP, 667.1205333333334, 17500.0),
+            // Plain <1 agg=true w=1
+            (EMD, 705.5601599999999, 17500.0),
+            (EMP, 2049.3571199999997, 17500.0),
+            (LMD, 66.89515999999999, 13540.0),
+            (LMP, 1825.75524, 17500.0),
+            // Plain <1 agg=true w=8
+            (EMD, 235.61871999999994, 17500.0),
+            (EMP, 683.55104, 17500.0),
+            (LMD, 22.73038666666666, 13540.0),
+            (LMP, 609.01708, 17500.0),
+            // Plain <50 agg=false w=1
+            (EMD, 34610.008, 17500.0),
+            (EMP, 15433.828, 17500.0),
+            (LMD, 11710.857, 15500.0),
+            (LMP, 12608.1148, 17500.0),
+            // Plain <50 agg=false w=8
+            (EMD, 11537.101333333334, 17500.0),
+            (EMP, 5145.041333333333, 17500.0),
+            (LMD, 3904.051, 15500.0),
+            (LMP, 4203.136933333333, 17500.0),
+            // Plain <50 agg=true w=1
+            (EMD, 34616.508, 17500.0),
+            (EMP, 15440.328, 17500.0),
+            (LMD, 2676.8389999999995, 15500.0),
+            (LMP, 3574.0968000000003, 17500.0),
+            // Plain <50 agg=true w=8
+            (EMD, 11539.268000000002, 17500.0),
+            (EMP, 5147.208, 17500.0),
+            (LMD, 892.7116666666665, 15500.0),
+            (LMP, 1191.7976, 17500.0),
+            // Rle <1 agg=false w=1
+            (EMD, 699.0001599999999, 7000.0),
+            (EMP, 2042.7971199999997, 7000.0),
+            (LMD, 241.14551999999998, 6010.0),
+            (LMP, 1999.9456, 7000.0),
+            // Rle <1 agg=false w=8
+            (EMD, 233.4320533333333, 7000.0),
+            (EMP, 681.3643733333332, 7000.0),
+            (LMD, 80.81384, 6010.0),
+            (LMP, 667.0805333333334, 7000.0),
+            // Rle <1 agg=true w=1
+            (EMD, 705.5001599999999, 7000.0),
+            (EMP, 2049.2971199999997, 7000.0),
+            (LMD, 66.83515999999999, 6010.0),
+            (LMP, 1825.6352399999998, 7000.0),
+            // Rle <1 agg=true w=8
+            (EMD, 235.59871999999996, 7000.0),
+            (EMP, 683.53104, 7000.0),
+            (LMD, 22.71038666666666, 6010.0),
+            (LMP, 608.97708, 7000.0),
+            // Rle <50 agg=false w=1
+            (EMD, 34609.948, 7000.0),
+            (EMP, 15433.768, 7000.0),
+            (LMD, 11710.796999999999, 6500.0),
+            (LMP, 12607.9948, 7000.0),
+            // Rle <50 agg=false w=8
+            (EMD, 11537.081333333334, 7000.0),
+            (EMP, 5145.021333333333, 7000.0),
+            (LMD, 3904.0309999999995, 6500.0),
+            (LMP, 4203.096933333333, 7000.0),
+            // Rle <50 agg=true w=1
+            (EMD, 34616.448, 7000.0),
+            (EMP, 15440.268, 7000.0),
+            (LMD, 2676.7789999999995, 6500.0),
+            (LMP, 3573.9767999999995, 7000.0),
+            // Rle <50 agg=true w=8
+            (EMD, 11539.248, 7000.0),
+            (EMP, 5147.188, 7000.0),
+            (LMD, 892.6916666666665, 6500.0),
+            (LMP, 1191.7576, 7000.0),
+            // BitVec <1 agg=false w=1
+            (EMD, 699.0001599999999, 7000.0),
+            (EMP, 4795.309119999999, 7000.0),
+            (LMP, 4961.830792000001, 7000.0),
+            // BitVec <1 agg=false w=8
+            (EMD, 233.4320533333333, 7000.0),
+            (EMP, 1598.868373333333, 7000.0),
+            (LMP, 1654.3755973333336, 7000.0),
+            // BitVec <1 agg=true w=1
+            (EMD, 705.5001599999999, 7000.0),
+            (EMP, 4801.809119999999, 7000.0),
+            (LMP, 4787.520432, 7000.0),
+            // BitVec <1 agg=true w=8
+            (EMD, 235.59871999999996, 7000.0),
+            (EMP, 1601.0350399999998, 7000.0),
+            (LMP, 1596.272144, 7000.0),
+            // BitVec <50 agg=false w=1
+            (EMD, 34609.948, 7000.0),
+            (EMP, 18186.28, 7000.0),
+            (LMP, 22688.008072, 7000.0),
+            // BitVec <50 agg=false w=8
+            (EMD, 11537.081333333334, 7000.0),
+            (EMP, 6062.525333333333, 7000.0),
+            (LMP, 7563.101357333333, 7000.0),
+            // BitVec <50 agg=true w=1
+            (EMD, 34616.448, 7000.0),
+            (EMP, 18192.78, 7000.0),
+            (LMP, 13653.990072, 7000.0),
+            // BitVec <50 agg=true w=8
+            (EMD, 11539.248, 7000.0),
+            (EMP, 6064.691999999999, 7000.0),
+            (LMP, 4551.762024, 7000.0),
+            // Dict <1 agg=false w=1
+            (EMD, 699.0601599999999, 17500.0),
+            (EMP, 2042.8571199999997, 17500.0),
+            (LMD, 241.20551999999998, 13540.0),
+            (LMP, 2000.0656, 17500.0),
+            // Dict <1 agg=false w=8
+            (EMD, 233.45205333333328, 17500.0),
+            (EMP, 681.3843733333332, 17500.0),
+            (LMD, 80.83384, 13540.0),
+            (LMP, 667.1205333333334, 17500.0),
+            // Dict <1 agg=true w=1
+            (EMD, 705.5601599999999, 17500.0),
+            (EMP, 2049.3571199999997, 17500.0),
+            (LMD, 66.89515999999999, 13540.0),
+            (LMP, 1825.75524, 17500.0),
+            // Dict <1 agg=true w=8
+            (EMD, 235.61871999999994, 17500.0),
+            (EMP, 683.55104, 17500.0),
+            (LMD, 22.73038666666666, 13540.0),
+            (LMP, 609.01708, 17500.0),
+            // Dict <50 agg=false w=1
+            (EMD, 34610.008, 17500.0),
+            (EMP, 15433.828, 17500.0),
+            (LMD, 11710.857, 15500.0),
+            (LMP, 12608.1148, 17500.0),
+            // Dict <50 agg=false w=8
+            (EMD, 11537.101333333334, 17500.0),
+            (EMP, 5145.041333333333, 17500.0),
+            (LMD, 3904.051, 15500.0),
+            (LMP, 4203.136933333333, 17500.0),
+            // Dict <50 agg=true w=1
+            (EMD, 34616.508, 17500.0),
+            (EMP, 15440.328, 17500.0),
+            (LMD, 2676.8389999999995, 15500.0),
+            (LMP, 3574.0968000000003, 17500.0),
+            // Dict <50 agg=true w=8
+            (EMD, 11539.268000000002, 17500.0),
+            (EMP, 5147.208, 17500.0),
+            (LMD, 892.7116666666665, 15500.0),
+            (LMP, 1191.7976, 17500.0),
+        ];
+        let got: Vec<(String, Strategy, CostBreakdown)> = paper_shape_alternatives()
+            .into_iter()
+            .flat_map(|(label, alts)| alts.into_iter().map(move |(s, c)| (label.clone(), s, c)))
+            .collect();
+        assert_eq!(got.len(), want.len());
+        for ((label, s, cost), &(ws, cpu, io)) in got.iter().zip(want) {
+            assert_eq!(*s, ws, "{label}");
+            for (what, g, w) in [("cpu", cost.cpu_us, cpu), ("io", cost.io_us, io)] {
+                assert!(
+                    (g - w).abs() <= 1e-12 * w,
+                    "{label} {s:?} {what}: {g} vs {w}"
+                );
+            }
         }
     }
 
