@@ -15,8 +15,8 @@
 
 use matstrat_common::{Predicate, Result, TableId};
 use matstrat_core::{
-    Database, InnerStrategy, JoinSpec, JoinTreeSpec, QueryOutcome, QueryPlan, QuerySpec, Statement,
-    Strategy,
+    Database, InnerStrategy, JoinSpec, JoinTreeSpec, Planner, QueryOutcome, QueryPlan, QuerySpec,
+    Statement, Strategy,
 };
 use matstrat_model::{calibrate, Constants, CostModel};
 use matstrat_storage::EncodingKind;
@@ -233,11 +233,13 @@ impl Harness {
                 });
             }
             // Model parameters from the catalog, with F=1.
-            let mut params = self.db.planner().query_params(self.db.store(), &q)?;
-            params.c1.resident = 1.0;
-            params.c2.resident = 1.0;
+            let store = self.db.store();
+            let mut params = Planner::scan_params(store, &store.projection(table)?, &q)?;
+            for col in &mut params.columns {
+                col.resident = 1.0;
+            }
             for s in Strategy::ALL {
-                if let Some(est) = model.estimate(s.plan_kind(), &params, 1) {
+                if let Some(est) = model.estimate(s, &params, 1) {
                     modeled.push(Point {
                         selectivity: sf,
                         series: format!("{} Model", s.name()),

@@ -12,11 +12,10 @@ use matstrat_storage::{CompactorHandle, ProjectionSpec, Store};
 use crate::multicol::MiniColumn;
 
 use crate::exec::{default_parallelism, execute_with_options, ExecOptions};
-use crate::ops::join::InnerStrategy;
 use crate::ops::join_tree::hash_join_tree_with_options;
 use crate::planner::{JoinTreeChoice, PlanChoice, Planner};
 use crate::query::{QueryResult, QueryStats, Statement};
-use crate::strategy::Strategy;
+use crate::{InnerStrategy, Strategy};
 
 /// The planner's answer for one [`Statement`]: which executable shape it
 /// takes, with every estimate and rejected alternative behind the pick.

@@ -112,7 +112,7 @@ use crate::ops::probe::ds4_extend;
 use crate::ops::spc::spc_scan;
 use crate::pipeline::FragmentPipeline;
 use crate::query::{metered, QueryResult, QuerySpec, QueryStats};
-use crate::strategy::Strategy;
+use crate::Strategy;
 use crate::GRANULE;
 
 // The process-wide `MATSTRAT_THREADS` default now lives in

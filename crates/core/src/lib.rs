@@ -33,13 +33,13 @@ pub mod planner;
 pub mod query;
 pub mod rowstore;
 pub mod session;
-pub mod strategy;
 
 pub use db::{delete_where, Database, QueryOutcome, QueryPlan};
 pub use exec::{default_parallelism, execute_with_options, ExecOptions};
+pub use matstrat_model::{InnerStrategy, Strategy};
 pub use multicol::MiniColumn;
 pub use ops::agg::AggFunc;
-pub use ops::join::{InnerStrategy, JoinSpec};
+pub use ops::join::JoinSpec;
 pub use ops::join_tree::{hash_join_tree_with_options, JoinTreePlan};
 pub use pipeline::FragmentPipeline;
 pub use planner::{JoinTreeChoice, PlanChoice, Planner};
@@ -47,7 +47,6 @@ pub use query::{
     AggSpec, JoinKeySource, JoinTreeSpec, QueryResult, QuerySpec, QueryStats, Statement,
 };
 pub use session::{fair_share, Server, ServerConfig, ServerStats, Session};
-pub use strategy::Strategy;
 
 /// Number of positions processed per pipeline iteration (one "granule").
 ///

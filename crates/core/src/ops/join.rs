@@ -45,52 +45,13 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use matstrat_common::{Pos, PosRange, Predicate, Result, TableId, Value};
-use matstrat_model::plans::JoinInnerKind;
 use matstrat_poslist::{PosList, PosVec};
 use matstrat_storage::{ProjectionInfo, Store, TableDelta, Tombstones};
 
 use crate::exec::ExecOptions;
 use crate::multicol::MiniColumn;
 use crate::pipeline::FragmentPipeline;
-
-/// How the inner (right) table is represented inside the join.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum InnerStrategy {
-    /// Right tuples constructed before the join (EM).
-    Materialized,
-    /// Right columns shipped compressed; tuples built per match (hybrid).
-    MultiColumn,
-    /// Only the key column enters; values fetched by position afterwards
-    /// (pure LM).
-    SingleColumn,
-}
-
-impl InnerStrategy {
-    /// All three strategies, in the paper's Figure 13 order.
-    pub const ALL: [InnerStrategy; 3] = [
-        InnerStrategy::Materialized,
-        InnerStrategy::MultiColumn,
-        InnerStrategy::SingleColumn,
-    ];
-
-    /// Display name matching Figure 13's legend.
-    pub fn name(self) -> &'static str {
-        match self {
-            InnerStrategy::Materialized => "Right Table Materialized",
-            InnerStrategy::MultiColumn => "Right Table Multi-Column",
-            InnerStrategy::SingleColumn => "Right Table Single Column",
-        }
-    }
-
-    /// The cost-model join plan this strategy corresponds to.
-    pub fn plan_kind(self) -> JoinInnerKind {
-        match self {
-            InnerStrategy::Materialized => JoinInnerKind::Materialized,
-            InnerStrategy::MultiColumn => JoinInnerKind::MultiColumn,
-            InnerStrategy::SingleColumn => JoinInnerKind::SingleColumn,
-        }
-    }
-}
+use crate::InnerStrategy;
 
 /// An equi-join between two projections with optional predicates on
 /// either side:
@@ -924,13 +885,6 @@ mod tests {
             InnerStrategy::SingleColumn.name(),
             "Right Table Single Column"
         );
-    }
-
-    #[test]
-    fn plan_kind_mapping_is_bijective() {
-        use std::collections::HashSet;
-        let kinds: HashSet<_> = InnerStrategy::ALL.iter().map(|s| s.plan_kind()).collect();
-        assert_eq!(kinds.len(), 3);
     }
 
     /// Both key columns over the identical ten-value domain, loaded with

@@ -81,11 +81,11 @@ use matstrat_storage::{ColumnReader, Store};
 use crate::exec::{deletes_in, drive, filter_window, ExecOptions, Finish, Sink};
 use crate::multicol::MiniColumn;
 use crate::ops::join::{
-    decode_snapshot, fetch_codes_expanded, fetch_expanded, BuildReducer, InnerRep, InnerStrategy,
-    SharedBuild,
+    decode_snapshot, fetch_codes_expanded, fetch_expanded, BuildReducer, InnerRep, SharedBuild,
 };
 use crate::ops::merge::Part;
 use crate::query::{metered, JoinKeySource, JoinTreeSpec, QueryResult, QueryStats};
+use crate::InnerStrategy;
 
 /// How a [`JoinTreeSpec`] is to be executed: the edge order, one inner
 /// strategy per edge, which snowflake edges run **bushy** (their

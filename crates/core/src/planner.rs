@@ -7,11 +7,15 @@
 //! asks [`CostModel`] for the cheapest plan, one model entry per operator
 //! family:
 //!
-//! * **Scans** with the modeled two-predicate shape are priced per
-//!   strategy with [`CostModel::estimate`]. Other scan shapes fall back
-//!   to the paper's heuristic: aggregation, selective output, or
-//!   light-weight compression → late materialization; otherwise early
-//!   materialization.
+//! * **Scans** with two or more filters are priced per strategy with
+//!   [`CostModel::estimate`], over the statement's own filters, outputs
+//!   (or group and value columns) and column shapes
+//!   ([`Planner::scan_params`]). Scans with fewer filters keep the
+//!   paper's heuristic — aggregation, selective output, or light-weight
+//!   compression → late materialization; otherwise early
+//!   materialization — until the model prices zone maps: a one-filter
+//!   range on a sorted key reads a block or two, which the model's full
+//!   DS1 scan cannot see.
 //! * **Joins** of any edge count — a plain join is a one-edge tree — go
 //!   through one path: enumerate the candidate edge orders, price each
 //!   with [`CostModel::join_tree`] (which keeps each edge's cheapest
@@ -20,17 +24,16 @@
 use std::fmt::Write;
 
 use matstrat_common::{Result, TableId};
-use matstrat_model::plans::{
-    BushyReduction, JoinInnerKind, JoinTreeCost, JoinTreeEdgeParams, QueryParams,
+use matstrat_model::plans::{BushyReduction, JoinTreeCost, JoinTreeEdgeParams};
+use matstrat_model::{
+    ColumnParams, Constants, CostBreakdown, CostModel, JoinParams, ScanFilter, ScanParams,
 };
-use matstrat_model::{ColumnParams, Constants, CostBreakdown, CostModel, JoinParams};
 use matstrat_storage::{ColumnInfo, EncodingKind, ProjectionInfo, SortOrder, Store};
 
-use crate::ops::join::InnerStrategy;
 use crate::ops::join_tree::JoinTreePlan;
 use crate::pipeline::FragmentPipeline;
 use crate::query::{JoinKeySource, JoinTreeSpec, QuerySpec};
-use crate::strategy::Strategy;
+use crate::{InnerStrategy, Strategy};
 
 /// Why the planner picked what it picked.
 #[derive(Debug, Clone)]
@@ -147,7 +150,7 @@ impl PricedOrder {
     fn inners(&self) -> Vec<InnerStrategy> {
         let mut inners = vec![InnerStrategy::MultiColumn; self.order.len()];
         for (&ei, &(kind, _)) in self.order.iter().zip(&self.tree.edges) {
-            inners[ei] = inner_strategy(kind);
+            inners[ei] = kind;
         }
         inners
     }
@@ -173,12 +176,7 @@ impl PricedOrder {
         }
         out.push_str("] with [");
         for (slot, &(kind, _)) in self.tree.edges.iter().enumerate() {
-            write!(
-                out,
-                "{}{}",
-                if slot == 0 { "" } else { ", " },
-                inner_strategy(kind).name()
-            )?;
+            write!(out, "{}{}", if slot == 0 { "" } else { ", " }, kind.name())?;
         }
         let estimate = self.tree.total;
         write!(
@@ -223,14 +221,6 @@ impl PricedOrder {
     }
 }
 
-/// The executor's inner strategy for a model representation.
-fn inner_strategy(kind: JoinInnerKind) -> InnerStrategy {
-    InnerStrategy::ALL
-        .into_iter()
-        .find(|s| s.plan_kind() == kind)
-        .expect("every representation has a strategy")
-}
-
 /// The strategy chooser.
 #[derive(Debug, Clone)]
 pub struct Planner {
@@ -266,7 +256,7 @@ impl Planner {
 
     /// Pick a strategy for `q`.
     pub fn choose(&self, store: &Store, q: &QuerySpec) -> Result<PlanChoice> {
-        if q.filters.len() == 2 {
+        if q.filters.len() >= 2 {
             let (proj, delta_cpu) = self.snapshot(store, q.table)?;
             self.choose_modeled(store, &proj, delta_cpu, q)
         } else {
@@ -316,12 +306,7 @@ impl Planner {
         let best = best.expect("at least the spec order is a candidate");
         let reason = best.reason(candidates.len());
         let inners = best.inners();
-        let edge_alternatives = best
-            .tree
-            .alternatives
-            .iter()
-            .map(|alts| alts.iter().map(|&(k, c)| (inner_strategy(k), c)).collect())
-            .collect();
+        let edge_alternatives = best.tree.alternatives.iter().map(|a| a.to_vec()).collect();
         Ok(JoinTreeChoice {
             order: best.order,
             inners,
@@ -693,38 +678,52 @@ impl Planner {
             resident,
             code_width,
             shared_dict: col.shared_dict,
+            bit_vector: col.encoding == EncodingKind::BitVec,
         }
     }
 
-    /// Build the model's [`QueryParams`] for a two-predicate query.
-    pub fn query_params(&self, store: &Store, q: &QuerySpec) -> Result<QueryParams> {
-        let proj = store.projection(q.table)?;
+    /// The model's description of scan `q` over `proj`, its table's
+    /// catalog entry: row count, every column `q` reads (in
+    /// [`QuerySpec::accessed_columns`] order), each filter's selectivity
+    /// and position-list run length, the output (or group and value)
+    /// columns, and the group count.
+    pub fn scan_params(store: &Store, proj: &ProjectionInfo, q: &QuerySpec) -> Result<ScanParams> {
         let n = proj.num_rows as f64;
-        let (c1_idx, p1) = q.filters[0];
-        let (c2_idx, p2) = q.filters[1];
-        let c1 = proj.column(c1_idx)?;
-        let c2 = proj.column(c2_idx)?;
-        let sf1 = Self::selectivity(c1, &p1);
-        let sf2 = Self::selectivity(c2, &p2);
-        let mut params = QueryParams::selection(
-            n,
-            Self::column_params_for(store, q.table, c1_idx, c1),
-            Self::column_params_for(store, q.table, c2_idx, c2),
-            sf1,
-            sf2,
-        );
-        params.pos_run_len1 = Self::pos_run_len(&proj, c1, sf1, n);
-        params.pos_run_len2 = Self::pos_run_len(&proj, c2, sf2, n);
-        params.bitstring1 = c1.encoding == EncodingKind::BitVec;
-        params.bitstring2 = c2.encoding == EncodingKind::BitVec;
-        params.c2_supports_ds3 = c2.encoding.supports_position_fetch();
-        params.c1_decompress_fetch = c1.encoding == EncodingKind::BitVec;
-        params.c2_decompress_fetch = c2.encoding == EncodingKind::BitVec;
-        if let Some(a) = q.aggregate {
-            params.aggregated = true;
-            params.num_groups = proj.column(a.group_col)?.stats.distinct as f64;
+        let accessed = q.accessed_columns();
+        let slot = |c: usize| {
+            accessed
+                .iter()
+                .position(|&a| a == c)
+                .expect("accessed_columns covers every column the query names")
+        };
+        let mut columns = Vec::with_capacity(accessed.len());
+        for &c in &accessed {
+            columns.push(Self::column_params_for(store, q.table, c, proj.column(c)?));
         }
-        Ok(params)
+        let mut filters = Vec::with_capacity(q.filters.len());
+        for (c, pred) in &q.filters {
+            let col = proj.column(*c)?;
+            let sf = Self::selectivity(col, pred);
+            filters.push(ScanFilter {
+                column: slot(*c),
+                sf,
+                pos_run_len: Self::pos_run_len(proj, col, sf, n),
+            });
+        }
+        let (outputs, groups) = match q.aggregate {
+            Some(a) => (
+                vec![slot(a.group_col), slot(a.value_col)],
+                Some(proj.column(a.group_col)?.stats.distinct as f64),
+            ),
+            None => (q.output.iter().map(|&c| slot(c)).collect(), None),
+        };
+        Ok(ScanParams {
+            rows: n,
+            columns,
+            filters,
+            outputs,
+            groups,
+        })
     }
 
     fn choose_modeled(
@@ -734,7 +733,7 @@ impl Planner {
         delta_cpu: f64,
         q: &QuerySpec,
     ) -> Result<PlanChoice> {
-        let params = self.query_params(store, q)?;
+        let params = Self::scan_params(store, proj, q)?;
         // The pipeline's skew guard caps workers at the table's granule
         // count — a one-granule table runs serially no matter the knob —
         // so price with the worker count that will actually run, not the
@@ -744,7 +743,7 @@ impl Planner {
             FragmentPipeline::effective_workers(proj.num_rows, crate::GRANULE, self.parallelism);
         let mut alternatives = Vec::new();
         for s in Strategy::ALL {
-            if let Some(mut cost) = self.model.estimate(s.plan_kind(), &params, effective) {
+            if let Some(mut cost) = self.model.estimate(s, &params, effective) {
                 cost.cpu_us += delta_cpu;
                 alternatives.push((s, cost));
             }
@@ -1143,8 +1142,8 @@ mod tests {
         value_params.code_keyed = false;
         let model = planner.model();
         for (s, _) in &choice.edge_alternatives[0] {
-            let coded = model.hash_join(&params, s.plan_kind(), 1, 1, false);
-            let plain = model.hash_join(&value_params, s.plan_kind(), 1, 1, false);
+            let coded = model.hash_join(&params, *s, 1, 1, false);
+            let plain = model.hash_join(&value_params, *s, 1, 1, false);
             assert!(coded.cpu_us < plain.cpu_us, "{s:?}");
             assert!((coded.io_us - plain.io_us).abs() < 1e-9, "{s:?}");
         }
@@ -1173,7 +1172,7 @@ mod tests {
         for ((s1, e1), (s8, e8)) in c1.edge_alternatives[0].iter().zip(&c8.edge_alternatives[0]) {
             assert_eq!(s1, s8);
             // Serial build, probe CPU over 4, plus the probe scheduler.
-            let expect = model.hash_join(&params, s1.plan_kind(), 1, 4, false);
+            let expect = model.hash_join(&params, *s1, 1, 4, false);
             assert!((e8.cpu_us - expect.cpu_us).abs() < 1e-6, "{s1:?}");
             assert!((e8.io_us - e1.io_us).abs() < 1e-9, "{s1:?}: io shared");
             assert!(e8.cpu_us < e1.cpu_us, "{s1:?}");
@@ -1231,7 +1230,7 @@ mod tests {
         let model = serial.model();
         for ((s1, e1), (s2, e2)) in c1.edge_alternatives[0].iter().zip(&c2.edge_alternatives[0]) {
             assert_eq!(s1, s2);
-            let expect = model.hash_join(&params, s1.plan_kind(), 2, 2, false);
+            let expect = model.hash_join(&params, *s1, 2, 2, false);
             assert!((e2.cpu_us - expect.cpu_us).abs() < 1e-6, "{s1:?}");
             assert!((e2.io_us - e1.io_us).abs() < 1e-9, "{s1:?}: io shared");
             assert!(e2.cpu_us < e1.cpu_us, "{s1:?}: both phases shrink");
@@ -1339,9 +1338,7 @@ mod tests {
         assert_eq!(tree.order, vec![0]);
         assert_eq!(tree.edge_alternatives.len(), 1);
         for (s, cost) in &tree.edge_alternatives[0] {
-            let want = planner
-                .model()
-                .hash_join(&params, s.plan_kind(), build, probe, false);
+            let want = planner.model().hash_join(&params, *s, build, probe, false);
             assert_eq!(*cost, want, "{s:?}");
         }
         let &(best, best_cost) = tree.edge_alternatives[0]
@@ -1536,7 +1533,7 @@ mod tests {
             let e = &edges[slot];
             let bare = planner.model().hash_join(
                 &p,
-                kind.plan_kind(),
+                kind,
                 e.build_workers,
                 e.probe_workers,
                 e.build_reused,
@@ -1841,18 +1838,67 @@ mod tests {
     }
 
     #[test]
-    fn query_params_reflect_catalog() {
+    fn scan_params_reflect_catalog() {
         let (store, id) = setup(EncodingKind::Plain);
-        let planner = Planner::default();
         let q = QuerySpec::select(id, vec![1, 2])
             .filter(1, Predicate::lt(50))
             .filter(2, Predicate::lt(4));
-        let params = planner.query_params(&store, &q).unwrap();
-        assert_eq!(params.n, 30_000.0);
-        assert!(params.sf1 > 0.3 && params.sf1 < 0.7, "sf1 = {}", params.sf1);
-        assert!(params.c2_supports_ds3);
-        assert!(!params.bitstring2);
+        let params = Planner::scan_params(&store, &store.projection(id).unwrap(), &q).unwrap();
+        assert_eq!(params.rows, 30_000.0);
+        assert_eq!(params.columns.len(), 2);
+        assert_eq!(params.outputs, vec![0, 1]);
+        assert_eq!(params.groups, None);
+        let sf1 = params.filters[0].sf;
+        assert!(sf1 > 0.3 && sf1 < 0.7, "sf1 = {sf1}");
+        assert!(!params.columns[1].bit_vector);
         // Secondary-sorted shipdate → clustered positions: long runs.
-        assert!(params.pos_run_len1 > 100.0);
+        assert!(params.filters[0].pos_run_len > 100.0);
+    }
+
+    #[test]
+    fn scans_are_priced_on_their_own_outputs_and_group_column() {
+        let (store, id) = setup(EncodingKind::Plain);
+        let planner = Planner::with_parallelism(Constants::host_defaults(), 1);
+        let lm_parallel = |q: &QuerySpec| {
+            let choice = planner.choose(&store, q).unwrap();
+            let (_, cost) = choice
+                .alternatives
+                .into_iter()
+                .find(|(s, _)| *s == Strategy::LmParallel)
+                .expect("LM-parallel is always priced");
+            cost
+        };
+        // One more output, the unfiltered Plain linenum: LM-parallel
+        // fetches it at the surviving positions and MERGEs three columns.
+        let narrow = QuerySpec::select(id, vec![0, 1])
+            .filter(0, Predicate::lt(2))
+            .filter(1, Predicate::lt(50));
+        let mut wide = narrow.clone();
+        wide.output.push(2);
+        assert!(lm_parallel(&wide).total_us() > lm_parallel(&narrow).total_us());
+
+        // Grouping on the second filter (linenum) against grouping on
+        // the first (shipdate), same filters and columns: the LM
+        // aggregate steps once per run of the group column and builds
+        // one tuple per group, so the two differ by exactly that.
+        let filtered = QuerySpec::select(id, vec![])
+            .filter(1, Predicate::lt(50))
+            .filter(2, Predicate::lt(4));
+        let by_shipdate = filtered.clone().aggregate_sum(1, 2);
+        let by_linenum = filtered.aggregate_sum(2, 1);
+        let proj = store.projection(id).unwrap();
+        let (shipdate, linenum) = (proj.column(1).unwrap(), proj.column(2).unwrap());
+        assert_ne!(linenum.stats.avg_run_len(), shipdate.stats.avg_run_len());
+        let c = planner.model().constants();
+        let out = proj.num_rows as f64
+            * Planner::selectivity(shipdate, &Predicate::lt(50))
+            * Planner::selectivity(linenum, &Predicate::lt(4));
+        let agg = |col: &ColumnInfo| {
+            out / col.stats.avg_run_len() * (c.tic_col + c.fc)
+                + col.stats.distinct as f64 * c.tic_tup
+        };
+        let want = agg(linenum) - agg(shipdate);
+        let got = lm_parallel(&by_linenum).total_us() - lm_parallel(&by_shipdate).total_us();
+        assert!((got - want).abs() < 1e-9 * want.abs(), "{got} vs {want}");
     }
 }

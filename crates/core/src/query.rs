@@ -8,7 +8,7 @@ use matstrat_storage::IoStats;
 
 use crate::ops::agg::AggFunc;
 use crate::ops::join::JoinSpec;
-use crate::strategy::Strategy;
+use crate::Strategy;
 
 /// An aggregation over one column, grouped by another
 /// (`SELECT g, f(v) ... GROUP BY g`).

@@ -21,24 +21,26 @@
 //!
 //! [`ops`] implements the per-operator formulas (DS cases 1–4, AND,
 //! MERGE, SPC) exactly as printed in the paper's Figures 1–6; [`plans`]
-//! composes them into end-to-end estimates with one entry per operator
-//! family, each taking the worker counts it runs at:
-//! [`CostModel::estimate`] for the four strategies on the paper's
-//! selection and aggregation queries, [`CostModel::hash_join`] for one
-//! §4.3 hash join under an inner-table representation, and
-//! [`CostModel::join_tree`], which chains join cardinalities through a
-//! tree of any edge count and keeps each edge's cheapest representation.
-//! A plan's cost is the sum of its operators' costs at their input
-//! cardinalities, as in §3. [`calibrate`] re-measures
-//! the CPU constants on the host, the way Table 2 was produced ("running
-//! the small segments of code that only performed the variable in
-//! question").
+//! composes them over the statement the executor runs, one entry per
+//! operator family, each taking the worker counts it runs at:
+//! [`CostModel::estimate`] prices a scan under one [`Strategy`] from its
+//! own filters, outputs and columns ([`ScanParams`]),
+//! [`CostModel::hash_join`] one §4.3 hash join under an
+//! [`InnerStrategy`], and [`CostModel::join_tree`] chains join
+//! cardinalities through a tree of any edge count and keeps each edge's
+//! cheapest representation. A plan's cost is the sum of its operators'
+//! costs at their input cardinalities, as in §3. [`calibrate`]
+//! re-measures the CPU constants on the host, the way Table 2 was
+//! produced ("running the small segments of code that only performed
+//! the variable in question").
 
 pub mod calibrate;
 pub mod constants;
 pub mod ops;
 pub mod plans;
+pub mod strategy;
 
 pub use constants::Constants;
 pub use ops::{AndInput, ColumnParams};
-pub use plans::{CostBreakdown, CostModel, JoinInnerKind, JoinParams, QueryParams};
+pub use plans::{CostBreakdown, CostModel, JoinParams, ScanFilter, ScanParams};
+pub use strategy::{InnerStrategy, Strategy};

@@ -27,10 +27,14 @@ pub struct ColumnParams {
     /// Whether every block of the column shares one sorted dictionary,
     /// making the column eligible for code-keyed joins.
     pub shared_dict: bool,
+    /// Whether the column is bit-vector encoded: DS1 over it emits a
+    /// bit-string, and producing its values decodes the whole column.
+    pub bit_vector: bool,
 }
 
 impl ColumnParams {
-    /// Convenience constructor with `F = 0` (cold) and no dictionary.
+    /// Convenience constructor with `F = 0` (cold), no dictionary and no
+    /// bit-vector encoding.
     pub fn cold(blocks: f64, rows: f64, run_len: f64) -> ColumnParams {
         ColumnParams {
             blocks,
@@ -39,6 +43,7 @@ impl ColumnParams {
             resident: 0.0,
             code_width: 8.0,
             shared_dict: false,
+            bit_vector: false,
         }
     }
 
@@ -53,6 +58,18 @@ impl ColumnParams {
     /// a decoded 8-byte value. 1 for undictionaried columns.
     pub fn code_cpu_factor(&self) -> f64 {
         (self.code_width / 8.0).clamp(0.125, 1.0)
+    }
+
+    /// CPU an operator producing this column's values pays on top of its
+    /// figure: a bit-vector column cannot be read at a position, so the
+    /// whole column is decoded (one column-iterator step per row). Zero
+    /// for every other encoding.
+    fn value_decode(&self, c: &Constants) -> f64 {
+        if self.bit_vector {
+            self.rows * c.tic_col
+        } else {
+            0.0
+        }
     }
 }
 
@@ -108,11 +125,13 @@ pub fn ds1_code(col: &ColumnParams, sf: f64, c: &Constants) -> (f64, f64) {
 
 /// DS Case 2: scan + predicate → (position, value) pairs.
 ///
-/// Same as Case 1 except step (5) pays `TICTUP + FC` per emitted pair.
+/// Same as Case 1 except step (5) pays `TICTUP + FC` per emitted pair,
+/// plus the whole-column decode of a bit-vector column.
 pub fn ds2(col: &ColumnParams, sf: f64, c: &Constants) -> (f64, f64) {
     let cpu = col.blocks * c.bic
         + col.rows * (c.tic_col + c.fc) / col.run_len.max(1.0)
-        + sf * col.rows * (c.tic_tup + c.fc);
+        + sf * col.rows * (c.tic_tup + c.fc)
+        + col.value_decode(c);
     (cpu, col.io_full_scan(c))
 }
 
@@ -125,6 +144,7 @@ pub fn ds2(col: &ColumnParams, sf: f64, c: &Constants) -> (f64, f64) {
 /// column was already read earlier in the plan, so `F = 1` and I/O → 0.
 /// Otherwise I/O is `(|C|/PF*SEEK + SF*|C|*READ) * (1-F)` — only the
 /// fraction of blocks containing matches is read (localized matches).
+/// A bit-vector column adds its whole-column decode.
 pub fn ds3(
     col: &ColumnParams,
     positions: f64,
@@ -136,7 +156,8 @@ pub fn ds3(
     let steps = positions / pos_run_len.max(1.0);
     let cpu = col.blocks * c.bic            // (1)
         + steps * c.tic_col                 // (3)
-        + steps * (c.tic_col + c.fc); // (4)
+        + steps * (c.tic_col + c.fc)        // (4)
+        + col.value_decode(c);
     let io = if reaccess {
         0.0
     } else {
@@ -188,6 +209,8 @@ pub fn merge_cost(values_per_col: f64, k: f64, c: &Constants) -> f64 {
 ///     + ||Ck||*TICTUP*Π_{j=1..k}(SFj)              (5)
 /// IO  = Σ_i (|Ci|/PF*SEEK + |Ci|*READ)             (3)
 /// ```
+///
+/// A bit-vector column adds its whole-column decode to step (4).
 pub fn spc(cols: &[ColumnParams], sfs: &[f64], c: &Constants) -> (f64, f64) {
     assert_eq!(cols.len(), sfs.len());
     let mut cpu = 0.0;
@@ -195,7 +218,7 @@ pub fn spc(cols: &[ColumnParams], sfs: &[f64], c: &Constants) -> (f64, f64) {
     let mut sel_prefix = 1.0; // Π_{j<i} SF_j
     for (col, &sf) in cols.iter().zip(sfs) {
         cpu += col.blocks * c.bic; // (2)
-        cpu += col.rows * c.fc * sel_prefix; // (4)
+        cpu += col.rows * c.fc * sel_prefix + col.value_decode(c); // (4)
         io += col.io_full_scan(c); // (3)
         sel_prefix *= sf;
     }

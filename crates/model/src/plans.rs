@@ -1,22 +1,26 @@
-//! Whole-plan cost composition for the four materialization strategies.
+//! Whole-plan cost composition: the statement a scan or a join tree
+//! runs, priced as the sum of its operators (§3).
 //!
-//! The paper models the query
+//! A scan is described by [`ScanParams`] — its own filters, in order,
+//! its own output (or group and value) columns, and every column it
+//! reads — and [`CostModel::estimate`] composes the per-operator
+//! formulas of [`crate::ops`] over those columns in each strategy's
+//! §3.5 order. On the paper's query
 //!
 //! ```sql
 //! SELECT shipdate, linenum FROM lineitem
 //! WHERE shipdate < X AND linenum < Y
 //! ```
 //!
-//! (optionally with `GROUP BY shipdate, SUM(linenum)` on top) under the
-//! four strategies of §3.5. [`CostModel`] composes the per-operator
-//! formulas of [`crate::ops`] into end-to-end estimates; these are the
-//! curves of Figure 10, and the decision procedure the paper's §6
+//! (optionally with `GROUP BY shipdate, SUM(linenum)` on top) these are
+//! the curves of Figure 10, and the decision procedure the paper's §6
 //! suggests embedding in an optimizer. The §4.3 join is priced the same
 //! way: [`CostModel::hash_join`] for one join, [`CostModel::join_tree`]
 //! for a tree of them.
 
 use crate::constants::Constants;
 use crate::ops::{and_cost, ds1, ds1_code, ds2, ds3, ds4, merge_cost, spc, AndInput, ColumnParams};
+use crate::strategy::{InnerStrategy, Strategy};
 
 /// Granule runs each worker claims from the work-stealing scheduler
 /// over a query's lifetime — mirrors the executor's chunking policy
@@ -25,40 +29,6 @@ use crate::ops::{and_cost, ds1, ds1_code, ds2, ds3, ds4, merge_cost, spc, AndInp
 /// `workers × CHUNKS_PER_WORKER` claim/steal bookkeeping operations, one
 /// `FC` each.
 pub const SCHED_CHUNKS_PER_WORKER: f64 = 16.0;
-
-/// Which of the four strategy plans to price.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PlanKind {
-    /// DS2 → DS4 chain: tuples grow one column at a time.
-    EmPipelined,
-    /// SPC leaf: full tuples constructed immediately.
-    EmParallel,
-    /// DS1 → DS3 chain: positions flow, later columns only touched at
-    /// surviving positions.
-    LmPipelined,
-    /// DS1 ∥ DS1 → AND → DS3 ∥ DS3 → MERGE.
-    LmParallel,
-}
-
-impl PlanKind {
-    /// All four strategies.
-    pub const ALL: [PlanKind; 4] = [
-        PlanKind::EmPipelined,
-        PlanKind::EmParallel,
-        PlanKind::LmPipelined,
-        PlanKind::LmParallel,
-    ];
-
-    /// Short name used in harness output.
-    pub fn name(self) -> &'static str {
-        match self {
-            PlanKind::EmPipelined => "EM-pipelined",
-            PlanKind::EmParallel => "EM-parallel",
-            PlanKind::LmPipelined => "LM-pipelined",
-            PlanKind::LmParallel => "LM-parallel",
-        }
-    }
-}
 
 /// CPU/IO split of an estimate, in microseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -104,73 +74,47 @@ impl CostBreakdown {
     }
 }
 
-/// Parameters of the two-predicate selection/aggregation query.
+/// One conjunct of a scan's WHERE clause.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QueryParams {
-    /// Row count `N` of the projection.
-    pub n: f64,
-    /// First predicate column (the paper's SHIPDATE).
-    pub c1: ColumnParams,
-    /// Second predicate column (the paper's LINENUM).
-    pub c2: ColumnParams,
-    /// Selectivity of the first predicate.
-    pub sf1: f64,
-    /// Selectivity of the second predicate.
-    pub sf2: f64,
-    /// `RL_p` of the position list DS1 emits for column 1.
-    pub pos_run_len1: f64,
-    /// `RL_p` of the position list DS1 emits for column 2.
-    pub pos_run_len2: f64,
-    /// Whether DS1 on column 1 emits a bit-string (bit-vector encoding).
-    pub bitstring1: bool,
-    /// Whether DS1 on column 2 emits a bit-string.
-    pub bitstring2: bool,
-    /// Whether column 2 supports DS3 (false for bit-vector encoding —
-    /// disables LM-pipelined and forces a decompress on fetch).
-    pub c2_supports_ds3: bool,
-    /// Whether value fetch on column 1 must decompress the whole column
-    /// (bit-vector encoding).
-    pub c1_decompress_fetch: bool,
-    /// Whether value fetch on column 2 must decompress the whole column.
-    pub c2_decompress_fetch: bool,
-    /// `true` for the aggregation query (GROUP BY c1, SUM(c2)).
-    pub aggregated: bool,
-    /// Number of groups the aggregation produces.
-    pub num_groups: f64,
+pub struct ScanFilter {
+    /// The filtered column, as an index into [`ScanParams::columns`].
+    pub column: usize,
+    /// Selectivity of the predicate.
+    pub sf: f64,
+    /// `RL_p` of the position list DS1 emits for it.
+    pub pos_run_len: f64,
 }
 
-impl QueryParams {
-    /// Plain selection query with sensible defaults: positions ungrouped
-    /// (`RL_p` from the column run lengths), value encodings supporting
-    /// DS3.
-    pub fn selection(
-        n: f64,
-        c1: ColumnParams,
-        c2: ColumnParams,
-        sf1: f64,
-        sf2: f64,
-    ) -> QueryParams {
-        QueryParams {
-            n,
-            c1,
-            c2,
-            sf1,
-            sf2,
-            pos_run_len1: c1.run_len,
-            pos_run_len2: c2.run_len,
-            bitstring1: false,
-            bitstring2: false,
-            c2_supports_ds3: true,
-            c1_decompress_fetch: false,
-            c2_decompress_fetch: false,
-            aggregated: false,
-            num_groups: 0.0,
-        }
+/// The scan statement the model prices.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ScanParams {
+    /// Row count `N` of the projection.
+    pub rows: f64,
+    /// Every column the statement reads, once each: the filter columns
+    /// in filter order, then the output columns.
+    pub columns: Vec<ColumnParams>,
+    /// The conjuncts, in the order they are applied.
+    pub filters: Vec<ScanFilter>,
+    /// The output columns as indices into `columns`; under an aggregate,
+    /// the group column, then the value column.
+    pub outputs: Vec<usize>,
+    /// The number of groups an aggregate produces, or `None` for a plain
+    /// selection.
+    pub groups: Option<f64>,
+}
+
+impl ScanParams {
+    /// Combined selectivity of the filters on `column` (1 if none).
+    fn column_sf(&self, column: usize) -> f64 {
+        self.filters
+            .iter()
+            .filter(|f| f.column == column)
+            .fold(1.0, |sf, f| sf * f.sf)
     }
 
-    /// Rows surviving both predicates.
+    /// Rows surviving every filter.
     pub fn out_rows(&self) -> f64 {
-        self.n * self.sf1 * self.sf2
+        self.filters.iter().fold(self.rows, |n, f| n * f.sf)
     }
 }
 
@@ -191,136 +135,6 @@ impl CostModel {
         &self.constants
     }
 
-    /// Final consumption cost: iterate results, or aggregate them.
-    ///
-    /// * EM plans hand tuples to the consumer: the aggregator pays a
-    ///   tuple-iterator step per input; a plain query pays one per output.
-    /// * LM plans (aggregated) feed the aggregator columns directly:
-    ///   it consumes value *runs* (`TICCOL + FC` per run, the operate-on-
-    ///   compressed-data win) and only `num_groups` tuples are built.
-    fn consume_em(&self, q: &QueryParams) -> f64 {
-        let c = &self.constants;
-        if q.aggregated {
-            q.out_rows() * c.tic_tup + q.num_groups * c.tic_tup
-        } else {
-            q.out_rows() * c.tic_tup
-        }
-    }
-
-    fn consume_lm(&self, q: &QueryParams) -> f64 {
-        let c = &self.constants;
-        if q.aggregated {
-            // Group column arrives in runs of its stored run length.
-            let runs = q.out_rows() / q.c1.run_len.max(1.0);
-            runs * (c.tic_col + c.fc) + q.out_rows() * c.fc + q.num_groups * c.tic_tup
-        } else {
-            // Tuples must be merged and iterated.
-            merge_cost(q.out_rows(), 2.0, c) + q.out_rows() * c.tic_tup
-        }
-    }
-
-    /// Extra CPU when fetching values from a bit-vector column: the whole
-    /// column must be decompressed (one column-iterator step per row).
-    fn decompress_penalty(&self, col: &ColumnParams) -> f64 {
-        col.rows * self.constants.tic_col
-    }
-
-    /// EM-parallel: SPC over both columns, then consume.
-    pub fn em_parallel(&self, q: &QueryParams) -> CostBreakdown {
-        let c = &self.constants;
-        let mut cost = CostBreakdown::default();
-        cost.add(spc(&[q.c1, q.c2], &[q.sf1, q.sf2], c));
-        if q.c1_decompress_fetch {
-            cost.add_cpu(self.decompress_penalty(&q.c1));
-        }
-        if q.c2_decompress_fetch {
-            cost.add_cpu(self.decompress_penalty(&q.c2));
-        }
-        cost.add_cpu(self.consume_em(q));
-        cost
-    }
-
-    /// EM-pipelined: DS2 on column 1, DS4 on column 2, then consume.
-    pub fn em_pipelined(&self, q: &QueryParams) -> CostBreakdown {
-        let c = &self.constants;
-        let mut cost = CostBreakdown::default();
-        cost.add(ds2(&q.c1, q.sf1, c));
-        if q.c1_decompress_fetch {
-            cost.add_cpu(self.decompress_penalty(&q.c1));
-        }
-        cost.add(ds4(&q.c2, q.n * q.sf1, q.sf2, c));
-        cost.add_cpu(self.consume_em(q));
-        cost
-    }
-
-    /// LM-parallel: two DS1s, AND, two (re-access) DS3s, merge/aggregate.
-    pub fn lm_parallel(&self, q: &QueryParams) -> CostBreakdown {
-        let c = &self.constants;
-        let mut cost = CostBreakdown::default();
-        cost.add(ds1(&q.c1, q.sf1, c));
-        cost.add(ds1(&q.c2, q.sf2, c));
-        cost.add_cpu(and_cost(
-            &[
-                AndInput {
-                    positions: q.n * q.sf1,
-                    run_len: q.pos_run_len1,
-                    is_bitstring: q.bitstring1,
-                },
-                AndInput {
-                    positions: q.n * q.sf2,
-                    run_len: q.pos_run_len2,
-                    is_bitstring: q.bitstring2,
-                },
-            ],
-            c,
-        ));
-        // AND output: ranges only if both inputs were ranges.
-        let out_runs = if q.bitstring1 || q.bitstring2 {
-            1.0
-        } else {
-            q.pos_run_len1.min(q.pos_run_len2)
-        };
-        let out = q.out_rows();
-        // Re-access both columns at the surviving positions (multi-column
-        // optimization: I/O is zero).
-        cost.add(ds3(&q.c1, out, out_runs, q.sf1 * q.sf2, true, c));
-        if q.c1_decompress_fetch {
-            cost.add_cpu(self.decompress_penalty(&q.c1));
-        }
-        cost.add(ds3(&q.c2, out, out_runs, q.sf1 * q.sf2, true, c));
-        if q.c2_decompress_fetch {
-            cost.add_cpu(self.decompress_penalty(&q.c2));
-        }
-        cost.add_cpu(self.consume_lm(q));
-        cost
-    }
-
-    /// LM-pipelined: DS1 on column 1; DS3 on column 2 at only the
-    /// surviving positions (first access — I/O is the `SF`-scaled read);
-    /// predicate on the fetched subset; final re-access of column 1.
-    ///
-    /// Returns `None` when column 2 does not support DS3 (bit-vector).
-    pub fn lm_pipelined(&self, q: &QueryParams) -> Option<CostBreakdown> {
-        if !q.c2_supports_ds3 {
-            return None;
-        }
-        let c = &self.constants;
-        let mut cost = CostBreakdown::default();
-        cost.add(ds1(&q.c1, q.sf1, c));
-        // Fetch c2 values at positions passing predicate 1, then filter.
-        cost.add(ds3(&q.c2, q.n * q.sf1, q.pos_run_len1, q.sf1, false, c));
-        cost.add_cpu(q.n * q.sf1 * c.fc); // apply predicate 2 to the subset
-                                          // Re-access c1 for its values at the final positions.
-        let out = q.out_rows();
-        let out_runs = q.pos_run_len1.min(q.pos_run_len2);
-        cost.add(ds3(&q.c1, out, out_runs, q.sf1 * q.sf2, true, c));
-        if q.c1_decompress_fetch {
-            cost.add_cpu(self.decompress_penalty(&q.c1));
-        }
-        cost.add_cpu(self.consume_lm(q));
-        Some(cost)
-    }
-
     /// CPU the work-stealing scheduler itself burns at `workers`
     /// granule-parallel threads: every worker performs about
     /// [`SCHED_CHUNKS_PER_WORKER`] chunk claims (own-span head claims
@@ -335,30 +149,154 @@ impl CostModel {
         }
     }
 
-    /// Price one strategy plan as executed by `workers` granule-parallel
-    /// threads under the work-stealing scheduler: CPU divides, I/O does
-    /// not, and the scheduler's claim/steal bookkeeping is added on top.
-    /// `workers = 1` is the serial plan exactly. `None` when the plan is
-    /// unsupported for the parameters.
+    /// Price scan `q` under `strategy` as executed by `workers`
+    /// granule-parallel threads under the work-stealing scheduler: CPU
+    /// divides, I/O does not, and the scheduler's claim/steal bookkeeping
+    /// is added on top. `workers = 1` is the serial plan exactly.
+    ///
+    /// The operators compose in the strategy's §3.5 order:
+    ///
+    /// * **EM-parallel**: SPC over every column read.
+    /// * **EM-pipelined**: DS2 on the first column, then DS4 on each later
+    ///   one at the running tuple count.
+    /// * **LM-parallel**: DS1 on each filter, AND, then DS3 on each output
+    ///   at the surviving positions — a re-access (no I/O) when the
+    ///   column was filtered.
+    /// * **LM-pipelined**: DS1 on the first filter, then DS3 and the
+    ///   predicate on each later filter at the running positions, then
+    ///   DS3 on each output whose values are not already in hand. `None`
+    ///   when a later filter column is bit-vector encoded: its values
+    ///   cannot be fetched at a position.
+    ///
+    /// Then the consumer: an EM plan iterates its tuples; an LM plan
+    /// MERGEs its output columns, or aggregates straight from them, one
+    /// step per run of the group column.
     pub fn estimate(
         &self,
-        kind: PlanKind,
-        q: &QueryParams,
+        strategy: Strategy,
+        q: &ScanParams,
         workers: usize,
     ) -> Option<CostBreakdown> {
-        let serial = match kind {
-            PlanKind::EmPipelined => self.em_pipelined(q),
-            PlanKind::EmParallel => self.em_parallel(q),
-            PlanKind::LmPipelined => self.lm_pipelined(q)?,
-            PlanKind::LmParallel => self.lm_parallel(q),
-        };
-        let mut cost = serial.with_workers(workers);
+        let c = &self.constants;
+        let mut cost = CostBreakdown::default();
+        match strategy {
+            Strategy::EmParallel => {
+                let sfs: Vec<f64> = (0..q.columns.len()).map(|i| q.column_sf(i)).collect();
+                cost.add(spc(&q.columns, &sfs, c));
+            }
+            Strategy::EmPipelined => {
+                let mut tuples = q.rows;
+                for (i, col) in q.columns.iter().enumerate() {
+                    let sf = q.column_sf(i);
+                    cost.add(if i == 0 {
+                        ds2(col, sf, c)
+                    } else {
+                        ds4(col, tuples, sf, c)
+                    });
+                    tuples *= sf;
+                }
+            }
+            Strategy::LmParallel => {
+                let inputs: Vec<AndInput> = q
+                    .filters
+                    .iter()
+                    .map(|f| AndInput {
+                        positions: q.rows * f.sf,
+                        run_len: f.pos_run_len,
+                        is_bitstring: q.columns[f.column].bit_vector,
+                    })
+                    .collect();
+                for f in &q.filters {
+                    cost.add(ds1(&q.columns[f.column], f.sf, c));
+                }
+                cost.add_cpu(and_cost(&inputs, c));
+                // AND output: ranges only if every input was ranges.
+                let runs = if inputs.iter().any(|i| i.is_bitstring) {
+                    1.0
+                } else {
+                    inputs.iter().fold(q.rows, |r, i| r.min(i.run_len))
+                };
+                let read: Vec<bool> = (0..q.columns.len())
+                    .map(|i| q.filters.iter().any(|f| f.column == i))
+                    .collect();
+                self.fetch_outputs(&mut cost, q, runs, read, vec![false; q.columns.len()]);
+            }
+            Strategy::LmPipelined => {
+                let (mut positions, mut sel, mut runs) = (q.rows, 1.0, q.rows);
+                let mut read = vec![false; q.columns.len()];
+                let mut in_hand = read.clone();
+                for (k, f) in q.filters.iter().enumerate() {
+                    let col = &q.columns[f.column];
+                    if k == 0 {
+                        cost.add(ds1(col, f.sf, c));
+                    } else {
+                        if col.bit_vector {
+                            return None;
+                        }
+                        // Fetch the values at the surviving positions,
+                        // then apply the predicate to them.
+                        cost.add(ds3(col, positions, runs, sel, read[f.column], c));
+                        cost.add_cpu(positions * c.fc);
+                        in_hand[f.column] = true;
+                    }
+                    read[f.column] = true;
+                    positions *= f.sf;
+                    sel *= f.sf;
+                    runs = runs.min(f.pos_run_len);
+                }
+                self.fetch_outputs(&mut cost, q, runs, read, in_hand);
+            }
+        }
+        cost.add_cpu(self.consume(strategy.is_late(), q));
+        let mut cost = cost.with_workers(workers);
         cost.cpu_us += self.steal_overhead(workers);
         Some(cost)
     }
 
+    /// DS3 on each output column not `in_hand`, at the surviving
+    /// positions in runs of `runs`: a re-access (no I/O) when the column
+    /// was `read` by an earlier operator.
+    fn fetch_outputs(
+        &self,
+        cost: &mut CostBreakdown,
+        q: &ScanParams,
+        runs: f64,
+        read: Vec<bool>,
+        mut in_hand: Vec<bool>,
+    ) {
+        let (out, sel) = (q.out_rows(), q.filters.iter().fold(1.0, |s, f| s * f.sf));
+        for &i in &q.outputs {
+            if !in_hand[i] {
+                cost.add(ds3(&q.columns[i], out, runs, sel, read[i], &self.constants));
+                in_hand[i] = true;
+            }
+        }
+    }
+
+    /// Final consumption cost: iterate results, or aggregate them.
+    ///
+    /// * EM plans hand tuples to the consumer: the aggregator pays a
+    ///   tuple-iterator step per input; a plain query pays one per output.
+    /// * LM plans MERGE their output columns into tuples, or (aggregated)
+    ///   feed the aggregator the columns directly: it consumes the group
+    ///   column's value *runs* (`TICCOL + FC` per run, the operate-on-
+    ///   compressed-data win) and only the groups are built as tuples.
+    fn consume(&self, late: bool, q: &ScanParams) -> f64 {
+        let c = &self.constants;
+        let out = q.out_rows();
+        match (q.groups, late) {
+            (None, false) => out * c.tic_tup,
+            (None, true) => merge_cost(out, q.outputs.len() as f64, c) + out * c.tic_tup,
+            (Some(groups), false) => out * c.tic_tup + groups * c.tic_tup,
+            (Some(groups), true) => {
+                let runs = out / q.columns[q.outputs[0]].run_len.max(1.0);
+                runs * (c.tic_col + c.fc) + out * c.fc + groups * c.tic_tup
+            }
+        }
+    }
+
     /// The serial build and probe phases [`Self::hash_join`] prices.
-    fn join_phases(&self, q: &JoinParams, kind: JoinInnerKind, build_reused: bool) -> JoinCost {
+    fn join_phases(&self, q: &JoinParams, kind: InnerStrategy, build_reused: bool) -> JoinCost {
         let c = &self.constants;
         let out = q.out_rows();
 
@@ -377,7 +315,7 @@ impl CostModel {
         // Right output blocks enter the pool at build for every
         // representation (compressed mini-columns or full decode).
         build.add((q.right_out_blocks * c.bic, q.right_out_io(c)));
-        if kind == JoinInnerKind::Materialized {
+        if kind == InnerStrategy::Materialized {
             // Decode every output column and construct row-major tuples.
             build.add_cpu(q.right_rows() * q.right_out_cols * (c.tic_col + c.tic_tup));
         }
@@ -402,16 +340,16 @@ impl CostModel {
         // Right output values per representation.
         let right_fetch = match kind {
             // Array index + tuple copy.
-            JoinInnerKind::Materialized => out * q.right_out_cols * c.tic_tup,
+            InnerStrategy::Materialized => out * q.right_out_cols * c.tic_tup,
             // Positional probe into compressed blocks: block binary
             // search (FC-scaled) + column-iterator step + tuple write.
-            JoinInnerKind::MultiColumn => {
+            InnerStrategy::MultiColumn => {
                 out * q.right_out_cols * (q.right_block_search(c) + c.tic_col + c.tic_tup)
             }
             // The same positional probes, plus the extra positional join
             // on unsorted right positions: sort the matches, gather, and
             // scatter back into output order (§4.3, Figure 13).
-            JoinInnerKind::SingleColumn => {
+            InnerStrategy::SingleColumn => {
                 out * q.right_out_cols * (q.right_block_search(c) + c.tic_col + c.tic_tup)
                     + out * (2.0 * c.fc) * (out.max(2.0)).log2()
                     + out * q.right_out_cols * c.fc
@@ -470,7 +408,7 @@ impl CostModel {
     pub fn hash_join(
         &self,
         q: &JoinParams,
-        kind: JoinInnerKind,
+        kind: InnerStrategy,
         build_workers: usize,
         probe_workers: usize,
         build_reused: bool,
@@ -537,7 +475,7 @@ impl CostModel {
             for r in reductions.iter().filter(|r| r.parent_slot == slot) {
                 p.match_rate *= r.keep_rate.clamp(0.0, 1.0);
             }
-            let alternatives = JoinInnerKind::ALL.map(|kind| {
+            let alternatives = InnerStrategy::ALL.map(|kind| {
                 let cost =
                     self.hash_join(&p, kind, e.build_workers, e.probe_workers, e.build_reused);
                 (kind, cost)
@@ -607,10 +545,10 @@ pub struct JoinTreeEdgeParams {
 pub struct JoinTreeCost {
     /// Per-edge cheapest representation and its estimate (including the
     /// edge's bushy-reduction scans), in execution order.
-    pub edges: Vec<(JoinInnerKind, CostBreakdown)>,
+    pub edges: Vec<(InnerStrategy, CostBreakdown)>,
     /// Per edge, all three representations priced at the edge's chained
     /// cardinality (the rejected ones included; reduction scans not).
-    pub alternatives: Vec<[(JoinInnerKind, CostBreakdown); 3]>,
+    pub alternatives: Vec<[(InnerStrategy, CostBreakdown); 3]>,
     /// Estimated output cardinality *after* each edge (same order); the
     /// last entry is the tree's estimated result rows.
     pub cards: Vec<f64>,
@@ -628,36 +566,6 @@ impl JoinTreeCost {
     /// Estimated result rows of the whole tree.
     pub fn out_rows(&self) -> f64 {
         self.cards.last().copied().unwrap_or(0.0)
-    }
-}
-
-/// Which inner-table representation a hash join uses (§4.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum JoinInnerKind {
-    /// Right tuples constructed before the join (EM).
-    Materialized,
-    /// Right columns shipped compressed; tuples built per match.
-    MultiColumn,
-    /// Only the key column enters the join; values fetched by position
-    /// afterwards (pure LM).
-    SingleColumn,
-}
-
-impl JoinInnerKind {
-    /// All three representations, in the paper's Figure 13 order.
-    pub const ALL: [JoinInnerKind; 3] = [
-        JoinInnerKind::Materialized,
-        JoinInnerKind::MultiColumn,
-        JoinInnerKind::SingleColumn,
-    ];
-
-    /// Short name used in harness output.
-    pub fn name(self) -> &'static str {
-        match self {
-            JoinInnerKind::Materialized => "Right Table Materialized",
-            JoinInnerKind::MultiColumn => "Right Table Multi-Column",
-            JoinInnerKind::SingleColumn => "Right Table Single Column",
-        }
     }
 }
 
@@ -799,12 +707,17 @@ mod tests {
 
     /// The cheapest supported strategy plan at `workers` — the §6
     /// optimizer decision.
-    fn best_plan(m: &CostModel, q: &QueryParams, workers: usize) -> (PlanKind, CostBreakdown) {
-        PlanKind::ALL
+    fn best_plan(m: &CostModel, q: &ScanParams, workers: usize) -> (Strategy, CostBreakdown) {
+        Strategy::ALL
             .iter()
             .filter_map(|&k| m.estimate(k, q, workers).map(|c| (k, c)))
             .min_by(|a, b| a.1.total_us().total_cmp(&b.1.total_us()))
             .expect("EM plans are always supported")
+    }
+
+    /// Serial total of a plan the parameters support.
+    fn total(m: &CostModel, s: Strategy, q: &ScanParams) -> f64 {
+        m.estimate(s, q, 1).expect("supported").total_us()
     }
 
     /// One tree edge at the given worker counts, built fresh.
@@ -817,62 +730,47 @@ mod tests {
         }
     }
 
-    /// Paper-scale RLE setup (§3.7): shipdate 1 block / 3,800 "tuples"
-    /// (runs), linenum 5 blocks / 26,726 runs, 60 M rows.
-    fn rle_params(sf1: f64) -> QueryParams {
-        let n = 60_000_000.0;
-        let c1 = ColumnParams {
-            blocks: 1.0,
-            rows: n,
-            run_len: n / 3800.0,
-            resident: 0.0,
-            code_width: 8.0,
-            shared_dict: false,
+    /// The paper's query over 60 M rows: `c1 < X AND c2 < Y` at
+    /// selectivities `sf1` and 0.96, selecting both columns, with the
+    /// position lists' run lengths `prl`.
+    fn paper_query(c1: ColumnParams, c2: ColumnParams, sf1: f64, prl: [f64; 2]) -> ScanParams {
+        let filter = |column, sf, pos_run_len| ScanFilter {
+            column,
+            sf,
+            pos_run_len,
         };
-        let c2 = ColumnParams {
-            blocks: 5.0,
-            rows: n,
-            run_len: n / 26_726.0,
-            resident: 0.0,
-            code_width: 8.0,
-            shared_dict: false,
-        };
-        let mut q = QueryParams::selection(n, c1, c2, sf1, 0.96);
-        // Positions from a range predicate over the semi-sorted shipdate
-        // coalesce into a few long runs (one per RETURNFLAG group).
-        q.pos_run_len1 = (n * sf1 / 3.0).max(1.0);
-        q.pos_run_len2 = (n * 0.96 / 26_726.0).max(1.0);
-        q
+        ScanParams {
+            rows: 60_000_000.0,
+            columns: vec![c1, c2],
+            filters: vec![filter(0, sf1, prl[0]), filter(1, 0.96, prl[1])],
+            outputs: vec![0, 1],
+            groups: None,
+        }
     }
 
-    fn uncompressed_params(sf1: f64) -> QueryParams {
+    /// Paper-scale RLE setup (§3.7): shipdate 1 block / 3,800 "tuples"
+    /// (runs), linenum 5 blocks / 26,726 runs, 60 M rows.
+    fn rle_params(sf1: f64) -> ScanParams {
         let n = 60_000_000.0;
-        let c1 = ColumnParams {
-            blocks: 1.0,
-            rows: n,
-            run_len: n / 3800.0,
-            resident: 0.0,
-            code_width: 8.0,
-            shared_dict: false,
-        };
-        let c2 = ColumnParams {
-            blocks: 916.0,
-            rows: n,
-            run_len: 1.0,
-            resident: 0.0,
-            code_width: 8.0,
-            shared_dict: false,
-        };
-        let mut q = QueryParams::selection(n, c1, c2, sf1, 0.96);
-        q.pos_run_len1 = (n * sf1 / 3.0).max(1.0);
-        q.pos_run_len2 = 1.0;
-        q
+        let c1 = ColumnParams::cold(1.0, n, n / 3800.0);
+        let c2 = ColumnParams::cold(5.0, n, n / 26_726.0);
+        // Positions from a range predicate over the semi-sorted shipdate
+        // coalesce into a few long runs (one per RETURNFLAG group).
+        let prl = [(n * sf1 / 3.0).max(1.0), (n * 0.96 / 26_726.0).max(1.0)];
+        paper_query(c1, c2, sf1, prl)
+    }
+
+    fn uncompressed_params(sf1: f64) -> ScanParams {
+        let n = 60_000_000.0;
+        let c1 = ColumnParams::cold(1.0, n, n / 3800.0);
+        let c2 = ColumnParams::cold(916.0, n, 1.0);
+        paper_query(c1, c2, sf1, [(n * sf1 / 3.0).max(1.0), 1.0])
     }
 
     #[test]
     fn costs_increase_with_selectivity() {
         let m = model();
-        for kind in PlanKind::ALL {
+        for kind in Strategy::ALL {
             let lo = m.estimate(kind, &rle_params(0.1), 1);
             let hi = m.estimate(kind, &rle_params(0.9), 1);
             if let (Some(lo), Some(hi)) = (lo, hi) {
@@ -890,10 +788,10 @@ mod tests {
         // RLE-compressed data once selectivity is non-trivial.
         let m = model();
         let q = rle_params(0.5);
-        let lm = m.lm_parallel(&q).total_us();
-        let lmp = m.lm_pipelined(&q).unwrap().total_us();
-        let emp = m.em_parallel(&q).total_us();
-        let emd = m.em_pipelined(&q).total_us();
+        let lm = total(&m, Strategy::LmParallel, &q);
+        let lmp = total(&m, Strategy::LmPipelined, &q);
+        let emp = total(&m, Strategy::EmParallel, &q);
+        let emd = total(&m, Strategy::EmPipelined, &q);
         assert!(lm < emp && lm < emd, "LM-parallel {lm} vs EM {emp}/{emd}");
         assert!(lmp < emp && lmp < emd);
     }
@@ -906,14 +804,14 @@ mod tests {
         let m = model();
         let low = uncompressed_params(0.01);
         let high = uncompressed_params(0.9);
-        let lmp_low = m.lm_pipelined(&low).unwrap().total_us();
-        let emp_low = m.em_parallel(&low).total_us();
+        let lmp_low = total(&m, Strategy::LmPipelined, &low);
+        let emp_low = total(&m, Strategy::EmParallel, &low);
         assert!(
             lmp_low < emp_low,
             "low sel: {lmp_low} should beat {emp_low}"
         );
-        let lmp_high = m.lm_pipelined(&high).unwrap().total_us();
-        let emp_high = m.em_parallel(&high).total_us();
+        let lmp_high = total(&m, Strategy::LmPipelined, &high);
+        let emp_high = total(&m, Strategy::EmParallel, &high);
         assert!(
             emp_high < lmp_high,
             "high sel: EM-parallel {emp_high} should beat LM-pipelined {lmp_high}"
@@ -926,17 +824,16 @@ mod tests {
         // nearly unchanged but cuts LM costs (no tuples constructed).
         let m = model();
         let sel = rle_params(0.8);
-        let mut agg = sel;
-        agg.aggregated = true;
-        agg.num_groups = 2526.0;
-        let lm_sel = m.lm_parallel(&sel).total_us();
-        let lm_agg = m.lm_parallel(&agg).total_us();
+        let mut agg = sel.clone();
+        agg.groups = Some(2526.0);
+        let lm_sel = total(&m, Strategy::LmParallel, &sel);
+        let lm_agg = total(&m, Strategy::LmParallel, &agg);
         assert!(
             lm_agg < 0.5 * lm_sel,
             "agg should slash LM cost: {lm_agg} vs {lm_sel}"
         );
-        let em_sel = m.em_parallel(&sel).total_us();
-        let em_agg = m.em_parallel(&agg).total_us();
+        let em_sel = total(&m, Strategy::EmParallel, &sel);
+        let em_agg = total(&m, Strategy::EmParallel, &agg);
         assert!((em_agg - em_sel).abs() / em_sel < 0.25, "EM barely changes");
     }
 
@@ -944,12 +841,15 @@ mod tests {
     fn bitvec_disables_lm_pipelined() {
         let m = model();
         let mut q = rle_params(0.5);
-        q.c2_supports_ds3 = false;
-        assert!(m.lm_pipelined(&q).is_none());
-        assert!(m.estimate(PlanKind::LmPipelined, &q, 1).is_none());
+        q.columns[1].bit_vector = true;
+        assert!(m.estimate(Strategy::LmPipelined, &q, 1).is_none());
         // best_plan still returns something.
         let (_, cost) = best_plan(&m, &q, 1);
         assert!(cost.total_us() > 0.0);
+        // A bit-vector *first* filter is a DS1 leaf, which it supports.
+        let mut q = rle_params(0.5);
+        q.columns[0].bit_vector = true;
+        assert!(m.estimate(Strategy::LmPipelined, &q, 1).is_some());
     }
 
     #[test]
@@ -957,7 +857,7 @@ mod tests {
         let m = model();
         let q = rle_params(0.5);
         let (kind, cost) = best_plan(&m, &q, 1);
-        for k in PlanKind::ALL {
+        for k in Strategy::ALL {
             if let Some(c) = m.estimate(k, &q, 1) {
                 assert!(cost.total_us() <= c.total_us() + 1e-9, "{kind:?} vs {k:?}");
             }
@@ -968,16 +868,62 @@ mod tests {
     fn decompress_fetch_penalizes_lm_fetch_paths() {
         let m = model();
         let q = rle_params(0.5);
-        let mut qb = q;
-        qb.c2_decompress_fetch = true;
-        assert!(m.lm_parallel(&qb).total_us() > m.lm_parallel(&q).total_us());
+        let mut qb = q.clone();
+        qb.columns[1].bit_vector = true;
+        assert!(total(&m, Strategy::LmParallel, &qb) > total(&m, Strategy::LmParallel, &q));
+    }
+
+    #[test]
+    fn unfiltered_outputs_are_fetched_at_the_surviving_positions() {
+        // A third, unfiltered output column: LM plans pay a first-access
+        // DS3 (I/O on the matching fraction of its blocks) and one more
+        // MERGE input; EM plans carry it through the leaf or a DS4.
+        let m = model();
+        let q = uncompressed_params(0.1);
+        let mut wide = q.clone();
+        wide.columns
+            .push(ColumnParams::cold(916.0, 60_000_000.0, 1.0));
+        wide.outputs.push(2);
+        let c = *m.constants();
+        let out = q.out_rows();
+        let fetch = ds3(&wide.columns[2], out, 1.0, 0.1 * 0.96, false, &c);
+        let merge = merge_cost(out, 3.0, &c) - merge_cost(out, 2.0, &c);
+        let narrow = m.estimate(Strategy::LmParallel, &q, 1).unwrap();
+        let got = m.estimate(Strategy::LmParallel, &wide, 1).unwrap();
+        assert!((got.cpu_us - (narrow.cpu_us + fetch.0 + merge)).abs() < 1e-6);
+        assert!((got.io_us - (narrow.io_us + fetch.1)).abs() < 1e-6);
+        assert!(fetch.1 > 0.0, "a first access reads the matching blocks");
+        for s in Strategy::ALL {
+            assert!(total(&m, s, &wide) > total(&m, s, &q), "{s:?}");
+        }
+    }
+
+    #[test]
+    fn lm_aggregate_steps_over_the_group_columns_runs() {
+        // Grouping on the long-run column steps over far fewer runs than
+        // grouping on the short-run one; the EM consumer is blind to it.
+        let m = model();
+        let mut by_first = rle_params(0.5);
+        by_first.groups = Some(100.0);
+        let mut by_second = by_first.clone();
+        by_second.outputs = vec![1, 0];
+        let c = *m.constants();
+        let out = by_first.out_rows();
+        let step = c.tic_col + c.fc;
+        let runs = |q: &ScanParams| out / q.columns[q.outputs[0]].run_len * step;
+        let lm = |q: &ScanParams| total(&m, Strategy::LmParallel, q);
+        let want = runs(&by_second) - runs(&by_first);
+        assert!(want > 0.0);
+        assert!(((lm(&by_second) - lm(&by_first)) - want).abs() < 1e-6 * want);
+        let em = |q: &ScanParams| total(&m, Strategy::EmParallel, q);
+        assert!((em(&by_second) - em(&by_first)).abs() < 1e-6);
     }
 
     #[test]
     fn workers_divide_cpu_not_io() {
         let m = model();
         let q = rle_params(0.5);
-        for kind in PlanKind::ALL {
+        for kind in Strategy::ALL {
             let (serial, four) = match (m.estimate(kind, &q, 1), m.estimate(kind, &q, 4)) {
                 (Some(s), Some(p)) => (s, p),
                 _ => continue,
@@ -994,10 +940,10 @@ mod tests {
         // overhead (a single-span plan never enters the steal loop).
         assert_eq!(m.steal_overhead(0), 0.0);
         assert_eq!(m.steal_overhead(1), 0.0);
-        let s = m.em_parallel(&q);
+        let s = m.estimate(Strategy::EmParallel, &q, 1).unwrap();
         assert_eq!(s.with_workers(0).total_us(), s.total_us());
         assert_eq!(s.with_workers(1).total_us(), s.total_us());
-        assert_eq!(m.estimate(PlanKind::EmParallel, &q, 1).unwrap(), s);
+        assert_eq!(m.estimate(Strategy::EmParallel, &q, 0).unwrap(), s);
     }
 
     #[test]
@@ -1026,8 +972,8 @@ mod tests {
 
     #[test]
     fn plan_names() {
-        assert_eq!(PlanKind::EmParallel.name(), "EM-parallel");
-        assert_eq!(PlanKind::LmPipelined.name(), "LM-pipelined");
+        assert_eq!(Strategy::EmParallel.name(), "EM-parallel");
+        assert_eq!(Strategy::LmPipelined.name(), "LM-pipelined");
     }
 
     /// Figure 13-scale FK join: 1.5 M orders probing 150 K customers.
@@ -1043,9 +989,9 @@ mod tests {
         // extra positional join and lands clearly slower.
         let m = model();
         let q = join_params(0.5);
-        let mat = m.join_phases(&q, JoinInnerKind::Materialized, false);
-        let mc = m.join_phases(&q, JoinInnerKind::MultiColumn, false);
-        let sc = m.join_phases(&q, JoinInnerKind::SingleColumn, false);
+        let mat = m.join_phases(&q, InnerStrategy::Materialized, false);
+        let mc = m.join_phases(&q, InnerStrategy::MultiColumn, false);
+        let sc = m.join_phases(&q, InnerStrategy::SingleColumn, false);
         assert!(
             mc.probe.cpu_us < sc.probe.cpu_us,
             "single-column pays the positional join: {} vs {}",
@@ -1063,7 +1009,7 @@ mod tests {
     #[test]
     fn join_cost_grows_with_selectivity() {
         let m = model();
-        for kind in JoinInnerKind::ALL {
+        for kind in InnerStrategy::ALL {
             let lo = m.hash_join(&join_params(0.1), kind, 1, 1, false).total_us();
             let hi = m.hash_join(&join_params(0.9), kind, 1, 1, false).total_us();
             assert!(hi > lo, "{kind:?}");
@@ -1074,7 +1020,7 @@ mod tests {
     fn join_workers_divide_each_phase_cpu_only() {
         let m = model();
         let q = join_params(0.5);
-        for kind in JoinInnerKind::ALL {
+        for kind in InnerStrategy::ALL {
             let cost = m.join_phases(&q, kind, false);
             let serial = cost.with_workers(1, 1);
             // Probe workers alone: probe CPU divides, build CPU and all
@@ -1101,7 +1047,7 @@ mod tests {
         let m = model();
         let q = join_params(0.5);
         let c = *m.constants();
-        for kind in JoinInnerKind::ALL {
+        for kind in InnerStrategy::ALL {
             let cost = m.join_phases(&q, kind, false);
             // Serial worker counts collapse to the raw estimate: no
             // partitioning, no scheduler.
@@ -1145,7 +1091,7 @@ mod tests {
     fn build_reuse_discounts_key_scan_but_not_representations() {
         let m = model();
         let q = join_params(0.5);
-        for kind in JoinInnerKind::ALL {
+        for kind in InnerStrategy::ALL {
             let fresh = m.join_phases(&q, kind, false);
             let reused = m.join_phases(&q, kind, true);
             // The probe is untouched; the build drops the key scan + hash
@@ -1155,8 +1101,8 @@ mod tests {
             assert!(reused.build.io_us < fresh.build.io_us, "{kind:?}");
             // Representations are still priced: Materialized keeps its
             // up-front tuple construction even on a reused table.
-            if kind == JoinInnerKind::Materialized {
-                let mc = m.join_phases(&q, JoinInnerKind::MultiColumn, true);
+            if kind == InnerStrategy::Materialized {
+                let mc = m.join_phases(&q, InnerStrategy::MultiColumn, true);
                 assert!(reused.build.cpu_us > mc.build.cpu_us);
             }
         }
@@ -1180,7 +1126,7 @@ mod tests {
             col.rows * ((c.tic_col + c.fc) - c.tic_col * col.code_cpu_factor())
                 / col.run_len.max(1.0)
         };
-        for kind in JoinInnerKind::ALL {
+        for kind in InnerStrategy::ALL {
             let plain = m.join_phases(&q, kind, false);
             let coded = m.join_phases(&qc, kind, false);
             let expect_build = plain.build.cpu_us - save(&qc.right_key);
@@ -1193,7 +1139,7 @@ mod tests {
         }
         // A reused build skips its key scan entirely — nothing left for
         // the code path to discount on that side.
-        for kind in JoinInnerKind::ALL {
+        for kind in InnerStrategy::ALL {
             let plain = m.join_phases(&q, kind, true);
             let coded = m.join_phases(&qc, kind, true);
             assert_eq!(coded.build, plain.build, "{kind:?}");
@@ -1205,7 +1151,7 @@ mod tests {
         let m = model();
         let q = join_params(0.5);
         let c = *m.constants();
-        for kind in JoinInnerKind::ALL {
+        for kind in InnerStrategy::ALL {
             let cost = m.join_phases(&q, kind, true);
             let par = m.hash_join(&q, kind, 4, 8, true);
             // No radix scatter, no build-side steal overhead; the probe
@@ -1294,15 +1240,15 @@ mod tests {
     #[test]
     fn join_kind_names_match_figure13() {
         assert_eq!(
-            JoinInnerKind::Materialized.name(),
+            InnerStrategy::Materialized.name(),
             "Right Table Materialized"
         );
         assert_eq!(
-            JoinInnerKind::MultiColumn.name(),
+            InnerStrategy::MultiColumn.name(),
             "Right Table Multi-Column"
         );
         assert_eq!(
-            JoinInnerKind::SingleColumn.name(),
+            InnerStrategy::SingleColumn.name(),
             "Right Table Single Column"
         );
     }

@@ -1,8 +1,8 @@
-//! The four materialization strategies.
+//! The plans the model prices and the executor runs: the four
+//! materialization strategies of §3.5 and the three inner-table
+//! representations of §4.3.
 
 use std::fmt;
-
-use matstrat_model::plans::PlanKind;
 
 /// When and how tuples are constructed (§3.5 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -37,25 +37,50 @@ impl Strategy {
         matches!(self, Strategy::LmPipelined | Strategy::LmParallel)
     }
 
-    /// The cost-model plan this strategy corresponds to.
-    pub fn plan_kind(self) -> PlanKind {
-        match self {
-            Strategy::EmPipelined => PlanKind::EmPipelined,
-            Strategy::EmParallel => PlanKind::EmParallel,
-            Strategy::LmPipelined => PlanKind::LmPipelined,
-            Strategy::LmParallel => PlanKind::LmParallel,
-        }
-    }
-
     /// Display name matching the paper's figures.
     pub fn name(self) -> &'static str {
-        self.plan_kind().name()
+        match self {
+            Strategy::EmPipelined => "EM-pipelined",
+            Strategy::EmParallel => "EM-parallel",
+            Strategy::LmPipelined => "LM-pipelined",
+            Strategy::LmParallel => "LM-parallel",
+        }
     }
 }
 
 impl fmt::Display for Strategy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
+    }
+}
+
+/// How the inner (right) table is represented inside a hash join.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum InnerStrategy {
+    /// Right tuples constructed before the join (EM).
+    Materialized,
+    /// Right columns shipped compressed; tuples built per match (hybrid).
+    MultiColumn,
+    /// Only the key column enters; values fetched by position afterwards
+    /// (pure LM).
+    SingleColumn,
+}
+
+impl InnerStrategy {
+    /// All three strategies, in the paper's Figure 13 order.
+    pub const ALL: [InnerStrategy; 3] = [
+        InnerStrategy::Materialized,
+        InnerStrategy::MultiColumn,
+        InnerStrategy::SingleColumn,
+    ];
+
+    /// Display name matching Figure 13's legend.
+    pub fn name(self) -> &'static str {
+        match self {
+            InnerStrategy::Materialized => "Right Table Materialized",
+            InnerStrategy::MultiColumn => "Right Table Multi-Column",
+            InnerStrategy::SingleColumn => "Right Table Single Column",
+        }
     }
 }
 
@@ -75,12 +100,5 @@ mod tests {
     fn names_match_paper() {
         assert_eq!(Strategy::EmPipelined.to_string(), "EM-pipelined");
         assert_eq!(Strategy::LmParallel.to_string(), "LM-parallel");
-    }
-
-    #[test]
-    fn plan_kind_mapping_is_bijective() {
-        use std::collections::HashSet;
-        let kinds: HashSet<_> = Strategy::ALL.iter().map(|s| s.plan_kind()).collect();
-        assert_eq!(kinds.len(), 4);
     }
 }

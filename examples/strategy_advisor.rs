@@ -7,63 +7,48 @@
 //! cargo run --release --example strategy_advisor
 //! ```
 
-use matstrat::model::plans::{PlanKind, QueryParams};
-use matstrat::model::{ColumnParams, Constants, CostModel};
+use matstrat::model::{ColumnParams, Constants, CostModel, ScanFilter, ScanParams, Strategy};
 
-/// Paper-scale column profiles (§3.7 / §4): 60 M rows.
-fn profile(encoding: &str, sf1: f64) -> QueryParams {
+/// Paper-scale column profiles (§3.7 / §4), 60 M rows: the paper's
+/// `shipdate < X AND linenum < Y` selecting both columns.
+fn profile(encoding: &str, sf1: f64) -> ScanParams {
     let n = 60_000_000.0;
     // SHIPDATE: always RLE, 1 block, 3,800 runs.
-    let c1 = ColumnParams {
-        blocks: 1.0,
-        rows: n,
-        run_len: n / 3800.0,
-        resident: 0.0,
-        code_width: 8.0,
-        shared_dict: false,
-    };
-    let c2 = match encoding {
+    let shipdate = ColumnParams::cold(1.0, n, n / 3800.0);
+    let linenum = match encoding {
         // LINENUM uncompressed: 916 blocks of 1-byte values.
-        "plain" => ColumnParams {
-            blocks: 916.0,
-            rows: n,
-            run_len: 1.0,
-            resident: 0.0,
-            code_width: 8.0,
-            shared_dict: false,
-        },
+        "plain" => ColumnParams::cold(916.0, n, 1.0),
         // LINENUM RLE: 5 blocks, 26,726 runs.
-        "rle" => ColumnParams {
-            blocks: 5.0,
-            rows: n,
-            run_len: n / 26_726.0,
-            resident: 0.0,
-            code_width: 8.0,
-            shared_dict: false,
-        },
+        "rle" => ColumnParams::cold(5.0, n, n / 26_726.0),
         // LINENUM bit-vector: ~25 % of plain size.
         _ => ColumnParams {
-            blocks: 229.0,
-            rows: n,
-            run_len: 1.0,
-            resident: 0.0,
-            code_width: 8.0,
-            shared_dict: false,
+            bit_vector: true,
+            ..ColumnParams::cold(229.0, n, 1.0)
         },
     };
-    let mut q = QueryParams::selection(n, c1, c2, sf1, 27.0 / 28.0);
-    q.pos_run_len1 = (n * sf1 / 3.0).max(1.0); // clustered (3 RETURNFLAG groups)
-    q.pos_run_len2 = if encoding == "rle" {
-        (n * q.sf2 / 26_726.0).max(1.0)
-    } else {
-        1.0
-    };
-    if encoding == "bitvec" {
-        q.bitstring2 = true;
-        q.c2_supports_ds3 = false;
-        q.c2_decompress_fetch = true;
+    let sf2 = 27.0 / 28.0;
+    ScanParams {
+        rows: n,
+        columns: vec![shipdate, linenum],
+        filters: vec![
+            ScanFilter {
+                column: 0,
+                sf: sf1,
+                pos_run_len: (n * sf1 / 3.0).max(1.0), // clustered (3 RETURNFLAG groups)
+            },
+            ScanFilter {
+                column: 1,
+                sf: sf2,
+                pos_run_len: if encoding == "rle" {
+                    (n * sf2 / 26_726.0).max(1.0)
+                } else {
+                    1.0
+                },
+            },
+        ],
+        outputs: vec![0, 1],
+        groups: None,
     }
-    q
 }
 
 fn main() {
@@ -88,10 +73,9 @@ fn main() {
             for enc in ["plain", "rle", "bitvec"] {
                 let mut q = profile(enc, sf);
                 if aggregated {
-                    q.aggregated = true;
-                    q.num_groups = 2526.0;
+                    q.groups = Some(2526.0);
                 }
-                let best = PlanKind::ALL
+                let best = Strategy::ALL
                     .into_iter()
                     .filter_map(|k| model.estimate(k, &q, 1).map(|c| (k, c.total_us())))
                     .min_by(|a, b| a.1.total_cmp(&b.1))
@@ -108,11 +92,11 @@ fn main() {
     let crossing = |sf: f64| {
         let q = profile("plain", sf);
         let lm = model
-            .estimate(PlanKind::LmPipelined, &q, 1)
+            .estimate(Strategy::LmPipelined, &q, 1)
             .expect("plain supports DS3")
             .total_us();
         let em = model
-            .estimate(PlanKind::EmParallel, &q, 1)
+            .estimate(Strategy::EmParallel, &q, 1)
             .unwrap()
             .total_us();
         lm - em
