@@ -1,17 +1,15 @@
 //! The `Database` facade: storage + executor + planner + joins.
 
+use std::collections::HashMap;
 use std::path::Path;
 use std::time::Instant;
 
 use matstrat_common::{Error, PosRange, Predicate, Result, TableId, Value};
 use matstrat_model::plans::JoinTreeCost;
 use matstrat_model::{Constants, CostBreakdown};
-use matstrat_poslist::PosList;
 use matstrat_storage::{CompactorHandle, ProjectionSpec, Store};
 
-use crate::multicol::MiniColumn;
-
-use crate::exec::{default_parallelism, execute_with_options, ExecOptions};
+use crate::exec::{default_parallelism, execute_with_options, filter_window, ExecOptions};
 use crate::ops::join_tree::hash_join_tree_with_options;
 use crate::planner::{JoinTreeChoice, PlanChoice, Planner};
 use crate::query::{QueryResult, QueryStats, Statement};
@@ -383,10 +381,11 @@ fn write_result(affected: u64, t0: Instant) -> (QueryResult, QueryStats) {
 /// were newly marked.
 ///
 /// Find-then-delete is epoch-guarded: positions are resolved against
-/// one [`Store::scan_snapshot`] — granule DS1 scans ANDed over every
-/// logical position, the file's blocks and then the delta's tail
-/// blocks, reading only the file blocks whose zone map admits the
-/// predicate (a range on a sorted key touches a block or two) — and
+/// one [`Store::scan_snapshot`] by the LM-parallel filter step, granule
+/// by granule over every logical position (the file's blocks and then
+/// the delta's tail blocks, reading only the file blocks whose zone map
+/// admits the predicate: a range on a sorted key touches a block or
+/// two) — and
 /// applied with [`Store::delete_positions_at_epoch`], which skips rows
 /// already deleted and refuses (and this function rescans) if a
 /// compaction rewrote the position space in between. The snapshot and
@@ -396,25 +395,22 @@ pub fn delete_where(store: &Store, table: TableId, filters: &[(usize, Predicate)
     loop {
         let (proj, delta) = store.scan_snapshot(table)?;
         let epoch = proj.wal_epoch;
-        let readers = filters
-            .iter()
-            .map(|(c, _)| store.reader_for(&proj, delta.as_ref(), *c))
-            .collect::<Result<Vec<_>>>()?;
+        let mut readers = HashMap::new();
+        for (c, _) in filters {
+            readers.insert(*c, store.reader_for(&proj, delta.as_ref(), *c)?);
+        }
         let rows = delta.as_ref().map_or(proj.num_rows, |d| d.total_rows());
+        let opts = ExecOptions::with_parallelism(1);
         let mut doomed: Vec<u64> = Vec::new();
         let mut at = 0u64;
         while at < rows {
             let window = PosRange::new(at, (at + crate::GRANULE).min(rows));
             at = window.end;
-            let mut desc = PosList::full(window);
-            for (reader, (_, pred)) in readers.iter().zip(filters) {
-                if desc.is_empty() {
-                    break;
-                }
-                let (mini, _) = MiniColumn::fetch_pruned(reader, window, pred)?;
-                desc = desc.and(&mini.scan_positions(pred));
-            }
-            doomed.extend(desc.iter());
+            doomed.extend(
+                filter_window(&readers, filters, window, &[], &opts)?
+                    .desc
+                    .iter(),
+            );
         }
         drop((proj, delta, readers));
         if doomed.is_empty() {

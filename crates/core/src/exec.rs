@@ -409,7 +409,7 @@ pub(crate) struct Filtered {
 }
 
 /// The LM-parallel filter step over `window`, which a join tree's base
-/// side shares: DS1 every filter column — reading only the blocks whose
+/// side and `delete_where` share: DS1 every filter column — reading only the blocks whose
 /// zone map admits its predicate, when `zone_maps` is on; a skipped block
 /// contributes no positions, which is exactly what scanning it would have
 /// produced — then AND the descriptors and drop `deletes`, the window's
