@@ -7,6 +7,8 @@
 //!
 //! Subcommands: `table2`, `fig10`, `fig11`, `fig12`, `fig13`, `all`.
 //! Output goes to stdout and, as CSV, to `results/<experiment>.csv`.
+//! The exit status is non-zero when an argument is bad or any
+//! experiment fails.
 
 use std::fs;
 use std::process::ExitCode;
@@ -14,6 +16,9 @@ use std::process::ExitCode;
 use matstrat_bench::{
     format_csv, format_table, format_table2, selectivity_points, Harness, Point, LINENUM_ENCODINGS,
 };
+
+/// The experiments `figures` can run.
+const COMMANDS: [&str; 6] = ["table2", "fig10", "fig11", "fig12", "fig13", "all"];
 
 struct Args {
     command: String,
@@ -55,6 +60,9 @@ fn parse_args() -> Result<Args, String> {
                 args.out_dir = argv.get(i).ok_or("--out needs a value")?.clone();
             }
             cmd if !command_set && !cmd.starts_with("--") => {
+                if !COMMANDS.contains(&cmd) {
+                    return Err(format!("unknown experiment '{cmd}'"));
+                }
                 args.command = cmd.to_string();
                 command_set = true;
             }
@@ -100,16 +108,14 @@ fn main() -> ExitCode {
     };
     let sweep = selectivity_points(args.points);
     let run = |name: &str| args.command == name || args.command == "all";
-    let mut ran_any = false;
+    let mut failed = false;
 
     if run("table2") {
-        ran_any = true;
         println!("\n== Table 2: analytical model constants ==");
         print!("{}", format_table2(&h.constants));
     }
 
     if run("fig10") {
-        ran_any = true;
         println!("\n== Figure 10: predicted vs. actual, selection query, RLE columns ==");
         match h.model_vs_measured(&sweep) {
             Ok((real, model)) => {
@@ -132,7 +138,10 @@ fn main() -> ExitCode {
                 save(&args.out_dir, "fig10a_lm", &lm);
                 save(&args.out_dir, "fig10b_em", &em);
             }
-            Err(e) => eprintln!("fig10 failed: {e}"),
+            Err(e) => {
+                eprintln!("fig10 failed: {e}");
+                failed = true;
+            }
         }
     }
 
@@ -140,7 +149,6 @@ fn main() -> ExitCode {
         if !run(fig) {
             continue;
         }
-        ran_any = true;
         let what = if aggregated {
             "aggregation"
         } else {
@@ -162,26 +170,31 @@ fn main() -> ExitCode {
                         &points,
                     );
                 }
-                Err(e) => eprintln!("{fig}({panel}) failed: {e}"),
+                Err(e) => {
+                    eprintln!("{fig}({panel}) failed: {e}");
+                    failed = true;
+                }
             }
         }
     }
 
     if run("fig13") {
-        ran_any = true;
         println!("\n== Figure 13: join inner-table materialization strategies ==");
         match h.join_figure(&sweep) {
             Ok(points) => {
                 print!("{}", format_table(&points));
                 save(&args.out_dir, "fig13_join", &points);
             }
-            Err(e) => eprintln!("fig13 failed: {e}"),
+            Err(e) => {
+                eprintln!("fig13 failed: {e}");
+                failed = true;
+            }
         }
     }
 
-    if !ran_any {
-        eprintln!("unknown experiment '{}'", args.command);
-        return ExitCode::FAILURE;
+    if failed {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
     }
-    ExitCode::SUCCESS
 }
