@@ -216,15 +216,11 @@ impl CostModel {
                 } else {
                     inputs.iter().fold(q.rows, |r, i| r.min(i.run_len))
                 };
-                let read: Vec<bool> = (0..q.columns.len())
-                    .map(|i| q.filters.iter().any(|f| f.column == i))
-                    .collect();
-                self.fetch_outputs(&mut cost, q, runs, read, vec![false; q.columns.len()]);
+                self.fetch_outputs(&mut cost, q, runs, vec![false; q.columns.len()]);
             }
             Strategy::LmPipelined => {
                 let (mut positions, mut sel, mut runs) = (q.rows, 1.0, q.rows);
-                let mut read = vec![false; q.columns.len()];
-                let mut in_hand = read.clone();
+                let mut in_hand = vec![false; q.columns.len()];
                 for (k, f) in q.filters.iter().enumerate() {
                     let col = &q.columns[f.column];
                     if k == 0 {
@@ -235,16 +231,16 @@ impl CostModel {
                         }
                         // Fetch the values at the surviving positions,
                         // then apply the predicate to them.
-                        cost.add(ds3(col, positions, runs, sel, read[f.column], c));
+                        let reaccess = q.filters[..k].iter().any(|g| g.column == f.column);
+                        cost.add(ds3(col, positions, runs, sel, reaccess, c));
                         cost.add_cpu(positions * c.fc);
                         in_hand[f.column] = true;
                     }
-                    read[f.column] = true;
                     positions *= f.sf;
                     sel *= f.sf;
                     runs = runs.min(f.pos_run_len);
                 }
-                self.fetch_outputs(&mut cost, q, runs, read, in_hand);
+                self.fetch_outputs(&mut cost, q, runs, in_hand);
             }
         }
         cost.add_cpu(self.consume(strategy.is_late(), q));
@@ -254,20 +250,27 @@ impl CostModel {
     }
 
     /// DS3 on each output column not `in_hand`, at the surviving
-    /// positions in runs of `runs`: a re-access (no I/O) when the column
-    /// was `read` by an earlier operator.
+    /// positions in runs of `runs`: a re-access (no I/O) when a filter
+    /// already read the column.
     fn fetch_outputs(
         &self,
         cost: &mut CostBreakdown,
         q: &ScanParams,
         runs: f64,
-        read: Vec<bool>,
         mut in_hand: Vec<bool>,
     ) {
         let (out, sel) = (q.out_rows(), q.filters.iter().fold(1.0, |s, f| s * f.sf));
         for &i in &q.outputs {
             if !in_hand[i] {
-                cost.add(ds3(&q.columns[i], out, runs, sel, read[i], &self.constants));
+                let reaccess = q.filters.iter().any(|f| f.column == i);
+                cost.add(ds3(
+                    &q.columns[i],
+                    out,
+                    runs,
+                    sel,
+                    reaccess,
+                    &self.constants,
+                ));
                 in_hand[i] = true;
             }
         }
