@@ -100,7 +100,7 @@ fn bench_run_vs_tuple_aggregation(c: &mut Criterion) {
     let mv = MiniColumn::fetch(&rv, window).unwrap();
     let desc = mv.scan_positions(&Predicate::lt(90)); // 90 % survive
     let mut fetched = Vec::new();
-    mv.gather(&desc, &mut fetched).unwrap();
+    mv.fetch_values(&desc, &mut fetched).unwrap();
     let group_lookup = group.clone();
 
     let mut g = c.benchmark_group("ablation_aggregation_input");

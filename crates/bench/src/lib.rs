@@ -191,7 +191,8 @@ impl Harness {
                 self.selection_query(table, sf)
             };
             for s in Strategy::ALL {
-                // LM-pipelined is undefined over bit-vector LINENUM (§4.1).
+                // The paper leaves LM-pipelined out of the bit-vector
+                // panels, Figs. 11(c)/12(c): its position fetch decodes (§4.1).
                 if s == Strategy::LmPipelined && enc == EncodingKind::BitVec {
                     continue;
                 }
@@ -239,15 +240,14 @@ impl Harness {
                 col.resident = 1.0;
             }
             for s in Strategy::ALL {
-                if let Some(est) = model.estimate(s, &params, 1) {
-                    modeled.push(Point {
-                        selectivity: sf,
-                        series: format!("{} Model", s.name()),
-                        wall_ms: est.cpu_us / 1e3,
-                        io_ms: est.io_us / 1e3,
-                        rows_out: 0,
-                    });
-                }
+                let est = model.estimate(s, &params, 1);
+                modeled.push(Point {
+                    selectivity: sf,
+                    series: format!("{} Model", s.name()),
+                    wall_ms: est.cpu_us / 1e3,
+                    io_ms: est.io_us / 1e3,
+                    rows_out: 0,
+                });
             }
         }
         Ok((measured, modeled))

@@ -228,7 +228,10 @@ impl Predicate {
         if max < min {
             return 0.0;
         }
-        let n = (max - min + 1) as f64;
+        // Widths in i128: `max - min + 1` overflows i64 on a domain
+        // that holds both extremes.
+        let width = |lo: Value, hi: Value| (hi as i128 - lo as i128 + 1) as f64;
+        let n = width(min, max);
         match self.value_interval() {
             Some((lo, hi)) => {
                 let lo = lo.max(min);
@@ -236,7 +239,7 @@ impl Predicate {
                 if hi < lo {
                     0.0
                 } else {
-                    ((hi - lo + 1) as f64 / n).clamp(0.0, 1.0)
+                    (width(lo, hi) / n).clamp(0.0, 1.0)
                 }
             }
             // Ne: everything except one domain value.
@@ -403,6 +406,12 @@ mod tests {
         assert_eq!(Predicate::le(9).uniform_selectivity(0, 9), 1.0);
         // Degenerate domain.
         assert_eq!(Predicate::eq(5).uniform_selectivity(9, 0), 0.0);
+        // A domain holding both extremes: its width does not fit an i64.
+        let (lo, hi) = (Value::MIN, Value::MAX);
+        assert!((Predicate::lt(0).uniform_selectivity(lo, hi) - 0.5).abs() < 1e-12);
+        assert_eq!(Predicate::le(Value::MAX).uniform_selectivity(lo, hi), 1.0);
+        assert!(Predicate::eq(3).uniform_selectivity(lo, hi) > 0.0);
+        assert!((Predicate::ne(3).uniform_selectivity(lo, hi) - 1.0).abs() < 1e-12);
     }
 
     /// Oracle check: the code-domain translation must agree with

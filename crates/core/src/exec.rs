@@ -18,11 +18,11 @@
 //!   filter, fetch **only the blocks containing surviving positions**
 //!   and filter the survivors: a range descriptor runs the column's own
 //!   DS1 restricted to its ranges (per run on RLE, per code on Dict, a
-//!   word at a time on Plain), any other descriptor gathers the
-//!   survivors' values (DS3) and re-tests them → MERGE. An empty
+//!   word at a time on Plain), any other descriptor fetches the
+//!   survivors' values (DS3 — on bit-vector, by decoding only the blocks
+//!   that hold survivors) and re-tests them → MERGE. An empty
 //!   descriptor skips every later column entirely — the block-skipping
-//!   win on selective, clustered predicates. Bit-vector later filters
-//!   stay unsupported (§4.1).
+//!   win on selective, clustered predicates.
 //! * **EM-parallel** — SPC: read all accessed columns fully, construct
 //!   tuples at the leaf, short-circuit predicates.
 //! * **EM-pipelined** — DS2 the first column into (pos, value) tuples,
@@ -103,9 +103,9 @@ use std::time::Instant;
 
 use matstrat_common::{Error, Pos, PosRange, Predicate, Result, Value};
 use matstrat_poslist::{PosList, PosListBuilder, PosVec, Repr};
-use matstrat_storage::{ColumnReader, EncodingKind, Store, TableDelta, Tombstones};
+use matstrat_storage::{ColumnReader, Store, TableDelta, Tombstones};
 
-use crate::multicol::MiniColumn;
+use crate::multicol::{FetchKind, MiniColumn};
 use crate::ops::agg::{AggFunc, Aggregator};
 use crate::ops::merge::{merge, Part};
 use crate::ops::probe::ds4_extend;
@@ -208,19 +208,6 @@ fn execute_scan(
         .iter()
         .map(|&c| Ok((c, store.reader_for(&proj, delta.as_ref(), c)?)))
         .collect::<Result<_>>()?;
-    if strategy == Strategy::LmPipelined {
-        // Later filter columns are position-fetched then filtered; the
-        // bit-vector codec cannot do that (§4.1): the paper omits
-        // LM-pipelined from Figures 11(c)/12(c) for this reason.
-        for (col, _) in q.filters.iter().skip(1) {
-            if proj.column(*col)?.encoding == EncodingKind::BitVec {
-                return Err(Error::unsupported(
-                    "LM-pipelined requires DS3 on later filter columns; \
-                     bit-vector encoding does not support position fetch",
-                ));
-            }
-        }
-    }
 
     // Output shape: under an aggregate, the columns its parts carry.
     let name = |c: usize| proj.column(c).map(|ci| ci.name.clone());
@@ -646,6 +633,7 @@ impl<'a> Granule<'_, 'a> {
         let (first, later) = t.q.filters.split_at(t.q.filters.len().min(1));
         let mut f = filter_window(t.readers, first, self.window, &[], t.opts)?;
         let (mut desc, minis) = (f.desc, &mut f.minis);
+        let mut decompressed = false;
         for (col, pred) in later {
             if desc.is_empty() {
                 break; // skip all later columns: their blocks are never read
@@ -664,8 +652,8 @@ impl<'a> Granule<'_, 'a> {
                 // Plain — no survivor is decoded to be re-tested.
                 PosList::Ranges(r) => mini.scan_positions_within(pred, r),
                 _ => {
-                    let mut vals = Vec::with_capacity(desc.count() as usize);
-                    mini.gather(&desc, &mut vals)?;
+                    let mut vals = Vec::new();
+                    decompressed |= mini.fetch_values(&desc, &mut vals)? == FetchKind::Decompressed;
                     let mut b = PosListBuilder::new();
                     for (p, v) in desc.iter().zip(&vals) {
                         if pred.matches(*v) {
@@ -677,7 +665,9 @@ impl<'a> Granule<'_, 'a> {
             };
         }
         let desc = drop_deleted(desc, self.deletes, self.window, t.opts.force_repr);
-        self.finish_lm(desc, minis, f.zone_skips)
+        let mut out = self.finish_lm(desc, minis, f.zone_skips)?;
+        out.decompressed |= decompressed;
+        Ok(out)
     }
 
     /// EM-parallel: SPC leaf over all accessed columns.

@@ -283,22 +283,7 @@ impl MiniColumn {
         self.block_for(pos)?.value_at(pos)
     }
 
-    /// DS3: values at the descriptor's positions, in position order.
-    ///
-    /// Errors with [`Error::Unsupported`] if any backing block is
-    /// bit-vector encoded — callers that accept the decompression cost
-    /// should use [`fetch_values`](Self::fetch_values) instead.
-    pub fn gather(&self, positions: &PosList, out: &mut Vec<Value>) -> Result<()> {
-        if !self.supports_position_fetch() {
-            return Err(Error::unsupported(
-                "DS3 (position fetch) on a bit-vector block: bit-strings cannot be \
-                 probed by position without a scan",
-            ));
-        }
-        self.fetch_values(positions, out).map(drop)
-    }
-
-    /// Values at the descriptor's positions, appended to `out`,
+    /// DS3: values at the descriptor's positions, appended to `out`,
     /// decompressing when the codec cannot gather (bit-vector). Returns
     /// how the fetch was satisfied.
     pub fn fetch_values(&self, positions: &PosList, out: &mut Vec<Value>) -> Result<FetchKind> {
@@ -600,12 +585,12 @@ mod tests {
         // Range gather.
         let pl = PosList::full(PosRange::new(10, 20));
         let mut out = Vec::new();
-        mc.gather(&pl, &mut out).unwrap();
+        assert_eq!(mc.fetch_values(&pl, &mut out).unwrap(), FetchKind::Gathered);
         assert_eq!(out, &b[10..20]);
         // Point gather.
         let pl = PosList::from_positions(vec![1, 500, 2999]);
         out.clear();
-        mc.gather(&pl, &mut out).unwrap();
+        assert_eq!(mc.fetch_values(&pl, &mut out).unwrap(), FetchKind::Gathered);
         assert_eq!(out, vec![b[1], b[500], b[2999]]);
     }
 
@@ -617,8 +602,6 @@ mod tests {
         assert!(!mc.supports_position_fetch());
         let pl = PosList::from_positions(vec![3, 77, 1234]);
         let mut out = Vec::new();
-        assert!(mc.gather(&pl, &mut out).is_err());
-        out.clear();
         let kind = mc.fetch_values(&pl, &mut out).unwrap();
         assert_eq!(kind, FetchKind::Decompressed);
         assert_eq!(out, vec![c[3], c[77], c[1234]]);
@@ -761,7 +744,7 @@ mod tests {
         let pl = PosList::from_positions(vec![0, 3, 70_000, 149_999]);
         let (mut codes, mut vals) = (Vec::new(), Vec::new());
         mc.gather_codes(&pl, &mut codes).unwrap();
-        mc.gather(&pl, &mut vals).unwrap();
+        mc.fetch_values(&pl, &mut vals).unwrap();
         let via_dict: Vec<Value> = codes.iter().map(|&c| dict[c as usize]).collect();
         assert_eq!(via_dict, vals);
         // Non-dict windows refuse both.

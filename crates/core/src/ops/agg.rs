@@ -549,7 +549,7 @@ mod tests {
             .or(&mv.scan_positions(&Predicate::eq(3)))
             .or(&mv.scan_positions(&Predicate::eq(6)));
         let mut vals = Vec::new();
-        mv.gather(&desc, &mut vals).unwrap();
+        mv.fetch_values(&desc, &mut vals).unwrap();
 
         for func in [AggFunc::Sum, AggFunc::Count, AggFunc::Min, AggFunc::Max] {
             let mut lm = Aggregator::with_domain_fn(func, 0, 19);
@@ -596,7 +596,7 @@ mod tests {
         let mv = MiniColumn::fetch(&store.reader(id, 1).unwrap(), window).unwrap();
         let desc = mv.scan_positions(&Predicate::ne(1));
         let mut vals = Vec::new();
-        mv.gather(&desc, &mut vals).unwrap();
+        mv.fetch_values(&desc, &mut vals).unwrap();
 
         for func in [AggFunc::Sum, AggFunc::Min, AggFunc::Max] {
             let mut decoded = Aggregator::with_domain_fn(func, 0, 30);

@@ -6,7 +6,7 @@
 //! |---|---|
 //! | DS1 (scan → positions) | [`MiniColumn::scan_positions`](crate::MiniColumn::scan_positions) |
 //! | DS2 (scan → (pos, value)) | [`MiniColumn::scan_pairs`](crate::MiniColumn::scan_pairs) |
-//! | DS3 (positions → values) | [`MiniColumn::gather`](crate::MiniColumn::gather) / [`fetch_values`](crate::MiniColumn::fetch_values) / [`fetch_values_into`](crate::MiniColumn::fetch_values_into) (strided, straight into the result) |
+//! | DS3 (positions → values) | [`MiniColumn::fetch_values`](crate::MiniColumn::fetch_values) / [`fetch_values_into`](crate::MiniColumn::fetch_values_into) (strided, straight into the result) |
 //! | DS4 (tuples + column → wider tuples) | [`probe::ds4_extend`] |
 //! | AND | [`PosList::and`](matstrat_poslist::PosList::and), over the multi-columns of the LM filter step |
 //! | MERGE | [`merge`] — one per read statement without an aggregate |

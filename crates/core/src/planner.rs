@@ -7,15 +7,13 @@
 //! asks [`CostModel`] for the cheapest plan, one model entry per operator
 //! family:
 //!
-//! * **Scans** with two or more filters are priced per strategy with
-//!   [`CostModel::estimate`], over the statement's own filters, outputs
-//!   (or group and value columns) and column shapes
-//!   ([`Planner::scan_params`]). Scans with fewer filters keep the
-//!   paper's heuristic — aggregation, selective output, or light-weight
-//!   compression → late materialization; otherwise early
-//!   materialization — until the model prices zone maps: a one-filter
-//!   range on a sorted key reads a block or two, which the model's full
-//!   DS1 scan cannot see.
+//! * **Scans**, whatever their filter count, are priced under all four
+//!   strategies with [`CostModel::estimate`], over the statement's own
+//!   filters, outputs (or group and value columns) and column shapes
+//!   ([`Planner::scan_params`]). Each filter's selectivity and the share
+//!   of blocks its zone maps admit come from the column's per-block
+//!   min/max, so a range on a sorted key is priced at the block or two
+//!   an LM leaf actually reads.
 //! * **Joins** of any edge count — a plain join is a one-edge tree — go
 //!   through one path: enumerate the candidate edge orders, price each
 //!   with [`CostModel::join_tree`] (which keeps each edge's cheapest
@@ -23,12 +21,12 @@
 
 use std::fmt::Write;
 
-use matstrat_common::{Result, TableId};
+use matstrat_common::{Predicate, Result, TableId, Value};
 use matstrat_model::plans::{BushyReduction, JoinTreeCost, JoinTreeEdgeParams};
 use matstrat_model::{
     ColumnParams, Constants, CostBreakdown, CostModel, JoinParams, ScanFilter, ScanParams,
 };
-use matstrat_storage::{ColumnInfo, EncodingKind, ProjectionInfo, SortOrder, Store};
+use matstrat_storage::{ColumnInfo, ColumnReader, EncodingKind, ProjectionInfo, SortOrder, Store};
 
 use crate::ops::join_tree::JoinTreePlan;
 use crate::pipeline::FragmentPipeline;
@@ -254,14 +252,47 @@ impl Planner {
         &self.model
     }
 
-    /// Pick a strategy for `q`.
+    /// Pick a strategy for `q`: the cheapest of the four, as the model
+    /// prices them over one catalog snapshot.
     pub fn choose(&self, store: &Store, q: &QuerySpec) -> Result<PlanChoice> {
-        if q.filters.len() >= 2 {
-            let (proj, delta_cpu) = self.snapshot(store, q.table)?;
-            self.choose_modeled(store, &proj, delta_cpu, q)
+        let (proj, delta_cpu) = self.snapshot(store, q.table)?;
+        let params = Self::scan_params(store, &proj, q)?;
+        // The pipeline's skew guard caps workers at the table's granule
+        // count — a one-granule table runs serially no matter the knob —
+        // so price with the worker count that will actually run, not the
+        // nominal one; otherwise small tables get CPU terms divided by
+        // threads that never spawn and the plan choice can flip wrongly.
+        let effective =
+            FragmentPipeline::effective_workers(proj.num_rows, crate::GRANULE, self.parallelism);
+        let alternatives: Vec<(Strategy, CostBreakdown)> = Strategy::ALL
+            .iter()
+            .map(|&s| {
+                let mut cost = self.model.estimate(s, &params, effective);
+                cost.cpu_us += delta_cpu;
+                (s, cost)
+            })
+            .collect();
+        let &(strategy, estimate) = alternatives
+            .iter()
+            .min_by(|a, b| a.1.total_us().total_cmp(&b.1.total_us()))
+            .expect("four strategies");
+        let workers = if effective > 1 {
+            format!(", {effective} workers")
         } else {
-            Ok(self.choose_heuristic(&store.projection(q.table)?, q))
-        }
+            String::new()
+        };
+        Ok(PlanChoice {
+            strategy,
+            estimate: Some(estimate),
+            alternatives,
+            reason: format!(
+                "analytical model: {} predicted {:.2} ms (cpu {:.2} + io {:.2}{workers})",
+                strategy.name(),
+                estimate.total_ms(),
+                estimate.cpu_us / 1000.0,
+                estimate.io_us / 1000.0
+            ),
+        })
     }
 
     /// `table`'s catalog entry and the serial CPU surcharge for its
@@ -333,7 +364,7 @@ impl Planner {
         }
         // Greedy: repeatedly run the edge that shrinks (or grows) the
         // intermediate least — the standard smallest-intermediate
-        // heuristic — among the dependency-eligible ones.
+        // rule — among the dependency-eligible ones.
         let multiplier = |e: usize| inputs.edges[e].match_rate * inputs.edges[e].fanout;
         let mut greedy = Vec::with_capacity(n);
         let mut placed = vec![false; n];
@@ -534,6 +565,12 @@ impl Planner {
             Ok(total)
         };
 
+        let column = |proj: &ProjectionInfo, col| {
+            store
+                .reader_for(proj, None, col)
+                .map(|r| Self::column_params(&r))
+        };
+
         let (base, mut delta_cpu) = table(spec.base());
         let first = &spec.edges[0];
         let base_sf = match &first.left_filter {
@@ -557,7 +594,7 @@ impl Planner {
                 JoinKeySource::Edge(j) => (spec.edges[j].right, Some(spec.edges[j].right_key)),
             };
             let lkey = table(left_table).0.column(edge.left_key)?;
-            let mut lkey_params = Self::column_params_for(store, left_table, edge.left_key, lkey);
+            let mut lkey_params = column(table(left_table).0, edge.left_key)?;
             // Snowflake keys indexed out of the through table's
             // *hash-key* decode cost no I/O — the executor reuses the
             // `SharedBuild::keys` it already holds. Keying on any other
@@ -566,11 +603,7 @@ impl Planner {
             if hash_key == Some(edge.left_key) {
                 lkey_params.blocks = 0.0;
             }
-            let mut params = JoinParams::fk_join(
-                lkey_params,
-                Self::column_params_for(store, edge.right, edge.right_key, rkey),
-                1.0,
-            );
+            let mut params = JoinParams::fk_join(lkey_params, column(right, edge.right_key)?, 1.0);
             params.code_keyed =
                 source == JoinKeySource::Base && Self::code_keyed_eligible(lkey, rkey);
             // Fraction of probe keys that land inside the right key's
@@ -650,16 +683,9 @@ impl Planner {
         }
     }
 
-    fn column_params_for(
-        store: &Store,
-        table: matstrat_common::TableId,
-        col_idx: usize,
-        col: &ColumnInfo,
-    ) -> ColumnParams {
-        let resident = store
-            .reader(table, col_idx)
-            .map(|r| r.resident_fraction())
-            .unwrap_or(0.0);
+    /// The model's shape of the column `reader` reads.
+    fn column_params(reader: &ColumnReader) -> ColumnParams {
+        let col = reader.info();
         // Stored code width mirrors DictBlock's choice: 1/2/4 bytes by
         // dictionary cardinality; non-dict columns iterate full values.
         let code_width = if col.encoding == EncodingKind::Dict {
@@ -675,7 +701,7 @@ impl Planner {
             blocks: col.stats.num_blocks as f64,
             rows: col.stats.num_rows as f64,
             run_len: col.stats.avg_run_len(),
-            resident,
+            resident: reader.resident_fraction(),
             code_width,
             shared_dict: col.shared_dict,
             bit_vector: col.encoding == EncodingKind::BitVec,
@@ -683,9 +709,10 @@ impl Planner {
     }
 
     /// The model's description of scan `q` over `proj`, its table's
-    /// catalog entry: row count, every column `q` reads (in
-    /// [`QuerySpec::accessed_columns`] order), each filter's selectivity
-    /// and position-list run length, the output (or group and value)
+    /// catalog snapshot: row count, every column `q` reads (in
+    /// [`QuerySpec::accessed_columns`] order, each read through one
+    /// reader on `proj`), each filter's zone share, selectivity and
+    /// position-list run length, the output (or group and value)
     /// columns, and the group count.
     pub fn scan_params(store: &Store, proj: &ProjectionInfo, q: &QuerySpec) -> Result<ScanParams> {
         let n = proj.num_rows as f64;
@@ -696,18 +723,19 @@ impl Planner {
                 .position(|&a| a == c)
                 .expect("accessed_columns covers every column the query names")
         };
-        let mut columns = Vec::with_capacity(accessed.len());
-        for &c in &accessed {
-            columns.push(Self::column_params_for(store, q.table, c, proj.column(c)?));
-        }
+        let readers = accessed
+            .iter()
+            .map(|&c| store.reader_for(proj, None, c))
+            .collect::<Result<Vec<_>>>()?;
         let mut filters = Vec::with_capacity(q.filters.len());
         for (c, pred) in &q.filters {
-            let col = proj.column(*c)?;
-            let sf = Self::selectivity(col, pred);
+            let reader = &readers[slot(*c)];
+            let (zone, sf) = Self::zone_selectivity(reader, pred)?;
             filters.push(ScanFilter {
                 column: slot(*c),
                 sf,
-                pos_run_len: Self::pos_run_len(proj, col, sf, n),
+                pos_run_len: Self::pos_run_len(proj, reader.info(), sf, n),
+                zone,
             });
         }
         let (outputs, groups) = match q.aggregate {
@@ -719,118 +747,40 @@ impl Planner {
         };
         Ok(ScanParams {
             rows: n,
-            columns,
+            columns: readers.iter().map(Self::column_params).collect(),
             filters,
             outputs,
             groups,
         })
     }
 
-    fn choose_modeled(
-        &self,
-        store: &Store,
-        proj: &ProjectionInfo,
-        delta_cpu: f64,
-        q: &QuerySpec,
-    ) -> Result<PlanChoice> {
-        let params = Self::scan_params(store, proj, q)?;
-        // The pipeline's skew guard caps workers at the table's granule
-        // count — a one-granule table runs serially no matter the knob —
-        // so price with the worker count that will actually run, not the
-        // nominal one; otherwise small tables get CPU terms divided by
-        // threads that never spawn and the plan choice can flip wrongly.
-        let effective =
-            FragmentPipeline::effective_workers(proj.num_rows, crate::GRANULE, self.parallelism);
-        let mut alternatives = Vec::new();
-        for s in Strategy::ALL {
-            if let Some(mut cost) = self.model.estimate(s, &params, effective) {
-                cost.cpu_us += delta_cpu;
-                alternatives.push((s, cost));
+    /// `(zone, sf)` of `pred` over the file blocks `reader` reads: the
+    /// share of rows in blocks whose zone map admits it, and its
+    /// selectivity with the zone maps as a histogram of one uniform
+    /// bucket per block. A block of unknown zone (`Value::MIN..=MAX`, a
+    /// file written before zone maps) counts at the column's catalog
+    /// estimate. Tail blocks are not walked: the delta surcharge prices
+    /// them.
+    fn zone_selectivity(reader: &ColumnReader, pred: &Predicate) -> Result<(f64, f64)> {
+        let catalog = Self::selectivity(reader.info(), pred);
+        let (mut rows, mut admitted, mut matching) = (0.0, 0.0, 0.0);
+        for idx in 0..reader.num_blocks() {
+            let b = reader.block_meta(idx)?;
+            let n = b.count as f64;
+            rows += n;
+            if b.zone_overlaps(pred) {
+                admitted += n;
+                matching += n * match (b.min, b.max) {
+                    (Value::MIN, Value::MAX) => catalog,
+                    (lo, hi) => pred.uniform_selectivity(lo, hi),
+                };
             }
         }
-        let &(strategy, estimate) = alternatives
-            .iter()
-            .min_by(|a, b| a.1.total_us().total_cmp(&b.1.total_us()))
-            .expect("EM plans always estimable");
-        let workers = if effective > 1 {
-            format!(", {effective} workers")
+        Ok(if rows > 0.0 {
+            (admitted / rows, matching / rows)
         } else {
-            String::new()
-        };
-        Ok(PlanChoice {
-            strategy,
-            estimate: Some(estimate),
-            alternatives,
-            reason: format!(
-                "analytical model: {} predicted {:.2} ms (cpu {:.2} + io {:.2}{workers})",
-                strategy.name(),
-                estimate.total_ms(),
-                estimate.cpu_us / 1000.0,
-                estimate.io_us / 1000.0
-            ),
+            (1.0, catalog)
         })
-    }
-
-    /// The paper's closing heuristic, for query shapes outside the model:
-    /// *"if output data is aggregated, or if the query has low
-    /// selectivity [i.e. few matches], or if input data is compressed
-    /// using a light-weight compression technique, a late materialization
-    /// strategy should be used. Otherwise ... early materialization."*
-    fn choose_heuristic(&self, proj: &ProjectionInfo, q: &QuerySpec) -> PlanChoice {
-        let lm_ok_pipelined = q.filters.iter().skip(1).all(|(c, _)| {
-            proj.column(*c)
-                .map(|ci| ci.encoding.supports_position_fetch())
-                .unwrap_or(false)
-        });
-        if q.aggregate.is_some() {
-            return PlanChoice {
-                strategy: Strategy::LmParallel,
-                estimate: None,
-                alternatives: Vec::new(),
-                reason: "heuristic: aggregated output favors late materialization".into(),
-            };
-        }
-        // Estimated fraction of rows surviving all predicates.
-        let mut sf = 1.0;
-        for (c, p) in &q.filters {
-            if let Ok(ci) = proj.column(*c) {
-                sf *= Self::selectivity(ci, p);
-            }
-        }
-        let compressed = q.filters.iter().all(|(c, _)| {
-            proj.column(*c)
-                .map(|ci| matches!(ci.encoding, EncodingKind::Rle | EncodingKind::Dict))
-                .unwrap_or(false)
-        });
-        if sf < 0.05 && lm_ok_pipelined {
-            PlanChoice {
-                strategy: Strategy::LmPipelined,
-                estimate: None,
-                alternatives: Vec::new(),
-                reason: format!(
-                    "heuristic: highly selective predicates (SF ≈ {sf:.3}) favor pipelined \
-                     late materialization with block skipping"
-                ),
-            }
-        } else if compressed {
-            PlanChoice {
-                strategy: Strategy::LmParallel,
-                estimate: None,
-                alternatives: Vec::new(),
-                reason: "heuristic: light-weight compressed inputs favor late materialization"
-                    .into(),
-            }
-        } else {
-            PlanChoice {
-                strategy: Strategy::EmParallel,
-                estimate: None,
-                alternatives: Vec::new(),
-                reason: format!(
-                    "heuristic: high selectivity (SF ≈ {sf:.3}), non-aggregated, \
-                     uncompressed inputs favor early materialization"
-                ),
-            }
-        }
     }
 }
 
@@ -900,33 +850,98 @@ mod tests {
     }
 
     #[test]
-    fn bitvec_filter_column_excludes_lm_pipelined() {
+    fn bitvec_later_filter_is_priced_under_lm_pipelined() {
+        // LM-pipelined fetches a bit-vector later filter's values at the
+        // survivors: priced like any later filter, its DS3 paying the
+        // column's decode, one TICCOL per row.
         let (store, id) = setup(EncodingKind::BitVec);
-        let planner = Planner::default();
+        let planner = Planner::with_parallelism(Constants::host_defaults(), 1);
         let q = QuerySpec::select(id, vec![1, 2])
             .filter(1, Predicate::lt(80))
             .filter(2, Predicate::lt(7));
         let choice = planner.choose(&store, &q).unwrap();
-        assert!(
-            !choice
-                .alternatives
-                .iter()
-                .any(|(s, _)| *s == Strategy::LmPipelined),
-            "LM-pipelined must not be estimable over bit-vector data"
-        );
+        let priced: Vec<Strategy> = choice.alternatives.iter().map(|a| a.0).collect();
+        assert_eq!(priced, Strategy::ALL);
+        let params = Planner::scan_params(&store, &store.projection(id).unwrap(), &q).unwrap();
+        assert!(params.columns[1].bit_vector);
+        let mut unpacked = params.clone();
+        unpacked.columns[1].bit_vector = false;
+        let model = planner.model();
+        let bits = model.estimate(Strategy::LmPipelined, &params, 1);
+        let flat = model.estimate(Strategy::LmPipelined, &unpacked, 1);
+        let decode = params.rows * model.constants().tic_col;
+        assert!((bits.cpu_us - flat.cpu_us - decode).abs() < 1e-9 * decode);
+        assert!(choice.alternatives.contains(&(Strategy::LmPipelined, bits)));
+    }
+
+    /// `ids` as a sorted Plain key, beside Plain `linenum` (1..=7) and
+    /// `quantity` columns, cold.
+    fn keyed_setup(ids: &[Value]) -> (Store, matstrat_common::TableId) {
+        let store = Store::in_memory();
+        let linenum: Vec<Value> = (0..ids.len()).map(|i| (i % 7 + 1) as Value).collect();
+        let quantity: Vec<Value> = (0..ids.len()).map(|i| (i % 50) as Value).collect();
+        let spec = ProjectionSpec::new("events")
+            .column("id", EncodingKind::Plain, So::Primary)
+            .column("linenum", EncodingKind::Plain, So::None)
+            .column("quantity", EncodingKind::Plain, So::None);
+        let id = store
+            .load_projection(&spec, &[ids, &linenum, &quantity])
+            .unwrap();
+        store.cold_reset();
+        (store, id)
     }
 
     #[test]
-    fn heuristic_aggregation_prefers_lm() {
-        let (store, id) = setup(EncodingKind::Rle);
-        let planner = Planner::default();
-        // Single filter → heuristic path.
+    fn zone_maps_see_past_a_skewed_key_domain() {
+        // One outlier id stretches the catalog's domain a hundredfold, so
+        // its uniform estimate calls `id < 100000` 1 % selective. The
+        // zone maps bucket the domain by block: the predicate covers
+        // every block but the last, whose 1 720 ids share it with the
+        // outlier.
+        let ids: Vec<Value> = (0..100_000).chain([10_000_000]).collect();
+        let (store, id) = keyed_setup(&ids);
         let q = QuerySpec::select(id, vec![])
-            .filter(1, Predicate::lt(50))
+            .filter(0, Predicate::lt(100_000))
             .aggregate_sum(1, 2);
-        let choice = planner.choose(&store, &q).unwrap();
-        assert_eq!(choice.strategy, Strategy::LmParallel);
-        assert!(choice.estimate.is_none());
+        let proj = store.projection(id).unwrap();
+        assert!(Planner::selectivity(proj.column(0).unwrap(), &q.filters[0].1) < 0.011);
+        let params = Planner::scan_params(&store, &proj, &q).unwrap();
+        assert!(params.filters[0].sf >= 0.98, "{:?}", params.filters[0]);
+        let choice = Planner::default().choose(&store, &q).unwrap();
+        assert!(choice.strategy.is_late(), "{}", choice.reason);
+    }
+
+    #[test]
+    fn short_range_on_a_sorted_key_is_priced_at_its_blocks() {
+        // 64 ids of a sorted Plain key live in one or two blocks: an LM
+        // leaf reads only those, while EM reads every block of both
+        // columns.
+        let ids: Vec<Value> = (0..100_000).collect();
+        let (store, id) = keyed_setup(&ids);
+        let q = QuerySpec::select(id, vec![0, 2]).filter(0, Predicate::between(40_000, 40_063));
+        let params = Planner::scan_params(&store, &store.projection(id).unwrap(), &q).unwrap();
+        let blocks = params.columns[0].blocks;
+        assert!(blocks > 2.0, "want a multi-block key, got {blocks}");
+        assert!(
+            params.filters[0].zone * blocks <= 2.0,
+            "{:?}",
+            params.filters[0]
+        );
+        let choice = Planner::default().choose(&store, &q).unwrap();
+        let io = |s: Strategy| {
+            choice
+                .alternatives
+                .iter()
+                .find(|a| a.0 == s)
+                .map(|a| a.1.io_us)
+                .expect("every strategy is priced")
+        };
+        for late in [Strategy::LmParallel, Strategy::LmPipelined] {
+            for early in [Strategy::EmParallel, Strategy::EmPipelined] {
+                assert!(io(late) < io(early), "{late:?} vs {early:?}: {choice:?}");
+            }
+        }
+        assert!(choice.strategy.is_late(), "{}", choice.reason);
     }
 
     #[test]
@@ -936,16 +951,6 @@ mod tests {
         let q = QuerySpec::select(id, vec![0, 1, 2]).filter(1, Predicate::eq(3)); // SF = 1/100
         let choice = planner.choose(&store, &q).unwrap();
         assert_eq!(choice.strategy, Strategy::LmPipelined, "{}", choice.reason);
-    }
-
-    #[test]
-    fn heuristic_wide_scan_prefers_em() {
-        let (store, id) = setup(EncodingKind::Plain);
-        let planner = Planner::default();
-        // Nearly unselective single predicate on a plain column.
-        let q = QuerySpec::select(id, vec![2]).filter(2, Predicate::ge(1));
-        let choice = planner.choose(&store, &q).unwrap();
-        assert_eq!(choice.strategy, Strategy::EmParallel, "{}", choice.reason);
     }
 
     #[test]
@@ -1751,34 +1756,42 @@ mod tests {
             // BitVec <1 agg=false w=1
             (EMD, 699.0001599999999, 7000.0),
             (EMP, 4795.309119999999, 7000.0),
+            (LMD, 2993.6575199999997, 6010.0),
             (LMP, 4961.830792000001, 7000.0),
             // BitVec <1 agg=false w=8
             (EMD, 233.4320533333333, 7000.0),
             (EMP, 1598.868373333333, 7000.0),
+            (LMD, 998.3178399999999, 6010.0),
             (LMP, 1654.3755973333336, 7000.0),
             // BitVec <1 agg=true w=1
             (EMD, 705.5001599999999, 7000.0),
             (EMP, 4801.809119999999, 7000.0),
+            (LMD, 2819.34716, 6010.0),
             (LMP, 4787.520432, 7000.0),
             // BitVec <1 agg=true w=8
             (EMD, 235.59871999999996, 7000.0),
             (EMP, 1601.0350399999998, 7000.0),
+            (LMD, 940.2143866666667, 6010.0),
             (LMP, 1596.272144, 7000.0),
             // BitVec <50 agg=false w=1
             (EMD, 34609.948, 7000.0),
             (EMP, 18186.28, 7000.0),
+            (LMD, 14463.309, 6500.0),
             (LMP, 22688.008072, 7000.0),
             // BitVec <50 agg=false w=8
             (EMD, 11537.081333333334, 7000.0),
             (EMP, 6062.525333333333, 7000.0),
+            (LMD, 4821.535, 6500.0),
             (LMP, 7563.101357333333, 7000.0),
             // BitVec <50 agg=true w=1
             (EMD, 34616.448, 7000.0),
             (EMP, 18192.78, 7000.0),
+            (LMD, 5429.290999999999, 6500.0),
             (LMP, 13653.990072, 7000.0),
             // BitVec <50 agg=true w=8
             (EMD, 11539.248, 7000.0),
             (EMP, 6064.691999999999, 7000.0),
+            (LMD, 1810.1956666666665, 6500.0),
             (LMP, 4551.762024, 7000.0),
             // Dict <1 agg=false w=1
             (EMD, 699.0601599999999, 17500.0),

@@ -3,10 +3,9 @@
 //!
 //! For arbitrary data, encodings, predicates and query shapes, all four
 //! strategies must return exactly the multiset of tuples the naive
-//! row-store oracle returns (bit-vector columns legitimately exclude
-//! LM-pipelined, as in the paper).
+//! row-store oracle returns, bit-vector columns included.
 
-use matstrat_common::{Error, Predicate, Value};
+use matstrat_common::{Predicate, Value};
 use matstrat_core::rowstore::RowTable;
 use matstrat_core::{Database, ExecOptions, QueryPlan, QuerySpec, Statement, Strategy};
 
@@ -68,9 +67,6 @@ fn check_all_strategies(
                     "strategy {s} disagrees with the row-store oracle"
                 );
                 assert_eq!(r.num_rows() as u64, stats.rows_out);
-            }
-            Err(Error::Unsupported(_)) if s == Strategy::LmPipelined => {
-                // Legal only when a later filter column is bit-vector.
             }
             Err(e) => panic!("strategy {s} failed: {e}"),
         }
@@ -235,7 +231,6 @@ proptest! {
                     s,
                     opts
                 ),
-                Err(Error::Unsupported(_)) if s == Strategy::LmPipelined => {}
                 Err(e) => panic!("strategy {s} failed: {e}"),
             }
         }
@@ -279,24 +274,43 @@ fn zero_selectivity_and_full_selectivity() {
 }
 
 #[test]
-fn lm_pipelined_rejects_bitvec_later_filter() {
-    let rows: Vec<(Value, Value, Value)> = (0..100).map(|i| (0, i % 5, i % 3)).collect();
-    let (db, id, _) = load(
+fn lm_pipelined_agrees_over_bitvec_later_filter() {
+    // LM-pipelined filters a bit-vector later column by fetching its
+    // values at the survivors; it must return what the other three
+    // strategies return, whether the bit-vector filter comes first or
+    // later, under a range descriptor (sorted `a` first) or another.
+    let rows: Vec<(Value, Value, Value)> =
+        (0..5000).map(|i| (i / 1000, i % 5, (i * 7) % 3)).collect();
+    let (db, id, oracle) = load(
         EncodingKind::Rle,
         EncodingKind::Plain,
         EncodingKind::BitVec,
         &rows,
     );
-    let q = QuerySpec::select(id, vec![1])
-        .filter(1, Predicate::lt(3))
-        .filter(2, Predicate::lt(2));
-    let err = forced(&db, &q, Strategy::LmPipelined, &db.exec_options()).unwrap_err();
-    assert!(matches!(err, Error::Unsupported(_)));
-    // But bit-vector as the *first* filter column is fine.
-    let q = QuerySpec::select(id, vec![1])
-        .filter(2, Predicate::lt(2))
-        .filter(1, Predicate::lt(3));
-    forced(&db, &q, Strategy::LmPipelined, &db.exec_options()).unwrap();
+    let queries = [
+        QuerySpec::select(id, vec![1])
+            .filter(1, Predicate::lt(3))
+            .filter(2, Predicate::lt(2)),
+        QuerySpec::select(id, vec![0, 2])
+            .filter(0, Predicate::between(1, 3))
+            .filter(2, Predicate::eq(1)),
+        QuerySpec::select(id, vec![1])
+            .filter(2, Predicate::lt(2))
+            .filter(1, Predicate::lt(3)),
+    ];
+    for q in &queries {
+        let run = |s| {
+            forced(&db, q, s, &db.exec_options())
+                .unwrap_or_else(|e| panic!("{s}: {e}"))
+                .rows
+        };
+        let lm = run(Strategy::LmPipelined);
+        assert!(lm.num_rows() > 0, "{q:?}");
+        for s in Strategy::ALL {
+            assert_eq!(run(s).flat(), lm.flat(), "{s} vs LM-pipelined on {q:?}");
+        }
+        check_all_strategies(&db, id, &oracle, q);
+    }
 }
 
 #[test]

@@ -2,10 +2,11 @@
 //! runs, priced as the sum of its operators (§3).
 //!
 //! A scan is described by [`ScanParams`] — its own filters, in order,
-//! its own output (or group and value) columns, and every column it
-//! reads — and [`CostModel::estimate`] composes the per-operator
-//! formulas of [`crate::ops`] over those columns in each strategy's
-//! §3.5 order. On the paper's query
+//! each with the share of blocks its zone maps admit, its own output (or
+//! group and value) columns, and every column it reads — and
+//! [`CostModel::estimate`] prices it under every strategy, composing the
+//! per-operator formulas of [`crate::ops`] over those columns in each
+//! strategy's §3.5 order. On the paper's query
 //!
 //! ```sql
 //! SELECT shipdate, linenum FROM lineitem
@@ -83,6 +84,9 @@ pub struct ScanFilter {
     pub sf: f64,
     /// `RL_p` of the position list DS1 emits for it.
     pub pos_run_len: f64,
+    /// The share of the column's rows in blocks whose zone map admits
+    /// the predicate: all a zone-pruned DS1 reads (1 without zone maps).
+    pub zone: f64,
 }
 
 /// The scan statement the model prices.
@@ -163,20 +167,17 @@ impl CostModel {
     ///   at the surviving positions — a re-access (no I/O) when the
     ///   column was filtered.
     /// * **LM-pipelined**: DS1 on the first filter, then DS3 and the
-    ///   predicate on each later filter at the running positions, then
-    ///   DS3 on each output whose values are not already in hand. `None`
-    ///   when a later filter column is bit-vector encoded: its values
-    ///   cannot be fetched at a position.
+    ///   predicate on each later filter at the running positions (a
+    ///   bit-vector column's DS3 pays its decode), then DS3 on each
+    ///   output whose values are not already in hand.
+    ///
+    /// An LM leaf DS1 reads only the blocks its filter's zone maps admit
+    /// (see [`ScanFilter::zone`]); EM plans read every block.
     ///
     /// Then the consumer: an EM plan iterates its tuples; an LM plan
     /// MERGEs its output columns, or aggregates straight from them, one
     /// step per run of the group column.
-    pub fn estimate(
-        &self,
-        strategy: Strategy,
-        q: &ScanParams,
-        workers: usize,
-    ) -> Option<CostBreakdown> {
+    pub fn estimate(&self, strategy: Strategy, q: &ScanParams, workers: usize) -> CostBreakdown {
         let c = &self.constants;
         let mut cost = CostBreakdown::default();
         match strategy {
@@ -207,7 +208,7 @@ impl CostModel {
                     })
                     .collect();
                 for f in &q.filters {
-                    cost.add(ds1(&q.columns[f.column], f.sf, c));
+                    cost.add(self.leaf_ds1(q, f));
                 }
                 cost.add_cpu(and_cost(&inputs, c));
                 // AND output: ranges only if every input was ranges.
@@ -222,17 +223,13 @@ impl CostModel {
                 let (mut positions, mut sel, mut runs) = (q.rows, 1.0, q.rows);
                 let mut in_hand = vec![false; q.columns.len()];
                 for (k, f) in q.filters.iter().enumerate() {
-                    let col = &q.columns[f.column];
                     if k == 0 {
-                        cost.add(ds1(col, f.sf, c));
+                        cost.add(self.leaf_ds1(q, f));
                     } else {
-                        if col.bit_vector {
-                            return None;
-                        }
                         // Fetch the values at the surviving positions,
                         // then apply the predicate to them.
                         let reaccess = q.filters[..k].iter().any(|g| g.column == f.column);
-                        cost.add(ds3(col, positions, runs, sel, reaccess, c));
+                        cost.add(ds3(&q.columns[f.column], positions, runs, sel, reaccess, c));
                         cost.add_cpu(positions * c.fc);
                         in_hand[f.column] = true;
                     }
@@ -246,7 +243,20 @@ impl CostModel {
         cost.add_cpu(self.consume(strategy.is_late(), q));
         let mut cost = cost.with_workers(workers);
         cost.cpu_us += self.steal_overhead(workers);
-        Some(cost)
+        cost
+    }
+
+    /// DS1 of filter `f` over only the blocks its zone maps admit: the
+    /// column's blocks and rows scale by `zone`, the selectivity within
+    /// them is `sf / zone`, and a filter no block admits reads nothing.
+    fn leaf_ds1(&self, q: &ScanParams, f: &ScanFilter) -> (f64, f64) {
+        if f.zone <= 0.0 {
+            return (0.0, 0.0);
+        }
+        let mut col = q.columns[f.column];
+        col.blocks *= f.zone;
+        col.rows *= f.zone;
+        ds1(&col, f.sf / f.zone, &self.constants)
     }
 
     /// DS3 on each output column not `in_hand`, at the surviving
@@ -708,19 +718,19 @@ mod tests {
         CostModel::new(Constants::paper())
     }
 
-    /// The cheapest supported strategy plan at `workers` — the §6
-    /// optimizer decision.
+    /// The cheapest strategy plan at `workers` — the §6 optimizer
+    /// decision.
     fn best_plan(m: &CostModel, q: &ScanParams, workers: usize) -> (Strategy, CostBreakdown) {
         Strategy::ALL
-            .iter()
-            .filter_map(|&k| m.estimate(k, q, workers).map(|c| (k, c)))
+            .map(|k| (k, m.estimate(k, q, workers)))
+            .into_iter()
             .min_by(|a, b| a.1.total_us().total_cmp(&b.1.total_us()))
-            .expect("EM plans are always supported")
+            .expect("four strategies")
     }
 
-    /// Serial total of a plan the parameters support.
+    /// Serial total of a plan.
     fn total(m: &CostModel, s: Strategy, q: &ScanParams) -> f64 {
-        m.estimate(s, q, 1).expect("supported").total_us()
+        m.estimate(s, q, 1).total_us()
     }
 
     /// One tree edge at the given worker counts, built fresh.
@@ -741,6 +751,7 @@ mod tests {
             column,
             sf,
             pos_run_len,
+            zone: 1.0,
         };
         ScanParams {
             rows: 60_000_000.0,
@@ -774,14 +785,9 @@ mod tests {
     fn costs_increase_with_selectivity() {
         let m = model();
         for kind in Strategy::ALL {
-            let lo = m.estimate(kind, &rle_params(0.1), 1);
-            let hi = m.estimate(kind, &rle_params(0.9), 1);
-            if let (Some(lo), Some(hi)) = (lo, hi) {
-                assert!(
-                    hi.total_us() > lo.total_us(),
-                    "{kind:?} should cost more at higher selectivity"
-                );
-            }
+            let lo = total(&m, kind, &rle_params(0.1));
+            let hi = total(&m, kind, &rle_params(0.9));
+            assert!(hi > lo, "{kind:?} should cost more at higher selectivity");
         }
     }
 
@@ -841,18 +847,18 @@ mod tests {
     }
 
     #[test]
-    fn bitvec_disables_lm_pipelined() {
+    fn bitvec_later_filter_pays_its_decode_under_lm_pipelined() {
+        // A bit-vector later filter is DS3 plus the predicate like any
+        // other; its DS3 adds the column's decode, one TICCOL per row.
         let m = model();
-        let mut q = rle_params(0.5);
-        q.columns[1].bit_vector = true;
-        assert!(m.estimate(Strategy::LmPipelined, &q, 1).is_none());
-        // best_plan still returns something.
-        let (_, cost) = best_plan(&m, &q, 1);
-        assert!(cost.total_us() > 0.0);
-        // A bit-vector *first* filter is a DS1 leaf, which it supports.
-        let mut q = rle_params(0.5);
-        q.columns[0].bit_vector = true;
-        assert!(m.estimate(Strategy::LmPipelined, &q, 1).is_some());
+        let q = rle_params(0.5);
+        let mut qb = q.clone();
+        qb.columns[1].bit_vector = true;
+        let decode = qb.rows * m.constants().tic_col;
+        let plain = m.estimate(Strategy::LmPipelined, &q, 1);
+        let bits = m.estimate(Strategy::LmPipelined, &qb, 1);
+        assert!((bits.cpu_us - plain.cpu_us - decode).abs() < 1e-6 * decode);
+        assert_eq!(bits.io_us, plain.io_us);
     }
 
     #[test]
@@ -861,9 +867,50 @@ mod tests {
         let q = rle_params(0.5);
         let (kind, cost) = best_plan(&m, &q, 1);
         for k in Strategy::ALL {
-            if let Some(c) = m.estimate(k, &q, 1) {
-                assert!(cost.total_us() <= c.total_us() + 1e-9, "{kind:?} vs {k:?}");
-            }
+            let c = m.estimate(k, &q, 1);
+            assert!(cost.total_us() <= c.total_us() + 1e-9, "{kind:?} vs {k:?}");
+        }
+    }
+
+    #[test]
+    fn zone_maps_shrink_lm_leaf_scans_only() {
+        // Zone maps admit a tenth of the first filter's blocks: every LM
+        // leaf DS1 over it scans a tenth of the column at ten times the
+        // selectivity, and EM plans, which read every block, do not move.
+        let m = model();
+        let c = *m.constants();
+        let q = uncompressed_params(0.05);
+        let mut zoned = q.clone();
+        zoned.filters[0].zone = 0.1;
+        let first = q.columns[0];
+        let mut admitted = first;
+        admitted.blocks *= 0.1;
+        admitted.rows *= 0.1;
+        let (full, part) = (ds1(&first, 0.05, &c), ds1(&admitted, 0.5, &c));
+        for s in [Strategy::LmParallel, Strategy::LmPipelined] {
+            let (a, b) = (m.estimate(s, &q, 1), m.estimate(s, &zoned, 1));
+            assert!(
+                (a.cpu_us - b.cpu_us - (full.0 - part.0)).abs() < 1e-6,
+                "{s:?}"
+            );
+            assert!(
+                (a.io_us - b.io_us - (full.1 - part.1)).abs() < 1e-6,
+                "{s:?}"
+            );
+        }
+        for s in [Strategy::EmParallel, Strategy::EmPipelined] {
+            assert_eq!(m.estimate(s, &q, 1), m.estimate(s, &zoned, 1), "{s:?}");
+        }
+        // A filter no block admits scans nothing at all.
+        let mut none = q.clone();
+        none.filters[0].sf = 0.0;
+        let mut pruned = none.clone();
+        pruned.filters[0].zone = 0.0;
+        let leaf = ds1(&first, 0.0, &c);
+        for s in [Strategy::LmParallel, Strategy::LmPipelined] {
+            let (a, b) = (m.estimate(s, &none, 1), m.estimate(s, &pruned, 1));
+            assert!((a.cpu_us - b.cpu_us - leaf.0).abs() < 1e-6, "{s:?}");
+            assert!((a.io_us - b.io_us - leaf.1).abs() < 1e-6, "{s:?}");
         }
     }
 
@@ -891,8 +938,8 @@ mod tests {
         let out = q.out_rows();
         let fetch = ds3(&wide.columns[2], out, 1.0, 0.1 * 0.96, false, &c);
         let merge = merge_cost(out, 3.0, &c) - merge_cost(out, 2.0, &c);
-        let narrow = m.estimate(Strategy::LmParallel, &q, 1).unwrap();
-        let got = m.estimate(Strategy::LmParallel, &wide, 1).unwrap();
+        let narrow = m.estimate(Strategy::LmParallel, &q, 1);
+        let got = m.estimate(Strategy::LmParallel, &wide, 1);
         assert!((got.cpu_us - (narrow.cpu_us + fetch.0 + merge)).abs() < 1e-6);
         assert!((got.io_us - (narrow.io_us + fetch.1)).abs() < 1e-6);
         assert!(fetch.1 > 0.0, "a first access reads the matching blocks");
@@ -927,10 +974,7 @@ mod tests {
         let m = model();
         let q = rle_params(0.5);
         for kind in Strategy::ALL {
-            let (serial, four) = match (m.estimate(kind, &q, 1), m.estimate(kind, &q, 4)) {
-                (Some(s), Some(p)) => (s, p),
-                _ => continue,
-            };
+            let (serial, four) = (m.estimate(kind, &q, 1), m.estimate(kind, &q, 4));
             // CPU divides, plus the scheduler's claim/steal bookkeeping.
             let expect = serial.cpu_us / 4.0 + m.steal_overhead(4);
             assert!((four.cpu_us - expect).abs() < 1e-9, "{kind:?}");
@@ -943,10 +987,10 @@ mod tests {
         // overhead (a single-span plan never enters the steal loop).
         assert_eq!(m.steal_overhead(0), 0.0);
         assert_eq!(m.steal_overhead(1), 0.0);
-        let s = m.estimate(Strategy::EmParallel, &q, 1).unwrap();
+        let s = m.estimate(Strategy::EmParallel, &q, 1);
         assert_eq!(s.with_workers(0).total_us(), s.total_us());
         assert_eq!(s.with_workers(1).total_us(), s.total_us());
-        assert_eq!(m.estimate(Strategy::EmParallel, &q, 0).unwrap(), s);
+        assert_eq!(m.estimate(Strategy::EmParallel, &q, 0), s);
     }
 
     #[test]

@@ -259,16 +259,19 @@ impl BitVecBlock {
 
     /// Parse the codec payload.
     pub fn parse_payload(start_pos: Pos, count: u32, r: &mut Reader<'_>) -> Result<BitVecBlock> {
-        let k = r.u32()? as usize;
-        let mut values = Vec::with_capacity(k);
-        for _ in 0..k {
-            values.push(r.i64()?);
+        let k = r.count(8, "bit-vector values")?;
+        if k == 0 && count > 0 {
+            return Err(Error::corrupt(format!("{count} rows but no bit-strings")));
         }
+        let values = (0..k).map(|_| r.i64()).collect::<Result<Vec<_>>>()?;
         let wpv = (count as usize).div_ceil(64);
-        let mut words = Vec::with_capacity(k * wpv);
-        for _ in 0..k * wpv {
-            words.push(r.u64()?);
+        if k * wpv > r.remaining() / 8 {
+            return Err(Error::corrupt(format!(
+                "{k} bit-strings of {wpv} words cannot fit in the {} bytes left",
+                r.remaining()
+            )));
         }
+        let words = (0..k * wpv).map(|_| r.u64()).collect::<Result<Vec<_>>>()?;
         Ok(BitVecBlock {
             start_pos,
             count,

@@ -400,35 +400,23 @@ impl DictBlock {
         width: u8,
         r: &mut Reader<'_>,
     ) -> Result<DictBlock> {
-        let k = r.u32()? as usize;
-        let mut dict = Vec::with_capacity(k);
-        for _ in 0..k {
-            dict.push(r.i64()?);
-        }
-        let mut codes = Vec::with_capacity(count as usize);
-        match width {
-            1 => {
-                let bytes = r.bytes(count as usize)?;
-                codes.extend(bytes.iter().map(|&b| b as u32));
-            }
-            2 => {
-                let bytes = r.bytes(count as usize * 2)?;
-                codes.extend(
-                    bytes
-                        .chunks_exact(2)
-                        .map(|c| u16::from_le_bytes(c.try_into().unwrap()) as u32),
-                );
-            }
-            4 => {
-                let bytes = r.bytes(count as usize * 4)?;
-                codes.extend(
-                    bytes
-                        .chunks_exact(4)
-                        .map(|c| u32::from_le_bytes(c.try_into().unwrap())),
-                );
-            }
+        let k = r.count(8, "dictionary entries")?;
+        let dict = (0..k).map(|_| r.i64()).collect::<Result<Vec<_>>>()?;
+        // The code bytes are read before anything is sized from `count`.
+        let codes: Vec<u32> = match width {
+            1 => r.bytes(count as usize)?.iter().map(|&b| b as u32).collect(),
+            2 => r
+                .bytes(count as usize * 2)?
+                .chunks_exact(2)
+                .map(|c| u16::from_le_bytes(c.try_into().unwrap()) as u32)
+                .collect(),
+            4 => r
+                .bytes(count as usize * 4)?
+                .chunks_exact(4)
+                .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+                .collect(),
             w => return Err(Error::corrupt(format!("bad dict code width {w}"))),
-        }
+        };
         for &c in &codes {
             if c as usize >= k {
                 return Err(Error::corrupt(format!(

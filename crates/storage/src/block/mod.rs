@@ -685,6 +685,56 @@ mod tests {
     }
 
     #[test]
+    fn parse_survives_mutated_blocks() {
+        // Seeded, bounded: flip, overwrite or truncate 1–4 bytes of each
+        // codec's serialized block. A parse may succeed or fail, but an
+        // accepted block must decode, scan, probe and gather without a
+        // panic — and no untrusted count may size an allocation.
+        let mut state = 0x5EED_u64;
+        let mut next = |n: usize| {
+            // SplitMix64.
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n.max(1) as u64) as usize
+        };
+        for block in all_blocks(&sample_values(), 40) {
+            let clean = block.serialize();
+            for _ in 0..20_000 {
+                let mut bytes = clean.clone();
+                for _ in 0..1 + next(4) {
+                    let at = next(bytes.len());
+                    match next(3) {
+                        0 => bytes[at] ^= 1 << next(8),
+                        1 => bytes[at] = next(256) as u8,
+                        _ => bytes.truncate(at),
+                    }
+                    if bytes.is_empty() {
+                        break;
+                    }
+                }
+                let Ok(parsed) = EncodedBlock::parse(&bytes) else {
+                    continue;
+                };
+                let cov = parsed.covering();
+                let mut out = Vec::new();
+                parsed.decode_all(&mut out);
+                let _ = parsed.decode_range(cov, &mut out);
+                let _ = parsed.scan_positions(&Predicate::lt(3));
+                let _ = parsed.scan_positions_in(&Predicate::ne(2), cov);
+                let (mut pos, mut val) = (Vec::new(), Vec::new());
+                parsed.scan_pairs(&Predicate::ge(1), &mut pos, &mut val);
+                let probes: Vec<Pos> = cov.iter().step_by(7).take(64).collect();
+                for &p in &probes {
+                    let _ = parsed.value_at(p);
+                }
+                let _ = parsed.gather(&probes, &mut out);
+            }
+        }
+    }
+
+    #[test]
     fn scan_positions_in_matches_clipped_full_scan() {
         let values = sample_values();
         let windows = [

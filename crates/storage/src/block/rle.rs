@@ -286,7 +286,7 @@ impl RleBlock {
 
     /// Parse the codec payload, rebuilding absolute run starts.
     pub fn parse_payload(start_pos: Pos, count: u32, r: &mut Reader<'_>) -> Result<RleBlock> {
-        let nruns = r.u32()? as usize;
+        let nruns = r.count(12, "RLE runs")?;
         let mut runs = Vec::with_capacity(nruns);
         let mut at = start_pos;
         let mut total = 0u64;

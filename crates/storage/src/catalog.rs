@@ -373,15 +373,7 @@ impl Catalog {
             let num_rows = r.u64()?;
             // Version 1 predates the write path: no epoch, nothing in a WAL.
             let wal_epoch = if version >= 2 { r.u32()? } else { 0 };
-            let ncols = r.u32()? as usize;
-            // An untrusted count: bound it by the bytes present before
-            // sizing anything from it.
-            if ncols > r.remaining() / MIN_COLUMN_BYTES {
-                return Err(Error::corrupt(format!(
-                    "catalog: {ncols} columns cannot fit in the {} bytes left",
-                    r.remaining()
-                )));
-            }
+            let ncols = r.count(MIN_COLUMN_BYTES, "catalog columns")?;
             let mut columns = Vec::with_capacity(ncols);
             for _ in 0..ncols {
                 let cname = get_str(&mut r)?;

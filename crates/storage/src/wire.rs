@@ -100,6 +100,20 @@ impl<'a> Reader<'a> {
     pub fn bytes(&mut self, n: usize) -> Result<&'a [u8]> {
         self.take(n)
     }
+
+    /// Read a `u32` count of `unit`-byte items that must still follow,
+    /// refusing one the remaining bytes cannot hold — an untrusted count
+    /// is bounded before anything is sized from it.
+    pub fn count(&mut self, unit: usize, what: &str) -> Result<usize> {
+        let n = self.u32()? as usize;
+        if n > self.remaining() / unit.max(1) {
+            return Err(Error::corrupt(format!(
+                "{n} {what} cannot fit in the {} bytes left",
+                self.remaining()
+            )));
+        }
+        Ok(n)
+    }
 }
 
 #[cfg(test)]

@@ -40,27 +40,20 @@ fn main() -> Result<()> {
     for strategy in Strategy::ALL {
         db.store().cold_reset();
         let plan = QueryPlan::forced_scan(strategy);
-        match db.execute_planned(&stmt, &plan, &db.exec_options()) {
-            Ok(out) => {
-                println!(
-                    "{:>14} {:>10} {:>12} {:>9} {:>8}",
-                    strategy.name(),
-                    out.rows.num_rows(),
-                    out.stats.wall.as_micros(),
-                    out.stats.io.block_reads,
-                    out.stats.io.seeks,
-                );
-                // Every strategy must return the same tuples.
-                let rows = out.rows.sorted_rows();
-                match &reference {
-                    Some(r) => assert_eq!(r, &rows, "strategies disagree!"),
-                    None => reference = Some(rows),
-                }
-            }
-            Err(Error::Unsupported(msg)) => {
-                println!("{:>14} {:>10}   ({msg})", strategy.name(), "—");
-            }
-            Err(e) => return Err(e),
+        let out = db.execute_planned(&stmt, &plan, &db.exec_options())?;
+        println!(
+            "{:>14} {:>10} {:>12} {:>9} {:>8}",
+            strategy.name(),
+            out.rows.num_rows(),
+            out.stats.wall.as_micros(),
+            out.stats.io.block_reads,
+            out.stats.io.seeks,
+        );
+        // Every strategy must return the same tuples.
+        let rows = out.rows.sorted_rows();
+        match &reference {
+            Some(r) => assert_eq!(r, &rows, "strategies disagree!"),
+            None => reference = Some(rows),
         }
     }
 

@@ -16,7 +16,7 @@
 //! deletes, the PR 7 write path); code-keyed joins, their delta
 //! fallbacks, and multi-way join trees with a shared-dictionary edge.
 
-use matstrat::common::{Error, TableId};
+use matstrat::common::TableId;
 use matstrat::core::{AggFunc, InnerStrategy, JoinSpec, Strategy};
 use matstrat::prelude::*;
 
@@ -73,7 +73,6 @@ fn load_decoded(rows: &[(Value, Value, Value)]) -> (Database, TableId) {
 }
 
 /// Run cold and return everything the contract promises deterministic.
-/// `Err(Unsupported)` is `None`; supportedness must not vary by threads.
 #[allow(clippy::type_complexity)]
 fn cold_run(
     db: &Database,
@@ -101,7 +100,6 @@ fn cold_run(
             stats.io.block_reads,
             stats.code_path_ops,
         )),
-        Err(Error::Unsupported(_)) => None,
         Err(e) => panic!("{s} threads={threads}: {e}"),
     }
 }
@@ -581,13 +579,15 @@ fn cold_pipelined(
 }
 
 /// A later filter over a range descriptor runs the column's own DS1 on
-/// the descriptor's ranges; over any other descriptor it gathers and
-/// re-tests. Either way the rows and `positions_matched` equal the
-/// decoded oracle's, and cold `(block_reads, seeks)` equal the gather
+/// the descriptor's ranges; over any other descriptor it fetches the
+/// values and re-tests them (a bit-vector column decodes the blocks
+/// holding survivors). Either way the rows and `positions_matched` equal
+/// the decoded oracle's, and cold `(block_reads, seeks)` equal the gather
 /// path's on the same table — both read exactly `fetch_selective`'s
 /// blocks. The range path is the compressed one (`code_path_ops > 0` on
-/// RLE and Dict; the Plain first filter charges none), the bitmap
-/// descriptor is the fallback (none either), and threads {1, 4} agree.
+/// RLE, bit-vector and Dict; the Plain first filter charges none), the
+/// bitmap descriptor is the fallback (none either), and threads {1, 4}
+/// agree.
 #[test]
 fn lm_pipelined_later_filters_scan_the_descriptor_ranges() {
     let (oracle_db, oid) = later_filter_table(EncodingKind::Plain);
@@ -603,7 +603,12 @@ fn lm_pipelined_later_filters_scan_the_descriptor_ranges() {
         ("many short ranges", (1, Predicate::eq(0)), true),
         ("bitmap", (2, Predicate::eq(0)), false),
     ];
-    for enc_b in [EncodingKind::Plain, EncodingKind::Rle, EncodingKind::Dict] {
+    for enc_b in [
+        EncodingKind::Plain,
+        EncodingKind::Rle,
+        EncodingKind::BitVec,
+        EncodingKind::Dict,
+    ] {
         let (db, id) = later_filter_table(enc_b);
         let reader = db.store().reader(id, 3).unwrap();
         assert_ne!(

@@ -124,7 +124,6 @@ fn cold_run(db: &Database, stmt: &Statement, plan: &QueryPlan, threads: usize) -
             out.stats.io.seeks,
             db.store().pool().stats().misses - misses,
         )),
-        Err(Error::Unsupported(_)) => None,
         Err(e) => panic!("{plan:?} threads={threads}: {e}"),
     }
 }

@@ -44,8 +44,6 @@ fn paper_selection_query_all_encodings_agree() {
                         None => reference = Some(rows),
                     }
                 }
-                Err(Error::Unsupported(_))
-                    if s == Strategy::LmPipelined && enc == EncodingKind::BitVec => {}
                 Err(e) => panic!("{enc} {s}: {e}"),
             }
         }

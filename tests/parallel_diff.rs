@@ -14,7 +14,7 @@
 //! 1-thread execution as the oracle (itself spot-checked against the
 //! row-store oracle by the seed suites).
 
-use matstrat::common::{Error, TableId};
+use matstrat::common::TableId;
 use matstrat::core::{AggFunc, Strategy};
 use matstrat::prelude::*;
 use proptest::prelude::*;
@@ -89,7 +89,6 @@ fn cold_run(
                 stats.decompressed_fetch,
             ))
         }
-        Err(Error::Unsupported(_)) => None,
         Err(e) => panic!("{s} threads={threads}: {e}"),
     }
 }

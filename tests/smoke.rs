@@ -7,7 +7,6 @@
 //! well under a second and catches wiring regressions (manifest drift,
 //! broken re-exports, strategy dispatch) before they do.
 
-use matstrat::common::Error;
 use matstrat::core::rowstore::RowTable;
 use matstrat::prelude::*;
 use matstrat::tpch::lineitem::cols;
@@ -64,10 +63,6 @@ fn all_strategies_match_oracle_on_lineitem() {
                     expected,
                     "{s} disagrees with the oracle on {enc:?} LINENUM"
                 ),
-                // LM-pipelined cannot fetch a bit-vector column at
-                // arbitrary surviving positions (§4.1).
-                Err(Error::Unsupported(_))
-                    if s == Strategy::LmPipelined && enc == EncodingKind::BitVec => {}
                 Err(e) => panic!("{s} on {enc:?} LINENUM failed: {e}"),
             }
         }
@@ -113,8 +108,6 @@ fn aggregation_matches_oracle_on_lineitem() {
                     expected,
                     "{s} aggregation on {enc:?}"
                 ),
-                Err(Error::Unsupported(_))
-                    if s == Strategy::LmPipelined && enc == EncodingKind::BitVec => {}
                 Err(e) => panic!("{s} aggregation on {enc:?} failed: {e}"),
             }
         }

@@ -132,7 +132,6 @@ fn cold_run(
             out.stats.rows_out,
             out.stats.io.block_reads,
         )),
-        Err(Error::Unsupported(_)) => None,
         Err(e) => panic!("{s} threads={threads}: {e}"),
     }
 }
