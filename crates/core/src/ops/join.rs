@@ -26,15 +26,19 @@
 //!
 //! # Parallel build
 //!
+//! The hash table is flat: each partition holds one index from key to a
+//! dense id and one CSR array of positions, so a build allocates a fixed
+//! handful of vectors however many distinct keys the inner table holds.
 //! The build side is itself parallel. The right key column is scanned
 //! span-parallel on the [`FragmentPipeline`] substrate, each worker
 //! scattering its `(position, key)` pairs into per-worker **radix
-//! partitions** by key hash; one worker per partition then folds the
-//! scattered buckets — in ascending fragment order — into that
-//! partition's hash map. A key lives in exactly one partition, and the
-//! folds visit positions ascending, so every key's position list is
-//! identical to the one a serial 0..n insertion loop produces; the
-//! probe simply hashes a key to its partition before the map lookup.
+//! partitions** by key hash; one worker per partition then builds that
+//! partition's flat table from the scattered buckets, in ascending
+//! fragment order. A serial build makes one flat table straight over the
+//! live keys. A key lives in exactly one partition, and every build
+//! visits positions ascending, so every key's position run is identical
+//! to the list a serial 0..n insertion loop produces; the probe simply
+//! hashes a key to its partition before the index lookup.
 //! The right output representations are built column-parallel the same
 //! way the projection loader encodes columns (decodes, bit-vector
 //! fallbacks, and the Materialized row-major flatten all split across
@@ -109,20 +113,84 @@ impl JoinKey for u32 {
     }
 }
 
-/// The shared read-only hash table on the right key: one plain map when
-/// the build ran serial, or `workers` radix partitions by key hash when
-/// it ran parallel. Each key's position list is ascending — identical to
-/// a serial 0..n insertion — in either shape, so the partitioning is
-/// invisible to the probe's output.
+/// The shared read-only hash table on the right key: one flat table
+/// when the build ran serial, or `workers` radix partitions by key hash,
+/// one flat table each, when it ran parallel. Each key's position run is
+/// ascending — identical to a serial 0..n insertion — in either shape,
+/// so the partitioning is invisible to the probe's output.
 pub(crate) struct PartitionedTable<K: JoinKey = Value> {
-    parts: Vec<HashMap<K, Vec<u32>>>,
+    parts: Vec<FlatTable<K>>,
+}
+
+/// One partition's table without an allocation per key: `index` maps
+/// each distinct key to a dense id, and id `i`'s ascending positions are
+/// `positions[offsets[i]..offsets[i + 1]]` (CSR). O(rows + distinct
+/// keys) `u32`s in three allocations.
+struct FlatTable<K: JoinKey> {
+    index: HashMap<K, u32>,
+    offsets: Vec<u32>,
+    positions: Vec<u32>,
+}
+
+impl<K: JoinKey> FlatTable<K> {
+    /// Build over `rows`, (position, key) pairs in ascending position
+    /// order, in two passes: the first gives each new key the next id
+    /// and records every row's id, a prefix sum over the id counts places
+    /// each run, and the second scatters the positions into their runs
+    /// in arrival order. `rows` is cloned for the second pass, so it must
+    /// be a cheap iterator; `cap` is the row count it yields, at most.
+    fn build<I>(rows: I, cap: usize) -> FlatTable<K>
+    where
+        I: Iterator<Item = (u32, K)> + Clone,
+    {
+        let mut index: HashMap<K, u32> = HashMap::with_capacity(cap);
+        let mut counts: Vec<u32> = Vec::new();
+        let mut ids: Vec<u32> = Vec::with_capacity(cap);
+        for (_, k) in rows.clone() {
+            let next = counts.len() as u32;
+            let id = *index.entry(k).or_insert(next);
+            if id == next {
+                counts.push(0);
+            }
+            counts[id as usize] += 1;
+            ids.push(id);
+        }
+        let mut offsets = Vec::with_capacity(counts.len() + 1);
+        offsets.push(0);
+        let mut at = 0u32;
+        for c in counts.iter_mut() {
+            // `counts` becomes each run's write cursor: its start.
+            let start = at;
+            at += *c;
+            *c = start;
+            offsets.push(at);
+        }
+        let mut positions = vec![0u32; ids.len()];
+        for ((pos, _), &id) in rows.zip(&ids) {
+            let cursor = &mut counts[id as usize];
+            positions[*cursor as usize] = pos;
+            *cursor += 1;
+        }
+        FlatTable {
+            index,
+            offsets,
+            positions,
+        }
+    }
+
+    /// The ascending positions holding `key`, if any.
+    #[inline]
+    fn get(&self, key: K) -> Option<&[u32]> {
+        let id = *self.index.get(&key)? as usize;
+        Some(&self.positions[self.offsets[id] as usize..self.offsets[id + 1] as usize])
+    }
 }
 
 /// The radix partition a key belongs to, shared by build and probe.
 /// A Fibonacci multiply-shift mixer, not a full hash pass: the probe
-/// pays this once per surviving row *on top of* the partition map's own
-/// SipHash, so the partition choice must be nearly free — it needs
-/// determinism and spread, not DoS resistance (the map lookup keeps
+/// pays this once per surviving row *on top of* the partition index's
+/// own SipHash, so the partition choice must be nearly free — it needs
+/// determinism and spread, not DoS resistance (the index lookup keeps
 /// SipHash for that).
 #[inline]
 fn partition_of<K: JoinKey>(key: K, parts: usize) -> usize {
@@ -131,12 +199,12 @@ fn partition_of<K: JoinKey>(key: K, parts: usize) -> usize {
 }
 
 impl<K: JoinKey> PartitionedTable<K> {
-    /// Build the table over `keys` on the pipeline's workers: serial
-    /// insertion for a single-span plan, otherwise a span-parallel
-    /// scatter into per-fragment radix buckets followed by a
-    /// partition-parallel fold. Fragments arrive in global granule
-    /// order and every fold walks them in that order, so each key's
-    /// position list ascends exactly as the serial loop's does.
+    /// Build the table over `keys` on the pipeline's workers: one flat
+    /// table straight over the live keys for a single-span plan,
+    /// otherwise a span-parallel scatter into per-fragment radix buckets
+    /// followed by a partition-parallel build. Fragments arrive in global
+    /// granule order and every partition walks them in that order, so
+    /// each key's run ascends exactly as a serial insertion loop's does.
     fn build(
         keys: &[K],
         deletes: &[u64],
@@ -144,14 +212,15 @@ impl<K: JoinKey> PartitionedTable<K> {
     ) -> Result<PartitionedTable<K>> {
         let parts_n = pipeline.workers();
         if parts_n <= 1 {
-            let mut table: HashMap<K, Vec<u32>> = HashMap::with_capacity(keys.len());
             let mut dead = Tombstones::new(deletes, 0);
-            for (pos, &k) in keys.iter().enumerate() {
-                if !dead.is_deleted(pos as u64) {
-                    table.entry(k).or_default().push(pos as u32);
-                }
-            }
-            return Ok(PartitionedTable { parts: vec![table] });
+            let live = keys
+                .iter()
+                .enumerate()
+                .filter(move |&(pos, _)| !dead.is_deleted(pos as u64))
+                .map(|(pos, &k)| (pos as u32, k));
+            return Ok(PartitionedTable {
+                parts: vec![FlatTable::build(live, keys.len())],
+            });
         }
         // Phase A: scatter. Each granule run hashes its keys into
         // `parts_n` buckets; pure CPU, so the scheduler's stealing can
@@ -167,31 +236,22 @@ impl<K: JoinKey> PartitionedTable<K> {
                 Ok(local)
             })?
             .0;
-        // Phase B: fold, one worker per partition.
-        let parts = matstrat_common::par_map_indexed(
-            parts_n,
-            parts_n,
-            |p| -> Result<HashMap<K, Vec<u32>>> {
-                let cap = buckets.iter().map(|frag| frag[p].len()).sum();
-                let mut m: HashMap<K, Vec<u32>> = HashMap::with_capacity(cap);
-                for frag in &buckets {
-                    for &(pos, k) in &frag[p] {
-                        m.entry(k).or_default().push(pos);
-                    }
-                }
-                Ok(m)
-            },
-        )?;
+        // Phase B: one flat table per partition, one worker each.
+        let parts = matstrat_common::par_map_indexed(parts_n, parts_n, |p| -> Result<_> {
+            let cap = buckets.iter().map(|frag| frag[p].len()).sum();
+            let rows = buckets.iter().flat_map(|frag| frag[p].iter().copied());
+            Ok(FlatTable::build(rows, cap))
+        })?;
         Ok(PartitionedTable { parts })
     }
 
     /// The ascending right positions holding `key`, if any.
     #[inline]
-    pub(crate) fn get(&self, key: K) -> Option<&Vec<u32>> {
+    pub(crate) fn get(&self, key: K) -> Option<&[u32]> {
         if self.parts.len() == 1 {
-            self.parts[0].get(&key)
+            self.parts[0].get(key)
         } else {
-            self.parts[partition_of(key, self.parts.len())].get(&key)
+            self.parts[partition_of(key, self.parts.len())].get(key)
         }
     }
 }
@@ -404,7 +464,7 @@ impl SharedBuild {
     /// nothing: the build proved every right key encodes, so a value
     /// outside the dictionary cannot equal any right key.
     #[inline]
-    pub(crate) fn probe(&self, key: Value) -> Option<&Vec<u32>> {
+    pub(crate) fn probe(&self, key: Value) -> Option<&[u32]> {
         match &self.table {
             KeyTable::Values(t) => t.get(key),
             KeyTable::Codes { table, dict, .. } => match dict.binary_search(&key) {
@@ -418,7 +478,7 @@ impl SharedBuild {
     /// verified its blocks share the build dictionary (see
     /// [`SharedBuild::code_dict`]).
     #[inline]
-    pub(crate) fn probe_code(&self, code: u32) -> Option<&Vec<u32>> {
+    pub(crate) fn probe_code(&self, code: u32) -> Option<&[u32]> {
         match &self.table {
             KeyTable::Codes { table, .. } => table.get(code),
             KeyTable::Values(_) => unreachable!("probe_code on a value-keyed table"),
@@ -607,28 +667,32 @@ pub(crate) fn fetch_codes_expanded(mini: &MiniColumn, positions: &[Pos]) -> Resu
 }
 
 /// `gather` over the deduplicated `positions`, then expand the
-/// duplicates by walking both lists.
+/// duplicates. `positions` is copied once, into the gather's list, and
+/// deduplicated only when it repeats a position (a first edge's base
+/// positions never do). Sorted input means a value's repeats are
+/// adjacent, so the expansion steps to the next value wherever the
+/// position changes.
 fn gather_expanded<T: Copy>(
     positions: &[Pos],
     gather: impl FnOnce(&PosList, &mut Vec<T>) -> Result<()>,
 ) -> Result<Vec<T>> {
+    let dups = positions.windows(2).any(|w| w[0] == w[1]);
     let mut uniq = positions.to_vec();
-    uniq.dedup();
+    if dups {
+        uniq.dedup();
+    }
     let mut vals = Vec::with_capacity(uniq.len());
-    gather(
-        &PosList::Explicit(PosVec::from_sorted(uniq.clone())),
-        &mut vals,
-    )?;
-    if uniq.len() == positions.len() {
+    gather(&PosList::Explicit(PosVec::from_sorted(uniq)), &mut vals)?;
+    if !dups {
         return Ok(vals);
     }
     let mut expanded = Vec::with_capacity(positions.len());
-    let mut ui = 0usize;
-    for &p in positions {
-        while uniq[ui] != p {
-            ui += 1;
+    let mut vi = 0usize;
+    for (i, &p) in positions.iter().enumerate() {
+        if i > 0 && positions[i - 1] != p {
+            vi += 1;
         }
-        expanded.push(vals[ui]);
+        expanded.push(vals[vi]);
     }
     Ok(expanded)
 }
@@ -1018,6 +1082,93 @@ mod tests {
         for inner in InnerStrategy::ALL {
             let res = join_default(&store, &spec, inner);
             assert_eq!(res.sorted_rows(), vec![vec![6000, 503]], "{inner:?}");
+        }
+    }
+
+    /// The serial insertion loop the flat table replaced, kept as the
+    /// oracle: every live position pushed onto its key's list in
+    /// ascending order.
+    fn push_loop<K: JoinKey>(keys: &[K], deletes: &[u64]) -> HashMap<K, Vec<u32>> {
+        let mut table: HashMap<K, Vec<u32>> = HashMap::new();
+        let mut dead = Tombstones::new(deletes, 0);
+        for (pos, &k) in keys.iter().enumerate() {
+            if !dead.is_deleted(pos as u64) {
+                table.entry(k).or_default().push(pos as u32);
+            }
+        }
+        table
+    }
+
+    /// Build `keys` at 1, 2, 3 and 8 partitions over a `granule`-row
+    /// pipeline and compare every probe against the push loop.
+    fn assert_matches_push_loop<K: JoinKey + std::fmt::Debug>(
+        keys: &[K],
+        deletes: &[u64],
+        probes: &[K],
+        granule: u64,
+    ) {
+        let oracle = push_loop(keys, deletes);
+        for parts in [1, 2, 3, 8] {
+            let pipeline = FragmentPipeline::new(keys.len() as u64, granule, parts);
+            let table = PartitionedTable::build(keys, deletes, &pipeline).unwrap();
+            assert_eq!(table.parts.len(), pipeline.workers());
+            for &k in keys.iter().chain(probes) {
+                assert_eq!(
+                    table.get(k),
+                    oracle.get(&k).map(Vec::as_slice),
+                    "key {k:?}, {} partitions, granule {granule}",
+                    pipeline.workers()
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The flat table answers exactly what the per-key `Vec` map
+        /// answered, over `Value` keys and over u32 dictionary codes:
+        /// dense, repeated, sparse-and-wide, all-equal, extreme and empty
+        /// key sets, random tombstones, serial and partitioned builds.
+        #[test]
+        fn flat_table_answers_as_the_push_loop(
+            shape in 0u8..6,
+            n in 1usize..400,
+            draws in proptest::collection::vec(0u64..u64::MAX, 400..401),
+            dead in proptest::collection::vec(0u8..100, 400..401),
+            dead_pct in 0u8..101,
+            granule in 1u64..24,
+        ) {
+            let n = if shape == 5 { 0 } else { n };
+            let extremes = [Value::MIN, Value::MAX, Value::MIN + 1, Value::MAX - 1, 0, -1];
+            let keys: Vec<Value> = (0..n)
+                .map(|i| match shape {
+                    0 => i as Value,
+                    1 => (draws[i] % n as u64) as Value,
+                    2 => draws[(draws[i] % 24) as usize] as Value,
+                    3 => draws[0] as Value,
+                    _ => extremes[(draws[i] % 6) as usize],
+                })
+                .collect();
+            let deletes: Vec<u64> = (0..n as u64)
+                .filter(|&p| dead[p as usize] < dead_pct)
+                .collect();
+            let mut probes: Vec<Value> = extremes.to_vec();
+            probes.extend(draws[..8].iter().map(|&d| d as Value));
+            probes.extend(keys.iter().map(|k| k.wrapping_add(1)));
+            assert_matches_push_loop(&keys, &deletes, &probes, granule);
+
+            // The code domain: each key's rank in the sorted dictionary,
+            // probed also past the dictionary's end.
+            let mut dict = keys.clone();
+            dict.sort_unstable();
+            dict.dedup();
+            let codes: Vec<u32> = keys
+                .iter()
+                .map(|k| dict.binary_search(k).unwrap() as u32)
+                .collect();
+            let absent = [dict.len() as u32, dict.len() as u32 + 1, u32::MAX];
+            assert_matches_push_loop(&codes, &deletes, &absent, granule);
         }
     }
 }
