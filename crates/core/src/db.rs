@@ -131,11 +131,11 @@ impl QueryOutcome {
 /// ```
 pub struct Database {
     store: Store,
+    /// Priced at this database's worker count, which it also holds:
+    /// [`Database::execute`] runs at [`Planner::parallelism`]
+    /// ([`Database::execute_planned`] takes explicit [`ExecOptions`]
+    /// instead).
     planner: Planner,
-    /// Worker threads per query; [`Database::execute`] and the planner
-    /// use this ([`Database::execute_planned`] takes explicit
-    /// [`ExecOptions`] instead).
-    parallelism: usize,
 }
 
 impl Database {
@@ -156,87 +156,40 @@ impl Database {
     }
 
     /// Wrap `store` with the planner priced at `workers` (clamped to
-    /// ≥ 1). Unlike [`Database::set_parallelism`] this never touches the
-    /// pool's striping — the query service's constructor, which leaves
-    /// that to the store's owner.
+    /// ≥ 1).
     pub(crate) fn priced_at(store: Store, workers: usize) -> Database {
-        let parallelism = workers.max(1);
         Database {
             store,
-            planner: Planner::with_parallelism(Constants::host_defaults(), parallelism),
-            parallelism,
+            planner: Planner::with_parallelism(Constants::host_defaults(), workers),
         }
     }
 
     /// Replace the planner's model constants (e.g. after calibration).
     pub fn set_model_constants(&mut self, constants: Constants) {
-        self.planner = Planner::with_parallelism(constants, self.parallelism);
+        self.planner = Planner::with_parallelism(constants, self.parallelism());
     }
 
     /// Set the executor worker count for every subsequent query (clamped
-    /// to ≥ 1) and re-price the planner accordingly. Results are
-    /// identical at any setting; only wall time changes.
-    ///
-    /// When the new worker count outgrows the buffer pool's stripe
-    /// count (chosen at store construction from `MATSTRAT_POOL_SHARDS`,
-    /// defaulting to the `MATSTRAT_THREADS` worker default), the pool is
-    /// **re-sharded in place** to match: cached entries rehash into the
-    /// wider striping and the summed [`PoolStats`] counters are
-    /// preserved exactly
-    /// ([`matstrat_storage::BufferPool::reshard_at_least`], which makes
-    /// the grow-or-not decision under the stripe write lock so two
-    /// sessions sharing one store can race this call safely).
-    /// Shrinking the knob never narrows the pool — extra stripes only
-    /// cost a few bytes. The only residual mismatch is a pool whose
-    /// *capacity* is smaller than the worker count (a stripe must own at
-    /// least one block); that corner still surfaces through
-    /// [`Database::pool_undersharded`] / [`PoolStats::shards`] and a
-    /// debug-build log line.
-    ///
-    /// [`PoolStats`]: matstrat_storage::PoolStats
-    /// [`PoolStats::shards`]: matstrat_storage::PoolStats
+    /// to ≥ 1) and re-price this database's planner accordingly. Results
+    /// are identical at any setting; only wall time changes. The store,
+    /// which other databases and servers may share, is left alone: its
+    /// buffer pool keeps the stripe count it was built with
+    /// (`MATSTRAT_POOL_SHARDS`, or [`Store::with_pool`]).
     pub fn set_parallelism(&mut self, workers: usize) {
-        self.parallelism = workers.max(1);
         let constants = *self.planner.model().constants();
-        self.planner = Planner::with_parallelism(constants, self.parallelism);
-        // Grow-only, decided under the pool's stripe write lock: a
-        // check-then-act against `num_shards()` here would race a second
-        // session sharing this store (its stale read could re-shard the
-        // pool *narrower* after we widened it).
-        self.store.pool().reshard_at_least(self.parallelism);
-        if cfg!(debug_assertions) {
-            if let Some((workers, shards)) = self.pool_undersharded() {
-                eprintln!(
-                    "matstrat (debug): worker knob ({workers}) exceeds the buffer pool's \
-                     {shards}-stripe maximum (capacity-capped: every stripe owns ≥ 1 \
-                     block); lookups of distinct blocks may contend."
-                );
-            }
-        }
-    }
-
-    /// `Some((workers, shards))` when the executor worker knob exceeds
-    /// the buffer pool's stripe count. Since [`Database::set_parallelism`]
-    /// re-shards the pool in place, this is only reachable when the pool
-    /// *capacity* caps the stripe count below the knob (every stripe must
-    /// own at least one block). `None` when the pool is striped at least
-    /// as wide as the knob. The same stripe count is visible on every
-    /// [`matstrat_storage::PoolStats`] snapshot.
-    pub fn pool_undersharded(&self) -> Option<(usize, usize)> {
-        let shards = self.store.pool().num_shards();
-        (self.parallelism > shards).then_some((self.parallelism, shards))
+        self.planner = Planner::with_parallelism(constants, workers);
     }
 
     /// The executor worker count queries run with.
     pub fn parallelism(&self) -> usize {
-        self.parallelism
+        self.planner.parallelism()
     }
 
     /// The executor options [`Database::execute`] uses: defaults plus
     /// this database's parallelism.
     pub fn exec_options(&self) -> ExecOptions {
         ExecOptions {
-            parallelism: self.parallelism,
+            parallelism: self.parallelism(),
             ..ExecOptions::default()
         }
     }
@@ -574,44 +527,30 @@ mod tests {
     }
 
     #[test]
-    fn set_parallelism_reshards_the_pool_in_place() {
-        let (mut db, t) = demo_db();
-        let shards = db.store().pool().num_shards();
-        // Pool striped at least as wide as the knob: nothing to do.
-        db.set_parallelism(shards);
-        assert_eq!(db.pool_undersharded(), None);
-        assert_eq!(db.store().pool().num_shards(), shards);
-        // Warm the pool so the reshard has entries to move, and snapshot
-        // the counters it must preserve.
-        let q = QuerySpec::select(t, vec![0, 1]).filter(1, Predicate::lt(4));
-        let warm = forced(&db, &q, Strategy::LmParallel, &db.exec_options()).rows;
-        let before = db.store().pool().stats();
-        // Outgrowing the stripe count now re-shards in place instead of
-        // warning: the knob and the striping agree again, counters carry
-        // over exactly, and the new width shows on PoolStats.
-        db.set_parallelism(shards + 3);
-        assert_eq!(db.pool_undersharded(), None, "re-sharded, not surfaced");
-        let pool = db.store().pool();
-        assert_eq!(pool.num_shards(), shards + 3);
-        let after = pool.stats();
-        assert_eq!(after.hits, before.hits);
-        assert_eq!(after.misses, before.misses);
-        assert_eq!(after.shards, (shards + 3) as u64);
-        // Results stay identical across the reshard, and the moved
-        // entries still serve hits (a warm re-run does no extra reads).
-        let wide = forced(&db, &q, Strategy::LmParallel, &db.exec_options()).rows;
-        assert_eq!(wide.flat(), warm.flat());
-        assert_eq!(db.store().pool().stats().misses, before.misses);
-        // Shrinking the knob never narrows the pool.
-        db.set_parallelism(1);
-        assert_eq!(db.pool_undersharded(), None);
-        assert_eq!(db.store().pool().num_shards(), shards + 3);
-        assert_eq!(
-            wide.flat(),
-            forced(&db, &q, Strategy::LmParallel, &db.exec_options())
-                .rows
-                .flat()
+    fn set_parallelism_never_restripes_a_shared_store() {
+        let (seed, t) = demo_db();
+        let store = seed.store().clone();
+        let (mut a, b) = (
+            Database::with_store(store.clone()),
+            Database::with_store(store.clone()),
         );
+        let q = QuerySpec::select(t, vec![0, 1]).filter(1, Predicate::lt(4));
+        let run = |db: &Database| forced(db, &q, Strategy::LmParallel, &db.exec_options()).rows;
+        let warm = (run(&a), run(&b));
+        let shards = store.pool().num_shards();
+        let before = store.pool().stats();
+        // One handle's worker count re-prices its own planner only.
+        a.set_parallelism(shards + 3);
+        assert_eq!(a.planner().parallelism(), shards + 3);
+        assert_eq!(store.pool().num_shards(), shards, "stripes untouched");
+        assert_eq!(store.pool().stats(), before, "counters untouched");
+        // Both handles still return the same bytes, and a warm rerun
+        // is served from the pool without a miss.
+        let (wide, other) = (run(&a), run(&b));
+        assert_eq!(wide.flat(), warm.0.flat());
+        assert_eq!(other.flat(), warm.1.flat());
+        assert_eq!(wide.flat(), other.flat());
+        assert_eq!(store.pool().stats().misses, before.misses);
     }
 
     #[test]

@@ -27,8 +27,8 @@
 //!   statement and every worker it fans out to charges that ledger and
 //!   no other; the buffer pool's global
 //!   [`matstrat_storage::PoolStats`] ledger stays exact because the
-//!   service never touches the pool's counters or striping — those
-//!   belong to the store owner.
+//!   service never touches the pool's counters, and the pool's striping
+//!   is fixed when the store is built.
 //!
 //! Plans are priced at the **full worker budget**, not the fair share:
 //! planning must be deterministic for a given store, or an interleaved
@@ -127,9 +127,8 @@ pub struct Server {
 }
 
 impl Server {
-    /// Serve `store` under `cfg`. Pool striping stays whatever the store
-    /// owner set (`BufferPool::reshard*` — see `Database::set_parallelism`
-    /// for the grow-only idiom): it is a throughput knob, never a
+    /// Serve `store` under `cfg`. The buffer pool keeps the stripe count
+    /// the store was built with: striping is a throughput knob, never a
     /// correctness one, and the concurrency battery pins results across
     /// shard counts.
     pub fn new(store: Store, cfg: ServerConfig) -> Arc<Server> {
@@ -540,5 +539,40 @@ mod tests {
         drop(second);
         drop(third);
         assert_eq!(server.stats().completed, 3);
+    }
+
+    #[test]
+    fn an_unwinding_statement_gives_back_its_admission_slot() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let server = Server::new(
+            served_store(),
+            ServerConfig {
+                max_concurrent: 1,
+                worker_budget: 2,
+            },
+        );
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            let _permit = server.admit();
+            panic!("a statement panics while it holds the only slot");
+        }));
+        assert!(unwound.is_err());
+        // `admit` let go of the gate's mutex before the panic, so the
+        // guard's drop took an unpoisoned lock and released the slot.
+        let stats = server.stats();
+        assert_eq!((stats.active, stats.completed), (0, 1));
+        let (tx, rx) = mpsc::channel();
+        let next = Arc::clone(&server);
+        let admitted = std::thread::spawn(move || {
+            let permit = next.admit();
+            tx.send(permit.share).unwrap();
+        });
+        let share = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the next admission blocked on a leaked slot");
+        assert_eq!(share, 2, "the sole query gets the whole budget");
+        admitted.join().unwrap();
+        assert_eq!(server.stats().completed, 2);
     }
 }

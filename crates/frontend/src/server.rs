@@ -33,7 +33,7 @@ use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -104,7 +104,47 @@ struct Shared {
     protocol_errors: AtomicU64,
     /// Live connection sockets, for the shutdown half-close wake.
     conns: Mutex<HashMap<u64, TcpStream>>,
+    /// Handler threads not yet joined: the accept loop joins the
+    /// finished ones on every accept, shutdown joins the rest.
     handlers: Mutex<Vec<JoinHandle<()>>>,
+}
+
+impl Shared {
+    fn new(service: Arc<Server>, cfg: NetConfig) -> Shared {
+        Shared {
+            service,
+            cfg,
+            shutting_down: AtomicBool::new(false),
+            accepted: AtomicU64::new(0),
+            refused: AtomicU64::new(0),
+            active: AtomicUsize::new(0),
+            served: AtomicU64::new(0),
+            protocol_errors: AtomicU64::new(0),
+            conns: Mutex::new(HashMap::new()),
+            handlers: Mutex::new(Vec::new()),
+        }
+    }
+}
+
+/// One connection's claim on the connection cap: its socket in `conns`
+/// and its count in `active`. Dropping the guard gives both back, so a
+/// handler returns its slot however it exits — unwinding from a panic
+/// included.
+struct ConnSlot {
+    shared: Arc<Shared>,
+    id: u64,
+}
+
+impl Drop for ConnSlot {
+    fn drop(&mut self) {
+        // Never panic here: this may run while the handler unwinds.
+        self.shared
+            .conns
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&self.id);
+        self.shared.active.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 /// A running TCP frontend. Dropping it (or calling
@@ -140,18 +180,7 @@ impl NetServer {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let (ctrl, ctrl_rx) = mpsc::channel();
-        let shared = Arc::new(Shared {
-            service,
-            cfg,
-            shutting_down: AtomicBool::new(false),
-            accepted: AtomicU64::new(0),
-            refused: AtomicU64::new(0),
-            active: AtomicUsize::new(0),
-            served: AtomicU64::new(0),
-            protocol_errors: AtomicU64::new(0),
-            conns: Mutex::new(HashMap::new()),
-            handlers: Mutex::new(Vec::new()),
-        });
+        let shared = Arc::new(Shared::new(service, cfg));
         let accept_shared = Arc::clone(&shared);
         let accept_thread = std::thread::Builder::new()
             .name("matstrat-accept".into())
@@ -258,25 +287,35 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, ctrl: mpsc::Receiver<
                 .expect("conns poisoned")
                 .insert(id, clone);
         }
-        let conn_shared = Arc::clone(&shared);
+        let slot = ConnSlot {
+            shared: Arc::clone(&shared),
+            id,
+        };
+        // A failed spawn drops the closure, and with it the slot and the
+        // socket.
         let handler = std::thread::Builder::new()
             .name(format!("matstrat-conn-{id}"))
             .spawn(move || {
-                handle_connection(&conn_shared, stream);
-                conn_shared
-                    .conns
-                    .lock()
-                    .expect("conns poisoned")
-                    .remove(&id);
-                conn_shared.active.fetch_sub(1, Ordering::SeqCst);
+                handle_connection(&slot.shared, stream);
+                drop(slot);
             });
-        match handler {
-            Ok(h) => shared.handlers.lock().expect("handlers poisoned").push(h),
-            Err(_) => {
-                // Spawn failed: hand the slot back and drop the socket.
-                shared.conns.lock().expect("conns poisoned").remove(&id);
-                shared.active.fetch_sub(1, Ordering::SeqCst);
-            }
+        let mut handlers = shared.handlers.lock().expect("handlers poisoned");
+        join_finished(&mut handlers);
+        if let Ok(h) = handler {
+            handlers.push(h);
+        }
+    }
+}
+
+/// Join and drop every handler thread that has already exited, so a
+/// long-lived server holds handles only for live connections.
+fn join_finished(handlers: &mut Vec<JoinHandle<()>>) {
+    let mut i = 0;
+    while i < handlers.len() {
+        if handlers[i].is_finished() {
+            let _ = handlers.swap_remove(i).join();
+        } else {
+            i += 1;
         }
     }
 }
@@ -395,4 +434,86 @@ fn respond_error(shared: &Shared, writer: &mut BufWriter<TcpStream>, msg: &str) 
     shared.served.fetch_add(1, Ordering::SeqCst);
     protocol::write_error(writer, msg)?;
     writer.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::BufRead;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::time::Instant;
+
+    fn eventually(what: &str, mut cond: impl FnMut() -> bool) {
+        let t0 = Instant::now();
+        while !cond() {
+            assert!(t0.elapsed() < Duration::from_secs(10), "timed out: {what}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    #[test]
+    fn a_connection_slot_is_given_back_while_its_handler_unwinds() {
+        let shared = Arc::new(Shared::new(
+            Server::in_memory(ServerConfig::default()),
+            NetConfig::default(),
+        ));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let socket = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let prior = shared.active.load(Ordering::SeqCst);
+        // Claim the slot the way the accept loop does.
+        shared.active.fetch_add(1, Ordering::SeqCst);
+        shared.conns.lock().unwrap().insert(7, socket);
+        let slot = ConnSlot {
+            shared: Arc::clone(&shared),
+            id: 7,
+        };
+        let unwound = catch_unwind(AssertUnwindSafe(move || {
+            let _slot = slot;
+            panic!("a handler panics mid-statement");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(shared.active.load(Ordering::SeqCst), prior);
+        assert!(!shared.conns.lock().unwrap().contains_key(&7));
+    }
+
+    #[test]
+    fn finished_handlers_are_joined_as_connections_arrive() {
+        const MAX_CONNS: usize = 2;
+        let net = NetServer::bind(
+            "127.0.0.1:0",
+            Store::in_memory(),
+            NetConfig {
+                max_conns: MAX_CONNS,
+                ..NetConfig::default()
+            },
+        )
+        .unwrap();
+        let handlers = || net.shared.handlers.lock().unwrap();
+        for _ in 0..4 * MAX_CONNS {
+            // Serve one statement (an `ERR`: the store is empty), then
+            // close and wait until the handler has exited.
+            let mut conn = TcpStream::connect(net.local_addr()).unwrap();
+            conn.write_all(b"SELECT a FROM nowhere\n").unwrap();
+            let mut reader = BufReader::new(&conn);
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            let nlines = protocol::parse_err_status(line.trim_end()).unwrap();
+            for _ in 0..nlines {
+                reader.read_line(&mut line).unwrap();
+            }
+            drop(reader);
+            drop(conn);
+            eventually("the handler to exit", || {
+                net.stats().active == 0 && handlers().iter().all(JoinHandle::is_finished)
+            });
+        }
+        let stats = net.stats();
+        assert_eq!((stats.accepted, stats.refused), (4 * MAX_CONNS as u64, 0));
+        let kept = handlers().len();
+        assert!(
+            kept <= MAX_CONNS + 1,
+            "{kept} handles kept for closed connections"
+        );
+        net.shutdown();
+    }
 }

@@ -199,10 +199,16 @@ impl Store {
 
     /// A store over any [`Disk`] implementation.
     pub fn with_disk(disk: Arc<dyn Disk>, pool_blocks: usize, persistent: bool) -> Store {
+        Store::with_pool(disk, BufferPool::new(pool_blocks), persistent)
+    }
+
+    /// A store over `disk` that caches blocks in `pool`, whose striping
+    /// ([`BufferPool::with_shards`]) stays fixed for the store's life.
+    pub fn with_pool(disk: Arc<dyn Disk>, pool: BufferPool, persistent: bool) -> Store {
         Store {
             inner: Arc::new(StoreInner {
                 disk,
-                pool: Arc::new(BufferPool::new(pool_blocks)),
+                pool: Arc::new(pool),
                 meter: IoMeter::new(),
                 catalog: RwLock::new(Catalog::new()),
                 persistent,

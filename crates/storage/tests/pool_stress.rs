@@ -140,156 +140,3 @@ fn hammer(pool: BufferPool, capacity: usize) {
 fn key_idx(key: &(String, u32)) -> u32 {
     key.1
 }
-
-/// Two sessions sharing one store race their `set_parallelism` re-shards
-/// (the session layer calls `reshard_at_least`) while lookups hammer the
-/// pool. The old check-then-act at the caller — `if n > num_shards() {
-/// reshard(n) }` — let the session with the *smaller* target re-shard
-/// last off a stale read and narrow the pool the other session had just
-/// widened. The grow-only decision now happens under the stripe write
-/// lock, so: the stripe count is monotone non-decreasing at every
-/// observation, ends at the widest request, and the hit/miss ledger
-/// stays globally exact (no lookup dropped or double-counted across any
-/// re-shard boundary).
-#[test]
-fn racing_session_reshards_never_narrow_the_pool_or_the_ledger() {
-    const LOOKUP_THREADS: usize = 4;
-    const OPS: usize = 3_000;
-    const ROUNDS: usize = 200;
-    // Capacity covers the key space: the ledger has no eviction column
-    // to hide miscounts in.
-    let pool = BufferPool::with_shards(512, 1);
-    let lookups = AtomicUsize::new(0);
-
-    std::thread::scope(|s| {
-        // Session A repeatedly asks for 8 workers, session B for 3 —
-        // interleaved arbitrarily by the scheduler.
-        for &target in &[8usize, 3] {
-            let pool = &pool;
-            s.spawn(move || {
-                for _ in 0..ROUNDS {
-                    pool.reshard_at_least(target);
-                    assert!(
-                        pool.num_shards() >= target,
-                        "session's own request not honored"
-                    );
-                    std::thread::yield_now();
-                }
-            });
-        }
-        // An observer proving monotonicity: grow-only means the stripe
-        // count can never be seen shrinking, no matter the interleaving.
-        {
-            let pool = &pool;
-            s.spawn(move || {
-                let mut widest = pool.num_shards();
-                for _ in 0..ROUNDS * 4 {
-                    let now = pool.num_shards();
-                    assert!(now >= widest, "pool narrowed: {widest} -> {now}");
-                    widest = now;
-                    std::thread::yield_now();
-                }
-            });
-        }
-        // Query traffic from both sessions, straddling every re-shard.
-        for t in 0..LOOKUP_THREADS {
-            let pool = &pool;
-            let lookups = &lookups;
-            s.spawn(move || {
-                let mut x = (t as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                for _ in 0..OPS {
-                    x = x
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    let key = ("race.col".to_string(), (x % 64) as u32);
-                    lookups.fetch_add(1, Ordering::Relaxed);
-                    let b: Result<_, ()> =
-                        pool.get_or_insert_with(&key, || Ok(block(u64::from(key.1))));
-                    assert_eq!(b.unwrap().start_pos(), u64::from(key.1));
-                }
-            });
-        }
-    });
-
-    assert_eq!(pool.num_shards(), 8, "ends at the widest session request");
-    let stats = pool.stats();
-    assert_eq!(
-        stats.hits + stats.misses,
-        lookups.load(Ordering::Relaxed) as u64,
-        "ledger exact across every racing re-shard"
-    );
-    assert_eq!(stats.evictions, 0, "capacity covers the key space");
-    assert_eq!(stats.misses, 64, "single-flight: one fill per key, ever");
-}
-
-/// The nightly-soak reproduction (threads=8, shards=2), now *fixed*
-/// rather than surfaced: hammer a 2-stripe pool with 8 threads, re-shard
-/// it to 8 stripes in place, and prove the counters carried over
-/// **exactly** before hammering the widened pool again. Counter
-/// exactness must hold across the reshard boundary, not merely within
-/// each layout.
-#[test]
-fn reshard_under_hammering_preserves_counters_exactly() {
-    const THREADS: usize = 8;
-    const OPS: usize = 2_000;
-    // Capacity 512 over a 64-key space: even the worst-case hash
-    // clustering (all 64 keys in one stripe of the widest layout, 512/8
-    // = 64 blocks) cannot evict, so the counter ledger across the
-    // reshard has no third column to hide in.
-    let pool = BufferPool::with_shards(512, 2);
-    assert_eq!(pool.num_shards(), 2);
-    let lookups = AtomicUsize::new(0);
-
-    let hammer_once = |pool: &BufferPool| {
-        std::thread::scope(|s| {
-            for t in 0..THREADS {
-                let lookups = &lookups;
-                s.spawn(move || {
-                    let mut x = (t as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                    for _ in 0..OPS {
-                        x = x
-                            .wrapping_mul(6364136223846793005)
-                            .wrapping_add(1442695040888963407);
-                        let key = ("reshard.col".to_string(), (x % 64) as u32);
-                        lookups.fetch_add(1, Ordering::Relaxed);
-                        let b: Result<_, ()> =
-                            pool.get_or_insert_with(&key, || Ok(block(u64::from(key.1))));
-                        assert_eq!(b.unwrap().start_pos(), u64::from(key.1));
-                    }
-                });
-            }
-        });
-    };
-
-    // Phase 1: contended 2-stripe pool (8 workers on 2 LRUs).
-    hammer_once(&pool);
-    let before = pool.stats();
-    assert_eq!(
-        before.hits + before.misses,
-        lookups.load(Ordering::Relaxed) as u64
-    );
-    assert_eq!(before.evictions, 0, "capacity covers the key space");
-    let cached = pool.len();
-
-    // The fix: rehash in place to the worker count.
-    pool.reshard(THREADS);
-    assert_eq!(pool.num_shards(), THREADS);
-    let after = pool.stats();
-    assert_eq!(after.hits, before.hits, "hits preserved exactly");
-    assert_eq!(after.misses, before.misses, "misses preserved exactly");
-    assert_eq!(after.evictions, 0, "eviction-free move");
-    assert_eq!(after.shards, THREADS as u64);
-    assert_eq!(pool.len(), cached, "cached set survives");
-
-    // Phase 2: the widened pool keeps exact accounting — every
-    // pre-reshard block is found where its key now hashes (all hits:
-    // the full key space was resident before the move).
-    hammer_once(&pool);
-    let end = pool.stats();
-    assert_eq!(
-        end.hits + end.misses,
-        lookups.load(Ordering::Relaxed) as u64,
-        "ledger exact across the reshard boundary"
-    );
-    assert_eq!(end.misses, before.misses, "phase 2 is all hits");
-}

@@ -4,7 +4,13 @@
 //! ```text
 //! cargo run --release --example parallel_scan
 //! MATSTRAT_THREADS=4 cargo run --release --example parallel_scan
+//! MATSTRAT_POOL_SHARDS=8 cargo run --release --example parallel_scan
 //! ```
+//!
+//! The buffer pool's stripe count is fixed when the store is built, from
+//! `MATSTRAT_POOL_SHARDS` or else `MATSTRAT_THREADS`; `set_parallelism`
+//! does not widen it. Unless one of the two is set, the 8-worker row runs
+//! over a single-stripe pool, so its timing includes lookup contention.
 
 use matstrat::prelude::*;
 

@@ -47,7 +47,18 @@ const DIM_ROWS: i64 = 512;
 
 /// Deterministic pseudo-data: multiplicative scrambles, nothing random.
 fn build_store() -> matstrat::storage::Store {
-    let store = matstrat::storage::Store::in_memory();
+    load_tables(matstrat::storage::Store::in_memory())
+}
+
+/// A fresh store whose pool is striped `shards` ways, holding the same
+/// tables as [`build_store`].
+fn striped_store(shards: usize) -> matstrat::storage::Store {
+    use matstrat::storage::{store::DEFAULT_POOL_BLOCKS, BufferPool, MemDisk, Store};
+    let pool = BufferPool::with_shards(DEFAULT_POOL_BLOCKS, shards);
+    load_tables(Store::with_pool(Arc::new(MemDisk::new()), pool, false))
+}
+
+fn load_tables(store: matstrat::storage::Store) -> matstrat::storage::Store {
     let n = FACT_ROWS;
 
     // Scan tables t1..t4, t9: k 0..n sorted, v/w/g scrambled.
@@ -208,7 +219,7 @@ fn interleaved_batches_are_byte_identical_to_serial() {
     }
 
     for shards in SHARD_COUNTS {
-        store.pool().reshard(shards);
+        let store = striped_store(shards);
         assert_eq!(store.pool().num_shards(), shards);
         for threads in THREAD_COUNTS {
             let got = run_interleaved(&store, threads);

@@ -52,7 +52,18 @@ const DIM_ROWS: i64 = 512;
 /// Deterministic pseudo-data, structurally identical to the
 /// concurrency battery's store (multiplicative scrambles, no RNG).
 fn build_store() -> matstrat::storage::Store {
-    let store = matstrat::storage::Store::in_memory();
+    load_tables(matstrat::storage::Store::in_memory())
+}
+
+/// A fresh store whose pool is striped `shards` ways, holding the same
+/// tables as [`build_store`].
+fn striped_store(shards: usize) -> matstrat::storage::Store {
+    use matstrat::storage::{store::DEFAULT_POOL_BLOCKS, BufferPool, MemDisk, Store};
+    let pool = BufferPool::with_shards(DEFAULT_POOL_BLOCKS, shards);
+    load_tables(Store::with_pool(Arc::new(MemDisk::new()), pool, false))
+}
+
+fn load_tables(store: matstrat::storage::Store) -> matstrat::storage::Store {
     let n = FACT_ROWS;
 
     for name in ["t1", "t2", "t3", "t4", "t9"] {
@@ -182,7 +193,7 @@ fn socket_batches_are_byte_identical_to_serial_in_process() {
     }
 
     for shards in SHARD_COUNTS {
-        store.pool().reshard(shards);
+        let store = striped_store(shards);
         assert_eq!(store.pool().num_shards(), shards);
         for threads in THREAD_COUNTS {
             // A fresh frontend per configuration keeps ServerStats and

@@ -16,7 +16,8 @@
 //!   against the same snapshots as `crates/lang/tests/errors.rs`;
 //! * and, facing the other way, everything a server could send that
 //!   the client must refuse: ragged rows, a row count the trailer
-//!   contradicts, and fields that are not a decimal `i64`.
+//!   contradicts, and fields that are not a decimal `i64` — plus a
+//!   seeded fuzz of the client's reply parser over mutated real replies.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
@@ -375,6 +376,127 @@ fn client_rejects_replies_the_server_never_emits() {
             .expect_rows(reply);
         assert_eq!(rows.data, data, "{reply:?}");
         assert_eq!(rows.raw, reply.as_bytes());
+    }
+}
+
+/// SplitMix64, as in `tests/text_fuzz.rs`: seeded, no dependencies.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// Bytes a mutation inserts: the protocol's own structure (digits,
+/// signs, separators, the letters of its keywords) and a stray byte.
+const REPLY_BYTES: &[u8] = b"0123456789-\t\n OKROWSER=\xff";
+
+/// One edit to a rendered reply: flip a bit, insert a byte, delete a
+/// byte, truncate, or duplicate a line.
+fn mutate(rng: &mut Rng, reply: &mut Vec<u8>) {
+    if reply.is_empty() {
+        return;
+    }
+    let at = rng.below(reply.len());
+    match rng.below(5) {
+        0 => reply[at] ^= 1 << rng.below(8),
+        1 => reply.insert(at, REPLY_BYTES[rng.below(REPLY_BYTES.len())]),
+        2 => {
+            reply.remove(at);
+        }
+        3 => reply.truncate(at),
+        _ => {
+            let start = reply[..at]
+                .iter()
+                .rposition(|&b| b == b'\n')
+                .map_or(0, |i| i + 1);
+            let end = reply[at..]
+                .iter()
+                .position(|&b| b == b'\n')
+                .map_or(reply.len(), |i| at + i + 1);
+            let line = reply[start..end].to_vec();
+            reply.splice(end..end, line);
+        }
+    }
+}
+
+/// Fuzz `client::read_response` with replies the server really renders
+/// (rows, an aggregate, a write acknowledgement and an error), mutated
+/// and fed through tiny read buffers so rows straddle refills. Nothing
+/// may panic, and whatever the client accepts must be a well-formed
+/// reply: whole rows, as many as the trailer counts.
+#[test]
+fn client_parser_survives_mutated_replies() {
+    const ITERATIONS: usize = 100_000;
+    let db = Database::with_store(fixture());
+    let mut seeds: Vec<Vec<u8>> = [
+        "SELECT a, b FROM fact WHERE a < 6",
+        "SELECT k2, SUM(a) FROM fact WHERE b < 9 GROUP BY k2",
+        "INSERT INTO fact VALUES (1, 2, 3, 4, 5), (6, 7, 8, 9, 10)",
+    ]
+    .iter()
+    .map(|sql| {
+        let out = db.execute(&compile(db.store(), sql).unwrap()).unwrap();
+        let mut bytes = Vec::new();
+        protocol::write_outcome(&mut bytes, &out).unwrap();
+        bytes
+    })
+    .collect();
+    let err = compile(db.store(), "SELECT nope FROM fact").unwrap_err();
+    let mut bytes = Vec::new();
+    protocol::write_error(&mut bytes, &err.to_string()).unwrap();
+    seeds.push(bytes);
+    for seed in &seeds {
+        let parsed = read_response(&mut seed.as_slice()).unwrap();
+        assert_eq!(parsed.raw(), seed.as_slice(), "seeds parse as rendered");
+    }
+
+    let mut rng = Rng(0x00C0_FFEE);
+    for _ in 0..ITERATIONS {
+        let mut reply = seeds[rng.below(seeds.len())].clone();
+        for _ in 0..=rng.below(3) {
+            mutate(&mut rng, &mut reply);
+        }
+        let capacity = 1 + rng.below(16);
+        let parsed = std::panic::catch_unwind(|| {
+            read_response(&mut std::io::BufReader::with_capacity(
+                capacity,
+                reply.as_slice(),
+            ))
+        })
+        .unwrap_or_else(|_| {
+            panic!(
+                "read_response panicked on {:?}",
+                String::from_utf8_lossy(&reply)
+            )
+        });
+        let Ok(Response::Rows(rows)) = parsed else {
+            continue;
+        };
+        let context = String::from_utf8_lossy(&reply);
+        assert_eq!(
+            rows.data.len() % rows.columns.len(),
+            0,
+            "ragged: {context:?}"
+        );
+        if rows.columns == [protocol::WRITE_HEADER] && rows.num_rows() == 1 {
+            assert_eq!(
+                u64::try_from(rows.data[0]),
+                Ok(rows.rows_out),
+                "{context:?}"
+            );
+        } else {
+            assert_eq!(rows.num_rows() as u64, rows.rows_out, "{context:?}");
+        }
     }
 }
 
