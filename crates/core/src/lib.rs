@@ -46,7 +46,7 @@ pub use planner::{JoinTreeChoice, PlanChoice, Planner};
 pub use query::{
     AggSpec, JoinKeySource, JoinTreeSpec, QueryResult, QuerySpec, QueryStats, Statement,
 };
-pub use session::{fair_share, Server, ServerConfig, ServerStats, Session};
+pub use session::{fair_share, ServeGuard, Server, ServerConfig, ServerStats, Session};
 
 /// Number of positions processed per pipeline iteration (one "granule").
 ///

@@ -29,6 +29,10 @@
 //! The hash table is flat: each partition holds one index from key to a
 //! dense id and one CSR array of positions, so a build allocates a fixed
 //! handful of vectors however many distinct keys the inner table holds.
+//! Each partition picks its index from the keys it is given: a slot
+//! array addressed by `key − min` when the keys are dense (every
+//! primary key and every shared-dictionary code in the paper's schema),
+//! a SipHash map otherwise.
 //! The build side is itself parallel. The right key column is scanned
 //! span-parallel on the [`FragmentPipeline`] substrate, each worker
 //! scattering its `(position, key)` pairs into per-worker **radix
@@ -97,6 +101,10 @@ pub struct JoinSpec {
 pub(crate) trait JoinKey: Copy + Eq + std::hash::Hash + Send + Sync {
     /// The bits the Fibonacci partition mixer consumes.
     fn mix(self) -> u64;
+
+    /// The key's place on the integer line, which a dense domain's slot
+    /// array is addressed by.
+    fn ordinal(self) -> i64;
 }
 
 impl JoinKey for Value {
@@ -104,12 +112,22 @@ impl JoinKey for Value {
     fn mix(self) -> u64 {
         self as u64
     }
+
+    #[inline]
+    fn ordinal(self) -> i64 {
+        self
+    }
 }
 
 impl JoinKey for u32 {
     #[inline]
     fn mix(self) -> u64 {
         self as u64
+    }
+
+    #[inline]
+    fn ordinal(self) -> i64 {
+        i64::from(self)
     }
 }
 
@@ -127,28 +145,109 @@ pub(crate) struct PartitionedTable<K: JoinKey = Value> {
 /// `positions[offsets[i]..offsets[i + 1]]` (CSR). O(rows + distinct
 /// keys) `u32`s in three allocations.
 struct FlatTable<K: JoinKey> {
-    index: HashMap<K, u32>,
+    index: KeyIndex<K>,
     offsets: Vec<u32>,
     positions: Vec<u32>,
 }
 
+/// A dense key domain gets a slot array when its `[min, max]` span is at
+/// most this many slots per build row: the array is then O(rows), the
+/// bound the CSR `positions` already takes, and no larger than the
+/// SipHash map it replaces (about 16 bytes an entry).
+const DENSE_SLOTS_PER_ROW: usize = 4;
+
+/// A slot that holds no key.
+const NO_KEY: u32 = u32::MAX;
+
+/// A flat table's key → id index, chosen per build from its keys.
+enum KeyIndex<K: JoinKey> {
+    /// `slots[key − min]` is the key's id, [`NO_KEY`] for a key the build
+    /// never saw. No hash to compute or flood, and its length is bounded
+    /// by the build's own rows.
+    Dense { min: i64, slots: Vec<u32> },
+    /// Sparse or hostile key sets keep SipHash.
+    Sparse(HashMap<K, u32>),
+}
+
+impl<K: JoinKey> KeyIndex<K> {
+    /// An empty index for the keys `keys` yields: the slot array when
+    /// their span is at most [`DENSE_SLOTS_PER_ROW`] per key, else a map
+    /// sized for them. The span is taken in `i128`, so keys at
+    /// `i64::MIN` and `i64::MAX` cannot wrap into a small one.
+    fn for_keys(keys: impl Iterator<Item = K>) -> KeyIndex<K> {
+        let (mut lo, mut hi, mut rows) = (i64::MAX, i64::MIN, 0usize);
+        for k in keys {
+            lo = lo.min(k.ordinal());
+            hi = hi.max(k.ordinal());
+            rows += 1;
+        }
+        let span = i128::from(hi) - i128::from(lo) + 1;
+        match usize::try_from(span) {
+            Ok(span) if rows > 0 && span <= rows.saturating_mul(DENSE_SLOTS_PER_ROW) => {
+                KeyIndex::Dense {
+                    min: lo,
+                    slots: vec![NO_KEY; span],
+                }
+            }
+            _ => KeyIndex::Sparse(HashMap::with_capacity(rows)),
+        }
+    }
+
+    /// `key`'s slot in a dense index: `None` for a key outside
+    /// `[min, max]`, whose offset is negative or past the array.
+    #[inline]
+    fn slot(min: i64, slots: &[u32], key: K) -> Option<usize> {
+        let off = usize::try_from(key.ordinal().checked_sub(min)?).ok()?;
+        (off < slots.len()).then_some(off)
+    }
+
+    /// `key`'s id, giving it `next` if it has none yet.
+    #[inline]
+    fn id_or_insert(&mut self, key: K, next: u32) -> u32 {
+        match self {
+            KeyIndex::Dense { min, slots } => {
+                let off = Self::slot(*min, slots, key).expect("a build key lies in [min, max]");
+                let id = &mut slots[off];
+                if *id == NO_KEY {
+                    *id = next;
+                }
+                *id
+            }
+            KeyIndex::Sparse(map) => *map.entry(key).or_insert(next),
+        }
+    }
+
+    /// `key`'s id, if the build saw it.
+    #[inline]
+    fn get(&self, key: K) -> Option<u32> {
+        match self {
+            KeyIndex::Dense { min, slots } => {
+                let id = slots[Self::slot(*min, slots, key)?];
+                (id != NO_KEY).then_some(id)
+            }
+            KeyIndex::Sparse(map) => map.get(&key).copied(),
+        }
+    }
+}
+
 impl<K: JoinKey> FlatTable<K> {
     /// Build over `rows`, (position, key) pairs in ascending position
-    /// order, in two passes: the first gives each new key the next id
-    /// and records every row's id, a prefix sum over the id counts places
-    /// each run, and the second scatters the positions into their runs
-    /// in arrival order. `rows` is cloned for the second pass, so it must
-    /// be a cheap iterator; `cap` is the row count it yields, at most.
+    /// order: a pass over the keys' bounds picks the index, the next
+    /// gives each new key the next id and records every row's id, a
+    /// prefix sum over the id counts places each run, and the last
+    /// scatters the positions into their runs in arrival order. `rows`
+    /// is cloned for each pass, so it must be a cheap iterator; `cap` is
+    /// the row count it yields, at most.
     fn build<I>(rows: I, cap: usize) -> FlatTable<K>
     where
         I: Iterator<Item = (u32, K)> + Clone,
     {
-        let mut index: HashMap<K, u32> = HashMap::with_capacity(cap);
+        let mut index = KeyIndex::for_keys(rows.clone().map(|(_, k)| k));
         let mut counts: Vec<u32> = Vec::new();
         let mut ids: Vec<u32> = Vec::with_capacity(cap);
         for (_, k) in rows.clone() {
             let next = counts.len() as u32;
-            let id = *index.entry(k).or_insert(next);
+            let id = index.id_or_insert(k, next);
             if id == next {
                 counts.push(0);
             }
@@ -181,17 +280,24 @@ impl<K: JoinKey> FlatTable<K> {
     /// The ascending positions holding `key`, if any.
     #[inline]
     fn get(&self, key: K) -> Option<&[u32]> {
-        let id = *self.index.get(&key)? as usize;
+        let id = self.index.get(key)? as usize;
         Some(&self.positions[self.offsets[id] as usize..self.offsets[id + 1] as usize])
+    }
+
+    /// Whether the build chose the slot array.
+    #[cfg(test)]
+    fn is_dense(&self) -> bool {
+        matches!(self.index, KeyIndex::Dense { .. })
     }
 }
 
 /// The radix partition a key belongs to, shared by build and probe.
 /// A Fibonacci multiply-shift mixer, not a full hash pass: the probe
 /// pays this once per surviving row *on top of* the partition index's
-/// own SipHash, so the partition choice must be nearly free — it needs
-/// determinism and spread, not DoS resistance (the index lookup keeps
-/// SipHash for that).
+/// own lookup, so the partition choice must be nearly free — it needs
+/// determinism and spread, not DoS resistance. A sparse partition's
+/// index keeps SipHash for that; a dense one's slot array has no hash to
+/// flood, and its length is bounded by the partition's own rows.
 #[inline]
 fn partition_of<K: JoinKey>(key: K, parts: usize) -> usize {
     let mix = key.mix().wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -1100,7 +1206,8 @@ mod tests {
     }
 
     /// Build `keys` at 1, 2, 3 and 8 partitions over a `granule`-row
-    /// pipeline and compare every probe against the push loop.
+    /// pipeline, check that each partition chose the index its live keys
+    /// call for, and compare every probe against the push loop.
     fn assert_matches_push_loop<K: JoinKey + std::fmt::Debug>(
         keys: &[K],
         deletes: &[u64],
@@ -1111,7 +1218,30 @@ mod tests {
         for parts in [1, 2, 3, 8] {
             let pipeline = FragmentPipeline::new(keys.len() as u64, granule, parts);
             let table = PartitionedTable::build(keys, deletes, &pipeline).unwrap();
-            assert_eq!(table.parts.len(), pipeline.workers());
+            let workers = pipeline.workers();
+            assert_eq!(table.parts.len(), workers);
+            // Each partition's (min, max, rows) over its live keys, in
+            // i128 so the span of i64::MIN..=i64::MAX cannot wrap.
+            let mut bounds = vec![(i128::MAX, i128::MIN, 0i128); workers];
+            for (&key, list) in &oracle {
+                let p = if workers == 1 {
+                    0
+                } else {
+                    partition_of(key, workers)
+                };
+                let k = i128::from(key.ordinal());
+                let b = &mut bounds[p];
+                *b = (b.0.min(k), b.1.max(k), b.2 + list.len() as i128);
+            }
+            for (p, &(lo, hi, rows)) in bounds.iter().enumerate() {
+                // A span of hi − lo + 1 slots, at most the cutoff.
+                let dense = rows > 0 && hi - lo < rows * DENSE_SLOTS_PER_ROW as i128;
+                assert_eq!(
+                    table.parts[p].is_dense(),
+                    dense,
+                    "partition {p} of {workers}: keys {lo}..={hi} over {rows} rows"
+                );
+            }
             for &k in keys.iter().chain(probes) {
                 assert_eq!(
                     table.get(k),
@@ -1129,10 +1259,13 @@ mod tests {
         /// The flat table answers exactly what the per-key `Vec` map
         /// answered, over `Value` keys and over u32 dictionary codes:
         /// dense, repeated, sparse-and-wide, all-equal, extreme and empty
-        /// key sets, random tombstones, serial and partitioned builds.
+        /// key sets, dense runs pinned to either end of `i64`, spans at
+        /// the slot array's cutoff and one past it, negative keys with
+        /// holes, random tombstones, serial and partitioned builds —
+        /// both indexes, on both sides of the density line.
         #[test]
         fn flat_table_answers_as_the_push_loop(
-            shape in 0u8..6,
+            shape in 0u8..11,
             n in 1usize..400,
             draws in proptest::collection::vec(0u64..u64::MAX, 400..401),
             dead in proptest::collection::vec(0u8..100, 400..401),
@@ -1141,21 +1274,36 @@ mod tests {
         ) {
             let n = if shape == 5 { 0 } else { n };
             let extremes = [Value::MIN, Value::MAX, Value::MIN + 1, Value::MAX - 1, 0, -1];
+            // Shapes 8 and 9 span exactly the cutoff's 4n slots and one
+            // more, from a base well inside i64; they keep every row, so
+            // the serial build sits right on the density line.
+            let base = draws[1] as Value / 2;
+            let cutoff = (DENSE_SLOTS_PER_ROW * n) as Value;
             let keys: Vec<Value> = (0..n)
                 .map(|i| match shape {
                     0 => i as Value,
                     1 => (draws[i] % n as u64) as Value,
                     2 => draws[(draws[i] % 24) as usize] as Value,
                     3 => draws[0] as Value,
-                    _ => extremes[(draws[i] % 6) as usize],
+                    4 => extremes[(draws[i] % 6) as usize],
+                    6 => Value::MIN + i as Value,
+                    7 => Value::MAX - i as Value,
+                    8 | 9 if i == 0 => base,
+                    8 if i == n - 1 => base + cutoff - 1,
+                    9 if i == n - 1 => base + cutoff,
+                    8 | 9 => base + (draws[i] % cutoff as u64) as Value,
+                    _ => -1 - (draws[i] % (2 * n as u64)) as Value,
                 })
                 .collect();
             let deletes: Vec<u64> = (0..n as u64)
-                .filter(|&p| dead[p as usize] < dead_pct)
+                .filter(|&p| !matches!(shape, 8 | 9) && dead[p as usize] < dead_pct)
                 .collect();
             let mut probes: Vec<Value> = extremes.to_vec();
             probes.extend(draws[..8].iter().map(|&d| d as Value));
             probes.extend(keys.iter().map(|k| k.wrapping_add(1)));
+            // Just outside [min, max], wrapping past either end of i64.
+            probes.extend(keys.iter().min().map(|k| k.wrapping_sub(1)));
+            probes.extend(keys.iter().max().map(|k| k.wrapping_add(1)));
             assert_matches_push_loop(&keys, &deletes, &probes, granule);
 
             // The code domain: each key's rank in the sorted dictionary,

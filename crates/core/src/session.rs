@@ -13,11 +13,19 @@
 //!   lock and never consume executor workers.
 //! * **Fair span scheduling** — the server's
 //!   [`ServerConfig::worker_budget`] threads are split over the queries
-//!   active at admission time: `budget / active` each, with the
-//!   remainder going one-each to the earliest-admitted slots (clamped
-//!   to ≥ 1), so shares always sum to the whole budget when it covers
-//!   the active set — plain truncation stranded `budget % active`
-//!   workers (8 over 3 handed out 2 + 2 + 2). Because every operator is
+//!   active at admission time, or over the statements in service if
+//!   there are more of them: `budget / max(active, serving)` each, with
+//!   the remainder going one-each to the earliest-admitted slots
+//!   (clamped to ≥ 1). With nothing in service beyond the active set,
+//!   shares always sum to the whole budget when it covers that set —
+//!   plain truncation stranded `budget % active` workers (8 over 3
+//!   handed out 2 + 2 + 2). A statement is *in service* while a
+//!   [`ServeGuard`] from [`Session::serve`] lives: the network frontend
+//!   holds one from the moment a request line is framed until its reply
+//!   is flushed, because that connection thread holds a core through
+//!   compile, plan, admission wait, execution and render, not only
+//!   while admitted. In-process callers take no guard, so their share
+//!   counts admitted queries alone. Because every operator is
 //!   byte-identical at any worker count, the share is pure scheduling:
 //!   it decides wall time, never results.
 //! * **Per-query isolation** — each query's
@@ -39,7 +47,7 @@
 //! The text front-end lives in `matstrat-lang` (which depends on this
 //! crate); `examples/query_service.rs` wires the two together.
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use matstrat_common::Result;
 use matstrat_storage::Store;
@@ -88,12 +96,18 @@ pub struct ServerStats {
     /// admission slot has been handed back, which is what the network
     /// frontend's disconnect tests assert.
     pub active: usize,
+    /// Statements in service right now (a snapshot): live
+    /// [`ServeGuard`]s, admitted or not. Zero once every served
+    /// statement has been answered.
+    pub serving: usize,
 }
 
 #[derive(Default)]
 struct GateState {
     active: usize,
     queued: usize,
+    /// Live [`ServeGuard`]s.
+    serving: usize,
     /// Occupied admission slots; a query claims the lowest free one, so
     /// a slot index is also the query's seniority rank among the active
     /// set — the remainder of the worker budget goes to the lowest
@@ -108,7 +122,8 @@ struct GateState {
 /// ranks, clamped to ≥ 1. For any `(budget, active)` the shares over
 /// ranks `0..active` sum to exactly `budget` whenever `budget ≥ active`
 /// (and to `active` otherwise — nobody runs with zero workers), differ
-/// by at most one, and never increase with rank.
+/// by at most one, and never increase with rank. The admission gate
+/// passes the larger of its active and in-service counts as `active`.
 pub fn fair_share(budget: usize, rank: usize, active: usize) -> usize {
     let active = active.max(1);
     (budget / active + usize::from(rank < budget % active)).max(1)
@@ -174,13 +189,17 @@ impl Server {
         let g = self.gate.lock().expect("gate poisoned");
         ServerStats {
             active: g.active,
+            serving: g.serving,
             ..g.stats
         }
     }
 
     /// Block until a slot frees, then return this query's fair worker
     /// share. The share is computed from the active count *including*
-    /// this query, under the same lock that admitted it.
+    /// this query, or from the in-service count if that is larger,
+    /// under the same lock that admitted it: a statement its connection
+    /// thread is still compiling or rendering holds a core as surely as
+    /// an admitted one.
     fn admit(&self) -> AdmitGuard<'_> {
         let mut g = self.gate.lock().expect("gate poisoned");
         g.queued += 1;
@@ -202,7 +221,7 @@ impl Server {
             }
         };
         g.slots[slot] = true;
-        let share = fair_share(self.cfg.worker_budget, slot, g.active);
+        let share = fair_share(self.cfg.worker_budget, slot, g.active.max(g.serving));
         drop(g);
         AdmitGuard {
             server: self,
@@ -230,6 +249,24 @@ impl Drop for AdmitGuard<'_> {
     }
 }
 
+/// Counts one statement in service on its [`Server`] until dropped —
+/// unwinding included. Taken by [`Session::serve`].
+pub struct ServeGuard<'a> {
+    server: &'a Server,
+}
+
+impl Drop for ServeGuard<'_> {
+    fn drop(&mut self) {
+        // Never panic here: this may run while the statement unwinds.
+        // The count is one field, valid after every update.
+        self.server
+            .gate
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .serving -= 1;
+    }
+}
+
 /// A client handle on a [`Server`]. `run` blocks while the server is at
 /// its concurrency bound; use one session per client thread.
 pub struct Session {
@@ -248,12 +285,25 @@ impl Session {
         Ok(self.server.db.plan(stmt)?.describe())
     }
 
+    /// Count one statement in service until the guard drops. A caller
+    /// that spends its own thread on a statement outside [`Session::run`]
+    /// (compiling its text, rendering and sending its reply) holds the
+    /// guard across all of it, so concurrent admissions share the worker
+    /// budget with it; writes count too, since they occupy their thread.
+    pub fn serve(&self) -> ServeGuard<'_> {
+        self.server.gate.lock().expect("gate poisoned").serving += 1;
+        ServeGuard {
+            server: &self.server,
+        }
+    }
+
     /// Plan and execute one statement under admission control — the
     /// served twin of [`Database::execute`]: plans price at the **full**
     /// worker budget (deterministic for a given store), reads execute
-    /// at this query's fair share. Writes bypass the admission gate:
-    /// they serialize on the store's write lock and never consume
-    /// executor workers.
+    /// at this query's fair share, `budget / max(active, serving)` (see
+    /// [`Session::serve`]; without a guard anywhere, the active count
+    /// alone). Writes bypass the admission gate: they serialize on the
+    /// store's write lock and never consume executor workers.
     pub fn run(&self, stmt: &Statement) -> Result<QueryOutcome> {
         let srv = &self.server;
         let plan = srv.db.plan(stmt)?;
@@ -378,6 +428,47 @@ mod tests {
         assert_eq!(zero_knobs.config().worker_budget, 1, "clamped");
         let permit = zero_knobs.admit();
         assert_eq!(permit.share, 1);
+    }
+
+    fn two_worker_server() -> Arc<Server> {
+        Server::new(
+            served_store(),
+            ServerConfig {
+                max_concurrent: 8,
+                worker_budget: 2,
+            },
+        )
+    }
+
+    #[test]
+    fn the_share_counts_statements_in_service() {
+        let server = two_worker_server();
+        let (mine, other) = (server.connect(), server.connect());
+        let _serving = mine.serve();
+        let other_serving = other.serve();
+        assert_eq!(server.stats().serving, 2);
+        // The other statement is compiling or rendering, not admitted:
+        // it still holds a core, so this one gets the other.
+        let permit = server.admit();
+        assert_eq!(permit.share, 1, "two in service over two workers");
+        drop(permit);
+        drop(other_serving);
+        assert_eq!(server.stats().serving, 1);
+        assert_eq!(server.admit().share, 2, "alone in service again");
+    }
+
+    #[test]
+    fn a_serve_guard_is_given_back_while_its_statement_unwinds() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let server = two_worker_server();
+        let session = server.connect();
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            let _serving = session.serve();
+            panic!("a served statement panics");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(server.stats().serving, 0);
+        assert_eq!(server.admit().share, 2);
     }
 
     #[test]

@@ -4,11 +4,16 @@
 //! Layering, bottom to top:
 //!
 //! * [`matstrat_core::Server`] — admission gate + fair worker shares
-//!   (unchanged; the wire layer adds **no** execution paths);
+//!   (the wire layer adds **no** execution paths);
 //! * one [`Session`] per accepted connection, living as long as the
 //!   socket: its statements run under admission exactly like an
 //!   in-process caller, so per-query stats and cold `block_reads`
-//!   are byte-identical to library use (`tests/net_diff.rs` pins it);
+//!   are byte-identical to library use (`tests/net_diff.rs` pins it).
+//!   Each statement is in service ([`Session::serve`]) from the moment
+//!   its line is framed until its reply is flushed, so the worker
+//!   shares count the connection threads busy compiling and rendering,
+//!   not only the admitted ones. A statement that panics is answered
+//!   with `ERR` and its connection keeps serving;
 //! * a **connection cap** ([`NetConfig::max_conns`]) layered above the
 //!   admission gate: admission bounds *executing* queries, the cap
 //!   bounds *open sockets*. An over-cap connection is accepted, told
@@ -32,6 +37,7 @@
 use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -87,6 +93,8 @@ pub struct NetStats {
     pub served: u64,
     /// Framing violations: oversized or torn lines, invalid UTF-8.
     pub protocol_errors: u64,
+    /// Statements whose execution panicked; each was answered `ERR`.
+    pub panics: u64,
 }
 
 enum Control {
@@ -102,6 +110,7 @@ struct Shared {
     active: AtomicUsize,
     served: AtomicU64,
     protocol_errors: AtomicU64,
+    panics: AtomicU64,
     /// Live connection sockets, for the shutdown half-close wake.
     conns: Mutex<HashMap<u64, TcpStream>>,
     /// Handler threads not yet joined: the accept loop joins the
@@ -120,6 +129,7 @@ impl Shared {
             active: AtomicUsize::new(0),
             served: AtomicU64::new(0),
             protocol_errors: AtomicU64::new(0),
+            panics: AtomicU64::new(0),
             conns: Mutex::new(HashMap::new()),
             handlers: Mutex::new(Vec::new()),
         }
@@ -211,6 +221,7 @@ impl NetServer {
             active: self.shared.active.load(Ordering::SeqCst),
             served: self.shared.served.load(Ordering::SeqCst),
             protocol_errors: self.shared.protocol_errors.load(Ordering::SeqCst),
+            panics: self.shared.panics.load(Ordering::SeqCst),
         }
     }
 
@@ -396,6 +407,8 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
         if text.is_empty() {
             continue; // blank lines are ignored, not answered
         }
+        // In service until the reply is flushed or the loop leaves.
+        let _serving = session.serve();
         if answer(shared, &session, text, &mut writer).is_err() {
             break; // peer stopped reading; drop the connection
         }
@@ -404,7 +417,9 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
 }
 
 /// Compile and run one statement, streaming whichever response shape
-/// it earns. `Err` means the socket write failed.
+/// it earns. A panic in execution is caught before any reply byte is
+/// written, so it earns a whole `ERR`, never a torn reply. `Err` means
+/// the socket write failed.
 fn answer(
     shared: &Shared,
     session: &Session,
@@ -415,11 +430,17 @@ fn answer(
     match compile(store, text) {
         // The caret snippet crosses the wire verbatim (three lines).
         Err(parse_err) => respond_error(shared, writer, &parse_err.to_string()),
-        Ok(stmt) => match session.run(&stmt) {
-            Err(exec_err) => {
+        // The statement's admission slot comes back as it unwinds
+        // (its guard's drop), so the service is left idle for the next.
+        Ok(stmt) => match catch_unwind(AssertUnwindSafe(|| session.run(&stmt))) {
+            Err(_panic) => {
+                shared.panics.fetch_add(1, Ordering::SeqCst);
+                respond_error(shared, writer, "execution failed: statement panicked")
+            }
+            Ok(Err(exec_err)) => {
                 respond_error(shared, writer, &format!("execution failed: {exec_err}"))
             }
-            Ok(outcome) => {
+            Ok(Ok(outcome)) => {
                 // Count before the write: a peer that has seen the
                 // response must also see it in `NetStats::served`.
                 shared.served.fetch_add(1, Ordering::SeqCst);

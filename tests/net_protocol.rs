@@ -10,6 +10,8 @@
 //! * invalid UTF-8 (`ERR`, counted, connection *survives*);
 //! * read-timeout abandonment of silent connections;
 //! * mid-query disconnects releasing their admission slot;
+//! * a statement that panics mid-execution, answered `ERR` on a
+//!   connection that stays open;
 //! * the connection cap refusing — and recovering — above
 //!   `NetConfig::max_conns`;
 //! * multi-byte caret diagnostics crossing the wire verbatim, pinned
@@ -518,4 +520,92 @@ fn client_rejects_a_ragged_reply_off_a_socket() {
     let err = client.query(PROBE).expect_err("a ragged reply parsed");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
     peer.join().unwrap();
+}
+
+/// A [`MemDisk`](matstrat::storage::MemDisk) whose reads panic while
+/// `armed` is set: a fault the executor cannot turn into an `Err`.
+struct PanickyDisk {
+    inner: matstrat::storage::MemDisk,
+    armed: std::sync::atomic::AtomicBool,
+}
+
+impl matstrat::storage::Disk for PanickyDisk {
+    fn create(&self, name: &str) -> Result<()> {
+        self.inner.create(name)
+    }
+
+    fn write_at(&self, name: &str, offset: u64, data: &[u8]) -> Result<()> {
+        self.inner.write_at(name, offset, data)
+    }
+
+    fn read_at(&self, name: &str, offset: u64, len: usize) -> Result<Vec<u8>> {
+        if self.armed.load(std::sync::atomic::Ordering::SeqCst) {
+            panic!("injected fault reading {name}");
+        }
+        self.inner.read_at(name, offset, len)
+    }
+
+    fn len(&self, name: &str) -> Result<u64> {
+        self.inner.len(name)
+    }
+
+    fn exists(&self, name: &str) -> bool {
+        self.inner.exists(name)
+    }
+
+    fn list(&self) -> Vec<String> {
+        self.inner.list()
+    }
+}
+
+/// A statement that panics mid-execution earns a typed `ERR` — not a
+/// closed socket — and its connection serves the next statement; the
+/// admission slot and the in-service count both come back.
+#[test]
+fn a_panicking_statement_gets_an_err_and_its_connection_survives() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    let disk = Arc::new(PanickyDisk {
+        inner: matstrat::storage::MemDisk::new(),
+        armed: AtomicBool::new(false),
+    });
+    let store = matstrat::storage::Store::with_disk(disk.clone(), 256, false);
+    let rows: Vec<Value> = (0..16).collect();
+    let fact = ProjectionSpec::new("fact").column("a", EncodingKind::Plain, SortOrder::Primary);
+    store.load_projection(&fact, &[&rows]).unwrap();
+    let net = NetServer::bind("127.0.0.1:0", store.clone(), NetConfig::default()).unwrap();
+    let mut client = Client::connect(net.local_addr()).unwrap();
+    client.set_timeout(Some(DRAIN)).unwrap();
+    expect_probe_rows(client.query(PROBE).unwrap(), "before the fault");
+    let before = net.stats();
+
+    // Cold, so the next statement must read the disk.
+    store.pool().clear();
+    disk.armed.store(true, Ordering::SeqCst);
+    match client.query(PROBE).unwrap() {
+        Response::Err(e) => assert_eq!(e.message, "execution failed: statement panicked"),
+        Response::Rows(_) => panic!("a statement whose every read panics returned rows"),
+    }
+    disk.armed.store(false, Ordering::SeqCst);
+
+    let oracle = Database::with_store(store.clone())
+        .execute(&compile(&store, PROBE).unwrap())
+        .unwrap();
+    let rows = client.query(PROBE).unwrap().expect_rows("after the panic");
+    assert_eq!(
+        rows.data,
+        oracle.result().flat(),
+        "same connection, after the panic"
+    );
+
+    // The handler lets go of the statement after its reply's flush,
+    // which the client may see first.
+    eventually("the service to drain", DRAIN, || {
+        let service = net.service().stats();
+        (service.active, service.serving) == (0, 0)
+    });
+    let wire = net.stats();
+    assert_eq!(wire.panics, 1);
+    assert_eq!(wire.active, before.active, "the connection stayed open");
+    net.shutdown();
 }
