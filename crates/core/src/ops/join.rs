@@ -388,12 +388,15 @@ pub(crate) enum KeyTable {
 
 /// The strategy-independent half of a join's build side: the partitioned
 /// hash table on one (inner table, key column) pair plus the decoded key
-/// values it was built from. This is the piece the join-tree executor
-/// caches and reuses when the same inner table is probed by multiple
-/// edges — the table depends only on the key column, never on an edge's
-/// output columns or inner strategy — and the decoded keys double as the
-/// zero-I/O key source for snowflake edges that join *through* this
-/// table on the same column.
+/// values it was built from. The table depends only on a snapshot of the
+/// inner table and its key column, never on an edge's output columns or
+/// inner strategy, so it is reused at two levels: within a statement,
+/// by every edge that probes the same inner table ([`BuildReducer`]s
+/// included in the signature); and across statements, when it has no
+/// reducer, as resident state on the [`Store`] ([`SharedBuild::resident`])
+/// that lives until a write or compaction changes the inner table. The
+/// decoded keys double as the zero-I/O key source for snowflake edges
+/// that join *through* this table on the same column.
 pub(crate) struct SharedBuild {
     /// right key → ascending right positions holding it, keyed on u32
     /// dictionary codes when the key column carries a shared sorted
@@ -457,22 +460,69 @@ impl BuildReducer<'_> {
     }
 }
 
+/// One table as a statement reads it: the catalog entry and delta of
+/// one [`Store::scan_snapshot`].
+pub(crate) type Snapshot = (ProjectionInfo, Option<Arc<TableDelta>>);
+
+/// Workers a build over `rows` inner rows runs with: the probe's skew
+/// guard applied to the *right* table, so a one-granule inner table
+/// builds serially no matter the knob. The planner prices build CPU with
+/// exactly this count, and it is the radix partition count when > 1.
+fn build_workers(rows: u64, opts: &ExecOptions) -> usize {
+    FragmentPipeline::effective_workers(rows, opts.granule, opts.parallelism.max(1))
+}
+
 impl SharedBuild {
-    /// Scan + decode the key column and build the partitioned hash table
-    /// on the pipeline's workers (serial insertion for a single-span
-    /// plan). Takes one consistent snapshot of the right table and reads
-    /// every logical position of it — the file's blocks, then the tail
-    /// blocks of its inserted rows; deleted positions, plus every
-    /// position a [`BuildReducer`] rejects, are skipped by the
-    /// hash-table build.
-    pub(crate) fn build(
+    /// Edge `right.right_key`'s reducer-free build, and whether it was
+    /// resident: the store's entry when it was made from the snapshot
+    /// this call takes, otherwise built here from that snapshot and left
+    /// resident for the next statement. A resident build reads none of
+    /// the inner key's blocks.
+    pub(crate) fn resident(
         store: &Store,
         right: TableId,
+        right_key: usize,
+        opts: &ExecOptions,
+    ) -> Result<(Arc<SharedBuild>, bool)> {
+        let (info, delta) = store.scan_snapshot(right)?;
+        let rows = info.num_rows + delta.as_ref().map_or(0, |d| d.num_inserts() as u64);
+        let key = (right, right_key, build_workers(rows, opts));
+        let hit = store
+            .cached_build(key, &info, delta.as_ref())
+            .and_then(|b| b.downcast::<SharedBuild>().ok());
+        if let Some(build) = hit {
+            return Ok((build, true));
+        }
+        let build = Arc::new(SharedBuild::build(
+            store,
+            (info, delta),
+            right_key,
+            &[],
+            opts,
+        )?);
+        store.cache_build(
+            key,
+            &build.info,
+            build.delta.as_ref(),
+            Arc::clone(&build) as _,
+        );
+        Ok((build, false))
+    }
+
+    /// Scan + decode the key column and build the partitioned hash table
+    /// on the pipeline's workers (serial insertion for a single-span
+    /// plan). Reads every logical position of the right table's
+    /// `snapshot` — the file's blocks, then the tail blocks of its
+    /// inserted rows; deleted positions, plus every position a
+    /// [`BuildReducer`] rejects, are skipped by the hash-table build.
+    pub(crate) fn build(
+        store: &Store,
+        snapshot: Snapshot,
         right_key: usize,
         reducers: &[BuildReducer<'_>],
         opts: &ExecOptions,
     ) -> Result<SharedBuild> {
-        let (info, delta) = store.scan_snapshot(right)?;
+        let (info, delta) = snapshot;
         let base_rows = info.num_rows;
         let rkey_reader = store.reader_for(&info, delta.as_ref(), right_key)?;
         let rows = rkey_reader.num_rows();
@@ -537,12 +587,8 @@ impl SharedBuild {
             excluded.sort_unstable();
             excluded.dedup();
         }
-        // The build's worker count obeys the same skew guard as the
-        // probe's, applied to the *right* table: a one-granule inner
-        // table builds serially no matter the knob, and the planner
-        // prices build CPU with exactly this count.
-        let pipeline = FragmentPipeline::new(rows, opts.granule.max(1), opts.parallelism.max(1));
-        let build_workers = pipeline.workers();
+        let build_workers = build_workers(rows, opts);
+        let pipeline = FragmentPipeline::new(rows, opts.granule, build_workers);
         let table = match code_build {
             Some((fingerprint, dict, codes)) => {
                 let table = PartitionedTable::build(&codes, &excluded, &pipeline)?;

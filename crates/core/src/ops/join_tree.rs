@@ -23,14 +23,29 @@
 //!
 //! # Build caching
 //!
-//! The partitioned hash table depends only on the (inner table, key
-//! column) pair — never on an edge's strategy or output columns — so
-//! when the same inner table is probed by multiple edges (the date
-//! dimension joined on both order date and ship date, say), the table
-//! is built **once** and every later edge reuses it
-//! ([`QueryStats::builds`] / [`QueryStats::build_reuses`] count
-//! both sides). The cached decoded key column doubles as the zero-I/O
-//! key source for snowflake edges probing *through* a previous table.
+//! The partitioned hash table depends only on a snapshot of the (inner
+//! table, key column) pair — never on an edge's strategy or output
+//! columns — so it is reused at two levels ([`QueryStats::builds`] /
+//! [`QueryStats::build_reuses`] count both sides):
+//!
+//! * **Within a statement**, when the same inner table is probed by
+//!   multiple edges (the date dimension joined on both order date and
+//!   ship date, say), the table is built **once** and every later edge
+//!   with the same (inner table, key column, inner filter, bushy
+//!   children) signature reuses it.
+//! * **Across statements**, a reducer-free build (no pushed-down inner
+//!   filter, no bushy child) stays resident on the [`Store`], keyed by
+//!   (inner table, key column, build workers) and tagged with the
+//!   snapshot it was built from. A later statement that reads the same
+//!   snapshot probes it without reading a block of the inner key; a
+//!   write to the inner table, its compaction or a cold reset ends it.
+//!   A write to the outer table does not. Filtered and semi-reduced
+//!   builds live only as long as their statement.
+//!
+//! [`JoinTreePlan::reuse_builds`]` = false` turns both off: every edge
+//! builds its own table, and the store's cache is neither read nor
+//! filled. The cached decoded key column doubles as the zero-I/O key
+//! source for snowflake edges probing *through* a previous table.
 //!
 //! # Parallelism contract
 //!
@@ -108,8 +123,9 @@ pub struct JoinTreePlan {
     pub bushy: Vec<bool>,
     /// Reuse the partitioned build table across edges sharing an
     /// (inner table, key column, inner filter, bushy reduction)
-    /// signature. On by default; the differential battery turns it off
-    /// to prove reuse is invisible in the bytes.
+    /// signature, and reducer-free ones across statements through the
+    /// store's resident builds. On by default; the differential
+    /// batteries turn it off to prove reuse is invisible in the bytes.
     pub reuse_builds: bool,
 }
 
@@ -177,11 +193,13 @@ impl JoinTreePlan {
     }
 }
 
-/// The build-cache signature: two edges share one [`SharedBuild`] only
-/// when the inner table, key column, pushed-down inner filter, *and*
-/// the set of bushy children reducing the build all agree — anything
-/// less would let a reduced table serve an edge whose probes must see
-/// the reduced-out rows.
+/// The per-statement build signature: two edges share one
+/// [`SharedBuild`] only when the inner table, key column, pushed-down
+/// inner filter, *and* the set of bushy children reducing the build all
+/// agree — anything less would let a reduced table serve an edge whose
+/// probes must see the reduced-out rows. Only a signature with neither
+/// reducer is also looked up among the store's resident builds, whose
+/// key adds the build's worker count (its radix partitioning).
 type BuildKey = (TableId, usize, Option<(usize, Predicate)>, Vec<usize>);
 
 /// Everything one edge's probe needs, shared read-only by all workers.
@@ -219,7 +237,10 @@ impl ProbeKeys {
 }
 
 /// The build phase: every edge's [`SharedBuild`], made at most once per
-/// [`BuildKey`] signature when the plan reuses builds.
+/// [`BuildKey`] signature when the plan reuses builds. This statement's
+/// memo sits above the store's resident builds: a reducer-free
+/// signature missing here is looked up there
+/// ([`SharedBuild::resident`]) before anything is built.
 struct Builds<'a> {
     store: &'a Store,
     spec: &'a JoinTreeSpec,
@@ -235,10 +256,10 @@ struct Builds<'a> {
 }
 
 impl Builds<'_> {
-    /// Build (or fetch from cache) edge `ei`'s [`SharedBuild`], first
-    /// building every bushy child reducing it. Memoized per spec index,
-    /// so the probe loop later finds every build ready whatever order the
-    /// recursion produced them in.
+    /// Build (or fetch from this statement's memo or the store) edge
+    /// `ei`'s [`SharedBuild`], first building every bushy child reducing
+    /// it. Memoized per spec index, so the probe loop later finds every
+    /// build ready whatever order the recursion produced them in.
     fn ensure(&mut self, ei: usize) -> Result<Arc<SharedBuild>> {
         if let Some(s) = &self.by_spec[ei] {
             return Ok(Arc::clone(s));
@@ -249,11 +270,23 @@ impl Builds<'_> {
             child_builds.push((c, self.ensure(c)?));
         }
         let (spec, edge) = (self.spec, &self.spec.edges[ei]);
+        let reducer_free = edge.right_filter.is_none() && children.is_empty();
         let key: BuildKey = (edge.right, edge.right_key, edge.right_filter, children);
         let shared = match self.cache.get(&key) {
             Some(s) if self.plan.reuse_builds => {
                 self.stats.build_reuses += 1;
                 Arc::clone(s)
+            }
+            _ if self.plan.reuse_builds && reducer_free => {
+                let (s, resident) =
+                    SharedBuild::resident(self.store, edge.right, edge.right_key, self.opts)?;
+                if resident {
+                    self.stats.build_reuses += 1;
+                } else {
+                    self.stats.builds += 1;
+                }
+                self.cache.insert(key, Arc::clone(&s));
+                s
             }
             _ => {
                 let mut reducers: Vec<BuildReducer<'_>> = edge
@@ -269,7 +302,7 @@ impl Builds<'_> {
                 }
                 let s = Arc::new(SharedBuild::build(
                     self.store,
-                    edge.right,
+                    self.store.scan_snapshot(edge.right)?,
                     edge.right_key,
                     &reducers,
                     self.opts,

@@ -406,11 +406,15 @@ pub struct QueryStats {
     pub steals: u64,
     /// Partitioned hash-table builds that actually ran — one per
     /// distinct (inner table, key column, inner filter) triple when
-    /// reuse is on.
+    /// reuse is on, none for a triple whose reducer-free build was
+    /// resident on the store.
     pub builds: u64,
-    /// Probes served by a cached build table instead of a rebuild: the
-    /// reuse the tree executor (and the planner's pricing) counts on
-    /// when one inner table appears in multiple edges.
+    /// Edges served by a build table this statement did not make: an
+    /// earlier edge's, when one inner table appears in multiple edges
+    /// (the reuse the planner's pricing counts on), or one resident on
+    /// the store from an earlier statement over the same snapshot of
+    /// the inner table. A resident build reads no block of the inner
+    /// key, so it adds nothing to `io`.
     pub build_reuses: u64,
     /// Granules a filtered scan skipped outright because no block zone
     /// map overlapping the granule admits the predicate — provably

@@ -14,8 +14,6 @@
 //! the block containing a position is a binary search with no I/O —
 //! the "jump to pos" of the DS3/DS4 pseudocode.
 
-use std::collections::HashSet;
-
 use matstrat_common::{Error, Pos, Predicate, Result, Value, Width};
 
 use crate::block::{BitVecBlock, DictBlock, EncodedBlock, PlainBlock, RleBlock};
@@ -115,9 +113,57 @@ pub struct ColumnFileWriter<'a> {
     // Column-wide stats.
     min: Value,
     max: Value,
-    distinct: HashSet<Value>,
+    /// Run starts, folded to the distinct values among them by
+    /// [`fold_distinct`] whenever they reach `fold_at`, and once more
+    /// when the column is finished: their length is `distinct` then.
+    run_starts: Vec<Value>,
+    fold_at: usize,
     num_runs: u64,
     last_value: Option<Value>,
+}
+
+/// The fewest run starts a writer collects before folding them: 64 Ki
+/// values (512 KiB). Between folds it collects as many again as the
+/// fold left, so a column of many short runs over few values holds
+/// about this many, and one of many values about twice its distinct
+/// count, however many rows it has.
+const FOLD_MIN_RUN_STARTS: usize = 1 << 16;
+
+/// [`fold_distinct`] takes a bitmap over `[min, max]` when that span is
+/// at most this many bits per collected value: the bitmap is then no
+/// larger than the `Vec` of 64-bit values it folds, and one pass over it
+/// replaces a sort.
+const DISTINCT_BITMAP_BITS_PER_VALUE: i128 = 64;
+
+/// Reduce `values`, every one in `[min, max]`, to its distinct values in
+/// ascending order: one pass through a bitmap of the span when the
+/// values are dense in it, otherwise a sort and dedup. Nothing is
+/// hashed; the span is taken in `i128`, so values at `i64::MIN` and
+/// `i64::MAX` cannot wrap into a small one.
+fn fold_distinct(values: &mut Vec<Value>, min: Value, max: Value) {
+    if values.is_empty() {
+        return;
+    }
+    let span = i128::from(max) - i128::from(min) + 1;
+    if span <= values.len() as i128 * DISTINCT_BITMAP_BITS_PER_VALUE {
+        let mut bits = vec![0u64; (span as usize).div_ceil(64)];
+        for &v in values.iter() {
+            let off = (i128::from(v) - i128::from(min)) as usize;
+            bits[off / 64] |= 1 << (off % 64);
+        }
+        values.clear();
+        for (w, &word) in bits.iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                let off = w * 64 + word.trailing_zeros() as usize;
+                values.push((i128::from(min) + off as i128) as Value);
+                word &= word - 1;
+            }
+        }
+    } else {
+        values.sort_unstable();
+        values.dedup();
+    }
 }
 
 impl<'a> ColumnFileWriter<'a> {
@@ -148,7 +194,8 @@ impl<'a> ColumnFileWriter<'a> {
             index: Vec::new(),
             min: Value::MAX,
             max: Value::MIN,
-            distinct: HashSet::new(),
+            run_starts: Vec::new(),
+            fold_at: FOLD_MIN_RUN_STARTS,
             num_runs: 0,
             last_value: None,
         })
@@ -230,9 +277,13 @@ impl<'a> ColumnFileWriter<'a> {
         self.min = self.min.min(v);
         self.max = self.max.max(v);
         // A value equal to its predecessor opens no run and is already
-        // in the set: hash only at run boundaries.
+        // collected: keep only run starts.
         if self.last_value != Some(v) {
-            self.distinct.insert(v);
+            self.run_starts.push(v);
+            if self.run_starts.len() >= self.fold_at {
+                fold_distinct(&mut self.run_starts, self.min, self.max);
+                self.fold_at = (2 * self.run_starts.len()).max(FOLD_MIN_RUN_STARTS);
+            }
             self.num_runs += 1;
             self.last_value = Some(v);
         }
@@ -308,20 +359,14 @@ impl<'a> ColumnFileWriter<'a> {
         }
         self.disk.write_at(&self.name, index_offset, &index_bytes)?;
 
+        fold_distinct(&mut self.run_starts, self.min, self.max);
+        let empty = self.run_starts.is_empty();
         let stats = ColumnStats {
             num_rows: self.next_start,
             num_blocks: self.index.len() as u64,
-            min: if self.distinct.is_empty() {
-                0
-            } else {
-                self.min
-            },
-            max: if self.distinct.is_empty() {
-                0
-            } else {
-                self.max
-            },
-            distinct: self.distinct.len() as u64,
+            min: if empty { 0 } else { self.min },
+            max: if empty { 0 } else { self.max },
+            distinct: self.run_starts.len() as u64,
             num_runs: self.num_runs,
         };
 
@@ -687,7 +732,7 @@ mod tests {
         assert!(stats.num_blocks > 1, "want a multi-block column");
         let r = ColumnFileReader::open(&disk, "c").unwrap();
         let mut decoded = Vec::new();
-        let mut fps = HashSet::new();
+        let mut fps = std::collections::HashSet::new();
         for i in 0..r.num_blocks() {
             let b = r.fetch_block(&disk, i).unwrap();
             if let EncodedBlock::Dict(d) = &b {

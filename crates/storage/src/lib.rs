@@ -46,7 +46,7 @@ pub use file::{BlockIndexEntry, ColumnFileReader, ColumnFileWriter, ColumnStats}
 pub use generation::Generation;
 pub use meter::{IoMeter, IoStats};
 pub use pool::{default_pool_shards, BufferPool, PoolStats};
-pub use store::{ColumnReader, CompactorHandle, RecoveryReport, Store};
+pub use store::{ColumnReader, CompactorHandle, RecoveryReport, ResidentKey, Store};
 
 /// Size of an on-disk block: 64 KB, as in C-Store.
 pub const BLOCK_SIZE: usize = 64 * 1024;

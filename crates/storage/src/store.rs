@@ -27,6 +27,27 @@
 //! catalog names. Writers serialize with each other and with compaction
 //! on a single write mutex; readers never take it.
 //!
+//! # Resident join builds
+//!
+//! A join's reducer-free build — the hash table on one inner table's
+//! key column — depends only on a snapshot of that table, so it is
+//! resident state like a pooled block: the store keeps it between
+//! statements ([`Store::cached_build`], [`Store::cache_build`]), keyed
+//! by (table, key column, build workers) and tagged with the snapshot
+//! it was made from, the catalog entry's `wal_epoch` and the delta
+//! `Arc`. The delta is compared by pointer while the entry holds it, so
+//! the first write after that clones it ([`Arc::make_mut`]) and no
+//! later delta can share its address. Every event that outdates an
+//! entry passes through the store and drops the table's entries under
+//! the cache lock after it changes the table: [`Store::insert_rows`],
+//! [`Store::delete_positions`], [`Store::compact`] (before it retires
+//! the old files, so an entry never keeps a retired generation on disk)
+//! and [`Store::cold_reset`] (which empties the cache). A build is
+//! cached only if, under that same lock, its snapshot is still the
+//! table's current one, so none made before a write survives it. The
+//! store holds at most one entry per key: its memory is bounded by the
+//! join keys the workload uses, not by how many statements run.
+//!
 //! # Pinning and reclaim
 //!
 //! Every [`ProjectionInfo`] the store hands out — from
@@ -43,6 +64,7 @@
 //! [`Store::open_disk`]: column files the recovered catalog does not
 //! name are removed; logs and the catalog are never touched.
 
+use std::any::Any;
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::path::Path;
@@ -155,6 +177,33 @@ struct StoreInner {
     write_lock: Mutex<()>,
     /// What replay found when this store opened (empty for fresh disks).
     recovery: Mutex<Vec<RecoveryReport>>,
+    /// Resident join builds; see the module docs.
+    builds: Mutex<HashMap<ResidentKey, ResidentBuild>>,
+}
+
+/// Which build a resident entry is: (inner table, key column, build
+/// workers).
+pub type ResidentKey = (TableId, usize, usize);
+
+/// A join build the store keeps between statements, with the snapshot
+/// of its table it was made from.
+struct ResidentBuild {
+    epoch: u32,
+    /// Held, so that no later delta of the table can reuse its address.
+    delta: Option<Arc<TableDelta>>,
+    build: Arc<dyn Any + Send + Sync>,
+}
+
+impl ResidentBuild {
+    /// Whether the entry was made from the snapshot `(epoch, delta)`.
+    fn made_from(&self, epoch: u32, delta: Option<&Arc<TableDelta>>) -> bool {
+        self.epoch == epoch
+            && match (&self.delta, delta) {
+                (None, None) => true,
+                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                _ => false,
+            }
+    }
 }
 
 /// Cheap-to-clone handle to the storage engine.
@@ -216,6 +265,7 @@ impl Store {
                 wals: Mutex::new(HashMap::new()),
                 write_lock: Mutex::new(()),
                 recovery: Mutex::new(Vec::new()),
+                builds: Mutex::new(HashMap::new()),
             }),
         }
     }
@@ -485,10 +535,79 @@ impl Store {
         &self.inner.meter
     }
 
-    /// Drop every cached block and reset I/O accounting — a cold start.
+    /// Drop every cached block and every resident join build, and reset
+    /// I/O accounting — a cold start: nothing is resident.
     pub fn cold_reset(&self) {
+        let builds = std::mem::take(&mut *self.inner.builds.lock());
+        drop(builds);
         self.inner.pool.clear();
         self.inner.meter.reset();
+    }
+
+    /// The join build resident under `key`, if it was made from the
+    /// snapshot `(proj, delta)` a statement read from
+    /// [`Self::scan_snapshot`]. The caller downcasts it to the type it
+    /// cached.
+    pub fn cached_build(
+        &self,
+        key: ResidentKey,
+        proj: &ProjectionInfo,
+        delta: Option<&Arc<TableDelta>>,
+    ) -> Option<Arc<dyn Any + Send + Sync>> {
+        let builds = self.inner.builds.lock();
+        let entry = builds.get(&key)?;
+        entry
+            .made_from(proj.wal_epoch, delta)
+            .then(|| Arc::clone(&entry.build))
+    }
+
+    /// Keep `build`, made from the snapshot `(proj, delta)` of table
+    /// `key.0`, resident under `key` in place of any entry there. It is
+    /// kept only if that snapshot is still the table's current one,
+    /// checked under the cache lock every write takes to drop the
+    /// table's entries; returns whether it was kept.
+    pub fn cache_build(
+        &self,
+        key: ResidentKey,
+        proj: &ProjectionInfo,
+        delta: Option<&Arc<TableDelta>>,
+        build: Arc<dyn Any + Send + Sync>,
+    ) -> bool {
+        let entry = ResidentBuild {
+            epoch: proj.wal_epoch,
+            delta: delta.cloned(),
+            build,
+        };
+        let mut builds = self.inner.builds.lock();
+        let current = match self.inner.catalog.read().projection(key.0) {
+            Ok(p) => p.wal_epoch,
+            Err(_) => return false,
+        };
+        if !entry.made_from(current, self.inner.delta.snapshot(key.0).as_ref()) {
+            return false;
+        }
+        let replaced = builds.insert(key, entry);
+        drop(builds);
+        drop(replaced);
+        true
+    }
+
+    /// How many join builds are resident.
+    pub fn resident_builds(&self) -> usize {
+        self.inner.builds.lock().len()
+    }
+
+    /// Forget `table`'s resident builds, once a write or a compaction
+    /// has changed its delta or catalog entry. The entries themselves
+    /// are dropped after the lock is released: the last pin on a
+    /// generation may go with them.
+    fn drop_builds(&self, table: TableId) {
+        let gone: Vec<ResidentBuild> = {
+            let mut builds = self.inner.builds.lock();
+            let keys: Vec<ResidentKey> = builds.keys().filter(|k| k.0 == table).copied().collect();
+            keys.iter().filter_map(|k| builds.remove(k)).collect()
+        };
+        drop(gone);
     }
 
     /// The disk this store reads and writes (crash tests reopen a second
@@ -608,8 +727,9 @@ impl Store {
     }
 
     /// Insert `rows` into `table`: logged to the WAL (one group commit),
-    /// then applied to the delta. Returns the position stamp of the
-    /// first inserted row. Durable when this returns.
+    /// then applied to the delta, then the table's resident join builds
+    /// are dropped. Returns the position stamp of the first inserted
+    /// row. Durable when this returns.
     pub fn insert_rows(&self, table: TableId, rows: &[Vec<Value>]) -> Result<u64> {
         let _w = self.inner.write_lock.lock();
         let (ncols, base_rows, epoch) = {
@@ -647,12 +767,14 @@ impl Store {
             .collect();
         self.with_wal(table, epoch, |wal| wal.append_batch(&records))?;
         let stamped = self.inner.delta.append_rows(table, base_rows, rows);
+        self.drop_builds(table);
         debug_assert_eq!(stamped, start);
         Ok(start)
     }
 
     /// Delete the rows at `positions` of `table`: logged to the WAL,
-    /// then applied to the delta. Positions already deleted are skipped;
+    /// then applied to the delta, then the table's resident join builds
+    /// are dropped. Positions already deleted are skipped;
     /// out-of-range positions are an error (nothing is logged or
     /// applied). Returns how many rows were newly deleted. Durable when
     /// this returns.
@@ -712,10 +834,9 @@ impl Store {
             })
             .collect();
         self.with_wal(table, epoch, |wal| wal.append_batch(&records))?;
-        self.inner
-            .delta
-            .delete_positions(table, base_rows, &fresh)
-            .map(Some)
+        let deleted = self.inner.delta.delete_positions(table, base_rows, &fresh);
+        self.drop_builds(table);
+        deleted.map(Some)
     }
 
     /// A consistent `(projection, delta)` pair for scanning `table`.
@@ -754,7 +875,10 @@ impl Store {
 
     /// Fold `table`'s delta into fresh immutable column files and swap
     /// them in. Returns `false` (and does nothing) when the delta is
-    /// empty. See the module docs for the crash-ordering argument.
+    /// empty. See the module docs for the crash-ordering argument. The
+    /// table's resident join builds are dropped after the swap and
+    /// before the old generation is retired, so none of them keeps the
+    /// retired files on disk.
     ///
     /// Holds the write lock for the duration: writers queue behind the
     /// rewrite, readers race it freely and stay byte-identical — the
@@ -853,6 +977,7 @@ impl Store {
             cat.pin(table, new_generation)?;
             self.inner.delta.replace(table, TableDelta::new(new_rows));
         }
+        self.drop_builds(table);
         // Persist the new epoch BEFORE truncating the log: a crash in
         // between replays the old records as stale-epoch no-ops.
         self.persist_catalog()?;
@@ -1272,6 +1397,60 @@ mod tests {
             r.block(i).unwrap();
         }
         assert!((r.resident_fraction() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_build_from_a_snapshot_older_than_the_table_is_never_kept() {
+        let store = Store::in_memory();
+        let (a, b) = demo_data();
+        let id = store.load_projection(&demo_spec(), &[&a, &b]).unwrap();
+        let key = (id, 0, 1);
+        let build = || Arc::new(7u32) as Arc<dyn Any + Send + Sync>;
+        let hit = |store: &Store| {
+            let (info, delta) = store.scan_snapshot(id).unwrap();
+            store.cached_build(key, &info, delta.as_ref()).is_some()
+        };
+
+        // Built, then the table is written, then offered: refused, for
+        // the old snapshot and the new one alike.
+        for write in [
+            |s: &Store, t| assert_eq!(s.insert_rows(t, &[vec![10, 1]]).unwrap(), 1000),
+            |s: &Store, t| assert_eq!(s.delete_positions(t, &[3]).unwrap(), 1),
+            |s: &Store, t| assert!(s.compact(t).unwrap()),
+        ] {
+            let (info, delta) = store.scan_snapshot(id).unwrap();
+            write(&store, id);
+            assert!(!store.cache_build(key, &info, delta.as_ref(), build()));
+            assert!(store.cached_build(key, &info, delta.as_ref()).is_none());
+            assert!(!hit(&store));
+            assert_eq!(store.resident_builds(), 0);
+        }
+
+        // Offered from the current snapshot: kept, and found by it.
+        let (info, delta) = store.scan_snapshot(id).unwrap();
+        assert!(store.cache_build(key, &info, delta.as_ref(), build()));
+        assert!(hit(&store));
+        assert_eq!(store.resident_builds(), 1);
+        // Another table's write leaves it; its own write and a cold
+        // reset drop it.
+        let other = store
+            .load_projection(
+                &ProjectionSpec {
+                    name: "other".into(),
+                    ..demo_spec()
+                },
+                &[&a, &b],
+            )
+            .unwrap();
+        store.insert_rows(other, &[vec![10, 1]]).unwrap();
+        assert!(hit(&store));
+        store.insert_rows(id, &[vec![10, 2]]).unwrap();
+        assert_eq!(store.resident_builds(), 0);
+        let (info, delta) = store.scan_snapshot(id).unwrap();
+        assert!(store.cache_build(key, &info, delta.as_ref(), build()));
+        store.cold_reset();
+        assert_eq!(store.resident_builds(), 0);
+        assert!(!hit(&store));
     }
 
     #[test]
