@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use matstrat_common::{Error, Pos, PosRange, Predicate, Result, Value};
 use matstrat_poslist::{Bitmap, PosList, PosListBuilder, RangeList};
-use matstrat_storage::{ColumnReader, EncodedBlock, Slots};
+use matstrat_storage::{ColumnReader, DictBlock, EncodedBlock, Slots};
 
 /// How a value fetch was satisfied — used by execution stats to report
 /// when the bit-vector decompression penalty was paid.
@@ -287,48 +287,65 @@ impl MiniColumn {
     /// decompressing when the codec cannot gather (bit-vector). Returns
     /// how the fetch was satisfied.
     pub fn fetch_values(&self, positions: &PosList, out: &mut Vec<Value>) -> Result<FetchKind> {
-        let at = out.len();
-        out.resize(at + positions.count() as usize, 0);
-        let fetched = self.fetch_values_into(positions, &mut Slots::column(&mut out[at..], 0, 1));
-        if fetched.is_err() {
-            out.truncate(at);
-        }
-        fetched
+        append_with(out, positions.count() as usize, |cells| {
+            self.fetch_values_into(positions, cells)
+        })
+    }
+
+    /// [`fetch_values`](Self::fetch_values) at a sorted slice of
+    /// positions, with no descriptor around it: ascending, and a position
+    /// may repeat, each repeat getting its value again. This is how a
+    /// join fetches at the positions its probes fanned out to.
+    pub fn fetch_sorted(&self, positions: &[Pos], out: &mut Vec<Value>) -> Result<FetchKind> {
+        append_with(out, positions.len(), |cells| {
+            let room = cells.len();
+            let kind = if self.supports_position_fetch() {
+                self.gather_sorted_into(positions, cells)?;
+                FetchKind::Gathered
+            } else {
+                self.decompress_points_into(positions.iter().copied(), cells)?;
+                FetchKind::Decompressed
+            };
+            wrote_all(room - cells.len(), positions.len() as u64)?;
+            Ok(kind)
+        })
     }
 
     /// [`fetch_values`](Self::fetch_values) written strided, to the next
     /// cells of `out` — how MERGE reads each value straight out of the
     /// compressed blocks into its tuple slot. A range descriptor walks its
     /// ranges and the blocks together, each block taking the ranges that
-    /// overlap it in one fused gather; any other descriptor gathers point
-    /// by point, batched per block. If a block cannot fetch by position
-    /// (bit-vector), the window's rows of every block holding descriptor
-    /// positions are decompressed into one buffer reused across blocks,
-    /// and whole ranges or single positions are copied out of it.
+    /// overlap it in one fused gather. An explicit descriptor's sorted
+    /// positions go to the point walker
+    /// ([`gather_sorted_into`](Self::gather_sorted_into)), which hands
+    /// each block its sub-slice; a bitmap's are read off its words a
+    /// block at a time into one reused buffer. If a block cannot fetch
+    /// by position (bit-vector), the window's rows of every block holding
+    /// descriptor positions are decompressed into one buffer reused
+    /// across blocks, and whole ranges or single positions are copied
+    /// out of it.
     ///
-    /// Positions must lie in this mini-column's blocks. Errors unless
-    /// exactly `positions.count()` cells were written: a column that yields
-    /// a different count than its descriptor never leaves a default value
-    /// behind.
+    /// Positions must lie in this mini-column's window and blocks.
+    /// Errors unless exactly `positions.count()` cells were written: a
+    /// column that yields a different count than its descriptor never
+    /// leaves a default value behind.
     pub fn fetch_values_into(&self, positions: &PosList, out: &mut Slots<'_>) -> Result<FetchKind> {
         let room = out.len();
         let kind = if self.supports_position_fetch() {
             match positions {
                 PosList::Ranges(rl) => self.gather_ranges_into(rl.ranges(), out)?,
-                other => self.gather_points_into(other, out)?,
+                PosList::Explicit(pv) => self.gather_sorted_into(pv.as_slice(), out)?,
+                PosList::Bitmap(bm) => self.gather_bitmap_into(bm, out)?,
             }
             FetchKind::Gathered
         } else {
-            self.decompress_into(positions, out)?;
+            match positions {
+                PosList::Ranges(rl) => self.decompress_ranges_into(rl.ranges(), out)?,
+                other => self.decompress_points_into(other.iter(), out)?,
+            }
             FetchKind::Decompressed
         };
-        let written = (room - out.len()) as u64;
-        let want = positions.count();
-        if written != want {
-            return Err(Error::invalid(format!(
-                "column yielded {written} values for a {want}-position descriptor"
-            )));
-        }
+        wrote_all(room - out.len(), positions.count())?;
         Ok(kind)
     }
 
@@ -358,83 +375,89 @@ impl MiniColumn {
         Ok(())
     }
 
-    /// Point gathers, batched per block.
-    fn gather_points_into(&self, positions: &PosList, out: &mut Slots<'_>) -> Result<()> {
-        let mut batch: Vec<Pos> = Vec::new();
-        let mut current: Option<&Arc<EncodedBlock>> = None;
-        let mut cursor = 0;
-        for p in positions.iter() {
-            match current {
-                Some(b) if b.covering().contains(p) => batch.push(p),
-                _ => {
-                    if let Some(b) = current {
-                        b.gather_into(&batch, out)?;
-                    }
-                    batch.clear();
-                    current = Some(self.block_from(&mut cursor, p)?);
-                    batch.push(p);
-                }
-            }
+    /// The point walker: ascending `positions` (repeats allowed) are cut
+    /// at each block's end by binary search, and each block gets its
+    /// sub-slice in one call — no per-position dispatch and no copy of
+    /// the positions. Errors on a position outside the window or in a gap
+    /// between blocks, so a caller never gets fewer values than positions.
+    pub fn gather_sorted_into(&self, positions: &[Pos], out: &mut Slots<'_>) -> Result<()> {
+        self.walk_sorted(positions, |b, ps| b.gather_into(ps, out))
+    }
+
+    /// [`gather_sorted_into`](Self::gather_sorted_into)'s walk, handing
+    /// each block and its sub-slice of `positions` to `each`.
+    fn walk_sorted(
+        &self,
+        positions: &[Pos],
+        mut each: impl FnMut(&EncodedBlock, &[Pos]) -> Result<()>,
+    ) -> Result<()> {
+        let (Some(&first), Some(&last)) = (positions.first(), positions.last()) else {
+            return Ok(());
+        };
+        debug_assert!(positions.is_sorted(), "positions must ascend");
+        if let Some(p) = [first, last]
+            .into_iter()
+            .find(|&p| !self.window.contains(p))
+        {
+            return Err(outside_window(p, self.window));
         }
-        if let Some(b) = current {
+        let (mut rest, mut cursor) = (positions, 0);
+        while let Some(&p) = rest.first() {
+            let b = self.block_from(&mut cursor, p)?;
+            let end = b.covering().end;
+            let n = rest.partition_point(|&q| q < end);
+            each(b, &rest[..n])?;
+            rest = &rest[n..];
+        }
+        Ok(())
+    }
+
+    /// A bitmap descriptor's gather: each block's positions inside the
+    /// window are read off the bitmap's words into one reused buffer and
+    /// gathered in one call. Set bits outside every block are never
+    /// written, which the caller's count check reports.
+    fn gather_bitmap_into(&self, bm: &Bitmap, out: &mut Slots<'_>) -> Result<()> {
+        let mut batch = Vec::new();
+        for b in &self.blocks {
+            batch.clear();
+            bm.positions_in(b.covering().intersect(&self.window), &mut batch);
             b.gather_into(&batch, out)?;
         }
         Ok(())
     }
 
-    /// Decompress-then-select: the window's rows of each block holding
-    /// descriptor positions are decoded into one reused buffer, then a
-    /// range descriptor copies whole slices out of it and any other
-    /// descriptor copies its positions (a bitmap's come a word at a time).
-    fn decompress_into(&self, positions: &PosList, out: &mut Slots<'_>) -> Result<()> {
-        let mut decoded: Vec<Value> = Vec::new();
-        let mut held = PosRange::empty(); // the positions in `decoded`
-        let mut cursor = 0;
-        let mut load = |pos: Pos, decoded: &mut Vec<Value>, held: &mut PosRange| -> Result<()> {
-            if !held.contains(pos) {
-                // The block's rows inside the window — a wide block
-                // serves several granules — unless `pos` lies outside it.
-                let b = self.block_from(&mut cursor, pos)?;
-                let w = b.covering().intersect(&self.window);
-                *held = if w.contains(pos) { w } else { b.covering() };
-                decoded.clear();
-                b.decode_range(*held, decoded)?;
-            }
-            Ok(())
-        };
-        match positions {
-            PosList::Ranges(rl) => {
-                for range in rl.ranges() {
-                    let mut r = *range;
-                    while !r.is_empty() {
-                        load(r.start, &mut decoded, &mut held)?;
-                        let sub = r.intersect(&held);
-                        let lo = (sub.start - held.start) as usize;
-                        let hi = (sub.end - held.start) as usize;
-                        out.put(decoded[lo..hi].iter().copied());
-                        r = PosRange::new(sub.end, r.end);
-                    }
-                }
-            }
-            other => {
-                let mut failed = None;
-                out.put(
-                    other
-                        .iter()
-                        .map_while(|p| match load(p, &mut decoded, &mut held) {
-                            Ok(()) => Some(decoded[(p - held.start) as usize]),
-                            Err(e) => {
-                                failed = Some(e);
-                                None
-                            }
-                        }),
-                );
-                if let Some(e) = failed {
-                    return Err(e);
-                }
+    /// Decompress-then-select over a range descriptor: whole slices are
+    /// copied out of each decoded block.
+    fn decompress_ranges_into(&self, ranges: &[PosRange], out: &mut Slots<'_>) -> Result<()> {
+        let mut decoded = Decompressed::new(self);
+        for range in ranges {
+            let mut r = *range;
+            while !r.is_empty() {
+                let sub = r.intersect(&decoded.load(r.start)?);
+                out.put(decoded.slice(sub).iter().copied());
+                r = PosRange::new(sub.end, r.end);
             }
         }
         Ok(())
+    }
+
+    /// Decompress-then-select at ascending positions, one copied out of
+    /// the decoded block at a time.
+    fn decompress_points_into(
+        &self,
+        positions: impl Iterator<Item = Pos>,
+        out: &mut Slots<'_>,
+    ) -> Result<()> {
+        let mut decoded = Decompressed::new(self);
+        let mut failed = None;
+        out.put(positions.map_while(|p| match decoded.load(p) {
+            Ok(held) => Some(decoded.vals[(p - held.start) as usize]),
+            Err(e) => {
+                failed = Some(e);
+                None
+            }
+        }));
+        failed.map_or(Ok(()), Err)
     }
 
     /// Decompress the entire window in position order.
@@ -494,42 +517,124 @@ impl MiniColumn {
         }
     }
 
-    /// Dictionary codes at the descriptor's positions, in position order —
-    /// the probe-side fetch of a code-keyed join: no value is ever
-    /// decoded. Errors on non-dict blocks; meaningful across blocks only
-    /// under a shared dictionary ([`Self::shared_dict_fingerprint`]).
-    pub fn gather_codes(&self, positions: &PosList, out: &mut Vec<u32>) -> Result<()> {
-        let mut batch: Vec<Pos> = Vec::new();
-        let mut current: Option<&Arc<EncodedBlock>> = None;
-        let flush = |b: &EncodedBlock, batch: &[Pos], out: &mut Vec<u32>| -> Result<()> {
-            match b {
-                EncodedBlock::Dict(d) => d.gather_codes(batch, out),
-                other => Err(Error::unsupported(format!(
-                    "code gather on a {} block",
-                    other.encoding().name()
-                ))),
-            }
-        };
-        for p in positions.iter() {
-            if !self.window.contains(p) {
-                continue;
-            }
-            match current {
-                Some(b) if b.covering().contains(p) => batch.push(p),
-                _ => {
-                    if let Some(b) = current {
-                        flush(b, &batch, out)?;
-                    }
-                    batch.clear();
-                    current = Some(self.block_for(p)?);
-                    batch.push(p);
-                }
-            }
-        }
-        if let Some(b) = current {
-            flush(b, &batch, out)?;
+    /// Every dictionary code of the window in position order — the code
+    /// domain's [`decode`](Self::decode). Errors on non-dict blocks;
+    /// meaningful across blocks only under a shared dictionary
+    /// ([`Self::shared_dict_fingerprint`]).
+    pub fn decode_codes(&self, out: &mut Vec<u32>) -> Result<()> {
+        for b in &self.blocks {
+            let d = dict_block(b)?;
+            let w = b.covering().intersect(&self.window);
+            let lo = (w.start - d.start_pos()) as usize;
+            out.extend_from_slice(&d.codes()[lo..lo + w.len() as usize]);
         }
         Ok(())
+    }
+
+    /// Dictionary codes at ascending positions (repeats allowed), in
+    /// order — the probe-side fetch of a code-keyed join, where no value
+    /// is ever decoded; the code domain's
+    /// [`gather_sorted_into`](Self::gather_sorted_into), on the same
+    /// walker. Errors on non-dict blocks and, as the value gather does,
+    /// on a position outside the window or in a gap, leaving `out` as it
+    /// was. Meaningful across blocks only under a shared dictionary
+    /// ([`Self::shared_dict_fingerprint`]).
+    pub fn gather_codes(&self, positions: &[Pos], out: &mut Vec<u32>) -> Result<()> {
+        let at = out.len();
+        let walked = self.walk_sorted(positions, |b, ps| dict_block(b)?.gather_codes(ps, out));
+        if walked.is_err() {
+            out.truncate(at);
+        }
+        walked
+    }
+}
+
+/// The dictionary block `b` is, or an error naming its codec.
+fn dict_block(b: &EncodedBlock) -> Result<&DictBlock> {
+    match b {
+        EncodedBlock::Dict(d) => Ok(d),
+        other => Err(Error::unsupported(format!(
+            "code gather on a {} block",
+            other.encoding().name()
+        ))),
+    }
+}
+
+/// Append `n` values to `out` through `fill`, which writes them into the
+/// new cells; on error `out` is left as it was.
+fn append_with(
+    out: &mut Vec<Value>,
+    n: usize,
+    fill: impl FnOnce(&mut Slots<'_>) -> Result<FetchKind>,
+) -> Result<FetchKind> {
+    let at = out.len();
+    out.resize(at + n, 0);
+    let fetched = fill(&mut Slots::column(&mut out[at..], 0, 1));
+    if fetched.is_err() {
+        out.truncate(at);
+    }
+    fetched
+}
+
+/// The error for a fetch at `pos`, outside the mini-column's `window`.
+fn outside_window(pos: Pos, window: PosRange) -> Error {
+    Error::invalid(format!(
+        "position {pos} outside the mini-column's window {window}"
+    ))
+}
+
+/// Errors unless a fetch wrote exactly the `want` values its positions
+/// ask for.
+fn wrote_all(written: usize, want: u64) -> Result<()> {
+    if written as u64 != want {
+        return Err(Error::invalid(format!(
+            "column yielded {written} values for a {want}-position descriptor"
+        )));
+    }
+    Ok(())
+}
+
+/// The decompress path's one buffer, reused across blocks: the rows of
+/// the block that held the last position loaded.
+struct Decompressed<'m> {
+    mini: &'m MiniColumn,
+    vals: Vec<Value>,
+    /// The positions in `vals`.
+    held: PosRange,
+    cursor: usize,
+}
+
+impl<'m> Decompressed<'m> {
+    fn new(mini: &'m MiniColumn) -> Self {
+        Decompressed {
+            mini,
+            vals: Vec::new(),
+            held: PosRange::empty(),
+            cursor: 0,
+        }
+    }
+
+    /// Hold `pos`'s block, returning the positions held: its rows inside
+    /// the window (a wide block serves several granules). Errors, as the
+    /// point walker does, on a position outside the window or in a gap.
+    fn load(&mut self, pos: Pos) -> Result<PosRange> {
+        if !self.held.contains(pos) {
+            let window = self.mini.window;
+            if !window.contains(pos) {
+                return Err(outside_window(pos, window));
+            }
+            let b = self.mini.block_from(&mut self.cursor, pos)?;
+            self.held = b.covering().intersect(&window);
+            self.vals.clear();
+            b.decode_range(self.held, &mut self.vals)?;
+        }
+        Ok(self.held)
+    }
+
+    /// The held values at `sub`, which must lie inside the held range.
+    fn slice(&self, sub: PosRange) -> &[Value] {
+        let lo = (sub.start - self.held.start) as usize;
+        &self.vals[lo..lo + sub.len() as usize]
     }
 }
 
@@ -741,10 +846,11 @@ mod tests {
         let dict = mc.shared_dict().unwrap();
         // Codes decode to the same values the value gather returns, even
         // across a block boundary.
-        let pl = PosList::from_positions(vec![0, 3, 70_000, 149_999]);
+        let ps = [0, 3, 70_000, 149_999];
         let (mut codes, mut vals) = (Vec::new(), Vec::new());
-        mc.gather_codes(&pl, &mut codes).unwrap();
-        mc.fetch_values(&pl, &mut vals).unwrap();
+        mc.gather_codes(&ps, &mut codes).unwrap();
+        mc.fetch_values(&PosList::from_positions(ps.to_vec()), &mut vals)
+            .unwrap();
         let via_dict: Vec<Value> = codes.iter().map(|&c| dict[c as usize]).collect();
         assert_eq!(via_dict, vals);
         // Non-dict windows refuse both.
@@ -752,7 +858,29 @@ mod tests {
         let mc2 =
             MiniColumn::fetch(&store2.reader(id2, 0).unwrap(), PosRange::new(0, 3000)).unwrap();
         assert!(mc2.shared_dict_fingerprint().is_none());
-        assert!(mc2.gather_codes(&pl, &mut codes).is_err());
+        assert!(mc2.gather_codes(&ps[..2], &mut codes).is_err());
+    }
+
+    #[test]
+    fn gather_codes_refuses_a_position_outside_the_window() {
+        let store = Store::in_memory();
+        let k: Vec<Value> = (0..3000).map(|i| (i % 10) * 5).collect();
+        let spec = ProjectionSpec::new("t").column_shared_dict("k", SortOrder::None);
+        let id = store.load_projection(&spec, &[&k]).unwrap();
+        // One block covers every row; the window is a slice of it.
+        let mc = MiniColumn::fetch(&store.reader(id, 0).unwrap(), PosRange::new(100, 200)).unwrap();
+        assert_eq!(mc.blocks().len(), 1);
+        let mut codes = vec![7];
+        mc.gather_codes(&[100, 150, 199], &mut codes).unwrap();
+        assert_eq!(codes.len(), 4);
+        for outside in [[99, 150], [150, 200], [150, 2999]] {
+            let mut codes = vec![7];
+            assert!(
+                mc.gather_codes(&outside, &mut codes).is_err(),
+                "{outside:?}"
+            );
+            assert_eq!(codes, [7], "{outside:?}: nothing appended");
+        }
     }
 
     #[test]

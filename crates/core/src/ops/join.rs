@@ -53,7 +53,6 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use matstrat_common::{Pos, PosRange, Predicate, Result, TableId, Value};
-use matstrat_poslist::{PosList, PosVec};
 use matstrat_storage::{ProjectionInfo, Store, TableDelta, Tombstones};
 
 use crate::exec::ExecOptions;
@@ -407,9 +406,6 @@ pub(crate) struct SharedBuild {
     /// immutable base rows first, then every delta-insert row in stamp
     /// order (deleted rows included, so indexing stays positional).
     pub(crate) keys: Arc<Vec<Value>>,
-    /// Workers the build pipeline ran with (the skew guard applied to
-    /// the *right* table) — also the radix partition count when > 1.
-    pub(crate) build_workers: usize,
     /// Logical right table row count (base + delta inserts).
     pub(crate) rows: u64,
     /// The right projection and its delta at snapshot time: every later
@@ -485,8 +481,7 @@ impl SharedBuild {
         opts: &ExecOptions,
     ) -> Result<(Arc<SharedBuild>, bool)> {
         let (info, delta) = store.scan_snapshot(right)?;
-        let rows = info.num_rows + delta.as_ref().map_or(0, |d| d.num_inserts() as u64);
-        let key = (right, right_key, build_workers(rows, opts));
+        let key = (right, right_key);
         let hit = store
             .cached_build(key, &info, delta.as_ref())
             .and_then(|b| b.downcast::<SharedBuild>().ok());
@@ -544,7 +539,7 @@ impl SharedBuild {
             // does not.
             if dict.windows(2).all(|w| w[0] < w[1]) {
                 let mut codes = Vec::with_capacity(rows as usize);
-                base_mini.gather_codes(&PosList::full(base_mini.window()), &mut codes)?;
+                base_mini.decode_codes(&mut codes)?;
                 // Tail keys are raw values; translate each through the
                 // dictionary. One untranslatable key sinks the code
                 // path — the value table is always correct.
@@ -604,7 +599,6 @@ impl SharedBuild {
         Ok(SharedBuild {
             table,
             keys: Arc::new(keys),
-            build_workers,
             rows,
             info,
             delta,
@@ -675,17 +669,20 @@ pub(crate) struct InnerRep {
 
 impl InnerRep {
     /// Fetch (and decode, where `inner` needs it) the right output
-    /// columns from the build's snapshot.
+    /// columns from the build's snapshot, on the workers the statement's
+    /// `opts` give a build over the inner table: a resident
+    /// [`SharedBuild`] may have been made at another count.
     pub(crate) fn build(
         store: &Store,
         shared: &SharedBuild,
         right_output: &[usize],
         inner: InnerStrategy,
+        opts: &ExecOptions,
     ) -> Result<InnerRep> {
         let rows = shared.rows;
         let window = PosRange::new(0, rows);
         let rwidth = right_output.len();
-        let build_workers = shared.build_workers;
+        let build_workers = build_workers(rows, opts);
         let minis: Vec<MiniColumn> =
             matstrat_common::par_map_indexed(rwidth, build_workers, |c| {
                 let reader =
@@ -805,9 +802,13 @@ pub(crate) fn decode_snapshot(
 /// Fetch one span-local column at a **sorted, possibly duplicated**
 /// position list. The shape every merge-on-position fetch in the join
 /// paths uses (left output values, join-tree base keys): positions exit
-/// the probe sorted, duplicates come from non-unique right keys.
+/// the probe sorted, duplicates come from non-unique right keys. The
+/// point walker gathers straight off the slice, repeats included, so
+/// nothing is copied or deduplicated.
 pub(crate) fn fetch_expanded(mini: &MiniColumn, positions: &[Pos]) -> Result<Vec<Value>> {
-    gather_expanded(positions, |pl, out| mini.fetch_values(pl, out).map(drop))
+    let mut vals = Vec::with_capacity(positions.len());
+    mini.fetch_sorted(positions, &mut vals)?;
+    Ok(vals)
 }
 
 /// [`fetch_expanded`] in the code domain: gather u32 dictionary codes —
@@ -815,38 +816,9 @@ pub(crate) fn fetch_expanded(mini: &MiniColumn, positions: &[Pos]) -> Result<Vec
 /// list. Only valid on a mini-column whose blocks all share one
 /// dictionary (the caller verified it against the build's).
 pub(crate) fn fetch_codes_expanded(mini: &MiniColumn, positions: &[Pos]) -> Result<Vec<u32>> {
-    gather_expanded(positions, |pl, out| mini.gather_codes(pl, out))
-}
-
-/// `gather` over the deduplicated `positions`, then expand the
-/// duplicates. `positions` is copied once, into the gather's list, and
-/// deduplicated only when it repeats a position (a first edge's base
-/// positions never do). Sorted input means a value's repeats are
-/// adjacent, so the expansion steps to the next value wherever the
-/// position changes.
-fn gather_expanded<T: Copy>(
-    positions: &[Pos],
-    gather: impl FnOnce(&PosList, &mut Vec<T>) -> Result<()>,
-) -> Result<Vec<T>> {
-    let dups = positions.windows(2).any(|w| w[0] == w[1]);
-    let mut uniq = positions.to_vec();
-    if dups {
-        uniq.dedup();
-    }
-    let mut vals = Vec::with_capacity(uniq.len());
-    gather(&PosList::Explicit(PosVec::from_sorted(uniq)), &mut vals)?;
-    if !dups {
-        return Ok(vals);
-    }
-    let mut expanded = Vec::with_capacity(positions.len());
-    let mut vi = 0usize;
-    for (i, &p) in positions.iter().enumerate() {
-        if i > 0 && positions[i - 1] != p {
-            vi += 1;
-        }
-        expanded.push(vals[vi]);
-    }
-    Ok(expanded)
+    let mut codes = Vec::with_capacity(positions.len());
+    mini.gather_codes(positions, &mut codes)?;
+    Ok(codes)
 }
 
 /// Flatten decoded columns into row-major tuples — the Materialized
@@ -1129,6 +1101,44 @@ mod tests {
             )
             .unwrap();
         (left, right)
+    }
+
+    /// The fan-out's fetch: positions repeated by non-unique right keys
+    /// come back once per repeat, as the naive expansion of a fetch at
+    /// the distinct positions; values and codes alike, across blocks.
+    #[test]
+    fn fetch_expanded_with_and_without_repeats_matches_naive_expansion() {
+        let store = Store::in_memory();
+        let n = 150_000u64;
+        let k: Vec<Value> = (0..n as i64).map(|i| ((i * 31) % 10) * 5).collect();
+        let spec = ProjectionSpec::new("t").column_shared_dict("k", SortOrder::None);
+        let id = store.load_projection(&spec, &[&k]).unwrap();
+        let mini = MiniColumn::fetch(&store.reader(id, 0).unwrap(), PosRange::new(0, n)).unwrap();
+        assert!(mini.blocks().len() > 1, "want a multi-block window");
+        let dict = mini.shared_dict().unwrap().to_vec();
+        let edge = mini.blocks()[1].covering().start;
+        let distinct: Vec<Pos> = vec![0, 1, edge - 1, edge, edge + 1, n - 1];
+        let repeats = [1usize, 3, 2, 1, 4, 2];
+        let repeated: Vec<Pos> = distinct
+            .iter()
+            .zip(repeats)
+            .flat_map(|(&p, r)| std::iter::repeat_n(p, r))
+            .collect();
+        for positions in [&distinct, &repeated] {
+            let naive: Vec<Value> = positions.iter().map(|&p| k[p as usize]).collect();
+            assert_eq!(fetch_expanded(&mini, positions).unwrap(), naive);
+            let codes = fetch_codes_expanded(&mini, positions).unwrap();
+            let via_dict: Vec<Value> = codes.iter().map(|&c| dict[c as usize]).collect();
+            assert_eq!(via_dict, naive);
+        }
+        // A position past the mini-column's window is refused, never
+        // dropped from the result.
+        let window = PosRange::new(edge - 10, edge + 10);
+        let narrow = MiniColumn::fetch(&store.reader(id, 0).unwrap(), window).unwrap();
+        for positions in [[edge - 11, edge], [edge, edge + 10]] {
+            assert!(fetch_expanded(&narrow, &positions).is_err());
+            assert!(fetch_codes_expanded(&narrow, &positions).is_err());
+        }
     }
 
     #[test]

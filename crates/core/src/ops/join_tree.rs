@@ -9,17 +9,20 @@
 //! row-aligned. Each edge's probe only ever *extends* this position
 //! state (fan-out duplicates positions, a missed probe drops the row);
 //! **values are fetched exactly once, at the very top** — base columns
-//! with a merge on the sorted (possibly duplicated) base positions,
-//! right columns per edge through the three inner-table representations
-//! of [`crate::ops::join`] — and a span hands its columns, unstitched,
-//! as one part to whatever the statement's driver consumes parts with:
-//! the one MERGE ([`crate::ops::merge`]) the scan executor uses, which
-//! writes each value once into its row of the result, or, under an
-//! aggregate, the fold every scan part goes through. An aggregate's
-//! span fetches only the group column and, unless the function is
-//! COUNT, the value column; its other output columns are never read.
-//! That is the paper's late-materialization discipline carried across a
-//! whole join tree.
+//! gathered straight off the sorted (possibly duplicated) base
+//! positions by the mini-column's point walker
+//! ([`MiniColumn::fetch_sorted`]), which hands each block its sub-slice
+//! to unpack in one call, so no position list is copied, deduplicated
+//! or wrapped; right columns per edge through the three inner-table
+//! representations of [`crate::ops::join`] — and a span hands its
+//! columns, unstitched, as one part to whatever the statement's driver
+//! consumes parts with: the one MERGE ([`crate::ops::merge`]) the scan
+//! executor uses, which writes each value once into its row of the
+//! result, or, under an aggregate, the fold every scan part goes
+//! through. An aggregate's span fetches only the group column and,
+//! unless the function is COUNT, the value column; its other output
+//! columns are never read. That is the paper's late-materialization
+//! discipline carried across a whole join tree.
 //!
 //! # Build caching
 //!
@@ -35,12 +38,14 @@
 //!   children) signature reuses it.
 //! * **Across statements**, a reducer-free build (no pushed-down inner
 //!   filter, no bushy child) stays resident on the [`Store`], keyed by
-//!   (inner table, key column, build workers) and tagged with the
-//!   snapshot it was built from. A later statement that reads the same
-//!   snapshot probes it without reading a block of the inner key; a
-//!   write to the inner table, its compaction or a cold reset ends it.
-//!   A write to the outer table does not. Filtered and semi-reduced
-//!   builds live only as long as their statement.
+//!   (inner table, key column) and tagged with the snapshot it was
+//!   built from. A later statement that reads the same snapshot probes
+//!   it without reading a block of the inner key, at whatever worker
+//!   count: the partitioned table answers a probe alike however many
+//!   partitions it was built with. A write to the inner table, its
+//!   compaction or a cold reset ends it. A write to the outer table
+//!   does not. Filtered and semi-reduced builds live only as long as
+//!   their statement.
 //!
 //! [`JoinTreePlan::reuse_builds`]` = false` turns both off: every edge
 //! builds its own table, and the store's cache is neither read nor
@@ -402,7 +407,7 @@ fn execute_tree(
     for &ei in &plan.order {
         let edge = &spec.edges[ei];
         let shared = builds.ensure(ei)?;
-        let rep = InnerRep::build(store, &shared, &edge.right_output, plan.inners[ei])?;
+        let rep = InnerRep::build(store, &shared, &edge.right_output, plan.inners[ei], opts)?;
         let source = match spec.key_source(ei)? {
             JoinKeySource::Base => {
                 KeyFetch::Base(store.reader_for(&base_info, base_delta.as_ref(), edge.left_key)?)
@@ -531,7 +536,7 @@ impl TreeTask<'_> {
         // ---- The pipelined position intermediate --------------------------
         // Row i of the intermediate is (base_pos[i], rights[0][i], ...,
         // rights[slot-1][i]); every probe extends it in place.
-        let mut base_pos: Vec<Pos> = base.desc.iter().collect();
+        let mut base_pos: Vec<Pos> = base.desc.into_vec();
         let mut rights: Vec<Vec<u32>> = Vec::with_capacity(self.runs.len());
         for run in self.runs {
             let keys: ProbeKeys = match &run.source {
@@ -584,9 +589,9 @@ impl TreeTask<'_> {
         }
 
         // ---- Value fetch, once, at the top --------------------------------
-        // Base output values merge on the sorted (duplicated) positions;
-        // right output values come per edge, by that edge's strategy,
-        // every column of an edge in one gather.
+        // Base output values are gathered off the sorted (duplicated)
+        // positions; right output values come per edge, by that edge's
+        // strategy, every column of an edge in one gather.
         let mut gathered: Vec<Option<Vec<Vec<Value>>>> = vec![None; self.runs.len()];
         let mut cols: Vec<Vec<Value>> = Vec::with_capacity(self.out.len());
         for (i, oc) in self.out.iter().enumerate() {

@@ -6,7 +6,6 @@
 //! row-major tuples immediately.
 
 use matstrat_common::{Pos, Predicate, Result, Value};
-use matstrat_poslist::{PosList, PosVec};
 
 use crate::multicol::MiniColumn;
 
@@ -50,9 +49,8 @@ pub fn spc_scan(cols: &[(MiniColumn, Option<Predicate>)]) -> Result<SpcOutput> {
         if positions.is_empty() {
             break;
         }
-        let pl = PosList::Explicit(PosVec::from_sorted(positions.clone()));
         let mut vals = Vec::with_capacity(positions.len());
-        let kind = mini.fetch_values(&pl, &mut vals)?;
+        let kind = mini.fetch_sorted(&positions, &mut vals)?;
         if kind == crate::multicol::FetchKind::Decompressed {
             out.decompressed = true;
         }

@@ -281,6 +281,26 @@ impl Bitmap {
         out
     }
 
+    /// Append the set positions inside `window` to `out` in ascending
+    /// order, 64 positions per step whatever the alignment: each set bit
+    /// costs one bit scan, and clear words cost nothing more.
+    pub fn positions_in(&self, window: PosRange, out: &mut Vec<Pos>) {
+        let range = self.range.intersect(&window);
+        let mut base = range.start;
+        while base < range.end {
+            let mut w = self.get_word(base);
+            let left = range.end - base;
+            if left < 64 {
+                w &= (1u64 << left) - 1;
+            }
+            while w != 0 {
+                out.push(base + u64::from(w.trailing_zeros()));
+                w &= w - 1;
+            }
+            base += 64;
+        }
+    }
+
     /// Visit the maximal runs of set bits in ascending order, a word at a
     /// time: each run costs two bit scans, not one test per position.
     pub fn for_each_run(&self, mut f: impl FnMut(PosRange)) {
@@ -407,6 +427,29 @@ mod tests {
 
     fn r(s: u64, e: u64) -> PosRange {
         PosRange::new(s, e)
+    }
+
+    #[test]
+    fn positions_in_matches_the_iterator_at_any_alignment() {
+        let bm = Bitmap::from_positions(r(13, 400), (13..400).filter(|p| p % 3 == 0 || p % 7 == 1));
+        for (s, e) in [
+            (0, 500),
+            (13, 400),
+            (20, 21),
+            (77, 141),
+            (64, 128),
+            (399, 400),
+            (5, 13),
+        ] {
+            let mut got = vec![1];
+            bm.positions_in(r(s, e), &mut got);
+            let want: Vec<Pos> = std::iter::once(1)
+                .chain(bm.iter().filter(|&p| (s..e).contains(&p)))
+                .collect();
+            assert_eq!(got, want, "window {s}..{e}");
+        }
+        let full = crate::PosList::Bitmap(bm.clone());
+        assert_eq!(full.into_vec(), bm.iter().collect::<Vec<_>>());
     }
 
     #[test]

@@ -174,6 +174,27 @@ impl PosList {
         self.iter().collect()
     }
 
+    /// [`to_vec`](Self::to_vec), consuming the list: an explicit list
+    /// gives up its vector, a bitmap is read a word at a time and runs
+    /// are expanded, none through the per-position iterator.
+    pub fn into_vec(self) -> Vec<Pos> {
+        match self {
+            PosList::Explicit(v) => v.into_vec(),
+            PosList::Bitmap(b) => {
+                let mut out = Vec::with_capacity(b.count() as usize);
+                b.positions_in(b.covering(), &mut out);
+                out
+            }
+            PosList::Ranges(r) => {
+                let mut out = Vec::with_capacity(r.count() as usize);
+                for range in r.ranges() {
+                    out.extend(range.start..range.end);
+                }
+                out
+            }
+        }
+    }
+
     /// Iterate over positions in ascending order, whatever the repr.
     pub fn iter(&self) -> PosListIter<'_> {
         match self {

@@ -351,6 +351,8 @@ impl EncodedBlock {
     }
 
     /// [`gather`](Self::gather), written to the next cells of `out`.
+    /// Every position is checked against the block before any is read:
+    /// the codecs' kernels index by offset from the block's start.
     pub fn gather_into(&self, positions: &[Pos], out: &mut Slots<'_>) -> Result<()> {
         let cov = self.covering();
         if let Some(p) = positions.iter().find(|&&p| !cov.contains(p)) {

@@ -226,13 +226,26 @@ impl PlainBlock {
     }
 
     /// DS3 point fetch (O(1) per position; every position inside the
-    /// block), written to the next cells of `out`.
+    /// block), written to the next cells of `out`: one unpacking loop per
+    /// width, as in [`gather_ranges_into`](Self::gather_ranges_into), so
+    /// no value pays a width dispatch.
     pub fn gather_into(&self, positions: &[Pos], out: &mut Slots<'_>) {
-        out.put(
-            positions
-                .iter()
-                .map(|&p| self.decode_idx((p - self.start_pos) as usize)),
-        );
+        macro_rules! unpack {
+            ($t:ty) => {{
+                const W: usize = std::mem::size_of::<$t>();
+                let (raw, start) = (&self.raw[..], self.start_pos);
+                out.put(positions.iter().map(|&p| {
+                    let o = (p - start) as usize * W;
+                    <$t>::from_le_bytes(raw[o..o + W].try_into().unwrap()) as Value
+                }));
+            }};
+        }
+        match self.width {
+            Width::W1 => unpack!(i8),
+            Width::W2 => unpack!(i16),
+            Width::W4 => unpack!(i32),
+            Width::W8 => unpack!(i64),
+        }
     }
 
     /// DS3 over ascending, disjoint `ranges`, each clipped to the block,

@@ -33,9 +33,9 @@
 //! key column — depends only on a snapshot of that table, so it is
 //! resident state like a pooled block: the store keeps it between
 //! statements ([`Store::cached_build`], [`Store::cache_build`]), keyed
-//! by (table, key column, build workers) and tagged with the snapshot
-//! it was made from, the catalog entry's `wal_epoch` and the delta
-//! `Arc`. The delta is compared by pointer while the entry holds it, so
+//! by (table, key column) — one entry serves statements at any worker
+//! count — and tagged with the snapshot it was made from, the catalog
+//! entry's `wal_epoch` and the delta `Arc`. The delta is compared by pointer while the entry holds it, so
 //! the first write after that clones it ([`Arc::make_mut`]) and no
 //! later delta can share its address. Every event that outdates an
 //! entry passes through the store and drops the table's entries under
@@ -181,9 +181,10 @@ struct StoreInner {
     builds: Mutex<HashMap<ResidentKey, ResidentBuild>>,
 }
 
-/// Which build a resident entry is: (inner table, key column, build
-/// workers).
-pub type ResidentKey = (TableId, usize, usize);
+/// Which build a resident entry is: (inner table, key column). A build
+/// answers probes alike whatever worker count made it, so a table
+/// joined at several is resident once.
+pub type ResidentKey = (TableId, usize);
 
 /// A join build the store keeps between statements, with the snapshot
 /// of its table it was made from.
@@ -1404,7 +1405,7 @@ mod tests {
         let store = Store::in_memory();
         let (a, b) = demo_data();
         let id = store.load_projection(&demo_spec(), &[&a, &b]).unwrap();
-        let key = (id, 0, 1);
+        let key = (id, 0);
         let build = || Arc::new(7u32) as Arc<dyn Any + Send + Sync>;
         let hit = |store: &Store| {
             let (info, delta) = store.scan_snapshot(id).unwrap();

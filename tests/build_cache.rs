@@ -8,7 +8,7 @@
 //!   join, a star, a snowflake and an aggregate over the star under
 //!   every inner strategy, with INSERT and DELETE on inner and outer
 //!   tables, `compact` and `cold_reset` in between. A model of which
-//!   (inner table, key column, build workers) entries must be resident
+//!   (inner table, key column) entries must be resident
 //!   predicts every statement's `builds` / `build_reuses` and the
 //!   store's entry count, and the disk must hold exactly the column
 //!   files the catalog names after every step.
@@ -162,18 +162,10 @@ impl Fixture {
         ]
     }
 
-    /// The (inner table, key column, build workers) entry each edge of
-    /// `spec` is cached under at `threads`.
-    fn keys_of(&self, spec: &JoinTreeSpec, threads: usize) -> Vec<(TableId, usize, usize)> {
-        spec.edges
-            .iter()
-            .map(|e| {
-                let (info, delta) = self.store().scan_snapshot(e.right).unwrap();
-                let rows = info.num_rows + delta.map_or(0, |d| d.num_inserts() as u64);
-                let workers = FragmentPipeline::effective_workers(rows, GRANULE, threads);
-                (e.right, e.right_key, workers)
-            })
-            .collect()
+    /// The (inner table, key column) entry each edge of `spec` is cached
+    /// under, at any thread count.
+    fn keys_of(&self, spec: &JoinTreeSpec) -> Vec<(TableId, usize)> {
+        spec.edges.iter().map(|e| (e.right, e.right_key)).collect()
     }
 
     /// Logical rows of `table`, deleted ones included.
@@ -278,14 +270,14 @@ fn arb_op() -> impl PropStrategy<Value = Op> {
 fn interleave(ops: &[Op]) {
     let f = Fixture::new();
     let stmts = f.statements();
-    let mut resident: HashSet<(TableId, usize, usize)> = HashSet::new();
+    let mut resident: HashSet<(TableId, usize)> = HashSet::new();
     for (step, op) in ops.iter().enumerate() {
         let ctx = format!("step {step} {op:?}");
         match op {
             Op::Run(si, ii, threads) => {
                 let spec = &stmts[*si];
                 let (cached, rebuilt) = plans(spec.edges.len(), InnerStrategy::ALL[*ii]);
-                let keys = f.keys_of(spec, *threads);
+                let keys = f.keys_of(spec);
                 let (got, names, s) = run(&f, spec, &cached, *threads);
                 let (want, want_names, s_rebuilt) = run(&f, spec, &rebuilt, *threads);
                 assert_eq!(got, want, "{ctx}: bytes vs the rebuilt twin");
@@ -395,13 +387,13 @@ fn builds_and_reuses_follow_what_changed() {
     assert_eq!(counts(&f), (1, 1), "compacting the inner table rebuilds it");
     f.store().cold_reset();
     assert_eq!(counts(&f), (2, 0), "a cold store has nothing resident");
-    // Another worker count is another entry.
+    // Another worker count probes the same entries.
     assert_eq!(
         run(&f, star, &cached, 4).2.builds,
-        1,
+        0,
         "customer at 4 workers"
     );
-    assert_eq!(f.store().resident_builds(), 3);
+    assert_eq!(f.store().resident_builds(), 2);
 }
 
 /// Once a cached inner table is compacted and its statements are done,
@@ -443,11 +435,10 @@ fn compacting_a_cached_table_leaves_no_retired_files() {
 #[test]
 fn a_build_offered_after_its_table_changed_is_refused() {
     let f = Fixture::new();
-    let key = (f.customer, 0, 1);
+    let key = (f.customer, 0);
     fn offer(f: &Fixture, info: &ProjectionInfo, delta: Option<&Arc<TableDelta>>) -> bool {
         let build = Arc::new(()) as Arc<dyn std::any::Any + Send + Sync>;
-        f.store()
-            .cache_build((f.customer, 0, 1), info, delta, build)
+        f.store().cache_build((f.customer, 0), info, delta, build)
     }
     let writes: [&dyn Fn(&Fixture); 3] = [
         &|f| assert!(f.db.insert(f.customer, &[vec![1, 2, 3]]).is_ok()),
