@@ -29,10 +29,13 @@
 //! The hash table is flat: each partition holds one index from key to a
 //! dense id and one CSR array of positions, so a build allocates a fixed
 //! handful of vectors however many distinct keys the inner table holds.
+//! A partition whose live keys are all distinct (every primary key)
+//! drops the CSR arrays and indexes each key's one position instead.
 //! Each partition picks its index from the keys it is given: a slot
 //! array addressed by `key − min` when the keys are dense (every
 //! primary key and every shared-dictionary code in the paper's schema),
-//! a SipHash map otherwise.
+//! a SipHash map otherwise. A probe runs a whole span's keys through one
+//! loop made for the partition's layout (`SharedBuild::fan_out`).
 //! The build side is itself parallel. The right key column is scanned
 //! span-parallel on the [`FragmentPipeline`] substrate, each worker
 //! scattering its `(position, key)` pairs into per-worker **radix
@@ -139,14 +142,31 @@ pub(crate) struct PartitionedTable<K: JoinKey = Value> {
     parts: Vec<FlatTable<K>>,
 }
 
-/// One partition's table without an allocation per key: `index` maps
-/// each distinct key to a dense id, and id `i`'s ascending positions are
-/// `positions[offsets[i]..offsets[i + 1]]` (CSR). O(rows + distinct
-/// keys) `u32`s in three allocations.
+/// One partition's table without an allocation per key. When its live
+/// keys repeat, `index` maps each distinct key to a dense id, and id
+/// `i`'s ascending positions are `positions[offsets[i]..offsets[i + 1]]`
+/// (CSR): O(rows + distinct keys) `u32`s in three allocations. When
+/// every live key is distinct (every primary key), `index` holds each
+/// key's one position where its id would be and `runs` is `None`, so a
+/// lookup is one load.
 struct FlatTable<K: JoinKey> {
     index: KeyIndex<K>,
+    runs: Option<Runs>,
+}
+
+/// A non-unique partition's CSR position runs, by key id.
+struct Runs {
     offsets: Vec<u32>,
     positions: Vec<u32>,
+}
+
+impl Runs {
+    /// Id `id`'s ascending positions.
+    #[inline]
+    fn of(&self, id: u32) -> &[u32] {
+        let id = id as usize;
+        &self.positions[self.offsets[id] as usize..self.offsets[id + 1] as usize]
+    }
 }
 
 /// A dense key domain gets a slot array when its `[min, max]` span is at
@@ -158,11 +178,13 @@ const DENSE_SLOTS_PER_ROW: usize = 4;
 /// A slot that holds no key.
 const NO_KEY: u32 = u32::MAX;
 
-/// A flat table's key → id index, chosen per build from its keys.
+/// A flat table's key → entry index, chosen per build from its keys. An
+/// entry is the key's id into the CSR runs, or, in a unique partition,
+/// the key's one position.
 enum KeyIndex<K: JoinKey> {
-    /// `slots[key − min]` is the key's id, [`NO_KEY`] for a key the build
-    /// never saw. No hash to compute or flood, and its length is bounded
-    /// by the build's own rows.
+    /// `slots[key − min]` is the key's entry, [`NO_KEY`] for a key the
+    /// build never saw. No hash to compute or flood, and its length is
+    /// bounded by the build's own rows.
     Dense { min: i64, slots: Vec<u32> },
     /// Sparse or hostile key sets keep SipHash.
     Sparse(HashMap<K, u32>),
@@ -193,11 +215,14 @@ impl<K: JoinKey> KeyIndex<K> {
     }
 
     /// `key`'s slot in a dense index: `None` for a key outside
-    /// `[min, max]`, whose offset is negative or past the array.
+    /// `[min, max]`. The offset is taken mod 2^64, one subtraction and one
+    /// compare: `[min, min + len)` lies inside `i64`, so an offset below
+    /// `len` names exactly one key, and a key below `min` or too far
+    /// above it wraps past the array.
     #[inline]
     fn slot(min: i64, slots: &[u32], key: K) -> Option<usize> {
-        let off = usize::try_from(key.ordinal().checked_sub(min)?).ok()?;
-        (off < slots.len()).then_some(off)
+        let off = key.ordinal().wrapping_sub(min) as u64;
+        (off < slots.len() as u64).then_some(off as usize)
     }
 
     /// `key`'s id, giving it `next` if it has none yet.
@@ -216,27 +241,102 @@ impl<K: JoinKey> KeyIndex<K> {
         }
     }
 
-    /// `key`'s id, if the build saw it.
+    /// `key`'s entry, if the build saw it.
     #[inline]
-    fn get(&self, key: K) -> Option<u32> {
+    fn entry(&self, key: K) -> Option<&u32> {
         match self {
             KeyIndex::Dense { min, slots } => {
-                let id = slots[Self::slot(*min, slots, key)?];
-                (id != NO_KEY).then_some(id)
+                let e = &slots[Self::slot(*min, slots, key)?];
+                (*e != NO_KEY).then_some(e)
             }
-            KeyIndex::Sparse(map) => map.get(&key).copied(),
+            KeyIndex::Sparse(map) => map.get(&key),
         }
+    }
+
+    /// Replace every entry `e` by `f(e)`.
+    fn remap(&mut self, f: impl Fn(u32) -> u32) {
+        match self {
+            KeyIndex::Dense { slots, .. } => {
+                for e in slots.iter_mut().filter(|e| **e != NO_KEY) {
+                    *e = f(*e);
+                }
+            }
+            KeyIndex::Sparse(map) => {
+                for e in map.values_mut() {
+                    *e = f(*e);
+                }
+            }
+        }
+    }
+}
+
+/// One edge's probe over a span's keys: this edge's matched right
+/// positions, one per output row, and the selection vector naming each
+/// output row's input row. Input rows stay in order and a key's matches
+/// ascend, so repeated rows keep the nested-loop order.
+pub(crate) struct FanOut {
+    /// The matched right positions.
+    pub(crate) right: Vec<u32>,
+    /// Each output row's input row, or `None` when every input row hit
+    /// exactly once, so output row `i` is input row `i`.
+    pub(crate) sel: Option<Vec<usize>>,
+}
+
+/// The fan-out over a unique layout, where `entry(key)` is the key's
+/// one position or [`NO_KEY`]. One pass looks every key up; unless some
+/// key missed, that is the whole fan-out. Otherwise the hits are packed
+/// in place: every row writes the next cell and the cursor advances by
+/// hit, so a miss costs no branch.
+fn fan_out_unique<T: Copy>(keys: &[T], entry: impl Fn(T) -> u32) -> FanOut {
+    let mut right: Vec<u32> = keys.iter().map(|&k| entry(k)).collect();
+    if !right.contains(&NO_KEY) {
+        return FanOut { right, sel: None };
+    }
+    let mut sel = vec![0; right.len()];
+    let mut at = 0;
+    for i in 0..right.len() {
+        let p = right[i];
+        right[at] = p;
+        sel[at] = i;
+        at += usize::from(p != NO_KEY);
+    }
+    right.truncate(at);
+    sel.truncate(at);
+    FanOut {
+        right,
+        sel: Some(sel),
+    }
+}
+
+/// The fan-out over any layout, where `get(key)` is the key's ascending
+/// positions: one output row per match, each input row repeated once per
+/// position, in input order.
+fn fan_out_runs<'t, T: Copy>(keys: &[T], get: impl Fn(T) -> Option<&'t [u32]>) -> FanOut {
+    let mut right = Vec::with_capacity(keys.len());
+    let mut sel = Vec::with_capacity(keys.len());
+    let mut every_row_once = true;
+    for (i, &k) in keys.iter().enumerate() {
+        let rps = get(k).unwrap_or_default();
+        every_row_once &= rps.len() == 1;
+        sel.extend(std::iter::repeat_n(i, rps.len()));
+        right.extend_from_slice(rps);
+    }
+    FanOut {
+        right,
+        sel: (!every_row_once).then_some(sel),
     }
 }
 
 impl<K: JoinKey> FlatTable<K> {
     /// Build over `rows`, (position, key) pairs in ascending position
     /// order: a pass over the keys' bounds picks the index, the next
-    /// gives each new key the next id and records every row's id, a
-    /// prefix sum over the id counts places each run, and the last
-    /// scatters the positions into their runs in arrival order. `rows`
-    /// is cloned for each pass, so it must be a cheap iterator; `cap` is
-    /// the row count it yields, at most.
+    /// gives each new key the next id and records every row's id. If no
+    /// key repeated, each id is its row's arrival index, and the index
+    /// takes that row's position in its place. Otherwise a prefix sum
+    /// over the id counts places each run, and the last pass scatters the
+    /// positions into their runs in arrival order. `rows` is cloned for
+    /// each pass, so it must be a cheap iterator; `cap` is the row count
+    /// it yields, at most.
     fn build<I>(rows: I, cap: usize) -> FlatTable<K>
     where
         I: Iterator<Item = (u32, K)> + Clone,
@@ -252,6 +352,11 @@ impl<K: JoinKey> FlatTable<K> {
             }
             counts[id as usize] += 1;
             ids.push(id);
+        }
+        if counts.len() == ids.len() {
+            let arrivals: Vec<u32> = rows.map(|(pos, _)| pos).collect();
+            index.remap(|id| arrivals[id as usize]);
+            return FlatTable { index, runs: None };
         }
         let mut offsets = Vec::with_capacity(counts.len() + 1);
         offsets.push(0);
@@ -271,22 +376,55 @@ impl<K: JoinKey> FlatTable<K> {
         }
         FlatTable {
             index,
-            offsets,
-            positions,
+            runs: Some(Runs { offsets, positions }),
         }
     }
 
     /// The ascending positions holding `key`, if any.
     #[inline]
     fn get(&self, key: K) -> Option<&[u32]> {
-        let id = self.index.get(key)? as usize;
-        Some(&self.positions[self.offsets[id] as usize..self.offsets[id + 1] as usize])
+        let e = self.index.entry(key)?;
+        Some(match &self.runs {
+            None => std::slice::from_ref(e),
+            Some(runs) => runs.of(*e),
+        })
+    }
+
+    /// Probe every key of `keys` in one pass made for this partition's
+    /// layout (see [`SharedBuild::fan_out`]).
+    fn fan_out(&self, keys: &[K]) -> FanOut {
+        match &self.index {
+            KeyIndex::Dense { min, slots } => self.fan_out_by(keys, |k| {
+                KeyIndex::slot(*min, slots, k).map_or(NO_KEY, |off| slots[off])
+            }),
+            KeyIndex::Sparse(map) => {
+                self.fan_out_by(keys, |k| map.get(&k).copied().unwrap_or(NO_KEY))
+            }
+        }
+    }
+
+    /// [`fan_out`](Self::fan_out) over one index's `entry` lookup.
+    #[inline]
+    fn fan_out_by(&self, keys: &[K], entry: impl Fn(K) -> u32) -> FanOut {
+        match &self.runs {
+            None => fan_out_unique(keys, entry),
+            Some(runs) => fan_out_runs(keys, |k| match entry(k) {
+                NO_KEY => None,
+                id => Some(runs.of(id)),
+            }),
+        }
     }
 
     /// Whether the build chose the slot array.
     #[cfg(test)]
     fn is_dense(&self) -> bool {
         matches!(self.index, KeyIndex::Dense { .. })
+    }
+
+    /// Whether the index holds each key's one position (no CSR runs).
+    #[cfg(test)]
+    fn is_direct(&self) -> bool {
+        self.runs.is_none()
     }
 }
 
@@ -359,6 +497,17 @@ impl<K: JoinKey> PartitionedTable<K> {
             self.parts[partition_of(key, self.parts.len())].get(key)
         }
     }
+
+    /// Probe every key of `keys` in one pass (see
+    /// [`SharedBuild::fan_out`]): a serial build's one partition runs the
+    /// loop made for its layout; a partitioned build, whose partitions
+    /// may differ in layout, looks each key up in its own partition.
+    fn fan_out(&self, keys: &[K]) -> FanOut {
+        match self.parts.as_slice() {
+            [one] => one.fan_out(keys),
+            _ => fan_out_runs(keys, |k| self.get(k)),
+        }
+    }
 }
 
 /// The build side's hash table, in one of two key domains.
@@ -383,6 +532,14 @@ pub(crate) enum KeyTable {
         /// blocks before any code is trusted.
         fingerprint: u64,
     },
+}
+
+/// One span's probe keys for one edge, in whichever domain that edge's
+/// build hashes: u32 dictionary codes when the span's key blocks carry
+/// the build's shared dictionary, decoded values otherwise.
+pub(crate) enum ProbeKeys {
+    Values(Vec<Value>),
+    Codes(Vec<u32>),
 }
 
 /// The strategy-independent half of a join's build side: the partitioned
@@ -620,14 +777,19 @@ impl SharedBuild {
         }
     }
 
-    /// Probe with a dictionary code — valid only when the probe side
-    /// verified its blocks share the build dictionary (see
-    /// [`SharedBuild::code_dict`]).
-    #[inline]
-    pub(crate) fn probe_code(&self, code: u32) -> Option<&[u32]> {
-        match &self.table {
-            KeyTable::Codes { table, .. } => table.get(code),
-            KeyTable::Values(_) => unreachable!("probe_code on a value-keyed table"),
+    /// Probe a span's keys in one pass, dispatched once on the table's
+    /// domain and layout (see [`FanOut`]). Codes are valid only when the
+    /// probe side verified its blocks share the build dictionary (see
+    /// [`SharedBuild::code_dict`]); values probe a code table through the
+    /// dictionary, as [`probe`](Self::probe) does.
+    pub(crate) fn fan_out(&self, keys: &ProbeKeys) -> FanOut {
+        match (&self.table, keys) {
+            (KeyTable::Values(table), ProbeKeys::Values(v)) => table.fan_out(v),
+            (KeyTable::Codes { table, .. }, ProbeKeys::Codes(c)) => table.fan_out(c),
+            (KeyTable::Codes { .. }, ProbeKeys::Values(v)) => fan_out_runs(v, |k| self.probe(k)),
+            (KeyTable::Values(_), ProbeKeys::Codes(_)) => {
+                unreachable!("code probe on a value-keyed table")
+            }
         }
     }
 
@@ -1276,9 +1438,10 @@ mod tests {
             let table = PartitionedTable::build(keys, deletes, &pipeline).unwrap();
             let workers = pipeline.workers();
             assert_eq!(table.parts.len(), workers);
-            // Each partition's (min, max, rows) over its live keys, in
-            // i128 so the span of i64::MIN..=i64::MAX cannot wrap.
-            let mut bounds = vec![(i128::MAX, i128::MIN, 0i128); workers];
+            // Each partition's (min, max, rows, distinct keys) over its
+            // live keys, in i128 so the span of i64::MIN..=i64::MAX
+            // cannot wrap.
+            let mut bounds = vec![(i128::MAX, i128::MIN, 0i128, 0i128); workers];
             for (&key, list) in &oracle {
                 let p = if workers == 1 {
                     0
@@ -1287,24 +1450,43 @@ mod tests {
                 };
                 let k = i128::from(key.ordinal());
                 let b = &mut bounds[p];
-                *b = (b.0.min(k), b.1.max(k), b.2 + list.len() as i128);
+                *b = (b.0.min(k), b.1.max(k), b.2 + list.len() as i128, b.3 + 1);
             }
-            for (p, &(lo, hi, rows)) in bounds.iter().enumerate() {
+            for (p, &(lo, hi, rows, distinct)) in bounds.iter().enumerate() {
                 // A span of hi − lo + 1 slots, at most the cutoff.
                 let dense = rows > 0 && hi - lo < rows * DENSE_SLOTS_PER_ROW as i128;
-                assert_eq!(
-                    table.parts[p].is_dense(),
-                    dense,
-                    "partition {p} of {workers}: keys {lo}..={hi} over {rows} rows"
+                let part = &table.parts[p];
+                let shape = format!(
+                    "partition {p} of {workers}: keys {lo}..={hi}, {distinct} over {rows} rows"
                 );
+                assert_eq!(part.is_dense(), dense, "{shape}");
+                assert_eq!(part.is_direct(), rows == distinct, "{shape}");
             }
-            for &k in keys.iter().chain(probes) {
+            let probed: Vec<K> = keys.iter().chain(probes).copied().collect();
+            for &k in &probed {
                 assert_eq!(
                     table.get(k),
                     oracle.get(&k).map(Vec::as_slice),
-                    "key {k:?}, {} partitions, granule {granule}",
-                    pipeline.workers()
+                    "key {k:?}, {workers} partitions, granule {granule}"
                 );
+            }
+            // The one-pass fan-out: every probe's matches, in probe order,
+            // over the probes and over the live keys alone (where a unique
+            // table hits every row once).
+            let live: Vec<K> = oracle.keys().copied().collect();
+            for probed in [&probed, &live] {
+                let want: Vec<(usize, u32)> = probed
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(i, k)| oracle.get(k).into_iter().flatten().map(move |&rp| (i, rp)))
+                    .collect();
+                let FanOut { right, sel } = table.fan_out(probed);
+                let every_row_once = want.iter().enumerate().all(|(j, &(i, _))| i == j)
+                    && want.len() == probed.len();
+                assert_eq!(sel.is_none(), every_row_once, "{workers} partitions");
+                let sel = sel.unwrap_or_else(|| (0..right.len()).collect());
+                let got: Vec<(usize, u32)> = sel.into_iter().zip(right).collect();
+                assert_eq!(got, want, "{workers} partitions, granule {granule}");
             }
         }
     }
@@ -1318,10 +1500,13 @@ mod tests {
         /// key sets, dense runs pinned to either end of `i64`, spans at
         /// the slot array's cutoff and one past it, negative keys with
         /// holes, random tombstones, serial and partitioned builds —
-        /// both indexes, on both sides of the density line.
+        /// both indexes, on both sides of the density line — and unique
+        /// key sets, which hold positions in place of ids: dense with
+        /// holes, spread from `i64::MIN` to `i64::MAX`, sparse, and a
+        /// repeated key whose twin is deleted.
         #[test]
         fn flat_table_answers_as_the_push_loop(
-            shape in 0u8..11,
+            shape in 0u8..15,
             n in 1usize..400,
             draws in proptest::collection::vec(0u64..u64::MAX, 400..401),
             dead in proptest::collection::vec(0u8..100, 400..401),
@@ -1348,11 +1533,23 @@ mod tests {
                     8 if i == n - 1 => base + cutoff - 1,
                     9 if i == n - 1 => base + cutoff,
                     8 | 9 => base + (draws[i] % cutoff as u64) as Value,
+                    11 => 3 * i as Value,
+                    12 if i % 2 == 0 => Value::MIN + i as Value,
+                    12 => Value::MAX - i as Value,
+                    // Only the last row repeats a key, and it is deleted.
+                    13 if i > 0 && i == n - 1 => 0,
+                    13 => i as Value,
+                    // Distinct low bits under random high ones.
+                    14 => ((draws[i] << 9) | i as u64) as Value,
                     _ => -1 - (draws[i] % (2 * n as u64)) as Value,
                 })
                 .collect();
             let deletes: Vec<u64> = (0..n as u64)
-                .filter(|&p| !matches!(shape, 8 | 9) && dead[p as usize] < dead_pct)
+                .filter(|&p| match shape {
+                    8 | 9 => false,
+                    13 => p + 1 == n as u64,
+                    _ => dead[p as usize] < dead_pct,
+                })
                 .collect();
             let mut probes: Vec<Value> = extremes.to_vec();
             probes.extend(draws[..8].iter().map(|&d| d as Value));

@@ -24,6 +24,20 @@
 //! columns are never read. That is the paper's late-materialization
 //! discipline carried across a whole join tree.
 //!
+//! # One pass per edge
+//!
+//! An edge probes a span's keys in one call
+//! (`SharedBuild::fan_out`), which matches the table's key domain and
+//! layout once and runs a loop made for it. A partition whose live keys
+//! are all distinct (every primary key) holds each key's one position
+//! where a repeating partition holds an id into its position runs, so
+//! its lookup is one load, and its loop writes every row's match without
+//! a branch per miss. Every layout yields the same shape: this edge's
+//! right positions plus a selection vector naming each output row's
+//! input row, through which `base_pos` and the earlier edges' positions
+//! are gathered once. When every row hit exactly once there is no
+//! selection vector, and the earlier columns stand as they are.
+//!
 //! # Build caching
 //!
 //! The partitioned hash table depends only on a snapshot of the (inner
@@ -101,7 +115,8 @@ use matstrat_storage::{ColumnReader, Store};
 use crate::exec::{deletes_in, drive, filter_window, ExecOptions, Finish, Sink};
 use crate::multicol::MiniColumn;
 use crate::ops::join::{
-    decode_snapshot, fetch_codes_expanded, fetch_expanded, BuildReducer, InnerRep, SharedBuild,
+    decode_snapshot, fetch_codes_expanded, fetch_expanded, BuildReducer, FanOut, InnerRep,
+    ProbeKeys, SharedBuild,
 };
 use crate::ops::merge::Part;
 use crate::query::{metered, JoinKeySource, JoinTreeSpec, QueryResult, QueryStats};
@@ -203,8 +218,9 @@ impl JoinTreePlan {
 /// inner filter, *and* the set of bushy children reducing the build all
 /// agree — anything less would let a reduced table serve an edge whose
 /// probes must see the reduced-out rows. Only a signature with neither
-/// reducer is also looked up among the store's resident builds, whose
-/// key adds the build's worker count (its radix partitioning).
+/// reducer is also looked up among the store's resident builds, keyed by
+/// (inner table, key column) alone: a table answers a probe alike
+/// whatever worker count built it.
 type BuildKey = (TableId, usize, Option<(usize, Predicate)>, Vec<usize>);
 
 /// Everything one edge's probe needs, shared read-only by all workers.
@@ -222,23 +238,6 @@ struct EdgeRun {
 enum KeyFetch {
     Base(ColumnReader),
     Prev { slot: usize, keys: Arc<Vec<Value>> },
-}
-
-/// One span's probe keys for one edge, in whichever domain that edge's
-/// build hashes: u32 dictionary codes when the span's key blocks carry
-/// the build's shared dictionary, decoded values otherwise.
-enum ProbeKeys {
-    Values(Vec<Value>),
-    Codes(Vec<u32>),
-}
-
-impl ProbeKeys {
-    fn len(&self) -> usize {
-        match self {
-            ProbeKeys::Values(v) => v.len(),
-            ProbeKeys::Codes(c) => c.len(),
-        }
-    }
 }
 
 /// The build phase: every edge's [`SharedBuild`], made at most once per
@@ -561,31 +560,17 @@ impl TreeTask<'_> {
                     ProbeKeys::Values(rights[*j].iter().map(|&rp| keys[rp as usize]).collect())
                 }
             };
-            // Fan out: base positions ascend and each key's match list
-            // ascends, so row order stays the nested-loop order of the
-            // execution sequence.
-            let mut new_base = Vec::with_capacity(base_pos.len());
-            let mut new_rights: Vec<Vec<u32>> =
-                rights.iter().map(|r| Vec::with_capacity(r.len())).collect();
-            let mut this_right: Vec<u32> = Vec::with_capacity(base_pos.len());
-            for i in 0..keys.len() {
-                let rps = match &keys {
-                    ProbeKeys::Values(v) => run.shared.probe(v[i]),
-                    ProbeKeys::Codes(c) => run.shared.probe_code(c[i]),
-                };
-                if let Some(rps) = rps {
-                    for &rp in rps {
-                        new_base.push(base_pos[i]);
-                        for (c, col) in new_rights.iter_mut().enumerate() {
-                            col.push(rights[c][i]);
-                        }
-                        this_right.push(rp);
-                    }
+            // Fan out: one pass yields this edge's right positions and,
+            // unless every row hit exactly once, the selection vector
+            // through which the earlier columns are then gathered once.
+            let FanOut { right, sel } = run.shared.fan_out(&keys);
+            if let Some(sel) = sel {
+                base_pos = sel.iter().map(|&i| base_pos[i]).collect();
+                for col in &mut rights {
+                    *col = sel.iter().map(|&i| col[i]).collect();
                 }
             }
-            base_pos = new_base;
-            rights = new_rights;
-            rights.push(this_right);
+            rights.push(right);
         }
 
         // ---- Value fetch, once, at the top --------------------------------
@@ -976,6 +961,101 @@ mod tests {
                 let rows: Vec<Vec<Value>> = got.rows().map(|r| r.to_vec()).collect();
                 assert_eq!(rows, want, "{g} {v} {func:?}");
                 assert_eq!(got.column_names[0], flat.column_names[g], "{func:?}");
+            }
+        }
+    }
+
+    /// facts(a, b, c, v) joined in spec order to three dimensions: `dup`
+    /// holds some `a` keys twice (a fan-out edge), `part` holds every `b`
+    /// key once but its pushed-down filter drops some (a unique edge that
+    /// misses rows), and `full` holds every `c` key once (a unique edge
+    /// every row hits, whose earlier columns stand as they are). With
+    /// `codes`, every key column is a shared dictionary, so each edge
+    /// probes in the code domain.
+    fn fan_out_then_unique_setup(store: &Store, codes: bool) -> JoinTreeSpec {
+        let spec = |name: &str, cols: &[&str]| {
+            cols.iter().fold(ProjectionSpec::new(name), |s, &c| {
+                if codes && c.starts_with('k') {
+                    s.column_shared_dict(c, SortOrder::None)
+                } else {
+                    s.column(c, Ek::Plain, SortOrder::None)
+                }
+            })
+        };
+        let n = 240i64;
+        let a: Vec<Value> = (0..n).map(|i| (i * 5) % 8).collect();
+        let b: Vec<Value> = (0..n).map(|i| (i * 7) % 12).collect();
+        let c: Vec<Value> = (0..n).map(|i| i % 5).collect();
+        let v: Vec<Value> = (0..n).collect();
+        let facts = store
+            .load_projection(&spec("facts", &["v", "ka", "kb", "kc"]), &[&v, &a, &b, &c])
+            .unwrap();
+        let dup_k: Vec<Value> = (0..8).chain([0, 3, 6]).collect();
+        let dup_w: Vec<Value> = (0..dup_k.len() as Value).map(|r| 1000 + r).collect();
+        let dup = store
+            .load_projection(&spec("dup", &["k", "w"]), &[&dup_k, &dup_w])
+            .unwrap();
+        let part_k: Vec<Value> = (0..12).collect();
+        let part_p: Vec<Value> = part_k.iter().map(|k| k * 100).collect();
+        let part = store
+            .load_projection(&spec("part", &["k", "p"]), &[&part_k, &part_p])
+            .unwrap();
+        let full_k: Vec<Value> = (0..5).collect();
+        let full_q: Vec<Value> = full_k.iter().map(|k| k + 50).collect();
+        let full = store
+            .load_projection(&spec("full", &["k", "q"]), &[&full_k, &full_q])
+            .unwrap();
+        let edge = |right, left_key, right_filter, left_output| JoinSpec {
+            left: facts,
+            right,
+            left_key,
+            right_key: 0,
+            left_filter: None,
+            right_filter,
+            left_output,
+            right_output: vec![1],
+        };
+        JoinTreeSpec::new(vec![
+            edge(dup, 1, None, vec![0]),
+            edge(part, 2, Some((1, Predicate::lt(700))), vec![]),
+            edge(full, 3, None, vec![]),
+        ])
+    }
+
+    #[test]
+    fn fan_out_then_unique_edges_match_row_oracle() {
+        let dup_k: Vec<Value> = (0..8).chain([0, 3, 6]).collect();
+        let mut want = Vec::new();
+        for i in 0..240i64 {
+            let (a, b, c) = ((i * 5) % 8, (i * 7) % 12, i % 5);
+            for (r, _) in dup_k.iter().enumerate().filter(|&(_, &k)| k == a && b < 7) {
+                want.push(vec![i, 1000 + r as Value, b * 100, c + 50]);
+            }
+        }
+        want.sort_unstable();
+        for codes in [false, true] {
+            let store = Store::in_memory();
+            let spec = fan_out_then_unique_setup(&store, codes);
+            for inner in InnerStrategy::ALL {
+                let plan = JoinTreePlan {
+                    reuse_builds: false,
+                    ..JoinTreePlan::in_spec_order(vec![inner; 3])
+                };
+                let mut serial = None;
+                for workers in [1, 2, 3, 8] {
+                    let opts = ExecOptions {
+                        granule: 4,
+                        parallelism: workers,
+                        ..ExecOptions::default()
+                    };
+                    let (got, stats) =
+                        hash_join_tree_with_options(&store, &spec, &plan, &opts).unwrap();
+                    let what = format!("codes={codes} {inner:?} workers={workers}");
+                    assert_eq!(got.sorted_rows(), want, "{what}");
+                    assert_eq!(stats.code_path_ops > 0, codes, "{what}");
+                    let serial = serial.get_or_insert_with(|| got.flat().to_vec());
+                    assert_eq!(got.flat(), serial.as_slice(), "{what}");
+                }
             }
         }
     }

@@ -138,6 +138,11 @@ fn push_with(
     r
 }
 
+/// The error a position fetch outside block `cov` raises.
+fn outside_block(p: Pos, cov: PosRange) -> Error {
+    Error::invalid(format!("position {p} outside block {cov}"))
+}
+
 /// A parsed, still-compressed block of one column.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EncodedBlock {
@@ -340,24 +345,43 @@ impl EncodedBlock {
         }
     }
 
-    /// DS3 point form: values at the given ascending absolute positions
-    /// (all inside this block), appended to `out`.
+    /// DS3 point form: values at the given absolute positions, in any
+    /// order (all inside this block), appended to `out`. Every position
+    /// is checked against the block before any is read: the codecs'
+    /// kernels index by offset from the block's start.
     ///
     /// Errors with [`Error::Unsupported`] on bit-vector blocks.
     pub fn gather(&self, positions: &[Pos], out: &mut Vec<Value>) -> Result<()> {
+        let cov = self.covering();
+        if let Some(&p) = positions.iter().find(|&&p| !cov.contains(p)) {
+            return Err(outside_block(p, cov));
+        }
         push_with(out, positions.len(), |cells| {
-            self.gather_into(positions, cells)
+            self.gather_unchecked(positions, cells)
         })
     }
 
-    /// [`gather`](Self::gather), written to the next cells of `out`.
-    /// Every position is checked against the block before any is read:
-    /// the codecs' kernels index by offset from the block's start.
+    /// [`gather`](Self::gather) at **ascending** positions (repeats
+    /// allowed), written to the next cells of `out`. Ascending, the
+    /// positions all lie in the block once the first and the last do, so
+    /// only those two are checked before any is read.
     pub fn gather_into(&self, positions: &[Pos], out: &mut Slots<'_>) -> Result<()> {
+        debug_assert!(positions.is_sorted(), "positions must ascend");
         let cov = self.covering();
-        if let Some(p) = positions.iter().find(|&&p| !cov.contains(p)) {
-            return Err(Error::invalid(format!("position {p} outside block {cov}")));
+        if let Some(&p) = [positions.first(), positions.last()]
+            .into_iter()
+            .flatten()
+            .find(|&&p| !cov.contains(p))
+        {
+            return Err(outside_block(p, cov));
         }
+        self.gather_unchecked(positions, out)
+    }
+
+    /// The codec kernels behind [`gather`](Self::gather) and
+    /// [`gather_into`](Self::gather_into), on positions already checked
+    /// against the block.
+    fn gather_unchecked(&self, positions: &[Pos], out: &mut Slots<'_>) -> Result<()> {
         match self {
             EncodedBlock::Plain(b) => b.gather_into(positions, out),
             EncodedBlock::Rle(b) => b.gather_into(positions, out),
@@ -592,6 +616,34 @@ mod tests {
                 .collect();
             let got: Vec<(Pos, Value)> = pos.into_iter().zip(val).collect();
             assert_eq!(got, expected, "{:?}", block.encoding());
+        }
+    }
+
+    /// `gather_into` checks only the ends of its ascending slice, so a
+    /// slice starting before the block or ending past it errs before any
+    /// cell is written; `gather`, in any order, checks every position.
+    #[test]
+    fn gather_outside_the_block_errs_and_writes_nothing() {
+        let values = sample_values();
+        let (start, end) = (100, 100 + values.len() as u64);
+        let blocks = all_blocks(&values, start);
+        for positions in [
+            vec![start - 1, start, start + 3],
+            vec![start, start + 3, end],
+            vec![start - 1, end],
+        ] {
+            for block in &blocks {
+                let mut cells = vec![-7 as Value; positions.len()];
+                let mut out = Slots::column(&mut cells, 0, 1);
+                assert!(block.gather_into(&positions, &mut out).is_err());
+                assert_eq!(out.len(), positions.len(), "{:?}", block.encoding());
+                assert!(cells.iter().all(|&v| v == -7), "{:?}", block.encoding());
+            }
+        }
+        let mut out = vec![5];
+        for block in &blocks {
+            assert!(block.gather(&[start + 3, end, start], &mut out).is_err());
+            assert_eq!(out, vec![5], "{:?}", block.encoding());
         }
     }
 
