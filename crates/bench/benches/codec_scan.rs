@@ -76,7 +76,7 @@ fn bench_ds3(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::from_parameter(enc.name()), &m, |b, m| {
             b.iter(|| {
                 let mut out = Vec::new();
-                // fetch_values decompresses for bit-vector (its only path).
+                // fetch_values decompresses inside the bit-vector codec.
                 m.fetch_values(&pl, &mut out).unwrap();
                 black_box(out.len())
             })

@@ -613,12 +613,15 @@ impl<'a> Granule<'_, 'a> {
                 Ok(m)
             })
             .collect::<Result<Vec<_>>>()?;
-        // A value fetch decompresses exactly when a block cannot gather.
-        // An aggregate's group column is consumed by runs, not fetched.
+        // A value fetch decompresses exactly when it touches bit-vector
+        // data. An aggregate's group column is consumed by runs, not
+        // fetched.
         let fetched = &out[self.task.q.aggregate.is_some() as usize..];
         Ok(GranuleOut {
             matched,
-            decompressed: fetched.iter().any(|m| !m.supports_position_fetch()),
+            decompressed: fetched
+                .iter()
+                .any(|m| m.fetch_kind() == FetchKind::Decompressed),
             zone_skips,
             part: Some(Part::Late { desc, minis: out }),
         })

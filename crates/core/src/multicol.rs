@@ -20,7 +20,9 @@ use std::sync::Arc;
 
 use matstrat_common::{Error, Pos, PosRange, Predicate, Result, Value};
 use matstrat_poslist::{Bitmap, PosList, PosListBuilder, RangeList};
-use matstrat_storage::{ColumnReader, DictBlock, EncodedBlock, Slots};
+use matstrat_storage::{
+    BlockIndexEntry, ColumnReader, DictBlock, EncodedBlock, EncodingKind, Slots,
+};
 
 /// How a value fetch was satisfied — used by execution stats to report
 /// when the bit-vector decompression penalty was paid.
@@ -28,8 +30,9 @@ use matstrat_storage::{ColumnReader, DictBlock, EncodedBlock, Slots};
 pub enum FetchKind {
     /// Values were gathered by position (DS3 proper).
     Gathered,
-    /// The codec cannot jump to positions; the window was decompressed
-    /// and then filtered (bit-vector path).
+    /// The fetch touched bit-vector data, which decompresses inside the
+    /// codec: a position's value is found only by reading every
+    /// bit-string over it (§4.1).
     Decompressed,
 }
 
@@ -52,7 +55,7 @@ impl MiniColumn {
     /// Fetch every block overlapping `window` (clamped to the column's
     /// rows) through the buffer pool.
     pub fn fetch(reader: &ColumnReader, window: PosRange) -> Result<MiniColumn> {
-        Ok(Self::walk(reader, window, None)?.0)
+        Ok(Self::walk(reader, window, |_| true)?.0)
     }
 
     /// Fetch every block overlapping `window` whose index **zone map**
@@ -70,20 +73,20 @@ impl MiniColumn {
         window: PosRange,
         pred: &Predicate,
     ) -> Result<(MiniColumn, u64)> {
-        Self::walk(reader, window, Some(pred))
+        Self::walk(reader, window, |meta| meta.zone_overlaps(pred))
     }
 
-    /// The block walk behind [`Self::fetch`] and [`Self::fetch_pruned`]:
-    /// every block overlapping `window`, less those whose zone map
-    /// excludes `zone`'s predicate, which are counted instead.
+    /// The one block walk behind every fetch: the blocks overlapping
+    /// `window` in order, each read only if `keep` admits its index entry
+    /// and counted otherwise.
     fn walk(
         reader: &ColumnReader,
         window: PosRange,
-        zone: Option<&Predicate>,
+        mut keep: impl FnMut(&BlockIndexEntry) -> bool,
     ) -> Result<(MiniColumn, u64)> {
         let window = window.intersect(&PosRange::new(0, reader.num_rows()));
         let mut blocks = Vec::new();
-        let mut pruned = 0u64;
+        let mut skipped = 0u64;
         if !window.is_empty() {
             let mut idx = reader.block_for_pos(window.start)?;
             while idx < reader.num_blocks() {
@@ -91,15 +94,15 @@ impl MiniColumn {
                 if meta.start_pos >= window.end {
                     break;
                 }
-                if zone.is_none_or(|pred| meta.zone_overlaps(pred)) {
+                if keep(&meta) {
                     blocks.push(reader.block(idx)?);
                 } else {
-                    pruned += 1;
+                    skipped += 1;
                 }
                 idx += 1;
             }
         }
-        Ok((MiniColumn { window, blocks }, pruned))
+        Ok((MiniColumn { window, blocks }, skipped))
     }
 
     /// Fetch only the blocks containing positions of `positions`
@@ -110,33 +113,19 @@ impl MiniColumn {
         window: PosRange,
         positions: &PosList,
     ) -> Result<MiniColumn> {
-        let window = window.intersect(&PosRange::new(0, reader.num_rows()));
-        let mut blocks = Vec::new();
-        let mut last_idx: Option<usize> = None;
-        if !window.is_empty() {
-            for range in positions.to_ranges().ranges() {
-                let r = range.intersect(&window);
-                if r.is_empty() {
-                    continue;
-                }
-                let mut idx = reader.block_for_pos(r.start)?;
-                loop {
-                    let meta = reader.block_meta(idx)?;
-                    if meta.start_pos >= r.end {
-                        break;
-                    }
-                    if last_idx != Some(idx) {
-                        blocks.push(reader.block(idx)?);
-                        last_idx = Some(idx);
-                    }
-                    idx += 1;
-                    if idx >= reader.num_blocks() {
-                        break;
-                    }
-                }
+        let ranges = positions.to_ranges();
+        let (ranges, mut i) = (ranges.ranges(), 0);
+        let walked = Self::walk(reader, window, |meta| {
+            // The block's rows inside the window: a range outside the
+            // window reads nothing.
+            let rows = PosRange::new(meta.start_pos, meta.start_pos + meta.count as u64)
+                .intersect(&window);
+            while ranges.get(i).is_some_and(|r| r.end <= rows.start) {
+                i += 1;
             }
-        }
-        Ok(MiniColumn { window, blocks })
+            ranges.get(i).is_some_and(|r| r.start < rows.end)
+        });
+        Ok(walked?.0)
     }
 
     /// An empty mini-column over `window` (no blocks).
@@ -157,11 +146,18 @@ impl MiniColumn {
         &self.blocks
     }
 
-    /// Whether every backing block supports DS3 position fetch.
-    pub fn supports_position_fetch(&self) -> bool {
-        self.blocks
+    /// How a value fetch from this window is satisfied:
+    /// [`FetchKind::Decompressed`] when any backing block is bit-vector.
+    pub fn fetch_kind(&self) -> FetchKind {
+        if self
+            .blocks
             .iter()
-            .all(|b| b.encoding().supports_position_fetch())
+            .any(|b| b.encoding() == EncodingKind::BitVec)
+        {
+            FetchKind::Decompressed
+        } else {
+            FetchKind::Gathered
+        }
     }
 
     /// DS1 over the window: positions whose values pass `pred`.
@@ -283,9 +279,8 @@ impl MiniColumn {
         self.block_for(pos)?.value_at(pos)
     }
 
-    /// DS3: values at the descriptor's positions, appended to `out`,
-    /// decompressing when the codec cannot gather (bit-vector). Returns
-    /// how the fetch was satisfied.
+    /// DS3: values at the descriptor's positions, appended to `out`.
+    /// Returns how the fetch was satisfied.
     pub fn fetch_values(&self, positions: &PosList, out: &mut Vec<Value>) -> Result<FetchKind> {
         append_with(out, positions.count() as usize, |cells| {
             self.fetch_values_into(positions, cells)
@@ -299,15 +294,9 @@ impl MiniColumn {
     pub fn fetch_sorted(&self, positions: &[Pos], out: &mut Vec<Value>) -> Result<FetchKind> {
         append_with(out, positions.len(), |cells| {
             let room = cells.len();
-            let kind = if self.supports_position_fetch() {
-                self.gather_sorted_into(positions, cells)?;
-                FetchKind::Gathered
-            } else {
-                self.decompress_points_into(positions.iter().copied(), cells)?;
-                FetchKind::Decompressed
-            };
+            self.gather_sorted_into(positions, cells)?;
             wrote_all(room - cells.len(), positions.len() as u64)?;
-            Ok(kind)
+            Ok(self.fetch_kind())
         })
     }
 
@@ -319,11 +308,8 @@ impl MiniColumn {
     /// positions go to the point walker
     /// ([`gather_sorted_into`](Self::gather_sorted_into)), which hands
     /// each block its sub-slice; a bitmap's are read off its words a
-    /// block at a time into one reused buffer. If a block cannot fetch
-    /// by position (bit-vector), the window's rows of every block holding
-    /// descriptor positions are decompressed into one buffer reused
-    /// across blocks, and whole ranges or single positions are copied
-    /// out of it.
+    /// block at a time into one reused buffer. Every codec gathers;
+    /// bit-vector blocks decompress the rows they span inside the codec.
     ///
     /// Positions must lie in this mini-column's window and blocks.
     /// Errors unless exactly `positions.count()` cells were written: a
@@ -331,28 +317,19 @@ impl MiniColumn {
     /// leaves a default value behind.
     pub fn fetch_values_into(&self, positions: &PosList, out: &mut Slots<'_>) -> Result<FetchKind> {
         let room = out.len();
-        let kind = if self.supports_position_fetch() {
-            match positions {
-                PosList::Ranges(rl) => self.gather_ranges_into(rl.ranges(), out)?,
-                PosList::Explicit(pv) => self.gather_sorted_into(pv.as_slice(), out)?,
-                PosList::Bitmap(bm) => self.gather_bitmap_into(bm, out)?,
-            }
-            FetchKind::Gathered
-        } else {
-            match positions {
-                PosList::Ranges(rl) => self.decompress_ranges_into(rl.ranges(), out)?,
-                other => self.decompress_points_into(other.iter(), out)?,
-            }
-            FetchKind::Decompressed
-        };
+        match positions {
+            PosList::Ranges(rl) => self.gather_ranges_into(rl.ranges(), out),
+            PosList::Explicit(pv) => self.gather_sorted_into(pv.as_slice(), out)?,
+            PosList::Bitmap(bm) => self.gather_bitmap_into(bm, out)?,
+        }
         wrote_all(room - out.len(), positions.count())?;
-        Ok(kind)
+        Ok(self.fetch_kind())
     }
 
     /// The fused range gather: each block takes the slice of `ranges`
     /// overlapping it (a range crossing into the next block is handed to
     /// both, and each clips it to itself).
-    fn gather_ranges_into(&self, ranges: &[PosRange], out: &mut Slots<'_>) -> Result<()> {
+    fn gather_ranges_into(&self, ranges: &[PosRange], out: &mut Slots<'_>) {
         let mut i = 0;
         for b in &self.blocks {
             let cov = b.covering();
@@ -364,7 +341,7 @@ impl MiniColumn {
                 j += 1;
             }
             if j > i {
-                b.gather_ranges_into(&ranges[i..j], out)?;
+                b.gather_ranges_into(&ranges[i..j], out);
                 i = if ranges[j - 1].end > cov.end {
                     j - 1
                 } else {
@@ -372,7 +349,6 @@ impl MiniColumn {
                 };
             }
         }
-        Ok(())
     }
 
     /// The point walker: ascending `positions` (repeats allowed) are cut
@@ -426,45 +402,10 @@ impl MiniColumn {
         Ok(())
     }
 
-    /// Decompress-then-select over a range descriptor: whole slices are
-    /// copied out of each decoded block.
-    fn decompress_ranges_into(&self, ranges: &[PosRange], out: &mut Slots<'_>) -> Result<()> {
-        let mut decoded = Decompressed::new(self);
-        for range in ranges {
-            let mut r = *range;
-            while !r.is_empty() {
-                let sub = r.intersect(&decoded.load(r.start)?);
-                out.put(decoded.slice(sub).iter().copied());
-                r = PosRange::new(sub.end, r.end);
-            }
-        }
-        Ok(())
-    }
-
-    /// Decompress-then-select at ascending positions, one copied out of
-    /// the decoded block at a time.
-    fn decompress_points_into(
-        &self,
-        positions: impl Iterator<Item = Pos>,
-        out: &mut Slots<'_>,
-    ) -> Result<()> {
-        let mut decoded = Decompressed::new(self);
-        let mut failed = None;
-        out.put(positions.map_while(|p| match decoded.load(p) {
-            Ok(held) => Some(decoded.vals[(p - held.start) as usize]),
-            Err(e) => {
-                failed = Some(e);
-                None
-            }
-        }));
-        failed.map_or(Ok(()), Err)
-    }
-
     /// Decompress the entire window in position order.
     pub fn decode(&self, out: &mut Vec<Value>) -> Result<()> {
         for b in &self.blocks {
-            let w = b.covering().intersect(&self.window);
-            b.decode_range(w, out)?;
+            b.gather_range(b.covering().intersect(&self.window), out)?;
         }
         Ok(())
     }
@@ -594,50 +535,6 @@ fn wrote_all(written: usize, want: u64) -> Result<()> {
     Ok(())
 }
 
-/// The decompress path's one buffer, reused across blocks: the rows of
-/// the block that held the last position loaded.
-struct Decompressed<'m> {
-    mini: &'m MiniColumn,
-    vals: Vec<Value>,
-    /// The positions in `vals`.
-    held: PosRange,
-    cursor: usize,
-}
-
-impl<'m> Decompressed<'m> {
-    fn new(mini: &'m MiniColumn) -> Self {
-        Decompressed {
-            mini,
-            vals: Vec::new(),
-            held: PosRange::empty(),
-            cursor: 0,
-        }
-    }
-
-    /// Hold `pos`'s block, returning the positions held: its rows inside
-    /// the window (a wide block serves several granules). Errors, as the
-    /// point walker does, on a position outside the window or in a gap.
-    fn load(&mut self, pos: Pos) -> Result<PosRange> {
-        if !self.held.contains(pos) {
-            let window = self.mini.window;
-            if !window.contains(pos) {
-                return Err(outside_window(pos, window));
-            }
-            let b = self.mini.block_from(&mut self.cursor, pos)?;
-            self.held = b.covering().intersect(&window);
-            self.vals.clear();
-            b.decode_range(self.held, &mut self.vals)?;
-        }
-        Ok(self.held)
-    }
-
-    /// The held values at `sub`, which must lie inside the held range.
-    fn slice(&self, sub: PosRange) -> &[Value] {
-        let lo = (sub.start - self.held.start) as usize;
-        &self.vals[lo..lo + sub.len() as usize]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -704,7 +601,7 @@ mod tests {
         let (store, id, _, _, c) = setup();
         let r = store.reader(id, 2).unwrap();
         let mc = MiniColumn::fetch(&r, PosRange::new(0, 3000)).unwrap();
-        assert!(!mc.supports_position_fetch());
+        assert_eq!(mc.fetch_kind(), FetchKind::Decompressed);
         let pl = PosList::from_positions(vec![3, 77, 1234]);
         let mut out = Vec::new();
         let kind = mc.fetch_values(&pl, &mut out).unwrap();

@@ -59,7 +59,7 @@ use matstrat_common::{Pos, PosRange, Predicate, Result, TableId, Value};
 use matstrat_storage::{ProjectionInfo, Store, TableDelta, Tombstones};
 
 use crate::exec::ExecOptions;
-use crate::multicol::MiniColumn;
+use crate::multicol::{FetchKind, MiniColumn};
 use crate::pipeline::FragmentPipeline;
 use crate::InnerStrategy;
 
@@ -821,9 +821,9 @@ pub(crate) struct InnerRep {
     minis: Vec<MiniColumn>,
     /// Row-major right tuples (Materialized only).
     materialized: Option<Vec<Value>>,
-    /// Per right output column: fully decoded values when the codec
-    /// cannot fetch by position (bit-vector; SingleColumn only). Decoded
-    /// once at build so parallel workers share the work.
+    /// Per right output column: fully decoded values when a probe would
+    /// decompress (bit-vector; SingleColumn only). Decoded once at build
+    /// so parallel workers share the work.
     decoded: Vec<Option<Vec<Value>>>,
     /// The strategy the representation was built for.
     inner: InnerStrategy,
@@ -864,13 +864,15 @@ impl InnerRep {
             }
             _ => None,
         };
-        // Single-column right fetch cannot gather from bit-vector blocks
-        // (value_at would rescan k bit-strings per probe): decompress
-        // such columns once, shared read-only by every probe worker.
+        // Single-column right fetch probes one row at a time, and a
+        // bit-vector block decompresses inside the codec on every probe
+        // (k bit-string words per row). A speed choice, not a capability
+        // gap: decompress such columns once, shared read-only by every
+        // probe worker.
         let decoded: Vec<Option<Vec<Value>>> = match inner {
             InnerStrategy::SingleColumn => {
                 matstrat_common::par_map_indexed(rwidth, build_workers, |c| -> Result<_> {
-                    if minis[c].supports_position_fetch() {
+                    if minis[c].fetch_kind() == FetchKind::Gathered {
                         Ok(None)
                     } else {
                         let mut v = Vec::with_capacity(rows as usize);

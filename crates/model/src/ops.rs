@@ -61,9 +61,10 @@ impl ColumnParams {
     }
 
     /// CPU an operator producing this column's values pays on top of its
-    /// figure: a bit-vector column cannot be read at a position, so the
-    /// whole column is decoded (one column-iterator step per row). Zero
-    /// for every other encoding.
+    /// figure: a bit-vector column decompresses to be read at a position
+    /// (a value is found only by reading every bit-string), priced as the
+    /// whole column decoded (one column-iterator step per row). Zero for
+    /// every other encoding.
     fn value_decode(&self, c: &Constants) -> f64 {
         if self.bit_vector {
             self.rows * c.tic_col

@@ -8,16 +8,18 @@
 //! the block's rows — the same representation, chunked.
 //!
 //! Range predicates are answered by ORing the bit-strings of matching
-//! values (no value access). Position fetch (DS3) is unsupported: a
-//! position's value is only discoverable by probing every bit-string.
+//! values (no value access). Position fetch (DS3) decompresses inside the
+//! codec: a position's value is only discoverable by probing every
+//! bit-string, so a gather decodes the rows it spans, and callers flag
+//! the fetch as `decompressed_fetch` (§4.1).
 
-use matstrat_common::{codeops, Error, Pos, PosRange, Predicate, Result, Value};
+use matstrat_common::{Error, Pos, PosRange, Predicate, Result, Value};
 use matstrat_poslist::{Bitmap, PosList};
 
 use crate::wire::{put_i64, put_u32, put_u64, Reader};
 use crate::BLOCK_SIZE;
 
-use super::BLOCK_HEADER_SIZE;
+use super::{Slots, BLOCK_HEADER_SIZE};
 
 /// A bit-vector encoded block: `k` distinct values, each with a
 /// bit-string of `words_per_value` 64-bit words covering the block rows.
@@ -96,154 +98,127 @@ impl BitVecBlock {
         &self.words[i * self.words_per_value..(i + 1) * self.words_per_value]
     }
 
-    /// DS1: OR together the bit-strings of matching values — the §2.1.1
-    /// "positions derived directly from the index" path. Emits a bitmap.
-    pub fn scan_positions(&self, pred: &Predicate) -> PosList {
-        // One predicate evaluation per distinct value, then pure word ORs:
-        // the whole scan runs on the encoded representation.
-        codeops::add(self.values.len() as u64);
-        let covering = PosRange::new(self.start_pos, self.start_pos + self.count as u64);
-        let mut acc = vec![0u64; self.words_per_value];
+    /// DS1 over `window`, a window inside the block: OR together the
+    /// matching values' bit-string words over the window — the §2.1.1
+    /// "positions derived directly from the index" path. One predicate
+    /// test per distinct value, then pure word ORs. Emits a bitmap.
+    pub fn scan_positions_in(&self, pred: &Predicate, window: PosRange) -> PosList {
+        let lo = (window.start - self.start_pos) as usize;
+        let hi = (window.end - self.start_pos) as usize;
+        let (first, last) = (lo / 64, hi.div_ceil(64));
+        let mut acc = vec![0u64; last - first];
         for (i, &v) in self.values.iter().enumerate() {
             if pred.matches(v) {
-                for (dst, src) in acc.iter_mut().zip(self.bitstring(i)) {
+                for (dst, src) in acc.iter_mut().zip(&self.bitstring(i)[first..last]) {
                     *dst |= *src;
                 }
             }
         }
-        PosList::Bitmap(Bitmap::from_words(covering, acc))
+        // The words' rows, less a hostile file's padding past the last row.
+        let end = (self.start_pos + 64 * last as u64).min(self.start_pos + self.count as u64);
+        let words = Bitmap::from_words(PosRange::new(self.start_pos + 64 * first as u64, end), acc);
+        PosList::Bitmap(if words.covering() == window {
+            words
+        } else {
+            words.clip(window)
+        })
     }
 
-    /// DS2: requires decompression — matching (pos, value) pairs are
-    /// produced per bit-string and then merged into position order.
-    pub fn scan_pairs(&self, pred: &Predicate, out_pos: &mut Vec<Pos>, out_val: &mut Vec<Value>) {
-        let matching: Vec<usize> = (0..self.values.len())
-            .filter(|&i| pred.matches(self.values[i]))
-            .collect();
-        match matching.len() {
-            0 => {}
-            1 => {
-                // Single bit-string: already in position order.
-                let i = matching[0];
-                let v = self.values[i];
-                for p in iter_bits(self.bitstring(i), self.start_pos) {
-                    out_pos.push(p);
-                    out_val.push(v);
-                }
-            }
-            _ => {
-                // General case: decompress the block then filter — the
-                // CPU cost the paper attributes to bit-vector data.
-                let mut decoded = Vec::with_capacity(self.count as usize);
-                self.decode_all(&mut decoded);
-                for (row, &v) in decoded.iter().enumerate() {
-                    if pred.matches(v) {
-                        out_pos.push(self.start_pos + row as u64);
-                        out_val.push(v);
-                    }
-                }
-            }
-        }
-    }
-
-    /// DS4 probe: O(k) bit tests.
-    pub fn value_at(&self, pos: Pos) -> Result<Value> {
-        if pos < self.start_pos || pos >= self.start_pos + self.count as u64 {
-            return Err(Error::invalid(format!(
-                "position {pos} outside bit-vector block"
-            )));
-        }
-        let row = (pos - self.start_pos) as usize;
-        for (i, &v) in self.values.iter().enumerate() {
-            if (self.bitstring(i)[row / 64] >> (row % 64)) & 1 == 1 {
-                return Ok(v);
-            }
-        }
-        Err(Error::corrupt(format!(
-            "no bit set for row {row} in bit-vector block"
-        )))
-    }
-
-    /// Full decompression in position order (see
-    /// [`decode_range`](Self::decode_range)).
-    pub fn decode_all(&self, out: &mut Vec<Value>) {
-        let end = self.start_pos + self.count as u64;
-        self.decode_range(PosRange::new(self.start_pos, end), out);
-    }
-
-    /// Decompress the rows of `range` (inside the block) in position
-    /// order, appended to `out`, a word at a time: each value's bit-string
-    /// words over the range scatter the value to their set bits' rows —
-    /// rows outside the range are never written.
-    pub fn decode_range(&self, range: PosRange, out: &mut Vec<Value>) {
-        let lo = (range.start - self.start_pos) as usize;
-        let hi = (range.end - self.start_pos) as usize;
-        let base = out.len();
-        out.resize(base + (hi - lo), 0);
-        if lo == hi {
+    /// DS3 over ascending, disjoint `ranges`, each clipped to the block,
+    /// written to the next cells of `out`: one range decodes straight into
+    /// its cells — a copy out of a buffer would cost a whole-block decode
+    /// most of its time again (`block.decode_ns_per_value.bitvec`) — and
+    /// several decode the rows from the first range's start to the last
+    /// one's end once (see [`decode_span`](Self::decode_span)) and are
+    /// copied out of them, so many short ranges cost one decode.
+    pub fn gather_ranges_into(&self, ranges: &[PosRange], out: &mut Slots<'_>) {
+        let covering = PosRange::new(self.start_pos, self.start_pos + self.count as u64);
+        let clipped = ranges
+            .iter()
+            .map(|r| r.intersect(&covering))
+            .filter(|r| !r.is_empty());
+        let (Some(first), Some(last)) = (clipped.clone().next(), clipped.clone().next_back())
+        else {
+            return;
+        };
+        if first == last {
+            let lo = (first.start - self.start_pos) as usize;
+            out.put_slice(first.len() as usize, |rows| self.decode_rows(lo, rows));
             return;
         }
-        let rows = &mut out[base..];
-        let (first, last) = (lo / 64, (hi - 1) / 64);
-        for (i, &v) in self.values.iter().enumerate() {
-            for (wi, &word) in (first..=last).zip(&self.bitstring(i)[first..=last]) {
-                // Bits outside the range — a hostile file's padding past
-                // the last row among them — are masked off, not indexed.
-                let at = wi * 64;
-                let mut w = word;
-                if at < lo {
-                    w &= u64::MAX << (lo - at);
-                }
-                if at + 64 > hi {
-                    w &= u64::MAX >> (at + 64 - hi);
-                }
+        self.decode_span(first.start, last.end, |rows| {
+            for r in clipped {
+                let lo = (r.start - first.start) as usize;
+                out.put(rows[lo..lo + r.len() as usize].iter().copied());
+            }
+        });
+    }
+
+    /// DS3 point fetch at ascending positions inside the block, written to
+    /// the next cells of `out`: the rows from the first position to the
+    /// last are decoded once, and each position's value is picked from
+    /// them.
+    #[inline]
+    pub fn gather_into(&self, positions: &[Pos], out: &mut Slots<'_>) {
+        let (Some(&first), Some(&last)) = (positions.first(), positions.last()) else {
+            return;
+        };
+        self.decode_span(first, last + 1, |rows| {
+            out.put(positions.iter().map(|&p| rows[(p - first) as usize]));
+        });
+    }
+
+    /// Hand `pick` the decoded rows of `[start, end)`, inside the block: on
+    /// the stack for a span of a few rows — a one-position probe allocates
+    /// nothing — and in one buffer otherwise.
+    #[inline]
+    fn decode_span(&self, start: Pos, end: Pos, pick: impl FnOnce(&[Value])) {
+        let n = (end - start) as usize;
+        let (mut stack, mut heap) = ([0 as Value; 8], Vec::new());
+        let rows = if n <= stack.len() {
+            &mut stack[..n]
+        } else {
+            heap.resize(n, 0);
+            &mut heap[..]
+        };
+        self.decode_rows((start - self.start_pos) as usize, rows);
+        pick(rows);
+    }
+
+    /// Decode the block's rows from offset `lo` on into `rows`, one per
+    /// cell, a word of rows at a time: each value's bit-string word over
+    /// them scatters the value to its set bits' cells. A row takes the
+    /// first value whose bit-string sets it, and a word stops once every
+    /// one of its rows is written — a one-row probe stops at its value.
+    /// Rows outside `rows` are never written.
+    #[inline]
+    fn decode_rows(&self, lo: usize, rows: &mut [Value]) {
+        let hi = lo + rows.len();
+        for wi in lo / 64..hi.div_ceil(64) {
+            // The word's rows inside `rows`: bits outside them — a hostile
+            // file's padding past the last row among them — are masked
+            // off, not indexed.
+            let at = wi * 64;
+            let mut open = u64::MAX;
+            if at < lo {
+                open &= u64::MAX << (lo - at);
+            }
+            if at + 64 > hi {
+                open &= u64::MAX >> (at + 64 - hi);
+            }
+            let strings = self.words.chunks_exact(self.words_per_value);
+            for (&v, bits) in self.values.iter().zip(strings) {
+                let mut w = bits[wi] & open;
+                open &= !w;
                 while w != 0 {
                     rows[at + w.trailing_zeros() as usize - lo] = v;
                     w &= w - 1;
                 }
+                if open == 0 {
+                    break;
+                }
             }
         }
-    }
-
-    /// Number of maximal equal-value runs, without decompression: every
-    /// run of some value `v` is a maximal 1-run in `v`'s bit-string and
-    /// vice versa, so the total is the number of 1-run starts (a set bit
-    /// whose predecessor bit is clear) summed over all bit-strings.
-    pub fn num_runs(&self) -> u64 {
-        let mut total = 0u64;
-        for i in 0..self.values.len() {
-            let mut prev_top = 0u64; // previous word's bit 63, moved to bit 0
-            for &w in self.bitstring(i) {
-                total += (w & !((w << 1) | prev_top)).count_ones() as u64;
-                prev_top = w >> 63;
-            }
-        }
-        total
-    }
-
-    /// Visit equal-value runs in position order (requires decompression).
-    pub fn for_each_run(&self, mut f: impl FnMut(Value, PosRange)) {
-        if self.count == 0 {
-            return;
-        }
-        let mut decoded = Vec::with_capacity(self.count as usize);
-        self.decode_all(&mut decoded);
-        let mut run_val = decoded[0];
-        let mut run_start = self.start_pos;
-        for (row, &v) in decoded.iter().enumerate().skip(1) {
-            if v != run_val {
-                f(
-                    run_val,
-                    PosRange::new(run_start, self.start_pos + row as u64),
-                );
-                run_val = v;
-                run_start = self.start_pos + row as u64;
-            }
-        }
-        f(
-            run_val,
-            PosRange::new(run_start, self.start_pos + self.count as u64),
-        );
     }
 
     /// Append the codec payload to `buf`.
@@ -282,25 +257,14 @@ impl BitVecBlock {
     }
 }
 
-/// Iterate over the set bit indices of `words`, offset by `base`.
-fn iter_bits(words: &[u64], base: Pos) -> impl Iterator<Item = Pos> + '_ {
-    words.iter().enumerate().flat_map(move |(wi, &w)| {
-        let mut w = w;
-        std::iter::from_fn(move || {
-            if w == 0 {
-                None
-            } else {
-                let t = w.trailing_zeros() as u64;
-                w &= w - 1;
-                Some(base + wi as u64 * 64 + t)
-            }
-        })
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::EncodedBlock;
+
+    fn block(start: Pos, vals: &[Value]) -> EncodedBlock {
+        EncodedBlock::BitVec(BitVecBlock::from_values(start, vals))
+    }
 
     #[test]
     fn distinct_values_and_bitstrings() {
@@ -316,7 +280,7 @@ mod tests {
 
     #[test]
     fn scan_positions_is_or_of_bitstrings() {
-        let b = BitVecBlock::from_values(100, &[5, 7, 5, 9, 7, 5]);
+        let b = block(100, &[5, 7, 5, 9, 7, 5]);
         // pred <= 7 matches values 5 and 7 → rows 0,1,2,4,5
         let pl = b.scan_positions(&Predicate::le(7));
         assert_eq!(pl.to_vec(), vec![100, 101, 102, 104, 105]);
@@ -327,7 +291,7 @@ mod tests {
 
     #[test]
     fn scan_pairs_single_and_multi_value() {
-        let b = BitVecBlock::from_values(0, &[5, 7, 5, 9]);
+        let b = block(0, &[5, 7, 5, 9]);
         let (mut p, mut v) = (Vec::new(), Vec::new());
         b.scan_pairs(&Predicate::eq(5), &mut p, &mut v);
         assert_eq!(p, vec![0, 2]);
@@ -342,7 +306,7 @@ mod tests {
     #[test]
     fn value_at_probes_all_bitstrings() {
         let vals = vec![5, 7, 5, 9, 7];
-        let b = BitVecBlock::from_values(10, &vals);
+        let b = block(10, &vals);
         for (i, &v) in vals.iter().enumerate() {
             assert_eq!(b.value_at(10 + i as u64).unwrap(), v);
         }
@@ -353,9 +317,8 @@ mod tests {
     #[test]
     fn decode_all_scatters_correctly() {
         let vals: Vec<Value> = (0..200).map(|i| (i * 7) % 5).collect();
-        let b = BitVecBlock::from_values(0, &vals);
         let mut out = Vec::new();
-        b.decode_all(&mut out);
+        block(0, &vals).decode_all(&mut out);
         assert_eq!(out, vals);
     }
 
@@ -363,10 +326,12 @@ mod tests {
     fn decode_range_equals_the_full_decode_over_any_window() {
         let vals: Vec<Value> = (0..200).map(|i| (i * 7) % 5).collect();
         let b = BitVecBlock::from_values(1000, &vals);
+        let e = EncodedBlock::BitVec(b.clone());
         for lo in (0..=200).step_by(3) {
             for hi in (lo..=200).step_by(5) {
                 let mut out = vec![-1];
-                b.decode_range(PosRange::new(1000 + lo as u64, 1000 + hi as u64), &mut out);
+                e.gather_range(PosRange::new(1000 + lo as u64, 1000 + hi as u64), &mut out)
+                    .unwrap();
                 assert_eq!(out[0], -1, "[{lo}, {hi}): appended");
                 assert_eq!(&out[1..], &vals[lo..hi], "[{lo}, {hi})");
             }
@@ -379,8 +344,8 @@ mod tests {
         buf[last] = 0xFF;
         let hostile = BitVecBlock::parse_payload(1000, 200, &mut Reader::new(&buf)).unwrap();
         let mut out = Vec::new();
-        hostile.decode_all(&mut out);
-        assert_eq!(out.len(), 200);
+        EncodedBlock::BitVec(hostile).decode_all(&mut out);
+        assert_eq!(out, vals);
     }
 
     #[test]
@@ -392,12 +357,15 @@ mod tests {
     #[test]
     fn rows_spanning_word_boundaries() {
         let vals: Vec<Value> = (0..130).map(|i| i % 2).collect();
-        let b = BitVecBlock::from_values(0, &vals);
-        let pl = b.scan_positions(&Predicate::eq(1));
+        let pl = block(0, &vals).scan_positions(&Predicate::eq(1));
         let expected: Vec<Pos> = (0..130).filter(|p| p % 2 == 1).collect();
         assert_eq!(pl.to_vec(), expected);
     }
 
+    /// Every run of some value `v` is a maximal 1-run in `v`'s bit-string
+    /// and vice versa, so the runs the block visits number the 1-run
+    /// starts (a set bit whose predecessor bit is clear) over all its
+    /// bit-strings.
     #[test]
     fn num_runs_counts_bitstring_run_starts() {
         for vals in [
@@ -408,15 +376,23 @@ mod tests {
             Vec::new(),
         ] {
             let b = BitVecBlock::from_values(0, &vals);
-            let mut expect = 0u64;
-            b.for_each_run(|_, _| expect += 1);
-            assert_eq!(b.num_runs(), expect, "{vals:?}");
+            let mut starts = 0u64;
+            for i in 0..b.distinct_values().len() {
+                let mut prev_top = 0u64; // previous word's bit 63, moved to bit 0
+                for &w in b.bitstring(i) {
+                    starts += (w & !((w << 1) | prev_top)).count_ones() as u64;
+                    prev_top = w >> 63;
+                }
+            }
+            let mut visited = 0u64;
+            EncodedBlock::BitVec(b).for_each_run(|_, _| visited += 1);
+            assert_eq!(visited, starts, "{vals:?}");
         }
     }
 
     #[test]
     fn empty_block() {
-        let b = BitVecBlock::from_values(0, &[]);
+        let b = block(0, &[]);
         assert_eq!(b.num_rows(), 0);
         let mut out = Vec::new();
         b.decode_all(&mut out);

@@ -3,18 +3,18 @@
 //! Not part of the paper's experiments, but part of the compression
 //! toolkit column stores rely on ([3] in the paper evaluates it): a
 //! per-block table of distinct values plus a packed array of narrow
-//! codes. Unlike bit-vector encoding, dictionary blocks support position
-//! fetch (DS3) in O(1), so every materialization strategy runs on them.
+//! codes. Unlike bit-vector encoding, dictionary blocks fetch a position
+//! (DS3) in O(1), with no decompression.
 
 use std::collections::HashMap;
 
-use matstrat_common::{codeops, CodePredicate, Error, Pos, PosRange, Predicate, Result, Value};
+use matstrat_common::{CodePredicate, Error, Pos, PosRange, Predicate, Result, Value};
 use matstrat_poslist::{Bitmap, PosList};
 
 use crate::wire::{put_i64, put_u32, Reader};
 use crate::BLOCK_SIZE;
 
-use super::{Slots, BLOCK_HEADER_SIZE};
+use super::{check_ends, Slots, BLOCK_HEADER_SIZE};
 
 /// A dictionary encoded block.
 #[derive(Debug, Clone, PartialEq)]
@@ -181,86 +181,55 @@ impl DictBlock {
         code_width_for(self.dict.len())
     }
 
-    /// DS3 point fetch of *codes* (no value decode).
+    /// DS3 point fetch of *codes* (no value decode) at ascending
+    /// positions (repeats allowed), appended to `out`. Errs, appending
+    /// nothing, unless the positions lie in the block.
     pub fn gather_codes(&self, positions: &[Pos], out: &mut Vec<u32>) -> Result<()> {
-        out.reserve(positions.len());
-        for &p in positions {
-            let idx = self.check_pos(p)?;
-            out.push(self.codes[idx]);
-        }
+        check_ends(
+            positions,
+            PosRange::new(self.start_pos, self.start_pos + self.codes.len() as u64),
+        )?;
+        out.extend(
+            positions
+                .iter()
+                .map(|&p| self.codes[(p - self.start_pos) as usize]),
+        );
         Ok(())
     }
 
-    fn check_pos(&self, pos: Pos) -> Result<usize> {
-        if pos < self.start_pos || pos >= self.start_pos + self.codes.len() as u64 {
-            return Err(Error::invalid(format!("position {pos} outside dict block")));
-        }
-        Ok((pos - self.start_pos) as usize)
-    }
-
-    /// DS1: translate the predicate into the code domain once, then test
-    /// packed codes only — values are never decoded.
+    /// DS1 over the whole block (see
+    /// [`scan_positions_in`](Self::scan_positions_in)).
     pub fn scan_positions(&self, pred: &Predicate) -> PosList {
-        self.scan_positions_span(pred, 0, self.codes.len())
+        let end = self.start_pos + self.codes.len() as u64;
+        self.scan_positions_in(pred, PosRange::new(self.start_pos, end))
     }
 
-    /// DS2: matching (pos, value) pairs. The filter runs on codes; only
-    /// matching rows decode (one dictionary index each).
-    pub fn scan_pairs(&self, pred: &Predicate, out_pos: &mut Vec<Pos>, out_val: &mut Vec<Value>) {
-        self.scan_pairs_span(pred, 0, self.codes.len(), out_pos, out_val);
-    }
-
-    /// DS1 restricted to `window` (already intersected with the covering
-    /// range by the caller).
+    /// DS1 over `window`, a window inside the block: the predicate is
+    /// translated into the code domain once, then packed codes only are
+    /// tested — values are never decoded.
     pub fn scan_positions_in(&self, pred: &Predicate, window: PosRange) -> PosList {
-        let lo = (window.start - self.start_pos) as usize;
-        let hi = (window.end - self.start_pos) as usize;
-        self.scan_positions_span(pred, lo, hi)
-    }
-
-    /// DS2 restricted to `window`.
-    pub fn scan_pairs_in(
-        &self,
-        pred: &Predicate,
-        window: PosRange,
-        out_pos: &mut Vec<Pos>,
-        out_val: &mut Vec<Value>,
-    ) {
-        let lo = (window.start - self.start_pos) as usize;
-        let hi = (window.end - self.start_pos) as usize;
-        self.scan_pairs_span(pred, lo, hi, out_pos, out_val);
-    }
-
-    fn scan_positions_span(&self, pred: &Predicate, lo: usize, hi: usize) -> PosList {
-        let cp = pred.to_code_domain(&self.dict);
-        codeops::add((hi - lo) as u64);
-        let span = PosRange::new(self.start_pos + lo as u64, self.start_pos + hi as u64);
         // Dictionary codes are unsorted, so matches arrive as scattered
-        // singletons; the predicate dispatch runs once per span and each
+        // singletons; the predicate dispatch runs once per window and each
         // variant fills a bit-map with one branch-free OR per code.
-        match &cp {
+        match &pred.to_code_domain(&self.dict) {
             CodePredicate::None => PosList::empty(),
-            CodePredicate::All => PosList::full(span),
-            CodePredicate::Eq(k) => self.fill_span_bitmap(span, lo, hi, |c| c == *k),
-            CodePredicate::Ne(k) => self.fill_span_bitmap(span, lo, hi, |c| c != *k),
+            CodePredicate::All => PosList::full(window),
+            CodePredicate::Eq(k) => self.fill_span_bitmap(window, |c| c == *k),
+            CodePredicate::Ne(k) => self.fill_span_bitmap(window, |c| c != *k),
             CodePredicate::Range(clo, chi) => {
-                self.fill_span_bitmap(span, lo, hi, |c| c >= *clo && c <= *chi)
+                self.fill_span_bitmap(window, |c| c >= *clo && c <= *chi)
             }
             // Codes are dictionary indices by construction, so the table
             // variant indexes without a bounds probe.
-            CodePredicate::Table(t) => self.fill_span_bitmap(span, lo, hi, |c| t[c as usize]),
+            CodePredicate::Table(t) => self.fill_span_bitmap(window, |c| t[c as usize]),
         }
     }
 
-    /// Evaluate `matches` over the span's codes 64 at a time, packing the
-    /// outcomes straight into bitmap words.
-    fn fill_span_bitmap(
-        &self,
-        span: PosRange,
-        lo: usize,
-        hi: usize,
-        matches: impl Fn(u32) -> bool,
-    ) -> PosList {
+    /// Evaluate `matches` over the window's codes 64 at a time, packing
+    /// the outcomes straight into bitmap words.
+    fn fill_span_bitmap(&self, window: PosRange, matches: impl Fn(u32) -> bool) -> PosList {
+        let lo = (window.start - self.start_pos) as usize;
+        let hi = (window.end - self.start_pos) as usize;
         let mut words = vec![0u64; (hi - lo).div_ceil(64)];
         for (chunk, word) in self.codes[lo..hi].chunks(64).zip(words.iter_mut()) {
             let mut bits = 0u64;
@@ -269,33 +238,12 @@ impl DictBlock {
             }
             *word = bits;
         }
-        PosList::Bitmap(Bitmap::from_words(span, words))
-    }
-
-    fn scan_pairs_span(
-        &self,
-        pred: &Predicate,
-        lo: usize,
-        hi: usize,
-        out_pos: &mut Vec<Pos>,
-        out_val: &mut Vec<Value>,
-    ) {
-        let cp = pred.to_code_domain(&self.dict);
-        codeops::add((hi - lo) as u64);
-        if cp.matches_nothing() {
-            return;
-        }
-        for i in lo..hi {
-            let c = self.codes[i];
-            if cp.matches_code(c) {
-                out_pos.push(self.start_pos + i as u64);
-                out_val.push(self.dict[c as usize]);
-            }
-        }
+        PosList::Bitmap(Bitmap::from_words(window, words))
     }
 
     /// DS3 point fetch (O(1) per position; every position inside the
     /// block), written to the next cells of `out`.
+    #[inline]
     pub fn gather_into(&self, positions: &[Pos], out: &mut Slots<'_>) {
         out.put(
             positions
@@ -318,54 +266,6 @@ impl DictBlock {
             let hi = (r.end - self.start_pos) as usize;
             out.put(self.codes[lo..hi].iter().map(|&c| self.dict[c as usize]));
         }
-    }
-
-    /// DS4 probe.
-    pub fn value_at(&self, pos: Pos) -> Result<Value> {
-        let idx = self.check_pos(pos)?;
-        Ok(self.dict[self.codes[idx] as usize])
-    }
-
-    /// Full decompression in position order.
-    pub fn decode_all(&self, out: &mut Vec<Value>) {
-        out.reserve(self.codes.len());
-        for &c in &self.codes {
-            out.push(self.dict[c as usize]);
-        }
-    }
-
-    /// Number of maximal equal-value runs: one pass of code compares, no
-    /// value decode. (Codes map 1:1 to values, so code transitions are
-    /// exactly value transitions.)
-    pub fn num_runs(&self) -> u64 {
-        if self.codes.is_empty() {
-            return 0;
-        }
-        self.codes.windows(2).filter(|w| w[0] != w[1]).count() as u64 + 1
-    }
-
-    /// Visit equal-value runs (coalesced over codes, no value decode until
-    /// the run is emitted).
-    pub fn for_each_run(&self, mut f: impl FnMut(Value, PosRange)) {
-        if self.codes.is_empty() {
-            return;
-        }
-        let mut run_code = self.codes[0];
-        let mut run_start = self.start_pos;
-        for (i, &c) in self.codes.iter().enumerate().skip(1) {
-            if c != run_code {
-                f(
-                    self.dict[run_code as usize],
-                    PosRange::new(run_start, self.start_pos + i as u64),
-                );
-                run_code = c;
-                run_start = self.start_pos + i as u64;
-            }
-        }
-        f(
-            self.dict[run_code as usize],
-            PosRange::new(run_start, self.start_pos + self.codes.len() as u64),
-        );
     }
 
     /// Append the codec payload to `buf`.
@@ -444,24 +344,22 @@ mod tests {
         let b = DictBlock::from_values(0, &vals);
         assert_eq!(b.dictionary(), &[100, 200, 300]);
         let mut out = Vec::new();
-        b.decode_all(&mut out);
+        crate::block::EncodedBlock::Dict(b).decode_all(&mut out);
         assert_eq!(out, vals);
     }
 
     #[test]
     fn scan_positions_via_dictionary() {
-        let b = DictBlock::from_values(10, &[100, 200, 100, 300]);
+        let b = crate::block::EncodedBlock::Dict(DictBlock::from_values(10, &[100, 200, 100, 300]));
         let pl = b.scan_positions(&Predicate::le(200));
         assert_eq!(pl.to_vec(), vec![10, 11, 12]);
     }
 
     #[test]
     fn gather_and_value_at() {
-        let b = DictBlock::from_values(5, &[7, 8, 9]);
+        let b = crate::block::EncodedBlock::Dict(DictBlock::from_values(5, &[7, 8, 9]));
         let mut out = Vec::new();
-        crate::block::EncodedBlock::Dict(b.clone())
-            .gather(&[5, 7], &mut out)
-            .unwrap();
+        b.gather(&[5, 7], &mut out).unwrap();
         assert_eq!(out, vec![7, 9]);
         assert_eq!(b.value_at(6).unwrap(), 8);
         assert!(b.value_at(8).is_err());
@@ -533,7 +431,7 @@ mod tests {
         let dict = vec![10, 20, 30, 40];
         let vals = vec![40, 10, 30, 20, 30, 40];
         let b = DictBlock::from_values_shared(0, &vals, &dict).unwrap();
-        let pl = b.scan_positions(&Predicate::between(15, 35));
+        let pl = crate::block::EncodedBlock::Dict(b).scan_positions(&Predicate::between(15, 35));
         let expect: Vec<Pos> = vals
             .iter()
             .enumerate()
@@ -547,14 +445,14 @@ mod tests {
     fn gather_codes_matches_decoded_gather() {
         let b = DictBlock::from_values(5, &[7, 8, 9, 7]);
         let mut codes = Vec::new();
-        b.gather_codes(&[5, 8, 6], &mut codes).unwrap();
-        assert_eq!(codes, vec![0, 0, 1]);
+        b.gather_codes(&[5, 6, 8, 8], &mut codes).unwrap();
+        assert_eq!(codes, vec![0, 1, 0, 0]);
         assert!(b.gather_codes(&[99], &mut codes).is_err());
     }
 
     #[test]
     fn scans_record_code_ops() {
-        let b = DictBlock::from_values(0, &[1, 2, 1, 3]);
+        let b = crate::block::EncodedBlock::Dict(DictBlock::from_values(0, &[1, 2, 1, 3]));
         let io = matstrat_common::QueryIo::new();
         io.run(|| b.scan_positions(&Predicate::eq(2)));
         assert_eq!(io.code_ops(), 4);

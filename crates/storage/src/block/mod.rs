@@ -7,16 +7,29 @@
 //! paper's mini-columns do, so operators can work on compressed data
 //! directly.
 //!
-//! Every codec exposes the two C-Store data-source access patterns plus
-//! the position-fetch used by late materialization:
+//! Each codec implements three kernels, every one over a window already
+//! clipped to its block:
 //!
-//! * [`EncodedBlock::scan_positions`] — DS1: predicate → positions;
-//! * [`EncodedBlock::scan_pairs`] — DS2: predicate → (position, value);
-//! * [`EncodedBlock::gather_into`] / [`EncodedBlock::gather_ranges_into`]
-//!   — DS3: positions → values, written into a strided destination
-//!   ([`Slots`]) so a value goes from its block straight into its tuple
-//!   slot (**unsupported on bit-vector blocks**, §4.1);
-//! * [`EncodedBlock::value_at`] — DS4's jump-to-position probe.
+//! * `scan_positions_in(pred, window)` — DS1: predicate → positions;
+//! * `gather_ranges_into(ranges, out)` and `gather_into(positions, out)` —
+//!   DS3 over a range descriptor and at ascending points, written into a
+//!   strided destination ([`Slots`]) so a value goes from its block
+//!   straight into its tuple slot;
+//! * RLE's `runs_in(window, f)`, its stored runs. Every other codec shares
+//!   one default here that decodes the window and coalesces it.
+//!
+//! Everything else on [`EncodedBlock`] is derived from them once, here:
+//! whole-block forms are the window [`covering`](EncodedBlock::covering),
+//! DS2 ([`scan_pairs_in`](EncodedBlock::scan_pairs_in)) is DS1 then DS3,
+//! DS4 ([`value_at`](EncodedBlock::value_at)) is a one-position gather,
+//! and full or ranged decompression is a range gather. A dictionary
+//! block's code access (its dictionary, `gather_codes`) stays a Dict-only
+//! extension.
+//!
+//! Bit-vector DS3 decompresses inside the codec: a position's value is
+//! found only by reading every bit-string over it (§4.1), so its gathers
+//! decode the rows they span. Callers flag such fetches as
+//! `decompressed_fetch`.
 
 mod bitvec;
 mod dict;
@@ -28,7 +41,7 @@ pub use dict::DictBlock;
 pub use plain::PlainBlock;
 pub use rle::{RleBlock, RleRun};
 
-use matstrat_common::{Error, Pos, PosRange, Predicate, Result, Value};
+use matstrat_common::{codeops, Error, Pos, PosRange, Predicate, Result, Value};
 use matstrat_poslist::PosList;
 
 use crate::encoding::EncodingKind;
@@ -91,6 +104,7 @@ impl<'a> Slots<'a> {
     }
 
     /// Write `values` to the next cells, until either runs out.
+    #[inline]
     pub fn put(&mut self, values: impl IntoIterator<Item = Value>) {
         // Indexed rather than zipped with a strided iterator: a zip sizes
         // itself by dividing by the stride on every call.
@@ -114,33 +128,56 @@ impl<'a> Slots<'a> {
 
     /// Move `offset` values on (clamped to the buffer), returning the span
     /// passed over.
+    #[inline]
     fn advance(&mut self, offset: usize) -> &'a mut [Value] {
         let cells = std::mem::take(&mut self.cells);
         let (span, rest) = cells.split_at_mut(offset.min(cells.len()));
         self.cells = rest;
         span
     }
+
+    /// Write the next `n` cells — fewer if fewer are left — through
+    /// `write`, which fills them as one slice in any order: the cells
+    /// themselves at stride 1, a zeroed scratch copied out at any other.
+    fn put_slice(&mut self, n: usize, write: impl FnOnce(&mut [Value])) {
+        if self.stride == 1 {
+            write(self.advance(n));
+        } else {
+            let mut scratch = vec![0; n.min(self.len())];
+            write(&mut scratch);
+            self.put(scratch);
+        }
+    }
 }
 
 /// Append `n` values to `out` through `fill`, which writes them into the
-/// new cells; on error `out` is left as it was.
-fn push_with(
-    out: &mut Vec<Value>,
-    n: usize,
-    fill: impl FnOnce(&mut Slots<'_>) -> Result<()>,
-) -> Result<()> {
+/// new cells.
+fn append(out: &mut Vec<Value>, n: usize, fill: impl FnOnce(&mut Slots<'_>)) {
     let at = out.len();
     out.resize(at + n, 0);
-    let r = fill(&mut Slots::column(&mut out[at..], 0, 1));
-    if r.is_err() {
-        out.truncate(at);
-    }
-    r
+    fill(&mut Slots::column(&mut out[at..], 0, 1));
 }
 
 /// The error a position fetch outside block `cov` raises.
 fn outside_block(p: Pos, cov: PosRange) -> Error {
     Error::invalid(format!("position {p} outside block {cov}"))
+}
+
+/// Errors unless ascending `positions` all lie in block `cov`. Ascending,
+/// they all do once the first and the last do, so only those two are
+/// checked: the codecs' point kernels index by offset from the block's
+/// start.
+#[inline]
+fn check_ends(positions: &[Pos], cov: PosRange) -> Result<()> {
+    debug_assert!(positions.is_sorted(), "positions must ascend");
+    match [positions.first(), positions.last()]
+        .into_iter()
+        .flatten()
+        .find(|&&p| !cov.contains(p))
+    {
+        Some(&p) => Err(outside_block(p, cov)),
+        None => Ok(()),
+    }
 }
 
 /// A parsed, still-compressed block of one column.
@@ -156,6 +193,18 @@ pub enum EncodedBlock {
     Dict(DictBlock),
 }
 
+/// `$body` with `$b` bound to whichever codec's block `$block` holds.
+macro_rules! each_codec {
+    ($block:expr, $b:ident => $body:expr) => {
+        match $block {
+            EncodedBlock::Plain($b) => $body,
+            EncodedBlock::Rle($b) => $body,
+            EncodedBlock::BitVec($b) => $body,
+            EncodedBlock::Dict($b) => $body,
+        }
+    };
+}
+
 impl EncodedBlock {
     /// The encoding of this block.
     pub fn encoding(&self) -> EncodingKind {
@@ -168,83 +217,75 @@ impl EncodedBlock {
     }
 
     /// Absolute position of the block's first row.
+    #[inline]
     pub fn start_pos(&self) -> Pos {
-        match self {
-            EncodedBlock::Plain(b) => b.start_pos(),
-            EncodedBlock::Rle(b) => b.start_pos(),
-            EncodedBlock::BitVec(b) => b.start_pos(),
-            EncodedBlock::Dict(b) => b.start_pos(),
-        }
+        each_codec!(self, b => b.start_pos())
     }
 
     /// Number of rows in the block.
+    #[inline]
     pub fn num_rows(&self) -> u32 {
-        match self {
-            EncodedBlock::Plain(b) => b.num_rows(),
-            EncodedBlock::Rle(b) => b.num_rows(),
-            EncodedBlock::BitVec(b) => b.num_rows(),
-            EncodedBlock::Dict(b) => b.num_rows(),
-        }
+        each_codec!(self, b => b.num_rows())
     }
 
     /// The positions covered: `[start_pos, start_pos + num_rows)`.
+    #[inline]
     pub fn covering(&self) -> PosRange {
         let s = self.start_pos();
         PosRange::new(s, s + self.num_rows() as u64)
     }
 
+    /// The codec's DS1 kernel over `w`, a non-empty window inside the
+    /// block, charging the code-op ledger nothing.
+    fn select(&self, pred: &Predicate, w: PosRange) -> PosList {
+        each_codec!(self, b => b.scan_positions_in(pred, w))
+    }
+
+    /// The codec's point kernel, at ascending positions inside the block.
+    #[inline]
+    fn gather_points(&self, positions: &[Pos], out: &mut Slots<'_>) {
+        each_codec!(self, b => b.gather_into(positions, out))
+    }
+
     /// DS1: positions (absolute) whose values satisfy `pred`.
-    ///
-    /// The representation follows the codec: RLE emits ranges, bit-vector
-    /// emits a bitmap (the OR of the matching bit-strings), plain and dict
-    /// let the builder heuristic choose.
     pub fn scan_positions(&self, pred: &Predicate) -> PosList {
-        match self {
-            EncodedBlock::Plain(b) => b.scan_positions(pred),
-            EncodedBlock::Rle(b) => b.scan_positions(pred),
-            EncodedBlock::BitVec(b) => b.scan_positions(pred),
-            EncodedBlock::Dict(b) => b.scan_positions(pred),
-        }
+        self.scan_positions_in(pred, self.covering())
     }
 
-    /// DS2: (position, value) pairs satisfying `pred`, appended to the two
-    /// output vectors in ascending position order.
-    pub fn scan_pairs(&self, pred: &Predicate, out_pos: &mut Vec<Pos>, out_val: &mut Vec<Value>) {
-        match self {
-            EncodedBlock::Plain(b) => b.scan_pairs(pred, out_pos, out_val),
-            EncodedBlock::Rle(b) => b.scan_pairs(pred, out_pos, out_val),
-            EncodedBlock::BitVec(b) => b.scan_pairs(pred, out_pos, out_val),
-            EncodedBlock::Dict(b) => b.scan_pairs(pred, out_pos, out_val),
-        }
-    }
-
-    /// DS1 restricted to a window of positions: like
-    /// [`scan_positions`](Self::scan_positions) but only rows inside
-    /// `window ∩ covering` are examined. This is what lets a pipelined
-    /// executor work one position-granule at a time without rescanning a
-    /// wide block (an RLE block can cover millions of positions).
+    /// DS1 over the rows inside `window ∩ covering` only — what lets a
+    /// pipelined executor work one position-granule at a time without
+    /// rescanning a wide block (an RLE block can cover millions of
+    /// positions).
+    ///
+    /// The representation follows the codec: RLE emits ranges,
+    /// bit-vector a bitmap (the OR of the matching bit-strings), plain
+    /// and dict what the builder heuristic picks. The code-op ledger is
+    /// charged the work done on encoded data: one compare per run (RLE),
+    /// per distinct value (bit-vector) or per code (dict).
     pub fn scan_positions_in(&self, pred: &Predicate, window: PosRange) -> PosList {
         let w = self.covering().intersect(&window);
         if w.is_empty() {
             return PosList::empty();
         }
-        match self {
-            EncodedBlock::Rle(b) => b.scan_positions_in(pred, w),
-            // Bit-vector: OR the bit-strings, then clip — the block's
-            // covering range is granule-sized, so the clip is cheap.
-            EncodedBlock::BitVec(b) => {
-                if w == self.covering() {
-                    b.scan_positions(pred)
-                } else {
-                    b.scan_positions(pred).clip(w)
-                }
-            }
-            EncodedBlock::Plain(b) => b.scan_positions_in(pred, w),
-            EncodedBlock::Dict(b) => b.scan_positions_in(pred, w),
-        }
+        codeops::add(match self {
+            EncodedBlock::Plain(_) => 0,
+            EncodedBlock::Rle(b) => b.runs_overlapping(w).len() as u64,
+            EncodedBlock::BitVec(b) => b.distinct_values().len() as u64,
+            EncodedBlock::Dict(_) => w.len(),
+        });
+        self.select(pred, w)
     }
 
-    /// DS2 restricted to a window of positions.
+    /// DS2: (position, value) pairs satisfying `pred`, appended to the two
+    /// output vectors in ascending position order.
+    pub fn scan_pairs(&self, pred: &Predicate, out_pos: &mut Vec<Pos>, out_val: &mut Vec<Value>) {
+        self.scan_pairs_in(pred, self.covering(), out_pos, out_val);
+    }
+
+    /// DS2 over the rows inside `window ∩ covering`: DS1, then DS3 at its
+    /// matches — a range gather over ranges, a point gather at any other
+    /// representation's positions. Only dict's per-code test is charged
+    /// to the code-op ledger: RLE and bit-vector pairs are decompressed.
     pub fn scan_pairs_in(
         &self,
         pred: &Predicate,
@@ -256,155 +297,69 @@ impl EncodedBlock {
         if w.is_empty() {
             return;
         }
-        match self {
-            EncodedBlock::Rle(b) => b.scan_pairs_in(pred, w, out_pos, out_val),
-            EncodedBlock::BitVec(b) => {
-                if w == self.covering() {
-                    b.scan_pairs(pred, out_pos, out_val);
-                } else {
-                    let mark = out_pos.len();
-                    b.scan_pairs(pred, out_pos, out_val);
-                    // Drop pairs outside the window (prefix/suffix trim).
-                    let mut keep = mark;
-                    for i in mark..out_pos.len() {
-                        if w.contains(out_pos[i]) {
-                            out_pos.swap(keep, i);
-                            out_val.swap(keep, i);
-                            keep += 1;
-                        }
-                    }
-                    out_pos.truncate(keep);
-                    out_val.truncate(keep);
+        if let EncodedBlock::Dict(_) = self {
+            codeops::add(w.len());
+        }
+        let matches = self.select(pred, w);
+        let at = out_pos.len();
+        match &matches {
+            PosList::Ranges(rl) => {
+                for r in rl.ranges() {
+                    out_pos.extend(r.start..r.end);
                 }
             }
-            EncodedBlock::Plain(b) => b.scan_pairs_in(pred, w, out_pos, out_val),
-            EncodedBlock::Dict(b) => b.scan_pairs_in(pred, w, out_pos, out_val),
+            PosList::Bitmap(bm) => bm.positions_in(w, out_pos),
+            PosList::Explicit(pv) => out_pos.extend_from_slice(pv.as_slice()),
         }
+        append(out_val, out_pos.len() - at, |cells| match &matches {
+            PosList::Ranges(rl) => self.gather_ranges_into(rl.ranges(), cells),
+            _ => self.gather_points(&out_pos[at..], cells),
+        });
     }
 
-    /// Errors unless `range` is empty or lies inside the block.
-    fn check_inside(&self, range: PosRange) -> Result<()> {
+    /// DS3 point form: values at **ascending** positions (repeats
+    /// allowed), all inside this block, appended to `out`.
+    pub fn gather(&self, positions: &[Pos], out: &mut Vec<Value>) -> Result<()> {
+        check_ends(positions, self.covering())?;
+        append(out, positions.len(), |cells| {
+            self.gather_points(positions, cells)
+        });
+        Ok(())
+    }
+
+    /// [`gather`](Self::gather) written to the next cells of `out`. Errs,
+    /// before any cell is written, unless the positions lie in the block.
+    #[inline]
+    pub fn gather_into(&self, positions: &[Pos], out: &mut Slots<'_>) -> Result<()> {
+        check_ends(positions, self.covering())?;
+        self.gather_points(positions, out);
+        Ok(())
+    }
+
+    /// DS3 range form, and decompression of a range: the values at every
+    /// position of `range`, which must lie inside this block, appended to
+    /// `out` in position order.
+    pub fn gather_range(&self, range: PosRange, out: &mut Vec<Value>) -> Result<()> {
         let cov = self.covering();
         if !range.is_empty() && (range.start < cov.start || range.end > cov.end) {
             return Err(Error::invalid(format!("range {range} outside block {cov}")));
         }
+        self.append_range(range, out);
         Ok(())
     }
 
-    /// Decompress every value in `range` (must lie inside the block) in
-    /// position order. Unlike [`gather_range`](Self::gather_range) this is
-    /// supported on **all** codecs — bit-vector blocks pay a scan of every
-    /// value's bit-string over the range, which is exactly the §4.1(c)
-    /// cost; RLE blocks extend by one run at a time.
-    pub fn decode_range(&self, range: PosRange, out: &mut Vec<Value>) -> Result<()> {
-        self.check_inside(range)?;
+    /// Append the values of `range`, inside the block, to `out`: a range
+    /// gather into new cells, except on RLE, which extends `out` by each
+    /// overlapping run — one write per value and no run cursor, where the
+    /// gather zeroes the cells first and then fills them a run at a time
+    /// (`block.decode_ns_per_value.rle`).
+    fn append_range(&self, range: PosRange, out: &mut Vec<Value>) {
         match self {
-            EncodedBlock::BitVec(b) => b.decode_range(range, out),
             EncodedBlock::Rle(b) => b.decode_range(range, out),
-            other => return other.gather_range(range, out),
+            _ => append(out, range.len() as usize, |cells| {
+                self.gather_ranges_into(&[range], cells)
+            }),
         }
-        Ok(())
-    }
-
-    /// Visit equal-value runs restricted to `window ∩ covering`.
-    pub fn for_each_run_in(&self, window: PosRange, mut f: impl FnMut(Value, PosRange)) {
-        let w = self.covering().intersect(&window);
-        if w.is_empty() {
-            return;
-        }
-        if w == self.covering() {
-            self.for_each_run(f);
-            return;
-        }
-        match self {
-            EncodedBlock::Rle(b) => {
-                for r in b.runs() {
-                    let o = r.range().intersect(&w);
-                    if !o.is_empty() {
-                        f(r.value, o);
-                    }
-                }
-            }
-            other => {
-                // Decode the window and coalesce.
-                let mut vals = Vec::with_capacity(w.len() as usize);
-                other
-                    .decode_range(w, &mut vals)
-                    .expect("window validated against covering");
-                let mut run_val = vals[0];
-                let mut run_start = w.start;
-                for (i, &v) in vals.iter().enumerate().skip(1) {
-                    if v != run_val {
-                        f(run_val, PosRange::new(run_start, w.start + i as u64));
-                        run_val = v;
-                        run_start = w.start + i as u64;
-                    }
-                }
-                f(run_val, PosRange::new(run_start, w.end));
-            }
-        }
-    }
-
-    /// DS3 point form: values at the given absolute positions, in any
-    /// order (all inside this block), appended to `out`. Every position
-    /// is checked against the block before any is read: the codecs'
-    /// kernels index by offset from the block's start.
-    ///
-    /// Errors with [`Error::Unsupported`] on bit-vector blocks.
-    pub fn gather(&self, positions: &[Pos], out: &mut Vec<Value>) -> Result<()> {
-        let cov = self.covering();
-        if let Some(&p) = positions.iter().find(|&&p| !cov.contains(p)) {
-            return Err(outside_block(p, cov));
-        }
-        push_with(out, positions.len(), |cells| {
-            self.gather_unchecked(positions, cells)
-        })
-    }
-
-    /// [`gather`](Self::gather) at **ascending** positions (repeats
-    /// allowed), written to the next cells of `out`. Ascending, the
-    /// positions all lie in the block once the first and the last do, so
-    /// only those two are checked before any is read.
-    pub fn gather_into(&self, positions: &[Pos], out: &mut Slots<'_>) -> Result<()> {
-        debug_assert!(positions.is_sorted(), "positions must ascend");
-        let cov = self.covering();
-        if let Some(&p) = [positions.first(), positions.last()]
-            .into_iter()
-            .flatten()
-            .find(|&&p| !cov.contains(p))
-        {
-            return Err(outside_block(p, cov));
-        }
-        self.gather_unchecked(positions, out)
-    }
-
-    /// The codec kernels behind [`gather`](Self::gather) and
-    /// [`gather_into`](Self::gather_into), on positions already checked
-    /// against the block.
-    fn gather_unchecked(&self, positions: &[Pos], out: &mut Slots<'_>) -> Result<()> {
-        match self {
-            EncodedBlock::Plain(b) => b.gather_into(positions, out),
-            EncodedBlock::Rle(b) => b.gather_into(positions, out),
-            EncodedBlock::BitVec(_) => {
-                return Err(Error::unsupported(
-                    "DS3 (position fetch) on a bit-vector block: bit-strings cannot be \
-                     probed by position without a scan",
-                ))
-            }
-            EncodedBlock::Dict(b) => b.gather_into(positions, out),
-        }
-        Ok(())
-    }
-
-    /// DS3 range form: values at every position of `range` (which must lie
-    /// inside this block), appended to `out`.
-    ///
-    /// Errors with [`Error::Unsupported`] on bit-vector blocks.
-    pub fn gather_range(&self, range: PosRange, out: &mut Vec<Value>) -> Result<()> {
-        self.check_inside(range)?;
-        push_with(out, range.len() as usize, |cells| {
-            self.gather_ranges_into(&[range], cells)
-        })
     }
 
     /// DS3 over a range descriptor, written strided: the values at the
@@ -412,75 +367,58 @@ impl EncodedBlock {
     /// block — go to the next cells of `out` in position order. Each codec
     /// walks the ranges and its own layout together: RLE keeps one run
     /// cursor, plain unpacks with one loop per width, dict indexes its
-    /// dictionary by code.
-    ///
-    /// Errors with [`Error::Unsupported`] on bit-vector blocks.
-    pub fn gather_ranges_into(&self, ranges: &[PosRange], out: &mut Slots<'_>) -> Result<()> {
-        match self {
-            EncodedBlock::Plain(b) => b.gather_ranges_into(ranges, out),
-            EncodedBlock::Rle(b) => b.gather_ranges_into(ranges, out),
-            EncodedBlock::BitVec(_) => {
-                return Err(Error::unsupported(
-                    "DS3 (range fetch) on a bit-vector block",
-                ))
-            }
-            EncodedBlock::Dict(b) => b.gather_ranges_into(ranges, out),
-        }
-        Ok(())
+    /// dictionary by code, bit-vector scatters each value's bit-string
+    /// words.
+    pub fn gather_ranges_into(&self, ranges: &[PosRange], out: &mut Slots<'_>) {
+        each_codec!(self, b => b.gather_ranges_into(ranges, out))
     }
 
-    /// DS4 probe: the value at one absolute position.
-    ///
-    /// Supported on every codec — on bit-vector blocks it costs O(k)
-    /// bit tests (k = distinct values), which is exactly why EM plans on
-    /// bit-vector data pay a CPU premium.
+    /// DS4 probe: the value at one absolute position — a one-position
+    /// point gather, allocating nothing.
+    #[inline]
     pub fn value_at(&self, pos: Pos) -> Result<Value> {
-        match self {
-            EncodedBlock::Plain(b) => b.value_at(pos),
-            EncodedBlock::Rle(b) => b.value_at(pos),
-            EncodedBlock::BitVec(b) => b.value_at(pos),
-            EncodedBlock::Dict(b) => b.value_at(pos),
-        }
+        let mut v = 0;
+        let cells = std::slice::from_mut(&mut v);
+        self.gather_into(&[pos], &mut Slots { cells, stride: 1 })?;
+        Ok(v)
     }
 
     /// Full decompression: every value of the block in position order,
     /// appended to `out`. This is the paper's "tuple construction requires
     /// decompression" path.
     pub fn decode_all(&self, out: &mut Vec<Value>) {
-        match self {
-            EncodedBlock::Plain(b) => b.decode_all(out),
-            EncodedBlock::Rle(b) => b.decode_all(out),
-            EncodedBlock::BitVec(b) => b.decode_all(out),
-            EncodedBlock::Dict(b) => b.decode_all(out),
-        }
+        self.append_range(self.covering(), out);
     }
 
     /// Visit maximal runs of equal values in position order as
-    /// `(value, absolute position range)`. RLE blocks visit their stored
-    /// runs in O(#runs); other codecs coalesce on the fly. This is what
-    /// lets operators (notably the aggregator) work an entire run at a
-    /// time — the §2.1.2 "operate directly on compressed data" win.
+    /// `(value, absolute position range)`.
     pub fn for_each_run(&self, f: impl FnMut(Value, PosRange)) {
-        match self {
-            EncodedBlock::Plain(b) => b.for_each_run(f),
-            EncodedBlock::Rle(b) => b.for_each_run(f),
-            EncodedBlock::BitVec(b) => b.for_each_run(f),
-            EncodedBlock::Dict(b) => b.for_each_run(f),
-        }
+        self.for_each_run_in(self.covering(), f);
     }
 
-    /// Number of runs [`for_each_run`](Self::for_each_run) would visit.
-    ///
-    /// Computed per codec without materializing values: RLE stores its
-    /// runs, plain compares packed bytes, dict compares codes, bit-vector
-    /// counts 1-run starts across its bit-strings.
-    pub fn num_runs(&self) -> u64 {
-        match self {
-            EncodedBlock::Plain(b) => b.num_runs(),
-            EncodedBlock::Rle(b) => b.runs().len() as u64,
-            EncodedBlock::BitVec(b) => b.num_runs(),
-            EncodedBlock::Dict(b) => b.num_runs(),
+    /// [`for_each_run`](Self::for_each_run) over `window ∩ covering`. RLE
+    /// blocks visit their stored runs, O(runs) with no decompression — what
+    /// lets operators (notably the aggregator) work an entire run at a
+    /// time, the §2.1.2 "operate directly on compressed data" win. Every
+    /// other codec decodes the window and coalesces it.
+    pub fn for_each_run_in(&self, window: PosRange, mut f: impl FnMut(Value, PosRange)) {
+        let w = self.covering().intersect(&window);
+        if w.is_empty() {
+            return;
         }
+        if let EncodedBlock::Rle(b) = self {
+            return b.runs_in(w, f);
+        }
+        let mut vals = Vec::new();
+        self.append_range(w, &mut vals);
+        let mut start = w.start;
+        for (p, pair) in (w.start + 1..).zip(vals.windows(2)) {
+            if pair[0] != pair[1] {
+                f(pair[0], PosRange::new(start, p));
+                start = p;
+            }
+        }
+        f(vals[vals.len() - 1], PosRange::new(start, w.end));
     }
 
     /// Serialize to the on-disk format (≤ [`BLOCK_SIZE`] bytes).
@@ -497,12 +435,7 @@ impl EncodedBlock {
         put_u32(&mut buf, self.num_rows());
         put_u64(&mut buf, self.start_pos());
         debug_assert_eq!(buf.len(), BLOCK_HEADER_SIZE);
-        match self {
-            EncodedBlock::Plain(b) => b.serialize_payload(&mut buf),
-            EncodedBlock::Rle(b) => b.serialize_payload(&mut buf),
-            EncodedBlock::BitVec(b) => b.serialize_payload(&mut buf),
-            EncodedBlock::Dict(b) => b.serialize_payload(&mut buf),
-        }
+        each_codec!(self, b => b.serialize_payload(&mut buf));
         debug_assert!(
             buf.len() <= BLOCK_SIZE,
             "serialized block exceeds 64KB: {} bytes",
@@ -619,9 +552,9 @@ mod tests {
         }
     }
 
-    /// `gather_into` checks only the ends of its ascending slice, so a
+    /// The point forms check only the ends of their ascending slice, so a
     /// slice starting before the block or ending past it errs before any
-    /// cell is written; `gather`, in any order, checks every position.
+    /// cell is written — values and dict codes alike.
     #[test]
     fn gather_outside_the_block_errs_and_writes_nothing() {
         let values = sample_values();
@@ -638,29 +571,27 @@ mod tests {
                 assert!(block.gather_into(&positions, &mut out).is_err());
                 assert_eq!(out.len(), positions.len(), "{:?}", block.encoding());
                 assert!(cells.iter().all(|&v| v == -7), "{:?}", block.encoding());
+                let mut out = vec![5];
+                assert!(block.gather(&positions, &mut out).is_err());
+                assert_eq!(out, vec![5], "{:?}", block.encoding());
+                if let EncodedBlock::Dict(d) = block {
+                    let mut codes = vec![9];
+                    assert!(d.gather_codes(&positions, &mut codes).is_err());
+                    assert_eq!(codes, vec![9]);
+                }
             }
-        }
-        let mut out = vec![5];
-        for block in &blocks {
-            assert!(block.gather(&[start + 3, end, start], &mut out).is_err());
-            assert_eq!(out, vec![5], "{:?}", block.encoding());
         }
     }
 
     #[test]
-    fn gather_matches_index_and_bitvec_errors() {
+    fn gather_matches_index_on_every_codec() {
         let values = sample_values();
-        let positions: Vec<Pos> = vec![0, 5, 17, 40, values.len() as u64 - 1];
+        let positions: Vec<Pos> = vec![0, 5, 5, 17, 40, values.len() as u64 - 1];
         for block in all_blocks(&values, 0) {
             let mut out = Vec::new();
-            let r = block.gather(&positions, &mut out);
-            if block.encoding() == EncodingKind::BitVec {
-                assert!(matches!(r, Err(Error::Unsupported(_))));
-            } else {
-                r.unwrap();
-                let expected: Vec<Value> = positions.iter().map(|&p| values[p as usize]).collect();
-                assert_eq!(out, expected, "{:?}", block.encoding());
-            }
+            block.gather(&positions, &mut out).unwrap();
+            let expected: Vec<Value> = positions.iter().map(|&p| values[p as usize]).collect();
+            assert_eq!(out, expected, "{:?}", block.encoding());
         }
     }
 
@@ -669,13 +600,10 @@ mod tests {
         let values = sample_values();
         for block in all_blocks(&values, 100) {
             let mut out = Vec::new();
-            let r = block.gather_range(PosRange::new(110, 130), &mut out);
-            if block.encoding() == EncodingKind::BitVec {
-                assert!(r.is_err());
-            } else {
-                r.unwrap();
-                assert_eq!(out, &values[10..30], "{:?}", block.encoding());
-            }
+            block
+                .gather_range(PosRange::new(110, 130), &mut out)
+                .unwrap();
+            assert_eq!(out, &values[10..30], "{:?}", block.encoding());
         }
     }
 
@@ -716,16 +644,22 @@ mod tests {
         let values = vec![1, 1, 2];
         let b = EncodedBlock::Rle(RleBlock::from_values(10, &values));
         assert_eq!(b.covering(), PosRange::new(10, 13));
-        assert_eq!(b.num_runs(), 2);
+        let mut n = 0;
+        b.for_each_run(|_, _| n += 1);
+        assert_eq!(n, 2);
     }
 
+    /// The runs visited number the value changes in the decoded block,
+    /// plus one unless it is empty.
     #[test]
     fn num_runs_matches_for_each_run_on_every_codec() {
         for values in [sample_values(), vec![7; 50], vec![-3], Vec::new()] {
+            let changes = values.windows(2).filter(|w| w[0] != w[1]).count();
+            let want = if values.is_empty() { 0 } else { changes + 1 };
             for block in all_blocks(&values, 40) {
                 let mut n = 0;
                 block.for_each_run(|_, _| n += 1);
-                assert_eq!(block.num_runs(), n, "{:?} {values:?}", block.encoding());
+                assert_eq!(n, want, "{:?} {values:?}", block.encoding());
             }
         }
     }
@@ -774,7 +708,7 @@ mod tests {
                 let cov = parsed.covering();
                 let mut out = Vec::new();
                 parsed.decode_all(&mut out);
-                let _ = parsed.decode_range(cov, &mut out);
+                let _ = parsed.gather_range(cov, &mut out);
                 let _ = parsed.scan_positions(&Predicate::lt(3));
                 let _ = parsed.scan_positions_in(&Predicate::ne(2), cov);
                 let (mut pos, mut val) = (Vec::new(), Vec::new());
@@ -835,17 +769,17 @@ mod tests {
         for block in all_blocks(&values, 100) {
             let mut out = Vec::new();
             block
-                .decode_range(PosRange::new(110, 130), &mut out)
+                .gather_range(PosRange::new(110, 130), &mut out)
                 .unwrap();
             assert_eq!(out, &values[10..30], "{:?}", block.encoding());
             // A range starting and ending inside runs.
             out.clear();
             block
-                .decode_range(PosRange::new(111, 127), &mut out)
+                .gather_range(PosRange::new(111, 127), &mut out)
                 .unwrap();
             assert_eq!(out, &values[11..27], "{:?}", block.encoding());
             // Out-of-block ranges are rejected.
-            assert!(block.decode_range(PosRange::new(90, 95), &mut out).is_err());
+            assert!(block.gather_range(PosRange::new(90, 95), &mut out).is_err());
         }
     }
 
@@ -865,6 +799,157 @@ mod tests {
             let mut n = 0;
             block.for_each_run_in(PosRange::new(100, 200), |_, _| n += 1);
             assert_eq!(n, 0);
+        }
+    }
+
+    /// What each form charges the code-op ledger over a window: DS1 one
+    /// compare per run (RLE), per distinct value (bit-vector) or per code
+    /// (dict); DS2 only dict's per-code test; nothing else.
+    #[test]
+    fn each_form_charges_the_code_op_ledger() {
+        let values = sample_values();
+        let window = PosRange::new(505, 540);
+        for block in all_blocks(&values, 500) {
+            let (ds1, ds2) = match &block {
+                EncodedBlock::Plain(_) => (0, 0),
+                EncodedBlock::Rle(b) => (b.runs_overlapping(window).len() as u64, 0),
+                EncodedBlock::BitVec(b) => (b.distinct_values().len() as u64, 0),
+                EncodedBlock::Dict(_) => (window.len(), window.len()),
+            };
+            let charged = |f: &dyn Fn()| {
+                let io = matstrat_common::QueryIo::new();
+                io.run(f);
+                io.code_ops()
+            };
+            let pred = Predicate::lt(4);
+            let ctx = block.encoding();
+            assert_eq!(
+                charged(&|| drop(block.scan_positions_in(&pred, window))),
+                ds1,
+                "{ctx}"
+            );
+            let pairs = || block.scan_pairs_in(&pred, window, &mut Vec::new(), &mut Vec::new());
+            assert_eq!(charged(&pairs), ds2, "{ctx}");
+            let rest = || {
+                let mut out = Vec::new();
+                block.gather_range(window, &mut out).unwrap();
+                block.gather(&[505, 530], &mut out).unwrap();
+                block.value_at(520).unwrap();
+                block.decode_all(&mut out);
+                block.for_each_run_in(window, |_, _| {});
+            };
+            assert_eq!(charged(&rest), 0, "{ctx}");
+        }
+    }
+
+    /// `values` as a block of codec `codec` from `start`; codec 4 is a
+    /// bit-vector block whose padding bits past its last row are all set,
+    /// as a hostile file might set them.
+    fn codec_block(codec: usize, start: Pos, values: &[Value]) -> EncodedBlock {
+        match codec {
+            0 => EncodedBlock::Plain(PlainBlock::from_values(start, Width::W2, values)),
+            1 => EncodedBlock::Rle(RleBlock::from_values(start, values)),
+            2 => EncodedBlock::BitVec(BitVecBlock::from_values(start, values)),
+            3 => EncodedBlock::Dict(DictBlock::from_values(start, values)),
+            _ => {
+                let b = BitVecBlock::from_values(start, values);
+                let (k, wpv) = (b.distinct_values().len(), values.len().div_ceil(64));
+                let mut buf = Vec::new();
+                b.serialize_payload(&mut buf);
+                if values.len() % 64 != 0 {
+                    let padding = u64::MAX << (values.len() % 64);
+                    for i in 0..k {
+                        let at = 4 + 8 * k + 8 * (i * wpv + wpv - 1);
+                        let word = u64::from_le_bytes(buf[at..at + 8].try_into().unwrap());
+                        buf[at..at + 8].copy_from_slice(&(word | padding).to_le_bytes());
+                    }
+                }
+                let mut r = Reader::new(&buf);
+                EncodedBlock::BitVec(
+                    BitVecBlock::parse_payload(start, values.len() as u32, &mut r).unwrap(),
+                )
+            }
+        }
+    }
+
+    /// The maximal runs of `values` (which start at `start`) inside `w`.
+    fn runs_oracle(values: &[Value], start: Pos, w: PosRange) -> Vec<(Value, PosRange)> {
+        let mut runs: Vec<(Value, PosRange)> = Vec::new();
+        for p in w.iter() {
+            let v = values[(p - start) as usize];
+            match runs.last_mut() {
+                Some((rv, r)) if *rv == v => r.end = p + 1,
+                _ => runs.push((v, PosRange::new(p, p + 1))),
+            }
+        }
+        runs
+    }
+
+    proptest::proptest! {
+        /// Every derived form equals a per-position oracle over the
+        /// decoded block: every codec, a hostile bit-vector block's
+        /// padding bits, and random windows that start before, end past
+        /// or miss the block.
+        #[test]
+        fn derived_forms_equal_a_per_position_oracle(
+            codec in 0usize..5,
+            runs in proptest::collection::vec((-20i64..20, 1usize..20), 0..40),
+            start in 0u64..300,
+            win in (0u64..1200, 0u64..1200),
+            op in (0usize..6, -25i64..25),
+        ) {
+            use proptest::prop_assert_eq;
+            let values: Vec<Value> = runs
+                .iter()
+                .flat_map(|&(v, n)| std::iter::repeat_n(v, n))
+                .collect();
+            let block = codec_block(codec, start, &values);
+            let cov = block.covering();
+            let mut decoded = Vec::new();
+            block.decode_all(&mut decoded);
+            prop_assert_eq!(&decoded, &values);
+            let at = |p: Pos| decoded[(p - start) as usize];
+            let pred = match op.0 {
+                0 => Predicate::lt(op.1),
+                1 => Predicate::le(op.1),
+                2 => Predicate::gt(op.1),
+                3 => Predicate::eq(op.1),
+                4 => Predicate::ne(op.1),
+                _ => Predicate::between(op.1, op.1 + 10),
+            };
+            let lo = start.saturating_sub(20) + win.0 % (values.len() as u64 + 40);
+            let window = PosRange::new(lo, lo + win.1 % (values.len() as u64 + 40));
+            for w in [window, cov] {
+                let inside = w.intersect(&cov);
+                let matches: Vec<Pos> = inside.iter().filter(|&p| pred.matches(at(p))).collect();
+                prop_assert_eq!(block.scan_positions_in(&pred, w).to_vec(), matches.clone());
+                let (mut ps, mut vs) = (vec![7], vec![-7]);
+                block.scan_pairs_in(&pred, w, &mut ps, &mut vs);
+                prop_assert_eq!(&ps[1..], &matches[..]);
+                prop_assert_eq!(vs[1..].to_vec(), matches.iter().map(|&p| at(p)).collect::<Vec<_>>());
+                let mut got = vec![-7];
+                block.gather_range(inside, &mut got).unwrap();
+                prop_assert_eq!(got[1..].to_vec(), inside.iter().map(at).collect::<Vec<_>>());
+                let mut runs = Vec::new();
+                block.for_each_run_in(w, |v, r| runs.push((v, r)));
+                prop_assert_eq!(runs, runs_oracle(&decoded, start, inside));
+                for p in w.iter().take(80) {
+                    match block.value_at(p) {
+                        Ok(v) => prop_assert_eq!((p, v), (p, at(p))),
+                        Err(_) => proptest::prop_assert!(!cov.contains(p), "{}", p),
+                    }
+                }
+            }
+            // The whole-block forms are the window `covering()`.
+            let matches: Vec<Pos> = cov.iter().filter(|&p| pred.matches(at(p))).collect();
+            prop_assert_eq!(block.scan_positions(&pred).to_vec(), matches.clone());
+            let (mut ps, mut vs) = (Vec::new(), Vec::new());
+            block.scan_pairs(&pred, &mut ps, &mut vs);
+            prop_assert_eq!(&ps, &matches);
+            prop_assert_eq!(vs, matches.iter().map(|&p| at(p)).collect::<Vec<_>>());
+            let mut runs = Vec::new();
+            block.for_each_run(|v, r| runs.push((v, r)));
+            prop_assert_eq!(runs, runs_oracle(&decoded, start, cov));
         }
     }
 }

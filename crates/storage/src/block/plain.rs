@@ -105,49 +105,6 @@ impl PlainBlock {
         self.width
     }
 
-    /// Decode the value at row index `idx` (0-based within the block).
-    #[inline(always)]
-    fn decode_idx(&self, idx: usize) -> Value {
-        let w = self.width.bytes();
-        let o = idx * w;
-        match self.width {
-            Width::W1 => self.raw[o] as i8 as i64,
-            Width::W2 => i16::from_le_bytes(self.raw[o..o + 2].try_into().unwrap()) as i64,
-            Width::W4 => i32::from_le_bytes(self.raw[o..o + 4].try_into().unwrap()) as i64,
-            Width::W8 => i64::from_le_bytes(self.raw[o..o + 8].try_into().unwrap()),
-        }
-    }
-
-    fn check_pos(&self, pos: Pos) -> Result<usize> {
-        if pos < self.start_pos || pos >= self.start_pos + self.count as u64 {
-            return Err(Error::invalid(format!(
-                "position {pos} outside block [{}, {})",
-                self.start_pos,
-                self.start_pos + self.count as u64
-            )));
-        }
-        Ok((pos - self.start_pos) as usize)
-    }
-
-    /// DS1 over packed values, 64 values to a match word; the
-    /// representation is the builder's choice (see
-    /// [`scan_positions_in`](Self::scan_positions_in)).
-    pub fn scan_positions(&self, pred: &Predicate) -> PosList {
-        let end = self.start_pos + self.count as u64;
-        self.scan_positions_in(pred, PosRange::new(self.start_pos, end))
-    }
-
-    /// DS2 over packed values.
-    pub fn scan_pairs(&self, pred: &Predicate, out_pos: &mut Vec<Pos>, out_val: &mut Vec<Value>) {
-        for i in 0..self.count as usize {
-            let v = self.decode_idx(i);
-            if pred.matches(v) {
-                out_pos.push(self.start_pos + i as u64);
-                out_val.push(v);
-            }
-        }
-    }
-
     /// DS1 restricted to `window` (already intersected with the covering
     /// range by the caller).
     ///
@@ -206,29 +163,11 @@ impl PlainBlock {
         PosList::from_bitmap(Bitmap::from_words(window, words))
     }
 
-    /// DS2 restricted to `window`.
-    pub fn scan_pairs_in(
-        &self,
-        pred: &Predicate,
-        window: PosRange,
-        out_pos: &mut Vec<Pos>,
-        out_val: &mut Vec<Value>,
-    ) {
-        let lo = (window.start - self.start_pos) as usize;
-        let hi = (window.end - self.start_pos) as usize;
-        for i in lo..hi {
-            let v = self.decode_idx(i);
-            if pred.matches(v) {
-                out_pos.push(self.start_pos + i as u64);
-                out_val.push(v);
-            }
-        }
-    }
-
     /// DS3 point fetch (O(1) per position; every position inside the
     /// block), written to the next cells of `out`: one unpacking loop per
     /// width, as in [`gather_ranges_into`](Self::gather_ranges_into), so
     /// no value pays a width dispatch.
+    #[inline]
     pub fn gather_into(&self, positions: &[Pos], out: &mut Slots<'_>) {
         macro_rules! unpack {
             ($t:ty) => {{
@@ -277,57 +216,6 @@ impl PlainBlock {
             Width::W4 => unpack!(i32),
             Width::W8 => unpack!(i64),
         }
-    }
-
-    /// DS4 probe.
-    pub fn value_at(&self, pos: Pos) -> Result<Value> {
-        let idx = self.check_pos(pos)?;
-        Ok(self.decode_idx(idx))
-    }
-
-    /// Append every value in position order.
-    pub fn decode_all(&self, out: &mut Vec<Value>) {
-        out.reserve(self.count as usize);
-        for i in 0..self.count as usize {
-            out.push(self.decode_idx(i));
-        }
-    }
-
-    /// Number of maximal equal-value runs: one pass of fixed-width byte
-    /// compares over the packed payload, no value materialization.
-    pub fn num_runs(&self) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let w = self.width.bytes();
-        let transitions = self
-            .raw
-            .chunks_exact(w)
-            .zip(self.raw.chunks_exact(w).skip(1))
-            .filter(|(a, b)| a != b)
-            .count();
-        transitions as u64 + 1
-    }
-
-    /// Visit maximal equal-value runs (coalesced on the fly).
-    pub fn for_each_run(&self, mut f: impl FnMut(Value, PosRange)) {
-        if self.count == 0 {
-            return;
-        }
-        let mut run_val = self.decode_idx(0);
-        let mut run_start = self.start_pos;
-        for i in 1..self.count as usize {
-            let v = self.decode_idx(i);
-            if v != run_val {
-                f(run_val, PosRange::new(run_start, self.start_pos + i as u64));
-                run_val = v;
-                run_start = self.start_pos + i as u64;
-            }
-        }
-        f(
-            run_val,
-            PosRange::new(run_start, self.start_pos + self.count as u64),
-        );
     }
 
     /// Append the codec payload (packed bytes) to `buf`.
@@ -400,7 +288,7 @@ mod tests {
     fn negative_values_roundtrip_all_widths() {
         for width in [Width::W1, Width::W2, Width::W4, Width::W8] {
             let values = vec![-1, 0, 1, -128, 127];
-            let b = PlainBlock::from_values(0, width, &values);
+            let b = EncodedBlock::Plain(PlainBlock::from_values(0, width, &values));
             let mut out = Vec::new();
             b.decode_all(&mut out);
             assert_eq!(out, values, "{width}");
@@ -416,7 +304,7 @@ mod tests {
     #[test]
     fn scan_positions_runs_are_coalesced() {
         // 0,0,0,1,1,0: pred eq(0) matches positions 0-2 and 5.
-        let b = PlainBlock::from_values(10, Width::W1, &[0, 0, 0, 1, 1, 0]);
+        let b = EncodedBlock::Plain(PlainBlock::from_values(10, Width::W1, &[0, 0, 0, 1, 1, 0]));
         let pl = b.scan_positions(&Predicate::eq(0));
         assert_eq!(pl.to_vec(), vec![10, 11, 12, 15]);
     }
@@ -435,7 +323,7 @@ mod tests {
 
     #[test]
     fn empty_block_for_each_run() {
-        let b = PlainBlock::from_values(0, Width::W1, &[]);
+        let b = EncodedBlock::Plain(PlainBlock::from_values(0, Width::W1, &[]));
         let mut n = 0;
         b.for_each_run(|_, _| n += 1);
         assert_eq!(n, 0);

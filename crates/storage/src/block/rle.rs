@@ -6,7 +6,7 @@
 //! (V, L) on disk — S is the running sum — and materialize S when the
 //! block is parsed, so the in-memory form matches the paper's triples.
 
-use matstrat_common::{codeops, Error, Pos, PosRange, Predicate, Result, Value};
+use matstrat_common::{Error, Pos, PosRange, Predicate, Result, Value};
 use matstrat_poslist::{PosList, PosListBuilder};
 
 use crate::wire::{put_i64, put_u32, Reader};
@@ -117,45 +117,8 @@ impl RleBlock {
         &self.runs
     }
 
-    /// Index of the run containing absolute position `pos`.
-    fn run_for(&self, pos: Pos) -> Result<usize> {
-        if pos < self.start_pos || pos >= self.start_pos + self.count as u64 {
-            return Err(Error::invalid(format!(
-                "position {pos} outside RLE block [{}, {})",
-                self.start_pos,
-                self.start_pos + self.count as u64
-            )));
-        }
-        let idx = self.runs.partition_point(|r| r.start + r.len as u64 <= pos);
-        Ok(idx)
-    }
-
-    /// DS1: one whole run matches or fails per comparison — O(#runs).
-    /// Emits the range representation, the natural output for RLE.
-    pub fn scan_positions(&self, pred: &Predicate) -> PosList {
-        codeops::add(self.runs.len() as u64);
-        let mut b = PosListBuilder::new();
-        for r in &self.runs {
-            if pred.matches(r.value) {
-                b.push_run(r.range());
-            }
-        }
-        b.finish_as_ranges()
-    }
-
-    /// DS2: matching runs are decompressed into (pos, value) pairs —
-    /// the paper's "tuple construction requires decompression".
-    pub fn scan_pairs(&self, pred: &Predicate, out_pos: &mut Vec<Pos>, out_val: &mut Vec<Value>) {
-        for r in &self.runs {
-            if pred.matches(r.value) {
-                out_pos.extend(r.start..r.start + r.len as u64);
-                out_val.extend(std::iter::repeat_n(r.value, r.len as usize));
-            }
-        }
-    }
-
     /// Runs overlapping `window`, as a subslice (binary search on starts).
-    fn runs_overlapping(&self, window: PosRange) -> &[RleRun] {
+    pub(super) fn runs_overlapping(&self, window: PosRange) -> &[RleRun] {
         let first = self
             .runs
             .partition_point(|r| r.start + r.len as u64 <= window.start);
@@ -163,12 +126,12 @@ impl RleBlock {
         &self.runs[first..last]
     }
 
-    /// DS1 restricted to `window`: O(overlapping runs).
+    /// DS1 over `window`, a window inside the block: one whole run matches
+    /// or fails per comparison, O(overlapping runs). Emits the range
+    /// representation, the natural output for RLE.
     pub fn scan_positions_in(&self, pred: &Predicate, window: PosRange) -> PosList {
-        let overlapping = self.runs_overlapping(window);
-        codeops::add(overlapping.len() as u64);
         let mut b = PosListBuilder::new();
-        for r in overlapping {
+        for r in self.runs_overlapping(window) {
             if pred.matches(r.value) {
                 b.push_run(r.range().intersect(&window));
             }
@@ -176,34 +139,37 @@ impl RleBlock {
         b.finish_as_ranges()
     }
 
-    /// DS2 restricted to `window`.
-    pub fn scan_pairs_in(
-        &self,
-        pred: &Predicate,
-        window: PosRange,
-        out_pos: &mut Vec<Pos>,
-        out_val: &mut Vec<Value>,
-    ) {
+    /// The stored runs overlapping `window`, a window inside the block,
+    /// clipped to it: O(overlapping runs), no decompression — the whole
+    /// point of RLE.
+    pub fn runs_in(&self, window: PosRange, mut f: impl FnMut(Value, PosRange)) {
         for r in self.runs_overlapping(window) {
-            if pred.matches(r.value) {
-                let o = r.range().intersect(&window);
-                out_pos.extend(o.start..o.end);
-                out_val.extend(std::iter::repeat_n(r.value, o.len() as usize));
-            }
+            f(r.value, r.range().intersect(&window));
         }
     }
 
-    /// DS3 point fetch (every position inside the block), written to the
-    /// next cells of `out`. Ascending positions walk the run list
-    /// forward; an out-of-order probe restarts the walk.
+    /// Append the values of `range`, inside the block, to `out`: each
+    /// overlapping run extends it by its overlap.
+    pub(super) fn decode_range(&self, range: PosRange, out: &mut Vec<Value>) {
+        out.reserve(range.len() as usize);
+        for r in self.runs_overlapping(range) {
+            let o = r.range().intersect(&range);
+            out.extend(std::iter::repeat_n(r.value, o.len() as usize));
+        }
+    }
+
+    /// DS3 point fetch at ascending positions inside the block, written
+    /// to the next cells of `out`: the first position's run is found by
+    /// binary search, and the rest walk the runs forward from it.
+    #[inline]
     pub fn gather_into(&self, positions: &[Pos], out: &mut Slots<'_>) {
-        let mut run_idx = 0usize;
-        let mut last: Option<Pos> = None;
+        let Some(&first) = positions.first() else {
+            return;
+        };
+        let mut run_idx = self
+            .runs
+            .partition_point(|r| r.start + r.len as u64 <= first);
         out.put(positions.iter().map(|&p| {
-            if last.is_some_and(|l| p < l) {
-                run_idx = 0; // out-of-order probe: restart (rare path)
-            }
-            last = Some(p);
             while self.runs[run_idx].start + self.runs[run_idx].len as u64 <= p {
                 run_idx += 1;
             }
@@ -241,37 +207,6 @@ impl RleBlock {
                     run_idx += 1;
                 }
             }
-        }
-    }
-
-    /// DS4 probe: binary search over run start positions.
-    pub fn value_at(&self, pos: Pos) -> Result<Value> {
-        let idx = self.run_for(pos)?;
-        Ok(self.runs[idx].value)
-    }
-
-    /// Full decompression in position order.
-    pub fn decode_all(&self, out: &mut Vec<Value>) {
-        let end = self.start_pos + self.count as u64;
-        self.decode_range(PosRange::new(self.start_pos, end), out);
-    }
-
-    /// Decompress the rows of `range` (inside the block) in position
-    /// order, appended to `out`: each overlapping run extends `out` by its
-    /// overlap.
-    pub fn decode_range(&self, range: PosRange, out: &mut Vec<Value>) {
-        out.reserve(range.len() as usize);
-        for r in self.runs_overlapping(range) {
-            let o = r.range().intersect(&range);
-            out.extend(std::iter::repeat_n(r.value, o.len() as usize));
-        }
-    }
-
-    /// Visit runs directly — the whole point of RLE: O(#runs), no
-    /// decompression.
-    pub fn for_each_run(&self, mut f: impl FnMut(Value, PosRange)) {
-        for r in &self.runs {
-            f(r.value, r.range());
         }
     }
 
@@ -356,24 +291,29 @@ mod tests {
         assert_eq!(b.runs()[0].value, 2);
         assert_eq!(b.runs()[0].len, 5);
         let mut out = Vec::new();
-        b.decode_all(&mut out);
+        EncodedBlock::Rle(b).decode_all(&mut out);
         assert_eq!(out, vec![2; 5]);
     }
 
     #[test]
     fn scan_positions_yields_ranges() {
-        let b = RleBlock::from_values(0, &[1, 1, 2, 2, 2, 1]);
+        let b = EncodedBlock::Rle(RleBlock::from_values(0, &[1, 1, 2, 2, 2, 1]));
         let pl = b.scan_positions(&Predicate::eq(1));
         assert_eq!(pl.to_vec(), vec![0, 1, 5]);
         assert_eq!(pl.to_ranges().num_runs(), 2);
     }
 
+    /// Positions in the last runs of a block of many runs: the point
+    /// kernel finds the first one's run by binary search, then walks on.
     #[test]
-    fn gather_out_of_order_restarts() {
-        let b = EncodedBlock::Rle(RleBlock::from_values(0, &[1, 1, 2, 2, 3, 3]));
-        let mut out = Vec::new();
-        b.gather(&[5, 0, 3], &mut out).unwrap();
-        assert_eq!(out, vec![3, 1, 2]);
+    fn point_gather_in_the_last_runs_of_many() {
+        let values: Vec<Value> = (0..3000).map(|i| i / 2).collect();
+        let b = EncodedBlock::Rle(RleBlock::from_values(500, &values));
+        let positions = [3496, 3497, 3497, 3498, 3499];
+        let mut out = vec![-1];
+        b.gather(&positions, &mut out).unwrap();
+        assert_eq!(out, vec![-1, 1498, 1498, 1498, 1499, 1499]);
+        assert_eq!(b.value_at(3499).unwrap(), 1499);
     }
 
     #[test]
@@ -407,7 +347,7 @@ mod tests {
 
     #[test]
     fn value_at_binary_search() {
-        let b = RleBlock::from_values(0, &[5, 5, 6, 7, 7, 7]);
+        let b = EncodedBlock::Rle(RleBlock::from_values(0, &[5, 5, 6, 7, 7, 7]));
         assert_eq!(b.value_at(0).unwrap(), 5);
         assert_eq!(b.value_at(2).unwrap(), 6);
         assert_eq!(b.value_at(5).unwrap(), 7);

@@ -45,14 +45,6 @@ impl EncodingKind {
         }
     }
 
-    /// Whether the DS3 access pattern (jump to a position, read its value)
-    /// is supported. Bit-vector columns cannot answer it without a scan:
-    /// *"it is impossible to know in advance in which bit-string any
-    /// particular position is located"* (§4.1).
-    pub fn supports_position_fetch(self) -> bool {
-        !matches!(self, EncodingKind::BitVec)
-    }
-
     /// Short lowercase name used in harness output.
     pub fn name(self) -> &'static str {
         match self {
@@ -85,14 +77,6 @@ mod tests {
             assert_eq!(EncodingKind::from_tag(k.tag()).unwrap(), k);
         }
         assert!(EncodingKind::from_tag(99).is_err());
-    }
-
-    #[test]
-    fn bitvec_rejects_position_fetch() {
-        assert!(!EncodingKind::BitVec.supports_position_fetch());
-        assert!(EncodingKind::Plain.supports_position_fetch());
-        assert!(EncodingKind::Rle.supports_position_fetch());
-        assert!(EncodingKind::Dict.supports_position_fetch());
     }
 
     #[test]

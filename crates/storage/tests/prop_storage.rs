@@ -4,7 +4,7 @@
 //! write-time statistics are truthful.
 
 use matstrat_common::Width;
-use matstrat_common::{Error, PosRange, Predicate, Value};
+use matstrat_common::{PosRange, Predicate, Value};
 use matstrat_poslist::{PosList, PosListBuilder};
 use matstrat_storage::{
     BitVecBlock, ColumnFileReader, ColumnFileWriter, DictBlock, EncodedBlock, EncodingKind,
@@ -250,9 +250,6 @@ proptest! {
         let expected: Vec<Value> = positions.iter().map(|&p| values[p as usize]).collect();
         let pl = PosList::from_positions(positions);
         for enc in ENCODINGS {
-            if enc == EncodingKind::BitVec {
-                continue; // DS3 unsupported, verified elsewhere
-            }
             let disk = MemDisk::new();
             let r = write_and_open(&disk, enc, &values);
             let mut got = Vec::new();
@@ -369,8 +366,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// The strided range gather writes exactly the bytes MERGE would build
-    /// from a point gather of each column: every codec (bit-vector refusing
-    /// both alike), plain at W1–W8, values at each width's domain edges
+    /// from a point gather of each column: every codec, plain at W1–W8, values at each width's domain edges
     /// and `Value::MIN/MAX`, RLE runs that start, end or straddle a range
     /// edge, ranges crossing block boundaries or lying past the blocks,
     /// empty and one-row ranges — at strides 1–4 and every column offset,
@@ -412,7 +408,6 @@ proptest! {
 
         // The oracle column: each block's point gather of its positions.
         let mut gathered = Vec::new();
-        let mut refused = false;
         for b in &blocks {
             let cov = b.covering();
             let points: Vec<u64> = ranges
@@ -422,13 +417,8 @@ proptest! {
                     r.start..r.end
                 })
                 .collect();
-            match b.gather(&points, &mut gathered) {
-                Ok(()) => {}
-                Err(Error::Unsupported(_)) => refused = true,
-                Err(e) => panic!("{e}"),
-            }
+            b.gather(&points, &mut gathered).unwrap();
         }
-        prop_assert_eq!(refused, codec == 3);
         let n = gathered.len();
         for stride in 1..=4usize {
             for col in 0..stride {
@@ -438,14 +428,7 @@ proptest! {
                 let mut buf = merge_columns(&cols);
                 let mut cells = Slots::column(&mut buf, col, stride);
                 for b in &blocks {
-                    match b.gather_ranges_into(&ranges, &mut cells) {
-                        Ok(()) => prop_assert!(!refused),
-                        Err(Error::Unsupported(_)) => prop_assert!(refused),
-                        Err(e) => panic!("{e}"),
-                    }
-                }
-                if refused {
-                    continue;
+                    b.gather_ranges_into(&ranges, &mut cells);
                 }
                 prop_assert_eq!(cells.len(), 0, "every cell of the column written");
                 cols[col] = gathered.clone();

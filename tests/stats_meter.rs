@@ -130,7 +130,7 @@ fn warm_pool_eliminates_block_reads() {
 }
 
 /// `decompressed_fetch` says a value fetch hit a bit-vector block, which
-/// cannot gather by position. Under late materialization an aggregate's
+/// decompresses inside the codec to gather by position. Under late materialization an aggregate's
 /// group column is consumed by runs and COUNT never fetches its value
 /// column, so neither sets it.
 #[test]
