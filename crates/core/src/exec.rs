@@ -35,11 +35,14 @@
 //! its output columns' blocks exactly where DS3 needs them — and leaves
 //! one `Part` per granule with output rows: an LM granule its
 //! descriptor and output mini-columns, an EM granule its constructed
-//! tuples. Step 1 only produces parts; what consumes them `drive`
-//! decides once, through `Finish`. Without an aggregate, step 2 is one
-//! MERGE ([`crate::ops::merge`]): the parts' row counts size the result
-//! once, and every output value is written once, straight from its
-//! compressed block into its row-major slot. Under an aggregate the
+//! tuples, and a join tree's span its probed positions with the sources
+//! of its output columns (base mini-columns, inner-table
+//! representations), no value fetched. Step 1 only produces parts; what
+//! consumes them `drive` decides once, through `Finish`. Without an
+//! aggregate, step 2 is one MERGE ([`crate::ops::merge`]): the parts' row
+//! counts size the result once, and every output value is written once,
+//! straight from its compressed block (or a join's inner
+//! representation) into its row-major slot. Under an aggregate the
 //! parts carry the group column, then the value column unless the
 //! function is COUNT, and `drive` folds each into its fragment's partial
 //! accumulator as soon as it is made, on the worker that made it
@@ -67,7 +70,8 @@
 //! rows in order. MERGE then writes each part into its own disjoint
 //! slice of the result on up to the pipeline's worker count, at most one
 //! worker per granule of output rows (a smaller output is assembled on
-//! the caller, with no spawn). The produced [`QueryResult`] is therefore
+//! the caller, with no spawn); a join part is cut between rows, so the
+//! workers' shares of a join's rows are equal. The produced [`QueryResult`] is therefore
 //! **byte-identical** to the serial run at any worker count, and the
 //! deterministic counters (`positions_matched`, `rows_out`, cold
 //! `block_reads`) are exact: the buffer pool single-flights concurrent

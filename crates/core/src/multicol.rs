@@ -518,7 +518,7 @@ fn append_with(
 }
 
 /// The error for a fetch at `pos`, outside the mini-column's `window`.
-fn outside_window(pos: Pos, window: PosRange) -> Error {
+pub(crate) fn outside_window(pos: Pos, window: PosRange) -> Error {
     Error::invalid(format!(
         "position {pos} outside the mini-column's window {window}"
     ))

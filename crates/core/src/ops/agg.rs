@@ -306,10 +306,12 @@ impl Part<'_> {
                 }
                 Ok(())
             }
-            Part::Columns(cols) => {
+            Part::Join(join) => {
+                let groups = join.column(0)?;
+                let vals = (join.cols.len() > 1).then(|| join.column(1)).transpose()?;
                 let mut at = 0;
-                for run in cols[0].chunk_by(|a, b| a == b) {
-                    match cols.get(1) {
+                for run in groups.chunk_by(|a, b| a == b) {
+                    match &vals {
                         Some(vals) => acc.add_slice(run[0], &vals[at..at + run.len()]),
                         None => acc.add_count(run[0], run.len() as u64),
                     }
@@ -423,7 +425,10 @@ pub fn aggregate_runs_compressed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use matstrat_common::Predicate;
+    use crate::ops::join::InnerRep;
+    use crate::ops::merge::{JoinCol, JoinRows};
+    use crate::InnerStrategy;
+    use matstrat_common::{Pos, Predicate};
     use matstrat_storage::{EncodingKind, ProjectionSpec, SortOrder, Store};
 
     #[test]
@@ -617,7 +622,7 @@ mod tests {
     fn every_part_shape_folds_to_the_same_groups() {
         // The same rows as a late-materialized part (RLE values, taking
         // the compressed path, and Plain values), as constructed tuples
-        // and as gathered columns.
+        // and as a join part.
         let store = Store::in_memory();
         let g: Vec<Value> = (0..2000).map(|i| i / 70).collect();
         let v: Vec<Value> = (0..2000).map(|i| (i / 45) % 6 - 2).collect();
@@ -643,8 +648,16 @@ mod tests {
             } else {
                 (cols(&[0]), cols(&[0]), &[2][..])
             };
-            let mut columns = vec![groups.clone()];
-            columns.extend(Some(vals.clone()).filter(|_| func.needs_values()));
+            // The join part: the group column at the base positions, the
+            // value column (Plain) as a right column at the same positions.
+            let base: Vec<Pos> = desc.iter().collect();
+            let rep = InnerRep::new(cols(&[2]), InnerStrategy::SingleColumn, 1).unwrap();
+            let mut join_cols = vec![JoinCol::Base(mini(0))];
+            join_cols.extend(func.needs_values().then_some(JoinCol::Right {
+                rep: &rep,
+                edge: 0,
+                col: 0,
+            }));
             let parts = [
                 Part::Late {
                     desc: desc.clone(),
@@ -659,7 +672,11 @@ mod tests {
                     width: 3,
                     fields,
                 },
-                Part::Columns(columns),
+                Part::Join(JoinRows {
+                    rights: vec![base.iter().map(|&p| p as u32).collect()],
+                    base,
+                    cols: join_cols,
+                }),
             ];
             let folded: Vec<Vec<(Value, Value)>> = parts
                 .iter()

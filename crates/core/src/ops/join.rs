@@ -20,9 +20,11 @@
 //!   penalty.
 //!
 //! This module holds the build side (`SharedBuild`, `InnerRep`) and
-//! the position-merge fetch helpers; the probe pipeline that drives them
-//! is the join-tree executor ([`crate::ops::join_tree`]), which runs a
-//! single join as a one-edge tree.
+//! the fetch helpers; the probe pipeline that drives them is the
+//! join-tree executor ([`crate::ops::join_tree`]), which runs a single
+//! join as a one-edge tree. The right-side fetch itself runs at MERGE,
+//! where [`InnerRep::fetch_into`] writes each right value into its slot
+//! of the result.
 //!
 //! # Parallel build
 //!
@@ -55,11 +57,11 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use matstrat_common::{Pos, PosRange, Predicate, Result, TableId, Value};
-use matstrat_storage::{ProjectionInfo, Store, TableDelta, Tombstones};
+use matstrat_common::{Error, Pos, PosRange, Predicate, Result, TableId, Value};
+use matstrat_storage::{ProjectionInfo, Slots, Store, TableDelta, Tombstones};
 
 use crate::exec::ExecOptions;
-use crate::multicol::{FetchKind, MiniColumn};
+use crate::multicol::{outside_window, FetchKind, MiniColumn};
 use crate::pipeline::FragmentPipeline;
 use crate::InnerStrategy;
 
@@ -810,29 +812,42 @@ impl SharedBuild {
 
 /// The per-edge, strategy-dependent right-side representation: the
 /// compressed mini-columns of the output columns, plus the Materialized
-/// row-major flatten or the SingleColumn bit-vector decodes where the
-/// strategy calls for them. Built column-parallel on `build_workers`
-/// scoped threads, exactly as the projection loader encodes columns.
-pub(crate) struct InnerRep {
-    /// Right output columns as compressed mini-columns over every
-    /// logical right position — the file's blocks, then the tail blocks
-    /// of the snapshot's inserted rows (all strategies fetch these
-    /// blocks at build time).
+/// row-major flatten when the strategy calls for it. MERGE (or an
+/// aggregate's fold) reads it once per output column and row slice
+/// through [`fetch_into`](Self::fetch_into), which writes each value
+/// straight into its slot of the result — the positional join of §4.3,
+/// run as Figure 13 and `join_phases` price each strategy:
+///
+/// * Materialized indexes its row-major tuples;
+/// * MultiColumn keeps probe order: one counting pass buckets the
+///   positions by block, and each bucket is one point gather through its
+///   block's codec;
+/// * SingleColumn sorts (right position, row) with a radix sort, gathers
+///   once through the mini-column's sorted-position walker, and scatters
+///   the values back to row order — the sort + gather + scatter penalty.
+///
+/// Materialized and MultiColumn read bit-vector columns through the
+/// codec's own gather, which decodes the rows a block's positions span;
+/// SingleColumn indexes a decode made once, at build time.
+pub struct InnerRep {
+    /// Right output columns as compressed mini-columns over one window
+    /// — in a join, every logical right position: the file's blocks, then
+    /// the tail blocks of the snapshot's inserted rows (all strategies
+    /// fetch these blocks at build time).
     minis: Vec<MiniColumn>,
-    /// Row-major right tuples (Materialized only).
+    /// Row-major right tuples over the window (Materialized only).
     materialized: Option<Vec<Value>>,
-    /// Per right output column: fully decoded values when a probe would
-    /// decompress (bit-vector; SingleColumn only). Decoded once at build
-    /// so parallel workers share the work.
+    /// Per right output column: every value of the window, decoded once,
+    /// where SingleColumn reads a bit-vector column.
     decoded: Vec<Option<Vec<Value>>>,
     /// The strategy the representation was built for.
     inner: InnerStrategy,
 }
 
 impl InnerRep {
-    /// Fetch (and decode, where `inner` needs it) the right output
-    /// columns from the build's snapshot, on the workers the statement's
-    /// `opts` give a build over the inner table: a resident
+    /// Fetch the right output columns from the build's snapshot, then
+    /// [`new`](Self::new) the representation on the workers the
+    /// statement's `opts` give a build over the inner table: a resident
     /// [`SharedBuild`] may have been made at another count.
     pub(crate) fn build(
         store: &Store,
@@ -841,47 +856,64 @@ impl InnerRep {
         inner: InnerStrategy,
         opts: &ExecOptions,
     ) -> Result<InnerRep> {
-        let rows = shared.rows;
-        let window = PosRange::new(0, rows);
-        let rwidth = right_output.len();
-        let build_workers = build_workers(rows, opts);
+        let window = PosRange::new(0, shared.rows);
+        let build_workers = build_workers(shared.rows, opts);
         let minis: Vec<MiniColumn> =
-            matstrat_common::par_map_indexed(rwidth, build_workers, |c| {
+            matstrat_common::par_map_indexed(right_output.len(), build_workers, |c| {
                 let reader =
                     store.reader_for(&shared.info, shared.delta.as_ref(), right_output[c])?;
                 MiniColumn::fetch(&reader, window)
             })?;
-        // Materialized: construct every right tuple up front (row-major).
-        let materialized: Option<Vec<Value>> = match inner {
+        InnerRep::new(minis, inner, build_workers)
+    }
+
+    /// The representation of `minis` — mini-columns over one window — for
+    /// `inner`, made column-parallel on up to `workers` threads.
+    /// Materialized decodes and flattens every row up front. SingleColumn
+    /// decodes a bit-vector column whole, once: indexing that decode
+    /// costs less than sorting the positions, gathering them through the
+    /// codec — which decodes the rows they span, again for every slice
+    /// MERGE fetches — and scattering the values back. A decode that misses
+    /// some of the window (a gap between blocks) is not kept.
+    pub fn new(minis: Vec<MiniColumn>, inner: InnerStrategy, workers: usize) -> Result<InnerRep> {
+        let materialized = match inner {
             InnerStrategy::Materialized => {
+                let rows = minis.first().map_or(0, |m| m.window().len() as usize);
                 let cols: Vec<Vec<Value>> =
-                    matstrat_common::par_map_indexed(rwidth, build_workers, |c| -> Result<_> {
-                        let mut v = Vec::with_capacity(rows as usize);
+                    matstrat_common::par_map_indexed(minis.len(), workers, |c| -> Result<_> {
+                        let mut v = Vec::with_capacity(rows);
                         minis[c].decode(&mut v)?;
                         Ok(v)
                     })?;
-                Some(flatten_row_major(&cols, rows as usize, build_workers))
+                // Tuples are indexed by position: every column must hold
+                // every row of the one window.
+                if cols
+                    .iter()
+                    .zip(&minis)
+                    .any(|(c, m)| c.len() != rows || m.window() != minis[0].window())
+                {
+                    return Err(Error::invalid(
+                        "materialized inner columns must cover one window whole",
+                    ));
+                }
+                Some(flatten_row_major(&cols, rows, workers))
             }
             _ => None,
         };
-        // Single-column right fetch probes one row at a time, and a
-        // bit-vector block decompresses inside the codec on every probe
-        // (k bit-string words per row). A speed choice, not a capability
-        // gap: decompress such columns once, shared read-only by every
-        // probe worker.
-        let decoded: Vec<Option<Vec<Value>>> = match inner {
+        let decoded = match inner {
             InnerStrategy::SingleColumn => {
-                matstrat_common::par_map_indexed(rwidth, build_workers, |c| -> Result<_> {
-                    if minis[c].fetch_kind() == FetchKind::Gathered {
-                        Ok(None)
-                    } else {
-                        let mut v = Vec::with_capacity(rows as usize);
-                        minis[c].decode(&mut v)?;
-                        Ok(Some(v))
+                matstrat_common::par_map_indexed(minis.len(), workers, |c| -> Result<_> {
+                    let mini = &minis[c];
+                    if mini.fetch_kind() == FetchKind::Gathered {
+                        return Ok(None);
                     }
+                    let rows = mini.window().len() as usize;
+                    let mut v = Vec::with_capacity(rows);
+                    mini.decode(&mut v)?;
+                    Ok((v.len() == rows).then_some(v))
                 })?
             }
-            _ => vec![None; rwidth],
+            _ => vec![None; minis.len()],
         };
         Ok(InnerRep {
             minis,
@@ -892,59 +924,177 @@ impl InnerRep {
     }
 
     /// Output width (number of right output columns).
-    pub(crate) fn width(&self) -> usize {
+    pub fn width(&self) -> usize {
         self.minis.len()
     }
 
-    /// Fetch the output values at the matched right positions, one
-    /// column-major vector per output column, by the representation's
-    /// strategy: an array index into the row-major tuples for
-    /// Materialized, a positional probe into the compressed mini-columns
-    /// for MultiColumn, and the same positional probes over *unsorted*
-    /// positions (via the build-time decodes for bit-vector columns) for
-    /// SingleColumn — the Figure 13 penalty.
-    pub(crate) fn gather(&self, right_pos: &[u32]) -> Result<Vec<Vec<Value>>> {
-        let rwidth = self.width();
-        let mut cols: Vec<Vec<Value>> = vec![Vec::with_capacity(right_pos.len()); rwidth];
-        match self.inner {
-            InnerStrategy::Materialized => {
-                let flat = self.materialized.as_ref().expect("built above");
-                for &rp in right_pos {
-                    let base = rp as usize * rwidth;
-                    for (c, col) in cols.iter_mut().enumerate() {
-                        col.push(flat[base + c]);
-                    }
-                }
+    /// Write output column `col`'s values at `right_pos` — right
+    /// positions in probe order, repeats allowed — to the next
+    /// `right_pos.len()` cells of `out`, by the representation's strategy
+    /// (see [`InnerRep`]). Errs, writing no cell, on a position outside
+    /// the window or in a gap between its blocks.
+    pub fn fetch_into(&self, col: usize, right_pos: &[u32], out: &mut Slots<'_>) -> Result<()> {
+        let mini = self
+            .minis
+            .get(col)
+            .ok_or_else(|| Error::invalid(format!("no inner output column {col}")))?;
+        let window = mini.window();
+        match (self.inner, &self.decoded[col]) {
+            (InnerStrategy::Materialized, _) => {
+                let flat = self.materialized.as_deref().unwrap_or_default();
+                index_window(flat, self.width(), col, window, right_pos, out)?;
             }
-            InnerStrategy::MultiColumn => {
-                // Construct right tuples on the fly from the compressed
-                // mini-columns at each matched position.
-                for &rp in right_pos {
-                    for (col, mini) in cols.iter_mut().zip(&self.minis) {
-                        col.push(mini.value_at(rp as u64)?);
-                    }
-                }
+            (InnerStrategy::MultiColumn, _) => gather_by_block(mini, right_pos, out)?,
+            (InnerStrategy::SingleColumn, Some(decoded)) => {
+                index_window(decoded, 1, 0, window, right_pos, out)?;
             }
-            InnerStrategy::SingleColumn => {
-                // Pure LM: the join emitted only positions, and the right
-                // positions are *unsorted* — "a merge-join on position
-                // cannot be used to fetch column values" (§4.3). The
-                // extra positional join is a second pass over the matches
-                // probing each right column at a random position per
-                // output row.
-                for (c, col) in cols.iter_mut().enumerate() {
-                    for &rp in right_pos {
-                        match &self.decoded[c] {
-                            None => col.push(self.minis[c].value_at(rp as u64)?),
-                            // Bit-vector right column: indexed into the
-                            // shared build-time decode.
-                            Some(decoded) => col.push(decoded[rp as usize]),
-                        }
-                    }
-                }
+            (InnerStrategy::SingleColumn, None) => {
+                let (positions, rows) = sort_by_position(right_pos);
+                let mut values = vec![0 as Value; positions.len()];
+                mini.gather_sorted_into(&positions, &mut Slots::column(&mut values, 0, 1))?;
+                out.scatter(&rows, &values);
+                out.skip(rows.len());
             }
         }
-        Ok(cols)
+        Ok(())
+    }
+}
+
+/// Write `values[(p − window.start) · stride + offset]` for each `p` of
+/// `right_pos` to the next cells of `out`: the fetch out of a
+/// position-major decode of `window`. Errs, writing no cell, on a
+/// position outside `window`.
+fn index_window(
+    values: &[Value],
+    stride: usize,
+    offset: usize,
+    window: PosRange,
+    right_pos: &[u32],
+    out: &mut Slots<'_>,
+) -> Result<()> {
+    if let Some(&p) = right_pos.iter().find(|&&p| !window.contains(p as Pos)) {
+        return Err(outside_window(p as Pos, window));
+    }
+    let at = |p: u32| (p as Pos - window.start) as usize * stride + offset;
+    out.put(right_pos.iter().map(|&p| values[at(p)]));
+    Ok(())
+}
+
+/// MultiColumn's fetch, in probe order: one counting pass finds each
+/// position's block, a second places the positions bucket by bucket
+/// (probe order within each), and each bucket is one point gather
+/// through its block's codec, scattered to its rows. A one-block column
+/// gathers straight into `out`.
+fn gather_by_block(mini: &MiniColumn, right_pos: &[u32], out: &mut Slots<'_>) -> Result<()> {
+    let (window, blocks) = (mini.window(), mini.blocks());
+    if let Some(&p) = right_pos.iter().find(|&&p| !window.contains(p as Pos)) {
+        return Err(outside_window(p as Pos, window));
+    }
+    let positions = right_pos.iter().map(|&p| p as Pos);
+    if let [block] = blocks {
+        let positions: Vec<Pos> = positions.collect();
+        return block.gather_unsorted_into(&positions, out);
+    }
+    let ends: Vec<Pos> = blocks.iter().map(|b| b.covering().end).collect();
+    let mut block_of: Vec<u32> = Vec::with_capacity(right_pos.len());
+    let mut next = vec![0usize; blocks.len() + 1];
+    for p in positions.clone() {
+        let b = ends.partition_point(|&e| e <= p);
+        if b == blocks.len() {
+            return Err(Error::invalid(format!(
+                "position {p} falls past the mini-column's last block"
+            )));
+        }
+        next[b + 1] += 1;
+        block_of.push(b as u32);
+    }
+    for b in 0..blocks.len() {
+        next[b + 1] += next[b];
+    }
+    let bounds = next.clone();
+    let mut bucketed = vec![0 as Pos; right_pos.len()];
+    let mut rows = vec![0u32; right_pos.len()];
+    for ((row, p), &b) in (0u32..).zip(positions).zip(&block_of) {
+        let at = &mut next[b as usize];
+        (bucketed[*at], rows[*at]) = (p, row);
+        *at += 1;
+    }
+    let mut values = vec![0 as Value; right_pos.len()];
+    for (b, block) in blocks.iter().enumerate() {
+        let bucket = bounds[b]..bounds[b + 1];
+        let cells = &mut Slots::column(&mut values[bucket.clone()], 0, 1);
+        block.gather_unsorted_into(&bucketed[bucket], cells)?;
+    }
+    out.scatter(&rows, &values);
+    out.skip(rows.len());
+    Ok(())
+}
+
+/// `right_pos` in ascending order, each with its row (its index in
+/// `right_pos`): a stable LSD radix sort over the positions' significant
+/// bits, in digits of about `log2(rows)` bits (8 to 16), so an inner
+/// table of up to 2^16 rows — or as many rows as probes — sorts in one
+/// counting pass. The last pass writes the positions as [`Pos`] for the
+/// gather. Repeats stay in row order.
+fn sort_by_position(right_pos: &[u32]) -> (Vec<Pos>, Vec<u32>) {
+    let n = right_pos.len();
+    let bits = u32::BITS - right_pos.iter().max().map_or(0, |m| m.leading_zeros());
+    let width = bits
+        .min((usize::BITS - n.leading_zeros()).clamp(8, 16))
+        .max(1);
+    let passes = bits.div_ceil(width).max(1);
+    let mut counts = vec![0u32; 1 << width];
+    let mut between: Option<(Vec<u32>, Vec<u32>)> = None;
+    for k in 0..passes - 1 {
+        let (mut ps, mut rs) = (vec![0u32; n], vec![0u32; n]);
+        let (src, src_rows) = between.as_ref().map_or((right_pos, None), |(p, r)| {
+            (p.as_slice(), Some(r.as_slice()))
+        });
+        radix_pass(&mut counts, k * width, src, src_rows, |at, p, r| {
+            (ps[at], rs[at]) = (p, r)
+        });
+        between = Some((ps, rs));
+    }
+    let (mut positions, mut rows) = (vec![0 as Pos; n], vec![0u32; n]);
+    let (src, src_rows) = between.as_ref().map_or((right_pos, None), |(p, r)| {
+        (p.as_slice(), Some(r.as_slice()))
+    });
+    radix_pass(
+        &mut counts,
+        (passes - 1) * width,
+        src,
+        src_rows,
+        |at, p, r| (positions[at], rows[at]) = (Pos::from(p), r),
+    );
+    (positions, rows)
+}
+
+/// One counting pass of [`sort_by_position`] over (position, row) pairs —
+/// the rows implicit (`0..`) when `rows` is `None` — on the digit of
+/// `counts.len()` values at `shift`, handing each pair to `put` with its
+/// place in the pass's order.
+#[inline]
+fn radix_pass(
+    counts: &mut [u32],
+    shift: u32,
+    ps: &[u32],
+    rows: Option<&[u32]>,
+    mut put: impl FnMut(usize, u32, u32),
+) {
+    let mask = counts.len() - 1;
+    let digit = |p: u32| (p >> shift) as usize & mask;
+    counts.fill(0);
+    for &p in ps {
+        counts[digit(p)] += 1;
+    }
+    let mut at = 0;
+    for c in counts.iter_mut() {
+        (*c, at) = (at, at + *c);
+    }
+    for (i, &p) in ps.iter().enumerate() {
+        let slot = &mut counts[digit(p)];
+        put(*slot as usize, p, rows.map_or(i as u32, |r| r[i]));
+        *slot += 1;
     }
 }
 
@@ -1220,6 +1370,34 @@ mod tests {
                 vec![vec![1, 10], vec![1, 11], vec![2, 20]],
                 "{inner:?}"
             );
+        }
+    }
+
+    #[test]
+    fn sort_by_position_is_a_stable_sort_in_one_pass_or_several() {
+        let mut x = 7u64;
+        let mut next = move |bound: u64| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((x >> 33) % bound) as u32
+        };
+        // Empty, all zero, one pass (≤ 16 bits), two and three passes
+        // (up to 32 bits, few rows), and repeats throughout.
+        for (n, bound) in [
+            (0, 1),
+            (50, 1),
+            (5000, 15_000),
+            (200_000, 15_000),
+            (3000, 1 << 20),
+            (40, u32::MAX as u64 + 1),
+        ] {
+            let right: Vec<u32> = (0..n).map(|_| next(bound)).collect();
+            let mut want: Vec<(u32, u32)> = right.iter().copied().zip(0..).collect();
+            want.sort_by_key(|&(p, _)| p);
+            let (positions, rows) = sort_by_position(&right);
+            let got: Vec<(u32, u32)> = positions.iter().map(|&p| p as u32).zip(rows).collect();
+            assert_eq!(got, want, "{n} rows below {bound}");
         }
     }
 

@@ -8,21 +8,23 @@
 //! positions plus one matched-position vector per completed edge, all
 //! row-aligned. Each edge's probe only ever *extends* this position
 //! state (fan-out duplicates positions, a missed probe drops the row);
-//! **values are fetched exactly once, at the very top** — base columns
-//! gathered straight off the sorted (possibly duplicated) base
-//! positions by the mini-column's point walker
-//! ([`MiniColumn::fetch_sorted`]), which hands each block its sub-slice
-//! to unpack in one call, so no position list is copied, deduplicated
-//! or wrapped; right columns per edge through the three inner-table
-//! representations of [`crate::ops::join`] — and a span hands its
-//! columns, unstitched, as one part to whatever the statement's driver
-//! consumes parts with: the one MERGE ([`crate::ops::merge`]) the scan
-//! executor uses, which writes each value once into its row of the
-//! result, or, under an aggregate, the fold every scan part goes
-//! through. An aggregate's span fetches only the group column and,
-//! unless the function is COUNT, the value column; its other output
-//! columns are never read. That is the paper's late-materialization
-//! discipline carried across a whole join tree.
+//! **no value is fetched in the probe at all**. A span hands its
+//! positions to whatever the statement's driver consumes parts with, as
+//! one join part (`Part::Join`): the sorted (possibly duplicated) base
+//! positions, one right-position vector per edge, the base output
+//! columns' mini-columns (their blocks read here, so step 1 still does
+//! every read) and each right output column's inner-table representation
+//! ([`InnerRep`]). The one MERGE ([`crate::ops::merge`]) the scan executor
+//! uses then writes every value once, straight into its row of the
+//! result: base values through the mini-column's point walker
+//! ([`MiniColumn::gather_sorted_into`]), which hands each block its
+//! sub-slice to unpack in one call, right values through the edge's
+//! inner strategy. MERGE cuts a join part between any two rows, so its
+//! workers share the rows equally. Under an aggregate the part folds
+//! instead, reading only the group column and, unless the function is
+//! COUNT, the value column; its other output columns are never read.
+//! That is the paper's late-materialization discipline carried across a
+//! whole join tree: each tuple is built once, at the top.
 //!
 //! # One pass per edge
 //!
@@ -71,9 +73,10 @@
 //! The probe phase is a read statement like a scan, run by the scan's
 //! own driver (`exec::drive`): span-parallel over the **base** table on
 //! the [`FragmentPipeline`](crate::FragmentPipeline), each granule run
-//! executing the full filter→probe→…→probe→fetch pipeline for its
-//! positions, the runs' column parts folded in global granule order and
-//! handed to MERGE, which writes each into its own slice of the result.
+//! executing the full filter→probe→…→probe pipeline for its positions,
+//! the runs' join parts kept in global granule order and handed to
+//! MERGE, which writes each slice of rows into its own slice of the
+//! result.
 //! All per-row state is span-local and the build side is shared
 //! read-only, so the result is **byte-identical** at any worker count
 //! with exact cold `block_reads` — the property
@@ -118,7 +121,7 @@ use crate::ops::join::{
     decode_snapshot, fetch_codes_expanded, fetch_expanded, BuildReducer, FanOut, InnerRep,
     ProbeKeys, SharedBuild,
 };
-use crate::ops::merge::Part;
+use crate::ops::merge::{JoinCol, JoinRows, Part};
 use crate::query::{metered, JoinKeySource, JoinTreeSpec, QueryResult, QueryStats};
 use crate::InnerStrategy;
 
@@ -322,7 +325,7 @@ impl Builds<'_> {
 }
 
 /// Where one flat spec-order output column's values come from.
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Clone, Copy)]
 enum OutCol {
     /// Base column `col`.
     Base(usize),
@@ -498,8 +501,8 @@ fn execute_tree(
     )
 }
 
-/// Everything one span's filter→probe→…→probe→fetch pipeline reads,
-/// shared read-only by every probe worker.
+/// Everything one span's filter→probe→…→probe pipeline reads, shared
+/// read-only by every probe worker.
 struct TreeTask<'a> {
     spec: &'a JoinTreeSpec,
     runs: &'a [EdgeRun],
@@ -512,11 +515,10 @@ struct TreeTask<'a> {
     opts: ExecOptions,
 }
 
-impl TreeTask<'_> {
-    /// Run the full filter→probe→…→probe→fetch pipeline over one
-    /// base-table span, handing the span's output columns to `sink` as
-    /// one part.
-    fn run_span(&self, span: PosRange, sink: &mut Sink<'_>) -> Result<QueryStats> {
+impl<'a> TreeTask<'a> {
+    /// Run the full filter→probe→…→probe pipeline over one base-table
+    /// span, handing the span's rows to `sink` as one join part.
+    fn run_span(&self, span: PosRange, sink: &mut Sink<'a>) -> Result<QueryStats> {
         let edge0 = &self.spec.edges[0];
         // ---- Base side: the scan's LM-parallel filter step ---------------
         // Deleted rows never reach the probes (nor any value fetch).
@@ -573,35 +575,31 @@ impl TreeTask<'_> {
             rights.push(right);
         }
 
-        // ---- Value fetch, once, at the top --------------------------------
-        // Base output values are gathered off the sorted (duplicated)
-        // positions; right output values come per edge, by that edge's
-        // strategy, every column of an edge in one gather.
-        let mut gathered: Vec<Option<Vec<Vec<Value>>>> = vec![None; self.runs.len()];
-        let mut cols: Vec<Vec<Value>> = Vec::with_capacity(self.out.len());
-        for (i, oc) in self.out.iter().enumerate() {
-            cols.push(match *oc {
-                OutCol::Base(c) => {
-                    let mini = MiniColumn::fetch(&self.base_readers[&c], span)?;
-                    fetch_expanded(&mini, &base_pos)?
-                }
-                OutCol::Edge { slot, col } => {
-                    if gathered[slot].is_none() {
-                        gathered[slot] = Some(self.runs[slot].rep.gather(&rights[slot])?);
-                    }
-                    let values = &mut gathered[slot].as_mut().expect("gathered above")[col];
-                    // Moved, unless a later output (an aggregate's value
-                    // column that is also its group) wants it again.
-                    if self.out[i + 1..].contains(oc) {
-                        values.clone()
-                    } else {
-                        std::mem::take(values)
-                    }
-                }
-            });
-        }
+        // ---- The part: positions, and the columns' sources ---------------
+        // No value is fetched here. The base output columns' blocks are
+        // (step 1 does every read); MERGE, or an aggregate's fold, writes
+        // each value once, at the rows it lands in.
+        let cols = self
+            .out
+            .iter()
+            .map(|&oc| match oc {
+                OutCol::Base(c) => Ok(JoinCol::Base(MiniColumn::fetch(
+                    &self.base_readers[&c],
+                    span,
+                )?)),
+                OutCol::Edge { slot, col } => Ok(JoinCol::Right {
+                    rep: &self.runs[slot].rep,
+                    edge: slot,
+                    col,
+                }),
+            })
+            .collect::<Result<Vec<_>>>()?;
         if !base_pos.is_empty() {
-            sink.push(Part::Columns(cols))?;
+            sink.push(Part::Join(JoinRows {
+                base: base_pos,
+                rights,
+                cols,
+            }))?;
         }
         Ok(stats)
     }

@@ -5,26 +5,40 @@
 //! steps, both owned by one driver that scans and join trees share
 //! (`exec::drive`). Step 1, the granule pipeline, does all the filtering
 //! and every block fetch, and leaves one `Part` per granule (per probed
-//! span, in a join tree) in global granule order: a late-materialized granule
-//! leaves its position descriptor and the output columns' mini-columns,
-//! an early-materialized one its constructed tuples. Step 2 is `merge`:
-//! the parts' row counts size the result exactly once, each part gets a
-//! disjoint slice of it, and every output value is written once, straight
-//! into its row-major slot — a late-materialized value goes from its
-//! compressed block to its tuple slot through a strided DS3
-//! ([`MiniColumn::fetch_values_into`]), never through a per-column
-//! vector, a growing fragment or a concatenation. That is the model's
-//! `2·k·FC` per tuple (`merge_cost`): k reads and k writes per row.
-//! Under an aggregate the same parts fold instead (`Part::fold`, in
-//! [`crate::ops::agg`]) and never reach MERGE.
+//! span, in a join tree) in global granule order:
+//!
+//! * a late-materialized granule leaves its position descriptor and the
+//!   output columns' mini-columns (`Part::Late`);
+//! * an early-materialized one its constructed tuples (`Part::Tuples`);
+//! * a join span its row-aligned positions — the sorted base positions
+//!   and one right-position vector per edge — with the base output
+//!   columns' mini-columns and each right output column's inner-table
+//!   representation (`Part::Join`). No join value is fetched in step 1.
+//!
+//! Step 2 is `merge`: the parts' row counts size the result exactly once,
+//! each part gets a disjoint slice of it, and every output value is
+//! written once, straight into its row-major slot — a late-materialized
+//! value goes from its compressed block to its tuple slot through a
+//! strided DS3 ([`MiniColumn::fetch_values_into`]); a join's base value
+//! through the mini-column's sorted-position walker
+//! ([`MiniColumn::gather_sorted_into`]) and its right value through the
+//! edge's inner strategy ([`InnerRep::fetch_into`], §4.3's positional
+//! join); never through a per-column vector, a growing fragment or a
+//! concatenation. That is the model's `2·k·FC` per tuple (`merge_cost`):
+//! k reads and k writes per row. A join part's positions slice freely, so
+//! MERGE cuts it between rows and every worker gets an equal share of the
+//! rows; a descriptor or a tuple buffer stays whole. Under an aggregate
+//! the same parts fold instead (`Part::fold`, in [`crate::ops::agg`]) and
+//! never reach MERGE.
 
 use std::ops::Range;
 
-use matstrat_common::{Error, Result, Value};
+use matstrat_common::{Error, Pos, Result, Value};
 use matstrat_poslist::PosList;
 use matstrat_storage::Slots;
 
 use crate::multicol::MiniColumn;
+use crate::ops::join::InnerRep;
 
 /// What one granule (or join span) leaves for MERGE: its output rows, in
 /// position order.
@@ -42,9 +56,79 @@ pub(crate) enum Part<'a> {
         width: usize,
         fields: &'a [usize],
     },
-    /// Value columns already gathered (a join tree's base and right
-    /// outputs), in output order.
-    Columns(Vec<Vec<Value>>),
+    /// A join tree's probed span: positions only, fetched from at MERGE.
+    Join(JoinRows<'a>),
+}
+
+/// A join tree's probed span, row-aligned: row `i` is
+/// `(base[i], rights[0][i], rights[1][i], …)`. No value has been fetched;
+/// any slice of its rows can be written on its own.
+pub(crate) struct JoinRows<'a> {
+    /// The surviving base positions, ascending, one per output row
+    /// (repeated where an edge fanned out).
+    pub(crate) base: Vec<Pos>,
+    /// Per edge, in execution order, each row's matched right position.
+    pub(crate) rights: Vec<Vec<u32>>,
+    /// Where each output column's values come from, in output order.
+    pub(crate) cols: Vec<JoinCol<'a>>,
+}
+
+/// The source of one join output column.
+pub(crate) enum JoinCol<'a> {
+    /// A base column's mini-column over the span, gathered at `base`.
+    Base(MiniColumn),
+    /// Column `col` of edge `edge`'s right output, fetched at
+    /// `rights[edge]` by the edge's inner strategy.
+    Right {
+        rep: &'a InnerRep,
+        edge: usize,
+        col: usize,
+    },
+}
+
+impl JoinRows<'_> {
+    /// Write output column `c` at `rows` to the next cells of `out`:
+    /// base values off the sorted positions through the mini-column's
+    /// point walker, right values through their [`InnerRep`]. Errs unless
+    /// every row was written.
+    pub(crate) fn fetch_into(
+        &self,
+        c: usize,
+        rows: Range<usize>,
+        out: &mut Slots<'_>,
+    ) -> Result<()> {
+        let room = out.len();
+        match &self.cols[c] {
+            JoinCol::Base(mini) => mini.gather_sorted_into(&self.base[rows.clone()], out)?,
+            JoinCol::Right { rep, edge, col } => {
+                let right = &self.rights[*edge];
+                if right.len() != self.base.len() {
+                    return Err(Error::invalid(format!(
+                        "MERGE: {} right positions in a {}-row join part",
+                        right.len(),
+                        self.base.len()
+                    )));
+                }
+                rep.fetch_into(*col, &right[rows.clone()], out)?;
+            }
+        }
+        if room - out.len() != rows.len() {
+            return Err(Error::invalid(format!(
+                "MERGE: {} of {} join rows written",
+                room - out.len(),
+                rows.len()
+            )));
+        }
+        Ok(())
+    }
+
+    /// Output column `c`'s values at every row, in a vector of their own:
+    /// what an aggregate's fold reads.
+    pub(crate) fn column(&self, c: usize) -> Result<Vec<Value>> {
+        let mut vals = vec![0 as Value; self.base.len()];
+        self.fetch_into(c, 0..self.base.len(), &mut Slots::column(&mut vals, 0, 1))?;
+        Ok(vals)
+    }
 }
 
 impl Part<'_> {
@@ -53,7 +137,7 @@ impl Part<'_> {
         match self {
             Part::Late { desc, .. } => desc.count() as usize,
             Part::Tuples { tuples, width, .. } => tuples.len() / width,
-            Part::Columns(cols) => cols.first().map_or(0, Vec::len),
+            Part::Join(join) => join.base.len(),
         }
     }
 
@@ -62,19 +146,28 @@ impl Part<'_> {
         match self {
             Part::Late { minis, .. } => minis.len(),
             Part::Tuples { fields, .. } => fields.len(),
-            Part::Columns(cols) => cols.len(),
+            Part::Join(join) => join.cols.len(),
         }
     }
 
-    /// Write every cell of `dst`, this part's `rows() × width` slice of
-    /// the result. Errors rather than leave a cell unwritten.
-    fn write(&self, dst: &mut [Value], width: usize) -> Result<()> {
+    /// Whether MERGE may cut this part between any two rows. A join part's
+    /// positions slice freely; a descriptor or a tuple buffer stays whole.
+    fn cuttable(&self) -> bool {
+        matches!(self, Part::Join(_))
+    }
+
+    /// Write every cell of `dst`, the `rows.len() × width` slice of the
+    /// result holding this part's `rows` (all of them, unless the part is
+    /// [`cuttable`](Self::cuttable)). Errors rather than leave a cell
+    /// unwritten.
+    fn write(&self, rows: Range<usize>, dst: &mut [Value], width: usize) -> Result<()> {
         if self.width() != width {
             return Err(Error::invalid(format!(
                 "MERGE: a {}-column part in a {width}-column result",
                 self.width()
             )));
         }
+        debug_assert!(self.cuttable() || rows == (0..self.rows()), "an uncut part");
         match self {
             Part::Late { desc, minis } => {
                 for (c, mini) in minis.iter().enumerate() {
@@ -92,16 +185,9 @@ impl Part<'_> {
                     }
                 }
             }
-            Part::Columns(cols) => {
-                let rows = dst.len() / width;
-                for (c, col) in cols.iter().enumerate() {
-                    if col.len() != rows {
-                        return Err(Error::invalid(format!(
-                            "MERGE: a {}-value column in a {rows}-row part",
-                            col.len()
-                        )));
-                    }
-                    Slots::column(dst, c, width).put(col.iter().copied());
+            Part::Join(join) => {
+                for c in 0..width {
+                    join.fetch_into(c, rows.clone(), &mut Slots::column(dst, c, width))?;
                 }
             }
         }
@@ -109,63 +195,76 @@ impl Part<'_> {
     }
 }
 
+/// One worker's share of MERGE: part `.0`'s rows `.1`, in order.
+pub(crate) type Piece = (usize, Range<usize>);
+
 /// MERGE `parts`, in output order, into one exact-size row-major buffer
 /// of `width`-value rows (`width` ≥ 1). The buffer is allocated once and
-/// split into one disjoint slice per part; [`split`] groups the parts,
-/// and each group runs on its own [`fan_out`](matstrat_common::fan_out)
-/// worker — at most `workers`, at most one per `granule` rows of output,
-/// and none at all (the caller assembles) under one granule.
+/// split into one disjoint slice per piece; [`split`] cuts the parts into
+/// pieces and groups them, and each group runs on its own
+/// [`fan_out`](matstrat_common::fan_out) worker — at most `workers`, at
+/// most one per `granule` rows of output, and none at all (the caller
+/// assembles) under one granule.
 pub(crate) fn merge(
     parts: &[Part<'_>],
     width: usize,
     workers: usize,
     granule: usize,
 ) -> Result<Vec<Value>> {
-    let rows: Vec<usize> = parts.iter().map(Part::rows).collect();
-    let mut out = vec![0 as Value; rows.iter().sum::<usize>() * width];
-    // Parts outside every group have no rows, so their slices are empty.
-    let mut groups: Vec<Vec<(&Part<'_>, &mut [Value])>> = Vec::new();
+    let sizes: Vec<(usize, bool)> = parts.iter().map(|p| (p.rows(), p.cuttable())).collect();
+    let mut out = vec![0 as Value; sizes.iter().map(|s| s.0).sum::<usize>() * width];
+    let mut groups = Vec::new();
     let mut rest = out.as_mut_slice();
-    for group in split(&rows, workers, granule) {
+    for group in split(&sizes, workers, granule) {
         let mut jobs = Vec::with_capacity(group.len());
-        for i in group {
-            let (dst, tail) = std::mem::take(&mut rest).split_at_mut(rows[i] * width);
-            jobs.push((&parts[i], dst));
+        for (i, rows) in group {
+            let (dst, tail) = std::mem::take(&mut rest).split_at_mut(rows.len() * width);
+            jobs.push((&parts[i], rows, dst));
             rest = tail;
         }
         groups.push(jobs);
     }
     matstrat_common::fan_out(groups, |jobs| {
         jobs.into_iter()
-            .try_for_each(|(part, dst)| part.write(dst, width))
+            .try_for_each(|(part, rows, dst)| part.write(rows, dst, width))
     })
     .into_iter()
     .collect::<Result<()>>()?;
     Ok(out)
 }
 
-/// MERGE's work split: contiguous groups of part indices, in order,
-/// covering every part with rows exactly once. No group starts or ends on
-/// a zero-row part, so a group always has rows to write. There are at
-/// most `workers` groups and at most one per `granule` rows of output;
-/// below one granule there is one group, which the caller runs itself.
-/// Group `g` closes at the part where the running row count reaches
-/// `g + 1` shares of the total.
-pub(crate) fn split(rows: &[usize], workers: usize, granule: usize) -> Vec<Range<usize>> {
-    let total: usize = rows.iter().sum();
+/// MERGE's work split over parts of `(rows, cuttable)`: groups of pieces,
+/// in order, covering every row exactly once. There are at most `workers`
+/// groups and at most one per `granule` rows of output; below one granule
+/// there is one group, which the caller runs itself. Share `k` ends at row
+/// `⌊k · total / shares⌋`: a cuttable part is cut exactly there, so
+/// shares of cuttable parts differ by at most one row, while a group
+/// holding a whole part runs on to that part's end and the shares it
+/// passed are skipped. No piece and no group is empty, and a zero-row
+/// part is in none.
+pub(crate) fn split(parts: &[(usize, bool)], workers: usize, granule: usize) -> Vec<Vec<Piece>> {
+    let total: usize = parts.iter().map(|p| p.0).sum();
     let shares = workers.min(total / granule.max(1)).max(1);
-    let mut groups = Vec::new();
-    let mut start = None;
-    let mut done = 0usize;
-    for (i, &n) in rows.iter().enumerate() {
-        if n == 0 {
-            continue;
-        }
-        let first = *start.get_or_insert(i);
-        done += n;
-        if done * shares >= total * (groups.len() + 1) {
-            groups.push(first..i + 1);
-            start = None;
+    let bound = |k: usize| total * k / shares;
+    let (mut groups, mut group) = (Vec::new(), Vec::new());
+    let (mut done, mut k) = (0, 1);
+    for (i, &(n, cuttable)) in parts.iter().enumerate() {
+        let mut at = 0;
+        while at < n {
+            let end = if cuttable {
+                n.min(at + bound(k) - done)
+            } else {
+                n
+            };
+            group.push((i, at..end));
+            done += end - at;
+            at = end;
+            if done >= bound(k) {
+                groups.push(std::mem::take(&mut group));
+                while k < shares && bound(k) <= done {
+                    k += 1;
+                }
+            }
         }
     }
     groups
@@ -174,6 +273,7 @@ pub(crate) fn split(rows: &[usize], workers: usize, granule: usize) -> Vec<Range
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::InnerStrategy;
     use matstrat_common::PosRange;
     use matstrat_storage::{EncodingKind as Ek, ProjectionSpec, SortOrder, Store};
 
@@ -224,37 +324,93 @@ mod tests {
         assert_eq!(out, vec![99, 1, 2]);
     }
 
-    /// The non-empty parts, in order, across `groups`.
-    fn covered(rows: &[usize], groups: &[Range<usize>]) -> Vec<usize> {
+    /// Check `split(parts, workers, granule)`'s contract and return its
+    /// groups: pieces cover every row once, in order; a whole part is never
+    /// cut; no piece, group or zero-row part is empty or named; at most
+    /// `workers` groups and one per granule.
+    fn checked_split(parts: &[(usize, bool)], workers: usize, granule: usize) -> Vec<Vec<Piece>> {
+        let groups = split(parts, workers, granule);
+        let total: usize = parts.iter().map(|p| p.0).sum();
+        let what = format!("{parts:?} workers={workers} granule={granule}");
+        assert!(
+            groups.len() <= workers.max(1),
+            "{what}: at most `workers` groups"
+        );
+        assert!(
+            groups.len() <= (total / granule).max(1),
+            "{what}: one per granule"
+        );
+        assert!(
+            groups.iter().all(|g| !g.is_empty()),
+            "{what}: an empty group"
+        );
+        let pieces: Vec<&Piece> = groups.iter().flatten().collect();
+        assert!(
+            pieces.iter().all(|(_, r)| !r.is_empty()),
+            "{what}: an empty piece"
+        );
+        // Pieces, in order, are each part's rows from 0 to its end.
+        let mut want = Vec::new();
+        for (i, &(n, _)) in parts.iter().enumerate().filter(|(_, p)| p.0 > 0) {
+            let mine: Vec<Range<usize>> = pieces
+                .iter()
+                .filter(|p| p.0 == i)
+                .map(|p| p.1.clone())
+                .collect();
+            assert!(
+                parts[i].1 || (mine.len() == 1 && mine[0] == (0..n)),
+                "{what}: part {i} cut"
+            );
+            let mut at = 0;
+            for r in &mine {
+                assert_eq!(r.start, at, "{what}: part {i} rows in order");
+                at = r.end;
+            }
+            assert_eq!(at, n, "{what}: part {i} covered");
+            want.extend(std::iter::repeat_n(i, mine.len()));
+        }
+        let order: Vec<usize> = pieces.iter().map(|p| p.0).collect();
+        assert_eq!(order, want, "{what}: parts in order");
+        groups
+    }
+
+    /// Rows per group.
+    fn shares(groups: &[Vec<Piece>]) -> Vec<usize> {
         groups
             .iter()
-            .flat_map(|g| g.clone())
-            .filter(|&i| rows[i] > 0)
+            .map(|g| g.iter().map(|p| p.1.len()).sum())
             .collect()
     }
 
     #[test]
     fn split_gives_zero_row_parts_no_worker() {
-        let rows = [0, 0, 5000, 0, 0, 3000, 0, 4000, 0];
-        let groups = split(&rows, 4, 1000);
-        for g in &groups {
+        for cut in [false, true] {
+            let rows = [0, 0, 5000, 0, 0, 3000, 0, 4000, 0].map(|n| (n, cut));
+            let groups = checked_split(&rows, 4, 1000);
             assert!(
-                rows[g.start] > 0 && rows[g.end - 1] > 0,
-                "{g:?} starts or ends empty"
+                groups.iter().flatten().all(|(i, _)| rows[*i].0 > 0),
+                "cut={cut}: a zero-row part named"
             );
+            assert!(split(&[(0, cut); 3], 8, 1).is_empty(), "no rows, no group");
         }
-        assert_eq!(covered(&rows, &groups), vec![2, 5, 7]);
-        assert!(split(&[0, 0, 0], 8, 1).is_empty(), "no rows, no group");
     }
 
     #[test]
     fn split_under_one_granule_is_one_group() {
-        let rows = [100, 0, 200, 300];
-        assert_eq!(split(&rows, 8, 1000), vec![0..4]);
-        // Exactly one granule of rows: still one group.
-        assert_eq!(split(&[500, 500], 8, 1000), vec![0..2]);
-        // One worker: one group whatever the size.
-        assert_eq!(split(&[5000; 6], 1, 1000), vec![0..6]);
+        for cut in [false, true] {
+            let rows = [100, 0, 200, 300].map(|n| (n, cut));
+            let groups = checked_split(&rows, 8, 1000);
+            assert_eq!(groups, vec![vec![(0, 0..100), (2, 0..200), (3, 0..300)]]);
+            // Exactly one granule of rows: still one group.
+            assert_eq!(checked_split(&[(500, cut), (500, cut)], 8, 1000).len(), 1);
+            // One worker: one group whatever the size.
+            assert_eq!(checked_split(&[(5000, cut); 6], 1, 1000).len(), 1);
+        }
+        // One join part under a granule: one piece, the whole part.
+        assert_eq!(
+            checked_split(&[(999, true)], 2, 1000),
+            vec![vec![(0, 0..999)]]
+        );
     }
 
     #[test]
@@ -266,27 +422,71 @@ mod tests {
             (vec![0, 7, 0, 0, 7, 7, 0], 3, 1),
             (vec![64, 1, 1, 1, 1, 1], 2, 2),
         ] {
-            let groups = split(&rows, workers, granule);
-            let total: usize = rows.iter().sum();
-            assert!(
-                groups.len() <= workers,
-                "{rows:?}: at most `workers` groups"
-            );
-            assert!(
-                groups.len() <= (total / granule).max(1),
-                "{rows:?}: one per granule"
-            );
-            for w in groups.windows(2) {
-                assert!(
-                    w[0].end <= w[1].start,
-                    "{rows:?}: groups ascend and are disjoint"
-                );
+            for cut in [false, true] {
+                let parts: Vec<(usize, bool)> = rows.iter().map(|&n| (n, cut)).collect();
+                checked_split(&parts, workers, granule);
             }
-            let want: Vec<usize> = (0..rows.len()).filter(|&i| rows[i] > 0).collect();
-            assert_eq!(covered(&rows, &groups), want, "{rows:?}");
+            // Whole and cuttable parts mixed.
+            let mixed: Vec<(usize, bool)> = rows
+                .iter()
+                .enumerate()
+                .map(|(i, &n)| (n, i % 2 == 0))
+                .collect();
+            checked_split(&mixed, workers, granule);
         }
         // Enough rows and parts: every worker gets a group.
-        assert_eq!(split(&[1000; 12], 4, 1000).len(), 4);
+        assert_eq!(checked_split(&[(1000, false); 12], 4, 1000).len(), 4);
+    }
+
+    #[test]
+    fn split_cuts_join_parts_into_shares_within_one_row() {
+        // `orders` at 150 000 rows in three granule parts: two workers
+        // get 75 000 rows each, not one part and a half against the rest.
+        let parts = [(65_536, true), (65_536, true), (18_928, true)];
+        let groups = checked_split(&parts, 2, 65_536);
+        assert_eq!(shares(&groups), vec![75_000, 75_000]);
+        for (rows, workers, granule) in [
+            (vec![150_000usize], 2usize, 1000usize),
+            (vec![7, 0, 13, 1, 1, 29], 4, 1),
+            (vec![1; 50], 8, 1),
+            (vec![3, 3, 3], 8, 1),
+            (vec![10_001, 2, 9_999], 3, 100),
+            (vec![5, 5], 7, 2),
+        ] {
+            let parts: Vec<(usize, bool)> = rows.iter().map(|&n| (n, true)).collect();
+            let groups = checked_split(&parts, workers, granule);
+            let total: usize = rows.iter().sum();
+            assert_eq!(
+                groups.len(),
+                workers.min(total / granule).max(1),
+                "{rows:?}: every share gets a group"
+            );
+            let s = shares(&groups);
+            let (lo, hi) = (s.iter().min().unwrap(), s.iter().max().unwrap());
+            assert!(hi - lo <= 1, "{rows:?}: shares {s:?}");
+        }
+    }
+
+    #[test]
+    fn split_never_leaves_a_group_empty() {
+        // A whole part that runs past several share ends, before and
+        // after cuttable ones, and a last part that ends exactly on one:
+        // every group has rows, the caller's included, and no trailing
+        // group is left for a worker to start on nothing.
+        for parts in [
+            vec![(10, true), (900, false), (10, true), (80, true)],
+            vec![(900, false), (100, true)],
+            vec![(100, true), (900, false)],
+            vec![(250, true), (250, false), (250, true), (250, false)],
+            vec![(1, false), (1, true), (998, false)],
+        ] {
+            for workers in 1..=8 {
+                for granule in [1, 100, 400] {
+                    let groups = checked_split(&parts, workers, granule);
+                    assert!(shares(&groups).iter().all(|&n| n > 0), "{parts:?}");
+                }
+            }
+        }
     }
 
     /// A 5000-row table — a (RLE, runs of 7), b (plain), c (bit-vector) —
@@ -327,7 +527,19 @@ mod tests {
             PosList::full(PosRange::new(4000, 5000)),
         ];
         let tuples: Vec<Value> = (0..40).flat_map(|i| [i, -i, 2 * i, 3 * i]).collect();
-        let cols = vec![vec![1, 2, 3], vec![4, 5, 6], vec![7, 8, 9]];
+        // Join parts, one per inner strategy: base column `b` at sorted
+        // positions with repeats, and right columns `c` and `a` (the same
+        // table as its own inner side) at unsorted positions with repeats.
+        let base: Vec<Pos> = (0..4000)
+            .step_by(3)
+            .flat_map(|p| [p; 2])
+            .take(2100)
+            .collect();
+        let right: Vec<u32> = (0..base.len() as u32).map(|i| (i * 7919) % 5000).collect();
+        let reps: Vec<InnerRep> = InnerStrategy::ALL
+            .iter()
+            .map(|&s| InnerRep::new(minis.clone(), s, 2).unwrap())
+            .collect();
         let mut parts: Vec<Part<'_>> = descs
             .iter()
             .map(|d| Part::Late {
@@ -340,7 +552,25 @@ mod tests {
             width: 4,
             fields: &order,
         });
-        parts.push(Part::Columns(cols.clone()));
+        for rep in &reps {
+            parts.push(Part::Join(JoinRows {
+                base: base.clone(),
+                rights: vec![right.clone()],
+                cols: vec![
+                    JoinCol::Base(minis[1].clone()),
+                    JoinCol::Right {
+                        rep,
+                        edge: 0,
+                        col: 2,
+                    },
+                    JoinCol::Right {
+                        rep,
+                        edge: 0,
+                        col: 0,
+                    },
+                ],
+            }));
+        }
         // The oracle: each part's columns gathered, then stitched.
         let mut want = Vec::new();
         for d in &descs {
@@ -355,7 +585,11 @@ mod tests {
             .map(|&f| tuples.chunks_exact(4).map(|t| t[f]).collect())
             .collect();
         merge_columns(&[&fields[0], &fields[1], &fields[2]], &mut want);
-        merge_columns(&[&cols[0], &cols[1], &cols[2]], &mut want);
+        for _ in &reps {
+            for (&b, &r) in base.iter().zip(&right) {
+                want.extend([raw[1][b as usize], raw[2][r as usize], raw[0][r as usize]]);
+            }
+        }
         for workers in [1, 2, 3, 8] {
             for granule in [1, 700, 1 << 20] {
                 assert_eq!(
@@ -371,6 +605,21 @@ mod tests {
     fn merge_refuses_a_count_mismatch() {
         let (minis, _) = table();
         let none = MiniColumn::empty(PosRange::new(0, 5000));
+        let rep = InnerRep::new(minis.clone(), InnerStrategy::MultiColumn, 1).unwrap();
+        let join = |base: Vec<Pos>, right: Vec<u32>| {
+            Part::Join(JoinRows {
+                base,
+                rights: vec![right],
+                cols: vec![
+                    JoinCol::Base(minis[0].clone()),
+                    JoinCol::Right {
+                        rep: &rep,
+                        edge: 0,
+                        col: 1,
+                    },
+                ],
+            })
+        };
         let cases = [
             // A column whose blocks hold none of the descriptor's
             // positions, as ranges and as points.
@@ -388,8 +637,12 @@ mod tests {
                 },
                 1,
             ),
-            // A column shorter than its part.
-            (Part::Columns(vec![vec![1, 2, 3], vec![4, 5]]), 2),
+            // A right column shorter than its part.
+            (join(vec![1, 2, 3], vec![4, 5]), 2),
+            // A base position outside the base column's window, and a
+            // right one outside the inner table.
+            (join(vec![1, 2, 5000], vec![4, 5, 6]), 2),
+            (join(vec![1, 2, 3], vec![4, 5000, 6]), 2),
             // Fewer columns than the result.
             (
                 Part::Late {

@@ -11,8 +11,8 @@
 //! | AND | [`PosList::and`](matstrat_poslist::PosList::and), over the multi-columns of the LM filter step |
 //! | MERGE | [`merge`] — one per read statement without an aggregate |
 //! | SPC | [`spc::spc_scan`] |
-//! | aggregator | [`agg::Aggregator`], folding every part step 1 leaves (tuples, runs, gathered columns) |
-//! | join | [`join`] (three inner-table strategies, §4.3) |
+//! | aggregator | [`agg::Aggregator`], folding every part step 1 leaves (tuples, runs, join positions) |
+//! | join | [`join`] (three inner-table strategies, §4.3; each fetches at MERGE through [`join::InnerRep::fetch_into`]) |
 //! | join tree | [`join_tree`] (left-deep multi-way joins, position-list pipelined) |
 
 pub mod agg;

@@ -129,7 +129,7 @@ impl BitVecBlock {
     /// its cells — a copy out of a buffer would cost a whole-block decode
     /// most of its time again (`block.decode_ns_per_value.bitvec`) — and
     /// several decode the rows from the first range's start to the last
-    /// one's end once (see [`decode_span`](Self::decode_span)) and are
+    /// one's end once (see `decode_span`) and are
     /// copied out of them, so many short ranges cost one decode.
     pub fn gather_ranges_into(&self, ranges: &[PosRange], out: &mut Slots<'_>) {
         let covering = PosRange::new(self.start_pos, self.start_pos + self.count as u64);
@@ -160,11 +160,19 @@ impl BitVecBlock {
     /// them.
     #[inline]
     pub fn gather_into(&self, positions: &[Pos], out: &mut Slots<'_>) {
-        let (Some(&first), Some(&last)) = (positions.first(), positions.last()) else {
-            return;
-        };
-        self.decode_span(first, last + 1, |rows| {
-            out.put(positions.iter().map(|&p| rows[(p - first) as usize]));
+        if let (Some(&first), Some(&last)) = (positions.first(), positions.last()) {
+            self.gather_between(first, last, positions, out);
+        }
+    }
+
+    /// DS3 point fetch at positions in any order, every one in
+    /// `[lo, hi]`, inside the block, written to the next cells of `out`:
+    /// the rows of `[lo, hi]` are decoded once, and each position's value
+    /// is picked from them.
+    #[inline]
+    pub fn gather_between(&self, lo: Pos, hi: Pos, positions: &[Pos], out: &mut Slots<'_>) {
+        self.decode_span(lo, hi + 1, |rows| {
+            out.put(positions.iter().map(|&p| rows[(p - lo) as usize]));
         });
     }
 

@@ -22,9 +22,14 @@
 //! whole-block forms are the window [`covering`](EncodedBlock::covering),
 //! DS2 ([`scan_pairs_in`](EncodedBlock::scan_pairs_in)) is DS1 then DS3,
 //! DS4 ([`value_at`](EncodedBlock::value_at)) is a one-position gather,
-//! and full or ranged decompression is a range gather. A dictionary
-//! block's code access (its dictionary, `gather_codes`) stays a Dict-only
-//! extension.
+//! and full or ranged decompression is a range gather. The one
+//! any-order point gather
+//! ([`gather_unsorted_into`](EncodedBlock::gather_unsorted_into), a
+//! join's probe-order fetch) is the point kernel where a codec indexes
+//! each position on its own (plain, dict), a binary search per position
+//! on RLE, and one decode of the positions' span on bit-vector. A
+//! dictionary block's code access (its dictionary, `gather_codes`) stays
+//! a Dict-only extension.
 //!
 //! Bit-vector DS3 decompresses inside the codec: a position's value is
 //! found only by reading every bit-string over it (§4.1), so its gathers
@@ -124,6 +129,26 @@ impl<'a> Slots<'a> {
             }
         }
         self.advance(at);
+    }
+
+    /// Write `values[k]` to cell `rows[k]`, counting from the next cell,
+    /// in any order and without moving on: how values gathered in another
+    /// order land in row order. [`skip`](Self::skip) then moves past the
+    /// cells. A row past the last cell is not written.
+    #[inline]
+    pub fn scatter(&mut self, rows: &[u32], values: &[Value]) {
+        let stride = self.stride;
+        for (&r, &v) in rows.iter().zip(values) {
+            if let Some(cell) = self.cells.get_mut(r as usize * stride) {
+                *cell = v;
+            }
+        }
+    }
+
+    /// Move past the next `n` cells — fewer if fewer are left — leaving
+    /// them as they are.
+    pub fn skip(&mut self, n: usize) {
+        self.advance(n * self.stride);
     }
 
     /// Move `offset` values on (clamped to the buffer), returning the span
@@ -333,6 +358,34 @@ impl EncodedBlock {
     pub fn gather_into(&self, positions: &[Pos], out: &mut Slots<'_>) -> Result<()> {
         check_ends(positions, self.covering())?;
         self.gather_points(positions, out);
+        Ok(())
+    }
+
+    /// DS3 at positions in **any** order (repeats allowed), all inside
+    /// this block, written to the next cells of `out` in the order given:
+    /// how a probe-order join fetch reads one block's bucket of positions.
+    /// Plain and dict index each position on its own, as their ascending
+    /// kernels do; RLE finds each position's run by binary search;
+    /// bit-vector decodes the rows from the least position to the
+    /// greatest once. Errs, before any cell is written, unless every
+    /// position lies in the block: the kernels index by offset from the
+    /// block's start.
+    pub fn gather_unsorted_into(&self, positions: &[Pos], out: &mut Slots<'_>) -> Result<()> {
+        let Some(&first) = positions.first() else {
+            return Ok(());
+        };
+        let (lo, hi) = positions
+            .iter()
+            .fold((first, first), |(lo, hi), &p| (lo.min(p), hi.max(p)));
+        let cov = self.covering();
+        if let Some(p) = [lo, hi].into_iter().find(|&p| !cov.contains(p)) {
+            return Err(outside_block(p, cov));
+        }
+        match self {
+            EncodedBlock::Rle(b) => b.gather_unsorted_into(positions, out),
+            EncodedBlock::BitVec(b) => b.gather_between(lo, hi, positions, out),
+            _ => self.gather_points(positions, out),
+        }
         Ok(())
     }
 
@@ -593,6 +646,44 @@ mod tests {
             let expected: Vec<Value> = positions.iter().map(|&p| values[p as usize]).collect();
             assert_eq!(out, expected, "{:?}", block.encoding());
         }
+    }
+
+    #[test]
+    fn unsorted_gather_matches_index_and_refuses_outside_positions() {
+        let values = sample_values();
+        let end = 100 + values.len() as u64;
+        let positions: Vec<Pos> = vec![140, 100, 117, 117, end - 1, 105, 100];
+        for block in all_blocks(&values, 100) {
+            let mut cells = vec![0 as Value; 3 * positions.len()];
+            let mut out = Slots::column(&mut cells, 1, 3);
+            block.gather_unsorted_into(&positions, &mut out).unwrap();
+            assert!(out.is_empty(), "{:?}", block.encoding());
+            let want: Vec<Value> = positions
+                .iter()
+                .map(|&p| values[p as usize - 100])
+                .collect();
+            let got: Vec<Value> = cells.chunks(3).map(|row| row[1]).collect();
+            assert_eq!(got, want, "{:?}", block.encoding());
+            // Every position is checked, not only the ends.
+            for outside in [vec![105, 99, 110], vec![105, end, 110]] {
+                let mut cells = vec![-7 as Value; outside.len()];
+                let mut out = Slots::column(&mut cells, 0, 1);
+                assert!(block.gather_unsorted_into(&outside, &mut out).is_err());
+                assert!(cells.iter().all(|&v| v == -7), "{:?}", block.encoding());
+            }
+        }
+    }
+
+    #[test]
+    fn scatter_writes_cells_in_any_order_and_skip_moves_past_them() {
+        let mut cells = vec![0 as Value; 8];
+        let mut out = Slots::column(&mut cells, 1, 2);
+        out.scatter(&[2, 0, 3, 1, 9], &[30, 10, 40, 20, 99]);
+        assert_eq!(out.len(), 4, "a scatter does not move on");
+        out.skip(3);
+        out.put([70]);
+        assert!(out.is_empty());
+        assert_eq!(cells, vec![0, 10, 0, 20, 0, 30, 0, 70]);
     }
 
     #[test]

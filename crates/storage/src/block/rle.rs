@@ -177,6 +177,17 @@ impl RleBlock {
         }));
     }
 
+    /// DS3 point fetch at positions in any order inside the block, written
+    /// to the next cells of `out`: each position's run is found by binary
+    /// search.
+    pub fn gather_unsorted_into(&self, positions: &[Pos], out: &mut Slots<'_>) {
+        out.put(
+            positions
+                .iter()
+                .map(|&p| self.runs[self.runs.partition_point(|r| r.range().end <= p)].value),
+        );
+    }
+
     /// DS3 over ascending, disjoint `ranges`, each clipped to the block,
     /// written to the next cells of `out`: one run cursor walks the runs
     /// and the ranges together, so a range costs the runs it overlaps —
