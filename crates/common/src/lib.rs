@@ -14,10 +14,12 @@ pub mod error;
 pub mod par;
 pub mod pred;
 pub mod query_io;
+pub mod splitmix;
 pub mod types;
 
 pub use error::{Error, Result};
 pub use par::{default_parallelism, env_worker_count, fan_out, join_unwinding, par_map_indexed};
 pub use pred::{CodePredicate, CompareOp, Predicate};
 pub use query_io::QueryIo;
+pub use splitmix::SplitMix64;
 pub use types::{ColumnId, Pos, PosRange, TableId, Value, Width};

@@ -554,6 +554,47 @@ mod tests {
     }
 
     #[test]
+    fn set_model_constants_prices_as_a_planner_on_those_constants() {
+        // A bit-vector filter under LM-parallel ANDs bit-strings, whose
+        // price depends on the word size: 32 bits in the paper's
+        // constants, 64 in the host defaults a database starts with.
+        let mut db = Database::in_memory();
+        let a: Vec<Value> = (0..2000).map(|i| i / 200).collect();
+        let b: Vec<Value> = (0..2000).map(|i| i % 7).collect();
+        let spec = ProjectionSpec::new("bits")
+            .column("a", EncodingKind::Rle, SortOrder::Primary)
+            .column("b", EncodingKind::BitVec, SortOrder::None);
+        let t = db.load_projection(&spec, &[&a, &b]).unwrap();
+        let q = QuerySpec::select(t, vec![0, 1])
+            .filter(0, Predicate::lt(5))
+            .filter(1, Predicate::lt(4));
+        let stmt = Statement::Select(q.clone());
+        let priced = |db: &Database| match db.plan(&stmt).unwrap() {
+            QueryPlan::Scan(c) => c.alternatives,
+            other => panic!("expected a scan choice, got {other:?}"),
+        };
+        let store = db.store().clone();
+        let on = |constants, workers| {
+            Planner::with_parallelism(constants, workers)
+                .choose(&store, &q)
+                .unwrap()
+                .alternatives
+        };
+        let host = priced(&db);
+        let before = db.execute(&stmt).unwrap().rows;
+        db.set_model_constants(Constants::paper());
+        assert_eq!(db.planner().model().constants(), &Constants::paper());
+        assert_eq!(priced(&db), on(Constants::paper(), db.parallelism()));
+        assert_ne!(priced(&db), host, "the word size moves the price");
+        // A later worker count keeps the constants.
+        db.set_parallelism(3);
+        assert_eq!(db.planner().model().constants(), &Constants::paper());
+        assert_eq!(priced(&db), on(Constants::paper(), 3));
+        // The answer is the same bytes.
+        assert_eq!(db.execute(&stmt).unwrap().rows.flat(), before.flat());
+    }
+
+    #[test]
     fn persistent_database_reopens() {
         let dir = std::env::temp_dir().join(format!("matstrat-db-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

@@ -26,28 +26,25 @@
 //! where [`InnerRep::fetch_into`] writes each right value into its slot
 //! of the result.
 //!
-//! # Parallel build
+//! # The build
 //!
-//! The hash table is flat: each partition holds one index from key to a
-//! dense id and one CSR array of positions, so a build allocates a fixed
-//! handful of vectors however many distinct keys the inner table holds.
-//! A partition whose live keys are all distinct (every primary key)
-//! drops the CSR arrays and indexes each key's one position instead.
-//! Each partition picks its index from the keys it is given: a slot
-//! array addressed by `key − min` when the keys are dense (every
-//! primary key and every shared-dictionary code in the paper's schema),
-//! a SipHash map otherwise. A probe runs a whole span's keys through one
-//! loop made for the partition's layout (`SharedBuild::fan_out`).
-//! The build side is itself parallel. The right key column is scanned
-//! span-parallel on the [`FragmentPipeline`] substrate, each worker
-//! scattering its `(position, key)` pairs into per-worker **radix
-//! partitions** by key hash; one worker per partition then builds that
-//! partition's flat table from the scattered buckets, in ascending
-//! fragment order. A serial build makes one flat table straight over the
-//! live keys. A key lives in exactly one partition, and every build
-//! visits positions ascending, so every key's position run is identical
-//! to the list a serial 0..n insertion loop produces; the probe simply
-//! hashes a key to its partition before the index lookup.
+//! Every build is one flat hash table over the inner table's live keys:
+//! one index from key to a dense id and one CSR array of positions, so a
+//! build allocates a fixed handful of vectors however many distinct keys
+//! the inner table holds. A table whose live keys are all distinct
+//! (every primary key) drops the CSR arrays and indexes each key's one
+//! position instead. The index is picked from the keys: a slot array
+//! addressed by `key − min` when the keys are dense (every primary key
+//! and every shared-dictionary code in the paper's schema), a SipHash
+//! map otherwise. The build visits positions ascending, so every key's
+//! position run is the list a 0..n insertion loop produces. A probe runs
+//! a whole span's keys through one loop made for the table's layout
+//! (`SharedBuild::fan_out`).
+//! The table is built serially. On dense keys (every join key in the
+//! paper's schema) one serial table builds and probes faster than radix
+//! partitions built on two workers. Sparse, wide keys over more than one
+//! granule build faster partitioned, but a reducer-free build is made
+//! once and stays resident, and every probe of the one table is faster.
 //! The right output representations are built column-parallel the same
 //! way the projection loader encodes columns (decodes, bit-vector
 //! fallbacks, and the Materialized row-major flatten all split across
@@ -98,25 +95,16 @@ pub struct JoinSpec {
     pub right_output: Vec<usize>,
 }
 
-/// A hash-table key the partitioned build can scatter: the decoded
-/// value on the classic path, or the u32 dictionary code on the
-/// compressed path (§ compressed execution) — same radix machinery,
-/// narrower key.
-pub(crate) trait JoinKey: Copy + Eq + std::hash::Hash + Send + Sync {
-    /// The bits the Fibonacci partition mixer consumes.
-    fn mix(self) -> u64;
-
+/// A hash-table key: the decoded value on the classic path, or the u32
+/// dictionary code on the compressed path (§ compressed execution) —
+/// same table, narrower key.
+pub(crate) trait JoinKey: Copy + Eq + std::hash::Hash {
     /// The key's place on the integer line, which a dense domain's slot
     /// array is addressed by.
     fn ordinal(self) -> i64;
 }
 
 impl JoinKey for Value {
-    #[inline]
-    fn mix(self) -> u64 {
-        self as u64
-    }
-
     #[inline]
     fn ordinal(self) -> i64 {
         self
@@ -125,38 +113,25 @@ impl JoinKey for Value {
 
 impl JoinKey for u32 {
     #[inline]
-    fn mix(self) -> u64 {
-        self as u64
-    }
-
-    #[inline]
     fn ordinal(self) -> i64 {
         i64::from(self)
     }
 }
 
-/// The shared read-only hash table on the right key: one flat table
-/// when the build ran serial, or `workers` radix partitions by key hash,
-/// one flat table each, when it ran parallel. Each key's position run is
-/// ascending — identical to a serial 0..n insertion — in either shape,
-/// so the partitioning is invisible to the probe's output.
-pub(crate) struct PartitionedTable<K: JoinKey = Value> {
-    parts: Vec<FlatTable<K>>,
-}
-
-/// One partition's table without an allocation per key. When its live
-/// keys repeat, `index` maps each distinct key to a dense id, and id
-/// `i`'s ascending positions are `positions[offsets[i]..offsets[i + 1]]`
-/// (CSR): O(rows + distinct keys) `u32`s in three allocations. When
+/// The shared read-only hash table on the right key, without an
+/// allocation per key. When its live keys repeat, `index` maps each
+/// distinct key to a dense id, and id `i`'s ascending positions are
+/// `positions[offsets[i]..offsets[i + 1]]` (CSR): O(rows + distinct
+/// keys) `u32`s in three allocations. When
 /// every live key is distinct (every primary key), `index` holds each
 /// key's one position where its id would be and `runs` is `None`, so a
 /// lookup is one load.
-struct FlatTable<K: JoinKey> {
+pub(crate) struct FlatTable<K: JoinKey> {
     index: KeyIndex<K>,
     runs: Option<Runs>,
 }
 
-/// A non-unique partition's CSR position runs, by key id.
+/// A non-unique table's CSR position runs, by key id.
 struct Runs {
     offsets: Vec<u32>,
     positions: Vec<u32>,
@@ -181,8 +156,8 @@ const DENSE_SLOTS_PER_ROW: usize = 4;
 const NO_KEY: u32 = u32::MAX;
 
 /// A flat table's key → entry index, chosen per build from its keys. An
-/// entry is the key's id into the CSR runs, or, in a unique partition,
-/// the key's one position.
+/// entry is the key's id into the CSR runs, or, in a unique table, the
+/// key's one position.
 enum KeyIndex<K: JoinKey> {
     /// `slots[key − min]` is the key's entry, [`NO_KEY`] for a key the
     /// build never saw. No hash to compute or flood, and its length is
@@ -330,22 +305,24 @@ fn fan_out_runs<'t, T: Copy>(keys: &[T], get: impl Fn(T) -> Option<&'t [u32]>) -
 }
 
 impl<K: JoinKey> FlatTable<K> {
-    /// Build over `rows`, (position, key) pairs in ascending position
-    /// order: a pass over the keys' bounds picks the index, the next
-    /// gives each new key the next id and records every row's id. If no
-    /// key repeated, each id is its row's arrival index, and the index
-    /// takes that row's position in its place. Otherwise a prefix sum
-    /// over the id counts places each run, and the last pass scatters the
-    /// positions into their runs in arrival order. `rows` is cloned for
-    /// each pass, so it must be a cheap iterator; `cap` is the row count
-    /// it yields, at most.
-    fn build<I>(rows: I, cap: usize) -> FlatTable<K>
-    where
-        I: Iterator<Item = (u32, K)> + Clone,
-    {
+    /// Build over every position of `keys` not in `deletes` (sorted),
+    /// in ascending position order: a pass over the live keys' bounds
+    /// picks the index, the next gives each new key the next id and
+    /// records every row's id. If no key repeated, each id is its row's
+    /// arrival index, and the index takes that row's position in its
+    /// place. Otherwise a prefix sum over the id counts places each run,
+    /// and the last pass scatters the positions into their runs in
+    /// arrival order.
+    fn build(keys: &[K], deletes: &[u64]) -> FlatTable<K> {
+        let mut dead = Tombstones::new(deletes, 0);
+        let rows = keys
+            .iter()
+            .enumerate()
+            .filter(move |&(pos, _)| !dead.is_deleted(pos as u64))
+            .map(|(pos, &k)| (pos as u32, k));
         let mut index = KeyIndex::for_keys(rows.clone().map(|(_, k)| k));
         let mut counts: Vec<u32> = Vec::new();
-        let mut ids: Vec<u32> = Vec::with_capacity(cap);
+        let mut ids: Vec<u32> = Vec::with_capacity(keys.len());
         for (_, k) in rows.clone() {
             let next = counts.len() as u32;
             let id = index.id_or_insert(k, next);
@@ -392,7 +369,7 @@ impl<K: JoinKey> FlatTable<K> {
         })
     }
 
-    /// Probe every key of `keys` in one pass made for this partition's
+    /// Probe every key of `keys` in one pass made for this table's
     /// layout (see [`SharedBuild::fan_out`]).
     fn fan_out(&self, keys: &[K]) -> FanOut {
         match &self.index {
@@ -430,89 +407,7 @@ impl<K: JoinKey> FlatTable<K> {
     }
 }
 
-/// The radix partition a key belongs to, shared by build and probe.
-/// A Fibonacci multiply-shift mixer, not a full hash pass: the probe
-/// pays this once per surviving row *on top of* the partition index's
-/// own lookup, so the partition choice must be nearly free — it needs
-/// determinism and spread, not DoS resistance. A sparse partition's
-/// index keeps SipHash for that; a dense one's slot array has no hash to
-/// flood, and its length is bounded by the partition's own rows.
-#[inline]
-fn partition_of<K: JoinKey>(key: K, parts: usize) -> usize {
-    let mix = key.mix().wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    ((mix >> 32) as usize) % parts
-}
-
-impl<K: JoinKey> PartitionedTable<K> {
-    /// Build the table over `keys` on the pipeline's workers: one flat
-    /// table straight over the live keys for a single-span plan,
-    /// otherwise a span-parallel scatter into per-fragment radix buckets
-    /// followed by a partition-parallel build. Fragments arrive in global
-    /// granule order and every partition walks them in that order, so
-    /// each key's run ascends exactly as a serial insertion loop's does.
-    fn build(
-        keys: &[K],
-        deletes: &[u64],
-        pipeline: &FragmentPipeline,
-    ) -> Result<PartitionedTable<K>> {
-        let parts_n = pipeline.workers();
-        if parts_n <= 1 {
-            let mut dead = Tombstones::new(deletes, 0);
-            let live = keys
-                .iter()
-                .enumerate()
-                .filter(move |&(pos, _)| !dead.is_deleted(pos as u64))
-                .map(|(pos, &k)| (pos as u32, k));
-            return Ok(PartitionedTable {
-                parts: vec![FlatTable::build(live, keys.len())],
-            });
-        }
-        // Phase A: scatter. Each granule run hashes its keys into
-        // `parts_n` buckets; pure CPU, so the scheduler's stealing can
-        // rebalance it freely.
-        let buckets: Vec<Vec<Vec<(u32, K)>>> = pipeline
-            .run(|span| {
-                let mut local: Vec<Vec<(u32, K)>> = vec![Vec::new(); parts_n];
-                let mut dead = Tombstones::new(deletes, span.start);
-                for pos in (span.start..span.end).filter(|&p| !dead.is_deleted(p)) {
-                    let k = keys[pos as usize];
-                    local[partition_of(k, parts_n)].push((pos as u32, k));
-                }
-                Ok(local)
-            })?
-            .0;
-        // Phase B: one flat table per partition, one worker each.
-        let parts = matstrat_common::par_map_indexed(parts_n, parts_n, |p| -> Result<_> {
-            let cap = buckets.iter().map(|frag| frag[p].len()).sum();
-            let rows = buckets.iter().flat_map(|frag| frag[p].iter().copied());
-            Ok(FlatTable::build(rows, cap))
-        })?;
-        Ok(PartitionedTable { parts })
-    }
-
-    /// The ascending right positions holding `key`, if any.
-    #[inline]
-    pub(crate) fn get(&self, key: K) -> Option<&[u32]> {
-        if self.parts.len() == 1 {
-            self.parts[0].get(key)
-        } else {
-            self.parts[partition_of(key, self.parts.len())].get(key)
-        }
-    }
-
-    /// Probe every key of `keys` in one pass (see
-    /// [`SharedBuild::fan_out`]): a serial build's one partition runs the
-    /// loop made for its layout; a partitioned build, whose partitions
-    /// may differ in layout, looks each key up in its own partition.
-    fn fan_out(&self, keys: &[K]) -> FanOut {
-        match self.parts.as_slice() {
-            [one] => one.fan_out(keys),
-            _ => fan_out_runs(keys, |k| self.get(k)),
-        }
-    }
-}
-
-/// The build side's hash table, in one of two key domains.
+/// The build side's one [`FlatTable`], in one of two key domains.
 ///
 /// `Codes` is the compressed-execution path: when every base block of
 /// the right key column carries one shared, sorted dictionary *and*
@@ -525,9 +420,9 @@ impl<K: JoinKey> PartitionedTable<K> {
 /// every right key encodes). `Values` is the decoded fallback,
 /// byte-identical in output.
 pub(crate) enum KeyTable {
-    Values(PartitionedTable<Value>),
+    Values(FlatTable<Value>),
     Codes {
-        table: PartitionedTable<u32>,
+        table: FlatTable<u32>,
         /// The shared dictionary, sorted strictly ascending.
         dict: Arc<Vec<Value>>,
         /// The dictionary's FNV fingerprint, compared against probe-side
@@ -544,11 +439,12 @@ pub(crate) enum ProbeKeys {
     Codes(Vec<u32>),
 }
 
-/// The strategy-independent half of a join's build side: the partitioned
-/// hash table on one (inner table, key column) pair plus the decoded key
+/// The strategy-independent half of a join's build side: the one hash
+/// table on an (inner table, key column) pair plus the decoded key
 /// values it was built from. The table depends only on a snapshot of the
-/// inner table and its key column, never on an edge's output columns or
-/// inner strategy, so it is reused at two levels: within a statement,
+/// inner table and its key column, never on an edge's output columns,
+/// inner strategy or worker count, so it is reused at two levels:
+/// within a statement,
 /// by every edge that probes the same inner table ([`BuildReducer`]s
 /// included in the signature); and across statements, when it has no
 /// reducer, as resident state on the [`Store`] ([`SharedBuild::resident`])
@@ -619,10 +515,11 @@ impl BuildReducer<'_> {
 /// one [`Store::scan_snapshot`].
 pub(crate) type Snapshot = (ProjectionInfo, Option<Arc<TableDelta>>);
 
-/// Workers a build over `rows` inner rows runs with: the probe's skew
-/// guard applied to the *right* table, so a one-granule inner table
-/// builds serially no matter the knob. The planner prices build CPU with
-/// exactly this count, and it is the radix partition count when > 1.
+/// Workers the right output representations over `rows` inner rows are
+/// built with: the probe's skew guard applied to the *right* table, so a
+/// one-granule inner table builds serially no matter the knob. The
+/// planner prices the representations' CPU with exactly this count; the
+/// hash table itself is always built serially.
 fn build_workers(rows: u64, opts: &ExecOptions) -> usize {
     FragmentPipeline::effective_workers(rows, opts.granule, opts.parallelism.max(1))
 }
@@ -637,7 +534,6 @@ impl SharedBuild {
         store: &Store,
         right: TableId,
         right_key: usize,
-        opts: &ExecOptions,
     ) -> Result<(Arc<SharedBuild>, bool)> {
         let (info, delta) = store.scan_snapshot(right)?;
         let key = (right, right_key);
@@ -647,13 +543,7 @@ impl SharedBuild {
         if let Some(build) = hit {
             return Ok((build, true));
         }
-        let build = Arc::new(SharedBuild::build(
-            store,
-            (info, delta),
-            right_key,
-            &[],
-            opts,
-        )?);
+        let build = Arc::new(SharedBuild::build(store, (info, delta), right_key, &[])?);
         store.cache_build(
             key,
             &build.info,
@@ -663,9 +553,8 @@ impl SharedBuild {
         Ok((build, false))
     }
 
-    /// Scan + decode the key column and build the partitioned hash table
-    /// on the pipeline's workers (serial insertion for a single-span
-    /// plan). Reads every logical position of the right table's
+    /// Scan + decode the key column and build its one hash table over
+    /// the live keys. Reads every logical position of the right table's
     /// `snapshot` — the file's blocks, then the tail blocks of its
     /// inserted rows; deleted positions, plus every position a
     /// [`BuildReducer`] rejects, are skipped by the hash-table build.
@@ -674,7 +563,6 @@ impl SharedBuild {
         snapshot: Snapshot,
         right_key: usize,
         reducers: &[BuildReducer<'_>],
-        opts: &ExecOptions,
     ) -> Result<SharedBuild> {
         let (info, delta) = snapshot;
         let base_rows = info.num_rows;
@@ -741,11 +629,9 @@ impl SharedBuild {
             excluded.sort_unstable();
             excluded.dedup();
         }
-        let build_workers = build_workers(rows, opts);
-        let pipeline = FragmentPipeline::new(rows, opts.granule, build_workers);
         let table = match code_build {
             Some((fingerprint, dict, codes)) => {
-                let table = PartitionedTable::build(&codes, &excluded, &pipeline)?;
+                let table = FlatTable::build(&codes, &excluded);
                 matstrat_common::codeops::add(codes.len() as u64);
                 KeyTable::Codes {
                     table,
@@ -753,7 +639,7 @@ impl SharedBuild {
                     fingerprint,
                 }
             }
-            None => KeyTable::Values(PartitionedTable::build(&keys, &excluded, &pipeline)?),
+            None => KeyTable::Values(FlatTable::build(&keys, &excluded)),
         };
         Ok(SharedBuild {
             table,
@@ -847,8 +733,7 @@ pub struct InnerRep {
 impl InnerRep {
     /// Fetch the right output columns from the build's snapshot, then
     /// [`new`](Self::new) the representation on the workers the
-    /// statement's `opts` give a build over the inner table: a resident
-    /// [`SharedBuild`] may have been made at another count.
+    /// statement's `opts` give the inner table (see `build_workers`).
     pub(crate) fn build(
         store: &Store,
         shared: &SharedBuild,
@@ -1603,71 +1488,54 @@ mod tests {
         table
     }
 
-    /// Build `keys` at 1, 2, 3 and 8 partitions over a `granule`-row
-    /// pipeline, check that each partition chose the index its live keys
-    /// call for, and compare every probe against the push loop.
+    /// Build one table over `keys`, check that it chose the index its
+    /// live keys call for, and compare every probe against the push loop.
     fn assert_matches_push_loop<K: JoinKey + std::fmt::Debug>(
         keys: &[K],
         deletes: &[u64],
         probes: &[K],
-        granule: u64,
     ) {
         let oracle = push_loop(keys, deletes);
-        for parts in [1, 2, 3, 8] {
-            let pipeline = FragmentPipeline::new(keys.len() as u64, granule, parts);
-            let table = PartitionedTable::build(keys, deletes, &pipeline).unwrap();
-            let workers = pipeline.workers();
-            assert_eq!(table.parts.len(), workers);
-            // Each partition's (min, max, rows, distinct keys) over its
-            // live keys, in i128 so the span of i64::MIN..=i64::MAX
-            // cannot wrap.
-            let mut bounds = vec![(i128::MAX, i128::MIN, 0i128, 0i128); workers];
-            for (&key, list) in &oracle {
-                let p = if workers == 1 {
-                    0
-                } else {
-                    partition_of(key, workers)
-                };
-                let k = i128::from(key.ordinal());
-                let b = &mut bounds[p];
-                *b = (b.0.min(k), b.1.max(k), b.2 + list.len() as i128, b.3 + 1);
-            }
-            for (p, &(lo, hi, rows, distinct)) in bounds.iter().enumerate() {
-                // A span of hi − lo + 1 slots, at most the cutoff.
-                let dense = rows > 0 && hi - lo < rows * DENSE_SLOTS_PER_ROW as i128;
-                let part = &table.parts[p];
-                let shape = format!(
-                    "partition {p} of {workers}: keys {lo}..={hi}, {distinct} over {rows} rows"
-                );
-                assert_eq!(part.is_dense(), dense, "{shape}");
-                assert_eq!(part.is_direct(), rows == distinct, "{shape}");
-            }
-            let probed: Vec<K> = keys.iter().chain(probes).copied().collect();
-            for &k in &probed {
-                assert_eq!(
-                    table.get(k),
-                    oracle.get(&k).map(Vec::as_slice),
-                    "key {k:?}, {workers} partitions, granule {granule}"
-                );
-            }
-            // The one-pass fan-out: every probe's matches, in probe order,
-            // over the probes and over the live keys alone (where a unique
-            // table hits every row once).
-            let live: Vec<K> = oracle.keys().copied().collect();
-            for probed in [&probed, &live] {
-                let want: Vec<(usize, u32)> = probed
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(i, k)| oracle.get(k).into_iter().flatten().map(move |&rp| (i, rp)))
-                    .collect();
-                let FanOut { right, sel } = table.fan_out(probed);
-                let every_row_once = want.iter().enumerate().all(|(j, &(i, _))| i == j)
-                    && want.len() == probed.len();
-                assert_eq!(sel.is_none(), every_row_once, "{workers} partitions");
-                let sel = sel.unwrap_or_else(|| (0..right.len()).collect());
-                let got: Vec<(usize, u32)> = sel.into_iter().zip(right).collect();
-                assert_eq!(got, want, "{workers} partitions, granule {granule}");
-            }
+        let table = FlatTable::build(keys, deletes);
+        // (min, max, rows, distinct keys) over the live keys, in i128 so
+        // the span of i64::MIN..=i64::MAX cannot wrap.
+        let (mut lo, mut hi, mut rows, mut distinct) = (i128::MAX, i128::MIN, 0i128, 0i128);
+        for (&key, list) in &oracle {
+            let k = i128::from(key.ordinal());
+            (lo, hi) = (lo.min(k), hi.max(k));
+            rows += list.len() as i128;
+            distinct += 1;
+        }
+        // A span of hi − lo + 1 slots, at most the cutoff.
+        let dense = rows > 0 && hi - lo < rows * DENSE_SLOTS_PER_ROW as i128;
+        let shape = format!("keys {lo}..={hi}, {distinct} over {rows} rows");
+        assert_eq!(table.is_dense(), dense, "{shape}");
+        assert_eq!(table.is_direct(), rows == distinct, "{shape}");
+        let probed: Vec<K> = keys.iter().chain(probes).copied().collect();
+        for &k in &probed {
+            assert_eq!(
+                table.get(k),
+                oracle.get(&k).map(Vec::as_slice),
+                "key {k:?}, {shape}"
+            );
+        }
+        // The one-pass fan-out: every probe's matches, in probe order,
+        // over the probes and over the live keys alone (where a unique
+        // table hits every row once).
+        let live: Vec<K> = oracle.keys().copied().collect();
+        for probed in [&probed, &live] {
+            let want: Vec<(usize, u32)> = probed
+                .iter()
+                .enumerate()
+                .flat_map(|(i, k)| oracle.get(k).into_iter().flatten().map(move |&rp| (i, rp)))
+                .collect();
+            let FanOut { right, sel } = table.fan_out(probed);
+            let every_row_once =
+                want.iter().enumerate().all(|(j, &(i, _))| i == j) && want.len() == probed.len();
+            assert_eq!(sel.is_none(), every_row_once, "{shape}");
+            let sel = sel.unwrap_or_else(|| (0..right.len()).collect());
+            let got: Vec<(usize, u32)> = sel.into_iter().zip(right).collect();
+            assert_eq!(got, want, "{shape}");
         }
     }
 
@@ -1679,8 +1547,8 @@ mod tests {
         /// dense, repeated, sparse-and-wide, all-equal, extreme and empty
         /// key sets, dense runs pinned to either end of `i64`, spans at
         /// the slot array's cutoff and one past it, negative keys with
-        /// holes, random tombstones, serial and partitioned builds —
-        /// both indexes, on both sides of the density line — and unique
+        /// holes and random tombstones — both indexes, on both sides of
+        /// the density line — and unique
         /// key sets, which hold positions in place of ids: dense with
         /// holes, spread from `i64::MIN` to `i64::MAX`, sparse, and a
         /// repeated key whose twin is deleted.
@@ -1691,13 +1559,12 @@ mod tests {
             draws in proptest::collection::vec(0u64..u64::MAX, 400..401),
             dead in proptest::collection::vec(0u8..100, 400..401),
             dead_pct in 0u8..101,
-            granule in 1u64..24,
         ) {
             let n = if shape == 5 { 0 } else { n };
             let extremes = [Value::MIN, Value::MAX, Value::MIN + 1, Value::MAX - 1, 0, -1];
             // Shapes 8 and 9 span exactly the cutoff's 4n slots and one
             // more, from a base well inside i64; they keep every row, so
-            // the serial build sits right on the density line.
+            // the build sits right on the density line.
             let base = draws[1] as Value / 2;
             let cutoff = (DENSE_SLOTS_PER_ROW * n) as Value;
             let keys: Vec<Value> = (0..n)
@@ -1737,7 +1604,7 @@ mod tests {
             // Just outside [min, max], wrapping past either end of i64.
             probes.extend(keys.iter().min().map(|k| k.wrapping_sub(1)));
             probes.extend(keys.iter().max().map(|k| k.wrapping_add(1)));
-            assert_matches_push_loop(&keys, &deletes, &probes, granule);
+            assert_matches_push_loop(&keys, &deletes, &probes);
 
             // The code domain: each key's rank in the sorted dictionary,
             // probed also past the dictionary's end.
@@ -1749,7 +1616,7 @@ mod tests {
                 .map(|k| dict.binary_search(k).unwrap() as u32)
                 .collect();
             let absent = [dict.len() as u32, dict.len() as u32 + 1, u32::MAX];
-            assert_matches_push_loop(&codes, &deletes, &absent, granule);
+            assert_matches_push_loop(&codes, &deletes, &absent);
         }
     }
 }

@@ -30,11 +30,11 @@
 //!
 //! An edge probes a span's keys in one call
 //! (`SharedBuild::fan_out`), which matches the table's key domain and
-//! layout once and runs a loop made for it. A partition whose live keys
-//! are all distinct (every primary key) holds each key's one position
-//! where a repeating partition holds an id into its position runs, so
-//! its lookup is one load, and its loop writes every row's match without
-//! a branch per miss. Every layout yields the same shape: this edge's
+//! layout once and runs a loop made for it. Every build is one flat
+//! table. A table whose live keys are all distinct (every primary key)
+//! holds each key's one position where a repeating table holds an id
+//! into its position runs, so its lookup is one load, and its loop
+//! writes every row's match without a branch per miss. Every layout yields the same shape: this edge's
 //! right positions plus a selection vector naming each output row's
 //! input row, through which `base_pos` and the earlier edges' positions
 //! are gathered once. When every row hit exactly once there is no
@@ -42,9 +42,9 @@
 //!
 //! # Build caching
 //!
-//! The partitioned hash table depends only on a snapshot of the (inner
-//! table, key column) pair — never on an edge's strategy or output
-//! columns — so it is reused at two levels ([`QueryStats::builds`] /
+//! The hash table depends only on a snapshot of the (inner table, key
+//! column) pair — never on an edge's strategy or output columns — so it
+//! is reused at two levels ([`QueryStats::builds`] /
 //! [`QueryStats::build_reuses`] count both sides):
 //!
 //! * **Within a statement**, when the same inner table is probed by
@@ -57,11 +57,10 @@
 //!   (inner table, key column) and tagged with the snapshot it was
 //!   built from. A later statement that reads the same snapshot probes
 //!   it without reading a block of the inner key, at whatever worker
-//!   count: the partitioned table answers a probe alike however many
-//!   partitions it was built with. A write to the inner table, its
-//!   compaction or a cold reset ends it. A write to the outer table
-//!   does not. Filtered and semi-reduced builds live only as long as
-//!   their statement.
+//!   count: the table is built serially, so no worker count shapes it.
+//!   A write to the inner table, its compaction or a cold reset ends
+//!   it. A write to the outer table does not. Filtered and semi-reduced
+//!   builds live only as long as their statement.
 //!
 //! [`JoinTreePlan::reuse_builds`]` = false` turns both off: every edge
 //! builds its own table, and the store's cache is neither read nor
@@ -144,7 +143,7 @@ pub struct JoinTreePlan {
     /// subtree joined ahead of the fact probe. Output-invariant: the
     /// reduced rows would die at the bushy edge's own probe anyway.
     pub bushy: Vec<bool>,
-    /// Reuse the partitioned build table across edges sharing an
+    /// Reuse the build's hash table across edges sharing an
     /// (inner table, key column, inner filter, bushy reduction)
     /// signature, and reducer-free ones across statements through the
     /// store's resident builds. On by default; the differential
@@ -222,8 +221,8 @@ impl JoinTreePlan {
 /// agree — anything less would let a reduced table serve an edge whose
 /// probes must see the reduced-out rows. Only a signature with neither
 /// reducer is also looked up among the store's resident builds, keyed by
-/// (inner table, key column) alone: a table answers a probe alike
-/// whatever worker count built it.
+/// (inner table, key column) alone: the table is built serially, so no
+/// worker count shapes it.
 type BuildKey = (TableId, usize, Option<(usize, Predicate)>, Vec<usize>);
 
 /// Everything one edge's probe needs, shared read-only by all workers.
@@ -252,7 +251,6 @@ struct Builds<'a> {
     store: &'a Store,
     spec: &'a JoinTreeSpec,
     plan: &'a JoinTreePlan,
-    opts: &'a ExecOptions,
     /// Per spec edge, the bushy children that reduce its build.
     bushy_children: Vec<Vec<usize>>,
     cache: HashMap<BuildKey, Arc<SharedBuild>>,
@@ -285,8 +283,7 @@ impl Builds<'_> {
                 Arc::clone(s)
             }
             _ if self.plan.reuse_builds && reducer_free => {
-                let (s, resident) =
-                    SharedBuild::resident(self.store, edge.right, edge.right_key, self.opts)?;
+                let (s, resident) = SharedBuild::resident(self.store, edge.right, edge.right_key)?;
                 if resident {
                     self.stats.build_reuses += 1;
                 } else {
@@ -312,7 +309,6 @@ impl Builds<'_> {
                     self.store.scan_snapshot(edge.right)?,
                     edge.right_key,
                     &reducers,
-                    self.opts,
                 )?);
                 self.stats.builds += 1;
                 self.cache.insert(key, Arc::clone(&s));
@@ -395,7 +391,6 @@ fn execute_tree(
         store,
         spec,
         plan,
-        opts,
         bushy_children,
         cache: HashMap::new(),
         by_spec: vec![None; n_edges],

@@ -116,8 +116,8 @@ struct TreeInputs {
     /// Order-independent model inputs per spec edge (see
     /// [`Planner::tree_inputs`]).
     edges: Vec<JoinParams>,
-    /// Workers the partitioned build of each spec edge uses: the
-    /// pipeline's skew guard on its inner table.
+    /// Workers the right output representation of each spec edge is
+    /// built with: the pipeline's skew guard on its inner table.
     build_workers: Vec<usize>,
     /// Workers every probe uses: the skew guard on the base table.
     probe_workers: usize,
@@ -1164,7 +1164,7 @@ mod tests {
         // 8-worker planner runs 4 probe workers and 1 build worker (the
         // pipeline skew guard per table), so probe CPU shrinks while
         // build CPU and I/O stay serial — the estimate drops but not by
-        // a full 8x, and no partitioning terms appear.
+        // a full 8x.
         let (store, spec) = join_setup(4);
         let serial = Planner::with_parallelism(Constants::host_defaults(), 1);
         let eight = Planner::with_parallelism(Constants::host_defaults(), 8);
@@ -1187,7 +1187,7 @@ mod tests {
     #[test]
     fn join_planner_divides_build_cpu_on_multi_granule_right_tables() {
         // Both sides span multiple granules: the planner prices the
-        // partitioned build (build CPU / build workers + radix terms)
+        // serial key table, the representation (its CPU / build workers)
         // and the parallel probe independently.
         let store = Store::in_memory();
         let n_left = 2 * crate::GRANULE as usize;
@@ -1548,8 +1548,7 @@ mod tests {
             want.io_us += cost.io_us;
         }
         for r in &reductions {
-            want.cpu_us += r.scan_rows * planner.model().constants().fc
-                / edges[r.parent_slot].build_workers as f64;
+            want.cpu_us += r.scan_rows * planner.model().constants().fc;
         }
         want.cpu_us += inputs.delta_cpu;
         assert_eq!(choice.estimate, choice.tree.total);

@@ -20,7 +20,7 @@
 
 use std::sync::OnceLock;
 
-use matstrat_common::{Error, PosRange, TableId, Value};
+use matstrat_common::{Error, PosRange, SplitMix64 as Rng, TableId, Value};
 use matstrat_core::ops::join::InnerRep;
 use matstrat_core::{InnerStrategy, MiniColumn};
 use matstrat_poslist::PosList;
@@ -69,24 +69,12 @@ fn fixture() -> &'static (Store, TableId) {
     })
 }
 
-/// SplitMix64: the case's own stream, from its seed.
-struct Rng(u64);
+/// `v` shuffled, each element one to three times.
+trait ShuffledWithRepeats {
+    fn shuffled_with_repeats(&mut self, v: &[u32]) -> Vec<u32>;
+}
 
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[lo, hi)`.
-    fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        lo + self.next() % (hi - lo)
-    }
-
-    /// `v` shuffled, each element one to three times.
+impl ShuffledWithRepeats for Rng {
     fn shuffled_with_repeats(&mut self, v: &[u32]) -> Vec<u32> {
         let mut out: Vec<u32> = v
             .iter()

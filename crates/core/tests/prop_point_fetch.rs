@@ -17,7 +17,7 @@
 
 use std::sync::OnceLock;
 
-use matstrat_common::{Pos, PosRange, TableId, Value};
+use matstrat_common::{Pos, PosRange, SplitMix64 as Rng, TableId, Value};
 use matstrat_core::multicol::FetchKind;
 use matstrat_core::MiniColumn;
 use matstrat_poslist::{Bitmap, PosList, PosVec};
@@ -65,24 +65,6 @@ fn fixture() -> &'static (Store, TableId) {
         let id = store.load_projection(&spec, &refs).unwrap();
         (store, id)
     })
-}
-
-/// SplitMix64: the case's own stream, from its seed.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[lo, hi)`.
-    fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        lo + self.next() % (hi - lo)
-    }
 }
 
 /// A window over two to four blocks of `full` that starts and ends

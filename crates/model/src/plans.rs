@@ -308,29 +308,33 @@ impl CostModel {
         }
     }
 
-    /// The serial build and probe phases [`Self::hash_join`] prices.
+    /// The serial phases [`Self::hash_join`] prices: the key table, the
+    /// right representation and the probe.
     fn join_phases(&self, q: &JoinParams, kind: InnerStrategy, build_reused: bool) -> JoinCost {
         let c = &self.constants;
         let out = q.out_rows();
 
-        // ---- Build ------------------------------------------------------
-        let mut build = CostBreakdown::default();
+        // ---- Build: the key table ---------------------------------------
+        let mut key_table = CostBreakdown::default();
         if !build_reused {
             // Right key: a DS1-shaped full scan whose "emit" term (SF = 1)
             // is the hash insert per row. Code-keyed builds hash the
             // stored codes and skip the per-unit decode.
-            build.add(if q.code_keyed {
+            key_table.add(if q.code_keyed {
                 ds1_code(&q.right_key, 1.0, c)
             } else {
                 ds1(&q.right_key, 1.0, c)
             });
         }
+
+        // ---- Build: the representation ----------------------------------
+        let mut rep = CostBreakdown::default();
         // Right output blocks enter the pool at build for every
         // representation (compressed mini-columns or full decode).
-        build.add((q.right_out_blocks * c.bic, q.right_out_io(c)));
+        rep.add((q.right_out_blocks * c.bic, q.right_out_io(c)));
         if kind == InnerStrategy::Materialized {
             // Decode every output column and construct row-major tuples.
-            build.add_cpu(q.right_rows() * q.right_out_cols * (c.tic_col + c.tic_tup));
+            rep.add_cpu(q.right_rows() * q.right_out_cols * (c.tic_col + c.tic_tup));
         }
 
         // ---- Probe ------------------------------------------------------
@@ -372,52 +376,43 @@ impl CostModel {
         // Stitch the final tuples.
         probe.add_cpu(out * c.tic_tup);
 
-        JoinCost { build, probe }
+        JoinCost {
+            key_table,
+            rep,
+            probe,
+        }
     }
 
     /// Price a hash join under the chosen inner-table representation,
-    /// as executed with `build_workers` build threads and `probe_workers`
-    /// probe threads.
+    /// as executed with `build_workers` representation threads and
+    /// `probe_workers` probe threads.
     ///
+    /// * **Key table** (serial): read the right key column fully, decode
+    ///   it, and insert every row into the one hash table. A
+    ///   `build_reused` table already exists (an earlier edge of the same
+    ///   tree, or an earlier statement, built it on the same inner table
+    ///   and key), so the key-column scan, its cold I/O and the inserts
+    ///   drop out.
+    /// * **Representation** (column-parallel over `build_workers`): the
+    ///   right output blocks enter the pool for every representation,
+    ///   and `Materialized` additionally decodes every right output
+    ///   column and constructs the full right tuples up front; the other
+    ///   representations ship the output columns compressed. It is
+    ///   priced even on a reused table, since an edge may project other
+    ///   columns than the edge that built it.
+    /// * **Probe** (span-parallel over `probe_workers`): read the left
+    ///   key and output columns, probe the table once per surviving left
+    ///   row, fetch left values with a merge on the sorted positions, and
+    ///   fetch right values per representation: an array index for
+    ///   `Materialized`, a positional probe into the compressed
+    ///   mini-columns for `MultiColumn`, and the Figure 13
+    ///   positional-join penalty (sort + gather + scatter over the
+    ///   *unsorted* right positions) for `SingleColumn`.
     ///
-    /// * **Build** (span- and column-parallel): read the right key
-    ///   column fully, decode it, and hash every row into the
-    ///   partitioned table. `Materialized` additionally decodes every
-    ///   right output column and constructs the full right tuples up
-    ///   front; the other representations ship the output columns
-    ///   compressed (their blocks are still read at build time — all
-    ///   three representations touch the same blocks, as the executor
-    ///   does). A `build_reused` table already exists (an earlier edge
-    ///   of the same tree built it on the same inner table and key), so
-    ///   the key-column scan, its cold I/O and the hash inserts drop
-    ///   out; the right output representations are still priced, since
-    ///   an edge may project other columns than the edge that built it.
-    /// * **Probe** (span-parallel): read the left key and output columns,
-    ///   probe the table once per surviving left row, fetch left values
-    ///   with a merge on the sorted positions, and fetch right values per
-    ///   representation: an array index for `Materialized`, a positional
-    ///   probe into the compressed mini-columns for `MultiColumn`, and
-    ///   the Figure 13 positional-join penalty (sort + gather + scatter
-    ///   over the *unsorted* right positions) for `SingleColumn`.
-    ///
-    /// Build CPU divides by the build count, probe CPU by the probe
-    /// count, I/O is shared by all. On top of the division the parallel
-    /// machinery itself is priced:
-    ///
-    /// * **Radix partitioning** (`build_workers > 1`) — the partitioned
-    ///   build hashes and scatters every right row once more than the
-    ///   serial insertion loop does (`FC` each, parallel across build
-    ///   workers), and every surviving probe pays one extra partition
-    ///   hash (`FC`, parallel across probe workers).
-    /// * **Scheduler bookkeeping** — each parallel phase pays the
-    ///   work-stealing claim overhead ([`Self::steal_overhead`]).
-    ///
-    /// A `build_reused` join runs no build pipeline at all: it skips the
-    /// radix scatter and the build phase's scheduler bookkeeping, while
-    /// the probe still pays its per-row partition hash when the cached
-    /// table was built partitioned (`build_workers > 1` describes how
-    /// the table was built, whether by this edge or the one it reuses).
-    /// At one worker each and no reuse this is the serial join.
+    /// CPU divides by each phase's worker count, I/O is shared by all,
+    /// and the probe pays the work-stealing scheduler's claim overhead
+    /// ([`Self::steal_overhead`]). At one worker each and no reuse this
+    /// is the serial join.
     pub fn hash_join(
         &self,
         q: &JoinParams,
@@ -426,19 +421,9 @@ impl CostModel {
         probe_workers: usize,
         build_reused: bool,
     ) -> CostBreakdown {
-        let c = &self.constants;
         let mut cost = self
             .join_phases(q, kind, build_reused)
             .with_workers(build_workers, probe_workers);
-        if build_workers > 1 {
-            if !build_reused {
-                cost.cpu_us += q.right_rows() * c.fc / build_workers as f64;
-            }
-            cost.cpu_us += q.left_rows() * q.sf * c.fc / probe_workers.max(1) as f64;
-        }
-        if !build_reused {
-            cost.cpu_us += self.steal_overhead(build_workers);
-        }
         cost.cpu_us += self.steal_overhead(probe_workers);
         cost
     }
@@ -467,8 +452,9 @@ impl CostModel {
     /// at match rate 1.0, so the final cardinality is unchanged —
     /// bushiness moves where rows die, never how many.) Applying a
     /// reduction is not free: the parent's build additionally probes the
-    /// child's table once per parent row (`FC` each, across the build
-    /// workers), which is added to the parent slot's chosen cost.
+    /// child's table once per parent row (`FC` each, on one worker, as
+    /// the executor runs every reducer in one serial loop), which is
+    /// added to the parent slot's chosen cost.
     pub fn join_tree(
         &self,
         edges: &[JoinTreeEdgeParams],
@@ -498,7 +484,7 @@ impl CostModel {
                 .min_by(|a, b| a.1.total_us().total_cmp(&b.1.total_us()))
                 .expect("three join plans always estimable");
             for r in reductions.iter().filter(|r| r.parent_slot == slot) {
-                cost.cpu_us += r.scan_rows * c.fc / e.build_workers.max(1) as f64;
+                cost.cpu_us += r.scan_rows * c.fc;
             }
             rows = p.out_rows();
             tree.cards.push(rows);
@@ -539,9 +525,9 @@ pub struct JoinTreeEdgeParams {
     /// The edge's single-join parameters (probe rows chained by the
     /// composition for all but the first edge).
     pub params: JoinParams,
-    /// Workers the partitioned build would use (how the table is
-    /// partitioned — also for a reused build, which was built by the
-    /// edge it reuses).
+    /// Workers the right output representation is built with (the skew
+    /// guard on the inner table). The key table is built serially, so
+    /// this divides the representation's CPU only.
     pub build_workers: usize,
     /// Workers the probe pipeline uses (skew-guarded on the base table).
     pub probe_workers: usize,
@@ -674,39 +660,44 @@ impl JoinParams {
     }
 }
 
-/// CPU/IO split of a join estimate, separating the build from the probe
-/// so parallelism can be priced honestly: the two phases run on
-/// different tables (right vs left), so each divides by its *own*
-/// effective worker count, and the shared I/O divides by neither.
+/// CPU/IO split of a join estimate by phase, so parallelism is priced
+/// as the executor runs it: the key table is built serially, the right
+/// representation column-parallel over the right table's workers, and
+/// the probe span-parallel over the left table's; the shared I/O
+/// divides by none of them.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 struct JoinCost {
-    /// The build phase (partitioned hash table + right representations),
-    /// span-parallel over the right table.
-    build: CostBreakdown,
+    /// The key column's scan and hash inserts, on one worker; zero for
+    /// a reused table.
+    key_table: CostBreakdown,
+    /// The right output representation, column-parallel over the right
+    /// table's workers.
+    rep: CostBreakdown,
     /// The probe phase, span-parallel over the left table.
     probe: CostBreakdown,
 }
 
 impl JoinCost {
-    /// Collapse to one estimate: build CPU divides by the worker count
-    /// the partitioned build will actually use (the skew guard applied
-    /// to the *right* table), probe CPU by the probe's (the guard on the
-    /// *left* table), and the shared cold-I/O terms are unchanged (the
-    /// workers share one disk arm and one buffer pool). Raw division
-    /// only — [`CostModel::hash_join`] layers the partitioning and
-    /// scheduler overheads on top.
+    /// Collapse to one estimate: representation CPU divides by the
+    /// workers the inner table gives it (the skew guard applied to the
+    /// *right* table), probe CPU by the probe's (the guard on the *left*
+    /// table), key-table CPU by neither, and the shared cold-I/O terms
+    /// are unchanged (the workers share one disk arm and one buffer
+    /// pool). Raw division only — [`CostModel::hash_join`] adds the
+    /// probe scheduler's overhead.
     fn with_workers(self, build_workers: usize, probe_workers: usize) -> CostBreakdown {
         CostBreakdown {
-            cpu_us: self.build.cpu_us / build_workers.max(1) as f64
+            cpu_us: self.key_table.cpu_us
+                + self.rep.cpu_us / build_workers.max(1) as f64
                 + self.probe.cpu_us / probe_workers.max(1) as f64,
-            io_us: self.build.io_us + self.probe.io_us,
+            io_us: self.key_table.io_us + self.rep.io_us + self.probe.io_us,
         }
     }
 
     /// Serial total microseconds.
     #[cfg(test)]
     fn total_us(&self) -> f64 {
-        self.build.total_us() + self.probe.total_us()
+        self.key_table.total_us() + self.rep.total_us() + self.probe.total_us()
     }
 }
 
@@ -1046,11 +1037,11 @@ mod tests {
             sc.probe.cpu_us
         );
         // All three read the same blocks.
-        assert!((mat.build.io_us - mc.build.io_us).abs() < 1e-9);
-        assert!((mc.build.io_us - sc.build.io_us).abs() < 1e-9);
+        assert!((mat.rep.io_us - mc.rep.io_us).abs() < 1e-9);
+        assert!((mc.rep.io_us - sc.rep.io_us).abs() < 1e-9);
         assert!((mat.probe.io_us - sc.probe.io_us).abs() < 1e-9);
         // Materialized fronts the tuple construction at build time.
-        assert!(mat.build.cpu_us > mc.build.cpu_us);
+        assert!(mat.rep.cpu_us > mc.rep.cpu_us);
     }
 
     #[test]
@@ -1073,12 +1064,15 @@ mod tests {
             // Probe workers alone: probe CPU divides, build CPU and all
             // I/O stay put.
             let probe4 = cost.with_workers(1, 4);
-            let expect_cpu = cost.build.cpu_us + cost.probe.cpu_us / 4.0;
+            let build = cost.key_table.cpu_us + cost.rep.cpu_us;
+            let expect_cpu = build + cost.probe.cpu_us / 4.0;
             assert!((probe4.cpu_us - expect_cpu).abs() < 1e-9, "{kind:?}");
             assert!((probe4.io_us - serial.io_us).abs() < 1e-9, "{kind:?}");
-            // Build workers divide the build phase independently.
+            // Build workers divide the representation independently; the
+            // key table is built on one worker.
             let both4 = cost.with_workers(4, 4);
-            let expect_cpu = cost.build.cpu_us / 4.0 + cost.probe.cpu_us / 4.0;
+            let expect_cpu =
+                cost.key_table.cpu_us + cost.rep.cpu_us / 4.0 + cost.probe.cpu_us / 4.0;
             assert!((both4.cpu_us - expect_cpu).abs() < 1e-9, "{kind:?}");
             assert!((both4.io_us - serial.io_us).abs() < 1e-9, "{kind:?}");
             assert!(both4.cpu_us < probe4.cpu_us && probe4.cpu_us < serial.cpu_us);
@@ -1090,36 +1084,34 @@ mod tests {
     }
 
     #[test]
-    fn parallel_join_prices_partitioning_and_steal_overhead() {
+    fn parallel_join_divides_the_representation_never_the_key_table() {
         let m = model();
         let q = join_params(0.5);
-        let c = *m.constants();
         for kind in InnerStrategy::ALL {
             let cost = m.join_phases(&q, kind, false);
             // Serial worker counts collapse to the raw estimate: no
-            // partitioning, no scheduler.
+            // scheduler.
             let serial = m.hash_join(&q, kind, 1, 1, false);
             assert!(
                 (serial.total_us() - cost.total_us()).abs() < 1e-9,
                 "{kind:?}"
             );
-            // Parallel build pays the radix scatter (right rows) and the
-            // per-probe partition hash (surviving left rows), both
-            // divided by their phase's workers, plus two scheduler
-            // overheads.
+            // The key table stays whole on one worker, the
+            // representation divides by the build workers, the probe by
+            // its own, and only the probe pays the scheduler.
             let par = m.hash_join(&q, kind, 4, 8, false);
-            let expect = cost.build.cpu_us / 4.0
+            let expect = cost.key_table.cpu_us
+                + cost.rep.cpu_us / 4.0
                 + cost.probe.cpu_us / 8.0
-                + q.right_rows() * c.fc / 4.0
-                + q.left_rows() * q.sf * c.fc / 8.0
-                + m.steal_overhead(4)
                 + m.steal_overhead(8);
             assert!((par.cpu_us - expect).abs() < 1e-6, "{kind:?}");
-            // Probe-only parallelism keeps the build unpartitioned: no
-            // radix terms, one scheduler.
             let probe_only = m.hash_join(&q, kind, 1, 8, false);
-            let expect = cost.build.cpu_us + cost.probe.cpu_us / 8.0 + m.steal_overhead(8);
+            let expect = cost.key_table.cpu_us
+                + cost.rep.cpu_us
+                + cost.probe.cpu_us / 8.0
+                + m.steal_overhead(8);
             assert!((probe_only.cpu_us - expect).abs() < 1e-6, "{kind:?}");
+            assert!(cost.key_table.cpu_us > 0.0, "{kind:?}");
         }
     }
 
@@ -1141,16 +1133,19 @@ mod tests {
         for kind in InnerStrategy::ALL {
             let fresh = m.join_phases(&q, kind, false);
             let reused = m.join_phases(&q, kind, true);
-            // The probe is untouched; the build drops the key scan + hash
-            // inserts (CPU) and the key column's cold read (I/O).
+            // The probe and the representation are untouched; the key
+            // table, its scan + hash inserts (CPU) and the key column's
+            // cold read (I/O), drops out.
             assert_eq!(reused.probe, fresh.probe, "{kind:?}");
-            assert!(reused.build.cpu_us < fresh.build.cpu_us, "{kind:?}");
-            assert!(reused.build.io_us < fresh.build.io_us, "{kind:?}");
+            assert_eq!(reused.rep, fresh.rep, "{kind:?}");
+            assert_eq!(reused.key_table, CostBreakdown::default(), "{kind:?}");
+            assert!(fresh.key_table.cpu_us > 0.0, "{kind:?}");
+            assert!(fresh.key_table.io_us > 0.0, "{kind:?}");
             // Representations are still priced: Materialized keeps its
             // up-front tuple construction even on a reused table.
             if kind == InnerStrategy::Materialized {
                 let mc = m.join_phases(&q, InnerStrategy::MultiColumn, true);
-                assert!(reused.build.cpu_us > mc.build.cpu_us);
+                assert!(reused.rep.cpu_us > mc.rep.cpu_us);
             }
         }
     }
@@ -1176,11 +1171,15 @@ mod tests {
         for kind in InnerStrategy::ALL {
             let plain = m.join_phases(&q, kind, false);
             let coded = m.join_phases(&qc, kind, false);
-            let expect_build = plain.build.cpu_us - save(&qc.right_key);
+            let expect_build = plain.key_table.cpu_us - save(&qc.right_key);
             let expect_probe = plain.probe.cpu_us - save(&qc.left_key);
-            assert!((coded.build.cpu_us - expect_build).abs() < 1e-6, "{kind:?}");
+            assert!(
+                (coded.key_table.cpu_us - expect_build).abs() < 1e-6,
+                "{kind:?}"
+            );
             assert!((coded.probe.cpu_us - expect_probe).abs() < 1e-6, "{kind:?}");
-            assert_eq!(coded.build.io_us, plain.build.io_us, "{kind:?}");
+            assert_eq!(coded.rep, plain.rep, "{kind:?}");
+            assert_eq!(coded.key_table.io_us, plain.key_table.io_us, "{kind:?}");
             assert_eq!(coded.probe.io_us, plain.probe.io_us, "{kind:?}");
             assert!(coded.total_us() < plain.total_us(), "{kind:?}");
         }
@@ -1189,29 +1188,30 @@ mod tests {
         for kind in InnerStrategy::ALL {
             let plain = m.join_phases(&q, kind, true);
             let coded = m.join_phases(&qc, kind, true);
-            assert_eq!(coded.build, plain.build, "{kind:?}");
+            assert_eq!(coded.key_table, plain.key_table, "{kind:?}");
+            assert_eq!(coded.rep, plain.rep, "{kind:?}");
         }
     }
 
     #[test]
-    fn parallel_reuse_skips_radix_and_build_scheduler() {
+    fn parallel_reuse_prices_the_representation_alone() {
         let m = model();
         let q = join_params(0.5);
-        let c = *m.constants();
         for kind in InnerStrategy::ALL {
             let cost = m.join_phases(&q, kind, true);
             let par = m.hash_join(&q, kind, 4, 8, true);
-            // No radix scatter, no build-side steal overhead; the probe
-            // still pays its per-row partition hash (the cached table is
-            // partitioned) and its own scheduler bookkeeping.
-            let expect = cost.build.cpu_us / 4.0
-                + cost.probe.cpu_us / 8.0
-                + q.left_rows() * q.sf * c.fc / 8.0
-                + m.steal_overhead(8);
+            // No key table; the representation still divides by the
+            // build workers, and the probe pays its own scheduler.
+            let expect = cost.rep.cpu_us / 4.0 + cost.probe.cpu_us / 8.0 + m.steal_overhead(8);
             assert!((par.cpu_us - expect).abs() < 1e-6, "{kind:?}");
-            // A fresh build at the same worker counts costs more.
+            // A fresh build at the same worker counts costs its serial
+            // key table more.
             let fresh = m.hash_join(&q, kind, 4, 8, false);
-            assert!(fresh.cpu_us > par.cpu_us, "{kind:?}");
+            let key_table = m.join_phases(&q, kind, false).key_table;
+            assert!(
+                (fresh.cpu_us - par.cpu_us - key_table.cpu_us).abs() < 1e-6,
+                "{kind:?}"
+            );
         }
     }
 
@@ -1273,6 +1273,31 @@ mod tests {
         let reused = m.join_tree(&[e, reused_edge], &[]);
         assert!(reused.total_us() < rebuilt.total_us());
         assert!((reused.out_rows() - rebuilt.out_rows()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn bushy_reduction_scan_runs_on_one_worker() {
+        let m = model();
+        let c = *m.constants();
+        let q = join_params(0.5);
+        let reduction = BushyReduction {
+            parent_slot: 0,
+            keep_rate: 0.5,
+            scan_rows: q.right_rows(),
+        };
+        // The executor runs every reducer in one serial loop, so the
+        // reduction's probes cost the same at any build worker count.
+        for workers in [1, 4] {
+            let tree = m.join_tree(&[edge(q, workers)], &[reduction]);
+            let mut reduced = q;
+            reduced.match_rate *= 0.5;
+            let bare = m.join_tree(&[edge(reduced, workers)], &[]);
+            let scan = tree.total.cpu_us - bare.total.cpu_us;
+            assert!(
+                (scan - q.right_rows() * c.fc).abs() < 1e-6,
+                "{workers} workers"
+            );
+        }
     }
 
     #[test]

@@ -769,15 +769,8 @@ mod tests {
         // codec's serialized block. A parse may succeed or fail, but an
         // accepted block must decode, scan, probe and gather without a
         // panic — and no untrusted count may size an allocation.
-        let mut state = 0x5EED_u64;
-        let mut next = |n: usize| {
-            // SplitMix64.
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            ((z ^ (z >> 31)) % n.max(1) as u64) as usize
-        };
+        let mut rng = matstrat_common::SplitMix64(0x5EED);
+        let mut next = |n: usize| rng.below(n.max(1));
         for block in all_blocks(&sample_values(), 40) {
             let clean = block.serialize();
             for _ in 0..20_000 {

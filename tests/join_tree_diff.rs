@@ -21,7 +21,7 @@
 //! The planner ride-alongs assert `Planner::choose_join_tree` never
 //! prices its pick above a candidate it rejected, a planned single-edge
 //! tree runs byte-identical to a forced one, and the build-table cache runs
-//! the partitioned build once per distinct inner table — byte-identical
+//! the build once per distinct inner table — byte-identical
 //! to rebuild-per-edge, with the saved reads visible in the I/O meter.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -527,7 +527,7 @@ fn single_edge_tree_auto_equals_choose_join() {
     assert_eq!(auto.rows.flat(), single_result.flat());
 }
 
-/// Satellite: stats-level proof that the partitioned build runs once —
+/// Satellite: stats-level proof that the build runs once —
 /// not N times — when one inner table is probed by multiple edges, with
 /// byte-identical results vs. rebuild-per-edge and the saved build reads
 /// visible in the meter.

@@ -26,6 +26,7 @@ use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
 
 use matstrat::client::{read_response, Client, Response};
+use matstrat::common::SplitMix64 as Rng;
 use matstrat::net::{protocol, NetConfig, NetServer};
 use matstrat::prelude::*;
 
@@ -378,23 +379,6 @@ fn client_rejects_replies_the_server_never_emits() {
             .expect_rows(reply);
         assert_eq!(rows.data, data, "{reply:?}");
         assert_eq!(rows.raw, reply.as_bytes());
-    }
-}
-
-/// SplitMix64, as in `tests/text_fuzz.rs`: seeded, no dependencies.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
     }
 }
 

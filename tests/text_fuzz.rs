@@ -10,6 +10,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use matstrat::common::SplitMix64 as Rng;
 use matstrat::core::Database;
 use matstrat::lang::compile;
 use matstrat::storage::{EncodingKind, ProjectionSpec, SortOrder};
@@ -17,22 +18,12 @@ use matstrat::storage::{EncodingKind, ProjectionSpec, SortOrder};
 /// Inputs per generator.
 const ITERATIONS: usize = 30_000;
 
-/// SplitMix64: a seeded generator with no dependencies.
-struct Rng(u64);
+/// A word drawn from a list.
+trait Pick {
+    fn pick<'a>(&mut self, from: &[&'a str]) -> &'a str;
+}
 
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-
+impl Pick for Rng {
     fn pick<'a>(&mut self, from: &[&'a str]) -> &'a str {
         from[self.below(from.len())]
     }
